@@ -21,7 +21,12 @@ import tempfile
 import numpy as np
 
 from .config import RunConfig, config_digest, parse_config
-from .convergence import ExperimentPlan, moment_probe, run_strong_error
+from .convergence import (
+    ExperimentPlan,
+    _raise_first_failure,
+    moment_probe,
+    run_strong_error,
+)
 from .drifts import audit_assumptions, lamperti_inverse
 from .errors import ConfigError, FbmsdeError, ParameterError, UsageError
 from .fbm import CholeskySampler, CirculantSampler, Hurst, TimeGrid
@@ -146,24 +151,29 @@ def _cmd_simulate(args) -> int:
         CholeskySampler if cfg.scheme["method"] == "cholesky" else CirculantSampler
     )
     sampler = sampler_cls(Hurst(model.hurst), grid)
+    noise = np.empty((paths, steps))
+    for i in range(paths):
+        noise[i] = sampler.sample(cfg.seed, i).increments
+    sol = integrate(drift, scheme, noise, cert)
+    _raise_first_failure(sol, 0)
+    y = lamperti_inverse(model, sol.values)
     times = grid.times
     out = args.out or os.path.join(_out_dir(args, cfg), "simulate.csv")
 
     def rows():
         for i in range(paths):
-            noise = sampler.sample(cfg.seed, i)
-            sol = integrate(drift, scheme, noise.increments, cert)
-            y = lamperti_inverse(model, sol.values)
-            yield (i, 0, times[0], sol.values[0], y[0], 0.0, 0)
+            x, y_i = sol.values[i], y[i]
+            residuals, iterations = sol.residuals[i], sol.iterations[i]
+            yield (i, 0, times[0], x[0], y_i[0], 0.0, 0)
             for n in range(steps):
                 yield (
                     i,
                     n + 1,
                     times[n + 1],
-                    sol.values[n + 1],
-                    y[n + 1],
-                    sol.residuals[n],
-                    int(sol.iterations[n]),
+                    x[n + 1],
+                    y_i[n + 1],
+                    residuals[n],
+                    int(iterations[n]),
                 )
 
     _atomic_write(
@@ -285,6 +295,11 @@ def _cmd_moments(args) -> int:
         p_list,
         cfg.seed,
         ladder_rungs=cfg.experiment["ladder_rungs"],
+        method=cfg.scheme["method"],
+        tol_abs=cfg.scheme["tol_abs"],
+        tol_rel=cfg.scheme["tol_rel"],
+        max_iter=cfg.scheme["max_iter"],
+        bracket_growth=cfg.scheme["bracket_growth"],
     )
     out_dir = _out_dir(args, cfg)
     _atomic_write(

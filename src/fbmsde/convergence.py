@@ -19,7 +19,10 @@ sqrt(log(1 + 1/h)) (positive-power transforms) or log(1 + 1/h)
 
 Everything is deterministic given the plan: paths are seeded by
 ``mix_seed(master_seed, path_index)`` and aggregation folds results in path
-order, so the report is identical for any worker count.
+order, so the report is identical for any worker count.  Paths are integrated
+in fixed-size chunks through the path-batched solver; chunk boundaries depend
+only on the path count, and the solver never mixes values across paths, so
+neither chunking nor the worker count moves any number.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Iterable
 import numpy as np
 
 from .drifts import ModelSpec
-from .errors import IntegrationError, ParameterError, UsageError
+from .errors import IntegrationError, NumericalError, ParameterError, UsageError
 from .fbm import CholeskySampler, CirculantSampler, Hurst, TimeGrid, mix_seed, subsample
 from .solver import SchemeConfig, SolutionPath, check_step_bound, integrate
 
@@ -52,6 +55,17 @@ __all__ = [
 
 ERROR_KINDS = ("x_interp", "x_node", "y_interp", "y_node")
 BOOTSTRAP_RESAMPLES = 1000
+# Resamples drawn per block; the blocks concatenate to the same index stream
+# as one draw of all resamples, without its resamples x paths index matrix.
+BOOTSTRAP_BLOCK = 100
+# Paths integrated as one batch.  The batched solver's cost per step is mostly
+# fixed overhead, so larger chunks are faster, but a chunk holds 32 bytes per
+# path and step (noise, nodes, residuals, iteration counts).  Ladder chunks
+# run in pool workers and hold the 2^k_ref reference: about 13 MB for 50
+# paths at 2^13.  Probe chunks run in the main process, whose peak memory
+# they raise by about 0.1 MB per path at 2^11 steps.
+LADDER_CHUNK_PATHS = 50
+PROBE_CHUNK_PATHS = 24
 # Path index reserved for the bootstrap RNG stream; far above any real path.
 BOOTSTRAP_STREAM = 1 << 62
 # Default admissible horizon for critical (alpha = 1) models at p <= 2.
@@ -235,79 +249,123 @@ def fit_order(
     )
 
 
-def _sampler(plan: ExperimentPlan, grid: TimeGrid):
-    hurst = Hurst(plan.model.hurst)
-    if plan.method == "cholesky":
-        return CholeskySampler(hurst, grid)
-    return CirculantSampler(hurst, grid)
-
-
-def _sup_errors(
-    coarse: SolutionPath,
-    ref_values: np.ndarray,
-    factor: int,
-    inverse_exponent: float,
-) -> dict:
-    """Sup-norm errors of one coarse solution against the reference nodes."""
-    # piecewise-linear read of the coarse path at every reference node, done
-    # with index arithmetic (reference nodes subdivide each coarse cell into
-    # ``factor`` equal parts)
-    n_coarse = coarse.grid.steps
-    cv = coarse.values
-    j = np.arange(len(ref_values))
-    frac = (j % factor) / factor
-    cell = np.minimum(j // factor, n_coarse - 1)
-    frac = np.where(j // factor == n_coarse, 1.0, frac)
-    interp = (1.0 - frac) * cv[cell] + frac * cv[cell + 1]
-    y_interp = interp**inverse_exponent
-    y_ref = ref_values**inverse_exponent
-    node_idx = np.arange(0, len(ref_values), factor)
-    return {
-        "x_interp": float(np.max(np.abs(interp - ref_values))),
-        "x_node": float(np.max(np.abs(cv - ref_values[node_idx]))),
-        "y_interp": float(np.max(np.abs(y_interp - y_ref))),
-        "y_node": float(np.max(np.abs(cv**inverse_exponent - y_ref[node_idx]))),
-    }
-
-
-def _strong_error_one_path(
-    plan: ExperimentPlan, path_index: int
-) -> tuple[int, dict | None, tuple | None]:
-    """Errors of every ladder level for one path; (index, errors, failure)."""
-    n_ref = 2**plan.k_ref
-    grid = TimeGrid(plan.horizon, n_ref)
-    fine = _sampler_cached(plan, grid).sample(plan.master_seed, path_index)
-    drift, cert = plan.model.drift()
-    try:
-        ref = integrate(drift, plan.scheme_config(n_ref), fine.increments, cert)
-    except IntegrationError as exc:
-        return path_index, None, (path_index, plan.k_ref, exc.step)
-    l_exp = plan.model.inverse_exponent
-    out: dict[int, dict] = {}
-    for k in plan.levels:
-        factor = 2 ** (plan.k_ref - k)
-        coarse_noise = subsample(fine, factor).increments
-        try:
-            sol = integrate(
-                drift, plan.scheme_config(2**k), coarse_noise, cert
-            )
-        except IntegrationError as exc:
-            return path_index, None, (path_index, k, exc.step)
-        out[k] = _sup_errors(sol, ref.values, factor, l_exp)
-    return path_index, out, None
+def _sampler(method: str, hurst: float, grid: TimeGrid):
+    if method == "cholesky":
+        return CholeskySampler(Hurst(hurst), grid)
+    return CirculantSampler(Hurst(hurst), grid)
 
 
 # Sampler construction is costly for the Cholesky method; cache per process.
 _SAMPLER_CACHE: dict = {}
 
 
-def _sampler_cached(plan: ExperimentPlan, grid: TimeGrid):
-    key = (plan.method, plan.model.hurst, grid.horizon, grid.steps)
+def _sampler_cached(method: str, hurst: float, grid: TimeGrid):
+    key = (method, hurst, grid.horizon, grid.steps)
     sampler = _SAMPLER_CACHE.get(key)
     if sampler is None:
-        sampler = _sampler(plan, grid)
+        sampler = _sampler(method, hurst, grid)
         _SAMPLER_CACHE[key] = sampler
     return sampler
+
+
+def _chunks(paths: int, most: int) -> list[tuple[int, int]]:
+    """Path ranges [start, stop) of near-equal size, at most ``most`` each."""
+    count = -(-paths // most)
+    bounds = [paths * i // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _draw_chunk(
+    sampler, master_seed: int, start: int, stop: int, factors: Iterable[int]
+) -> dict[int, np.ndarray]:
+    """Increments of paths start..stop-1 coarsened by each block factor.
+
+    Paths are drawn one at a time from their own seeds, exactly as a single
+    draw would be, and coarsened with :func:`subsample`; the result maps each
+    factor to a (paths, steps / factor) array.
+    """
+    steps = sampler.grid.steps
+    out = {f: np.empty((stop - start, steps // f)) for f in factors}
+    for row, index in enumerate(range(start, stop)):
+        path = sampler.sample(master_seed, index)
+        for factor, noise in out.items():
+            noise[row] = subsample(path, factor).increments
+    return out
+
+
+def _raise_first_failure(sol: SolutionPath, start: int) -> None:
+    """Abort on the lowest failed path of a chunk starting at path ``start``."""
+    if sol.failures:
+        row = min(sol.failures)
+        err = sol.failures[row]
+        raise IntegrationError(f"path {start + row}: {err}", step=err.step) from err
+
+
+def _sup_errors(
+    coarse: np.ndarray,
+    ref_values: np.ndarray,
+    factor: int,
+    inverse_exponent: float,
+) -> dict:
+    """Sup-norm errors of one coarse path's nodes against the reference nodes."""
+    # piecewise-linear read of the coarse path at every reference node, done
+    # with index arithmetic (reference nodes subdivide each coarse cell into
+    # ``factor`` equal parts)
+    n_coarse = len(coarse) - 1
+    j = np.arange(len(ref_values))
+    frac = (j % factor) / factor
+    cell = np.minimum(j // factor, n_coarse - 1)
+    frac = np.where(j // factor == n_coarse, 1.0, frac)
+    interp = (1.0 - frac) * coarse[cell] + frac * coarse[cell + 1]
+    y_interp = interp**inverse_exponent
+    y_ref = ref_values**inverse_exponent
+    node_idx = np.arange(0, len(ref_values), factor)
+    return {
+        "x_interp": float(np.max(np.abs(interp - ref_values))),
+        "x_node": float(np.max(np.abs(coarse - ref_values[node_idx]))),
+        "y_interp": float(np.max(np.abs(y_interp - y_ref))),
+        "y_node": float(np.max(np.abs(coarse**inverse_exponent - y_ref[node_idx]))),
+    }
+
+
+def _strong_error_chunk(
+    plan: ExperimentPlan, start: int, stop: int
+) -> list[tuple[int, dict | None, tuple | None]]:
+    """Errors of every ladder level for paths start..stop-1.
+
+    Returns one (index, errors, failure) triple per path in path order.  The
+    reference and then each level are integrated as one batch; a path that
+    fails is recorded as (path, level, step) and left out of later levels.
+    """
+    n_ref = 2**plan.k_ref
+    grid = TimeGrid(plan.horizon, n_ref)
+    sampler = _sampler_cached(plan.method, plan.model.hurst, grid)
+    factors = {k: 2 ** (plan.k_ref - k) for k in plan.levels}
+    noise = _draw_chunk(sampler, plan.master_seed, start, stop, [1, *factors.values()])
+    drift, cert = plan.model.drift()
+    ref = integrate(drift, plan.scheme_config(n_ref), noise[1], cert)
+    failures = {
+        row: (start + row, plan.k_ref, err.step) for row, err in ref.failures.items()
+    }
+    errors: list[dict] = [{} for _ in range(stop - start)]
+    l_exp = plan.model.inverse_exponent
+    for k, factor in factors.items():
+        live = [row for row in range(stop - start) if row not in failures]
+        if not live:
+            break
+        level_noise = noise[factor] if not failures else noise[factor][live]
+        sol = integrate(drift, plan.scheme_config(2**k), level_noise, cert)
+        for j, row in enumerate(live):
+            if j in sol.failures:
+                failures[row] = (start + row, k, sol.failures[j].step)
+            else:
+                errors[row][k] = _sup_errors(
+                    sol.values[j], ref.values[row], factor, l_exp
+                )
+    return [
+        (start + row, None if row in failures else errors[row], failures.get(row))
+        for row in range(stop - start)
+    ]
 
 
 def _p_mean(values: np.ndarray, p: float) -> float:
@@ -316,8 +374,11 @@ def _p_mean(values: np.ndarray, p: float) -> float:
 
 def _bootstrap_stderr(values: np.ndarray, p: float, rng: np.random.Generator) -> float:
     n = values.size
-    draws = rng.integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
-    stats = np.mean(values[draws] ** p, axis=1) ** (1.0 / p)
+    stats = np.empty(BOOTSTRAP_RESAMPLES)
+    for first in range(0, BOOTSTRAP_RESAMPLES, BOOTSTRAP_BLOCK):
+        block = stats[first : first + BOOTSTRAP_BLOCK]
+        draws = rng.integers(0, n, size=(block.size, n))
+        block[:] = np.mean(values[draws] ** p, axis=1) ** (1.0 / p)
     return float(np.std(stats, ddof=1))
 
 
@@ -345,27 +406,29 @@ def run_strong_error(
 ) -> ConvergenceReport:
     """Execute the coupled ladder experiment and fit empirical orders.
 
-    With ``workers > 1`` paths are processed by a process pool; results are
-    folded in path order either way, so the report does not depend on the
-    pool size.  Failed paths are recorded as (path, level, step) triples and
-    excluded from the aggregates, marking the report incomplete.
+    Paths are processed in chunks of at most ``LADDER_CHUNK_PATHS``, by a
+    process pool when ``workers > 1``; results are folded in path order
+    either way, so the report does not depend on the pool size.  Failed
+    paths are recorded as (path, level, step) triples and excluded from the
+    aggregates, marking the report incomplete; when every path fails there is
+    nothing to report and :class:`NumericalError` names the failures.
     """
-    indices = range(plan.paths)
+    starts, stops = zip(*_chunks(plan.paths, LADDER_CHUNK_PATHS))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    _strong_error_one_path,
-                    [plan] * plan.paths,
-                    indices,
-                    chunksize=max(1, plan.paths // (4 * workers)),
-                )
+        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+            chunks = list(
+                pool.map(_strong_error_chunk, [plan] * len(starts), starts, stops)
             )
     else:
-        results = [_strong_error_one_path(plan, i) for i in indices]
-    results.sort(key=lambda item: item[0])
+        chunks = [_strong_error_chunk(plan, a, b) for a, b in zip(starts, stops)]
+    results = [item for chunk in chunks for item in chunk]
 
     failures = [failure for _, _, failure in results if failure is not None]
+    if len(failures) == plan.paths:
+        raise NumericalError(
+            f"all {plan.paths} paths failed, so no error estimate exists; "
+            f"failed (path, level, step): {[list(f) for f in failures]}"
+        )
     per_level: dict[int, dict[str, list[float]]] = {
         k: {kind: [] for kind in ERROR_KINDS} for k in plan.levels
     }
@@ -486,32 +549,34 @@ def reference_bias_check(plan: ExperimentPlan) -> dict:
     """
     n_fine = 2 ** (plan.k_ref + 1)
     grid = TimeGrid(plan.horizon, n_fine)
-    sampler = _sampler(plan, grid)
+    sampler = _sampler(plan.method, plan.model.hurst, grid)
     drift, cert = plan.model.drift()
     l_exp = plan.model.inverse_exponent
+    ref_ks = (plan.k_ref, plan.k_ref + 1)
     acc = {
         ref_k: {k: {kind: [] for kind in ERROR_KINDS} for k in plan.levels}
-        for ref_k in (plan.k_ref, plan.k_ref + 1)
+        for ref_k in ref_ks
     }
-    for i in range(plan.paths):
-        fine = sampler.sample(plan.master_seed, i)
-        refs = {}
-        for ref_k in (plan.k_ref, plan.k_ref + 1):
-            n_ref = 2**ref_k
-            noise = subsample(fine, n_fine // n_ref).increments
-            refs[ref_k] = integrate(drift, plan.scheme_config(n_ref), noise, cert)
-        for k in plan.levels:
-            sol = integrate(
-                drift,
-                plan.scheme_config(2**k),
-                subsample(fine, n_fine // 2**k).increments,
-                cert,
-            )
-            for ref_k, ref in refs.items():
-                factor = 2 ** (ref_k - k)
-                errs = _sup_errors(sol, ref.values, factor, l_exp)
-                for kind in ERROR_KINDS:
-                    acc[ref_k][k][kind].append(errs[kind])
+    factors = {k: n_fine // 2**k for k in (*ref_ks, *plan.levels)}
+    for start, stop in _chunks(plan.paths, LADDER_CHUNK_PATHS):
+        noise = _draw_chunk(
+            sampler, plan.master_seed, start, stop, set(factors.values())
+        )
+        sols = {}
+        for k, factor in factors.items():
+            sols[k] = integrate(drift, plan.scheme_config(2**k), noise[factor], cert)
+            _raise_first_failure(sols[k], start)
+        for row in range(stop - start):
+            for k in plan.levels:
+                for ref_k in ref_ks:
+                    errs = _sup_errors(
+                        sols[k].values[row],
+                        sols[ref_k].values[row],
+                        2 ** (ref_k - k),
+                        l_exp,
+                    )
+                    for kind in ERROR_KINDS:
+                        acc[ref_k][k][kind].append(errs[kind])
     out = {}
     for k in plan.levels:
         out[k] = {}
@@ -574,13 +639,21 @@ def moment_probe(
     p_list: Iterable[float],
     master_seed: int,
     ladder_rungs: int = 6,
+    *,
+    method: str = "circulant",
+    tol_abs: float = 1e-12,
+    tol_rel: float = 1e-12,
+    max_iter: int = 200,
+    bracket_growth: float = 2.0,
 ) -> MomentProbe:
     """Estimate E sup X^{-p}, E sup X^{p}, and modulus-of-continuity ratios.
 
     The modulus ladder uses window widths h * 2^j, j = 0..ladder_rungs-1, and
     reports E modulus(h_j) divided by the envelope h + h^H sqrt(log(1 + 1/h)).
     For critical-regime models the admissible horizon shrinks with p; a
-    warning is emitted when (horizon, max p) exceeds it.
+    warning is emitted when (horizon, max p) exceeds it.  ``method`` picks the
+    fBM sampler and the remaining keywords are the root-solver settings of
+    :class:`SchemeConfig`.
     """
     h_value = hurst.value if isinstance(hurst, Hurst) else float(hurst)
     if h_value != model.hurst:
@@ -602,26 +675,37 @@ def moment_probe(
                 stacklevel=2,
             )
 
+    if method not in ("circulant", "cholesky"):
+        raise UsageError(f"unknown sampler method {method!r}")
     grid = TimeGrid(horizon, steps)
-    sampler = CirculantSampler(Hurst(model.hurst), grid)
+    sampler = _sampler(method, model.hurst, grid)
     config = SchemeConfig(
-        steps=steps, horizon=horizon, sigma=model.sigma_x, x0=model.x0
+        steps=steps,
+        horizon=horizon,
+        sigma=model.sigma_x,
+        x0=model.x0,
+        tol_abs=tol_abs,
+        tol_rel=tol_rel,
+        max_iter=max_iter,
+        bracket_growth=bracket_growth,
     )
     rungs = min(ladder_rungs, int(math.log2(steps)) - 1)
     windows = [2**j for j in range(rungs)]
     neg = {p: 0.0 for p in p_list}
     pos = {p: 0.0 for p in p_list}
     modulus = np.zeros(len(windows))
-    for i in range(paths):
-        path = sampler.sample(master_seed, i)
-        sol = integrate(drift, config, path.increments, cert)
-        values = sol.values
-        v_max, v_min = float(values.max()), float(values.min())
-        for p in p_list:
-            neg[p] += v_min**-p
-            pos[p] += v_max**p
-        for w, window in enumerate(windows):
-            modulus[w] += _window_modulus(values, window)
+    for start, stop in _chunks(paths, PROBE_CHUNK_PATHS):
+        noise = _draw_chunk(sampler, master_seed, start, stop, [1])[1]
+        sol = integrate(drift, config, noise, cert)
+        _raise_first_failure(sol, start)
+        for values in sol.values:
+            v_max, v_min = float(values.max()), float(values.min())
+            for p in p_list:
+                neg[p] += v_min**-p
+                pos[p] += v_max**p
+            for w, window in enumerate(windows):
+                modulus[w] += _window_modulus(values, window)
+        del noise, sol  # free this chunk before the next one is drawn
     for p in p_list:
         neg[p] /= paths
         pos[p] /= paths

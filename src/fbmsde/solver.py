@@ -1,4 +1,4 @@
-"""Drift-implicit (backward) Euler scheme with a safeguarded scalar root solver.
+"""Drift-implicit (backward) Euler scheme with a path-batched root solver.
 
 One step of the scheme solves
 
@@ -10,16 +10,24 @@ zero on (0, inf) and blows up at 0+, so the unique root is positive for every
 real c whenever h is below the certificate's h0; implicitness is what makes
 the scheme positivity preserving.
 
-The root solver brackets first (geometric expansion or shrinkage from
-max(c, 1e-30)) and then runs Newton safeguarded by bisection: a Newton step is
-accepted only if it stays inside the bracket and reduces |g|.  Convergence is
-declared on the residual test |g(x)| <= tol_abs + tol_rel * x.
+One kernel solves that equation for a whole array of paths at once.  Every
+row starts Newton from max(c, 1e-30) and keeps its own bracket [lo, hi] with
+g(lo) > 0 >= g(hi), where lo = 0 and hi = inf mark an end not found yet.  A
+Newton step is taken only when it lands strictly inside the bracket, and
+kept only if it cuts |g| at least four-fold; otherwise the row's next
+evaluation is a fallback: a Newton step in (log x, asinh g) if that lands
+inside the bracket, else expansion while hi is unknown, shrinkage while lo
+is unknown, and bisection once both are known, all geometric.  Expansion and
+shrinkage go on until the bracket has both ends.  Convergence is declared on
+the residual test |g(x)| <= tol_abs + tol_rel * x.  Only rows that have not
+converged are iterated, and no value of one row enters another row's
+arithmetic, so a path's result does not depend on the batch it was solved in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +54,11 @@ __all__ = [
 X_FLOOR = 1e-30
 BRACKET_CEILING = 1e300
 BRACKET_FLOOR = 1e-300
+# A Newton step is kept only if it cuts |g| at least this much.  Far left of
+# the root g behaves like x^-alpha, where Newton only gains a factor
+# 1 + 1/alpha in x per step while still reducing |g| (by at most 1/e);
+# geometric expansion gains a factor bracket_growth per step instead.
+NEWTON_MIN_DECREASE = 0.25
 
 
 @dataclass(frozen=True)
@@ -91,12 +104,16 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class SolutionPath:
-    """Discrete trajectory of the scheme plus per-step solver records.
+    """Discrete trajectories of the scheme plus per-step solver records.
 
-    ``values`` has length steps + 1 with values[0] = x0 and every node
-    strictly positive; ``residuals[n]`` and ``iterations[n]`` describe the
-    root solve that produced values[n + 1].  ``increments`` references the
-    driving noise.  Immutable after construction.
+    For one path ``values`` has length steps + 1 with values[0] = x0 and
+    every node strictly positive; ``residuals[n]`` and ``iterations[n]``
+    describe the root solve that produced values[n + 1].  For a batch the
+    arrays gain a leading path axis.  ``failures`` maps the row of each
+    batch path whose integration failed to its :class:`IntegrationError`;
+    such a row is frozen at the failing step, and its later nodes and
+    residuals are NaN and its later iteration counts 0.  ``increments``
+    references the driving noise.  Immutable after construction.
     """
 
     grid: TimeGrid
@@ -104,6 +121,7 @@ class SolutionPath:
     residuals: np.ndarray
     iterations: np.ndarray
     increments: np.ndarray
+    failures: dict = field(default_factory=dict)
 
 
 class Interpolant:
@@ -149,118 +167,192 @@ def implicit_step(
     evaluations beyond the initial guess.  Raises :class:`RootBracketError`
     when no sign change is found (the unique-positive-root hypothesis fails
     at runtime) and :class:`NumericalError` on non-finite drift values.
+    This is the batch of one of the kernel :func:`integrate` runs.
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ParameterError(f"step size must be positive and finite, got {h}")
-    value = drift.value
-    deriv = drift.deriv1
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        root, residual, iterations, errors = _solve(
+            drift, h, np.array([float(c)]), tol_abs, tol_rel, max_iter, bracket_growth
+        )
+    if errors:
+        raise errors[0]
+    return float(root[0]), float(residual[0]), int(iterations[0])
 
-    def g(x: float) -> float:
-        try:
-            bx = value(x)
-        except OverflowError:
-            # Python float pow overflows for strongly singular drifts near the
-            # bracket floor; IEEE semantics (inf with the drift's sign) are
-            # exactly the information bracketing needs, so re-evaluate through
-            # numpy scalars.
-            with np.errstate(over="ignore"):
-                bx = float(value(np.float64(x)))
-        gx = bx * h - x + c
-        if math.isnan(gx):
-            raise NumericalError(
-                f"drift evaluation produced NaN at x={x!r} inside the bracket"
-            )
-        return gx
 
-    def slope(x: float) -> float:
-        try:
-            return deriv(x) * h - 1.0
-        except OverflowError:
-            return -math.inf  # forces the bisection safeguard
-
-    x = c if c > X_FLOOR else X_FLOOR
-    gx = g(x)
-    iterations = 0
-    if abs(gx) <= tol_abs + tol_rel * x:
-        return x, gx, iterations
-
-    # Bracket [lo, hi] with g(lo) >= 0 >= g(hi); g decreases through the root.
-    lo, glo = x, gx
-    hi, ghi = x, gx
-    if gx > 0.0:
-        while ghi > 0.0:
-            if iterations >= max_iter or hi > BRACKET_CEILING:
-                raise RootBracketError(
-                    "no sign change of B(x) h - x + c found while expanding to "
-                    f"[{lo:.3e}, {hi:.3e}]; the implicit step equation appears "
-                    "to lack a positive root (unique-positive-root hypothesis)",
-                    interval=(lo, hi),
-                )
-            lo, glo = hi, ghi
-            hi *= bracket_growth
-            ghi = g(hi)
-            iterations += 1
-    else:
-        while glo < 0.0:
-            if iterations >= max_iter or lo < BRACKET_FLOOR:
-                raise RootBracketError(
-                    "no sign change of B(x) h - x + c found while shrinking to "
-                    f"[{lo:.3e}, {hi:.3e}]; the implicit step equation appears "
-                    "to lack a positive root (unique-positive-root hypothesis)",
-                    interval=(lo, hi),
-                )
-            hi, ghi = lo, glo
-            lo /= bracket_growth
-            glo = g(lo)
-            iterations += 1
-
-    # Safeguarded Newton inside [lo, hi].
-    if abs(glo) <= abs(ghi):
-        x, gx = lo, glo
-    else:
-        x, gx = hi, ghi
-    while iterations < max_iter:
-        if abs(gx) <= tol_abs + tol_rel * x:
-            return x, gx, iterations
-        trial = None
-        gp = slope(x)
-        if math.isfinite(gp) and gp != 0.0:
-            candidate = x - gx / gp
-            if lo < candidate < hi:
-                trial = candidate
-        if trial is None:
-            trial = 0.5 * (lo + hi)
-            gt = g(trial)
-            iterations += 1
-        else:
-            gt = g(trial)
-            iterations += 1
-            if abs(gt) >= abs(gx):
-                # Newton did not reduce the residual: fall back to bisection,
-                # but keep the information the failed step added to the bracket.
-                if gt > 0.0:
-                    lo, glo = max(lo, trial), gt
-                else:
-                    hi, ghi = min(hi, trial), gt
-                trial = 0.5 * (lo + hi)
-                gt = g(trial)
-                iterations += 1
-        if gt > 0.0:
-            lo, glo = trial, gt
-        else:
-            hi, ghi = trial, gt
-        x, gx = trial, gt
-        if hi - lo <= np.spacing(lo):
-            if abs(gx) <= tol_abs + tol_rel * x:
-                return x, gx, iterations
-            raise NumericalError(
-                f"root isolated to machine precision at x={x!r} but the residual "
-                f"{gx:.3e} misses the tolerance {tol_abs + tol_rel * x:.3e}"
-            )
-    raise NumericalError(
-        f"implicit step did not converge within max_iter={max_iter} "
-        f"(bracket [{lo:.6e}, {hi:.6e}], residual {gx:.3e})"
+def _bracket_error(start: float, lo: float, hi: float) -> RootBracketError:
+    """No sign change on the range a one-sided bracket covered from ``start``."""
+    searched = (start, lo) if hi == math.inf else (hi, start)
+    return RootBracketError(
+        "no sign change of B(x) h - x + c found on "
+        f"[{searched[0]:.3e}, {searched[1]:.3e}]; the implicit step equation "
+        "appears to lack a positive root (unique-positive-root hypothesis)",
+        interval=searched,
     )
+
+
+def _solve(drift, h, c, tol_abs, tol_rel, max_iter, growth):
+    """Solve B(x) h - x + c = 0 for every entry of the 1-D array ``c``.
+
+    Returns ``(root, residual, iterations, errors)``: three per-row arrays
+    and a dict that maps each row that failed to its
+    :class:`NumericalError`; the arrays hold meaningless values at those
+    rows.  Run it under an ``np.errstate`` that ignores overflow, division
+    and invalid operations: infinities near the ends of the search range are
+    exactly what bracketing needs, and NaN is reported per row.
+
+    Each round evaluates g once on every row still iterating.  The common
+    round, in which every row took a Newton step that cut |g| enough, skips
+    the fallback and failure bookkeeping.
+    """
+    value, deriv = drift.value, drift.deriv1
+    count = np.count_nonzero
+    size = c.size
+    root = np.empty(size)
+    residual = np.empty(size)
+    iterations = np.empty(size, dtype=np.int64)
+    errors: dict[int, NumericalError] = {}
+    idx = None  # rows still iterating, None while that is all of them
+    x, cc = np.maximum(c, X_FLOOR), c
+    newton = redo = None
+    all_newton = False
+    for k in range(max_iter + 1):
+        gx = value(x) * h - x + cc
+        agx = np.abs(gx)
+        reject = None
+        if newton is not None:
+            kept = agx <= NEWTON_MIN_DECREASE * a_old  # False on NaN
+            if not all_newton:
+                reject = newton & ~kept
+            elif count(kept) < x.size:
+                reject = ~kept
+        failed = None
+        if k == 0:
+            done = agx <= tol_abs + tol_rel * x
+            n_done = count(done)
+            nan = np.isnan(gx)
+            if count(nan):
+                for j in nan.nonzero()[0]:
+                    errors[int(j)] = NumericalError(
+                        f"drift evaluation produced NaN at x={float(x[j])!r} "
+                        "inside the bracket"
+                    )
+                failed = nan
+            positive = gx > 0.0
+            lo = np.where(positive, x, 0.0)
+            hi = np.where(positive, np.inf, x)
+        elif all_newton and reject is None:
+            done = agx <= tol_abs + tol_rel * x
+            n_done = count(done)
+            if n_done == x.size:
+                rows = slice(None) if idx is None else idx
+                root[rows], residual[rows], iterations[rows] = x, gx, k
+                break
+            positive = gx > 0.0
+            np.copyto(lo, x, where=positive)
+            np.copyto(hi, x, where=~positive)
+        else:
+            nan = np.isnan(gx)
+            for j in nan.nonzero()[0]:
+                errors[int(j if idx is None else idx[j])] = NumericalError(
+                    f"drift evaluation produced NaN at x={float(x[j])!r} "
+                    "inside the bracket"
+                )
+            positive = gx > 0.0
+            np.copyto(lo, x, where=positive)
+            np.copyto(hi, x, where=~positive)
+            if reject is not None:
+                x = np.where(reject, x_old, x)
+                gx = np.where(reject, g_old, gx)
+                agx = np.where(reject, a_old, agx)
+            # expansion and shrinkage go on until the bracket has both ends
+            redo = ~newton & ((lo == 0.0) | (hi == np.inf))
+            if reject is not None:
+                redo |= reject
+            if not count(redo):
+                redo = None
+            done = agx <= tol_abs + tol_rel * x
+            n_done = count(done)
+            stuck = ~done & (hi - lo <= np.spacing(lo))
+            for j in (stuck & ~nan).nonzero()[0]:
+                errors[int(j if idx is None else idx[j])] = NumericalError(
+                    f"root isolated to machine precision at x={float(x[j])!r} but "
+                    f"the residual {float(gx[j]):.3e} misses the tolerance "
+                    f"{tol_abs + tol_rel * float(x[j]):.3e}"
+                )
+            failed = nan | stuck
+        if k == max_iter:
+            spent = ~done if failed is None else ~(done | failed)
+            for j in spent.nonzero()[0]:
+                lo_j, hi_j = float(lo[j]), float(hi[j])
+                errors[int(j if idx is None else idx[j])] = (
+                    _bracket_error(max(float(cc[j]), X_FLOOR), lo_j, hi_j)
+                    if lo_j == 0.0 or hi_j == math.inf
+                    else NumericalError(
+                        f"implicit step did not converge within max_iter={max_iter} "
+                        f"(bracket [{lo_j:.6e}, {hi_j:.6e}], residual "
+                        f"{float(gx[j]):.3e})"
+                    )
+                )
+            rows = done.nonzero()[0]
+            if idx is not None:
+                rows = idx[rows]
+            root[rows], residual[rows], iterations[rows] = x[done], gx[done], k
+            break
+        if failed is not None and count(failed):
+            done_or_failed = done | failed
+        else:
+            done_or_failed = done if n_done else None
+        if done_or_failed is not None:
+            j = done.nonzero()[0]
+            rows = j if idx is None else idx[j]
+            root[rows], residual[rows], iterations[rows] = x[j], gx[j], k
+            j = (~done_or_failed).nonzero()[0]
+            if not j.size:
+                break
+            idx = j if idx is None else idx[j]
+            x, gx, agx, cc, lo, hi = x[j], gx[j], agx[j], cc[j], lo[j], hi[j]
+            if redo is not None:
+                redo = redo[j]
+
+        slope = deriv(x) * h - 1.0
+        trial = x - gx / slope
+        newton = (lo < trial) & (trial < hi)  # False on NaN
+        if redo is not None:
+            newton &= ~redo
+        all_newton = count(newton) == x.size
+        if not all_newton:
+            # First fallback: a Newton step in (log x, asinh g).  Both the
+            # power law near 0 and the linear tail are straight lines there,
+            # so it crosses decades where plain Newton crawls or overshoots.
+            trial = np.where(
+                newton,
+                trial,
+                x * np.exp(np.arcsinh(gx) * np.hypot(1.0, gx) / (-x * slope)),
+            )
+            # Last resort: expansion and shrinkage at least double the
+            # log-distance from the start, so a root 30 decades away takes
+            # about 7 steps, not 100; bisection halves the bracket in log x,
+            # or in x once the log midpoint rounds onto an end.
+            start = np.maximum(cc, X_FLOOR)
+            mid = np.sqrt(lo) * np.sqrt(hi)
+            mid = np.where((lo < mid) & (mid < hi), mid, 0.5 * (lo + hi))
+            trial = np.where(
+                (lo < trial) & (trial < hi),
+                trial,
+                np.where(
+                    hi == np.inf,
+                    np.minimum(lo * np.maximum(growth, lo / start), BRACKET_CEILING),
+                    np.where(
+                        lo == 0.0,
+                        np.maximum(hi / np.maximum(growth, start / hi), BRACKET_FLOOR),
+                        mid,
+                    ),
+                ),
+            )
+        x_old, g_old, a_old = x, gx, agx
+        x = trial
+    return root, residual, iterations, errors
 
 
 def integrate(
@@ -269,55 +361,85 @@ def integrate(
     noise: np.ndarray,
     certificate: AssumptionCertificate | None = None,
 ) -> SolutionPath:
-    """Run the backward Euler recursion over the whole increment array.
+    """Run the backward Euler recursion for one path or a batch of paths.
 
     ``noise`` holds the driving increments dB_1..dB_N (unscaled; the noise
-    intensity comes from ``config.sigma``).  With ``certificate`` given, the
-    step-size bounds h < h0 and h < 1/K are enforced up front.  A pure
-    function of its arguments: rerunning it reproduces the path bit for bit.
+    intensity comes from ``config.sigma``), shape ``(steps,)`` for one path
+    or ``(paths, steps)`` for a batch.  One path is the batch of one: a
+    failed step raises :class:`IntegrationError`.  In a batch a failed path
+    is frozen and recorded in ``failures`` while the other paths go on.
+    With ``certificate`` given, the step-size bounds h < h0 and h < 1/K are
+    enforced up front.  A pure function of its arguments, row by row: a
+    path's trajectory is bit for bit the same in any batch.
     """
     noise = np.asarray(noise, dtype=float)
-    if noise.shape != (config.steps,):
+    if noise.ndim not in (1, 2) or noise.shape[-1] != config.steps:
         raise UsageError(
-            f"noise must have length {config.steps}, got shape {noise.shape}"
+            f"noise must have shape ({config.steps},) or (paths, {config.steps}), "
+            f"got shape {noise.shape}"
         )
     if certificate is not None:
         check_step_bound(certificate, config.h)
 
+    batch = noise.reshape(-1, config.steps)
+    paths, steps = batch.shape
     h = config.h
     sigma = config.sigma
-    tol_abs, tol_rel = config.tol_abs, config.tol_rel
-    max_iter, growth = config.max_iter, config.bracket_growth
-    values = np.empty(config.steps + 1)
-    residuals = np.empty(config.steps)
-    iters = np.empty(config.steps, dtype=np.int64)
-    values[0] = x = config.x0
-    noise_list = noise.tolist()
-    for n in range(config.steps):
-        c = x + sigma * noise_list[n]
-        try:
-            x, res, it = implicit_step(
-                drift, h, c, tol_abs, tol_rel, max_iter, growth
-            )
-        except (NumericalError, ParameterError) as exc:
-            raise IntegrationError(
-                f"implicit step failed at step {n}: {exc}", step=n
-            ) from exc
-        if not x > 0.0:
-            raise IntegrationError(
-                f"positivity lost at step {n}: root {x!r}", step=n
-            )
-        values[n + 1] = x
-        residuals[n] = res
-        iters[n] = it
+    solver_args = (
+        config.tol_abs, config.tol_rel, config.max_iter, config.bracket_growth
+    )
+    values = np.empty((paths, steps + 1))
+    residuals = np.empty((paths, steps))
+    iters = np.empty((paths, steps), dtype=np.int64)
+    values[:, 0] = config.x0
+    x = values[:, 0].copy()
+    live = slice(None)  # rows still integrating
+    failures: dict[int, IntegrationError] = {}
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for n in range(steps):
+            c = x + sigma * batch[live, n]
+            x, res, it, errors = _solve(drift, h, c, *solver_args)
+            positive = x > 0.0
+            if errors or np.count_nonzero(positive) < x.size:
+                lost = ~positive
+                rows = np.arange(paths)[live]
+                for j in sorted(errors.keys() | set(np.flatnonzero(lost).tolist())):
+                    if j in errors:
+                        err = IntegrationError(
+                            f"implicit step failed at step {n}: {errors[j]}", step=n
+                        )
+                        err.__cause__ = errors[j]
+                    else:
+                        err = IntegrationError(
+                            f"positivity lost at step {n}: root {float(x[j])!r}",
+                            step=n,
+                        )
+                    failures[int(rows[j])] = err
+                    lost[j] = True
+                keep = ~lost
+                live, x, res, it = rows[keep], x[keep], res[keep], it[keep]
+                if not x.size:
+                    break
+            values[live, n + 1] = x
+            residuals[live, n] = res
+            iters[live, n] = it
+    for row, err in failures.items():
+        values[row, err.step + 1:] = np.nan
+        residuals[row, err.step:] = np.nan
+        iters[row, err.step:] = 0
     for arr in (values, residuals, iters):
         arr.setflags(write=False)
+    if noise.ndim == 1:
+        if failures:
+            raise failures[0]
+        values, residuals, iters = values[0], residuals[0], iters[0]
     return SolutionPath(
-        grid=TimeGrid(config.horizon, config.steps),
+        grid=TimeGrid(config.horizon, steps),
         values=values,
         residuals=residuals,
         iterations=iters,
         increments=noise,
+        failures=failures,
     )
 
 

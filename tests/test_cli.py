@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -253,6 +254,62 @@ class TestCli:
         assert probe["meta"]["config_digest"]
         moments_lines = (out_dir / "moments.csv").read_text().splitlines()
         assert moments_lines[1] == "p,negative_moment,positive_moment"
+
+    def test_converge_all_paths_failed_is_a_clean_runtime_error(self, tmp_path, capsys):
+        # no residual can meet a 1e-300 tolerance, so every path fails
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            config_text(
+                scheme={"tol_abs": 1e-300, "tol_rel": 1e-300},
+                experiment={"paths": 3, "k_min": 2, "k_max": 4, "k_ref": 7},
+            )
+        )
+        out_dir = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli(
+                "converge", "--config", str(cfg), "--out-dir", str(out_dir),
+                "--threads", "1",
+            )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "runtime error: all 3 paths failed" in err
+        assert "(path, level, step): [[0, " in err
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant} in output")
+
+        for path in out_dir.glob("*.json") if out_dir.exists() else ():
+            json.loads(path.read_text(), parse_constant=reject)
+
+    def test_moments_honours_scheme_method(self, tmp_path):
+        bodies = {}
+        for method in ("circulant", "cholesky"):
+            cfg = tmp_path / f"{method}.json"
+            cfg.write_text(
+                config_text(
+                    scheme={"steps": 64, "method": method}, experiment={"paths": 4}
+                )
+            )
+            out_dir = tmp_path / method
+            code = run_cli("moments", "--config", str(cfg), "--out-dir", str(out_dir))
+            assert code == 0
+            lines = (out_dir / "moments.csv").read_text().splitlines()
+            bodies[method] = lines[1:]  # past the digest header
+        assert bodies["circulant"] != bodies["cholesky"]
+
+    def test_moments_honours_solver_settings(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            config_text(
+                scheme={"steps": 64, "tol_abs": 1e-300, "tol_rel": 1e-300},
+                experiment={"paths": 2},
+            )
+        )
+        out_dir = tmp_path / "m"
+        code = run_cli("moments", "--config", str(cfg), "--out-dir", str(out_dir))
+        assert code == 2
+        assert "implicit step failed" in capsys.readouterr().err
 
     def test_verify_assumptions(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from fbmsde.convergence import (
+    BOOTSTRAP_RESAMPLES,
     ExperimentPlan,
+    _bootstrap_stderr,
     _sup_errors,
     critical_horizon,
     fit_order,
@@ -107,8 +109,18 @@ class TestSupErrors:
             noise.increments,
             cert,
         )
-        errs = _sup_errors(sol, sol.values, 1, MR_MODEL.inverse_exponent)
+        errs = _sup_errors(sol.values, sol.values, 1, MR_MODEL.inverse_exponent)
         assert all(v == 0.0 for v in errs.values())
+
+
+class TestBootstrap:
+    @pytest.mark.parametrize("n", [2, 199, 200, 1001])
+    def test_streamed_resamples_match_one_shot_draw(self, n):
+        values = np.random.default_rng(n).gamma(2.0, size=n)
+        streamed = _bootstrap_stderr(values, 2.0, np.random.default_rng(5))
+        draws = np.random.default_rng(5).integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
+        one_shot = float(np.std(np.mean(values[draws] ** 2.0, axis=1) ** 0.5, ddof=1))
+        assert streamed == one_shot
 
 
 class TestStrongError:

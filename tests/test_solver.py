@@ -221,7 +221,8 @@ class TestIntegrate:
 
         drift = DriftFn(capped, lambda x: -1.0 / x**2, lambda x: 2.0 / x**3, "capped")
         config = SchemeConfig(steps=3, horizon=0.03, sigma=1.0, x0=1.0)
-        noise = np.array([0.0, 3.0, 0.0])  # shifts c toward the NaN region at step 1
+        # step 1 shifts c, and so the root above it, into the NaN region
+        noise = np.array([0.0, 4.0, 0.0])
         with pytest.raises(IntegrationError) as excinfo:
             integrate(drift, config, noise)
         assert excinfo.value.step == 1

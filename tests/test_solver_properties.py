@@ -1,0 +1,126 @@
+"""Property tests of the path-batched implicit solver."""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fbmsde.convergence as convergence
+from fbmsde.convergence import ExperimentPlan, run_strong_error
+from fbmsde.drifts import (
+    AitSahaliaModel,
+    DriftFn,
+    MeanRevertingModel,
+    mean_reverting_drift,
+)
+from fbmsde.errors import IntegrationError
+from fbmsde.solver import SchemeConfig, _solve, integrate
+
+from oracles import cir_implicit_root
+
+MR_MODEL = MeanRevertingModel(a1=1.0, a2=1.0, gamma=0.7, sigma=0.5, y0=1.0, hurst=0.7)
+AS_MODEL = AitSahaliaModel(
+    a_m1=1.0, a0=1.0, a1=1.0, a2=1.0, r=3.0, rho=1.5, sigma=0.5, y0=1.0, hurst=0.7
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a1=st.floats(0.1, 5.0),
+    a2=st.floats(-1.0, 5.0, allow_subnormal=False),
+    h_frac=st.floats(1e-6, 0.9),
+    shifts=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+)
+def test_batched_roots_match_quadratic_oracle(a1, a2, h_frac, shifts):
+    drift, cert = mean_reverting_drift(a1, a2, 0.5)
+    h = h_frac * min(cert.h0, 10.0)
+    c = np.array(shifts)
+    # g = B(x) h - x + c is only resolved to a few ulps of its largest term
+    tol_abs, tol_rel = 1e-13 * (1.0 + float(np.max(np.abs(c)))), 1e-13
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        root, residual, _, errors = _solve(drift, h, c, tol_abs, tol_rel, 200, 2.0)
+    assert not errors
+    assert np.all(np.abs(residual) <= tol_abs + tol_rel * root)
+    oracle = np.array([cir_implicit_root(a1, a2, h, ci) for ci in shifts])
+    # |g'| >= lead turns the residual bound into a root bound; the oracle's
+    # c + sqrt(c^2 + ...) cancels to a few ulps of |c| for c << 0
+    lead = 1.0 + min(a2, 0.0) * h / 2.0
+    bound = (tol_abs + tol_rel * root + 1e-13 * np.abs(c)) / lead
+    assert np.all(np.abs(root - oracle) <= bound)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    paths=st.integers(1, 6),
+    steps=st.integers(8, 40),
+    model=st.sampled_from([MR_MODEL, AS_MODEL]),
+    sigma_scale=st.floats(0.1, 8.0),
+)
+def test_batch_rows_equal_batch_of_one_bitwise(seed, paths, steps, model, sigma_scale):
+    drift, cert = model.drift()
+    noise = np.random.default_rng(seed).standard_normal((paths, steps)) * steps**-0.7
+    config = SchemeConfig(
+        steps=steps, horizon=1.0, sigma=model.sigma_x * sigma_scale, x0=model.x0
+    )
+    batch = integrate(drift, config, noise, cert)
+    assert not batch.failures
+    for i in range(paths):
+        one = integrate(drift, config, noise[i], cert)
+        assert batch.values[i].tobytes() == one.values.tobytes()
+        assert batch.residuals[i].tobytes() == one.residuals.tobytes()
+        assert batch.iterations[i].tobytes() == one.iterations.tobytes()
+
+
+LADDER_PLAN = ExperimentPlan(
+    model=MR_MODEL, horizon=1.0, p=2.0, k_min=3, k_max=5, k_ref=8,
+    paths=7, master_seed=101,
+)
+
+
+@functools.cache
+def unchunked_per_path_errors():
+    assert LADDER_PLAN.paths <= convergence.LADDER_CHUNK_PATHS
+    return run_strong_error(LADDER_PLAN, keep_paths=True).per_path_errors
+
+
+@settings(max_examples=5, deadline=None)
+@given(chunk=st.integers(1, 6))
+def test_per_path_errors_do_not_depend_on_chunk_size(chunk):
+    saved = convergence.LADDER_CHUNK_PATHS
+    convergence.LADDER_CHUNK_PATHS = chunk
+    try:
+        report = run_strong_error(LADDER_PLAN, keep_paths=True)
+    finally:
+        convergence.LADDER_CHUNK_PATHS = saved
+    assert report.per_path_errors == unchunked_per_path_errors()
+
+
+def _capped(x):
+    return np.where(x < 5.0, 1.0 / x, np.nan)
+
+
+CAPPED = DriftFn(_capped, lambda x: -1.0 / x**2, lambda x: 2.0 / x**3, "capped")
+
+
+@settings(max_examples=25, deadline=None)
+@given(paths=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_failed_row_is_recorded_while_the_others_finish(paths, seed, data):
+    bad = data.draw(st.integers(0, paths - 1), label="bad row")
+    step = data.draw(st.integers(0, 9), label="failing step")
+    config = SchemeConfig(steps=10, horizon=0.1, sigma=1.0, x0=1.0)
+    noise = 0.01 * np.random.default_rng(seed).standard_normal((paths, 10))
+    noise[bad, step] = 10.0  # puts that row's root in the NaN region
+    sol = integrate(CAPPED, config, noise)
+    assert list(sol.failures) == [bad]
+    assert sol.failures[bad].step == step
+    assert np.all(np.isnan(sol.values[bad, step + 1 :]))
+    with pytest.raises(IntegrationError) as excinfo:
+        integrate(CAPPED, config, noise[bad])
+    assert excinfo.value.step == step
+    for i in range(paths):
+        if i != bad:
+            one = integrate(CAPPED, config, noise[i])
+            assert sol.values[i].tobytes() == one.values.tobytes()
