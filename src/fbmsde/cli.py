@@ -13,6 +13,7 @@ order band failed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -58,10 +59,13 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
+def _csv_head(seed: int, digest: str, header: list[str]) -> list[str]:
+    return [f"# master_seed={seed} config_digest={digest}", ",".join(header)]
+
+
 def _csv_text(seed: int, digest: str, header: list[str], rows) -> str:
-    lines = [f"# master_seed={seed} config_digest={digest}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = _csv_head(seed, digest, header)
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -157,42 +161,35 @@ def _cmd_simulate(args) -> int:
     sol = integrate(drift, scheme, noise, cert)
     _raise_first_failure(sol, 0)
     y = lamperti_inverse(model, sol.values)
-    times = grid.times
     out = args.out or os.path.join(_out_dir(args, cfg), "simulate.csv")
-
-    def rows():
-        for i in range(paths):
-            x, y_i = sol.values[i], y[i]
-            residuals, iterations = sol.residuals[i], sol.iterations[i]
-            yield (i, 0, times[0], x[0], y_i[0], 0.0, 0)
-            for n in range(steps):
-                yield (
-                    i,
-                    n + 1,
-                    times[n + 1],
-                    x[n + 1],
-                    y_i[n + 1],
-                    residuals[n],
-                    int(iterations[n]),
-                )
-
-    _atomic_write(
-        out,
-        _csv_text(
-            cfg.seed,
-            cfg.digest,
-            [
-                "path_index",
-                "node_index",
-                "time",
-                "x_value",
-                "y_value",
-                "residual",
-                "iterations",
-            ],
-            rows(),
-        ),
+    # Formatted a column at a time: repr of a Python float and str of a Python
+    # int are what _fmt writes for each value, and the columns shared by all
+    # paths are formatted once.
+    lines = _csv_head(
+        cfg.seed,
+        cfg.digest,
+        ["path_index", "node_index", "time", "x_value", "y_value", "residual", "iterations"],
     )
+    nodes = list(map(str, range(steps + 1)))
+    times = list(map(repr, grid.times.tolist()))
+    for i in range(paths):
+        residuals = ["0.0", *map(repr, sol.residuals[i].tolist())]
+        iterations = ["0", *map(str, sol.iterations[i].tolist())]
+        lines.extend(
+            map(
+                ",".join,
+                zip(
+                    itertools.repeat(str(i)),
+                    nodes,
+                    times,
+                    map(repr, sol.values[i].tolist()),
+                    map(repr, y[i].tolist()),
+                    residuals,
+                    iterations,
+                ),
+            )
+        )
+    _atomic_write(out, "\n".join(lines) + "\n")
     print(f"wrote {paths} trajectories to {out}")
     return EXIT_OK
 

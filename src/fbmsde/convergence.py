@@ -20,8 +20,8 @@ sqrt(log(1 + 1/h)) (positive-power transforms) or log(1 + 1/h)
 Everything is deterministic given the plan: paths are seeded by
 ``mix_seed(master_seed, path_index)`` and aggregation folds results in path
 order, so the report is identical for any worker count.  Paths are integrated
-in fixed-size chunks through the path-batched solver; chunk boundaries depend
-only on the path count, and the solver never mixes values across paths, so
+in chunks through the path-batched solver; chunk boundaries depend only on
+the path and step counts, and the solver never mixes values across paths, so
 neither chunking nor the worker count moves any number.
 """
 
@@ -58,14 +58,12 @@ BOOTSTRAP_RESAMPLES = 1000
 # Resamples drawn per block; the blocks concatenate to the same index stream
 # as one draw of all resamples, without its resamples x paths index matrix.
 BOOTSTRAP_BLOCK = 100
-# Paths integrated as one batch.  The batched solver's cost per step is mostly
-# fixed overhead, so larger chunks are faster, but a chunk holds 32 bytes per
-# path and step (noise, nodes, residuals, iteration counts).  Ladder chunks
-# run in pool workers and hold the 2^k_ref reference: about 13 MB for 50
-# paths at 2^13.  Probe chunks run in the main process, whose peak memory
-# they raise by about 0.1 MB per path at 2^11 steps.
-LADDER_CHUNK_PATHS = 50
-PROBE_CHUNK_PATHS = 24
+# Path-steps integrated as one batch.  The batched solver's cost per step is
+# mostly fixed overhead, so larger chunks are faster, but a chunk holds 32
+# bytes per path and step (noise, nodes, residuals, iteration counts): this
+# budget is about 16 MB.  It gives 50-path chunks for a 200-path ladder at a
+# 2^13 reference and 250-path chunks for a 500-path probe at 2^11 steps.
+CHUNK_PATH_STEPS = 2**19
 # Path index reserved for the bootstrap RNG stream; far above any real path.
 BOOTSTRAP_STREAM = 1 << 62
 # Default admissible horizon for critical (alpha = 1) models at p <= 2.
@@ -268,9 +266,13 @@ def _sampler_cached(method: str, hurst: float, grid: TimeGrid):
     return sampler
 
 
-def _chunks(paths: int, most: int) -> list[tuple[int, int]]:
-    """Path ranges [start, stop) of near-equal size, at most ``most`` each."""
-    count = -(-paths // most)
+def _chunks(paths: int, steps: int) -> list[tuple[int, int]]:
+    """Path ranges [start, stop) of near-equal size for paths of ``steps`` steps.
+
+    Each chunk holds at most ``CHUNK_PATH_STEPS // steps`` paths, and at least
+    one.  The boundaries depend only on ``paths`` and ``steps``.
+    """
+    count = -(-paths // max(1, CHUNK_PATH_STEPS // steps))
     bounds = [paths * i // count for i in range(count + 1)]
     return list(zip(bounds, bounds[1:]))
 
@@ -406,14 +408,15 @@ def run_strong_error(
 ) -> ConvergenceReport:
     """Execute the coupled ladder experiment and fit empirical orders.
 
-    Paths are processed in chunks of at most ``LADDER_CHUNK_PATHS``, by a
-    process pool when ``workers > 1``; results are folded in path order
-    either way, so the report does not depend on the pool size.  Failed
-    paths are recorded as (path, level, step) triples and excluded from the
-    aggregates, marking the report incomplete; when every path fails there is
-    nothing to report and :class:`NumericalError` names the failures.
+    Paths are processed in chunks sized for the reference grid (see
+    :func:`_chunks`), by a process pool when ``workers > 1``; results are
+    folded in path order either way, so the report does not depend on the
+    pool size.  Failed paths are recorded as (path, level, step) triples and
+    excluded from the aggregates, marking the report incomplete; when every
+    path fails there is nothing to report and :class:`NumericalError` names
+    the failures.
     """
-    starts, stops = zip(*_chunks(plan.paths, LADDER_CHUNK_PATHS))
+    starts, stops = zip(*_chunks(plan.paths, 2**plan.k_ref))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             chunks = list(
@@ -558,7 +561,7 @@ def reference_bias_check(plan: ExperimentPlan) -> dict:
         for ref_k in ref_ks
     }
     factors = {k: n_fine // 2**k for k in (*ref_ks, *plan.levels)}
-    for start, stop in _chunks(plan.paths, LADDER_CHUNK_PATHS):
+    for start, stop in _chunks(plan.paths, n_fine):
         noise = _draw_chunk(
             sampler, plan.master_seed, start, stop, set(factors.values())
         )
@@ -620,10 +623,24 @@ class MomentProbe:
         }
 
 
-def _window_modulus(values: np.ndarray, window: int) -> float:
-    """sup |X_t - X_s| over node pairs at most ``window`` indices apart."""
-    view = np.lib.stride_tricks.sliding_window_view(values, window + 1)
-    return float(np.max(view.max(axis=1) - view.min(axis=1)))
+def _ladder_moduli(values: np.ndarray, rungs: int) -> list[float]:
+    """sup |X_t - X_s| over node pairs at most 2^j indices apart, j < ``rungs``.
+
+    The running max and min over every window of 2w + 1 nodes are the max and
+    min of two overlapping windows of w + 1 nodes, so each rung costs O(n).
+    Max, min and the final difference are exact, so the result is the same
+    as reducing each window directly.
+    """
+    hi = lo = values
+    width = 0
+    out = []
+    for _ in range(rungs):
+        shift = max(width, 1)
+        hi = np.maximum(hi[:-shift], hi[shift:])
+        lo = np.minimum(lo[:-shift], lo[shift:])
+        width += shift
+        out.append(float(np.max(hi - lo)))
+    return out
 
 
 def _modulus_envelope(h: np.ndarray, hurst: float) -> np.ndarray:
@@ -694,7 +711,7 @@ def moment_probe(
     neg = {p: 0.0 for p in p_list}
     pos = {p: 0.0 for p in p_list}
     modulus = np.zeros(len(windows))
-    for start, stop in _chunks(paths, PROBE_CHUNK_PATHS):
+    for start, stop in _chunks(paths, steps):
         noise = _draw_chunk(sampler, master_seed, start, stop, [1])[1]
         sol = integrate(drift, config, noise, cert)
         _raise_first_failure(sol, start)
@@ -703,8 +720,7 @@ def moment_probe(
             for p in p_list:
                 neg[p] += v_min**-p
                 pos[p] += v_max**p
-            for w, window in enumerate(windows):
-                modulus[w] += _window_modulus(values, window)
+            modulus += _ladder_moduli(values, rungs)
         del noise, sol  # free this chunk before the next one is drawn
     for p in p_list:
         neg[p] /= paths

@@ -204,7 +204,8 @@ def mean_reverting_drift(
         p2=p2,
         c_h2=_derivative_growth_constant(deriv1, deriv2, p1, p2),
         # The implicit step is solvable for all h whenever 1 + a2(1-gamma) h > 0.
-        h0=math.inf if a2 >= 0.0 else 1.0 / (-a2 * (1.0 - gamma)),
+        # Tested on c_lin, not a2: a subnormal a2 < 0 makes c_lin -0.0.
+        h0=math.inf if c_lin >= 0.0 else 1.0 / -c_lin,
         alpha_regime="critical" if gamma == 0.5 else "standard",
     )
     return drift, cert

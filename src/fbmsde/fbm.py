@@ -36,7 +36,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     EmbeddingError,
@@ -212,8 +211,20 @@ def _fgn_autocovariance(hurst: Hurst, h: float, lags: int) -> np.ndarray:
 
 
 def _cholesky_lower(matrix: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive definite matrix.
+
+    The argument is consumed: an F-contiguous ``matrix`` is overwritten with
+    the factor, which saves a second N x N copy.  Pass ``a.T`` to factor a
+    C-contiguous symmetric ``a`` in place.
+    """
+    # scipy.linalg is imported here, not at module level: only this sampler
+    # needs it, and it is about 23 MB of every process's memory.
+    import scipy.linalg
+
     try:
-        return scipy.linalg.cholesky(matrix, lower=True, check_finite=False)
+        return scipy.linalg.cholesky(
+            matrix, lower=True, overwrite_a=True, check_finite=False
+        )
     except np.linalg.LinAlgError as exc:
         match = re.search(r"(\d+)", str(exc))
         pivot = int(match.group(1)) if match else None
@@ -239,8 +250,13 @@ class CholeskySampler:
     def __init__(self, hurst: Hurst | float, grid: TimeGrid):
         self.hurst = as_hurst(hurst)
         self.grid = grid
+        import scipy.linalg
+
         gamma = _fgn_autocovariance(self.hurst, grid.h, grid.steps)
-        self._factor = _read_only(_cholesky_lower(scipy.linalg.toeplitz(gamma)))
+        # the covariance is symmetric, so its F-ordered transpose view is the
+        # same matrix and is factored in place
+        covariance = scipy.linalg.toeplitz(gamma).T
+        self._factor = _read_only(_cholesky_lower(covariance))
 
     def sample(self, master_seed: int, path_index: int = 0) -> FbmPath:
         rng = np.random.default_rng(mix_seed(master_seed, path_index))

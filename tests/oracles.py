@@ -6,6 +6,8 @@ These deliberately avoid the package's own numerics:
   the explicit quadratic formula (multiply B(x) h - x + c = 0 by x).
 * ``ode_trajectory`` integrates dx = B(x) dt with classical RK4 plus step
   halving and Richardson extrapolation, for zero-noise comparisons.
+* ``window_modulus`` reduces every sliding window of nodes directly, the
+  reference for the moment probe's doubling modulus ladder.
 """
 
 from __future__ import annotations
@@ -48,3 +50,9 @@ def ode_trajectory(
         if np.max(np.abs(cur - prev)) / 15.0 < tol or substeps > 2**15:
             return cur + (cur - prev) / 15.0
         prev = cur
+
+
+def window_modulus(values: np.ndarray, window: int) -> float:
+    """sup |X_t - X_s| over node pairs at most ``window`` indices apart."""
+    view = np.lib.stride_tricks.sliding_window_view(values, window + 1)
+    return float(np.max(view.max(axis=1) - view.min(axis=1)))

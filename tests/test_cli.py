@@ -5,11 +5,15 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import fbmsde.cli as cli
 from fbmsde.config import parse_config
+from fbmsde.drifts import lamperti_inverse
 from fbmsde.errors import ConfigError
+from fbmsde.fbm import CirculantSampler, Hurst, TimeGrid
+from fbmsde.solver import SchemeConfig, integrate
 
 MINIMAL_MR = {
     "seed": 7,
@@ -146,6 +150,34 @@ class TestCli:
         assert len(lines) == 2 + 2 * 17
         x_values = [float(line.split(",")[3]) for line in lines[2:]]
         assert all(v > 0.0 for v in x_values)
+
+    def test_simulate_rows_equal_per_value_format(self, tmp_path):
+        steps, paths = 32, 3
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config_text(scheme={"steps": steps}, experiment={"paths": paths}))
+        out = tmp_path / "sim.csv"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
+        # the same trajectories, formatted one value at a time
+        run = parse_config(cfg.read_text())
+        model = run.build_model()
+        drift, cert = model.drift()
+        grid = TimeGrid(1.0, steps)
+        sampler = CirculantSampler(Hurst(model.hurst), grid)
+        noise = np.stack([sampler.sample(run.seed, i).increments for i in range(paths)])
+        scheme = SchemeConfig(steps=steps, horizon=1.0, sigma=model.sigma_x, x0=model.x0)
+        sol = integrate(drift, scheme, noise, cert)
+        x, y, t = sol.values, lamperti_inverse(model, sol.values), grid.times
+        rows = []
+        for i in range(paths):
+            rows.append((i, 0, t[0], x[i, 0], y[i, 0], 0.0, 0))
+            rows.extend(
+                (i, n + 1, t[n + 1], x[i, n + 1], y[i, n + 1],
+                 sol.residuals[i, n], sol.iterations[i, n])
+                for n in range(steps)
+            )
+        lines = out.read_text().splitlines()
+        assert lines[2:] == [",".join(cli._fmt(v) for v in row) for row in rows]
+        assert any(line.split(",")[5].startswith("-") for line in lines[2:])
 
     def test_simulate_and_moments_reruns_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -318,6 +350,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "one_sided_lipschitz" in out
         assert "pass" in out
+
+    def test_verify_assumptions_subnormal_negative_a2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config_text(model={"a2": -5e-324}))
+        assert run_cli("verify-assumptions", "--config", str(cfg)) in (0, 1)
+        assert "h0=inf" in capsys.readouterr().out
+
+    def test_cli_import_loads_no_scipy(self):
+        code = (
+            "import sys, fbmsde.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "p.csv"

@@ -5,8 +5,10 @@ import pytest
 
 from fbmsde.convergence import (
     BOOTSTRAP_RESAMPLES,
+    CHUNK_PATH_STEPS,
     ExperimentPlan,
     _bootstrap_stderr,
+    _chunks,
     _sup_errors,
     critical_horizon,
     fit_order,
@@ -111,6 +113,19 @@ class TestSupErrors:
         )
         errs = _sup_errors(sol.values, sol.values, 1, MR_MODEL.inverse_exponent)
         assert all(v == 0.0 for v in errs.values())
+
+
+class TestChunks:
+    def test_path_step_budget(self):
+        # the converge ladder at a 2^13 reference and the moments probe
+        assert _chunks(200, 2**13) == [(0, 50), (50, 100), (100, 150), (150, 200)]
+        assert _chunks(500, 2**11) == [(0, 250), (250, 500)]
+        sizes = [b - a for a, b in _chunks(200, 2**14)]
+        assert sum(sizes) == 200 and max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= 32
+
+    def test_long_paths_get_one_path_each(self):
+        assert _chunks(3, 2 * CHUNK_PATH_STEPS) == [(0, 1), (1, 2), (2, 3)]
 
 
 class TestBootstrap:

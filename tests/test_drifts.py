@@ -54,6 +54,11 @@ class TestMeanRevertingDrift:
         assert cert.h0 == pytest.approx(1.0 / 0.3, rel=1e-12)
         assert cert.K == pytest.approx(0.3, abs=1e-10)
 
+    def test_subnormal_negative_a2_leaves_step_unbounded(self):
+        # a2 (1 - gamma) underflows to -0.0: no step bound, and no 1 / 0
+        _, cert = mean_reverting_drift(1.0, -5e-324, 0.7)
+        assert cert.h0 == math.inf
+
     @pytest.mark.parametrize("gamma", [1.2, 1.0, 0.4, 0.0, -0.5])
     def test_gamma_range(self, gamma):
         with pytest.raises(ParameterError):

@@ -1,14 +1,18 @@
-"""Property tests of the path-batched implicit solver."""
-
-import functools
+"""Property tests of the path-batched implicit solver and its chunked callers."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import fbmsde.convergence as convergence
-from fbmsde.convergence import ExperimentPlan, run_strong_error
+from fbmsde.convergence import (
+    ExperimentPlan,
+    _ladder_moduli,
+    moment_probe,
+    run_strong_error,
+)
 from fbmsde.drifts import (
     AitSahaliaModel,
     DriftFn,
@@ -18,7 +22,7 @@ from fbmsde.drifts import (
 from fbmsde.errors import IntegrationError
 from fbmsde.solver import SchemeConfig, _solve, integrate
 
-from oracles import cir_implicit_root
+from oracles import cir_implicit_root, window_modulus
 
 MR_MODEL = MeanRevertingModel(a1=1.0, a2=1.0, gamma=0.7, sigma=0.5, y0=1.0, hurst=0.7)
 AS_MODEL = AitSahaliaModel(
@@ -80,22 +84,43 @@ LADDER_PLAN = ExperimentPlan(
 )
 
 
-@functools.cache
-def unchunked_per_path_errors():
-    assert LADDER_PLAN.paths <= convergence.LADDER_CHUNK_PATHS
-    return run_strong_error(LADDER_PLAN, keep_paths=True).per_path_errors
-
-
-@settings(max_examples=5, deadline=None)
-@given(chunk=st.integers(1, 6))
-def test_per_path_errors_do_not_depend_on_chunk_size(chunk):
-    saved = convergence.LADDER_CHUNK_PATHS
-    convergence.LADDER_CHUNK_PATHS = chunk
-    try:
+def test_per_path_errors_do_not_depend_on_chunk_size(monkeypatch):
+    assert LADDER_PLAN.paths * 2**LADDER_PLAN.k_ref <= convergence.CHUNK_PATH_STEPS
+    unchunked = run_strong_error(LADDER_PLAN, keep_paths=True).per_path_errors
+    for chunk in range(1, 7):
+        budget = chunk * 2**LADDER_PLAN.k_ref
+        monkeypatch.setattr(convergence, "CHUNK_PATH_STEPS", budget)
         report = run_strong_error(LADDER_PLAN, keep_paths=True)
-    finally:
-        convergence.LADDER_CHUNK_PATHS = saved
-    assert report.per_path_errors == unchunked_per_path_errors()
+        assert report.per_path_errors == unchunked, chunk
+
+
+def test_moment_probe_does_not_depend_on_chunk_size(monkeypatch):
+    steps, paths = 64, 7
+    args = (AS_MODEL, AS_MODEL.hurst, 1.0, steps, paths, [0.5, 2.0, 4.0], 11)
+    assert paths * steps <= convergence.CHUNK_PATH_STEPS
+    unchunked = repr(moment_probe(*args, ladder_rungs=5))
+    for chunk in range(1, 7):
+        monkeypatch.setattr(convergence, "CHUNK_PATH_STEPS", chunk * steps)
+        assert repr(moment_probe(*args, ladder_rungs=5)) == unchunked, chunk
+
+
+@st.composite
+def node_arrays_and_rungs(draw):
+    rungs = draw(st.integers(0, 6))
+    size = draw(st.integers(2**rungs, 200))
+    values = draw(
+        arrays(np.float64, size, elements=st.floats(-1e300, 1e300, allow_subnormal=True))
+    )
+    return values, rungs
+
+
+@settings(max_examples=200, deadline=None)
+@given(node_arrays_and_rungs())
+def test_doubling_ladder_matches_sliding_windows_bitwise(case):
+    values, rungs = case
+    expected = [window_modulus(values, 2**j) for j in range(rungs)]
+    got = _ladder_moduli(values, rungs)
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
 def _capped(x):
