@@ -47,9 +47,8 @@ from .fbm import (
     TimeGrid,
     empirical_increment_moment,
     fbm_covariance,
+    make_sampler,
     mix_seed,
-    sample_fbm_cholesky,
-    sample_fbm_circulant,
     subsample,
 )
 from .solver import (

@@ -30,7 +30,7 @@ from .convergence import (
 )
 from .drifts import audit_assumptions, lamperti_inverse
 from .errors import ConfigError, FbmsdeError, ParameterError, UsageError
-from .fbm import CholeskySampler, CirculantSampler, Hurst, TimeGrid
+from .fbm import TimeGrid, make_sampler
 from .solver import SchemeConfig, check_step_bound, integrate
 
 EXIT_OK = 0
@@ -75,7 +75,16 @@ def _json_text(seed: int, digest: str, payload: dict) -> str:
     return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
 
-def _load_config(args) -> RunConfig:
+def _given(overrides: dict | None) -> dict:
+    return {k: v for k, v in (overrides or {}).items() if v is not None}
+
+
+def _load_config(args, scheme=None, experiment=None) -> RunConfig:
+    """Parse ``--config`` and apply the CLI overrides before the digest.
+
+    ``--seed`` and any non-None entry of ``scheme``/``experiment`` replace the
+    configured value, so the digest names the run that is actually made.
+    """
     if not args.config:
         raise ConfigError(["--config is required for this subcommand"])
     try:
@@ -84,12 +93,13 @@ def _load_config(args) -> RunConfig:
     except OSError as exc:
         raise ConfigError([f"cannot read config file {args.config!r}: {exc}"]) from None
     cfg = parse_config(text)
-    if args.seed is not None:
-        cfg = RunConfig(
-            args.seed, cfg.model, cfg.scheme, cfg.experiment, cfg.io,
-            config_digest(args.seed, cfg.model, cfg.scheme, cfg.experiment),
-        )
-    return cfg
+    seed = cfg.seed if args.seed is None else args.seed
+    scheme = {**cfg.scheme, **_given(scheme)}
+    experiment = {**cfg.experiment, **_given(experiment)}
+    return RunConfig(
+        seed, cfg.model, scheme, experiment, cfg.io,
+        config_digest(seed, cfg.model, scheme, experiment),
+    )
 
 
 def _out_dir(args, cfg: RunConfig | None) -> str:
@@ -113,8 +123,7 @@ def _cmd_fbm(args) -> int:
     seed = params["seed"]
     digest = config_digest(seed, params, {}, {})
     grid = TimeGrid(args.horizon, args.steps)
-    sampler_cls = CholeskySampler if args.method == "cholesky" else CirculantSampler
-    sampler = sampler_cls(Hurst(args.hurst), grid)
+    sampler = make_sampler(args.method, args.hurst, grid)
     times = grid.times
 
     def rows():
@@ -132,13 +141,17 @@ def _cmd_fbm(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(
+        args, scheme={"steps": args.steps}, experiment={"paths": args.paths}
+    )
     model = cfg.build_model()
     drift, cert = model.drift()
-    steps = args.steps if args.steps is not None else cfg.scheme["steps"]
+    steps = cfg.scheme["steps"]
     if steps is None:
         raise ConfigError(["$.scheme.steps: required for simulate"])
-    paths = args.paths if args.paths is not None else (cfg.experiment["paths"] or 1)
+    paths = cfg.experiment["paths"]
+    if paths is None:
+        paths = 1
     scheme = SchemeConfig(
         steps=steps,
         horizon=cfg.scheme["horizon"],
@@ -151,10 +164,7 @@ def _cmd_simulate(args) -> int:
     )
     check_step_bound(cert, scheme.h)
     grid = TimeGrid(scheme.horizon, steps)
-    sampler_cls = (
-        CholeskySampler if cfg.scheme["method"] == "cholesky" else CirculantSampler
-    )
-    sampler = sampler_cls(Hurst(model.hurst), grid)
+    sampler = make_sampler(cfg.scheme["method"], model.hurst, grid)
     noise = np.empty((paths, steps))
     for i in range(paths):
         noise[i] = sampler.sample(cfg.seed, i).increments

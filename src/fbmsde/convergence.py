@@ -37,7 +37,7 @@ import numpy as np
 
 from .drifts import ModelSpec
 from .errors import IntegrationError, NumericalError, ParameterError, UsageError
-from .fbm import CholeskySampler, CirculantSampler, Hurst, TimeGrid, mix_seed, subsample
+from .fbm import Hurst, TimeGrid, make_sampler, mix_seed, subsample
 from .solver import SchemeConfig, SolutionPath, check_step_bound, integrate
 
 __all__ = [
@@ -247,12 +247,6 @@ def fit_order(
     )
 
 
-def _sampler(method: str, hurst: float, grid: TimeGrid):
-    if method == "cholesky":
-        return CholeskySampler(Hurst(hurst), grid)
-    return CirculantSampler(Hurst(hurst), grid)
-
-
 # Sampler construction is costly for the Cholesky method; cache per process.
 _SAMPLER_CACHE: dict = {}
 
@@ -261,7 +255,7 @@ def _sampler_cached(method: str, hurst: float, grid: TimeGrid):
     key = (method, hurst, grid.horizon, grid.steps)
     sampler = _SAMPLER_CACHE.get(key)
     if sampler is None:
-        sampler = _sampler(method, hurst, grid)
+        sampler = make_sampler(method, hurst, grid)
         _SAMPLER_CACHE[key] = sampler
     return sampler
 
@@ -552,7 +546,7 @@ def reference_bias_check(plan: ExperimentPlan) -> dict:
     """
     n_fine = 2 ** (plan.k_ref + 1)
     grid = TimeGrid(plan.horizon, n_fine)
-    sampler = _sampler(plan.method, plan.model.hurst, grid)
+    sampler = make_sampler(plan.method, plan.model.hurst, grid)
     drift, cert = plan.model.drift()
     l_exp = plan.model.inverse_exponent
     ref_ks = (plan.k_ref, plan.k_ref + 1)
@@ -695,7 +689,7 @@ def moment_probe(
     if method not in ("circulant", "cholesky"):
         raise UsageError(f"unknown sampler method {method!r}")
     grid = TimeGrid(horizon, steps)
-    sampler = _sampler(method, model.hurst, grid)
+    sampler = make_sampler(method, model.hurst, grid)
     config = SchemeConfig(
         steps=steps,
         horizon=horizon,

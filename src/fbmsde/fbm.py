@@ -10,8 +10,10 @@ are provided:
 
 ``CholeskySampler``
     Factors the Toeplitz covariance of the increment process (fractional
-    Gaussian noise) once, then draws each path as ``L @ z``.  O(N^3) setup,
-    O(N^2) per path.  The reference method for cross-validation.
+    Gaussian noise) once with the Schur algorithm, then draws each path as
+    ``L @ z``.  O(N^2) setup and O(N^2) per path; the factor is stored as
+    column panels below the diagonal only.  The reference method for
+    cross-validation.
 
 ``CirculantSampler``
     Davies-Harte style circulant embedding of the increment covariance,
@@ -23,14 +25,17 @@ a sequential cumulative sum, so ``np.cumsum(path.increments)`` reproduces
 ``path.values[1:]`` bitwise for every freshly generated path.
 
 Reproducibility contract: each path is drawn from its own PCG64 generator
-seeded with ``mix_seed(master_seed, path_index)``.  Path ``i`` of a batch is
-therefore the same bit pattern regardless of scheduling, batching, or how many
-worker threads/processes the caller uses.
+seeded with ``mix_seed(master_seed, path_index)``, and every path runs the
+same fixed sequence of numerical calls on the same array shapes.  Path ``i`` of
+a batch is therefore the same bit pattern regardless of scheduling, batching,
+or how many worker threads/processes the caller uses.
+
+:func:`make_sampler` builds either sampler from its method name.
 """
 
 from __future__ import annotations
 
-import re
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -53,8 +58,7 @@ __all__ = [
     "fbm_covariance",
     "CholeskySampler",
     "CirculantSampler",
-    "sample_fbm_cholesky",
-    "sample_fbm_circulant",
+    "make_sampler",
     "subsample",
     "empirical_increment_moment",
 ]
@@ -69,6 +73,11 @@ _MASK64 = (1 << 64) - 1
 # are rounding noise: the embedding is nonnegative definite in exact
 # arithmetic for H in (1/2, 1).
 EIGENVALUE_CLAMP_REL = 1e-10
+
+# Columns per panel of the Cholesky factor.  Panels store only the rows on and
+# below their first column, so the zero upper triangle costs at most half a
+# panel's square; each path draw is one matrix-vector product per panel.
+PANEL_WIDTH = 256
 
 
 def mix_seed(master_seed: int, path_index: int) -> int:
@@ -210,29 +219,58 @@ def _fgn_autocovariance(hurst: Hurst, h: float, lags: int) -> np.ndarray:
     return gamma * h**two_h
 
 
-def _cholesky_lower(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite matrix.
+def _toeplitz_cholesky(gamma: np.ndarray) -> list[np.ndarray]:
+    """Lower Cholesky factor of the SPD Toeplitz matrix with first column ``gamma``.
 
-    The argument is consumed: an F-contiguous ``matrix`` is overwritten with
-    the factor, which saves a second N x N copy.  Pass ``a.T`` to factor a
-    C-contiguous symmetric ``a`` in place.
+    The Schur (generator) algorithm runs in O(N^2): the displacement
+    ``T - Z T Z^T = x x^T - y y^T`` with ``x = gamma / sqrt(gamma[0])`` and
+    ``y = x`` except ``y[0] = 0`` is carried from column to column.  For
+    column ``k`` the previous column, shifted down one row, becomes ``x``,
+    ``y`` drops its first entry, and a hyperbolic rotation with
+    ``rho = y[0] / x[0]`` zeroes ``y[0]``; the rotated ``x`` is ``L[k:, k]``
+    and ``y`` is downdated from it in the "mixed" form, which is stable for
+    SPD Toeplitz matrices (Bojanczyk, Brent, de Hoog & Sweet 1995).
+
+    The factor is returned as column panels: panel ``p`` holds
+    ``L[j:, j:j + PANEL_WIDTH]`` with ``j = p * PANEL_WIDTH``, F-ordered.
+    Raises :class:`FactorizationError` naming the 1-based pivot at which the
+    matrix is not positive definite; a NaN fails at the first pivot it reaches.
     """
-    # scipy.linalg is imported here, not at module level: only this sampler
-    # needs it, and it is about 23 MB of every process's memory.
-    import scipy.linalg
-
-    try:
-        return scipy.linalg.cholesky(
-            matrix, lower=True, overwrite_a=True, check_finite=False
-        )
-    except np.linalg.LinAlgError as exc:
-        match = re.search(r"(\d+)", str(exc))
-        pivot = int(match.group(1)) if match else None
-        at = f" at pivot {pivot}" if pivot is not None else ""
+    gamma = np.asarray(gamma, dtype=float)
+    n = gamma.shape[0]
+    if not gamma[0] > 0.0:
         raise FactorizationError(
-            f"Cholesky factorization lost positive definiteness{at}: {exc}",
-            pivot=pivot,
-        ) from exc
+            f"Toeplitz Cholesky factorization: leading entry {gamma[0]!r} is not "
+            "positive (pivot 1)",
+            pivot=1,
+        )
+    panels = [
+        np.zeros((n - j, min(PANEL_WIDTH, n - j)), order="F")
+        for j in range(0, n, PANEL_WIDTH)
+    ]
+    column = panels[0][:, 0]
+    np.divide(gamma, math.sqrt(gamma[0]), out=column)
+    y = column.copy()
+    y[0] = 0.0
+    for k in range(1, n):
+        x = column[:-1]
+        y = y[1:]
+        rho = y[0] / x[0]
+        if not -1.0 < rho < 1.0:
+            raise FactorizationError(
+                "Toeplitz Cholesky factorization lost positive definiteness at "
+                f"pivot {k + 1} (reflection coefficient {rho!r})",
+                pivot=k + 1,
+            )
+        c = math.sqrt((1.0 - rho) * (1.0 + rho))
+        local = k % PANEL_WIDTH
+        column = panels[k // PANEL_WIDTH][local:, local]
+        np.multiply(y, rho, out=column)
+        np.subtract(x, column, out=column)
+        column /= c
+        y *= c
+        y -= rho * column
+    return [_read_only(panel) for panel in panels]
 
 
 class CholeskySampler:
@@ -240,8 +278,16 @@ class CholeskySampler:
 
     The increment (fractional Gaussian noise) covariance is Toeplitz and, for
     H in (1/2, 1), positive definite; its lower factor ``L`` is computed once
-    at construction.  Each path draws ``z ~ N(0, I)`` and sets the increments
-    to ``L @ z``, so node values carry exactly the covariance R_H on the grid.
+    at construction, in O(N^2), by :func:`_toeplitz_cholesky`, and kept as
+    column panels that store no part of the zero upper triangle.  Each path
+    draws ``z ~ N(0, I)`` and sets the increments to ``L @ z``, summed as one
+    matrix-vector product per panel, so node values carry exactly the
+    covariance R_H on the grid.
+
+    The draw is the same fixed sequence of calls on the same shapes for every
+    path; paths are never batched into one matrix product, whose rounding
+    can depend on the batch, so a path is bitwise the same whether it is
+    drawn alone or among others, in any process.
 
     Instances are immutable after construction and safe to share across
     threads.
@@ -250,19 +296,18 @@ class CholeskySampler:
     def __init__(self, hurst: Hurst | float, grid: TimeGrid):
         self.hurst = as_hurst(hurst)
         self.grid = grid
-        import scipy.linalg
-
         gamma = _fgn_autocovariance(self.hurst, grid.h, grid.steps)
-        # the covariance is symmetric, so its F-ordered transpose view is the
-        # same matrix and is factored in place
-        covariance = scipy.linalg.toeplitz(gamma).T
-        self._factor = _read_only(_cholesky_lower(covariance))
+        self._panels = _toeplitz_cholesky(gamma)
 
     def sample(self, master_seed: int, path_index: int = 0) -> FbmPath:
         rng = np.random.default_rng(mix_seed(master_seed, path_index))
         z = rng.standard_normal(self.grid.steps)
+        increments = np.zeros(self.grid.steps)
+        for p, panel in enumerate(self._panels):
+            j = p * PANEL_WIDTH
+            increments[j:] += panel @ z[j : j + panel.shape[1]]
         return _path_from_increments(
-            self.grid, self.hurst, self._factor @ z, master_seed, path_index
+            self.grid, self.hurst, increments, master_seed, path_index
         )
 
     def sample_paths(
@@ -344,19 +389,15 @@ class CirculantSampler:
         return [self.sample(master_seed, start_index + i) for i in range(count)]
 
 
-def sample_fbm_cholesky(
-    hurst: Hurst | float, grid: TimeGrid, seed: int, path_index: int = 0
-) -> FbmPath:
-    """One-shot Cholesky draw.  For batches, build a :class:`CholeskySampler`
-    once and reuse it: the factorization dominates the cost."""
-    return CholeskySampler(hurst, grid).sample(seed, path_index)
-
-
-def sample_fbm_circulant(
-    hurst: Hurst | float, grid: TimeGrid, seed: int, path_index: int = 0
-) -> FbmPath:
-    """One-shot circulant-embedding draw (see :class:`CirculantSampler`)."""
-    return CirculantSampler(hurst, grid).sample(seed, path_index)
+def make_sampler(
+    method: str, hurst: Hurst | float, grid: TimeGrid
+) -> CholeskySampler | CirculantSampler:
+    """The fBM sampler named by ``method``: ``"cholesky"`` or ``"circulant"``."""
+    if method == "cholesky":
+        return CholeskySampler(hurst, grid)
+    if method == "circulant":
+        return CirculantSampler(hurst, grid)
+    raise UsageError(f"unknown fBM sampler method {method!r}")
 
 
 def block_sums(increments: np.ndarray, factor: int) -> np.ndarray:

@@ -8,6 +8,8 @@ These deliberately avoid the package's own numerics:
   halving and Richardson extrapolation, for zero-noise comparisons.
 * ``window_modulus`` reduces every sliding window of nodes directly, the
   reference for the moment probe's doubling modulus ladder.
+* ``dense_toeplitz_cholesky`` builds the full Toeplitz matrix and factors it
+  with LAPACK, the reference for the O(N^2) Schur factorisation.
 """
 
 from __future__ import annotations
@@ -56,3 +58,10 @@ def window_modulus(values: np.ndarray, window: int) -> float:
     """sup |X_t - X_s| over node pairs at most ``window`` indices apart."""
     view = np.lib.stride_tricks.sliding_window_view(values, window + 1)
     return float(np.max(view.max(axis=1) - view.min(axis=1)))
+
+
+def dense_toeplitz_cholesky(gamma: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the symmetric Toeplitz matrix T[i, j] = gamma[|i - j|]."""
+    n = len(gamma)
+    index = np.arange(n)
+    return np.linalg.cholesky(np.asarray(gamma)[np.abs(index[:, None] - index[None, :])])

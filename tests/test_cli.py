@@ -197,6 +197,37 @@ class TestCli:
             )
         assert outputs[0] == outputs[1]
 
+    def test_simulate_overrides_change_digest(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config_text(scheme={"steps": 32}, experiment={"paths": 2}))
+
+        def digest(*overrides):
+            out = tmp_path / "sim.csv"
+            argv = ("simulate", "--config", str(cfg), "--out", str(out), *overrides)
+            assert run_cli(*argv) == 0
+            return out.read_text().splitlines()[0].split("config_digest=")[1]
+
+        plain = digest()
+        assert plain == parse_config(cfg.read_text()).digest
+        halved = digest("--steps", "16")
+        assert halved == parse_config(
+            config_text(scheme={"steps": 16}, experiment={"paths": 2})
+        ).digest
+        assert len({plain, halved, digest("--paths", "3")}) == 3
+
+    def test_simulate_cholesky_byte_identical_across_threads(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            config_text(scheme={"steps": 300, "method": "cholesky"}, experiment={"paths": 3})
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"sim_{threads}.csv"
+            argv = ("simulate", "--config", str(cfg), "--threads", threads, "--out", str(out))
+            assert run_cli(*argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_simulate_rejects_excessive_step(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -357,7 +388,7 @@ class TestCli:
         assert run_cli("verify-assumptions", "--config", str(cfg)) in (0, 1)
         assert "h0=inf" in capsys.readouterr().out
 
-    def test_cli_import_loads_no_scipy(self):
+    def test_cli_import_loads_no_scipy(self, tmp_path):
         code = (
             "import sys, fbmsde.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
@@ -366,6 +397,21 @@ class TestCli:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert proc.stdout.strip() == "[]"
+        # nor does building a Cholesky sampler or simulating with one
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config_text(scheme={"steps": 32, "method": "cholesky"}))
+        code = (
+            "import sys, fbmsde.cli as cli; "
+            "from fbmsde.fbm import CholeskySampler, TimeGrid; "
+            "CholeskySampler(0.7, TimeGrid(1.0, 300)).sample(1); "
+            f"assert cli.main(['simulate', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'sim.csv')!r}]) == 0; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "p.csv"

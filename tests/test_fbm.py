@@ -12,20 +12,23 @@ from fbmsde.errors import (
     UsageError,
 )
 from fbmsde.fbm import (
+    PANEL_WIDTH,
     CholeskySampler,
     CirculantSampler,
     FbmPath,
     Hurst,
     TimeGrid,
-    _cholesky_lower,
+    _fgn_autocovariance,
+    _toeplitz_cholesky,
     block_sums,
     empirical_increment_moment,
     fbm_covariance,
+    make_sampler,
     mix_seed,
-    sample_fbm_cholesky,
-    sample_fbm_circulant,
     subsample,
 )
+
+from oracles import dense_toeplitz_cholesky
 
 
 class TestCovariance:
@@ -98,13 +101,73 @@ class TestSamplerContracts:
 def test_one_shot_functions_match_samplers():
     grid = TimeGrid(1.0, 16)
     assert np.array_equal(
-        sample_fbm_cholesky(0.7, grid, 5).values,
+        make_sampler("cholesky", 0.7, grid).sample(5).values,
         CholeskySampler(0.7, grid).sample(5).values,
     )
     assert np.array_equal(
-        sample_fbm_circulant(0.7, grid, 5).values,
+        make_sampler("circulant", 0.7, grid).sample(5).values,
         CirculantSampler(0.7, grid).sample(5).values,
     )
+
+
+def test_make_sampler_rejects_unknown_method():
+    with pytest.raises(UsageError):
+        make_sampler("hosking", 0.7, TimeGrid(1.0, 16))
+
+
+def _assemble(panels: list, n: int) -> np.ndarray:
+    """The dense lower factor held by the column panels."""
+    dense = np.zeros((n, n))
+    for p, panel in enumerate(panels):
+        j = p * PANEL_WIDTH
+        dense[j:, j : j + panel.shape[1]] = panel
+    return dense
+
+
+class TestToeplitzCholesky:
+    @pytest.mark.parametrize("hurst", [0.51, 0.7, 0.99])
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 600])
+    def test_panels_match_dense_oracle(self, n, hurst):
+        gamma = _fgn_autocovariance(Hurst(hurst), 1.0 / n, n)
+        panels = _toeplitz_cholesky(gamma)
+        assert [panel.shape for panel in panels] == [
+            (n - j, min(PANEL_WIDTH, n - j)) for j in range(0, n, PANEL_WIDTH)
+        ]
+        assert all(panel.flags.f_contiguous for panel in panels)
+        factor = _assemble(panels, n)
+        oracle = dense_toeplitz_cholesky(gamma)
+        assert np.max(np.abs(factor - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_panel_draw_matches_dense_product(self, n):
+        hurst, seed = Hurst(0.7), 13
+        sampler = CholeskySampler(hurst, TimeGrid(1.0, n))
+        factor = _assemble(_toeplitz_cholesky(_fgn_autocovariance(hurst, 1.0 / n, n)), n)
+        for index in range(3):
+            z = np.random.default_rng(mix_seed(seed, index)).standard_normal(n)
+            dense = factor @ z
+            drawn = sampler.sample(seed, index).increments
+            assert np.max(np.abs(drawn - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    def test_path_is_bitwise_the_same_alone_or_in_a_batch(self):
+        grid = TimeGrid(1.0, 600)
+        alone = CholeskySampler(0.7, grid).sample(21, 4)
+        batch = CholeskySampler(0.7, grid).sample_paths(21, 6, start_index=1)
+        assert np.array_equal(batch[3].increments, alone.increments)
+        assert np.array_equal(batch[3].values, alone.values)
+
+    def test_later_pivot_named(self):
+        # leading minors 1 and 0.75 are positive, the full determinant is -0.76
+        with pytest.raises(FactorizationError) as excinfo:
+            _toeplitz_cholesky(np.array([1.0, 0.5, -0.9]))
+        assert excinfo.value.pivot == 3
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_nan_raises(self, at):
+        gamma = np.array([1.0, 0.5, 0.25])
+        gamma[at] = np.nan
+        with pytest.raises(FactorizationError):
+            _toeplitz_cholesky(gamma)
 
 
 def test_circulant_covariance_on_fine_grid():
@@ -259,10 +322,9 @@ class TestIncrementMoments:
 
 class TestFailureModes:
     def test_cholesky_failure_names_pivot(self):
-        # 2x2 matrix whose second leading minor is negative
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
+        # Toeplitz [[1, 2], [2, 1]]: the second leading minor is negative
         with pytest.raises(FactorizationError) as excinfo:
-            _cholesky_lower(bad)
+            _toeplitz_cholesky(np.array([1.0, 2.0]))
         assert excinfo.value.pivot == 2
 
     def test_embedding_failure_reports_most_negative(self, monkeypatch):
