@@ -52,13 +52,12 @@ from .fbm import (
     subsample,
 )
 from .solver import (
-    Interpolant,
     SchemeConfig,
     SolutionPath,
+    SolverSettings,
     implicit_step,
     integrate,
     interpolate,
-    power_path,
 )
 
 __version__ = "0.1.0"

@@ -24,6 +24,7 @@ import numpy as np
 from .config import RunConfig, config_digest, parse_config
 from .convergence import (
     ExperimentPlan,
+    _draw_chunk,
     _raise_first_failure,
     moment_probe,
     run_strong_error,
@@ -31,7 +32,7 @@ from .convergence import (
 from .drifts import audit_assumptions, lamperti_inverse
 from .errors import ConfigError, FbmsdeError, ParameterError, UsageError
 from .fbm import TimeGrid, make_sampler
-from .solver import SchemeConfig, check_step_bound, integrate
+from .solver import SchemeConfig, SolverSettings, check_step_bound, integrate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -102,6 +103,16 @@ def _load_config(args, scheme=None, experiment=None) -> RunConfig:
     )
 
 
+def _solver_settings(cfg: RunConfig) -> SolverSettings:
+    """The root-solver settings named by the ``scheme`` block."""
+    return SolverSettings(
+        tol_abs=cfg.scheme["tol_abs"],
+        tol_rel=cfg.scheme["tol_rel"],
+        max_iter=cfg.scheme["max_iter"],
+        bracket_growth=cfg.scheme["bracket_growth"],
+    )
+
+
 def _out_dir(args, cfg: RunConfig | None) -> str:
     if args.out_dir:
         return args.out_dir
@@ -152,22 +163,19 @@ def _cmd_simulate(args) -> int:
     paths = cfg.experiment["paths"]
     if paths is None:
         paths = 1
+    if paths < 1:
+        raise ConfigError([f"$.experiment.paths: must be >= 1, got {paths}"])
     scheme = SchemeConfig(
         steps=steps,
         horizon=cfg.scheme["horizon"],
         sigma=model.sigma_x,
         x0=model.x0,
-        tol_abs=cfg.scheme["tol_abs"],
-        tol_rel=cfg.scheme["tol_rel"],
-        max_iter=cfg.scheme["max_iter"],
-        bracket_growth=cfg.scheme["bracket_growth"],
+        solver=_solver_settings(cfg),
     )
     check_step_bound(cert, scheme.h)
     grid = TimeGrid(scheme.horizon, steps)
     sampler = make_sampler(cfg.scheme["method"], model.hurst, grid)
-    noise = np.empty((paths, steps))
-    for i in range(paths):
-        noise[i] = sampler.sample(cfg.seed, i).increments
+    noise = _draw_chunk(sampler, cfg.seed, 0, paths, [1])[1]
     sol = integrate(drift, scheme, noise, cert)
     _raise_first_failure(sol, 0)
     y = lamperti_inverse(model, sol.values)
@@ -221,10 +229,7 @@ def _build_plan(cfg: RunConfig) -> ExperimentPlan:
         paths=exp["paths"],
         master_seed=cfg.seed,
         method=cfg.scheme["method"],
-        tol_abs=cfg.scheme["tol_abs"],
-        tol_rel=cfg.scheme["tol_rel"],
-        max_iter=cfg.scheme["max_iter"],
-        bracket_growth=cfg.scheme["bracket_growth"],
+        solver=_solver_settings(cfg),
     )
 
 
@@ -295,7 +300,6 @@ def _cmd_moments(args) -> int:
     p_list = cfg.experiment["p_list"] or [2.0, 4.0]
     probe = moment_probe(
         model,
-        model.hurst,
         cfg.scheme["horizon"],
         steps,
         paths,
@@ -303,10 +307,7 @@ def _cmd_moments(args) -> int:
         cfg.seed,
         ladder_rungs=cfg.experiment["ladder_rungs"],
         method=cfg.scheme["method"],
-        tol_abs=cfg.scheme["tol_abs"],
-        tol_rel=cfg.scheme["tol_rel"],
-        max_iter=cfg.scheme["max_iter"],
-        bracket_growth=cfg.scheme["bracket_growth"],
+        solver=_solver_settings(cfg),
     )
     out_dir = _out_dir(args, cfg)
     _atomic_write(

@@ -37,8 +37,14 @@ import numpy as np
 
 from .drifts import ModelSpec
 from .errors import IntegrationError, NumericalError, ParameterError, UsageError
-from .fbm import Hurst, TimeGrid, make_sampler, mix_seed, subsample
-from .solver import SchemeConfig, SolutionPath, check_step_bound, integrate
+from .fbm import TimeGrid, make_sampler, mix_seed, subsample
+from .solver import (
+    SchemeConfig,
+    SolutionPath,
+    SolverSettings,
+    check_step_bound,
+    integrate,
+)
 
 __all__ = [
     "ExperimentPlan",
@@ -83,10 +89,7 @@ class ExperimentPlan:
     paths: int
     master_seed: int
     method: str = "circulant"
-    tol_abs: float = 1e-12
-    tol_rel: float = 1e-12
-    max_iter: int = 200
-    bracket_growth: float = 2.0
+    solver: SolverSettings = SolverSettings()
 
     def __post_init__(self):
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
@@ -133,10 +136,7 @@ class ExperimentPlan:
             horizon=self.horizon,
             sigma=self.model.sigma_x,
             x0=self.model.x0,
-            tol_abs=self.tol_abs,
-            tol_rel=self.tol_rel,
-            max_iter=self.max_iter,
-            bracket_growth=self.bracket_growth,
+            solver=self.solver,
         )
 
 
@@ -324,39 +324,48 @@ def _sup_errors(
     }
 
 
-def _strong_error_chunk(
-    plan: ExperimentPlan, start: int, stop: int
+def _ladder_chunk(
+    plan: ExperimentPlan, start: int, stop: int, ref_ks: tuple[int, ...]
 ) -> list[tuple[int, dict | None, tuple | None]]:
-    """Errors of every ladder level for paths start..stop-1.
+    """Errors of every ladder level against each reference in ``ref_ks``.
 
-    Returns one (index, errors, failure) triple per path in path order.  The
-    reference and then each level are integrated as one batch; a path that
-    fails is recorded as (path, level, step) and left out of later levels.
+    Covers paths start..stop-1 and returns one (index, errors, failure)
+    triple per path in path order, with ``errors[ref_k][k]`` the sup errors
+    of level k against the reference 2^ref_k.  The noise is drawn once at
+    the finest reference and block-summed to every other grid; each
+    reference, then each level, is integrated once as one batch.  A path
+    that fails is recorded as (path, level, step) and left out of later
+    integrations.
     """
-    n_ref = 2**plan.k_ref
-    grid = TimeGrid(plan.horizon, n_ref)
+    n_fine = 2 ** max(ref_ks)
+    grid = TimeGrid(plan.horizon, n_fine)
     sampler = _sampler_cached(plan.method, plan.model.hurst, grid)
-    factors = {k: 2 ** (plan.k_ref - k) for k in plan.levels}
-    noise = _draw_chunk(sampler, plan.master_seed, start, stop, [1, *factors.values()])
+    factors = {k: n_fine // 2**k for k in (*ref_ks, *plan.levels)}
+    noise = _draw_chunk(sampler, plan.master_seed, start, stop, factors.values())
     drift, cert = plan.model.drift()
-    ref = integrate(drift, plan.scheme_config(n_ref), noise[1], cert)
-    failures = {
-        row: (start + row, plan.k_ref, err.step) for row, err in ref.failures.items()
-    }
-    errors: list[dict] = [{} for _ in range(stop - start)]
     l_exp = plan.model.inverse_exponent
+    failures: dict[int, tuple] = {}
+    refs: dict[int, dict[int, np.ndarray]] = {}  # ref_k -> row -> nodes
+    errors: list[dict] = [{ref_k: {} for ref_k in ref_ks} for _ in range(stop - start)]
     for k, factor in factors.items():
         live = [row for row in range(stop - start) if row not in failures]
         if not live:
             break
         level_noise = noise[factor] if not failures else noise[factor][live]
         sol = integrate(drift, plan.scheme_config(2**k), level_noise, cert)
+        solved = {}
         for j, row in enumerate(live):
             if j in sol.failures:
                 failures[row] = (start + row, k, sol.failures[j].step)
             else:
-                errors[row][k] = _sup_errors(
-                    sol.values[j], ref.values[row], factor, l_exp
+                solved[row] = sol.values[j]
+        if k in ref_ks:
+            refs[k] = solved
+            continue
+        for row, values in solved.items():
+            for ref_k, ref in refs.items():
+                errors[row][ref_k][k] = _sup_errors(
+                    values, ref[row], 2 ** (ref_k - k), l_exp
                 )
     return [
         (start + row, None if row in failures else errors[row], failures.get(row))
@@ -411,13 +420,14 @@ def run_strong_error(
     the failures.
     """
     starts, stops = zip(*_chunks(plan.paths, 2**plan.k_ref))
+    ref_ks = [(plan.k_ref,)] * len(starts)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             chunks = list(
-                pool.map(_strong_error_chunk, [plan] * len(starts), starts, stops)
+                pool.map(_ladder_chunk, [plan] * len(starts), starts, stops, ref_ks)
             )
     else:
-        chunks = [_strong_error_chunk(plan, a, b) for a, b in zip(starts, stops)]
+        chunks = list(map(_ladder_chunk, [plan] * len(starts), starts, stops, ref_ks))
     results = [item for chunk in chunks for item in chunk]
 
     failures = [failure for _, _, failure in results if failure is not None]
@@ -436,7 +446,7 @@ def run_strong_error(
         kept_paths.append(index)
         for k in plan.levels:
             for kind in ERROR_KINDS:
-                per_level[k][kind].append(errors[k][kind])
+                per_level[k][kind].append(errors[plan.k_ref][k][kind])
 
     boot_rng = np.random.default_rng(mix_seed(plan.master_seed, BOOTSTRAP_STREAM))
     levels: list[LevelEstimate] = []
@@ -542,38 +552,25 @@ def reference_bias_check(plan: ExperimentPlan) -> dict:
 
     The fine noise is generated once at k_ref + 1 and block-summed down, so
     the two references share their driving paths and the comparison isolates
-    the reference-discretization bias from Monte Carlo noise.
+    the reference-discretization bias from Monte Carlo noise.  Any failed
+    path aborts the check with :class:`IntegrationError`.
     """
-    n_fine = 2 ** (plan.k_ref + 1)
-    grid = TimeGrid(plan.horizon, n_fine)
-    sampler = make_sampler(plan.method, plan.model.hurst, grid)
-    drift, cert = plan.model.drift()
-    l_exp = plan.model.inverse_exponent
     ref_ks = (plan.k_ref, plan.k_ref + 1)
     acc = {
         ref_k: {k: {kind: [] for kind in ERROR_KINDS} for k in plan.levels}
         for ref_k in ref_ks
     }
-    factors = {k: n_fine // 2**k for k in (*ref_ks, *plan.levels)}
-    for start, stop in _chunks(plan.paths, n_fine):
-        noise = _draw_chunk(
-            sampler, plan.master_seed, start, stop, set(factors.values())
-        )
-        sols = {}
-        for k, factor in factors.items():
-            sols[k] = integrate(drift, plan.scheme_config(2**k), noise[factor], cert)
-            _raise_first_failure(sols[k], start)
-        for row in range(stop - start):
-            for k in plan.levels:
-                for ref_k in ref_ks:
-                    errs = _sup_errors(
-                        sols[k].values[row],
-                        sols[ref_k].values[row],
-                        2 ** (ref_k - k),
-                        l_exp,
-                    )
+    for start, stop in _chunks(plan.paths, 2 ** max(ref_ks)):
+        for _, errors, failure in _ladder_chunk(plan, start, stop, ref_ks):
+            if failure is not None:
+                path, level, step = failure
+                raise IntegrationError(
+                    f"path {path} failed at level {level}, step {step}", step=step
+                )
+            for ref_k in ref_ks:
+                for k in plan.levels:
                     for kind in ERROR_KINDS:
-                        acc[ref_k][k][kind].append(errs[kind])
+                        acc[ref_k][k][kind].append(errors[ref_k][k][kind])
     out = {}
     for k in plan.levels:
         out[k] = {}
@@ -643,7 +640,6 @@ def _modulus_envelope(h: np.ndarray, hurst: float) -> np.ndarray:
 
 def moment_probe(
     model: ModelSpec,
-    hurst: float | Hurst,
     horizon: float,
     steps: int,
     paths: int,
@@ -652,10 +648,7 @@ def moment_probe(
     ladder_rungs: int = 6,
     *,
     method: str = "circulant",
-    tol_abs: float = 1e-12,
-    tol_rel: float = 1e-12,
-    max_iter: int = 200,
-    bracket_growth: float = 2.0,
+    solver: SolverSettings = SolverSettings(),
 ) -> MomentProbe:
     """Estimate E sup X^{-p}, E sup X^{p}, and modulus-of-continuity ratios.
 
@@ -663,14 +656,8 @@ def moment_probe(
     reports E modulus(h_j) divided by the envelope h + h^H sqrt(log(1 + 1/h)).
     For critical-regime models the admissible horizon shrinks with p; a
     warning is emitted when (horizon, max p) exceeds it.  ``method`` picks the
-    fBM sampler and the remaining keywords are the root-solver settings of
-    :class:`SchemeConfig`.
+    fBM sampler and ``solver`` holds the root-solver settings.
     """
-    h_value = hurst.value if isinstance(hurst, Hurst) else float(hurst)
-    if h_value != model.hurst:
-        raise UsageError(
-            f"hurst={h_value} disagrees with the model's hurst={model.hurst}"
-        )
     p_list = tuple(float(p) for p in p_list)
     if not p_list or any(p <= 0.0 for p in p_list):
         raise UsageError("p_list must contain positive orders")
@@ -686,8 +673,6 @@ def moment_probe(
                 stacklevel=2,
             )
 
-    if method not in ("circulant", "cholesky"):
-        raise UsageError(f"unknown sampler method {method!r}")
     grid = TimeGrid(horizon, steps)
     sampler = make_sampler(method, model.hurst, grid)
     config = SchemeConfig(
@@ -695,10 +680,7 @@ def moment_probe(
         horizon=horizon,
         sigma=model.sigma_x,
         x0=model.x0,
-        tol_abs=tol_abs,
-        tol_rel=tol_rel,
-        max_iter=max_iter,
-        bracket_growth=bracket_growth,
+        solver=solver,
     )
     rungs = min(ladder_rungs, int(math.log2(steps)) - 1)
     windows = [2**j for j in range(rungs)]

@@ -310,11 +310,6 @@ class CholeskySampler:
             self.grid, self.hurst, increments, master_seed, path_index
         )
 
-    def sample_paths(
-        self, master_seed: int, count: int, start_index: int = 0
-    ) -> list[FbmPath]:
-        return [self.sample(master_seed, start_index + i) for i in range(count)]
-
 
 def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
@@ -383,11 +378,6 @@ class CirculantSampler:
             self.grid, self.hurst, increments, master_seed, path_index
         )
 
-    def sample_paths(
-        self, master_seed: int, count: int, start_index: int = 0
-    ) -> list[FbmPath]:
-        return [self.sample(master_seed, start_index + i) for i in range(count)]
-
 
 def make_sampler(
     method: str, hurst: Hurst | float, grid: TimeGrid
@@ -453,8 +443,6 @@ def empirical_increment_moment(
     compares against.
     """
     paths = list(paths)
-    if not paths:
-        raise UsageError("empirical_increment_moment requires at least two paths")
     if len(paths) < 2:
         raise UsageError("empirical_increment_moment requires at least two paths")
     if p < 1.0:

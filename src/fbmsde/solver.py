@@ -42,13 +42,12 @@ from .errors import (
 from .fbm import TimeGrid
 
 __all__ = [
+    "SolverSettings",
     "SchemeConfig",
     "SolutionPath",
-    "Interpolant",
     "implicit_step",
     "integrate",
     "interpolate",
-    "power_path",
 ]
 
 X_FLOOR = 1e-30
@@ -59,6 +58,31 @@ BRACKET_FLOOR = 1e-300
 # 1 + 1/alpha in x per step while still reducing |g| (by at most 1/e);
 # geometric expansion gains a factor bracket_growth per step instead.
 NEWTON_MIN_DECREASE = 0.25
+
+
+@dataclass(frozen=True)
+class SolverSettings:
+    """Settings of the implicit step's root solve.
+
+    A root x is accepted when |B(x) h - x + c| <= tol_abs + tol_rel * x;
+    ``max_iter`` caps the drift evaluations per step and ``bracket_growth``
+    is the smallest factor by which bracket expansion and shrinkage move.
+    """
+
+    tol_abs: float = 1e-12
+    tol_rel: float = 1e-12
+    max_iter: int = 200
+    bracket_growth: float = 2.0
+
+    def __post_init__(self):
+        if not (self.tol_abs > 0.0 and self.tol_rel > 0.0):
+            raise ParameterError("tolerances must be positive")
+        if self.max_iter < 8:
+            raise ParameterError(f"max_iter must be >= 8, got {self.max_iter}")
+        if not self.bracket_growth > 1.0:
+            raise ParameterError(
+                f"bracket_growth must exceed 1, got {self.bracket_growth}"
+            )
 
 
 @dataclass(frozen=True)
@@ -74,10 +98,7 @@ class SchemeConfig:
     horizon: float
     sigma: float
     x0: float
-    tol_abs: float = 1e-12
-    tol_rel: float = 1e-12
-    max_iter: int = 200
-    bracket_growth: float = 2.0
+    solver: SolverSettings = SolverSettings()
 
     def __post_init__(self):
         if self.steps < 1:
@@ -88,14 +109,6 @@ class SchemeConfig:
             raise ParameterError("sigma must be nonzero")
         if not self.x0 > 0.0:
             raise ParameterError(f"x0 must be positive, got {self.x0}")
-        if not (self.tol_abs > 0.0 and self.tol_rel > 0.0):
-            raise ParameterError("tolerances must be positive")
-        if self.max_iter < 8:
-            raise ParameterError(f"max_iter must be >= 8, got {self.max_iter}")
-        if not self.bracket_growth > 1.0:
-            raise ParameterError(
-                f"bracket_growth must exceed 1, got {self.bracket_growth}"
-            )
 
     @property
     def h(self) -> float:
@@ -124,20 +137,6 @@ class SolutionPath:
     failures: dict = field(default_factory=dict)
 
 
-class Interpolant:
-    """Piecewise-linear interpolant of a solution path.
-
-    Exact at nodes; between nodes it is the affine combination with weights
-    (t_{n+1} - t)/h and (t - t_n)/h.
-    """
-
-    def __init__(self, path: SolutionPath):
-        self.path = path
-
-    def __call__(self, t):
-        return interpolate(self.path, t)
-
-
 def check_step_bound(certificate: AssumptionCertificate, h: float) -> None:
     """Enforce h < h0 and, when K > 0, h < 1/K."""
     if not h < certificate.h0:
@@ -155,10 +154,7 @@ def implicit_step(
     drift: DriftFn,
     h: float,
     c: float,
-    tol_abs: float = 1e-12,
-    tol_rel: float = 1e-12,
-    max_iter: int = 200,
-    bracket_growth: float = 2.0,
+    solver: SolverSettings = SolverSettings(),
 ) -> tuple[float, float, int]:
     """Solve B(x) h - x + c = 0 for the unique positive root.
 
@@ -173,7 +169,7 @@ def implicit_step(
         raise ParameterError(f"step size must be positive and finite, got {h}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         root, residual, iterations, errors = _solve(
-            drift, h, np.array([float(c)]), tol_abs, tol_rel, max_iter, bracket_growth
+            drift, h, np.array([float(c)]), solver
         )
     if errors:
         raise errors[0]
@@ -191,7 +187,7 @@ def _bracket_error(start: float, lo: float, hi: float) -> RootBracketError:
     )
 
 
-def _solve(drift, h, c, tol_abs, tol_rel, max_iter, growth):
+def _solve(drift, h, c, solver):
     """Solve B(x) h - x + c = 0 for every entry of the 1-D array ``c``.
 
     Returns ``(root, residual, iterations, errors)``: three per-row arrays
@@ -206,6 +202,8 @@ def _solve(drift, h, c, tol_abs, tol_rel, max_iter, growth):
     the fallback and failure bookkeeping.
     """
     value, deriv = drift.value, drift.deriv1
+    tol_abs, tol_rel = solver.tol_abs, solver.tol_rel
+    max_iter, growth = solver.max_iter, solver.bracket_growth
     count = np.count_nonzero
     size = c.size
     root = np.empty(size)
@@ -385,9 +383,6 @@ def integrate(
     paths, steps = batch.shape
     h = config.h
     sigma = config.sigma
-    solver_args = (
-        config.tol_abs, config.tol_rel, config.max_iter, config.bracket_growth
-    )
     values = np.empty((paths, steps + 1))
     residuals = np.empty((paths, steps))
     iters = np.empty((paths, steps), dtype=np.int64)
@@ -398,7 +393,7 @@ def integrate(
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for n in range(steps):
             c = x + sigma * batch[live, n]
-            x, res, it, errors = _solve(drift, h, c, *solver_args)
+            x, res, it, errors = _solve(drift, h, c, config.solver)
             positive = x > 0.0
             if errors or np.count_nonzero(positive) < x.size:
                 lost = ~positive
@@ -470,18 +465,3 @@ def interpolate(path: SolutionPath, t):
     out = np.where(at_lo, values[idx], np.where(at_hi, values[idx + 1], out))
     return float(out) if np.ndim(t) == 0 else out
 
-
-def power_path(path: SolutionPath, exponent: float) -> np.ndarray:
-    """Elementwise power of the node values, used to undo Lamperti transforms.
-
-    The scheme guarantees positive nodes, so any real nonzero exponent is
-    well defined; a nonpositive node here means an internal invariant was
-    broken upstream.
-    """
-    if exponent == 0.0:
-        raise UsageError("power exponent must be nonzero")
-    if np.any(path.values <= 0.0):
-        raise NumericalError(
-            "internal invariant violation: nonpositive node in a solution path"
-        )
-    return path.values**exponent

@@ -1,9 +1,11 @@
 """Configuration parsing and command-line behavior."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from fbmsde.drifts import lamperti_inverse
 from fbmsde.errors import ConfigError
 from fbmsde.fbm import CirculantSampler, Hurst, TimeGrid
 from fbmsde.solver import SchemeConfig, integrate
+
+REPO = Path(__file__).resolve().parents[1]
 
 MINIMAL_MR = {
     "seed": 7,
@@ -361,7 +365,9 @@ class TestCli:
             bodies[method] = lines[1:]  # past the digest header
         assert bodies["circulant"] != bodies["cholesky"]
 
-    def test_moments_honours_solver_settings(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["simulate", "moments"])
+    def test_honours_solver_settings(self, tmp_path, capsys, command):
+        # no residual can meet a 1e-300 tolerance, so the first step fails
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
             config_text(
@@ -369,10 +375,40 @@ class TestCli:
                 experiment={"paths": 2},
             )
         )
-        out_dir = tmp_path / "m"
-        code = run_cli("moments", "--config", str(cfg), "--out-dir", str(out_dir))
+        out_dir = tmp_path / "o"
+        code = run_cli(command, "--config", str(cfg), "--out-dir", str(out_dir))
         assert code == 2
         assert "implicit step failed" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("paths", ["-1", "0"])
+    def test_simulate_rejects_path_count_below_one(self, tmp_path, capsys, paths):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config_text(scheme={"steps": 16}))
+        out = tmp_path / "sim.csv"
+        code = run_cli(
+            "simulate", "--config", str(cfg), "--paths", paths, "--out", str(out)
+        )
+        assert code == 1
+        assert "config error: $.experiment.paths" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_traced_benchmark_child_runs_simulate(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config_text(scheme={"steps": 16}, experiment={"paths": 2}))
+        stats = tmp_path / "stats.json"
+        proc = subprocess.run(
+            [
+                sys.executable, str(REPO / "perfbench" / "child.py"), str(stats), "1",
+                "simulate", "--config", str(cfg), "--out", str(tmp_path / "sim.csv"),
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        layers = {span[1] for span in json.loads(stats.read_text())["spans"]}
+        assert {"solver", "fbm.sample", "drifts.lamperti_inverse"} <= layers
 
     def test_verify_assumptions(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -181,14 +181,14 @@ class TestStrongError:
 
 class TestMomentProbe:
     def test_estimates_stable_under_refinement(self):
-        coarse = moment_probe(AS_MODEL, 0.7, 1.0, 256, 60, [4.0], 5)
-        fine = moment_probe(AS_MODEL, 0.7, 1.0, 512, 60, [4.0], 5)
+        coarse = moment_probe(AS_MODEL, 1.0, 256, 60, [4.0], 5)
+        fine = moment_probe(AS_MODEL, 1.0, 512, 60, [4.0], 5)
         a, b = coarse.negative_moments[4.0], fine.negative_moments[4.0]
         assert np.isfinite(a) and np.isfinite(b)
         assert abs(b - a) / a <= 0.2
 
     def test_modulus_ratio_bounded_on_ladder(self):
-        probe = moment_probe(AS_MODEL, 0.7, 1.0, 1024, 40, [2.0], 9, ladder_rungs=6)
+        probe = moment_probe(AS_MODEL, 1.0, 1024, 40, [2.0], 9, ladder_rungs=6)
         ratios = np.asarray(probe.modulus_ratios)
         assert np.all(np.isfinite(ratios)) and np.all(ratios > 0.0)
         # flat profile: no growth trend as h -> 0 over the tested ladder
@@ -199,7 +199,7 @@ class TestMomentProbe:
         model = MeanRevertingModel(
             a1=1.0, a2=1.0, gamma=0.7, sigma=1e-3, y0=10.0, hurst=0.7
         )
-        probe = moment_probe(model, 0.7, 1.0, 1024, 40, [4.0], 5)
+        probe = moment_probe(model, 1.0, 1024, 40, [4.0], 5)
         oracle = ode_trajectory(model.drift()[0].value, model.x0, 1.0, 1024)
         det_neg = float(np.max(oracle**-4.0))
         det_pos = float(np.max(oracle**4.0))
@@ -209,15 +209,13 @@ class TestMomentProbe:
     def test_critical_regime_warns(self):
         cir = MeanRevertingModel(1.0, 1.0, 0.5, 0.5, 1.0, 0.7)
         with pytest.warns(UserWarning, match="critical"):
-            moment_probe(cir, 0.7, 1.0, 64, 4, [4.0], 1)
+            moment_probe(cir, 1.0, 64, 4, [4.0], 1)
 
     def test_usage_errors(self):
         with pytest.raises(UsageError):
-            moment_probe(AS_MODEL, 0.8, 1.0, 64, 4, [4.0], 1)  # hurst mismatch
+            moment_probe(AS_MODEL, 1.0, 64, 4, [], 1)
         with pytest.raises(UsageError):
-            moment_probe(AS_MODEL, 0.7, 1.0, 64, 4, [], 1)
-        with pytest.raises(UsageError):
-            moment_probe(AS_MODEL, 0.7, 1.0, 64, 4, [-1.0], 1)
+            moment_probe(AS_MODEL, 1.0, 64, 4, [-1.0], 1)
 
 
 class TestCriticalHorizon:

@@ -152,7 +152,8 @@ class TestToeplitzCholesky:
     def test_path_is_bitwise_the_same_alone_or_in_a_batch(self):
         grid = TimeGrid(1.0, 600)
         alone = CholeskySampler(0.7, grid).sample(21, 4)
-        batch = CholeskySampler(0.7, grid).sample_paths(21, 6, start_index=1)
+        sampler = CholeskySampler(0.7, grid)
+        batch = [sampler.sample(21, 1 + i) for i in range(6)]
         assert np.array_equal(batch[3].increments, alone.increments)
         assert np.array_equal(batch[3].values, alone.values)
 
@@ -275,7 +276,7 @@ class TestSubsample:
 class TestIncrementMoments:
     def make_paths(self, m=400, steps=64, hurst=0.7, seed=17):
         sampler = CirculantSampler(Hurst(hurst), TimeGrid(1.0, steps))
-        return sampler.sample_paths(seed, m)
+        return [sampler.sample(seed, i) for i in range(m)]
 
     def test_second_moment_scaling(self):
         paths = self.make_paths()

@@ -22,22 +22,22 @@ from fbmsde.errors import (
 )
 from fbmsde.fbm import CirculantSampler, Hurst, TimeGrid
 from fbmsde.solver import (
-    Interpolant,
     SchemeConfig,
+    SolverSettings,
     implicit_step,
     integrate,
     interpolate,
-    power_path,
 )
 
 from oracles import cir_implicit_root, ode_trajectory
 
 CIR_DRIFT, CIR_CERT = mean_reverting_drift(1.0, 1.0, 0.5)
+TIGHT = SolverSettings(1e-14, 1e-14)
 
 
 class TestImplicitStep:
     def test_matches_quadratic_oracle(self):
-        root, residual, _ = implicit_step(CIR_DRIFT, 0.01, 1.0, 1e-14, 1e-14)
+        root, residual, _ = implicit_step(CIR_DRIFT, 0.01, 1.0, TIGHT)
         assert abs(root - cir_implicit_root(1.0, 1.0, 0.01, 1.0)) <= 1e-10
         assert abs(residual) <= 1e-12
 
@@ -46,7 +46,7 @@ class TestImplicitStep:
         for _ in range(200):
             h = 10.0 ** rng.uniform(-4, -0.5)
             c = rng.uniform(-3.0, 3.0)
-            root, residual, _ = implicit_step(CIR_DRIFT, h, c, 1e-14, 1e-14)
+            root, residual, _ = implicit_step(CIR_DRIFT, h, c, TIGHT)
             assert abs(root - cir_implicit_root(1.0, 1.0, h, c)) <= 1e-10
             assert abs(residual) <= 1e-12
 
@@ -235,7 +235,7 @@ class TestIntegrate:
         with pytest.raises(ParameterError):
             SchemeConfig(steps=4, horizon=1.0, sigma=1.0, x0=-1.0)
         with pytest.raises(ParameterError):
-            SchemeConfig(steps=4, horizon=1.0, sigma=1.0, x0=1.0, max_iter=4)
+            SolverSettings(max_iter=4)
 
 
 class TestInterpolation:
@@ -274,21 +274,17 @@ class TestInterpolation:
     def test_vectorized_and_callable(self):
         sol = make_solution()
         ts = np.linspace(0.0, 1.0, 201)
-        via_fn = interpolate(sol, ts)
-        via_obj = Interpolant(sol)(ts)
-        assert np.array_equal(via_fn, via_obj)
-        assert via_fn.shape == ts.shape
+        assert interpolate(sol, ts).shape == ts.shape
 
 
-class TestPowerPath:
-    def test_identity(self):
-        sol = make_solution()
-        assert np.array_equal(power_path(sol, 1.0), sol.values)
-
+class TestLampertiInverse:
     def test_reciprocal_involution(self):
+        # rho = 2: Y = X^-1 maps the nodes to their reciprocals
+        model = AitSahaliaModel(1.0, 1.0, 1.0, 1.0, 4.0, 2.0, 0.5, 1.0, 0.7)
+        assert model.inverse_exponent == -1.0
         sol = make_solution()
         twice = 1.0 / (1.0 / sol.values)
-        rebuilt = power_path(sol, -1.0)
+        rebuilt = lamperti_inverse(model, sol.values)
         assert np.all(np.abs(1.0 / rebuilt - sol.values) <= 4 * np.spacing(sol.values))
         assert np.allclose(twice, sol.values, rtol=1e-15)
 
@@ -297,10 +293,5 @@ class TestPowerPath:
         model = MeanRevertingModel(1.0, 1.0, 0.5, 0.5, 1.0, 0.7)
         assert model.inverse_exponent == 2.0
         sol = make_solution(model=model, sigma=model.sigma_x, x0=model.x0)
-        y_nodes = power_path(sol, model.inverse_exponent)
+        y_nodes = lamperti_inverse(model, sol.values)
         assert np.array_equal(y_nodes, sol.values**2)
-        assert np.allclose(y_nodes, lamperti_inverse(model, sol.values), rtol=1e-15)
-
-    def test_zero_exponent_rejected(self):
-        with pytest.raises(UsageError):
-            power_path(make_solution(), 0.0)

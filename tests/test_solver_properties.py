@@ -11,6 +11,7 @@ from fbmsde.convergence import (
     ExperimentPlan,
     _ladder_moduli,
     moment_probe,
+    reference_bias_check,
     run_strong_error,
 )
 from fbmsde.drifts import (
@@ -20,7 +21,7 @@ from fbmsde.drifts import (
     mean_reverting_drift,
 )
 from fbmsde.errors import IntegrationError
-from fbmsde.solver import SchemeConfig, _solve, integrate
+from fbmsde.solver import SchemeConfig, SolverSettings, _solve, integrate
 
 from oracles import cir_implicit_root, window_modulus
 
@@ -44,7 +45,7 @@ def test_batched_roots_match_quadratic_oracle(a1, a2, h_frac, shifts):
     # g = B(x) h - x + c is only resolved to a few ulps of its largest term
     tol_abs, tol_rel = 1e-13 * (1.0 + float(np.max(np.abs(c)))), 1e-13
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        root, residual, _, errors = _solve(drift, h, c, tol_abs, tol_rel, 200, 2.0)
+        root, residual, _, errors = _solve(drift, h, c, SolverSettings(tol_abs, tol_rel))
     assert not errors
     assert np.all(np.abs(residual) <= tol_abs + tol_rel * root)
     oracle = np.array([cir_implicit_root(a1, a2, h, ci) for ci in shifts])
@@ -85,18 +86,26 @@ LADDER_PLAN = ExperimentPlan(
 
 
 def test_per_path_errors_do_not_depend_on_chunk_size(monkeypatch):
-    assert LADDER_PLAN.paths * 2**LADDER_PLAN.k_ref <= convergence.CHUNK_PATH_STEPS
-    unchunked = run_strong_error(LADDER_PLAN, keep_paths=True).per_path_errors
-    for chunk in range(1, 7):
-        budget = chunk * 2**LADDER_PLAN.k_ref
-        monkeypatch.setattr(convergence, "CHUNK_PATH_STEPS", budget)
-        report = run_strong_error(LADDER_PLAN, keep_paths=True)
-        assert report.per_path_errors == unchunked, chunk
+    # each case: the finest grid its chunks are sized for, and its errors
+    cases = [
+        (
+            2**LADDER_PLAN.k_ref,
+            lambda: run_strong_error(LADDER_PLAN, keep_paths=True).per_path_errors,
+        ),
+        (2 ** (LADDER_PLAN.k_ref + 1), lambda: reference_bias_check(LADDER_PLAN)),
+    ]
+    for steps, errors in cases:
+        monkeypatch.undo()
+        assert LADDER_PLAN.paths * steps <= convergence.CHUNK_PATH_STEPS
+        unchunked = errors()
+        for chunk in range(1, 7):
+            monkeypatch.setattr(convergence, "CHUNK_PATH_STEPS", chunk * steps)
+            assert errors() == unchunked, (steps, chunk)
 
 
 def test_moment_probe_does_not_depend_on_chunk_size(monkeypatch):
     steps, paths = 64, 7
-    args = (AS_MODEL, AS_MODEL.hurst, 1.0, steps, paths, [0.5, 2.0, 4.0], 11)
+    args = (AS_MODEL, 1.0, steps, paths, [0.5, 2.0, 4.0], 11)
     assert paths * steps <= convergence.CHUNK_PATH_STEPS
     unchunked = repr(moment_probe(*args, ladder_rungs=5))
     for chunk in range(1, 7):
