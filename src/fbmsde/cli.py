@@ -131,6 +131,8 @@ def _cmd_fbm(args) -> int:
         "seed": args.seed if args.seed is not None else 0,
         "method": args.method,
     }
+    if args.paths < 1:
+        raise UsageError(f"--paths must be >= 1, got {args.paths}")
     seed = params["seed"]
     digest = config_digest(seed, params, {}, {})
     grid = TimeGrid(args.horizon, args.steps)
@@ -165,19 +167,15 @@ def _cmd_simulate(args) -> int:
         paths = 1
     if paths < 1:
         raise ConfigError([f"$.experiment.paths: must be >= 1, got {paths}"])
-    scheme = SchemeConfig(
-        steps=steps,
-        horizon=cfg.scheme["horizon"],
-        sigma=model.sigma_x,
-        x0=model.x0,
-        solver=_solver_settings(cfg),
+    scheme = SchemeConfig.for_model(
+        model, cfg.scheme["horizon"], steps, _solver_settings(cfg)
     )
     check_step_bound(cert, scheme.h)
     grid = TimeGrid(scheme.horizon, steps)
     sampler = make_sampler(cfg.scheme["method"], model.hurst, grid)
     noise = _draw_chunk(sampler, cfg.seed, 0, paths, [1])[1]
     sol = integrate(drift, scheme, noise, cert)
-    _raise_first_failure(sol, 0)
+    _raise_first_failure(sol.failures, 0)
     y = lamperti_inverse(model, sol.values)
     out = args.out or os.path.join(_out_dir(args, cfg), "simulate.csv")
     # Formatted a column at a time: repr of a Python float and str of a Python

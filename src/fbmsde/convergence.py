@@ -20,9 +20,13 @@ sqrt(log(1 + 1/h)) (positive-power transforms) or log(1 + 1/h)
 Everything is deterministic given the plan: paths are seeded by
 ``mix_seed(master_seed, path_index)`` and aggregation folds results in path
 order, so the report is identical for any worker count.  Paths are integrated
-in chunks through the path-batched solver; chunk boundaries depend only on
-the path and step counts, and the solver never mixes values across paths, so
-neither chunking nor the worker count moves any number.
+in chunks through the path-batched solver, and the reference in time blocks
+of each chunk: a chunk holds its noise and one block of solver arrays, and
+the sup errors are folded into running maxima block by block.  Chunk
+boundaries depend on the worker count, but the solver never mixes values
+across paths, resumes a block from the exact nodes it stopped at, and max is
+an exact reduction, so neither chunks, blocks nor the worker count move any
+number.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .errors import IntegrationError, NumericalError, ParameterError, UsageError
 from .fbm import TimeGrid, make_sampler, mix_seed, subsample
 from .solver import (
     SchemeConfig,
-    SolutionPath,
     SolverSettings,
     check_step_bound,
     integrate,
@@ -64,12 +67,16 @@ BOOTSTRAP_RESAMPLES = 1000
 # Resamples drawn per block; the blocks concatenate to the same index stream
 # as one draw of all resamples, without its resamples x paths index matrix.
 BOOTSTRAP_BLOCK = 100
-# Path-steps integrated as one batch.  The batched solver's cost per step is
-# mostly fixed overhead, so larger chunks are faster, but a chunk holds 32
-# bytes per path and step (noise, nodes, residuals, iteration counts): this
-# budget is about 16 MB.  It gives 50-path chunks for a 200-path ladder at a
-# 2^13 reference and 250-path chunks for a 500-path probe at 2^11 steps.
-CHUNK_PATH_STEPS = 2**19
+# Path-steps drawn as one chunk of paths.  The batched solver's cost per step
+# is mostly fixed overhead, so wider chunks are faster.  A chunk holds its
+# noise, 8 bytes per path-step (8 MB at this budget), plus one block: it gives
+# 100-path chunks for a 200-path ladder at a 2^13 reference and one 500-path
+# chunk for a 500-path probe at 2^11 steps.
+CHUNK_PATH_STEPS = 2**20
+# Path-steps of one time block of a chunk: the solver's nodes, residuals and
+# iteration counts (24 bytes per path-step, about 1.5 MB) and the sup-error
+# and modulus arrays folded from them.
+BLOCK_PATH_STEPS = 2**16
 # Path index reserved for the bootstrap RNG stream; far above any real path.
 BOOTSTRAP_STREAM = 1 << 62
 # Default admissible horizon for critical (alpha = 1) models at p <= 2.
@@ -129,15 +136,6 @@ class ExperimentPlan:
     @property
     def levels(self) -> list[int]:
         return list(range(self.k_min, self.k_max + 1))
-
-    def scheme_config(self, steps: int) -> SchemeConfig:
-        return SchemeConfig(
-            steps=steps,
-            horizon=self.horizon,
-            sigma=self.model.sigma_x,
-            x0=self.model.x0,
-            solver=self.solver,
-        )
 
 
 @dataclass(frozen=True)
@@ -260,13 +258,14 @@ def _sampler_cached(method: str, hurst: float, grid: TimeGrid):
     return sampler
 
 
-def _chunks(paths: int, steps: int) -> list[tuple[int, int]]:
+def _chunks(paths: int, steps: int, workers: int = 1) -> list[tuple[int, int]]:
     """Path ranges [start, stop) of near-equal size for paths of ``steps`` steps.
 
     Each chunk holds at most ``CHUNK_PATH_STEPS // steps`` paths, and at least
-    one.  The boundaries depend only on ``paths`` and ``steps``.
+    one, and there are at least ``min(workers, paths)`` chunks, so that every
+    worker gets one.
     """
-    count = -(-paths // max(1, CHUNK_PATH_STEPS // steps))
+    count = max(-(-paths // max(1, CHUNK_PATH_STEPS // steps)), min(workers, paths))
     bounds = [paths * i // count for i in range(count + 1)]
     return list(zip(bounds, bounds[1:]))
 
@@ -289,38 +288,82 @@ def _draw_chunk(
     return out
 
 
-def _raise_first_failure(sol: SolutionPath, start: int) -> None:
-    """Abort on the lowest failed path of a chunk starting at path ``start``."""
-    if sol.failures:
-        row = min(sol.failures)
-        err = sol.failures[row]
+def _raise_first_failure(failures: dict, start: int) -> None:
+    """Abort on the lowest failed row of a chunk starting at path ``start``."""
+    if failures:
+        row = min(failures)
+        err = failures[row]
         raise IntegrationError(f"path {start + row}: {err}", step=err.step) from err
+
+
+def _integrate_blocks(drift, config, cert, noise, block, failures):
+    """Integrate the rows of ``noise`` in time blocks of ``block`` steps.
+
+    Yields ``(rows, first, values)`` per block: ``values[i]`` holds nodes
+    first..first+block of chunk row ``rows[i]``, each block resumed from the
+    last nodes of the one before, so the nodes are those of one whole run.
+    A row that fails is added to ``failures`` (row -> its
+    :class:`IntegrationError`, with the absolute step) and left out of the
+    block it failed in and of every later one.
+    """
+    rows = np.arange(len(noise))
+    x = None
+    for first in range(0, config.steps, block):
+        stop = min(first + block, config.steps)
+        sol = integrate(drift, config, noise, cert, start=first, stop=stop, initial=x)
+        values = sol.values
+        if sol.failures:
+            for j, err in sol.failures.items():
+                failures[int(rows[j])] = err
+            keep = np.ones(len(rows), dtype=bool)
+            keep[list(sol.failures)] = False
+            rows, noise, values = rows[keep], noise[keep], values[keep]
+            if not rows.size:
+                return
+        x = values[:, -1]
+        yield rows, first, values
 
 
 def _sup_errors(
     coarse: np.ndarray,
-    ref_values: np.ndarray,
+    ref: np.ndarray,
     factor: int,
     inverse_exponent: float,
+    first: int = 0,
 ) -> dict:
-    """Sup-norm errors of one coarse path's nodes against the reference nodes."""
-    # piecewise-linear read of the coarse path at every reference node, done
+    """Sup-norm errors of coarse paths' nodes against reference nodes.
+
+    ``coarse`` holds every node of the coarse paths and ``ref`` reference
+    nodes first..first+B along the last axis, with ``first`` and B multiples
+    of ``factor``.  Maps each kind to the maxima over those reference nodes,
+    one per path.
+    """
+    # piecewise-linear read of the coarse paths at every reference node, done
     # with index arithmetic (reference nodes subdivide each coarse cell into
     # ``factor`` equal parts)
-    n_coarse = len(coarse) - 1
-    j = np.arange(len(ref_values))
+    n_coarse = coarse.shape[-1] - 1
+    j = np.arange(first, first + ref.shape[-1])
     frac = (j % factor) / factor
     cell = np.minimum(j // factor, n_coarse - 1)
     frac = np.where(j // factor == n_coarse, 1.0, frac)
-    interp = (1.0 - frac) * coarse[cell] + frac * coarse[cell + 1]
-    y_interp = interp**inverse_exponent
-    y_ref = ref_values**inverse_exponent
-    node_idx = np.arange(0, len(ref_values), factor)
+    # in place where possible: every full-size temporary costs page faults
+    interp = coarse[..., cell]
+    interp *= 1.0 - frac
+    diff = coarse[..., cell + 1]
+    diff *= frac
+    interp += diff
+    x_interp = np.max(np.abs(np.subtract(interp, ref, out=diff), out=diff), axis=-1)
+    y_ref = ref**inverse_exponent
+    y_interp = np.power(interp, inverse_exponent, out=interp)
+    np.subtract(y_interp, y_ref, out=diff)
+    nodes = coarse[..., first // factor : j[-1] // factor + 1]
     return {
-        "x_interp": float(np.max(np.abs(interp - ref_values))),
-        "x_node": float(np.max(np.abs(coarse - ref_values[node_idx]))),
-        "y_interp": float(np.max(np.abs(y_interp - y_ref))),
-        "y_node": float(np.max(np.abs(coarse**inverse_exponent - y_ref[node_idx]))),
+        "x_interp": x_interp,
+        "x_node": np.max(np.abs(nodes - ref[..., ::factor]), axis=-1),
+        "y_interp": np.max(np.abs(diff, out=diff), axis=-1),
+        "y_node": np.max(
+            np.abs(nodes**inverse_exponent - y_ref[..., ::factor]), axis=-1
+        ),
     }
 
 
@@ -332,10 +375,13 @@ def _ladder_chunk(
     Covers paths start..stop-1 and returns one (index, errors, failure)
     triple per path in path order, with ``errors[ref_k][k]`` the sup errors
     of level k against the reference 2^ref_k.  The noise is drawn once at
-    the finest reference and block-summed to every other grid; each
-    reference, then each level, is integrated once as one batch.  A path
-    that fails is recorded as (path, level, step) and left out of later
-    integrations.
+    the finest reference and block-summed to every other grid.  Each level
+    is integrated once as one batch; each reference is then integrated in
+    time blocks of about ``BLOCK_PATH_STEPS`` path-steps, a multiple of its
+    coarsest factor so that every block holds a node of every level, and
+    each block is folded into running per-path sup errors.  A path that
+    fails is recorded as (path, level, step), naming its first failing
+    reference, else its lowest failing level.
     """
     n_fine = 2 ** max(ref_ks)
     grid = TimeGrid(plan.horizon, n_fine)
@@ -344,33 +390,54 @@ def _ladder_chunk(
     noise = _draw_chunk(sampler, plan.master_seed, start, stop, factors.values())
     drift, cert = plan.model.drift()
     l_exp = plan.model.inverse_exponent
+    size = stop - start
+
+    def scheme(k):
+        return SchemeConfig.for_model(plan.model, plan.horizon, 2**k, plan.solver)
+
+    level_failures: dict[int, tuple] = {}
+    coarse = {}  # level -> every node of every row
+    for k in plan.levels:
+        sol = integrate(drift, scheme(k), noise[factors[k]], cert)
+        for row, err in sol.failures.items():
+            level_failures.setdefault(row, (start + row, k, err.step))
+        coarse[k] = sol.values
     failures: dict[int, tuple] = {}
-    refs: dict[int, dict[int, np.ndarray]] = {}  # ref_k -> row -> nodes
-    errors: list[dict] = [{ref_k: {} for ref_k in ref_ks} for _ in range(stop - start)]
-    for k, factor in factors.items():
-        live = [row for row in range(stop - start) if row not in failures]
-        if not live:
-            break
-        level_noise = noise[factor] if not failures else noise[factor][live]
-        sol = integrate(drift, plan.scheme_config(2**k), level_noise, cert)
-        solved = {}
-        for j, row in enumerate(live):
-            if j in sol.failures:
-                failures[row] = (start + row, k, sol.failures[j].step)
-            else:
-                solved[row] = sol.values[j]
-        if k in ref_ks:
-            refs[k] = solved
-            continue
-        for row, values in solved.items():
-            for ref_k, ref in refs.items():
-                errors[row][ref_k][k] = _sup_errors(
-                    values, ref[row], 2 ** (ref_k - k), l_exp
-                )
-    return [
-        (start + row, None if row in failures else errors[row], failures.get(row))
-        for row in range(stop - start)
-    ]
+    # ref_k -> level -> kind -> running maximum per row
+    sup = {
+        ref_k: {k: {kind: np.zeros(size) for kind in ERROR_KINDS} for k in plan.levels}
+        for ref_k in ref_ks
+    }
+    for ref_k in ref_ks:
+        ref_failures: dict = {}
+        coarsest = 2 ** (ref_k - plan.k_min)
+        block = max(1, BLOCK_PATH_STEPS // (size * coarsest)) * coarsest
+        blocks = _integrate_blocks(
+            drift, scheme(ref_k), cert, noise[factors[ref_k]], block, ref_failures
+        )
+        for rows, first, values in blocks:
+            for k in plan.levels:
+                level = coarse[k] if rows.size == size else coarse[k][rows]
+                errors = _sup_errors(level, values, 2 ** (ref_k - k), l_exp, first)
+                for kind, running in sup[ref_k][k].items():
+                    running[rows] = np.maximum(running[rows], errors[kind])
+        for row, err in ref_failures.items():
+            failures.setdefault(row, (start + row, ref_k, err.step))
+    for row, failure in level_failures.items():
+        failures.setdefault(row, failure)
+    results = []
+    for row in range(size):
+        errors = None
+        if row not in failures:
+            errors = {
+                ref_k: {
+                    k: {kind: float(running[row]) for kind, running in by_kind.items()}
+                    for k, by_kind in by_level.items()
+                }
+                for ref_k, by_level in sup.items()
+            }
+        results.append((start + row, errors, failures.get(row)))
+    return results
 
 
 def _p_mean(values: np.ndarray, p: float) -> float:
@@ -411,15 +478,15 @@ def run_strong_error(
 ) -> ConvergenceReport:
     """Execute the coupled ladder experiment and fit empirical orders.
 
-    Paths are processed in chunks sized for the reference grid (see
-    :func:`_chunks`), by a process pool when ``workers > 1``; results are
-    folded in path order either way, so the report does not depend on the
-    pool size.  Failed paths are recorded as (path, level, step) triples and
-    excluded from the aggregates, marking the report incomplete; when every
-    path fails there is nothing to report and :class:`NumericalError` names
-    the failures.
+    Paths are processed in chunks sized for the reference grid, at least
+    one per worker (see :func:`_chunks`), by a process pool when
+    ``workers > 1``; results are folded in path order either way, so the
+    report does not depend on the pool size.  Failed paths are recorded as
+    (path, level, step) triples and excluded from the aggregates, marking
+    the report incomplete; when every path fails there is nothing to report
+    and :class:`NumericalError` names the failures.
     """
-    starts, stops = zip(*_chunks(plan.paths, 2**plan.k_ref))
+    starts, stops = zip(*_chunks(plan.paths, 2**plan.k_ref, workers))
     ref_ks = [(plan.k_ref,)] * len(starts)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
@@ -614,23 +681,24 @@ class MomentProbe:
         }
 
 
-def _ladder_moduli(values: np.ndarray, rungs: int) -> list[float]:
+def _ladder_moduli(values: np.ndarray, rungs: int) -> np.ndarray:
     """sup |X_t - X_s| over node pairs at most 2^j indices apart, j < ``rungs``.
 
-    The running max and min over every window of 2w + 1 nodes are the max and
-    min of two overlapping windows of w + 1 nodes, so each rung costs O(n).
-    Max, min and the final difference are exact, so the result is the same
-    as reducing each window directly.
+    Reduces along the last axis, so ``values`` of shape (..., n) gives shape
+    (..., rungs).  The running max and min over every window of 2w + 1 nodes
+    are the max and min of two overlapping windows of w + 1 nodes, so each
+    rung costs O(n).  Max, min and the final difference are exact, so the
+    result is the same as reducing each window directly.
     """
     hi = lo = values
     width = 0
-    out = []
-    for _ in range(rungs):
+    out = np.empty(values.shape[:-1] + (rungs,))
+    for j in range(rungs):
         shift = max(width, 1)
-        hi = np.maximum(hi[:-shift], hi[shift:])
-        lo = np.minimum(lo[:-shift], lo[shift:])
+        hi = np.maximum(hi[..., :-shift], hi[..., shift:])
+        lo = np.minimum(lo[..., :-shift], lo[..., shift:])
         width += shift
-        out.append(float(np.max(hi - lo)))
+        out[..., j] = np.max(hi - lo, axis=-1)
     return out
 
 
@@ -675,29 +743,39 @@ def moment_probe(
 
     grid = TimeGrid(horizon, steps)
     sampler = make_sampler(method, model.hurst, grid)
-    config = SchemeConfig(
-        steps=steps,
-        horizon=horizon,
-        sigma=model.sigma_x,
-        x0=model.x0,
-        solver=solver,
-    )
-    rungs = min(ladder_rungs, int(math.log2(steps)) - 1)
+    config = SchemeConfig.for_model(model, horizon, steps, solver)
+    rungs = max(0, min(ladder_rungs, int(math.log2(steps)) - 1))
     windows = [2**j for j in range(rungs)]
+    reach = 2 ** (rungs - 1) if rungs else 0  # widest window, in steps
     neg = {p: 0.0 for p in p_list}
     pos = {p: 0.0 for p in p_list}
     modulus = np.zeros(len(windows))
     for start, stop in _chunks(paths, steps):
+        size = stop - start
         noise = _draw_chunk(sampler, master_seed, start, stop, [1])[1]
-        sol = integrate(drift, config, noise, cert)
-        _raise_first_failure(sol, start)
-        for values in sol.values:
-            v_max, v_min = float(values.max()), float(values.min())
+        v_max, v_min = np.full(size, -np.inf), np.full(size, np.inf)
+        moduli = np.zeros((size, rungs))
+        failures: dict = {}
+        # each block is read with the ``reach`` nodes before it prepended, so
+        # every window of the modulus ladder lies inside one extended block
+        tail = None
+        block = max(reach, BLOCK_PATH_STEPS // size, 1)
+        blocks = _integrate_blocks(drift, config, cert, noise, block, failures)
+        for _, _, values in blocks:
+            if failures:
+                continue  # finished only to name the chunk's lowest failed path
+            ext = values if tail is None else np.concatenate([tail, values], axis=1)
+            tail = ext[:, ext.shape[1] - 1 - reach : -1]
+            np.maximum(v_max, values.max(axis=1), out=v_max)
+            np.minimum(v_min, values.min(axis=1), out=v_min)
+            np.maximum(moduli, _ladder_moduli(ext, rungs), out=moduli)
+        _raise_first_failure(failures, start)
+        for row in range(size):
             for p in p_list:
-                neg[p] += v_min**-p
-                pos[p] += v_max**p
-            modulus += _ladder_moduli(values, rungs)
-        del noise, sol  # free this chunk before the next one is drawn
+                neg[p] += float(v_min[row]) ** -p
+                pos[p] += float(v_max[row]) ** p
+            modulus += moduli[row]
+        del noise  # free this chunk before the next one is drawn
     for p in p_list:
         neg[p] /= paths
         pos[p] /= paths

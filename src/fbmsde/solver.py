@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drifts import AssumptionCertificate, DriftFn
+from .drifts import AssumptionCertificate, DriftFn, ModelSpec
 from .errors import (
     IntegrationError,
     NumericalError,
@@ -110,6 +110,17 @@ class SchemeConfig:
         if not self.x0 > 0.0:
             raise ParameterError(f"x0 must be positive, got {self.x0}")
 
+    @classmethod
+    def for_model(
+        cls,
+        model: ModelSpec,
+        horizon: float,
+        steps: int,
+        solver: SolverSettings = SolverSettings(),
+    ) -> SchemeConfig:
+        """The scheme for ``model``'s Lamperti-transformed equation on [0, horizon]."""
+        return cls(steps, horizon, model.sigma_x, model.x0, solver)
+
     @property
     def h(self) -> float:
         return self.horizon / self.steps
@@ -126,7 +137,10 @@ class SolutionPath:
     batch path whose integration failed to its :class:`IntegrationError`;
     such a row is frozen at the failing step, and its later nodes and
     residuals are NaN and its later iteration counts 0.  ``increments``
-    references the driving noise.  Immutable after construction.
+    references the driving noise.  A resumed run (see :func:`integrate`)
+    holds nodes start..stop in ``values`` and the solves of steps
+    start..stop-1, while ``grid`` is the whole grid.  Immutable after
+    construction.
     """
 
     grid: TimeGrid
@@ -358,6 +372,10 @@ def integrate(
     config: SchemeConfig,
     noise: np.ndarray,
     certificate: AssumptionCertificate | None = None,
+    *,
+    start: int = 0,
+    stop: int | None = None,
+    initial=None,
 ) -> SolutionPath:
     """Run the backward Euler recursion for one path or a batch of paths.
 
@@ -369,6 +387,13 @@ def integrate(
     With ``certificate`` given, the step-size bounds h < h0 and h < 1/K are
     enforced up front.  A pure function of its arguments, row by row: a
     path's trajectory is bit for bit the same in any batch.
+
+    ``start``, ``stop`` and ``initial`` resume a batch: only steps
+    start..stop-1 are taken, from the node values ``initial`` at step
+    ``start`` (``config.x0`` by default).  Every step uses the whole grid's
+    h and the same arithmetic, and failures name absolute steps, so
+    integrating a grid block by block, each block started from the last
+    nodes of the one before, gives the nodes of one whole run bit for bit.
     """
     noise = np.asarray(noise, dtype=float)
     if noise.ndim not in (1, 2) or noise.shape[-1] != config.steps:
@@ -376,38 +401,45 @@ def integrate(
             f"noise must have shape ({config.steps},) or (paths, {config.steps}), "
             f"got shape {noise.shape}"
         )
+    stop = config.steps if stop is None else stop
+    if not 0 <= start < stop <= config.steps:
+        raise UsageError(
+            f"need 0 <= start < stop <= {config.steps}, got start={start}, stop={stop}"
+        )
     if certificate is not None:
         check_step_bound(certificate, config.h)
 
     batch = noise.reshape(-1, config.steps)
-    paths, steps = batch.shape
+    paths, steps = batch.shape[0], stop - start
     h = config.h
     sigma = config.sigma
     values = np.empty((paths, steps + 1))
     residuals = np.empty((paths, steps))
     iters = np.empty((paths, steps), dtype=np.int64)
-    values[:, 0] = config.x0
+    values[:, 0] = config.x0 if initial is None else initial
     x = values[:, 0].copy()
     live = slice(None)  # rows still integrating
     failures: dict[int, IntegrationError] = {}
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for n in range(steps):
-            c = x + sigma * batch[live, n]
+            c = x + sigma * batch[live, start + n]
             x, res, it, errors = _solve(drift, h, c, config.solver)
             positive = x > 0.0
             if errors or np.count_nonzero(positive) < x.size:
                 lost = ~positive
                 rows = np.arange(paths)[live]
+                step = start + n
                 for j in sorted(errors.keys() | set(np.flatnonzero(lost).tolist())):
                     if j in errors:
                         err = IntegrationError(
-                            f"implicit step failed at step {n}: {errors[j]}", step=n
+                            f"implicit step failed at step {step}: {errors[j]}",
+                            step=step,
                         )
                         err.__cause__ = errors[j]
                     else:
                         err = IntegrationError(
-                            f"positivity lost at step {n}: root {float(x[j])!r}",
-                            step=n,
+                            f"positivity lost at step {step}: root {float(x[j])!r}",
+                            step=step,
                         )
                     failures[int(rows[j])] = err
                     lost[j] = True
@@ -419,9 +451,10 @@ def integrate(
             residuals[live, n] = res
             iters[live, n] = it
     for row, err in failures.items():
-        values[row, err.step + 1:] = np.nan
-        residuals[row, err.step:] = np.nan
-        iters[row, err.step:] = 0
+        n = err.step - start
+        values[row, n + 1:] = np.nan
+        residuals[row, n:] = np.nan
+        iters[row, n:] = 0
     for arr in (values, residuals, iters):
         arr.setflags(write=False)
     if noise.ndim == 1:
@@ -429,7 +462,7 @@ def integrate(
             raise failures[0]
         values, residuals, iters = values[0], residuals[0], iters[0]
     return SolutionPath(
-        grid=TimeGrid(config.horizon, steps),
+        grid=TimeGrid(config.horizon, config.steps),
         values=values,
         residuals=residuals,
         iterations=iters,

@@ -393,6 +393,18 @@ class TestCli:
         assert "config error: $.experiment.paths" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("paths", ["-1", "0"])
+    def test_fbm_rejects_path_count_below_one(self, tmp_path, capsys, paths):
+        out = tmp_path / "fbm.csv"
+        code = run_cli(
+            "fbm", "--hurst", "0.7", "--steps", "4", "--paths", paths, "--out", str(out)
+        )
+        assert code == 1
+        assert f"validation error: --paths must be >= 1, got {paths}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_traced_benchmark_child_runs_simulate(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config_text(scheme={"steps": 16}, experiment={"paths": 2}))

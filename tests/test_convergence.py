@@ -118,11 +118,16 @@ class TestSupErrors:
 class TestChunks:
     def test_path_step_budget(self):
         # the converge ladder at a 2^13 reference and the moments probe
-        assert _chunks(200, 2**13) == [(0, 50), (50, 100), (100, 150), (150, 200)]
-        assert _chunks(500, 2**11) == [(0, 250), (250, 500)]
+        assert _chunks(200, 2**13) == [(0, 100), (100, 200)]
+        assert _chunks(200, 2**13, workers=2) == [(0, 100), (100, 200)]
+        assert _chunks(500, 2**11) == [(0, 500)]
         sizes = [b - a for a, b in _chunks(200, 2**14)]
         assert sum(sizes) == 200 and max(sizes) - min(sizes) <= 1
-        assert max(sizes) <= 32
+        assert max(sizes) <= 64
+        # every worker gets a chunk, but never an empty one
+        assert _chunks(200, 2**13, workers=4) == [(0, 50), (50, 100), (100, 150), (150, 200)]
+        assert _chunks(500, 2**11, workers=3) == [(0, 166), (166, 333), (333, 500)]
+        assert _chunks(2, 2**4, workers=8) == [(0, 1), (1, 2)]
 
     def test_long_paths_get_one_path_each(self):
         assert _chunks(3, 2 * CHUNK_PATH_STEPS) == [(0, 1), (1, 2), (2, 3)]

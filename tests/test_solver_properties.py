@@ -97,20 +97,34 @@ def test_per_path_errors_do_not_depend_on_chunk_size(monkeypatch):
     for steps, errors in cases:
         monkeypatch.undo()
         assert LADDER_PLAN.paths * steps <= convergence.CHUNK_PATH_STEPS
+        assert LADDER_PLAN.paths * steps <= convergence.BLOCK_PATH_STEPS
         unchunked = errors()
-        for chunk in range(1, 7):
-            monkeypatch.setattr(convergence, "CHUNK_PATH_STEPS", chunk * steps)
-            assert errors() == unchunked, (steps, chunk)
+        # a budget of 1 gives the smallest legal block, one coarsest cell; 672
+        # gives blocks of several cells that need not divide the reference
+        for budget in (1, 672, convergence.BLOCK_PATH_STEPS):
+            monkeypatch.setattr(convergence, "BLOCK_PATH_STEPS", budget)
+            for chunk in range(1, 7):
+                monkeypatch.setattr(convergence, "CHUNK_PATH_STEPS", chunk * steps)
+                assert errors() == unchunked, (steps, budget, chunk)
 
 
 def test_moment_probe_does_not_depend_on_chunk_size(monkeypatch):
-    steps, paths = 64, 7
-    args = (AS_MODEL, 1.0, steps, paths, [0.5, 2.0, 4.0], 11)
-    assert paths * steps <= convergence.CHUNK_PATH_STEPS
-    unchunked = repr(moment_probe(*args, ladder_rungs=5))
-    for chunk in range(1, 7):
-        monkeypatch.setattr(convergence, "CHUNK_PATH_STEPS", chunk * steps)
-        assert repr(moment_probe(*args, ladder_rungs=5)) == unchunked, chunk
+    paths = 7
+    # every block size below divides 64 steps but none divides 100; 2 steps
+    # have no modulus window, so the smallest block is one step
+    for steps in (2, 64, 100):
+        monkeypatch.undo()
+        args = (AS_MODEL, 1.0, steps, paths, [0.5, 2.0, 4.0], 11)
+        assert paths * steps <= convergence.CHUNK_PATH_STEPS
+        assert paths * steps <= convergence.BLOCK_PATH_STEPS
+        unchunked = repr(moment_probe(*args, ladder_rungs=5))
+        # a budget of 1 gives the smallest legal block, the widest window
+        for budget in (1, 24 * paths, convergence.BLOCK_PATH_STEPS):
+            monkeypatch.setattr(convergence, "BLOCK_PATH_STEPS", budget)
+            for chunk in range(1, 7):
+                monkeypatch.setattr(convergence, "CHUNK_PATH_STEPS", chunk * steps)
+                got = repr(moment_probe(*args, ladder_rungs=5))
+                assert got == unchunked, (steps, budget, chunk)
 
 
 @st.composite
@@ -158,3 +172,18 @@ def test_failed_row_is_recorded_while_the_others_finish(paths, seed, data):
         if i != bad:
             one = integrate(CAPPED, config, noise[i])
             assert sol.values[i].tobytes() == one.values.tobytes()
+    # resumed from the nodes at any step, the rows and the absolute failing
+    # step are those of the unblocked run
+    split = data.draw(st.integers(0, step), label="resumed at")
+    rest = integrate(CAPPED, config, noise, start=split, initial=sol.values[:, split])
+    assert list(rest.failures) == [bad] and rest.failures[bad].step == step
+    assert rest.values.tobytes() == sol.values[:, split:].tobytes()
+    block = data.draw(st.integers(1, 10), label="block")
+    failures = {}
+    blocks = list(convergence._integrate_blocks(CAPPED, config, None, noise, block, failures))
+    assert list(failures) == [bad] and failures[bad].step == step
+    assert [first for _, first, _ in blocks] == list(range(0, 10, block))
+    assert blocks[-1][0].tolist() == [i for i in range(paths) if i != bad]
+    for rows, first, values in blocks:
+        expected = sol.values[rows, first : first + values.shape[1]]
+        assert values.tobytes() == expected.tobytes()
