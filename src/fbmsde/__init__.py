@@ -23,10 +23,8 @@ from .drifts import (
     ModelSpec,
     ait_sahalia_drift,
     audit_assumptions,
-    lamperti_forward,
     lamperti_inverse,
     mean_reverting_drift,
-    validate_certificate,
 )
 from .errors import (
     ConfigError,
@@ -45,8 +43,6 @@ from .fbm import (
     FbmPath,
     Hurst,
     TimeGrid,
-    empirical_increment_moment,
-    fbm_covariance,
     make_sampler,
     mix_seed,
     subsample,
@@ -57,7 +53,6 @@ from .solver import (
     SolverSettings,
     implicit_step,
     integrate,
-    interpolate,
 )
 
 __version__ = "0.1.0"

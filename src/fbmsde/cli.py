@@ -188,8 +188,13 @@ def _cmd_simulate(args) -> int:
     )
     nodes = list(map(str, range(steps + 1)))
     times = list(map(repr, grid.times.tolist()))
+    # Residuals are rounding-level values, so few are distinct: each distinct
+    # bit pattern (which keeps -0.0 apart from 0.0) is formatted once.
+    keys, inverse = np.unique(sol.residuals.view(np.int64), return_inverse=True)
+    distinct = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+    residual_text = distinct[inverse].reshape(sol.residuals.shape)
     for i in range(paths):
-        residuals = ["0.0", *map(repr, sol.residuals[i].tolist())]
+        residuals = ["0.0", *residual_text[i].tolist()]
         iterations = ["0", *map(str, sol.iterations[i].tolist())]
         lines.extend(
             map(

@@ -47,10 +47,8 @@ __all__ = [
     "ModelSpec",
     "mean_reverting_drift",
     "ait_sahalia_drift",
-    "lamperti_forward",
     "lamperti_inverse",
     "audit_assumptions",
-    "validate_certificate",
 ]
 
 # Grid used to compute numeric suprema (K, c_h2) and the singularity crossover.
@@ -414,11 +412,6 @@ def _positive_power(arg, exponent, what: str):
     # amplifies to several ulps across wide ranges
     out = np.asarray(arr.astype(np.longdouble) ** exponent, dtype=float)
     return float(out) if np.ndim(arg) == 0 else out
-
-
-def lamperti_forward(model: ModelSpec, y):
-    """Map original coordinates to transformed ones: X = Y^m, m = transform exponent."""
-    return _positive_power(y, np.longdouble(model.transform_exponent), "y")
 
 
 def lamperti_inverse(model: ModelSpec, x):

@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -55,12 +54,10 @@ __all__ = [
     "TimeGrid",
     "FbmPath",
     "mix_seed",
-    "fbm_covariance",
     "CholeskySampler",
     "CirculantSampler",
     "make_sampler",
     "subsample",
-    "empirical_increment_moment",
 ]
 
 # SplitMix64 finalizer constants (Steele, Lea, Flood 2014).
@@ -190,22 +187,6 @@ def _path_from_increments(
     return FbmPath(
         grid, hurst, _read_only(values), _read_only(increments), master_seed, path_index
     )
-
-
-def fbm_covariance(t, s, hurst: Hurst | float):
-    """Covariance R_H(t, s) = (t^{2H} + s^{2H} - |t - s|^{2H}) / 2.
-
-    Accepts scalars or arrays (broadcast); times must be nonnegative.
-    """
-    h2 = 2.0 * as_hurst(hurst).value
-    ta = np.asarray(t, dtype=float)
-    sa = np.asarray(s, dtype=float)
-    if np.any(ta < 0.0) or np.any(sa < 0.0):
-        raise ParameterError("fbm_covariance requires nonnegative times")
-    out = 0.5 * (ta**h2 + sa**h2 - np.abs(ta - sa) ** h2)
-    if np.ndim(t) == 0 and np.ndim(s) == 0:
-        return float(out)
-    return out
 
 
 def _fgn_autocovariance(hurst: Hurst, h: float, lags: int) -> np.ndarray:
@@ -432,28 +413,3 @@ def subsample(path: FbmPath, factor: int) -> FbmPath:
         path.path_index,
     )
 
-
-def empirical_increment_moment(
-    paths: Iterable[FbmPath] | Sequence[FbmPath], p: float, lag: int
-) -> float:
-    """Monte Carlo estimate of E|B_{t + lag*h} - B_t|^p.
-
-    Averages over all start nodes and all paths; the analytic value is
-    C(p) * (lag * h)^{pH}, with C(2) = 1, which is what generator validation
-    compares against.
-    """
-    paths = list(paths)
-    if len(paths) < 2:
-        raise UsageError("empirical_increment_moment requires at least two paths")
-    if p < 1.0:
-        raise UsageError(f"moment order p must be >= 1, got {p}")
-    grid, hurst = paths[0].grid, paths[0].hurst
-    for path in paths[1:]:
-        if path.grid != grid or path.hurst != hurst:
-            raise UsageError("all paths must share the same grid and Hurst parameter")
-    lag = int(lag)
-    if not (1 <= lag <= grid.steps):
-        raise UsageError(f"lag must lie in [1, {grid.steps}], got {lag}")
-    stacked = np.stack([path.values for path in paths])
-    diffs = stacked[:, lag:] - stacked[:, :-lag]
-    return float(np.mean(np.abs(diffs) ** p))

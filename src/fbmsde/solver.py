@@ -11,17 +11,24 @@ real c whenever h is below the certificate's h0; implicitness is what makes
 the scheme positivity preserving.
 
 One kernel solves that equation for a whole array of paths at once.  Every
-row starts Newton from max(c, 1e-30) and keeps its own bracket [lo, hi] with
-g(lo) > 0 >= g(hi), where lo = 0 and hi = inf mark an end not found yet.  A
-Newton step is taken only when it lands strictly inside the bracket, and
-kept only if it cuts |g| at least four-fold; otherwise the row's next
-evaluation is a fallback: a Newton step in (log x, asinh g) if that lands
-inside the bracket, else expansion while hi is unknown, shrinkage while lo
-is unknown, and bisection once both are known, all geometric.  Expansion and
-shrinkage go on until the bracket has both ends.  Convergence is declared on
-the residual test |g(x)| <= tol_abs + tol_rel * x.  Only rows that have not
-converged are iterated, and no value of one row enters another row's
-arithmetic, so a path's result does not depend on the batch it was solved in.
+row starts Newton from the explicit Euler predictor c + B(X_n) h, floored at
+1e-30, or from max(c, 1e-30) where B(X_n) h is not finite, which only a
+run's initial nodes can give (a root's is finite with its residual).  The
+predictor costs nothing: the round that accepted X_n as the previous step's
+root evaluated B(X_n) h, and the kernel hands it back with the root.  A run
+resumed at a later step (see :func:`integrate`) evaluates B(X_n) h at its
+first nodes once, which gives the same bits the whole run carried there.
+Every row keeps its own bracket [lo, hi] with g(lo) > 0 >= g(hi), where
+lo = 0 and hi = inf mark an end not found yet.  A Newton step is taken only
+when it lands strictly inside the bracket, and kept only if it cuts |g| at
+least four-fold; otherwise the row's next evaluation is a fallback: a Newton
+step in (log x, asinh g) if that lands inside the bracket, else expansion
+while hi is unknown, shrinkage while lo is unknown, and bisection once both
+are known, all geometric.  Expansion and shrinkage go on until the bracket
+has both ends.  Convergence is declared on the residual test
+|g(x)| <= tol_abs + tol_rel * x.  Only rows that have not converged are
+iterated, and no value of one row enters another row's arithmetic, so a
+path's result does not depend on the batch it was solved in.
 """
 
 from __future__ import annotations
@@ -47,7 +54,6 @@ __all__ = [
     "SolutionPath",
     "implicit_step",
     "integrate",
-    "interpolate",
 ]
 
 X_FLOOR = 1e-30
@@ -177,13 +183,14 @@ def implicit_step(
     evaluations beyond the initial guess.  Raises :class:`RootBracketError`
     when no sign change is found (the unique-positive-root hypothesis fails
     at runtime) and :class:`NumericalError` on non-finite drift values.
-    This is the batch of one of the kernel :func:`integrate` runs.
+    This is the batch of one of the kernel :func:`integrate` runs, started
+    cold from max(c, 1e-30): a lone step has no previous node to predict from.
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ParameterError(f"step size must be positive and finite, got {h}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         root, residual, iterations, errors = _solve(
-            drift, h, np.array([float(c)]), solver
+            drift, h, np.array([float(c)]), solver, np.zeros(1)
         )
     if errors:
         raise errors[0]
@@ -201,11 +208,16 @@ def _bracket_error(start: float, lo: float, hi: float) -> RootBracketError:
     )
 
 
-def _solve(drift, h, c, solver):
+def _solve(drift, h, c, solver, hb):
     """Solve B(x) h - x + c = 0 for every entry of the 1-D array ``c``.
 
-    Returns ``(root, residual, iterations, errors)``: three per-row arrays
-    and a dict that maps each row that failed to its
+    Each row starts from the explicit Euler predictor max(c + hb, 1e-30),
+    where the array ``hb`` holds the finite B(X_n) h at each row's previous
+    node; zeros give the cold start max(c, 1e-30).  On every row that
+    converges, ``hb`` is overwritten with B(root) h, the next step's drift
+    term, which is finite because the residual is.  Returns ``(root,
+    residual, iterations, errors)``: three per-row arrays and a dict that
+    maps each row that failed to its
     :class:`NumericalError`; the arrays hold meaningless values at those
     rows.  Run it under an ``np.errstate`` that ignores overflow, division
     and invalid operations: infinities near the ends of the search range are
@@ -225,11 +237,15 @@ def _solve(drift, h, c, solver):
     iterations = np.empty(size, dtype=np.int64)
     errors: dict[int, NumericalError] = {}
     idx = None  # rows still iterating, None while that is all of them
-    x, cc = np.maximum(c, X_FLOOR), c
+    x, cc = c + hb, c
+    np.maximum(x, X_FLOOR, out=x)
     newton = redo = None
     all_newton = False
     for k in range(max_iter + 1):
-        gx = value(x) * h - x + cc
+        hx = value(x) * h
+        if not isinstance(hx, np.ndarray):  # a drift that returned a scalar
+            hx = np.full(x.shape, hx)
+        gx = hx - x + cc
         agx = np.abs(gx)
         reject = None
         if newton is not None:
@@ -258,7 +274,9 @@ def _solve(drift, h, c, solver):
             n_done = count(done)
             if n_done == x.size:
                 rows = slice(None) if idx is None else idx
-                root[rows], residual[rows], iterations[rows] = x, gx, k
+                root[rows], residual[rows], hb[rows], iterations[rows] = (
+                    x, gx, hx, k
+                )
                 break
             positive = gx > 0.0
             np.copyto(lo, x, where=positive)
@@ -309,7 +327,9 @@ def _solve(drift, h, c, solver):
             rows = done.nonzero()[0]
             if idx is not None:
                 rows = idx[rows]
-            root[rows], residual[rows], iterations[rows] = x[done], gx[done], k
+            root[rows], residual[rows], hb[rows], iterations[rows] = (
+                x[done], gx[done], hx[done], k
+            )
             break
         if failed is not None and count(failed):
             done_or_failed = done | failed
@@ -318,12 +338,14 @@ def _solve(drift, h, c, solver):
         if done_or_failed is not None:
             j = done.nonzero()[0]
             rows = j if idx is None else idx[j]
-            root[rows], residual[rows], iterations[rows] = x[j], gx[j], k
+            root[rows], residual[rows], hb[rows], iterations[rows] = (
+                x[j], gx[j], hx[j], k
+            )
             j = (~done_or_failed).nonzero()[0]
             if not j.size:
                 break
             idx = j if idx is None else idx[j]
-            x, gx, agx, cc, lo, hi = x[j], gx[j], agx[j], cc[j], lo[j], hi[j]
+            x, hx, gx, agx, cc, lo, hi = x[j], hx[j], gx[j], agx[j], cc[j], lo[j], hi[j]
             if redo is not None:
                 redo = redo[j]
 
@@ -394,6 +416,11 @@ def integrate(
     h and the same arithmetic, and failures name absolute steps, so
     integrating a grid block by block, each block started from the last
     nodes of the one before, gives the nodes of one whole run bit for bit.
+
+    Each step's solve starts from the explicit Euler predictor
+    X_n + sigma * dB_{n+1} + B(X_n) h.  The solve of the step before hands
+    back B(X_n) h; the first step computes it from its initial nodes, which
+    on a resume gives the same bits the whole run carried there.
     """
     noise = np.asarray(noise, dtype=float)
     if noise.ndim not in (1, 2) or noise.shape[-1] != config.steps:
@@ -421,9 +448,14 @@ def integrate(
     live = slice(None)  # rows still integrating
     failures: dict[int, IntegrationError] = {}
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # B(X_n) h, the predictor's drift term, which each solve overwrites
+        # with the next.  A node where it is not finite has no predictor: that
+        # row starts cold.
+        hb = drift.value(x) * h
+        hb = np.where(np.isfinite(hb), hb, np.zeros(paths))
         for n in range(steps):
             c = x + sigma * batch[live, start + n]
-            x, res, it, errors = _solve(drift, h, c, config.solver)
+            x, res, it, errors = _solve(drift, h, c, config.solver, hb)
             positive = x > 0.0
             if errors or np.count_nonzero(positive) < x.size:
                 lost = ~positive
@@ -445,6 +477,7 @@ def integrate(
                     lost[j] = True
                 keep = ~lost
                 live, x, res, it = rows[keep], x[keep], res[keep], it[keep]
+                hb = hb[keep]
                 if not x.size:
                     break
             values[live, n + 1] = x
@@ -469,32 +502,4 @@ def integrate(
         increments=noise,
         failures=failures,
     )
-
-
-def interpolate(path: SolutionPath, t):
-    """Evaluate the piecewise-linear interpolant at time(s) t in [0, T].
-
-    Node queries return the node value exactly; interior queries use the
-    affine weights (t_{n+1} - t)/h and (t - t_n)/h.
-    """
-    times = path.grid.times
-    values = path.values
-    t_arr = np.asarray(t, dtype=float)
-    t_max = times[-1]
-    if np.any(t_arr < 0.0) or np.any(t_arr > t_max):
-        raise ParameterError(
-            f"interpolation time outside [0, {t_max!r}]"
-        )
-    idx = np.clip(
-        np.searchsorted(times, t_arr, side="right") - 1, 0, path.grid.steps - 1
-    )
-    h = path.grid.h
-    w_hi = (t_arr - times[idx]) / h
-    w_lo = (times[idx + 1] - t_arr) / h
-    out = w_lo * values[idx] + w_hi * values[idx + 1]
-    # exact node hits bypass the weight arithmetic entirely
-    at_lo = t_arr == times[idx]
-    at_hi = t_arr == times[idx + 1]
-    out = np.where(at_lo, values[idx], np.where(at_hi, values[idx + 1], out))
-    return float(out) if np.ndim(t) == 0 else out
 

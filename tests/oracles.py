@@ -1,6 +1,6 @@
-"""Independent oracles used by the tests.
+"""Independent oracles and test-only references used by the tests.
 
-These deliberately avoid the package's own numerics:
+The first four deliberately avoid the package's own numerics:
 
 * ``cir_implicit_root`` solves the gamma = 1/2 implicit-step equation with
   the explicit quadratic formula (multiply B(x) h - x + c = 0 by x).
@@ -10,13 +10,27 @@ These deliberately avoid the package's own numerics:
   reference for the moment probe's doubling modulus ladder.
 * ``dense_toeplitz_cholesky`` builds the full Toeplitz matrix and factors it
   with LAPACK, the reference for the O(N^2) Schur factorisation.
+
+The rest are verification helpers that the package itself does not need:
+
+* ``fbm_covariance`` and ``empirical_increment_moment`` are the analytic fBM
+  covariance and a Monte Carlo increment moment, for generator validation.
+* ``lamperti_forward`` maps original coordinates to transformed ones in
+  extended precision, the round-trip partner of ``lamperti_inverse``.
+* ``interpolate`` evaluates a solution's piecewise-linear interpolant.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable, Sequence
 
 import numpy as np
+
+from fbmsde.drifts import ModelSpec, _positive_power
+from fbmsde.errors import ParameterError, UsageError
+from fbmsde.fbm import FbmPath, Hurst, as_hurst
+from fbmsde.solver import SolutionPath
 
 
 def cir_implicit_root(a1: float, a2: float, h: float, c: float) -> float:
@@ -65,3 +79,78 @@ def dense_toeplitz_cholesky(gamma: np.ndarray) -> np.ndarray:
     n = len(gamma)
     index = np.arange(n)
     return np.linalg.cholesky(np.asarray(gamma)[np.abs(index[:, None] - index[None, :])])
+
+
+def fbm_covariance(t, s, hurst: Hurst | float):
+    """Covariance R_H(t, s) = (t^{2H} + s^{2H} - |t - s|^{2H}) / 2.
+
+    Accepts scalars or arrays (broadcast); times must be nonnegative.
+    """
+    h2 = 2.0 * as_hurst(hurst).value
+    ta = np.asarray(t, dtype=float)
+    sa = np.asarray(s, dtype=float)
+    if np.any(ta < 0.0) or np.any(sa < 0.0):
+        raise ParameterError("fbm_covariance requires nonnegative times")
+    out = 0.5 * (ta**h2 + sa**h2 - np.abs(ta - sa) ** h2)
+    if np.ndim(t) == 0 and np.ndim(s) == 0:
+        return float(out)
+    return out
+
+
+def empirical_increment_moment(
+    paths: Iterable[FbmPath] | Sequence[FbmPath], p: float, lag: int
+) -> float:
+    """Monte Carlo estimate of E|B_{t + lag*h} - B_t|^p.
+
+    Averages over all start nodes and all paths; the analytic value is
+    C(p) * (lag * h)^{pH}, with C(2) = 1, which is what generator validation
+    compares against.
+    """
+    paths = list(paths)
+    if len(paths) < 2:
+        raise UsageError("empirical_increment_moment requires at least two paths")
+    if p < 1.0:
+        raise UsageError(f"moment order p must be >= 1, got {p}")
+    grid, hurst = paths[0].grid, paths[0].hurst
+    for path in paths[1:]:
+        if path.grid != grid or path.hurst != hurst:
+            raise UsageError("all paths must share the same grid and Hurst parameter")
+    lag = int(lag)
+    if not (1 <= lag <= grid.steps):
+        raise UsageError(f"lag must lie in [1, {grid.steps}], got {lag}")
+    stacked = np.stack([path.values for path in paths])
+    diffs = stacked[:, lag:] - stacked[:, :-lag]
+    return float(np.mean(np.abs(diffs) ** p))
+
+
+def lamperti_forward(model: ModelSpec, y):
+    """Map original coordinates to transformed ones: X = Y^m, m = transform exponent."""
+    return _positive_power(y, np.longdouble(model.transform_exponent), "y")
+
+
+def interpolate(path: SolutionPath, t):
+    """Evaluate the piecewise-linear interpolant at time(s) t in [0, T].
+
+    Node queries return the node value exactly; interior queries use the
+    affine weights (t_{n+1} - t)/h and (t - t_n)/h.
+    """
+    times = path.grid.times
+    values = path.values
+    t_arr = np.asarray(t, dtype=float)
+    t_max = times[-1]
+    if np.any(t_arr < 0.0) or np.any(t_arr > t_max):
+        raise ParameterError(
+            f"interpolation time outside [0, {t_max!r}]"
+        )
+    idx = np.clip(
+        np.searchsorted(times, t_arr, side="right") - 1, 0, path.grid.steps - 1
+    )
+    h = path.grid.h
+    w_hi = (t_arr - times[idx]) / h
+    w_lo = (times[idx + 1] - t_arr) / h
+    out = w_lo * values[idx] + w_hi * values[idx + 1]
+    # exact node hits bypass the weight arithmetic entirely
+    at_lo = t_arr == times[idx]
+    at_hi = t_arr == times[idx + 1]
+    out = np.where(at_lo, values[idx], np.where(at_hi, values[idx + 1], out))
+    return float(out) if np.ndim(t) == 0 else out

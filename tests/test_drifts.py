@@ -12,12 +12,13 @@ from fbmsde.drifts import (
     MeanRevertingModel,
     ait_sahalia_drift,
     audit_assumptions,
-    lamperti_forward,
     lamperti_inverse,
     mean_reverting_drift,
     validate_certificate,
 )
 from fbmsde.errors import ParameterError, UsageError
+
+from oracles import lamperti_forward
 
 
 class TestMeanRevertingDrift:

@@ -21,14 +21,16 @@ from fbmsde.fbm import (
     _fgn_autocovariance,
     _toeplitz_cholesky,
     block_sums,
-    empirical_increment_moment,
-    fbm_covariance,
     make_sampler,
     mix_seed,
     subsample,
 )
 
-from oracles import dense_toeplitz_cholesky
+from oracles import (
+    dense_toeplitz_cholesky,
+    empirical_increment_moment,
+    fbm_covariance,
+)
 
 
 class TestCovariance:

@@ -24,13 +24,14 @@ from fbmsde.fbm import CirculantSampler, Hurst, TimeGrid
 from fbmsde.solver import (
     SchemeConfig,
     SolverSettings,
+    _solve,
     implicit_step,
     integrate,
-    interpolate,
 )
 
-from oracles import cir_implicit_root, ode_trajectory
+from oracles import cir_implicit_root, interpolate, ode_trajectory
 
+SEED = 20260809
 CIR_DRIFT, CIR_CERT = mean_reverting_drift(1.0, 1.0, 0.5)
 TIGHT = SolverSettings(1e-14, 1e-14)
 
@@ -226,6 +227,44 @@ class TestIntegrate:
         with pytest.raises(IntegrationError) as excinfo:
             integrate(drift, config, noise)
         assert excinfo.value.step == 1
+
+    def test_warm_start_takes_one_evaluation_per_step_on_the_probe(self):
+        # the criterion-7 moment probe's size and seed: 500 AS paths of 2^11
+        # steps; started cold, the same run averages about 1.54 evaluations
+        steps, paths = 2**11, 500
+        drift, cert = AS_MODEL.drift()
+        sampler = CirculantSampler(Hurst(AS_MODEL.hurst), TimeGrid(1.0, steps))
+        noise = np.stack([sampler.sample(SEED, i).increments for i in range(paths)])
+        config = SchemeConfig.for_model(AS_MODEL, 1.0, steps)
+        sol = integrate(drift, config, noise, cert)
+        assert not sol.failures
+        assert sol.iterations.mean() <= 1.05
+        assert sol.iterations.max() < config.solver.max_iter
+
+    def test_warm_start_needs_no_more_evaluations_under_violent_noise(self):
+        # criterion 4's sweep: 400 AS paths of 256 steps at sigma = 2
+        model = AitSahaliaModel(
+            a_m1=1.0, a0=1.0, a1=1.0, a2=1.0, r=3.0, rho=1.5,
+            sigma=2.0, y0=1.0, hurst=0.7,
+        )
+        drift, cert = model.drift()
+        steps, paths = 256, 400
+        sampler = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps))
+        noise = np.stack([sampler.sample(SEED, i).increments for i in range(paths)])
+        config = SchemeConfig.for_model(model, 1.0, steps)
+        sol = integrate(drift, config, noise, cert)
+        assert not sol.failures
+        # the same recursion with every solve started cold from max(c, 1e-30)
+        x, cold = np.full(paths, config.x0), []
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for n in range(steps):
+                c = x + config.sigma * noise[:, n]
+                x, _, iterations, errors = _solve(
+                    drift, config.h, c, config.solver, np.zeros(paths)
+                )
+                assert not errors
+                cold.append(iterations)
+        assert sol.iterations.max() <= np.max(cold) < config.solver.max_iter
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):

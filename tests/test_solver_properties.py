@@ -21,7 +21,7 @@ from fbmsde.drifts import (
     mean_reverting_drift,
 )
 from fbmsde.errors import IntegrationError
-from fbmsde.solver import SchemeConfig, SolverSettings, _solve, integrate
+from fbmsde.solver import SchemeConfig, SolverSettings, _solve, implicit_step, integrate
 
 from oracles import cir_implicit_root, window_modulus
 
@@ -44,10 +44,15 @@ def test_batched_roots_match_quadratic_oracle(a1, a2, h_frac, shifts):
     c = np.array(shifts)
     # g = B(x) h - x + c is only resolved to a few ulps of its largest term
     tol_abs, tol_rel = 1e-13 * (1.0 + float(np.max(np.abs(c)))), 1e-13
+    hb = np.zeros(c.size)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        root, residual, _, errors = _solve(drift, h, c, SolverSettings(tol_abs, tol_rel))
+        root, residual, _, errors = _solve(
+            drift, h, c, SolverSettings(tol_abs, tol_rel), hb
+        )
     assert not errors
     assert np.all(np.abs(residual) <= tol_abs + tol_rel * root)
+    # the drift term handed to the next step is B(root) h itself
+    assert hb.tobytes() == (drift.value(root) * h).tobytes()
     oracle = np.array([cir_implicit_root(a1, a2, h, ci) for ci in shifts])
     # |g'| >= lead turns the residual bound into a root bound; the oracle's
     # c + sqrt(c^2 + ...) cancels to a few ulps of |c| for c << 0
@@ -56,20 +61,30 @@ def test_batched_roots_match_quadratic_oracle(a1, a2, h_frac, shifts):
     assert np.all(np.abs(root - oracle) <= bound)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
+BATCHES = dict(
     seed=st.integers(0, 2**32 - 1),
     paths=st.integers(1, 6),
     steps=st.integers(8, 40),
     model=st.sampled_from([MR_MODEL, AS_MODEL]),
     sigma_scale=st.floats(0.1, 8.0),
 )
-def test_batch_rows_equal_batch_of_one_bitwise(seed, paths, steps, model, sigma_scale):
-    drift, cert = model.drift()
+
+
+def _batch(seed, paths, steps, model, sigma_scale):
     noise = np.random.default_rng(seed).standard_normal((paths, steps)) * steps**-0.7
     config = SchemeConfig(
         steps=steps, horizon=1.0, sigma=model.sigma_x * sigma_scale, x0=model.x0
     )
+    return noise, config
+
+
+@settings(max_examples=30, deadline=None)
+@given(**BATCHES, data=st.data())
+def test_batch_rows_equal_batch_of_one_bitwise(
+    seed, paths, steps, model, sigma_scale, data
+):
+    drift, cert = model.drift()
+    noise, config = _batch(seed, paths, steps, model, sigma_scale)
     batch = integrate(drift, config, noise, cert)
     assert not batch.failures
     for i in range(paths):
@@ -77,6 +92,61 @@ def test_batch_rows_equal_batch_of_one_bitwise(seed, paths, steps, model, sigma_
         assert batch.values[i].tobytes() == one.values.tobytes()
         assert batch.residuals[i].tobytes() == one.residuals.tobytes()
         assert batch.iterations[i].tobytes() == one.iterations.tobytes()
+    # resumed in the middle of the run, or streamed in blocks, each solve
+    # starts from the same predictor, so the rows are those of the whole run
+    split = data.draw(st.integers(1, steps - 1), label="resumed at")
+    rest = integrate(drift, config, noise, cert, start=split, initial=batch.values[:, split])
+    assert rest.values.tobytes() == batch.values[:, split:].tobytes()
+    assert rest.residuals.tobytes() == batch.residuals[:, split:].tobytes()
+    assert rest.iterations.tobytes() == batch.iterations[:, split:].tobytes()
+    block = data.draw(st.integers(1, steps - 1), label="block")
+    failures = {}
+    blocks = list(convergence._integrate_blocks(drift, config, cert, noise, block, failures))
+    assert not failures
+    assert [first for _, first, _ in blocks] == list(range(0, steps, block))
+    for rows, first, values in blocks:
+        expected = batch.values[rows, first : first + values.shape[1]]
+        assert values.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(**BATCHES)
+def test_warm_started_roots_match_cold_start(seed, paths, steps, model, sigma_scale):
+    drift, cert = model.drift()
+    noise, config = _batch(seed, paths, steps, model, sigma_scale)
+    sol = integrate(drift, config, noise, cert)
+    assert not sol.failures
+    solver = config.solver
+    x = sol.values[:, 1:]
+    assert np.all(np.abs(sol.residuals) <= solver.tol_abs + solver.tol_rel * x)
+    c = sol.values[:, :-1] + config.sigma * noise
+    # K = 0, so g' = B' h - 1 <= -1 and |g| at each root bounds its distance
+    # to the true root; g itself is only resolved to a few ulps of its terms
+    assert cert.K == 0.0
+    for i, n in np.ndindex(c.shape):
+        cold, cold_residual, _ = implicit_step(drift, config.h, c[i, n], solver)
+        bound = (
+            abs(sol.residuals[i, n])
+            + abs(cold_residual)
+            + 1e-14 * (abs(c[i, n]) + x[i, n] + cold)
+        )
+        assert abs(x[i, n] - cold) <= bound, (i, n)
+
+
+def test_non_finite_predictor_falls_back_to_the_cold_start():
+    # B h overflows at a node of 1e-200, so a run resumed there has no
+    # predictor for that row and solves its first step cold
+    drift, cert = AS_MODEL.drift()
+    config = SchemeConfig.for_model(AS_MODEL, 1.0, 4)
+    noise = np.array([[0.3, -0.2, 0.1, 0.05], [0.2, 0.1, -0.3, 0.0]])
+    initial = np.array([1e-200, 0.8])
+    sol = integrate(drift, config, noise, cert, start=2, initial=initial)
+    assert not sol.failures
+    c = initial[0] + config.sigma * noise[0, 2]
+    root, residual, iterations = implicit_step(drift, config.h, c, config.solver)
+    assert (sol.values[0, 1], sol.residuals[0, 0], sol.iterations[0, 0]) == (
+        root, residual, iterations
+    )
 
 
 LADDER_PLAN = ExperimentPlan(
