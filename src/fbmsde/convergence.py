@@ -31,6 +31,7 @@ number.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -246,16 +247,7 @@ def fit_order(
 
 
 # Sampler construction is costly for the Cholesky method; cache per process.
-_SAMPLER_CACHE: dict = {}
-
-
-def _sampler_cached(method: str, hurst: float, grid: TimeGrid):
-    key = (method, hurst, grid.horizon, grid.steps)
-    sampler = _SAMPLER_CACHE.get(key)
-    if sampler is None:
-        sampler = make_sampler(method, hurst, grid)
-        _SAMPLER_CACHE[key] = sampler
-    return sampler
+_sampler_cached = functools.cache(make_sampler)
 
 
 def _chunks(paths: int, steps: int, workers: int = 1) -> list[tuple[int, int]]:
@@ -330,13 +322,13 @@ def _sup_errors(
     factor: int,
     inverse_exponent: float,
     first: int = 0,
-) -> dict:
+) -> np.ndarray:
     """Sup-norm errors of coarse paths' nodes against reference nodes.
 
     ``coarse`` holds every node of the coarse paths and ``ref`` reference
     nodes first..first+B along the last axis, with ``first`` and B multiples
-    of ``factor``.  Maps each kind to the maxima over those reference nodes,
-    one per path.
+    of ``factor``.  Returns the maxima over those reference nodes with shape
+    (len(ERROR_KINDS), paths), one row per kind in ``ERROR_KINDS`` order.
     """
     # piecewise-linear read of the coarse paths at every reference node, done
     # with index arithmetic (reference nodes subdivide each coarse cell into
@@ -357,31 +349,30 @@ def _sup_errors(
     y_interp = np.power(interp, inverse_exponent, out=interp)
     np.subtract(y_interp, y_ref, out=diff)
     nodes = coarse[..., first // factor : j[-1] // factor + 1]
-    return {
-        "x_interp": x_interp,
-        "x_node": np.max(np.abs(nodes - ref[..., ::factor]), axis=-1),
-        "y_interp": np.max(np.abs(diff, out=diff), axis=-1),
-        "y_node": np.max(
-            np.abs(nodes**inverse_exponent - y_ref[..., ::factor]), axis=-1
-        ),
-    }
+    return np.stack([
+        x_interp,
+        np.max(np.abs(nodes - ref[..., ::factor]), axis=-1),
+        np.max(np.abs(diff, out=diff), axis=-1),
+        np.max(np.abs(nodes**inverse_exponent - y_ref[..., ::factor]), axis=-1),
+    ])
 
 
 def _ladder_chunk(
     plan: ExperimentPlan, start: int, stop: int, ref_ks: tuple[int, ...]
-) -> list[tuple[int, dict | None, tuple | None]]:
+) -> tuple[np.ndarray, dict[int, tuple]]:
     """Errors of every ladder level against each reference in ``ref_ks``.
 
-    Covers paths start..stop-1 and returns one (index, errors, failure)
-    triple per path in path order, with ``errors[ref_k][k]`` the sup errors
-    of level k against the reference 2^ref_k.  The noise is drawn once at
-    the finest reference and block-summed to every other grid.  Each level
-    is integrated once as one batch; each reference is then integrated in
-    time blocks of about ``BLOCK_PATH_STEPS`` path-steps, a multiple of its
+    Covers paths start..stop-1 and returns ``(errors, failures)``.
+    ``errors`` has shape (len(ref_ks), len(plan.levels), len(ERROR_KINDS),
+    paths): the sup errors of each level against each reference, per kind
+    and path.  ``failures`` maps each failed row to (path, level, step),
+    naming its first failing reference, else its lowest failing level; a
+    failed row's errors are meaningless.  The noise is drawn once at the
+    finest reference and block-summed to every other grid.  Each level is
+    integrated once as one batch; each reference is then integrated in time
+    blocks of about ``BLOCK_PATH_STEPS`` path-steps, a multiple of its
     coarsest factor so that every block holds a node of every level, and
-    each block is folded into running per-path sup errors.  A path that
-    fails is recorded as (path, level, step), naming its first failing
-    reference, else its lowest failing level.
+    each block is folded into the running per-path sup errors.
     """
     n_fine = 2 ** max(ref_ks)
     grid = TimeGrid(plan.horizon, n_fine)
@@ -396,19 +387,15 @@ def _ladder_chunk(
         return SchemeConfig.for_model(plan.model, plan.horizon, 2**k, plan.solver)
 
     level_failures: dict[int, tuple] = {}
-    coarse = {}  # level -> every node of every row
+    coarse = []  # every node of every row, per level
     for k in plan.levels:
         sol = integrate(drift, scheme(k), noise[factors[k]], cert)
         for row, err in sol.failures.items():
             level_failures.setdefault(row, (start + row, k, err.step))
-        coarse[k] = sol.values
+        coarse.append(sol.values)
     failures: dict[int, tuple] = {}
-    # ref_k -> level -> kind -> running maximum per row
-    sup = {
-        ref_k: {k: {kind: np.zeros(size) for kind in ERROR_KINDS} for k in plan.levels}
-        for ref_k in ref_ks
-    }
-    for ref_k in ref_ks:
+    errors = np.zeros((len(ref_ks), len(plan.levels), len(ERROR_KINDS), size))
+    for ref_k, by_level in zip(ref_ks, errors):
         ref_failures: dict = {}
         coarsest = 2 ** (ref_k - plan.k_min)
         block = max(1, BLOCK_PATH_STEPS // (size * coarsest)) * coarsest
@@ -416,28 +403,15 @@ def _ladder_chunk(
             drift, scheme(ref_k), cert, noise[factors[ref_k]], block, ref_failures
         )
         for rows, first, values in blocks:
-            for k in plan.levels:
-                level = coarse[k] if rows.size == size else coarse[k][rows]
-                errors = _sup_errors(level, values, 2 ** (ref_k - k), l_exp, first)
-                for kind, running in sup[ref_k][k].items():
-                    running[rows] = np.maximum(running[rows], errors[kind])
+            for k, nodes, running in zip(plan.levels, coarse, by_level):
+                level = nodes if rows.size == size else nodes[rows]
+                block_errors = _sup_errors(level, values, 2 ** (ref_k - k), l_exp, first)
+                running[:, rows] = np.maximum(running[:, rows], block_errors)
         for row, err in ref_failures.items():
             failures.setdefault(row, (start + row, ref_k, err.step))
     for row, failure in level_failures.items():
         failures.setdefault(row, failure)
-    results = []
-    for row in range(size):
-        errors = None
-        if row not in failures:
-            errors = {
-                ref_k: {
-                    k: {kind: float(running[row]) for kind, running in by_kind.items()}
-                    for k, by_kind in by_level.items()
-                }
-                for ref_k, by_level in sup.items()
-            }
-        results.append((start + row, errors, failures.get(row)))
-    return results
+    return errors, failures
 
 
 def _p_mean(values: np.ndarray, p: float) -> float:
@@ -495,34 +469,24 @@ def run_strong_error(
             )
     else:
         chunks = list(map(_ladder_chunk, [plan] * len(starts), starts, stops, ref_ks))
-    results = [item for chunk in chunks for item in chunk]
-
-    failures = [failure for _, _, failure in results if failure is not None]
+    chunk_errors, chunk_failures = zip(*chunks)
+    failures = [by_row[row] for by_row in chunk_failures for row in sorted(by_row)]
     if len(failures) == plan.paths:
         raise NumericalError(
             f"all {plan.paths} paths failed, so no error estimate exists; "
             f"failed (path, level, step): {[list(f) for f in failures]}"
         )
-    per_level: dict[int, dict[str, list[float]]] = {
-        k: {kind: [] for kind in ERROR_KINDS} for k in plan.levels
-    }
-    kept_paths = []
-    for index, errors, failure in results:
-        if failure is not None:
-            continue
-        kept_paths.append(index)
-        for k in plan.levels:
-            for kind in ERROR_KINDS:
-                per_level[k][kind].append(errors[plan.k_ref][k][kind])
+    kept = np.ones(plan.paths, dtype=bool)
+    kept[[path for path, _, _ in failures]] = False
+    errors = np.concatenate(chunk_errors, axis=-1)[0][..., kept]
 
     boot_rng = np.random.default_rng(mix_seed(plan.master_seed, BOOTSTRAP_STREAM))
     levels: list[LevelEstimate] = []
-    for k in plan.levels:
+    for k, by_kind in zip(plan.levels, errors):
         steps = 2**k
         h = plan.horizon / steps
         estimates = {}
-        for kind in ERROR_KINDS:
-            e = np.asarray(per_level[k][kind])
+        for kind, e in zip(ERROR_KINDS, by_kind):
             estimates[kind] = {
                 "e": _p_mean(e, plan.p),
                 "stderr": _bootstrap_stderr(e, plan.p, boot_rng),
@@ -565,10 +529,10 @@ def run_strong_error(
     per_path_errors = None
     if keep_paths:
         per_path_errors = {
-            "paths": kept_paths,
+            "paths": np.flatnonzero(kept).tolist(),
             "errors": {
-                str(k): {kind: per_level[k][kind] for kind in ERROR_KINDS}
-                for k in plan.levels
+                str(k): dict(zip(ERROR_KINDS, by_kind.tolist()))
+                for k, by_kind in zip(plan.levels, errors)
             },
         }
 
@@ -623,28 +587,22 @@ def reference_bias_check(plan: ExperimentPlan) -> dict:
     path aborts the check with :class:`IntegrationError`.
     """
     ref_ks = (plan.k_ref, plan.k_ref + 1)
-    acc = {
-        ref_k: {k: {kind: [] for kind in ERROR_KINDS} for k in plan.levels}
-        for ref_k in ref_ks
-    }
+    chunks = []
     for start, stop in _chunks(plan.paths, 2 ** max(ref_ks)):
-        for _, errors, failure in _ladder_chunk(plan, start, stop, ref_ks):
-            if failure is not None:
-                path, level, step = failure
-                raise IntegrationError(
-                    f"path {path} failed at level {level}, step {step}", step=step
-                )
-            for ref_k in ref_ks:
-                for k in plan.levels:
-                    for kind in ERROR_KINDS:
-                        acc[ref_k][k][kind].append(errors[ref_k][k][kind])
+        errors, failures = _ladder_chunk(plan, start, stop, ref_ks)
+        if failures:
+            path, level, step = failures[min(failures)]
+            raise IntegrationError(
+                f"path {path} failed at level {level}, step {step}", step=step
+            )
+        chunks.append(errors)
+    base, fine = np.concatenate(chunks, axis=-1)
     out = {}
-    for k in plan.levels:
+    for k, base_k, fine_k in zip(plan.levels, base, fine):
         out[k] = {}
-        for kind in ERROR_KINDS:
-            base = _p_mean(np.asarray(acc[plan.k_ref][k][kind]), plan.p)
-            fine_est = _p_mean(np.asarray(acc[plan.k_ref + 1][k][kind]), plan.p)
-            out[k][kind] = abs(fine_est - base) / base
+        for kind, base_e, fine_e in zip(ERROR_KINDS, base_k, fine_k):
+            base_est = _p_mean(base_e, plan.p)
+            out[k][kind] = abs(_p_mean(fine_e, plan.p) - base_est) / base_est
     return out
 
 

@@ -405,22 +405,40 @@ class TestCli:
         )
         assert not out.exists()
 
-    def test_traced_benchmark_child_runs_simulate(self, tmp_path):
+    @pytest.mark.parametrize(
+        "command, overrides, layers",
+        [
+            (
+                ["simulate", "--out", "sim.csv"],
+                {"scheme": {"steps": 16}, "experiment": {"paths": 2}},
+                {"solver", "fbm.sample", "drifts.lamperti_inverse"},
+            ),
+            (
+                ["converge", "--out-dir", ".", "--threads", "1"],
+                {"experiment": {"paths": 4, "k_min": 3, "k_max": 5, "k_ref": 8}},
+                {"convergence", "solver", "fbm.sample", "fbm.subsample"},
+            ),
+        ],
+        ids=["simulate", "converge"],
+    )
+    def test_traced_benchmark_child_runs(self, tmp_path, command, overrides, layers):
+        # the traced child wraps module attributes by name, so a renamed or
+        # removed one crashes the benchmark
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(config_text(scheme={"steps": 16}, experiment={"paths": 2}))
+        cfg.write_text(config_text(**overrides))
         stats = tmp_path / "stats.json"
         proc = subprocess.run(
             [
                 sys.executable, str(REPO / "perfbench" / "child.py"), str(stats), "1",
-                "simulate", "--config", str(cfg), "--out", str(tmp_path / "sim.csv"),
+                *command, "--config", str(cfg),
             ],
             capture_output=True,
             text=True,
+            cwd=tmp_path,
             env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         )
         assert proc.returncode == 0, proc.stderr
-        layers = {span[1] for span in json.loads(stats.read_text())["spans"]}
-        assert {"solver", "fbm.sample", "drifts.lamperti_inverse"} <= layers
+        assert layers <= {span[1] for span in json.loads(stats.read_text())["spans"]}
 
     def test_verify_assumptions(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

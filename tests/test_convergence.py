@@ -112,7 +112,7 @@ class TestSupErrors:
             cert,
         )
         errs = _sup_errors(sol.values, sol.values, 1, MR_MODEL.inverse_exponent)
-        assert all(v == 0.0 for v in errs.values())
+        assert not errs.any()
 
 
 class TestChunks:

@@ -16,7 +16,7 @@ from fbmsde.drifts import (
     mean_reverting_drift,
     validate_certificate,
 )
-from fbmsde.errors import ParameterError, UsageError
+from fbmsde.errors import ParameterError
 
 from oracles import lamperti_forward
 
@@ -231,11 +231,6 @@ class TestAudit:
         )
         report = audit_assumptions(drift, cert)
         assert report.all_passed  # B' <= -1 < 0 = K passes the one-sided check
-
-    def test_grid_span_enforced(self):
-        drift, cert = MR_MODEL.drift()
-        with pytest.raises(UsageError):
-            audit_assumptions(drift, cert, audit_grid=np.geomspace(1e-2, 1e2, 50))
 
     def test_finite_difference_consistency(self):
         for model in (MR_MODEL, AS_MODEL):

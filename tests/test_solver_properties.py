@@ -178,6 +178,35 @@ def test_per_path_errors_do_not_depend_on_chunk_size(monkeypatch):
                 assert errors() == unchunked, (steps, budget, chunk)
 
 
+def test_ladder_drops_only_the_failed_path(monkeypatch):
+    p = LADDER_PLAN.p
+    clean = run_strong_error(LADDER_PLAN, keep_paths=True).per_path_errors
+    draw_chunk = convergence._draw_chunk
+
+    def draw_with_a_nan(sampler, master_seed, start, stop, factors):
+        noise = draw_chunk(sampler, master_seed, start, stop, factors)
+        if start <= 3 < stop:
+            # the same instant on every grid: step 40 of the 2^8 reference
+            for increments in noise.values():
+                increments[3 - start, increments.shape[1] * 40 // 2**8] = np.nan
+        return noise
+
+    monkeypatch.setattr(convergence, "_draw_chunk", draw_with_a_nan)
+    report = run_strong_error(LADDER_PLAN, keep_paths=True)
+    assert report.incomplete
+    assert report.failures == [[3, 8, 40]]
+    kept = report.per_path_errors
+    assert kept["paths"] == [0, 1, 2, 4, 5, 6]
+    for lv in report.levels:
+        for kind, estimate in lv.estimates.items():
+            errors = kept["errors"][str(lv.k)][kind]
+            clean_errors = clean["errors"][str(lv.k)][kind]
+            assert errors == clean_errors[:3] + clean_errors[4:]
+            assert estimate["e"] == float(np.mean(np.asarray(errors) ** p) ** (1.0 / p))
+    with pytest.raises(IntegrationError, match="path 3 failed"):
+        reference_bias_check(LADDER_PLAN)
+
+
 def test_moment_probe_does_not_depend_on_chunk_size(monkeypatch):
     paths = 7
     # every block size below divides 64 steps but none divides 100; 2 steps
