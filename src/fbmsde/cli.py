@@ -428,6 +428,8 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise UsageError(f"--threads must be >= 1, got {args.threads}")
         return _DISPATCH[args.command](args)
     except ConfigError as exc:
         for line in exc.errors:

@@ -267,17 +267,12 @@ def _draw_chunk(
 ) -> dict[int, np.ndarray]:
     """Increments of paths start..stop-1 coarsened by each block factor.
 
-    Paths are drawn one at a time from their own seeds, exactly as a single
-    draw would be, and coarsened with :func:`subsample`; the result maps each
-    factor to a (paths, steps / factor) array.
+    The paths are drawn as one batch, each from its own seed and bitwise as a
+    single draw would be, and coarsened with :func:`subsample`; the result
+    maps each factor to a read-only (paths, steps / factor) array.
     """
-    steps = sampler.grid.steps
-    out = {f: np.empty((stop - start, steps // f)) for f in factors}
-    for row, index in enumerate(range(start, stop)):
-        path = sampler.sample(master_seed, index)
-        for factor, noise in out.items():
-            noise[row] = subsample(path, factor).increments
-    return out
+    path = sampler.sample(master_seed, range(start, stop))
+    return {f: subsample(path, f).increments for f in factors}
 
 
 def _raise_first_failure(failures: dict, start: int) -> None:
@@ -319,6 +314,7 @@ def _integrate_blocks(drift, config, cert, noise, block, failures):
 def _sup_errors(
     coarse: np.ndarray,
     ref: np.ndarray,
+    y_ref: np.ndarray,
     factor: int,
     inverse_exponent: float,
     first: int = 0,
@@ -327,8 +323,10 @@ def _sup_errors(
 
     ``coarse`` holds every node of the coarse paths and ``ref`` reference
     nodes first..first+B along the last axis, with ``first`` and B multiples
-    of ``factor``.  Returns the maxima over those reference nodes with shape
-    (len(ERROR_KINDS), paths), one row per kind in ``ERROR_KINDS`` order.
+    of ``factor``; ``y_ref`` is ``ref ** inverse_exponent``, which the
+    caller computes once for all the levels it compares.  Returns the maxima
+    over those reference nodes with shape (len(ERROR_KINDS), paths), one row
+    per kind in ``ERROR_KINDS`` order.
     """
     # piecewise-linear read of the coarse paths at every reference node, done
     # with index arithmetic (reference nodes subdivide each coarse cell into
@@ -345,7 +343,6 @@ def _sup_errors(
     diff *= frac
     interp += diff
     x_interp = np.max(np.abs(np.subtract(interp, ref, out=diff), out=diff), axis=-1)
-    y_ref = ref**inverse_exponent
     y_interp = np.power(interp, inverse_exponent, out=interp)
     np.subtract(y_interp, y_ref, out=diff)
     nodes = coarse[..., first // factor : j[-1] // factor + 1]
@@ -403,9 +400,12 @@ def _ladder_chunk(
             drift, scheme(ref_k), cert, noise[factors[ref_k]], block, ref_failures
         )
         for rows, first, values in blocks:
+            y_values = values**l_exp
             for k, nodes, running in zip(plan.levels, coarse, by_level):
                 level = nodes if rows.size == size else nodes[rows]
-                block_errors = _sup_errors(level, values, 2 ** (ref_k - k), l_exp, first)
+                block_errors = _sup_errors(
+                    level, values, y_values, 2 ** (ref_k - k), l_exp, first
+                )
                 running[:, rows] = np.maximum(running[:, rows], block_errors)
         for row, err in ref_failures.items():
             failures.setdefault(row, (start + row, ref_k, err.step))

@@ -20,15 +20,18 @@ are provided:
     diagonalized by the FFT.  O(N log N) per path, the workhorse for fine
     grids.
 
-Both samplers draw the increment vector first and accumulate node values with
-a sequential cumulative sum, so ``np.cumsum(path.increments)`` reproduces
-``path.values[1:]`` bitwise for every freshly generated path.
+Both samplers draw the increment vector first.  ``sample`` takes one path
+index or a ``range`` of them; a range gives one :class:`FbmPath` whose arrays
+carry a leading path axis.  Node values are built lazily, on first use, by a
+sequential cumulative sum, so ``np.cumsum(path.increments, axis=-1)``
+reproduces ``path.values[..., 1:]`` bitwise for every freshly generated path.
 
 Reproducibility contract: each path is drawn from its own PCG64 generator
 seeded with ``mix_seed(master_seed, path_index)``, and every path runs the
-same fixed sequence of numerical calls on the same array shapes.  Path ``i`` of
-a batch is therefore the same bit pattern regardless of scheduling, batching,
-or how many worker threads/processes the caller uses.
+same fixed sequence of numerical calls on rows of the same length.  A path is
+therefore the same bit pattern whether it is drawn alone or in a batch of any
+size, and regardless of scheduling or how many worker threads/processes the
+caller uses.
 
 :func:`make_sampler` builds either sampler from its method name.
 """
@@ -36,6 +39,7 @@ or how many worker threads/processes the caller uses.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -75,6 +79,11 @@ EIGENVALUE_CLAMP_REL = 1e-10
 # below their first column, so the zero upper triangle costs at most half a
 # panel's square; each path draw is one matrix-vector product per panel.
 PANEL_WIDTH = 256
+
+# Embedding elements per FFT of the circulant sampler.  A batch is drawn in
+# sub-batches of about this many elements through buffers reused across the
+# batch, so a draw's temporaries (about 5 MB) do not grow with the batch.
+SUB_BATCH_ELEMENTS = 2**17
 
 
 def mix_seed(master_seed: int, path_index: int) -> int:
@@ -138,35 +147,46 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class FbmPath:
-    """One realized fBM path on a uniform grid.
+    """One realized fBM path, or a batch of them, on a uniform grid.
 
-    ``values`` has length ``steps + 1`` with ``values[0] == 0.0``;
-    ``increments`` has length ``steps``.  Arrays are read-only: a path is an
-    immutable value object, safe to share across threads.  ``master_seed`` and
-    ``path_index`` record the draw's provenance.
+    ``increments`` has shape (steps,) for one path and (paths, steps) for a
+    batch, whose ``path_index`` is then the range of path indices it holds.
+    ``values`` holds the nodes along the last axis, ``steps + 1`` of them
+    starting at 0.0; it is built on first use, as the row-wise cumulative sum
+    of the increments or, for a path subsampled from ``source``, as every
+    factor-th node of the source.  Arrays are read-only: a path is an
+    immutable value object, safe to share across threads.  ``master_seed``
+    and ``path_index`` record the draw's provenance.
     """
 
     grid: TimeGrid
     hurst: Hurst
-    values: np.ndarray
     increments: np.ndarray
     master_seed: int
-    path_index: int
+    path_index: int | range
+    source: FbmPath | None = None
 
     def __post_init__(self):
         n = self.grid.steps
-        if self.values.shape != (n + 1,):
+        shape = self.increments.shape
+        batch = isinstance(self.path_index, range)
+        expected = (len(self.path_index), n) if batch else (n,)
+        if shape != expected:
+            raise UsageError(f"increments must have shape {expected}, got {shape}")
+        if self.source is not None and self.source.grid.steps % n != 0:
             raise UsageError(
-                f"values must have length {n + 1}, got shape {self.values.shape}"
+                f"a {n}-step path cannot subsample a {self.source.grid.steps}-step source"
             )
-        if self.increments.shape != (n,):
-            raise UsageError(
-                f"increments must have length {n}, got shape {self.increments.shape}"
-            )
-        if self.values[0] != 0.0:
-            raise UsageError("fBM paths start at zero: values[0] must be 0.0")
-        if not (np.isfinite(self.values).all() and np.isfinite(self.increments).all()):
-            raise NumericalError("fBM path contains non-finite values")
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        if self.source is not None:
+            factor = self.source.grid.steps // self.grid.steps
+            return self.source.values[..., ::factor]
+        values = np.empty(self.increments.shape[:-1] + (self.grid.steps + 1,))
+        values[..., 0] = 0.0
+        np.cumsum(self.increments, axis=-1, out=values[..., 1:])
+        return _read_only(values)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -174,19 +194,32 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _path_from_increments(
+def _indices(path_index: int | range) -> range:
+    """The path indices one ``sample`` call draws."""
+    if isinstance(path_index, range):
+        return path_index
+    index = operator.index(path_index)
+    return range(index, index + 1)
+
+
+def _check_finite(increments: np.ndarray) -> None:
+    if not np.isfinite(increments).all():
+        raise NumericalError("fBM path contains non-finite values")
+
+
+def _batch_path(
     grid: TimeGrid,
     hurst: Hurst,
     increments: np.ndarray,
     master_seed: int,
-    path_index: int,
+    path_index: int | range,
 ) -> FbmPath:
-    values = np.empty(grid.steps + 1)
-    values[0] = 0.0
-    np.cumsum(increments, out=values[1:])
-    return FbmPath(
-        grid, hurst, _read_only(values), _read_only(increments), master_seed, path_index
-    )
+    """The path of ``sample(master_seed, path_index)`` from its increment rows."""
+    _read_only(increments)
+    if not isinstance(path_index, range):
+        path_index = operator.index(path_index)
+        increments = increments[0]
+    return FbmPath(grid, hurst, increments, master_seed, path_index)
 
 
 def _fgn_autocovariance(hurst: Hurst, h: float, lags: int) -> np.ndarray:
@@ -280,16 +313,19 @@ class CholeskySampler:
         gamma = _fgn_autocovariance(self.hurst, grid.h, grid.steps)
         self._panels = _toeplitz_cholesky(gamma)
 
-    def sample(self, master_seed: int, path_index: int = 0) -> FbmPath:
-        rng = np.random.default_rng(mix_seed(master_seed, path_index))
-        z = rng.standard_normal(self.grid.steps)
-        increments = np.zeros(self.grid.steps)
-        for p, panel in enumerate(self._panels):
-            j = p * PANEL_WIDTH
-            increments[j:] += panel @ z[j : j + panel.shape[1]]
-        return _path_from_increments(
-            self.grid, self.hurst, increments, master_seed, path_index
-        )
+    def sample(self, master_seed: int, path_index: int | range = 0) -> FbmPath:
+        """Path ``path_index``, or the batch of the paths in a range of them."""
+        indices = _indices(path_index)
+        steps = self.grid.steps
+        increments = np.zeros((len(indices), steps))
+        z = np.empty(steps)
+        for row, index in zip(increments, indices):
+            np.random.default_rng(mix_seed(master_seed, index)).standard_normal(out=z)
+            for p, panel in enumerate(self._panels):
+                j = p * PANEL_WIDTH
+                row[j:] += panel @ z[j : j + panel.shape[1]]
+            _check_finite(row)
+        return _batch_path(self.grid, self.hurst, increments, master_seed, path_index)
 
 
 def _next_pow2(n: int) -> int:
@@ -315,7 +351,9 @@ class CirculantSampler:
     Per path, ``M`` standard normals are drawn in a fixed, documented order
     (the two real modes first, then the real and imaginary interior blocks)
     and combined in the frequency domain; the first N entries of the real part
-    of the transform are the increments.
+    of the transform are the increments.  A batch is drawn in sub-batches of
+    about ``SUB_BATCH_ELEMENTS`` embedding elements, one FFT along the last
+    axis each, in buffers reused from one sub-batch to the next.
     """
 
     def __init__(self, hurst: Hurst | float, grid: TimeGrid):
@@ -339,25 +377,36 @@ class CirculantSampler:
             )
         self._size = size
         self._half = half
-        self._weights = _read_only(np.sqrt(np.where(eigs < 0.0, 0.0, eigs) / size))
+        # complex, so that scaling xi is one complex product with no cast
+        weights = np.sqrt(np.where(eigs < 0.0, 0.0, eigs) / size)
+        self._weights = _read_only(weights.astype(complex))
 
-    def sample(self, master_seed: int, path_index: int = 0) -> FbmPath:
-        rng = np.random.default_rng(mix_seed(master_seed, path_index))
-        size, half = self._size, self._half
-        xi = np.zeros(size, dtype=complex)
-        xi[0] = rng.standard_normal()
-        xi[half] = rng.standard_normal()
-        if half > 1:
-            re_part = rng.standard_normal(half - 1)
-            im_part = rng.standard_normal(half - 1)
-            interior = (re_part + 1j * im_part) * np.sqrt(0.5)
-            xi[1:half] = interior
-            xi[half + 1 :] = np.conj(interior[::-1])
-        spectrum = np.fft.fft(self._weights * xi)
-        increments = np.ascontiguousarray(spectrum.real[: self.grid.steps])
-        return _path_from_increments(
-            self.grid, self.hurst, increments, master_seed, path_index
-        )
+    def sample(self, master_seed: int, path_index: int | range = 0) -> FbmPath:
+        """Path ``path_index``, or the batch of the paths in a range of them."""
+        indices = _indices(path_index)
+        size, half, steps = self._size, self._half, self.grid.steps
+        rows = max(1, min(len(indices), SUB_BATCH_ELEMENTS // size))
+        normals = np.empty((rows, size))
+        xi = np.empty((rows, size), dtype=complex)
+        scale = np.sqrt(0.5)
+        increments = np.empty((len(indices), steps))
+        for first in range(0, len(indices), rows):
+            out = increments[first : first + rows]
+            z, x = normals[: len(out)], xi[: len(out)]
+            for row, index in zip(z, indices[first : first + rows]):
+                np.random.default_rng(mix_seed(master_seed, index)).standard_normal(out=row)
+            # xi = [z0, s * (re + i im), z1, s * conj(re + i im) reversed] with
+            # s = sqrt(1/2), re = z[2:half + 1] and im = z[half + 1:]
+            x.real[:, 0], x.real[:, half] = z[:, 0], z[:, 1]
+            x.imag[:, 0] = x.imag[:, half] = 0.0
+            np.multiply(z[:, 2 : half + 1], scale, out=x.real[:, 1:half])
+            np.multiply(z[:, half + 1 :], scale, out=x.imag[:, 1:half])
+            x.real[:, half + 1 :] = x.real[:, half - 1 : 0 : -1]
+            np.negative(x.imag[:, half - 1 : 0 : -1], out=x.imag[:, half + 1 :])
+            x *= self._weights
+            out[:] = np.fft.fft(x, axis=-1).real[:, :steps]
+            _check_finite(out)
+        return _batch_path(self.grid, self.hurst, increments, master_seed, path_index)
 
 
 def make_sampler(
@@ -372,27 +421,27 @@ def make_sampler(
 
 
 def block_sums(increments: np.ndarray, factor: int) -> np.ndarray:
-    """Sum consecutive blocks of ``factor`` increments.
+    """Sum consecutive blocks of ``factor`` increments along the last axis.
 
     Each block is reduced by numpy's deterministic pairwise summation over the
     contiguous block, always in the same order, so results are reproducible
-    bit for bit.
+    bit for bit, and each row of a batch sums exactly as it would alone.
     """
-    n = increments.shape[0]
+    n = increments.shape[-1]
     if factor < 1 or n % factor != 0:
         raise UsageError(f"block factor {factor} does not divide {n} increments")
-    return increments.reshape(-1, factor).sum(axis=1)
+    return increments.reshape(increments.shape[:-1] + (-1, factor)).sum(axis=-1)
 
 
 def subsample(path: FbmPath, factor: int) -> FbmPath:
-    """Restrict a path to every ``factor``-th node over the same horizon.
+    """Restrict a path, or every path of a batch, to every ``factor``-th node.
 
-    Node values are taken by index, hence bitwise equal to the source at
-    shared nodes.  Increments are block sums of the source increments (see
-    :func:`block_sums`), which is the coupling used by step-ladder
-    experiments.  The two arrays are each exact with respect to the source;
-    their mutual cumulative-sum identity holds only up to rounding because
-    block summation reassociates additions.
+    The horizon stays the same.  Node values are read from the source path by
+    index, hence bitwise equal to it at shared nodes.  Increments are block sums
+    of the source increments (see :func:`block_sums`), which is the coupling
+    used by step-ladder experiments.  The two arrays are each exact with
+    respect to the source; their mutual cumulative-sum identity holds only up
+    to rounding because block summation reassociates additions.
     """
     factor = int(factor)
     if factor < 1:
@@ -407,9 +456,8 @@ def subsample(path: FbmPath, factor: int) -> FbmPath:
     return FbmPath(
         coarse,
         path.hurst,
-        _read_only(path.values[::factor].copy()),
         _read_only(block_sums(path.increments, factor)),
         path.master_seed,
         path.path_index,
+        source=path,
     )
-

@@ -1,6 +1,6 @@
 """Independent oracles and test-only references used by the tests.
 
-The first four deliberately avoid the package's own numerics:
+The first five deliberately avoid the package's own numerics:
 
 * ``cir_implicit_root`` solves the gamma = 1/2 implicit-step equation with
   the explicit quadratic formula (multiply B(x) h - x + c = 0 by x).
@@ -10,6 +10,9 @@ The first four deliberately avoid the package's own numerics:
   reference for the moment probe's doubling modulus ladder.
 * ``dense_toeplitz_cholesky`` builds the full Toeplitz matrix and factors it
   with LAPACK, the reference for the O(N^2) Schur factorisation.
+* ``circulant_increments`` draws one path of a circulant sampler alone: four
+  normal draws, the spectrum built from complex arithmetic, one 1-D FFT.  It
+  is the bitwise reference for the sampler's batched draw.
 
 The rest are verification helpers that the package itself does not need:
 
@@ -29,7 +32,7 @@ import numpy as np
 
 from fbmsde.drifts import ModelSpec, _positive_power
 from fbmsde.errors import ParameterError, UsageError
-from fbmsde.fbm import FbmPath, Hurst, as_hurst
+from fbmsde.fbm import CirculantSampler, FbmPath, Hurst, as_hurst, mix_seed
 from fbmsde.solver import SolutionPath
 
 
@@ -95,6 +98,24 @@ def fbm_covariance(t, s, hurst: Hurst | float):
     if np.ndim(t) == 0 and np.ndim(s) == 0:
         return float(out)
     return out
+
+
+def circulant_increments(
+    sampler: CirculantSampler, master_seed: int, path_index: int
+) -> np.ndarray:
+    """Increments of one path drawn alone from the sampler's circulant weights."""
+    rng = np.random.default_rng(mix_seed(master_seed, path_index))
+    size, half = sampler._size, sampler._half
+    xi = np.zeros(size, dtype=complex)
+    xi[0] = rng.standard_normal()
+    xi[half] = rng.standard_normal()
+    if half > 1:
+        re_part = rng.standard_normal(half - 1)
+        im_part = rng.standard_normal(half - 1)
+        interior = (re_part + 1j * im_part) * np.sqrt(0.5)
+        xi[1:half] = interior
+        xi[half + 1 :] = np.conj(interior[::-1])
+    return np.fft.fft(sampler._weights.real * xi).real[: sampler.grid.steps]
 
 
 def empirical_increment_moment(

@@ -405,6 +405,28 @@ class TestCli:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    @pytest.mark.parametrize(
+        "command", ["simulate", "converge", "moments", "verify-assumptions"]
+    )
+    def test_rejects_thread_count_below_one(self, tmp_path, capsys, command, threads):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            config_text(
+                scheme={"steps": 16},
+                experiment={"paths": 4, "k_min": 3, "k_max": 5, "k_ref": 8},
+            )
+        )
+        code = run_cli(
+            command, "--config", str(cfg), "--threads", threads,
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert f"validation error: --threads must be >= 1, got {threads}" in (
+            capsys.readouterr().err
+        )
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
     @pytest.mark.parametrize(
         "command, overrides, layers",
         [

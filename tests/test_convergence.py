@@ -1,5 +1,7 @@
 """Order fitting, coupled ladders, reference bias, moment probes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fbmsde.convergence import (
     ExperimentPlan,
     _bootstrap_stderr,
     _chunks,
+    _draw_chunk,
     _sup_errors,
     critical_horizon,
     fit_order,
@@ -18,7 +21,7 @@ from fbmsde.convergence import (
 )
 from fbmsde.drifts import AitSahaliaModel, MeanRevertingModel
 from fbmsde.errors import ParameterError, UsageError
-from fbmsde.fbm import CirculantSampler, Hurst, TimeGrid
+from fbmsde.fbm import CirculantSampler, Hurst, TimeGrid, make_sampler
 from fbmsde.solver import SchemeConfig, integrate
 
 from oracles import ode_trajectory
@@ -111,7 +114,8 @@ class TestSupErrors:
             noise.increments,
             cert,
         )
-        errs = _sup_errors(sol.values, sol.values, 1, MR_MODEL.inverse_exponent)
+        l_exp = MR_MODEL.inverse_exponent
+        errs = _sup_errors(sol.values, sol.values, sol.values**l_exp, 1, l_exp)
         assert not errs.any()
 
 
@@ -131,6 +135,23 @@ class TestChunks:
 
     def test_long_paths_get_one_path_each(self):
         assert _chunks(3, 2 * CHUNK_PATH_STEPS) == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_chunk_draw_temporaries_do_not_grow_with_the_chunk():
+    # the ladder's factors at a 2^13 reference, levels 2^4..2^9
+    sampler = make_sampler("circulant", 0.7, TimeGrid(1.0, 2**13))
+    factors = [1] + [2 ** (13 - k) for k in range(4, 10)]
+
+    def excess(paths):
+        tracemalloc.start()
+        try:
+            noise = _draw_chunk(sampler, 5, 0, paths, factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(increments.nbytes for increments in noise.values())
+
+    assert excess(400) - excess(50) < 2**20
 
 
 class TestBootstrap:

@@ -27,6 +27,7 @@ from fbmsde.fbm import (
 )
 
 from oracles import (
+    circulant_increments,
     dense_toeplitz_cholesky,
     empirical_increment_moment,
     fbm_covariance,
@@ -98,6 +99,61 @@ class TestSamplerContracts:
         sampler = sampler_cls(Hurst(0.7), TimeGrid(1.0, 64))
         terminal = np.array([sampler.sample(314, i).values[-1] for i in range(m)])
         assert abs(terminal.var() - 1.0) <= 5.0 * np.sqrt(2.0 / m)
+
+
+@pytest.mark.parametrize("sampler_cls", [CholeskySampler, CirculantSampler])
+class TestBatchedSample:
+    @pytest.mark.parametrize(
+        "steps, indices",
+        [(1, range(4)), (2, range(3, 7)), (37, range(5, 45)), (600, range(2, 9)),
+         (2**13, range(6, 9))],
+    )
+    def test_rows_match_single_draws_bitwise(self, sampler_cls, steps, indices):
+        sampler = sampler_cls(Hurst(0.7), TimeGrid(1.0, steps))
+        batch = sampler.sample(23, indices)
+        assert batch.path_index == indices
+        assert batch.increments.shape == (len(indices), steps)
+        for row, index in zip(batch.increments, indices):
+            assert row.tobytes() == sampler.sample(23, index).increments.tobytes()
+
+    def test_values_are_row_wise_cumulative_sums(self, sampler_cls):
+        batch = sampler_cls(Hurst(0.7), TimeGrid(1.0, 37)).sample(3, range(1, 6))
+        expected = np.zeros((5, 38))
+        expected[:, 1:] = np.cumsum(batch.increments, axis=1)
+        assert batch.values.tobytes() == expected.tobytes()
+        assert not batch.values.flags.writeable
+        assert not batch.increments.flags.writeable
+
+    def test_subsample_of_a_batch_is_subsample_of_each_row(self, sampler_cls):
+        sampler = sampler_cls(Hurst(0.7), TimeGrid(1.0, 48))
+        indices = range(4, 9)
+        batch = sampler.sample(5, indices)
+        for factor in (2, 3, 16):
+            coarse = subsample(batch, factor)
+            assert coarse.grid.steps == 48 // factor
+            for i, index in enumerate(indices):
+                alone = subsample(sampler.sample(5, index), factor)
+                assert coarse.increments[i].tobytes() == alone.increments.tobytes()
+                assert coarse.values[i].tobytes() == alone.values.tobytes()
+
+
+@pytest.mark.parametrize("steps", [1, 2, 37, 600, 2**13])
+def test_circulant_batch_matches_paths_drawn_alone(steps):
+    sampler = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps))
+    batch = sampler.sample(29, range(3, 13))
+    for row, index in zip(batch.increments, range(3, 13)):
+        assert row.tobytes() == circulant_increments(sampler, 29, index).tobytes()
+
+
+def test_batch_spans_sub_batches_ending_in_a_short_one(monkeypatch):
+    import fbmsde.fbm as fbm_mod
+
+    sampler = CirculantSampler(Hurst(0.7), TimeGrid(1.0, 37))
+    # 128 embedding elements per path: sub-batches of 3, 3 and 2 paths
+    monkeypatch.setattr(fbm_mod, "SUB_BATCH_ELEMENTS", 3 * 128)
+    batch = sampler.sample(17, range(2, 10))
+    for row, index in zip(batch.increments, range(2, 10)):
+        assert row.tobytes() == sampler.sample(17, index).increments.tobytes()
 
 
 def test_one_shot_functions_match_samplers():
@@ -303,7 +359,7 @@ class TestIncrementMoments:
     def test_zero_paths_give_zero(self):
         grid = TimeGrid(1.0, 8)
         zeros = [
-            FbmPath(grid, Hurst(0.7), np.zeros(9), np.zeros(8), 0, i)
+            FbmPath(grid, Hurst(0.7), np.zeros(8), 0, i)
             for i in range(2)
         ]
         assert empirical_increment_moment(zeros, 2.0, 2) == 0.0
