@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -46,13 +47,19 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _atomic_write(path: str, data: str) -> None:
+def _atomic_write(path: str, parts: Iterable[str]) -> None:
+    """Write the text pieces of ``parts``, in order, to ``path``.
+
+    The pieces go to a temp file beside ``path``, which replaces it only after
+    the last piece is written.  If the iterable or a write raises, the temp
+    file is removed and an existing ``path`` keeps its old bytes.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(data)
+            handle.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -60,14 +67,15 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _csv_head(seed: int, digest: str, header: list[str]) -> list[str]:
-    return [f"# master_seed={seed} config_digest={digest}", ",".join(header)]
+def _csv_head(seed: int, digest: str, header: list[str]) -> str:
+    return f"# master_seed={seed} config_digest={digest}\n" + ",".join(header) + "\n"
 
 
-def _csv_text(seed: int, digest: str, header: list[str], rows) -> str:
-    lines = _csv_head(seed, digest, header)
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_text(seed: int, digest: str, header: list[str], rows) -> Iterator[str]:
+    """The CSV's lines, each with its newline, ``rows`` read one at a time."""
+    yield _csv_head(seed, digest, header)
+    for row in rows:
+        yield ",".join(_fmt(v) for v in row) + "\n"
 
 
 def _json_text(seed: int, digest: str, payload: dict) -> str:
@@ -172,45 +180,49 @@ def _cmd_simulate(args) -> int:
     )
     check_step_bound(cert, scheme.h)
     grid = TimeGrid(scheme.horizon, steps)
-    sampler = make_sampler(cfg.scheme["method"], model.hurst, grid)
-    noise = _draw_chunk(sampler, cfg.seed, 0, paths, [1])[1]
+    # no reference to the sampler is kept, so a Cholesky factor is freed as
+    # soon as the noise is drawn
+    noise = _draw_chunk(
+        make_sampler(cfg.scheme["method"], model.hurst, grid), cfg.seed, 0, paths, [1]
+    )[1]
     sol = integrate(drift, scheme, noise, cert)
     _raise_first_failure(sol.failures, 0)
-    y = lamperti_inverse(model, sol.values)
     out = args.out or os.path.join(_out_dir(args, cfg), "simulate.csv")
-    # Formatted a column at a time: repr of a Python float and str of a Python
-    # int are what _fmt writes for each value, and the columns shared by all
-    # paths are formatted once.
-    lines = _csv_head(
-        cfg.seed,
-        cfg.digest,
-        ["path_index", "node_index", "time", "x_value", "y_value", "residual", "iterations"],
-    )
     nodes = list(map(str, range(steps + 1)))
     times = list(map(repr, grid.times.tolist()))
-    # Residuals are rounding-level values, so few are distinct: each distinct
-    # bit pattern (which keeps -0.0 apart from 0.0) is formatted once.
-    keys, inverse = np.unique(sol.residuals.view(np.int64), return_inverse=True)
-    distinct = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
-    residual_text = distinct[inverse].reshape(sol.residuals.shape)
-    for i in range(paths):
-        residuals = ["0.0", *residual_text[i].tolist()]
-        iterations = ["0", *map(str, sol.iterations[i].tolist())]
-        lines.extend(
-            map(
+
+    def pieces():
+        yield _csv_head(
+            cfg.seed,
+            cfg.digest,
+            ["path_index", "node_index", "time", "x_value", "y_value", "residual", "iterations"],
+        )
+        # One piece per path, so only one path's text, and one path's
+        # extended-precision temporaries of the inverse Lamperti map, are held
+        # at a time.  It is formatted a column at a time: repr of a Python
+        # float and str of a Python int are what _fmt writes for each value,
+        # and the columns shared by all paths are formatted once.
+        for i, x in enumerate(sol.values):
+            # Residuals are rounding-level values, so few are distinct: each
+            # distinct bit pattern (which keeps -0.0 apart from 0.0) is
+            # formatted once.
+            keys, inverse = np.unique(sol.residuals[i].view(np.int64), return_inverse=True)
+            distinct = list(map(repr, keys.view(np.float64).tolist()))
+            lines = map(
                 ",".join,
                 zip(
                     itertools.repeat(str(i)),
                     nodes,
                     times,
-                    map(repr, sol.values[i].tolist()),
-                    map(repr, y[i].tolist()),
-                    residuals,
-                    iterations,
+                    map(repr, x.tolist()),
+                    map(repr, lamperti_inverse(model, x).tolist()),
+                    ["0.0", *map(distinct.__getitem__, inverse.tolist())],
+                    ["0", *map(str, sol.iterations[i].tolist())],
                 ),
             )
-        )
-    _atomic_write(out, "\n".join(lines) + "\n")
+            yield "\n".join(lines) + "\n"
+
+    _atomic_write(out, pieces())
     print(f"wrote {paths} trajectories to {out}")
     return EXIT_OK
 
@@ -277,7 +289,7 @@ def _cmd_converge(args) -> int:
         )
     _atomic_write(
         os.path.join(out_dir, "report.json"),
-        _json_text(cfg.seed, cfg.digest, payload),
+        [_json_text(cfg.seed, cfg.digest, payload)],
     )
     band = report.order_band
     print(
@@ -336,7 +348,7 @@ def _cmd_moments(args) -> int:
     )
     _atomic_write(
         os.path.join(out_dir, "probe.json"),
-        _json_text(cfg.seed, cfg.digest, probe.to_dict()),
+        [_json_text(cfg.seed, cfg.digest, probe.to_dict())],
     )
     print(f"wrote moment probe ({paths} paths, {steps} steps) to {out_dir}")
     return EXIT_OK

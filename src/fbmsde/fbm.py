@@ -80,9 +80,11 @@ EIGENVALUE_CLAMP_REL = 1e-10
 # panel's square; each path draw is one matrix-vector product per panel.
 PANEL_WIDTH = 256
 
-# Embedding elements per FFT of the circulant sampler.  A batch is drawn in
+# Normals per sub-batch of a draw: embedding elements per FFT of the circulant
+# sampler, path-steps per pass over the Cholesky panels.  A batch is drawn in
 # sub-batches of about this many elements through buffers reused across the
-# batch, so a draw's temporaries (about 5 MB) do not grow with the batch.
+# batch, so a draw's temporaries (about 5 MB for the circulant sampler, 1 MB
+# for the Cholesky one) do not grow with the batch.
 SUB_BATCH_ELEMENTS = 2**17
 
 
@@ -145,7 +147,7 @@ class TimeGrid:
         return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FbmPath:
     """One realized fBM path, or a batch of them, on a uniform grid.
 
@@ -154,9 +156,10 @@ class FbmPath:
     ``values`` holds the nodes along the last axis, ``steps + 1`` of them
     starting at 0.0; it is built on first use, as the row-wise cumulative sum
     of the increments or, for a path subsampled from ``source``, as every
-    factor-th node of the source.  Arrays are read-only: a path is an
-    immutable value object, safe to share across threads.  ``master_seed``
-    and ``path_index`` record the draw's provenance.
+    factor-th node of the source.  Arrays are read-only: a path is
+    immutable, safe to share across threads, and compares and hashes by
+    identity.  ``master_seed`` and ``path_index`` record the draw's
+    provenance.
     """
 
     grid: TimeGrid
@@ -298,10 +301,14 @@ class CholeskySampler:
     matrix-vector product per panel, so node values carry exactly the
     covariance R_H on the grid.
 
-    The draw is the same fixed sequence of calls on the same shapes for every
-    path; paths are never batched into one matrix product, whose rounding
-    can depend on the batch, so a path is bitwise the same whether it is
-    drawn alone or among others, in any process.
+    A batch is drawn panel-major in sub-batches of about
+    ``SUB_BATCH_ELEMENTS`` normals: the sub-batch's normals fill a reused
+    buffer, then each panel in turn takes its product with every row, so
+    the products that share a panel run back to back.  A path still runs the same fixed sequence of calls on
+    the same shapes, in the same panel order; paths are never batched into
+    one matrix product, whose rounding can depend on the batch, so a path is
+    bitwise the same whether it is drawn alone or among others, in any
+    process.
 
     Instances are immutable after construction and safe to share across
     threads.
@@ -317,14 +324,19 @@ class CholeskySampler:
         """Path ``path_index``, or the batch of the paths in a range of them."""
         indices = _indices(path_index)
         steps = self.grid.steps
+        rows = max(1, min(len(indices), SUB_BATCH_ELEMENTS // steps))
+        normals = np.empty((rows, steps))
         increments = np.zeros((len(indices), steps))
-        z = np.empty(steps)
-        for row, index in zip(increments, indices):
-            np.random.default_rng(mix_seed(master_seed, index)).standard_normal(out=z)
+        for first in range(0, len(indices), rows):
+            out = increments[first : first + rows]
+            z = normals[: len(out)]
+            for row, index in zip(z, indices[first : first + rows]):
+                np.random.default_rng(mix_seed(master_seed, index)).standard_normal(out=row)
             for p, panel in enumerate(self._panels):
                 j = p * PANEL_WIDTH
-                row[j:] += panel @ z[j : j + panel.shape[1]]
-            _check_finite(row)
+                for row, normal in zip(out, z[:, j : j + panel.shape[1]]):
+                    row[j:] += panel @ normal
+            _check_finite(out)
         return _batch_path(self.grid, self.hurst, increments, master_seed, path_index)
 
 

@@ -132,7 +132,7 @@ class SchemeConfig:
         return self.horizon / self.steps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionPath:
     """Discrete trajectories of the scheme plus per-step solver records.
 
@@ -146,7 +146,7 @@ class SolutionPath:
     references the driving noise.  A resumed run (see :func:`integrate`)
     holds nodes start..stop in ``values`` and the solves of steps
     start..stop-1, while ``grid`` is the whole grid.  Immutable after
-    construction.
+    construction; compares and hashes by identity.
     """
 
     grid: TimeGrid

@@ -4,7 +4,9 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +116,25 @@ class TestParseConfig:
 
 def run_cli(*argv: str) -> int:
     return cli.main(list(argv))
+
+
+@pytest.mark.parametrize("fault", ["iterable", "write"])
+def test_failed_streamed_write_leaves_no_file(tmp_path, fault):
+    def pieces():
+        yield "first\n"
+        if fault == "iterable":
+            raise RuntimeError("no second piece")
+        yield b"not text"  # a text file's write raises TypeError
+
+    target = tmp_path / "out.csv"
+    with pytest.raises((RuntimeError, TypeError)):
+        cli._atomic_write(str(target), pieces())
+    assert list(tmp_path.iterdir()) == []
+    target.write_bytes(b"old\n")
+    with pytest.raises((RuntimeError, TypeError)):
+        cli._atomic_write(str(target), pieces())
+    assert target.read_bytes() == b"old\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["out.csv"]
 
 
 class TestCli:
@@ -380,6 +401,65 @@ class TestCli:
         assert code == 2
         assert "implicit step failed" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_simulate_memory_beyond_its_arrays_does_not_grow_with_paths(
+        self, tmp_path, monkeypatch
+    ):
+        # the draw's buffers grow with the batch up to SUB_BATCH_ELEMENTS; one
+        # path per sub-batch keeps them out of the comparison
+        monkeypatch.setattr("fbmsde.fbm.SUB_BATCH_ELEMENTS", 1)
+        solutions = []
+        real = cli.integrate
+
+        def integrate(*args, **kwargs):
+            solutions.append(real(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(cli, "integrate", integrate)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config_text(scheme={"steps": 1024}))
+        out = tmp_path / "sim.csv"
+
+        def excess(paths):
+            tracemalloc.start()
+            try:
+                assert run_cli(
+                    "simulate", "--config", str(cfg), "--paths", str(paths),
+                    "--out", str(out),
+                ) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            sol = solutions.pop()
+            arrays = (sol.increments, sol.values, sol.residuals, sol.iterations)
+            return peak - sum(a.nbytes for a in arrays)
+
+        excess(2)  # first-call allocations (imports, caches) are not per path
+        small = excess(2)
+        path_text = out.stat().st_size / 2
+        assert excess(16) - small < 2 * path_text
+
+    def test_simulate_frees_the_sampler_before_integrating(self, tmp_path, monkeypatch):
+        samplers = []
+        alive = []
+        real_make, real_integrate = cli.make_sampler, cli.integrate
+
+        def make_sampler(*args):
+            sampler = real_make(*args)
+            samplers.append(weakref.ref(sampler))
+            return sampler
+
+        def integrate(*args, **kwargs):
+            alive.append(samplers[-1]() is not None)
+            return real_integrate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "make_sampler", make_sampler)
+        monkeypatch.setattr(cli, "integrate", integrate)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config_text(scheme={"steps": 300, "method": "cholesky"}))
+        out = tmp_path / "sim.csv"
+        assert run_cli("simulate", "--config", str(cfg), "--paths", "2", "--out", str(out)) == 0
+        assert alive == [False]
 
     @pytest.mark.parametrize("paths", ["-1", "0"])
     def test_simulate_rejects_path_count_below_one(self, tmp_path, capsys, paths):

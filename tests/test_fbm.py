@@ -148,12 +148,25 @@ def test_circulant_batch_matches_paths_drawn_alone(steps):
 def test_batch_spans_sub_batches_ending_in_a_short_one(monkeypatch):
     import fbmsde.fbm as fbm_mod
 
-    sampler = CirculantSampler(Hurst(0.7), TimeGrid(1.0, 37))
-    # 128 embedding elements per path: sub-batches of 3, 3 and 2 paths
-    monkeypatch.setattr(fbm_mod, "SUB_BATCH_ELEMENTS", 3 * 128)
-    batch = sampler.sample(17, range(2, 10))
-    for row, index in zip(batch.increments, range(2, 10)):
-        assert row.tobytes() == sampler.sample(17, index).increments.tobytes()
+    grid = TimeGrid(1.0, 600)
+    # 2048 embedding elements or 600 normals (three panels) per path:
+    # sub-batches of 3, 3 and 2 paths
+    for sampler, elements in (
+        (CirculantSampler(Hurst(0.7), grid), 2048),
+        (CholeskySampler(Hurst(0.7), grid), 600),
+    ):
+        monkeypatch.setattr(fbm_mod, "SUB_BATCH_ELEMENTS", 3 * elements)
+        batch = sampler.sample(17, range(2, 10))
+        for row, index in zip(batch.increments, range(2, 10)):
+            assert row.tobytes() == sampler.sample(17, index).increments.tobytes()
+
+
+def test_paths_compare_and_hash_by_identity():
+    sampler = CirculantSampler(Hurst(0.7), TimeGrid(1.0, 16))
+    a, b = sampler.sample(3, 1), sampler.sample(3, 1)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
 
 
 def test_one_shot_functions_match_samplers():

@@ -192,6 +192,12 @@ class TestIntegrate:
         assert np.array_equal(a.residuals, b.residuals)
         assert np.array_equal(a.iterations, b.iterations)
 
+    def test_solutions_compare_and_hash_by_identity(self):
+        a, b = make_solution(seed=9), make_solution(seed=9)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
     def test_dissipative_contraction(self):
         # K = 0 drift: trajectories from different starts never separate
         drift, cert = MR_MODEL.drift()
