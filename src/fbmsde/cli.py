@@ -25,7 +25,7 @@ import numpy as np
 from .config import RunConfig, config_digest, parse_config
 from .convergence import (
     ExperimentPlan,
-    _draw_chunk,
+    _chunks,
     _raise_first_failure,
     moment_probe,
     run_strong_error,
@@ -60,6 +60,10 @@ def _atomic_write(path: str, parts: Iterable[str]) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines(parts)
+        # the mode a plain open gives, not mkstemp's 0600, which replace keeps
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -76,6 +80,16 @@ def _csv_text(seed: int, digest: str, header: list[str], rows) -> Iterator[str]:
     yield _csv_head(seed, digest, header)
     for row in rows:
         yield ",".join(_fmt(v) for v in row) + "\n"
+
+
+def _path_text(index: int, nodes: list[str], times: list[str], *columns) -> str:
+    """One path's CSV rows from its index and columns of formatted values.
+
+    Columns are formatted whole, with repr of a Python float and str of a
+    Python int, which is what :func:`_fmt` writes for each value.
+    """
+    lines = map(",".join, zip(itertools.repeat(str(index)), nodes, times, *columns))
+    return "\n".join(lines) + "\n"
 
 
 def _json_text(seed: int, digest: str, payload: dict) -> str:
@@ -145,18 +159,18 @@ def _cmd_fbm(args) -> int:
     digest = config_digest(seed, params, {}, {})
     grid = TimeGrid(args.horizon, args.steps)
     sampler = make_sampler(args.method, args.hurst, grid)
-    times = grid.times
+    nodes = list(map(str, range(args.steps + 1)))
+    times = list(map(repr, grid.times.tolist()))
 
-    def rows():
-        for i in range(args.paths):
-            path = sampler.sample(seed, i)
-            for n in range(args.steps + 1):
-                yield (i, n, times[n], path.values[n])
+    def pieces():
+        yield _csv_head(seed, digest, ["path_index", "node_index", "time", "value"])
+        # one batch per chunk, so the arrays held are bounded by the chunk
+        for start, stop in _chunks(args.paths, args.steps):
+            values = sampler.sample(seed, range(start, stop)).values
+            for i, row in zip(range(start, stop), values):
+                yield _path_text(i, nodes, times, map(repr, row.tolist()))
 
-    _atomic_write(
-        args.out,
-        _csv_text(seed, digest, ["path_index", "node_index", "time", "value"], rows()),
-    )
+    _atomic_write(args.out, pieces())
     print(f"wrote {args.paths} paths to {args.out}")
     return EXIT_OK
 
@@ -182,9 +196,9 @@ def _cmd_simulate(args) -> int:
     grid = TimeGrid(scheme.horizon, steps)
     # no reference to the sampler is kept, so a Cholesky factor is freed as
     # soon as the noise is drawn
-    noise = _draw_chunk(
-        make_sampler(cfg.scheme["method"], model.hurst, grid), cfg.seed, 0, paths, [1]
-    )[1]
+    noise = make_sampler(cfg.scheme["method"], model.hurst, grid).sample(
+        cfg.seed, range(paths)
+    ).increments
     sol = integrate(drift, scheme, noise, cert)
     _raise_first_failure(sol.failures, 0)
     out = args.out or os.path.join(_out_dir(args, cfg), "simulate.csv")
@@ -199,28 +213,22 @@ def _cmd_simulate(args) -> int:
         )
         # One piece per path, so only one path's text, and one path's
         # extended-precision temporaries of the inverse Lamperti map, are held
-        # at a time.  It is formatted a column at a time: repr of a Python
-        # float and str of a Python int are what _fmt writes for each value,
-        # and the columns shared by all paths are formatted once.
+        # at a time; the columns shared by all paths are formatted once.
         for i, x in enumerate(sol.values):
             # Residuals are rounding-level values, so few are distinct: each
             # distinct bit pattern (which keeps -0.0 apart from 0.0) is
             # formatted once.
             keys, inverse = np.unique(sol.residuals[i].view(np.int64), return_inverse=True)
             distinct = list(map(repr, keys.view(np.float64).tolist()))
-            lines = map(
-                ",".join,
-                zip(
-                    itertools.repeat(str(i)),
-                    nodes,
-                    times,
-                    map(repr, x.tolist()),
-                    map(repr, lamperti_inverse(model, x).tolist()),
-                    ["0.0", *map(distinct.__getitem__, inverse.tolist())],
-                    ["0", *map(str, sol.iterations[i].tolist())],
-                ),
+            yield _path_text(
+                i,
+                nodes,
+                times,
+                map(repr, x.tolist()),
+                map(repr, lamperti_inverse(model, x).tolist()),
+                ["0.0", *map(distinct.__getitem__, inverse.tolist())],
+                ["0", *map(str, sol.iterations[i].tolist())],
             )
-            yield "\n".join(lines) + "\n"
 
     _atomic_write(out, pieces())
     print(f"wrote {paths} trajectories to {out}")
@@ -381,9 +389,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="worker pool size (results are identical for any value)",
     )
     parser.add_argument("--out-dir", default=None, help="output directory override")
-    parser.add_argument(
-        "--keep-paths", action="store_true", help="also write per-path errors"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,6 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_conv)
     p_conv.add_argument(
         "--plan", dest="config", help="experiment plan JSON (alias for --config)"
+    )
+    p_conv.add_argument(
+        "--keep-paths", action="store_true", help="also write per-path errors"
     )
 
     p_mom = sub.add_parser("moments", help="extreme-moment and modulus probes")

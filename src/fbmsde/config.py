@@ -221,7 +221,7 @@ def parse_config(text: str) -> RunConfig:
     experiment = _check_block(
         "experiment", raw.get("experiment"), _EXPERIMENT_DEFAULTS, errors
     )
-    _require_int(experiment, "experiment", "paths", errors, 2)
+    _require_int(experiment, "experiment", "paths", errors, 1)
     for key in ("k_min", "k_max", "k_ref"):
         _require_int(experiment, "experiment", key, errors, 1)
     p = experiment["p"]

@@ -710,7 +710,7 @@ def moment_probe(
     modulus = np.zeros(len(windows))
     for start, stop in _chunks(paths, steps):
         size = stop - start
-        noise = _draw_chunk(sampler, master_seed, start, stop, [1])[1]
+        noise = sampler.sample(master_seed, range(start, stop)).increments
         v_max, v_min = np.full(size, -np.inf), np.full(size, np.inf)
         moduli = np.zeros((size, rungs))
         failures: dict = {}

@@ -20,18 +20,12 @@ are provided:
     diagonalized by the FFT.  O(N log N) per path, the workhorse for fine
     grids.
 
-Both samplers draw the increment vector first.  ``sample`` takes one path
-index or a ``range`` of them; a range gives one :class:`FbmPath` whose arrays
-carry a leading path axis.  Node values are built lazily, on first use, by a
-sequential cumulative sum, so ``np.cumsum(path.increments, axis=-1)``
-reproduces ``path.values[..., 1:]`` bitwise for every freshly generated path.
-
-Reproducibility contract: each path is drawn from its own PCG64 generator
-seeded with ``mix_seed(master_seed, path_index)``, and every path runs the
-same fixed sequence of numerical calls on rows of the same length.  A path is
-therefore the same bit pattern whether it is drawn alone or in a batch of any
-size, and regardless of scheduling or how many worker threads/processes the
-caller uses.
+Each sampler is a different linear map applied to the same i.i.d. normal
+draw: both share one ``sample`` loop, which states the draw contract, and
+each maps rows of normals to rows of increments.  Node values are built
+lazily, on first use, by a sequential cumulative sum, so
+``np.cumsum(path.increments, axis=-1)`` reproduces ``path.values[..., 1:]``
+bitwise for every freshly generated path.
 
 :func:`make_sampler` builds either sampler from its method name.
 """
@@ -80,11 +74,10 @@ EIGENVALUE_CLAMP_REL = 1e-10
 # panel's square; each path draw is one matrix-vector product per panel.
 PANEL_WIDTH = 256
 
-# Normals per sub-batch of a draw: embedding elements per FFT of the circulant
-# sampler, path-steps per pass over the Cholesky panels.  A batch is drawn in
-# sub-batches of about this many elements through buffers reused across the
-# batch, so a draw's temporaries (about 5 MB for the circulant sampler, 1 MB
-# for the Cholesky one) do not grow with the batch.
+# Normals per sub-batch of a draw (see ``_ExactSampler.sample``): embedding
+# elements per FFT of the circulant sampler, path-steps per pass over the
+# Cholesky panels.  A draw's temporaries come to about 5 MB for the circulant
+# sampler and 1 MB for the Cholesky one.
 SUB_BATCH_ELEMENTS = 2**17
 
 
@@ -197,34 +190,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _indices(path_index: int | range) -> range:
-    """The path indices one ``sample`` call draws."""
-    if isinstance(path_index, range):
-        return path_index
-    index = operator.index(path_index)
-    return range(index, index + 1)
-
-
-def _check_finite(increments: np.ndarray) -> None:
-    if not np.isfinite(increments).all():
-        raise NumericalError("fBM path contains non-finite values")
-
-
-def _batch_path(
-    grid: TimeGrid,
-    hurst: Hurst,
-    increments: np.ndarray,
-    master_seed: int,
-    path_index: int | range,
-) -> FbmPath:
-    """The path of ``sample(master_seed, path_index)`` from its increment rows."""
-    _read_only(increments)
-    if not isinstance(path_index, range):
-        path_index = operator.index(path_index)
-        increments = increments[0]
-    return FbmPath(grid, hurst, increments, master_seed, path_index)
-
-
 def _fgn_autocovariance(hurst: Hurst, h: float, lags: int) -> np.ndarray:
     """Autocovariance of the increment sequence at lags 0..lags-1.
 
@@ -290,7 +255,55 @@ def _toeplitz_cholesky(gamma: np.ndarray) -> list[np.ndarray]:
     return [_read_only(panel) for panel in panels]
 
 
-class CholeskySampler:
+class _ExactSampler:
+    """The draw shared by both exact samplers.
+
+    A subclass sets ``hurst``, ``grid`` and ``_width``, the number of standard
+    normals one path's increments are made from, and maps rows of normals to
+    rows of increments in ``_increments(normals, out, *workspace)``.
+    """
+
+    def sample(self, master_seed: int, path_index: int | range = 0) -> FbmPath:
+        """Path ``path_index``, or the batch of the paths in a range of them.
+
+        An int gives one :class:`FbmPath` with increments of shape (steps,); a
+        range gives one whose increments have shape (paths, steps), row ``i``
+        holding path ``path_index[i]``.
+
+        Draw contract: each path draws its ``_width`` normals from its own
+        PCG64 generator seeded with ``mix_seed(master_seed, path_index)``, and
+        every path runs the same fixed sequence of numerical calls on rows of
+        the same length, so it has the same bits alone or in a batch of any
+        size, in any process.  A batch is drawn in sub-batches of about
+        ``SUB_BATCH_ELEMENTS`` normals through buffers reused from one to the
+        next, so the temporaries do not grow with the batch, and each
+        sub-batch is checked for non-finite values (:class:`NumericalError`).
+        """
+        batch = isinstance(path_index, range)
+        if not batch:
+            path_index = operator.index(path_index)
+        indices = path_index if batch else range(path_index, path_index + 1)
+        rows = max(1, min(len(indices), SUB_BATCH_ELEMENTS // self._width))
+        normals = np.empty((rows, self._width))
+        workspace = self._workspace(rows)
+        increments = np.empty((len(indices), self.grid.steps))
+        for first in range(0, len(indices), rows):
+            out = increments[first : first + rows]
+            z = normals[: len(out)]
+            for row, index in zip(z, indices[first : first + rows]):
+                np.random.default_rng(mix_seed(master_seed, index)).standard_normal(out=row)
+            self._increments(z, out, *workspace)
+            if not np.isfinite(out).all():
+                raise NumericalError("fBM path contains non-finite values")
+        increments = _read_only(increments if batch else increments[0])
+        return FbmPath(self.grid, self.hurst, increments, master_seed, path_index)
+
+    def _workspace(self, rows: int) -> tuple:
+        """Buffers that ``_increments`` reuses across one draw's sub-batches."""
+        return ()
+
+
+class CholeskySampler(_ExactSampler):
     """Exact fBM sampler from the Cholesky factor of the increment covariance.
 
     The increment (fractional Gaussian noise) covariance is Toeplitz and, for
@@ -301,15 +314,6 @@ class CholeskySampler:
     matrix-vector product per panel, so node values carry exactly the
     covariance R_H on the grid.
 
-    A batch is drawn panel-major in sub-batches of about
-    ``SUB_BATCH_ELEMENTS`` normals: the sub-batch's normals fill a reused
-    buffer, then each panel in turn takes its product with every row, so
-    the products that share a panel run back to back.  A path still runs the same fixed sequence of calls on
-    the same shapes, in the same panel order; paths are never batched into
-    one matrix product, whose rounding can depend on the batch, so a path is
-    bitwise the same whether it is drawn alone or among others, in any
-    process.
-
     Instances are immutable after construction and safe to share across
     threads.
     """
@@ -317,34 +321,30 @@ class CholeskySampler:
     def __init__(self, hurst: Hurst | float, grid: TimeGrid):
         self.hurst = as_hurst(hurst)
         self.grid = grid
+        self._width = grid.steps
         gamma = _fgn_autocovariance(self.hurst, grid.h, grid.steps)
         self._panels = _toeplitz_cholesky(gamma)
 
-    def sample(self, master_seed: int, path_index: int | range = 0) -> FbmPath:
-        """Path ``path_index``, or the batch of the paths in a range of them."""
-        indices = _indices(path_index)
-        steps = self.grid.steps
-        rows = max(1, min(len(indices), SUB_BATCH_ELEMENTS // steps))
-        normals = np.empty((rows, steps))
-        increments = np.zeros((len(indices), steps))
-        for first in range(0, len(indices), rows):
-            out = increments[first : first + rows]
-            z = normals[: len(out)]
-            for row, index in zip(z, indices[first : first + rows]):
-                np.random.default_rng(mix_seed(master_seed, index)).standard_normal(out=row)
-            for p, panel in enumerate(self._panels):
-                j = p * PANEL_WIDTH
-                for row, normal in zip(out, z[:, j : j + panel.shape[1]]):
-                    row[j:] += panel @ normal
-            _check_finite(out)
-        return _batch_path(self.grid, self.hurst, increments, master_seed, path_index)
+    def _increments(self, normals: np.ndarray, out: np.ndarray) -> None:
+        """``out[i] = L @ normals[i]`` for every row, panel-major.
+
+        Each panel in turn takes its product with every row, so the products
+        that share a panel run back to back.  A row still runs the same GEMV
+        calls on the same shapes in the same panel order; rows are never
+        batched into one matrix product, whose rounding can depend on the batch.
+        """
+        out[:] = 0.0
+        for p, panel in enumerate(self._panels):
+            j = p * PANEL_WIDTH
+            for row, normal in zip(out, normals[:, j : j + panel.shape[1]]):
+                row[j:] += panel @ normal
 
 
 def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-class CirculantSampler:
+class CirculantSampler(_ExactSampler):
     """Exact O(N log N) fBM sampler via circulant embedding of the increments.
 
     The N x N Toeplitz increment covariance is embedded in a circulant of size
@@ -363,9 +363,7 @@ class CirculantSampler:
     Per path, ``M`` standard normals are drawn in a fixed, documented order
     (the two real modes first, then the real and imaginary interior blocks)
     and combined in the frequency domain; the first N entries of the real part
-    of the transform are the increments.  A batch is drawn in sub-batches of
-    about ``SUB_BATCH_ELEMENTS`` embedding elements, one FFT along the last
-    axis each, in buffers reused from one sub-batch to the next.
+    of the transform are the increments.
     """
 
     def __init__(self, hurst: Hurst | float, grid: TimeGrid):
@@ -387,38 +385,29 @@ class CirculantSampler:
                 most_negative=most_negative,
                 tolerance=tol,
             )
-        self._size = size
+        self._width = size
         self._half = half
         # complex, so that scaling xi is one complex product with no cast
         weights = np.sqrt(np.where(eigs < 0.0, 0.0, eigs) / size)
         self._weights = _read_only(weights.astype(complex))
 
-    def sample(self, master_seed: int, path_index: int | range = 0) -> FbmPath:
-        """Path ``path_index``, or the batch of the paths in a range of them."""
-        indices = _indices(path_index)
-        size, half, steps = self._size, self._half, self.grid.steps
-        rows = max(1, min(len(indices), SUB_BATCH_ELEMENTS // size))
-        normals = np.empty((rows, size))
-        xi = np.empty((rows, size), dtype=complex)
+    def _workspace(self, rows: int) -> tuple:
+        return (np.empty((rows, self._width), dtype=complex),)
+
+    def _increments(self, z: np.ndarray, out: np.ndarray, xi: np.ndarray) -> None:
+        """The increment rows of the normals ``z``: one FFT along the last axis."""
+        half, x = self._half, xi[: len(z)]
+        # xi = [z0, s * (re + i im), z1, s * conj(re + i im) reversed] with
+        # s = sqrt(1/2), re = z[2:half + 1] and im = z[half + 1:]
         scale = np.sqrt(0.5)
-        increments = np.empty((len(indices), steps))
-        for first in range(0, len(indices), rows):
-            out = increments[first : first + rows]
-            z, x = normals[: len(out)], xi[: len(out)]
-            for row, index in zip(z, indices[first : first + rows]):
-                np.random.default_rng(mix_seed(master_seed, index)).standard_normal(out=row)
-            # xi = [z0, s * (re + i im), z1, s * conj(re + i im) reversed] with
-            # s = sqrt(1/2), re = z[2:half + 1] and im = z[half + 1:]
-            x.real[:, 0], x.real[:, half] = z[:, 0], z[:, 1]
-            x.imag[:, 0] = x.imag[:, half] = 0.0
-            np.multiply(z[:, 2 : half + 1], scale, out=x.real[:, 1:half])
-            np.multiply(z[:, half + 1 :], scale, out=x.imag[:, 1:half])
-            x.real[:, half + 1 :] = x.real[:, half - 1 : 0 : -1]
-            np.negative(x.imag[:, half - 1 : 0 : -1], out=x.imag[:, half + 1 :])
-            x *= self._weights
-            out[:] = np.fft.fft(x, axis=-1).real[:, :steps]
-            _check_finite(out)
-        return _batch_path(self.grid, self.hurst, increments, master_seed, path_index)
+        x.real[:, 0], x.real[:, half] = z[:, 0], z[:, 1]
+        x.imag[:, 0] = x.imag[:, half] = 0.0
+        np.multiply(z[:, 2 : half + 1], scale, out=x.real[:, 1:half])
+        np.multiply(z[:, half + 1 :], scale, out=x.imag[:, 1:half])
+        x.real[:, half + 1 :] = x.real[:, half - 1 : 0 : -1]
+        np.negative(x.imag[:, half - 1 : 0 : -1], out=x.imag[:, half + 1 :])
+        x *= self._weights
+        out[:] = np.fft.fft(x, axis=-1).real[:, : out.shape[1]]
 
 
 def make_sampler(

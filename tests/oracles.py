@@ -105,7 +105,7 @@ def circulant_increments(
 ) -> np.ndarray:
     """Increments of one path drawn alone from the sampler's circulant weights."""
     rng = np.random.default_rng(mix_seed(master_seed, path_index))
-    size, half = sampler._size, sampler._half
+    size, half = sampler._width, sampler._half
     xi = np.zeros(size, dtype=complex)
     xi[0] = rng.standard_normal()
     xi[half] = rng.standard_normal()

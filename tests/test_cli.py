@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -13,10 +14,11 @@ import numpy as np
 import pytest
 
 import fbmsde.cli as cli
+import fbmsde.convergence as convergence
 from fbmsde.config import parse_config
 from fbmsde.drifts import lamperti_inverse
 from fbmsde.errors import ConfigError
-from fbmsde.fbm import CirculantSampler, Hurst, TimeGrid
+from fbmsde.fbm import CholeskySampler, CirculantSampler, Hurst, TimeGrid
 from fbmsde.solver import SchemeConfig, integrate
 
 REPO = Path(__file__).resolve().parents[1]
@@ -137,6 +139,19 @@ def test_failed_streamed_write_leaves_no_file(tmp_path, fault):
     assert [path.name for path in tmp_path.iterdir()] == ["out.csv"]
 
 
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_written_file_mode_follows_the_umask(tmp_path, umask):
+    out = tmp_path / "fbm.csv"
+    old = os.umask(umask)
+    try:
+        code = run_cli("fbm", "--hurst", "0.7", "--steps", "4", "--out", str(out))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+
 class TestCli:
     def test_fbm_csv(self, tmp_path, capsys):
         out = tmp_path / "paths.csv"
@@ -159,6 +174,31 @@ class TestCli:
                 "--seed", "11", "--method", "cholesky", "--out", str(out),
             )
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("sampler_cls", [CirculantSampler, CholeskySampler])
+    def test_fbm_draws_each_chunk_with_one_sample_call(
+        self, tmp_path, monkeypatch, sampler_cls
+    ):
+        method = "circulant" if sampler_cls is CirculantSampler else "cholesky"
+        argv = (
+            "fbm", "--hurst", "0.7", "--steps", "8", "--paths", "5",
+            "--seed", "11", "--method", method, "--out",
+        )
+        whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+        assert run_cli(*argv, str(whole)) == 0
+        calls = []
+        real = sampler_cls.sample
+
+        def sample(self, master_seed, path_index=0):
+            calls.append(path_index)
+            return real(self, master_seed, path_index)
+
+        monkeypatch.setattr(sampler_cls, "sample", sample)
+        # at most two 8-step paths per chunk: 5 paths make 3 chunks
+        monkeypatch.setattr(convergence, "CHUNK_PATH_STEPS", 16)
+        assert run_cli(*argv, str(chunked)) == 0
+        assert calls == [range(0, 1), range(1, 3), range(3, 5)]
+        assert chunked.read_bytes() == whole.read_bytes()
 
     def test_simulate_writes_trajectories(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -275,6 +315,35 @@ class TestCli:
 
     def test_missing_config_flag(self, capsys):
         assert run_cli("converge") == 1
+
+    def test_one_path_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            config_text(
+                scheme={"steps": 16},
+                experiment={"paths": 1, "k_min": 3, "k_max": 5, "k_ref": 8},
+            )
+        )
+        sim = tmp_path / "sim.csv"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(sim)) == 0
+        assert len(sim.read_text().splitlines()) == 2 + 17
+        mom = tmp_path / "mom"
+        assert run_cli("moments", "--config", str(cfg), "--out-dir", str(mom)) == 0
+        assert json.loads((mom / "probe.json").read_text())["paths"] == 1
+        # the ladder's own minimum of two paths still holds
+        conv = tmp_path / "conv"
+        capsys.readouterr()
+        code = run_cli("converge", "--config", str(cfg), "--out-dir", str(conv))
+        assert code == 1
+        assert "validation error: need at least 2 paths" in capsys.readouterr().err
+        assert not conv.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "moments", "verify-assumptions"])
+    def test_keep_paths_is_a_converge_flag(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(command, "--config", str(tmp_path / "cfg.json"), "--keep-paths")
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --keep-paths" in capsys.readouterr().err
 
     def test_converge_writes_report_and_levels(self, tmp_path):
         cfg = tmp_path / "cfg.json"
