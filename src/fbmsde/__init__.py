@@ -51,7 +51,6 @@ from .solver import (
     SchemeConfig,
     SolutionPath,
     SolverSettings,
-    implicit_step,
     integrate,
 )
 

@@ -116,7 +116,7 @@ def _load_config(args, scheme=None, experiment=None) -> RunConfig:
     except OSError as exc:
         raise ConfigError([f"cannot read config file {args.config!r}: {exc}"]) from None
     cfg = parse_config(text)
-    seed = cfg.seed if args.seed is None else args.seed
+    seed = cfg.seed if getattr(args, "seed", None) is None else args.seed
     scheme = {**cfg.scheme, **_given(scheme)}
     experiment = {**cfg.experiment, **_given(experiment)}
     return RunConfig(
@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser(
         "verify-assumptions", help="audit the drift assumption certificate"
     )
-    _add_common(p_ver)
+    p_ver.add_argument("--config", help="JSON configuration file")
 
     return parser
 

@@ -118,8 +118,22 @@ def validate_certificate(cert: AssumptionCertificate, hurst: Hurst | float) -> N
         )
 
 
-def _numeric_sup(fn: Callable, grid: np.ndarray) -> float:
-    return float(np.max(fn(grid)))
+def _cert_grid(drift: DriftFn, alpha: float, p1: float, q: float) -> np.ndarray:
+    """``_CERT_GRID``, or a narrower grid where the drift leaves float range on it.
+
+    Only if the drift or one of its derivatives overflows or is undefined on
+    ``_CERT_GRID`` are the grid's ends pulled in, to ``10^(-e)`` and ``10^e``
+    with ``e = 300 / (max(alpha, p1, q) + 2)``.  The largest powers, the
+    ``x^{-(alpha+2)}`` of B'' and ``x^q`` of B, then stay below 1e300.
+    """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for fn in (drift.value, drift.deriv1, drift.deriv2):
+                fn(_CERT_GRID)
+        return _CERT_GRID
+    except FloatingPointError:
+        end = 300.0 / (max(alpha, p1, q) + 2.0)
+        return np.geomspace(max(1e-4, 10.0**-end), min(1e4, 10.0**end), _CERT_GRID.size)
 
 
 def _singularity_window(
@@ -150,6 +164,32 @@ def _singularity_window(
     idx = int(np.argmin(dominated)) - 1 if not dominated.all() else len(grid) - 1
     x1 = math.inf if dominated.all() else float(grid[idx])
     return x1, h1_min
+
+
+def _certificate(
+    drift: DriftFn,
+    singular: float,
+    alpha: float,
+    others: list[tuple[float, float]],
+    p1: float,
+    **closed_form,
+) -> AssumptionCertificate:
+    """Certificate of a drift whose singular term is ``singular x^{-alpha}``.
+
+    ``others`` are the remaining monomials as (coefficient, exponent) and
+    ``closed_form`` holds the family's h4, q, h3, h0 and alpha_regime.  K and
+    c_h2 are suprema on the grid, ``theta = alpha`` and ``p2 = alpha + 2``.
+    """
+    grid = _cert_grid(drift, alpha, p1, closed_form["q"])
+    x1, h1_min = _singularity_window(singular, alpha, others, grid)
+    p2 = alpha + 2.0
+    deriv1 = drift.deriv1(grid)
+    envelope = 1.0 + grid**p1 + grid**-p2
+    c_h2 = float(np.max((np.abs(deriv1) + np.abs(drift.deriv2(grid))) / envelope))
+    return AssumptionCertificate(
+        K=max(0.0, float(np.max(deriv1))), alpha=alpha, x1=x1, h1_min=h1_min,
+        theta=alpha, p1=p1, p2=p2, c_h2=c_h2, **closed_form,
+    )
 
 
 def mean_reverting_drift(
@@ -189,28 +229,16 @@ def mean_reverting_drift(
         return c * x**-e
 
     drift = DriftFn(value, deriv1, deriv2, f"mean_reverting(a1={a1}, a2={a2}, gamma={gamma})")
-
-    other = [(c_lin, 1.0)] if a2 != 0.0 else []
-    x1, h1_min = _singularity_window(c_sing, alpha, other, _CERT_GRID)
-    p1, p2 = 0.0, alpha + 2.0
-    cert = AssumptionCertificate(
-        K=max(0.0, _numeric_sup(deriv1, _CERT_GRID)),
-        alpha=alpha,
-        x1=x1,
-        h1_min=h1_min,
-        theta=alpha,
+    return drift, _certificate(
+        drift, c_sing, alpha, [(c_lin, 1.0)] if a2 != 0.0 else [], 0.0,
         h4=max(c_sing, max(-c_lin, 0.0)),
         q=1.0 if a2 > 0.0 else 0.0,
         h3=c_lin if a2 > 0.0 else 0.0,
-        p1=p1,
-        p2=p2,
-        c_h2=_derivative_growth_constant(deriv1, deriv2, p1, p2),
         # The implicit step is solvable for all h whenever 1 + a2(1-gamma) h > 0.
         # Tested on c_lin, not a2: a subnormal a2 < 0 makes c_lin -0.0.
         h0=math.inf if c_lin >= 0.0 else 1.0 / -c_lin,
         alpha_regime="critical" if gamma == 0.5 else "standard",
     )
-    return drift, cert
 
 
 def ait_sahalia_drift(
@@ -273,33 +301,12 @@ def ait_sahalia_drift(
     # Peak of the positive non-singular part b3 u^rho - b4 u^{rho+1} in u = x^{1/(rho-1)}.
     u_star = rho * b3 / ((rho + 1.0) * b4)
     hump = max(0.0, b3 * u_star**rho - b4 * u_star ** (rho + 1.0))
-    x1, h1_min = _singularity_window(
-        b1, alpha, [(b2, 1.0), (b3, e3), (b4, e4)], _CERT_GRID
-    )
-    p1, p2 = e4 - 1.0, alpha + 2.0
-    cert = AssumptionCertificate(
-        K=max(0.0, _numeric_sup(deriv1, _CERT_GRID)),
-        alpha=alpha,
-        x1=x1,
-        h1_min=h1_min,
-        theta=alpha,
-        h4=max(b1, hump),
-        q=e4,
-        h3=b2 + b4,
-        p1=p1,
-        p2=p2,
-        c_h2=_derivative_growth_constant(deriv1, deriv2, p1, p2),
+    return drift, _certificate(
+        drift, b1, alpha, [(b2, 1.0), (b3, e3), (b4, e4)], e4 - 1.0,
+        h4=max(b1, hump), q=e4, h3=b2 + b4,
         h0=4.0 * (rho - 1.0) * b4 * (rho + 1.0) / (b3**2 * rho**2),
         alpha_regime="standard",
     )
-    return drift, cert
-
-
-def _derivative_growth_constant(
-    deriv1: Callable, deriv2: Callable, p1: float, p2: float
-) -> float:
-    envelope = 1.0 + _CERT_GRID**p1 + _CERT_GRID**-p2
-    return float(np.max((np.abs(deriv1(_CERT_GRID)) + np.abs(deriv2(_CERT_GRID))) / envelope))
 
 
 # ---------------------------------------------------------------------------
@@ -460,52 +467,28 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def _finite_difference_checks(drift: DriftFn, grid: np.ndarray) -> list[AuditCheck]:
-    # Central differences with a step proportional to x.  A fixed absolute
-    # step would make the truncation error of the x^{-alpha} terms swamp the
-    # tolerance at the small-x end of the grid.
-    checks = []
-    rtol = 1e-6
-    for name, fn, dfn in (
-        ("fd_consistency_deriv1", drift.value, drift.deriv1),
-        ("fd_consistency_deriv2", drift.deriv1, drift.deriv2),
-    ):
-        delta = 1e-6 * grid
-        f_hi = np.asarray(fn(grid + delta), dtype=float)
-        f_lo = np.asarray(fn(grid - delta), dtype=float)
-        fd = (f_hi - f_lo) / (2.0 * delta)
-        exact = np.asarray(dfn(grid), dtype=float)
-        # tolerance: relative part plus the cancellation noise floor of the
-        # difference quotient itself
-        eps = np.finfo(float).eps
-        allowed = rtol * np.abs(exact) + 8.0 * eps * np.maximum(
-            np.abs(f_hi), np.abs(f_lo)
-        ) / delta + 1e-300
-        err = np.abs(fd - exact)
-        margin = allowed - err
-        worst = int(np.argmin(margin / allowed))
-        checks.append(
-            AuditCheck(
-                name=name,
-                passed=bool(np.all(err <= allowed)),
-                worst_margin=float((margin / allowed)[worst]),
-                worst_x=float(grid[worst]),
-                tolerance=rtol,
-                description="closed-form derivative vs central difference",
-            )
-        )
-    return checks
+def _check(
+    name: str, margin, xs, passed, tolerance: float, description: str
+) -> AuditCheck:
+    """The check's verdict with its smallest margin and the x at which it occurs."""
+    worst = int(np.argmin(margin))
+    return AuditCheck(
+        name, bool(passed), float(margin[worst]), float(xs[worst]), tolerance, description
+    )
 
 
 def audit_assumptions(drift: DriftFn, cert: AssumptionCertificate) -> AuditReport:
-    """Numerically probe the certificate's inequalities on [1e-4, 1e4].
+    """Numerically probe the certificate's inequalities on the certificate's grid.
 
-    Violations are reported, never raised: the audit is a diagnostic.
+    That grid is ``_CERT_GRID`` on [1e-4, 1e4], its ends pulled in by the
+    certificate's exponents (alpha, p1, q) only where the drift overflows
+    there.  Violations are reported, never raised: the audit is a diagnostic.
     """
-    grid = _CERT_GRID
+    grid = _cert_grid(drift, cert.alpha, cert.p1, cert.q)
     rng = np.random.default_rng(_AUDIT_SEED)
     b_vals = np.asarray(drift.value(grid), dtype=float)
-    checks: list[AuditCheck] = []
+    d1_vals = np.asarray(drift.deriv1(grid), dtype=float)
+    d2_vals = np.asarray(drift.deriv2(grid), dtype=float)
 
     # one-sided Lipschitz condition on sampled pairs, normalized by (x - y)^2
     i = rng.integers(0, grid.size, size=_AUDIT_PAIRS)
@@ -514,83 +497,56 @@ def audit_assumptions(drift: DriftFn, cert: AssumptionCertificate) -> AuditRepor
     x, y = grid[i[keep]], grid[j[keep]]
     slope = (b_vals[i[keep]] - b_vals[j[keep]]) / (x - y)
     tol_a1 = 1e-6 * (1.0 + abs(cert.K))
-    worst = int(np.argmax(slope))
-    checks.append(
-        AuditCheck(
-            "one_sided_lipschitz",
-            passed=bool(np.all(slope <= cert.K + tol_a1)),
-            worst_margin=float(cert.K - slope[worst]),
-            worst_x=float(x[worst]),
-            tolerance=tol_a1,
-            description="(B(x)-B(y))(x-y) <= K (x-y)^2 on sampled grid pairs",
-        )
-    )
+    checks = [
+        _check("one_sided_lipschitz", cert.K - slope, x, np.all(slope <= cert.K + tol_a1),
+               tol_a1, "(B(x)-B(y))(x-y) <= K (x-y)^2 on sampled grid pairs")
+    ]
 
     # singular lower bound below the crossover x1, relative to x^{-alpha}
     near = grid <= cert.x1
     if near.any():
-        ratio = b_vals[near] / grid[near] ** -cert.alpha
-        margin = ratio - cert.h1_min
-        worst = int(np.argmin(margin))
+        margin = b_vals[near] / grid[near] ** -cert.alpha - cert.h1_min
         checks.append(
-            AuditCheck(
-                "singular_lower_bound",
-                passed=bool(np.all(margin >= -1e-9 * cert.h1_min)),
-                worst_margin=float(margin[worst]),
-                worst_x=float(grid[near][worst]),
-                tolerance=1e-9,
-                description="B(x) >= h1_min x^{-alpha} for x <= x1",
-            )
+            _check("singular_lower_bound", margin, grid[near],
+                   np.all(margin >= -1e-9 * cert.h1_min), 1e-9,
+                   "B(x) >= h1_min x^{-alpha} for x <= x1")
         )
 
     # upper growth bound
     envelope = cert.h4 * (1.0 + grid + grid**-cert.theta)
     margin = (envelope - b_vals) / envelope
-    worst = int(np.argmin(margin))
-    checks.append(
-        AuditCheck(
-            "upper_growth",
-            passed=bool(np.all(margin >= -1e-9)),
-            worst_margin=float(margin[worst]),
-            worst_x=float(grid[worst]),
-            tolerance=1e-9,
-            description="B(x) <= h4 (1 + x + x^{-theta})",
-        )
-    )
+    checks.append(_check("upper_growth", margin, grid, np.all(margin >= -1e-9), 1e-9,
+                         "B(x) <= h4 (1 + x + x^{-theta})"))
 
     # growth of the negative part
     neg = np.maximum(-b_vals, 0.0)
-    envelope = cert.h3 * (1.0 + grid**cert.q) + 1e-300
-    margin = (envelope - neg) / envelope
-    worst = int(np.argmin(margin))
-    checks.append(
-        AuditCheck(
-            "negative_part_growth",
-            passed=bool(np.all(neg <= cert.h3 * (1.0 + grid**cert.q) + 1e-12)),
-            worst_margin=float(margin[worst]),
-            worst_x=float(grid[worst]),
-            tolerance=1e-12,
-            description="B(x)^- <= h3 (1 + x^q)",
-        )
-    )
+    bound = cert.h3 * (1.0 + grid**cert.q)
+    envelope = bound + 1e-300
+    checks.append(_check("negative_part_growth", (envelope - neg) / envelope, grid,
+                         np.all(neg <= bound + 1e-12), 1e-12, "B(x)^- <= h3 (1 + x^q)"))
 
     # derivative growth envelope
-    lhs = np.abs(np.asarray(drift.deriv1(grid), dtype=float)) + np.abs(
-        np.asarray(drift.deriv2(grid), dtype=float)
-    )
     envelope = cert.c_h2 * (1.0 + grid**cert.p1 + grid**-cert.p2)
-    margin = (envelope - lhs) / envelope
-    worst = int(np.argmin(margin))
-    checks.append(
-        AuditCheck(
-            "derivative_growth",
-            passed=bool(np.all(margin >= -1e-6)),
-            worst_margin=float(margin[worst]),
-            worst_x=float(grid[worst]),
-            tolerance=1e-6,
-            description="|B'(x)| + |B''(x)| <= c (1 + x^{p1} + x^{-p2})",
-        )
-    )
+    margin = (envelope - (np.abs(d1_vals) + np.abs(d2_vals))) / envelope
+    checks.append(_check("derivative_growth", margin, grid, np.all(margin >= -1e-6), 1e-6,
+                         "|B'(x)| + |B''(x)| <= c (1 + x^{p1} + x^{-p2})"))
 
-    checks.extend(_finite_difference_checks(drift, grid))
+    # Central differences with a step proportional to x.  A fixed absolute
+    # step would make the truncation error of the x^{-alpha} terms swamp the
+    # tolerance at the small-x end of the grid.
+    rtol, eps, delta = 1e-6, np.finfo(float).eps, 1e-6 * grid
+    for name, fn, exact in (
+        ("fd_consistency_deriv1", drift.value, d1_vals),
+        ("fd_consistency_deriv2", drift.deriv1, d2_vals),
+    ):
+        f_hi = np.asarray(fn(grid + delta), dtype=float)
+        f_lo = np.asarray(fn(grid - delta), dtype=float)
+        err = np.abs((f_hi - f_lo) / (2.0 * delta) - exact)
+        # tolerance: relative part plus the cancellation noise floor of the
+        # difference quotient itself
+        allowed = rtol * np.abs(exact) + 8.0 * eps * np.maximum(
+            np.abs(f_hi), np.abs(f_lo)
+        ) / delta + 1e-300
+        checks.append(_check(name, (allowed - err) / allowed, grid, np.all(err <= allowed),
+                             rtol, "closed-form derivative vs central difference"))
     return AuditReport(drift_name=drift.name, checks=tuple(checks))

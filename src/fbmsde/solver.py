@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drifts import AssumptionCertificate, DriftFn, ModelSpec
+from .drifts import AssumptionCertificate, ModelSpec
 from .errors import (
     IntegrationError,
     NumericalError,
@@ -52,7 +52,6 @@ __all__ = [
     "SolverSettings",
     "SchemeConfig",
     "SolutionPath",
-    "implicit_step",
     "integrate",
 ]
 
@@ -168,33 +167,6 @@ def check_step_bound(certificate: AssumptionCertificate, h: float) -> None:
         raise ParameterError(
             f"step size h={h:.6g} must stay below 1/K={1.0 / certificate.K:.6g}"
         )
-
-
-def implicit_step(
-    drift: DriftFn,
-    h: float,
-    c: float,
-    solver: SolverSettings = SolverSettings(),
-) -> tuple[float, float, int]:
-    """Solve B(x) h - x + c = 0 for the unique positive root.
-
-    Returns ``(root, residual, iterations)`` where ``residual`` is the signed
-    value of the equation at the root and ``iterations`` counts function
-    evaluations beyond the initial guess.  Raises :class:`RootBracketError`
-    when no sign change is found (the unique-positive-root hypothesis fails
-    at runtime) and :class:`NumericalError` on non-finite drift values.
-    This is the batch of one of the kernel :func:`integrate` runs, started
-    cold from max(c, 1e-30): a lone step has no previous node to predict from.
-    """
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ParameterError(f"step size must be positive and finite, got {h}")
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        root, residual, iterations, errors = _solve(
-            drift, h, np.array([float(c)]), solver, np.zeros(1)
-        )
-    if errors:
-        raise errors[0]
-    return float(root[0]), float(residual[0]), int(iterations[0])
 
 
 def _bracket_error(start: float, lo: float, hi: float) -> RootBracketError:

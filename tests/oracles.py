@@ -21,6 +21,8 @@ The rest are verification helpers that the package itself does not need:
 * ``lamperti_forward`` maps original coordinates to transformed ones in
   extended precision, the round-trip partner of ``lamperti_inverse``.
 * ``interpolate`` evaluates a solution's piecewise-linear interpolant.
+* ``implicit_step`` solves one implicit step alone, through the solver's
+  batched kernel.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from fbmsde.drifts import ModelSpec, _positive_power
+from fbmsde.drifts import DriftFn, ModelSpec, _positive_power
 from fbmsde.errors import ParameterError, UsageError
 from fbmsde.fbm import CirculantSampler, FbmPath, Hurst, as_hurst, mix_seed
-from fbmsde.solver import SolutionPath
+from fbmsde.solver import SolutionPath, SolverSettings, _solve
 
 
 def cir_implicit_root(a1: float, a2: float, h: float, c: float) -> float:
@@ -175,3 +177,30 @@ def interpolate(path: SolutionPath, t):
     at_hi = t_arr == times[idx + 1]
     out = np.where(at_lo, values[idx], np.where(at_hi, values[idx + 1], out))
     return float(out) if np.ndim(t) == 0 else out
+
+
+def implicit_step(
+    drift: DriftFn,
+    h: float,
+    c: float,
+    solver: SolverSettings = SolverSettings(),
+) -> tuple[float, float, int]:
+    """Solve B(x) h - x + c = 0 for the unique positive root.
+
+    Returns ``(root, residual, iterations)`` where ``residual`` is the signed
+    value of the equation at the root and ``iterations`` counts function
+    evaluations beyond the initial guess.  Raises ``RootBracketError`` when
+    no sign change is found (the unique-positive-root hypothesis fails at
+    runtime) and ``NumericalError`` on non-finite drift values.  This is the
+    batch of one of the kernel ``integrate`` runs, started cold from
+    max(c, 1e-30): a lone step has no previous node to predict from.
+    """
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ParameterError(f"step size must be positive and finite, got {h}")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        root, residual, iterations, errors = _solve(
+            drift, h, np.array([float(c)]), solver, np.zeros(1)
+        )
+    if errors:
+        raise errors[0]
+    return float(root[0]), float(residual[0]), int(iterations[0])

@@ -23,9 +23,9 @@ from fbmsde.drifts import (
     mean_reverting_drift,
 )
 from fbmsde.fbm import CholeskySampler, CirculantSampler, Hurst, TimeGrid, subsample
-from fbmsde.solver import SchemeConfig, SolverSettings, implicit_step, integrate
+from fbmsde.solver import SchemeConfig, SolverSettings, integrate
 
-from oracles import cir_implicit_root
+from oracles import cir_implicit_root, implicit_step
 
 SEED = 20260809
 

@@ -37,6 +37,35 @@ MINIMAL_MR = {
 }
 
 
+VERIFY_MR_STDOUT = """\
+drift: mean_reverting(a1=1.0, a2=1.0, gamma=0.7)
+certificate: K=0 alpha=2.33333 theta=2.33333 q=1 h0=inf regime=standard
+check                    status   worst margin         at x
+-----------------------------------------------------------
+one_sided_lipschitz      pass              0.3      5011.87
+singular_lower_bound     pass        0.0107523     0.794328
+upper_growth             pass      4.64252e-10       0.0001
+negative_part_growth     pass        9.999e-05        10000
+derivative_growth        pass      1.39333e-16     0.365174
+fd_consistency_deriv1    pass         0.999819      32.5462
+fd_consistency_deriv2    pass         0.951895      4097.32
+"""
+
+VERIFY_AS_STDOUT = """\
+drift: ait_sahalia(a={-1:1.0, 0:1.0, 1:1.0, 2:1.0}, r=3.0, rho=1.5)
+certificate: K=0 alpha=3 theta=3 q=5 h0=4.44444 regime=standard
+check                    status   worst margin         at x
+-----------------------------------------------------------
+one_sided_lipschitz      pass          3.28071      1.15478
+singular_lower_bound     pass         0.155804     0.707946
+upper_growth             pass      1.00024e-12       0.0001
+negative_part_growth     pass              0.5        10000
+derivative_growth        pass                0     0.459727
+fd_consistency_deriv1    pass         0.999876    0.0486968
+fd_consistency_deriv2    pass         0.999857     0.971628
+"""
+
+
 def config_text(**overrides) -> str:
     cfg = json.loads(json.dumps(MINIMAL_MR))
     for key, value in overrides.items():
@@ -555,9 +584,7 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
-    @pytest.mark.parametrize(
-        "command", ["simulate", "converge", "moments", "verify-assumptions"]
-    )
+    @pytest.mark.parametrize("command", ["simulate", "converge", "moments"])
     def test_rejects_thread_count_below_one(self, tmp_path, capsys, command, threads):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -618,6 +645,41 @@ class TestCli:
         out = capsys.readouterr().out
         assert "one_sided_lipschitz" in out
         assert "pass" in out
+
+    @pytest.mark.parametrize(
+        "model, expected",
+        [
+            (MINIMAL_MR["model"], VERIFY_MR_STDOUT),
+            (
+                {
+                    "model": "ait_sahalia", "a_m1": 1.0, "a0": 1.0, "a1": 1.0,
+                    "a2": 1.0, "r": 3.0, "rho": 1.5, "sigma": 0.5, "y0": 1.0,
+                    "hurst": 0.7,
+                },
+                VERIFY_AS_STDOUT,
+            ),
+        ],
+        ids=["mean_reverting", "ait_sahalia"],
+    )
+    def test_verify_assumptions_output_is_pinned(self, tmp_path, capsys, model, expected):
+        # the models of the docs' two complete examples; every worst margin
+        # and the point where it occurs is part of the pinned text
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 7, "model": model}))
+        assert run_cli("verify-assumptions", "--config", str(cfg)) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--seed", "3"), ("--threads", "2"), ("--out-dir", "out")]
+    )
+    def test_verify_assumptions_takes_only_config(self, tmp_path, capsys, flag, value):
+        # the audit writes no file, prints no seed and runs in this process
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config_text())
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("verify-assumptions", "--config", str(cfg), flag, value)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_verify_assumptions_subnormal_negative_a2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,6 +1,8 @@
 """Drift constructors, certificates, Lamperti transforms, assumption audit."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -238,3 +240,31 @@ class TestAudit:
             by_name = {c.name: c for c in report.checks}
             assert by_name["fd_consistency_deriv1"].passed
             assert by_name["fd_consistency_deriv2"].passed
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            (MeanRevertingModel, {"a1": 1.0, "a2": 1.0, "gamma": 0.99}),
+            # no linear term: x^{-alpha} would also underflow to 0 at 1e4
+            (MeanRevertingModel, {"a1": 1.0, "a2": 0.0, "gamma": 0.99}),
+            (
+                AitSahaliaModel,
+                {"a_m1": 1.0, "a0": 1.0, "a1": 1.0, "a2": 1.0, "r": 3.2, "rho": 1.02},
+            ),
+        ],
+        ids=["mean_reverting_alpha_99", "pure_singular_alpha_99", "ait_sahalia_alpha_109"],
+    )
+    def test_large_exponents_narrow_the_grid_instead_of_overflowing(self, family, params):
+        # x^{-(alpha+2)} at 1e-4 and x^q at 1e4 leave float64 range for these
+        # exponents; the certificate and the audit pull the grid's ends in
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = family(**params, sigma=0.5, y0=1.0, hurst=0.7)
+            drift, cert = model.drift()
+            report = audit_assumptions(drift, cert)
+        fields = [v for v in dataclasses.astuple(cert) if isinstance(v, float)]
+        assert not any(math.isnan(v) for v in fields)
+        assert math.isfinite(cert.K) and math.isfinite(cert.c_h2)
+        assert cert.alpha > 98.0
+        assert report.all_passed, report.table()
+        assert len(report.checks) == 7

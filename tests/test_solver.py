@@ -25,11 +25,10 @@ from fbmsde.solver import (
     SchemeConfig,
     SolverSettings,
     _solve,
-    implicit_step,
     integrate,
 )
 
-from oracles import cir_implicit_root, interpolate, ode_trajectory
+from oracles import cir_implicit_root, implicit_step, interpolate, ode_trajectory
 
 SEED = 20260809
 CIR_DRIFT, CIR_CERT = mean_reverting_drift(1.0, 1.0, 0.5)

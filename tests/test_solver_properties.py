@@ -21,9 +21,9 @@ from fbmsde.drifts import (
     mean_reverting_drift,
 )
 from fbmsde.errors import IntegrationError
-from fbmsde.solver import SchemeConfig, SolverSettings, _solve, implicit_step, integrate
+from fbmsde.solver import SchemeConfig, SolverSettings, _solve, integrate
 
-from oracles import cir_implicit_root, window_modulus
+from oracles import cir_implicit_root, implicit_step, window_modulus
 
 MR_MODEL = MeanRevertingModel(a1=1.0, a2=1.0, gamma=0.7, sigma=0.5, y0=1.0, hurst=0.7)
 AS_MODEL = AitSahaliaModel(
