@@ -51,14 +51,18 @@ def _atomic_write(path: str, parts: Iterable[str]) -> None:
     """Write the text pieces of ``parts``, in order, to ``path``.
 
     The pieces go to a temp file beside ``path``, which replaces it only after
-    the last piece is written.  If the iterable or a write raises, the temp
-    file is removed and an existing ``path`` keeps its old bytes.
+    the last piece is written.  Nothing is created until the first piece is
+    taken; if the iterable or a write raises after that, the temp file is
+    removed and an existing ``path`` keeps its old bytes.
     """
+    parts = iter(parts)
+    first = next(parts, "")
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as handle:
+            handle.write(first)
             handle.writelines(parts)
         # the mode a plain open gives, not mkstemp's 0600, which replace keeps
         umask = os.umask(0)
@@ -194,26 +198,33 @@ def _cmd_simulate(args) -> int:
     )
     check_step_bound(cert, scheme.h)
     grid = TimeGrid(scheme.horizon, steps)
-    # no reference to the sampler is kept, so a Cholesky factor is freed as
-    # soon as the noise is drawn
-    noise = make_sampler(cfg.scheme["method"], model.hurst, grid).sample(
-        cfg.seed, range(paths)
-    ).increments
-    sol = integrate(drift, scheme, noise, cert)
-    _raise_first_failure(sol.failures, 0)
     out = args.out or os.path.join(_out_dir(args, cfg), "simulate.csv")
     nodes = list(map(str, range(steps + 1)))
     times = list(map(repr, grid.times.tolist()))
 
-    def pieces():
-        yield _csv_head(
-            cfg.seed,
-            cfg.digest,
-            ["path_index", "node_index", "time", "x_value", "y_value", "residual", "iterations"],
-        )
-        # One piece per path, so only one path's text, and one path's
-        # extended-precision temporaries of the inverse Lamperti map, are held
-        # at a time; the columns shared by all paths are formatted once.
+    def trajectories(start: int, stop: int) -> Iterator[str]:
+        """One piece per path of the chunk start..stop-1, drawn and integrated whole.
+
+        The sampler is dropped once the noise is drawn, so kept Cholesky panels
+        are not held while the chunk integrates, and the chunk's arrays are
+        freed when its last piece has been taken.  The first chunk yields the
+        CSV head once it has integrated, so a run that fails there creates no
+        file.
+        """
+        noise = make_sampler(cfg.scheme["method"], model.hurst, grid).sample(
+            cfg.seed, range(start, stop)
+        ).increments
+        sol = integrate(drift, scheme, noise, cert)
+        _raise_first_failure(sol.failures, start)
+        if not start:
+            yield _csv_head(
+                cfg.seed,
+                cfg.digest,
+                ["path_index", "node_index", "time", "x_value", "y_value", "residual", "iterations"],
+            )
+        # Only one path's text, and one path's extended-precision temporaries
+        # of the inverse Lamperti map, are held at a time; the columns shared
+        # by all paths are formatted once.
         for i, x in enumerate(sol.values):
             # Residuals are rounding-level values, so few are distinct: each
             # distinct bit pattern (which keeps -0.0 apart from 0.0) is
@@ -221,7 +232,7 @@ def _cmd_simulate(args) -> int:
             keys, inverse = np.unique(sol.residuals[i].view(np.int64), return_inverse=True)
             distinct = list(map(repr, keys.view(np.float64).tolist()))
             yield _path_text(
-                i,
+                start + i,
                 nodes,
                 times,
                 map(repr, x.tolist()),
@@ -229,6 +240,11 @@ def _cmd_simulate(args) -> int:
                 ["0.0", *map(distinct.__getitem__, inverse.tolist())],
                 ["0", *map(str, sol.iterations[i].tolist())],
             )
+
+    def pieces():
+        # one chunk of paths at a time, so memory does not grow with --paths
+        for start, stop in _chunks(paths, steps):
+            yield from trajectories(start, stop)
 
     _atomic_write(out, pieces())
     print(f"wrote {paths} trajectories to {out}")

@@ -31,7 +31,6 @@ number.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -246,10 +245,6 @@ def fit_order(
     )
 
 
-# Sampler construction is costly for the Cholesky method; cache per process.
-_sampler_cached = functools.cache(make_sampler)
-
-
 def _chunks(paths: int, steps: int, workers: int = 1) -> list[tuple[int, int]]:
     """Path ranges [start, stop) of near-equal size for paths of ``steps`` steps.
 
@@ -373,7 +368,7 @@ def _ladder_chunk(
     """
     n_fine = 2 ** max(ref_ks)
     grid = TimeGrid(plan.horizon, n_fine)
-    sampler = _sampler_cached(plan.method, plan.model.hurst, grid)
+    sampler = make_sampler(plan.method, plan.model.hurst, grid)
     factors = {k: n_fine // 2**k for k in (*ref_ks, *plan.levels)}
     noise = _draw_chunk(sampler, plan.master_seed, start, stop, factors.values())
     drift, cert = plan.model.drift()

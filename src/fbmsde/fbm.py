@@ -9,11 +9,12 @@ Only the long-memory regime ``1/2 < H < 1`` is supported.  Two exact samplers
 are provided:
 
 ``CholeskySampler``
-    Factors the Toeplitz covariance of the increment process (fractional
-    Gaussian noise) once with the Schur algorithm, then draws each path as
-    ``L @ z``.  O(N^2) setup and O(N^2) per path; the factor is stored as
-    column panels below the diagonal only.  The reference method for
-    cross-validation.
+    Draws each path as ``L @ z`` with ``L`` the lower Cholesky factor of the
+    Toeplitz covariance of the increment process (fractional Gaussian noise),
+    generated one column panel at a time by the Schur algorithm.  O(N^2) per
+    path.  On small grids the panels are kept; on larger ones each ``sample``
+    call regenerates them, O(N^2) once per call, so the sampler holds O(N)
+    state.  The reference method for cross-validation.
 
 ``CirculantSampler``
     Davies-Harte style circulant embedding of the increment covariance,
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,15 +71,21 @@ _MASK64 = (1 << 64) - 1
 # arithmetic for H in (1/2, 1).
 EIGENVALUE_CLAMP_REL = 1e-10
 
-# Columns per panel of the Cholesky factor.  Panels store only the rows on and
+# Columns per panel of the Cholesky factor.  Panels hold only the rows on and
 # below their first column, so the zero upper triangle costs at most half a
 # panel's square; each path draw is one matrix-vector product per panel.
 PANEL_WIDTH = 256
 
-# Normals per sub-batch of a draw (see ``_ExactSampler.sample``): embedding
-# elements per FFT of the circulant sampler, path-steps per pass over the
-# Cholesky panels.  A draw's temporaries come to about 5 MB for the circulant
-# sampler and 1 MB for the Cholesky one.
+# Most doubles of Cholesky panels a sampler keeps: 8 MB, the size of one
+# chunk's noise at ``convergence.CHUNK_PATH_STEPS``, reached at about 1300
+# steps.  Up to it the panels are generated once, so one-path draws on small
+# grids stay cheap; beyond it every ``sample`` call regenerates them, so the
+# factor's N^2 / 2 doubles are never held.
+KEPT_PANEL_DOUBLES = 2**20
+
+# Embedding elements per sub-batch of a circulant draw (see
+# ``_ExactSampler.sample``); its temporaries come to about 5 MB for any batch
+# size.  A Cholesky draw is one batch, so its panels are generated once per call.
 SUB_BATCH_ELEMENTS = 2**17
 
 
@@ -201,10 +209,11 @@ def _fgn_autocovariance(hurst: Hurst, h: float, lags: int) -> np.ndarray:
     return gamma * h**two_h
 
 
-def _toeplitz_cholesky(gamma: np.ndarray) -> list[np.ndarray]:
-    """Lower Cholesky factor of the SPD Toeplitz matrix with first column ``gamma``.
+def _toeplitz_cholesky(gamma: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Column panels of the lower Cholesky factor of an SPD Toeplitz matrix.
 
-    The Schur (generator) algorithm runs in O(N^2): the displacement
+    ``gamma`` is the matrix's first column.  The Schur (generator) algorithm
+    runs in O(N^2) from O(N) state: the displacement
     ``T - Z T Z^T = x x^T - y y^T`` with ``x = gamma / sqrt(gamma[0])`` and
     ``y = x`` except ``y[0] = 0`` is carried from column to column.  For
     column ``k`` the previous column, shifted down one row, becomes ``x``,
@@ -213,10 +222,13 @@ def _toeplitz_cholesky(gamma: np.ndarray) -> list[np.ndarray]:
     and ``y`` is downdated from it in the "mixed" form, which is stable for
     SPD Toeplitz matrices (Bojanczyk, Brent, de Hoog & Sweet 1995).
 
-    The factor is returned as column panels: panel ``p`` holds
-    ``L[j:, j:j + PANEL_WIDTH]`` with ``j = p * PANEL_WIDTH``, F-ordered.
-    Raises :class:`FactorizationError` naming the 1-based pivot at which the
-    matrix is not positive definite; a NaN fails at the first pivot it reaches.
+    Yields ``(j, panel)`` with ``panel = L[j:, j:j + PANEL_WIDTH]`` for
+    ``j = 0, PANEL_WIDTH, ...``, as it is completed.  Every panel is a
+    read-only view of one F-ordered (N, PANEL_WIDTH) buffer, which the next
+    panel overwrites: copy a panel to keep it.  Raises
+    :class:`FactorizationError` naming the 1-based pivot at which the matrix
+    is not positive definite, once the panels before it have been yielded; a
+    NaN fails at the first pivot it reaches.
     """
     gamma = np.asarray(gamma, dtype=float)
     n = gamma.shape[0]
@@ -226,15 +238,17 @@ def _toeplitz_cholesky(gamma: np.ndarray) -> list[np.ndarray]:
             "positive (pivot 1)",
             pivot=1,
         )
-    panels = [
-        np.zeros((n - j, min(PANEL_WIDTH, n - j)), order="F")
-        for j in range(0, n, PANEL_WIDTH)
-    ]
-    column = panels[0][:, 0]
+    # column ``local`` of the panel at ``j`` fills rows local..n-j-1, so rows
+    # above it are never written and stay the panel's zero upper triangle
+    buffer = np.zeros((n, min(PANEL_WIDTH, n)), order="F")
+    column = buffer[:, 0]
     np.divide(gamma, math.sqrt(gamma[0]), out=column)
     y = column.copy()
     y[0] = 0.0
     for k in range(1, n):
+        local = k % PANEL_WIDTH
+        if not local:
+            yield k - PANEL_WIDTH, _read_only(buffer[: n - k + PANEL_WIDTH])
         x = column[:-1]
         y = y[1:]
         rho = y[0] / x[0]
@@ -245,14 +259,14 @@ def _toeplitz_cholesky(gamma: np.ndarray) -> list[np.ndarray]:
                 pivot=k + 1,
             )
         c = math.sqrt((1.0 - rho) * (1.0 + rho))
-        local = k % PANEL_WIDTH
-        column = panels[k // PANEL_WIDTH][local:, local]
+        column = buffer[local : n - k + local, local]
         np.multiply(y, rho, out=column)
         np.subtract(x, column, out=column)
         column /= c
         y *= c
         y -= rho * column
-    return [_read_only(panel) for panel in panels]
+    j = (n - 1) // PANEL_WIDTH * PANEL_WIDTH
+    yield j, _read_only(buffer[: n - j, : n - j])
 
 
 class _ExactSampler:
@@ -274,16 +288,16 @@ class _ExactSampler:
         PCG64 generator seeded with ``mix_seed(master_seed, path_index)``, and
         every path runs the same fixed sequence of numerical calls on rows of
         the same length, so it has the same bits alone or in a batch of any
-        size, in any process.  A batch is drawn in sub-batches of about
-        ``SUB_BATCH_ELEMENTS`` normals through buffers reused from one to the
-        next, so the temporaries do not grow with the batch, and each
-        sub-batch is checked for non-finite values (:class:`NumericalError`).
+        size, in any process.  A batch is drawn in sub-batches of
+        ``_sub_batch_rows`` paths through buffers reused from one to the next,
+        and each sub-batch is checked for non-finite values
+        (:class:`NumericalError`).
         """
         batch = isinstance(path_index, range)
         if not batch:
             path_index = operator.index(path_index)
         indices = path_index if batch else range(path_index, path_index + 1)
-        rows = max(1, min(len(indices), SUB_BATCH_ELEMENTS // self._width))
+        rows = self._sub_batch_rows(len(indices))
         normals = np.empty((rows, self._width))
         workspace = self._workspace(rows)
         increments = np.empty((len(indices), self.grid.steps))
@@ -298,6 +312,10 @@ class _ExactSampler:
         increments = _read_only(increments if batch else increments[0])
         return FbmPath(self.grid, self.hurst, increments, master_seed, path_index)
 
+    def _sub_batch_rows(self, paths: int) -> int:
+        """Paths per sub-batch of a draw of ``paths`` paths: the whole batch."""
+        return paths
+
     def _workspace(self, rows: int) -> tuple:
         """Buffers that ``_increments`` reuses across one draw's sub-batches."""
         return ()
@@ -307,23 +325,35 @@ class CholeskySampler(_ExactSampler):
     """Exact fBM sampler from the Cholesky factor of the increment covariance.
 
     The increment (fractional Gaussian noise) covariance is Toeplitz and, for
-    H in (1/2, 1), positive definite; its lower factor ``L`` is computed once
-    at construction, in O(N^2), by :func:`_toeplitz_cholesky`, and kept as
-    column panels that store no part of the zero upper triangle.  Each path
-    draws ``z ~ N(0, I)`` and sets the increments to ``L @ z``, summed as one
-    matrix-vector product per panel, so node values carry exactly the
-    covariance R_H on the grid.
+    H in (1/2, 1), positive definite.  Each path draws ``z ~ N(0, I)`` and
+    sets the increments to ``L @ z`` with ``L`` its lower factor, summed as
+    one matrix-vector product per column panel of ``L``, so node values carry
+    exactly the covariance R_H on the grid.
+
+    The sampler holds the covariance's first column.  A draw is one batch: the
+    panels come from :func:`_toeplitz_cholesky`, each applied to every row of
+    the batch before the next is generated, so no more than one panel is held
+    at a time.  When all panels fit in ``KEPT_PANEL_DOUBLES`` they are instead
+    generated once, at construction, and kept.  A covariance that is not
+    positive definite raises :class:`FactorizationError` when the panels are
+    generated: at construction if they are kept, else from ``sample``.
 
     Instances are immutable after construction and safe to share across
-    threads.
+    threads: each draw's panel buffer belongs to that draw.
     """
 
     def __init__(self, hurst: Hurst | float, grid: TimeGrid):
         self.hurst = as_hurst(hurst)
         self.grid = grid
-        self._width = grid.steps
-        gamma = _fgn_autocovariance(self.hurst, grid.h, grid.steps)
-        self._panels = _toeplitz_cholesky(gamma)
+        n = self._width = grid.steps
+        self._gamma = _read_only(_fgn_autocovariance(self.hurst, grid.h, n))
+        doubles = sum((n - j) * min(PANEL_WIDTH, n - j) for j in range(0, n, PANEL_WIDTH))
+        self._kept = None
+        if doubles <= KEPT_PANEL_DOUBLES:
+            self._kept = [
+                (j, _read_only(panel.copy(order="F")))
+                for j, panel in _toeplitz_cholesky(self._gamma)
+            ]
 
     def _increments(self, normals: np.ndarray, out: np.ndarray) -> None:
         """``out[i] = L @ normals[i]`` for every row, panel-major.
@@ -334,8 +364,8 @@ class CholeskySampler(_ExactSampler):
         batched into one matrix product, whose rounding can depend on the batch.
         """
         out[:] = 0.0
-        for p, panel in enumerate(self._panels):
-            j = p * PANEL_WIDTH
+        panels = self._kept or _toeplitz_cholesky(self._gamma)
+        for j, panel in panels:
             for row, normal in zip(out, normals[:, j : j + panel.shape[1]]):
                 row[j:] += panel @ normal
 
@@ -390,6 +420,9 @@ class CirculantSampler(_ExactSampler):
         # complex, so that scaling xi is one complex product with no cast
         weights = np.sqrt(np.where(eigs < 0.0, 0.0, eigs) / size)
         self._weights = _read_only(weights.astype(complex))
+
+    def _sub_batch_rows(self, paths: int) -> int:
+        return max(1, min(paths, SUB_BATCH_ELEMENTS // self._width))
 
     def _workspace(self, rows: int) -> tuple:
         return (np.empty((rows, self._width), dtype=complex),)

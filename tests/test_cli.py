@@ -17,7 +17,7 @@ import fbmsde.cli as cli
 import fbmsde.convergence as convergence
 from fbmsde.config import parse_config
 from fbmsde.drifts import lamperti_inverse
-from fbmsde.errors import ConfigError
+from fbmsde.errors import ConfigError, IntegrationError
 from fbmsde.fbm import CholeskySampler, CirculantSampler, Hurst, TimeGrid
 from fbmsde.solver import SchemeConfig, integrate
 
@@ -503,39 +503,75 @@ class TestCli:
     def test_simulate_memory_beyond_its_arrays_does_not_grow_with_paths(
         self, tmp_path, monkeypatch
     ):
-        # the draw's buffers grow with the batch up to SUB_BATCH_ELEMENTS; one
-        # path per sub-batch keeps them out of the comparison
-        monkeypatch.setattr("fbmsde.fbm.SUB_BATCH_ELEMENTS", 1)
-        solutions = []
-        real = cli.integrate
-
-        def integrate(*args, **kwargs):
-            solutions.append(real(*args, **kwargs))
-            return solutions[-1]
-
-        monkeypatch.setattr(cli, "integrate", integrate)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(config_text(scheme={"steps": 1024}))
         out = tmp_path / "sim.csv"
 
-        def excess(paths):
+        def peak(paths):
             tracemalloc.start()
             try:
                 assert run_cli(
                     "simulate", "--config", str(cfg), "--paths", str(paths),
                     "--out", str(out),
                 ) == 0
-                peak = tracemalloc.get_traced_memory()[1]
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            sol = solutions.pop()
-            arrays = (sol.increments, sol.values, sol.residuals, sol.iterations)
-            return peak - sum(a.nbytes for a in arrays)
 
-        excess(2)  # first-call allocations (imports, caches) are not per path
-        small = excess(2)
-        path_text = out.stat().st_size / 2
-        assert excess(16) - small < 2 * path_text
+        # 2048 Cholesky steps are past the kept-panel budget, so each draw
+        # generates its panels
+        for method, steps in (("circulant", 1024), ("cholesky", 2048)):
+            # two paths per chunk, so 8 paths make four chunks
+            monkeypatch.setattr(convergence, "CHUNK_PATH_STEPS", 2 * steps)
+            cfg.write_text(config_text(scheme={"steps": steps, "method": method}))
+            peak(2)  # first-call allocations (imports, caches) are not per path
+            small = peak(2)
+            path_text = out.stat().st_size / 2
+            assert peak(8) - small < path_text
+
+    def test_simulate_failure_in_a_later_chunk_names_its_path(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        real = cli.integrate
+
+        def integrate(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            calls.append(len(sol.values))
+            if len(calls) == 2:
+                sol.failures[1] = IntegrationError("injected", step=3)
+            return sol
+
+        monkeypatch.setattr(cli, "integrate", integrate)
+        # at most two 16-step paths per chunk: 5 paths make chunks 0, 1-2, 3-4
+        monkeypatch.setattr(convergence, "CHUNK_PATH_STEPS", 32)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config_text(scheme={"steps": 16}))
+        out = tmp_path / "sim.csv"
+        out.write_bytes(b"old\n")
+        code = run_cli("simulate", "--config", str(cfg), "--paths", "5", "--out", str(out))
+        assert code == 2
+        assert "runtime error: path 2: injected" in capsys.readouterr().err
+        assert calls == [1, 2]
+        assert out.read_bytes() == b"old\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "sim.csv"]
+
+    @pytest.mark.parametrize("steps", [600, 2048], ids=["kept", "streamed"])
+    def test_simulate_cholesky_factorization_error_writes_no_file(
+        self, tmp_path, monkeypatch, capsys, steps
+    ):
+        def indefinite(hurst, h, lags):
+            gamma = np.zeros(lags)
+            gamma[:2] = 1.0, 2.0  # the second leading minor is negative
+            return gamma
+
+        monkeypatch.setattr("fbmsde.fbm._fgn_autocovariance", indefinite)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config_text(scheme={"steps": steps, "method": "cholesky"}))
+        out = tmp_path / "sim.csv"
+        code = run_cli("simulate", "--config", str(cfg), "--paths", "3", "--out", str(out))
+        assert code == 2
+        assert "pivot 2" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_simulate_frees_the_sampler_before_integrating(self, tmp_path, monkeypatch):
         samplers = []

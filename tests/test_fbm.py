@@ -1,6 +1,7 @@
 """Generator validation: covariance law, determinism, coupling exactness."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ class TestBatchedSample:
     @pytest.mark.parametrize(
         "steps, indices",
         [(1, range(4)), (2, range(3, 7)), (37, range(5, 45)), (600, range(2, 9)),
-         (2**13, range(6, 9))],
+         (2**13, range(6, 9)), (1024, range(1, 5)), (2048, range(3, 6))],
     )
     def test_rows_match_single_draws_bitwise(self, sampler_cls, steps, indices):
         sampler = sampler_cls(Hurst(0.7), TimeGrid(1.0, steps))
@@ -148,17 +149,62 @@ def test_circulant_batch_matches_paths_drawn_alone(steps):
 def test_batch_spans_sub_batches_ending_in_a_short_one(monkeypatch):
     import fbmsde.fbm as fbm_mod
 
-    grid = TimeGrid(1.0, 600)
-    # 2048 embedding elements or 600 normals (three panels) per path:
-    # sub-batches of 3, 3 and 2 paths
-    for sampler, elements in (
-        (CirculantSampler(Hurst(0.7), grid), 2048),
-        (CholeskySampler(Hurst(0.7), grid), 600),
-    ):
-        monkeypatch.setattr(fbm_mod, "SUB_BATCH_ELEMENTS", 3 * elements)
-        batch = sampler.sample(17, range(2, 10))
-        for row, index in zip(batch.increments, range(2, 10)):
-            assert row.tobytes() == sampler.sample(17, index).increments.tobytes()
+    sampler = CirculantSampler(Hurst(0.7), TimeGrid(1.0, 600))
+    # 2048 embedding elements per path: sub-batches of 3, 3 and 2 paths
+    monkeypatch.setattr(fbm_mod, "SUB_BATCH_ELEMENTS", 3 * 2048)
+    batch = sampler.sample(17, range(2, 10))
+    for row, index in zip(batch.increments, range(2, 10)):
+        assert row.tobytes() == sampler.sample(17, index).increments.tobytes()
+
+
+def test_cholesky_draw_generates_its_panels_once(monkeypatch):
+    import fbmsde.fbm as fbm_mod
+
+    calls = []
+    real = fbm_mod._toeplitz_cholesky
+
+    def generator(gamma):
+        calls.append(len(gamma))
+        return real(gamma)
+
+    monkeypatch.setattr(fbm_mod, "_toeplitz_cholesky", generator)
+    monkeypatch.setattr(fbm_mod, "SUB_BATCH_ELEMENTS", 1)
+    kept = CholeskySampler(Hurst(0.7), TimeGrid(1.0, 600))
+    kept.sample(17, range(5))
+    kept.sample(17, 3)
+    assert calls == [600]
+    streamed = CholeskySampler(Hurst(0.7), TimeGrid(1.0, 2048))
+    streamed.sample(17, range(5))
+    streamed.sample(17, 3)
+    assert calls == [600, 2048, 2048]
+
+
+@pytest.mark.parametrize("steps, indices", [(600, range(2, 9)), (1500, range(3))])
+def test_kept_and_streamed_panels_draw_the_same_bits(monkeypatch, steps, indices):
+    import fbmsde.fbm as fbm_mod
+
+    grid = TimeGrid(1.0, steps)
+    # a budget on each side of the panels' size: 600 steps hold about 2e5
+    # doubles, 1500 about 1.2e6
+    monkeypatch.setattr(fbm_mod, "KEPT_PANEL_DOUBLES", 2**21)
+    kept = CholeskySampler(Hurst(0.7), grid)
+    monkeypatch.setattr(fbm_mod, "KEPT_PANEL_DOUBLES", 0)
+    streamed = CholeskySampler(Hurst(0.7), grid)
+    assert kept._kept is not None and streamed._kept is None
+    a, b = kept.sample(31, indices), streamed.sample(31, indices)
+    assert a.increments.tobytes() == b.increments.tobytes()
+
+
+def test_streamed_cholesky_draw_does_not_hold_the_factor():
+    # the whole factor would be 4096^2 / 2 doubles, about 71 MB
+    tracemalloc.start()
+    try:
+        CholeskySampler(0.7, TimeGrid(1.0, 2**12)).sample(5, range(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (N, PANEL_WIDTH) panel buffer (8 MB) plus the batch's normals and output
+    assert peak < 12e6
 
 
 def test_paths_compare_and_hash_by_identity():
@@ -187,12 +233,16 @@ def test_make_sampler_rejects_unknown_method():
 
 
 def _assemble(panels: list, n: int) -> np.ndarray:
-    """The dense lower factor held by the column panels."""
+    """The dense lower factor held by ``(j, panel)`` column panels."""
     dense = np.zeros((n, n))
-    for p, panel in enumerate(panels):
-        j = p * PANEL_WIDTH
+    for j, panel in panels:
         dense[j:, j : j + panel.shape[1]] = panel
     return dense
+
+
+def _copied_panels(gamma: np.ndarray) -> list:
+    """The generated panels, each copied before the next overwrites it."""
+    return [(j, panel.copy()) for j, panel in _toeplitz_cholesky(gamma)]
 
 
 class TestToeplitzCholesky:
@@ -200,12 +250,14 @@ class TestToeplitzCholesky:
     @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 600])
     def test_panels_match_dense_oracle(self, n, hurst):
         gamma = _fgn_autocovariance(Hurst(hurst), 1.0 / n, n)
-        panels = _toeplitz_cholesky(gamma)
-        assert [panel.shape for panel in panels] == [
-            (n - j, min(PANEL_WIDTH, n - j)) for j in range(0, n, PANEL_WIDTH)
+        yielded = list(_toeplitz_cholesky(gamma))
+        assert [(j, panel.shape) for j, panel in yielded] == [
+            (j, (n - j, min(PANEL_WIDTH, n - j))) for j in range(0, n, PANEL_WIDTH)
         ]
-        assert all(panel.flags.f_contiguous for panel in panels)
-        factor = _assemble(panels, n)
+        # F-ordered views of the one buffer: unit stride down each column
+        assert all(panel.strides[0] == panel.itemsize for _, panel in yielded)
+        assert not any(panel.flags.writeable for _, panel in yielded)
+        factor = _assemble(_copied_panels(gamma), n)
         oracle = dense_toeplitz_cholesky(gamma)
         assert np.max(np.abs(factor - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
@@ -213,7 +265,7 @@ class TestToeplitzCholesky:
     def test_panel_draw_matches_dense_product(self, n):
         hurst, seed = Hurst(0.7), 13
         sampler = CholeskySampler(hurst, TimeGrid(1.0, n))
-        factor = _assemble(_toeplitz_cholesky(_fgn_autocovariance(hurst, 1.0 / n, n)), n)
+        factor = _assemble(_copied_panels(_fgn_autocovariance(hurst, 1.0 / n, n)), n)
         for index in range(3):
             z = np.random.default_rng(mix_seed(seed, index)).standard_normal(n)
             dense = factor @ z
@@ -231,7 +283,7 @@ class TestToeplitzCholesky:
     def test_later_pivot_named(self):
         # leading minors 1 and 0.75 are positive, the full determinant is -0.76
         with pytest.raises(FactorizationError) as excinfo:
-            _toeplitz_cholesky(np.array([1.0, 0.5, -0.9]))
+            list(_toeplitz_cholesky(np.array([1.0, 0.5, -0.9])))
         assert excinfo.value.pivot == 3
 
     @pytest.mark.parametrize("at", [0, 1, 2])
@@ -239,7 +291,7 @@ class TestToeplitzCholesky:
         gamma = np.array([1.0, 0.5, 0.25])
         gamma[at] = np.nan
         with pytest.raises(FactorizationError):
-            _toeplitz_cholesky(gamma)
+            list(_toeplitz_cholesky(gamma))
 
 
 def test_circulant_covariance_on_fine_grid():
@@ -392,12 +444,40 @@ class TestIncrementMoments:
             empirical_increment_moment([paths[0], other], 2.0, 1)
 
 
+# Toeplitz matrices with unit diagonal and off-diagonal a = 1 / (2 cos(phi)),
+# zero elsewhere, have leading minors a^k sin((k + 1) phi) / sin(phi): the
+# 400th is the first below zero for phi = pi / 400.5.
+INDEFINITE_PIVOT = 400
+
+
+def _tridiagonal_indefinite(hurst, h, lags):
+    gamma = np.zeros(lags)
+    gamma[0] = 1.0
+    gamma[1] = 0.5 / np.cos(np.pi / (INDEFINITE_PIVOT + 0.5))
+    return gamma
+
+
 class TestFailureModes:
     def test_cholesky_failure_names_pivot(self):
         # Toeplitz [[1, 2], [2, 1]]: the second leading minor is negative
         with pytest.raises(FactorizationError) as excinfo:
-            _toeplitz_cholesky(np.array([1.0, 2.0]))
+            list(_toeplitz_cholesky(np.array([1.0, 2.0])))
         assert excinfo.value.pivot == 2
+
+    @pytest.mark.parametrize("steps, kept", [(600, True), (2048, False)])
+    def test_cholesky_failure_is_raised_where_the_panels_are_generated(
+        self, monkeypatch, steps, kept
+    ):
+        import fbmsde.fbm as fbm_mod
+
+        monkeypatch.setattr(fbm_mod, "_fgn_autocovariance", _tridiagonal_indefinite)
+        grid = TimeGrid(1.0, steps)
+        with pytest.raises(FactorizationError) as excinfo:
+            sampler = CholeskySampler(Hurst(0.7), grid)
+            assert not kept  # kept panels are generated by the constructor
+            sampler.sample(3, range(2))
+        assert excinfo.value.pivot == INDEFINITE_PIVOT
+        assert "pivot 400" in str(excinfo.value)
 
     def test_embedding_failure_reports_most_negative(self, monkeypatch):
         import fbmsde.fbm as fbm_mod
