@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -73,9 +72,11 @@ BOOTSTRAP_BLOCK = 100
 # 100-path chunks for a 200-path ladder at a 2^13 reference and one 500-path
 # chunk for a 500-path probe at 2^11 steps.
 CHUNK_PATH_STEPS = 2**20
-# Path-steps of one time block of a chunk: the solver's nodes, residuals and
-# iteration counts (24 bytes per path-step, about 1.5 MB) and the sup-error
-# and modulus arrays folded from them.
+# Path-steps of one time block of a chunk.  The solver returns nodes,
+# residuals and iteration counts (24 bytes per path-step, about 1.5 MB), but
+# the residual and iteration arrays are freed before the block is folded, so
+# only its nodes (0.5 MB) stay beside the sup-error and modulus arrays folded
+# from them.
 BLOCK_PATH_STEPS = 2**16
 # Path index reserved for the bootstrap RNG stream; far above any real path.
 BOOTSTRAP_STREAM = 1 << 62
@@ -293,12 +294,15 @@ def _integrate_blocks(drift, config, cert, noise, block, failures):
     for first in range(0, config.steps, block):
         stop = min(first + block, config.steps)
         sol = integrate(drift, config, noise, cert, start=first, stop=stop, initial=x)
-        values = sol.values
-        if sol.failures:
-            for j, err in sol.failures.items():
+        # drop the residual and iteration arrays before the caller folds the
+        # block: they are two thirds of the solver's arrays and never read
+        values, failed = sol.values, sol.failures
+        del sol
+        if failed:
+            for j, err in failed.items():
                 failures[int(rows[j])] = err
             keep = np.ones(len(rows), dtype=bool)
-            keep[list(sol.failures)] = False
+            keep[list(failed)] = False
             rows, noise, values = rows[keep], noise[keep], values[keep]
             if not rows.size:
                 return
@@ -385,6 +389,7 @@ def _ladder_chunk(
         for row, err in sol.failures.items():
             level_failures.setdefault(row, (start + row, k, err.step))
         coarse.append(sol.values)
+    del sol  # the last level's residuals and iterations are never read
     failures: dict[int, tuple] = {}
     errors = np.zeros((len(ref_ks), len(plan.levels), len(ERROR_KINDS), size))
     for ref_k, by_level in zip(ref_ks, errors):
@@ -458,6 +463,10 @@ def run_strong_error(
     starts, stops = zip(*_chunks(plan.paths, 2**plan.k_ref, workers))
     ref_ks = [(plan.k_ref,)] * len(starts)
     if workers > 1:
+        # imported here: the pool's modules (multiprocessing, socket, logging,
+        # subprocess) would otherwise load into every command
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             chunks = list(
                 pool.map(_ladder_chunk, [plan] * len(starts), starts, stops, ref_ks)

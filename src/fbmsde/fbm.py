@@ -84,9 +84,13 @@ PANEL_WIDTH = 256
 KEPT_PANEL_DOUBLES = 2**20
 
 # Embedding elements per sub-batch of a circulant draw (see
-# ``_ExactSampler.sample``); its temporaries come to about 5 MB for any batch
-# size.  A Cholesky draw is one batch, so its panels are generated once per call.
-SUB_BATCH_ELEMENTS = 2**17
+# ``_ExactSampler.sample``).  Its reused normals, xi and FFT output take 40
+# bytes per element, about 1.3 MB for any batch size, so they add little to
+# a draw's peak memory beyond its output.  Each path is one FFT row however many rows a
+# sub-batch has, so 2^15 elements (8 paths of 2^11 steps, 2 of 2^13) draw
+# about as fast as larger sub-batches.  A Cholesky draw is one batch, so its
+# panels are generated once per call.
+SUB_BATCH_ELEMENTS = 2**15
 
 
 def mix_seed(master_seed: int, path_index: int) -> int:

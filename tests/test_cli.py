@@ -748,6 +748,18 @@ class TestCli:
         )
         assert proc.stdout.strip().splitlines()[-1] == "[]"
 
+    def test_cli_import_loads_no_process_pool(self):
+        # only a pooled converge imports the pool, at the moment it spawns it
+        code = (
+            "import sys, fbmsde.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('concurrent', 'multiprocessing'))))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"
+
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "p.csv"
         proc = subprocess.run(

@@ -7,11 +7,13 @@ import pytest
 
 from fbmsde.convergence import (
     BOOTSTRAP_RESAMPLES,
+    BLOCK_PATH_STEPS,
     CHUNK_PATH_STEPS,
     ExperimentPlan,
     _bootstrap_stderr,
     _chunks,
     _draw_chunk,
+    _integrate_blocks,
     _sup_errors,
     critical_horizon,
     fit_order,
@@ -152,6 +154,28 @@ def test_chunk_draw_temporaries_do_not_grow_with_the_chunk():
         return peak - sum(increments.nbytes for increments in noise.values())
 
     assert excess(400) - excess(50) < 2**20
+
+
+def test_blocks_free_their_solver_records_before_the_next_solve():
+    # 500 paths of 2^9 steps: four blocks of 131 steps
+    steps, paths = 2**9, 500
+    sampler = make_sampler("circulant", 0.7, TimeGrid(1.0, steps))
+    noise = sampler.sample(3, range(paths)).increments
+    drift, cert = MR_MODEL.drift()
+    config = SchemeConfig.for_model(MR_MODEL, 1.0, steps)
+    block = BLOCK_PATH_STEPS // paths
+    tracemalloc.start()
+    try:
+        for _, _, values in _integrate_blocks(drift, config, cert, noise, block, {}):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # in units of one block's nodes: the solve's nodes, residuals and
+    # iteration counts (3) beside the previous block's nodes (1) measured
+    # 4.2; with the previous block's residuals and iterations still alive
+    # it is 6.2
+    assert peak < 5 * paths * (block + 1) * 8
 
 
 class TestBootstrap:

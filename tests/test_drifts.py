@@ -241,6 +241,26 @@ class TestAudit:
             assert by_name["fd_consistency_deriv1"].passed
             assert by_name["fd_consistency_deriv2"].passed
 
+    def test_steep_exponents_are_not_mistaken_for_a_wrong_derivative(self):
+        # rho this close to 1 gives alpha 257 and q 510: at x = 1.004 the
+        # quotient's truncation error, delta^2 |B'''| / 6 with delta = 1e-6 x,
+        # is about 2.4e-6 against the 2.0e-6 allowed
+        model = AitSahaliaModel(
+            a_m1=4.30, a0=25.8, a1=0.0115, a2=0.452, r=2.0153, rho=1.00393,
+            sigma=0.5, y0=1.0, hurst=0.7,
+        )
+        report = audit_assumptions(*model.drift())
+        assert report.all_passed, report.table()
+
+    def test_wrong_closed_form_derivative_still_fails(self):
+        # a relative error of 1e-5 is ten times rtol at every step size
+        drift, cert = MR_MODEL.drift()
+        wrong = dataclasses.replace(drift, deriv1=lambda x: drift.deriv1(x) * (1.0 + 1e-5))
+        by_name = {c.name: c for c in audit_assumptions(wrong, cert).checks}
+        assert not by_name["fd_consistency_deriv1"].passed
+        assert not by_name["fd_consistency_deriv2"].passed
+        assert by_name["fd_consistency_deriv1"].worst_margin < -5.0
+
     @pytest.mark.parametrize(
         "family, params",
         [
