@@ -86,14 +86,32 @@ def _csv_text(seed: int, digest: str, header: list[str], rows) -> Iterator[str]:
         yield ",".join(_fmt(v) for v in row) + "\n"
 
 
-def _path_text(index: int, nodes: list[str], times: list[str], *columns) -> str:
+# Lines per piece of a path's CSV text: about 20 KB, so a path's rows are
+# formatted and written in pieces whatever its step count.
+PATH_TEXT_LINES = 256
+
+
+def _items(values: np.ndarray) -> Iterator:
+    """The entries of a 1-D array as Python scalars, PATH_TEXT_LINES at a time."""
+    return itertools.chain.from_iterable(
+        values[start : start + PATH_TEXT_LINES].tolist()
+        for start in range(0, len(values), PATH_TEXT_LINES)
+    )
+
+
+def _path_text(index: int, nodes: list[str], times: list[str], *columns) -> Iterator[str]:
     """One path's CSV rows from its index and columns of formatted values.
 
-    Columns are formatted whole, with repr of a Python float and str of a
-    Python int, which is what :func:`_fmt` writes for each value.
+    Each column is an iterable of the path's formatted values, repr of a
+    Python float or str of a Python int, which is what :func:`_fmt` writes
+    for each value.  The rows come in pieces of PATH_TEXT_LINES lines, each
+    line with its newline, so neither the path's text nor its list of lines
+    is held whole; with columns that are read lazily, as ``_items`` gives
+    them, no whole-path list of formatted values is held either.
     """
     lines = map(",".join, zip(itertools.repeat(str(index)), nodes, times, *columns))
-    return "\n".join(lines) + "\n"
+    while block := list(itertools.islice(lines, PATH_TEXT_LINES)):
+        yield "\n".join(block) + "\n"
 
 
 def _json_text(seed: int, digest: str, payload: dict) -> str:
@@ -172,7 +190,7 @@ def _cmd_fbm(args) -> int:
         for start, stop in _chunks(args.paths, args.steps):
             values = sampler.sample(seed, range(start, stop)).values
             for i, row in zip(range(start, stop), values):
-                yield _path_text(i, nodes, times, map(repr, row.tolist()))
+                yield from _path_text(i, nodes, times, map(repr, _items(row)))
 
     _atomic_write(args.out, pieces())
     print(f"wrote {args.paths} paths to {args.out}")
@@ -203,42 +221,44 @@ def _cmd_simulate(args) -> int:
     times = list(map(repr, grid.times.tolist()))
 
     def trajectories(start: int, stop: int) -> Iterator[str]:
-        """One piece per path of the chunk start..stop-1, drawn and integrated whole.
+        """The CSV rows of the chunk start..stop-1, drawn and integrated whole.
 
         The sampler is dropped once the noise is drawn, so kept Cholesky panels
-        are not held while the chunk integrates, and the chunk's arrays are
-        freed when its last piece has been taken.  The first chunk yields the
-        CSV head once it has integrated, so a run that fails there creates no
-        file.
+        are not held while the chunk integrates, the noise once the chunk has
+        integrated, and the solver's arrays when the chunk's last piece has
+        been taken.  The first chunk yields the CSV head once it has
+        integrated, so a run that fails there creates no file.
         """
         noise = make_sampler(cfg.scheme["method"], model.hurst, grid).sample(
             cfg.seed, range(start, stop)
         ).increments
         sol = integrate(drift, scheme, noise, cert)
         _raise_first_failure(sol.failures, start)
+        values, residuals, iterations = sol.values, sol.residuals, sol.iterations
+        del noise, sol
         if not start:
             yield _csv_head(
                 cfg.seed,
                 cfg.digest,
                 ["path_index", "node_index", "time", "x_value", "y_value", "residual", "iterations"],
             )
-        # Only one path's text, and one path's extended-precision temporaries
-        # of the inverse Lamperti map, are held at a time; the columns shared
-        # by all paths are formatted once.
-        for i, x in enumerate(sol.values):
+        # Only one piece of one path's text, and one path's extended-precision
+        # temporaries of the inverse Lamperti map, are held at a time; the
+        # columns shared by all paths are formatted once.
+        for i, x in enumerate(values):
             # Residuals are rounding-level values, so few are distinct: each
             # distinct bit pattern (which keeps -0.0 apart from 0.0) is
             # formatted once.
-            keys, inverse = np.unique(sol.residuals[i].view(np.int64), return_inverse=True)
+            keys, inverse = np.unique(residuals[i].view(np.int64), return_inverse=True)
             distinct = list(map(repr, keys.view(np.float64).tolist()))
-            yield _path_text(
+            yield from _path_text(
                 start + i,
                 nodes,
                 times,
-                map(repr, x.tolist()),
-                map(repr, lamperti_inverse(model, x).tolist()),
-                ["0.0", *map(distinct.__getitem__, inverse.tolist())],
-                ["0", *map(str, sol.iterations[i].tolist())],
+                map(repr, _items(x)),
+                map(repr, _items(lamperti_inverse(model, x))),
+                itertools.chain(["0.0"], map(distinct.__getitem__, _items(inverse))),
+                itertools.chain(["0"], map(str, _items(iterations[i]))),
             )
 
     def pieces():

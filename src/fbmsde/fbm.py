@@ -71,13 +71,20 @@ _MASK64 = (1 << 64) - 1
 # arithmetic for H in (1/2, 1).
 EIGENVALUE_CLAMP_REL = 1e-10
 
-# Columns per panel of the Cholesky factor.  Panels hold only the rows on and
-# below their first column, so the zero upper triangle costs at most half a
-# panel's square; each path draw is one matrix-vector product per panel.
+# Most columns per panel of the Cholesky factor.  Panels hold only the rows on
+# and below their first column, so the zero upper triangle costs at most half
+# a panel's square; each path draw is one matrix-vector product per panel.
 PANEL_WIDTH = 256
 
+# Doubles in the one (N, width) buffer the panels are generated into: 2 MB.
+# The width is PANEL_WIDTH up to 1024 steps and PANEL_DOUBLES // N past it
+# (64 at 2^12 steps, 32 at 2^13), so the buffer stays at 2 MB up to 2^18
+# steps.  Narrow panels draw fine grids no slower, since each GEMV is still
+# long; on small grids they would only add calls to one-path draws.
+PANEL_DOUBLES = 2**18
+
 # Most doubles of Cholesky panels a sampler keeps: 8 MB, the size of one
-# chunk's noise at ``convergence.CHUNK_PATH_STEPS``, reached at about 1300
+# chunk's noise at ``convergence.CHUNK_PATH_STEPS``, reached at about 1350
 # steps.  Up to it the panels are generated once, so one-path draws on small
 # grids stay cheap; beyond it every ``sample`` call regenerates them, so the
 # factor's N^2 / 2 doubles are never held.
@@ -226,10 +233,11 @@ def _toeplitz_cholesky(gamma: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     and ``y`` is downdated from it in the "mixed" form, which is stable for
     SPD Toeplitz matrices (Bojanczyk, Brent, de Hoog & Sweet 1995).
 
-    Yields ``(j, panel)`` with ``panel = L[j:, j:j + PANEL_WIDTH]`` for
-    ``j = 0, PANEL_WIDTH, ...``, as it is completed.  Every panel is a
-    read-only view of one F-ordered (N, PANEL_WIDTH) buffer, which the next
-    panel overwrites: copy a panel to keep it.  Raises
+    Yields ``(j, panel)`` with ``panel = L[j:, j:j + width]`` for
+    ``j = 0, width, ...``, as it is completed, ``width`` being
+    :func:`_panel_width` of N.  Every panel is a read-only view of one
+    F-ordered (N, width) buffer, which the next panel overwrites: copy a
+    panel to keep it.  Raises
     :class:`FactorizationError` naming the 1-based pivot at which the matrix
     is not positive definite, once the panels before it have been yielded; a
     NaN fails at the first pivot it reaches.
@@ -242,17 +250,18 @@ def _toeplitz_cholesky(gamma: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
             "positive (pivot 1)",
             pivot=1,
         )
+    width = _panel_width(n)
     # column ``local`` of the panel at ``j`` fills rows local..n-j-1, so rows
     # above it are never written and stay the panel's zero upper triangle
-    buffer = np.zeros((n, min(PANEL_WIDTH, n)), order="F")
+    buffer = np.zeros((n, min(width, n)), order="F")
     column = buffer[:, 0]
     np.divide(gamma, math.sqrt(gamma[0]), out=column)
     y = column.copy()
     y[0] = 0.0
     for k in range(1, n):
-        local = k % PANEL_WIDTH
+        local = k % width
         if not local:
-            yield k - PANEL_WIDTH, _read_only(buffer[: n - k + PANEL_WIDTH])
+            yield k - width, _read_only(buffer[: n - k + width])
         x = column[:-1]
         y = y[1:]
         rho = y[0] / x[0]
@@ -269,8 +278,13 @@ def _toeplitz_cholesky(gamma: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         column /= c
         y *= c
         y -= rho * column
-    j = (n - 1) // PANEL_WIDTH * PANEL_WIDTH
+    j = (n - 1) // width * width
     yield j, _read_only(buffer[: n - j, : n - j])
+
+
+def _panel_width(n: int) -> int:
+    """Columns per Cholesky panel of an N-step grid: a PANEL_DOUBLES buffer."""
+    return max(1, min(PANEL_WIDTH, PANEL_DOUBLES // n))
 
 
 class _ExactSampler:
@@ -317,8 +331,11 @@ class _ExactSampler:
         return FbmPath(self.grid, self.hurst, increments, master_seed, path_index)
 
     def _sub_batch_rows(self, paths: int) -> int:
-        """Paths per sub-batch of a draw of ``paths`` paths: the whole batch."""
-        return paths
+        """Paths per sub-batch of a draw of ``paths`` paths: the whole batch.
+
+        At least one, so that an empty range draws an empty batch.
+        """
+        return max(1, paths)
 
     def _workspace(self, rows: int) -> tuple:
         """Buffers that ``_increments`` reuses across one draw's sub-batches."""
@@ -351,7 +368,8 @@ class CholeskySampler(_ExactSampler):
         self.grid = grid
         n = self._width = grid.steps
         self._gamma = _read_only(_fgn_autocovariance(self.hurst, grid.h, n))
-        doubles = sum((n - j) * min(PANEL_WIDTH, n - j) for j in range(0, n, PANEL_WIDTH))
+        width = _panel_width(n)
+        doubles = sum((n - j) * min(width, n - j) for j in range(0, n, width))
         self._kept = None
         if doubles <= KEPT_PANEL_DOUBLES:
             self._kept = [

@@ -137,7 +137,9 @@ class SolutionPath:
 
     For one path ``values`` has length steps + 1 with values[0] = x0 and
     every node strictly positive; ``residuals[n]`` and ``iterations[n]``
-    describe the root solve that produced values[n + 1].  For a batch the
+    describe the root solve that produced values[n + 1].  ``iterations``
+    has the smallest unsigned dtype that holds the solver's ``max_iter``
+    (one byte at the default 200).  For a batch the
     arrays gain a leading path axis.  ``failures`` maps the row of each
     batch path whose integration failed to its :class:`IntegrationError`;
     such a row is frozen at the failing step, and its later nodes and
@@ -188,7 +190,8 @@ def _solve(drift, h, c, solver, hb):
     node; zeros give the cold start max(c, 1e-30).  On every row that
     converges, ``hb`` is overwritten with B(root) h, the next step's drift
     term, which is finite because the residual is.  Returns ``(root,
-    residual, iterations, errors)``: three per-row arrays and a dict that
+    residual, iterations, errors)``: three per-row arrays, ``iterations`` of
+    the smallest unsigned dtype that holds ``max_iter``, and a dict that
     maps each row that failed to its
     :class:`NumericalError`; the arrays hold meaningless values at those
     rows.  Run it under an ``np.errstate`` that ignores overflow, division
@@ -206,7 +209,7 @@ def _solve(drift, h, c, solver, hb):
     size = c.size
     root = np.empty(size)
     residual = np.empty(size)
-    iterations = np.empty(size, dtype=np.int64)
+    iterations = np.empty(size, dtype=np.min_scalar_type(max_iter))
     errors: dict[int, NumericalError] = {}
     idx = None  # rows still iterating, None while that is all of them
     x, cc = c + hb, c
@@ -414,7 +417,7 @@ def integrate(
     sigma = config.sigma
     values = np.empty((paths, steps + 1))
     residuals = np.empty((paths, steps))
-    iters = np.empty((paths, steps), dtype=np.int64)
+    iters = np.empty((paths, steps), dtype=np.min_scalar_type(config.solver.max_iter))
     values[:, 0] = config.x0 if initial is None else initial
     x = values[:, 0].copy()
     live = slice(None)  # rows still integrating

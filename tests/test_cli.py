@@ -195,6 +195,20 @@ class TestCli:
         assert len(lines) == 2 + 2 * 5
         assert lines[2] == "0,0,0.0,0.0"
 
+    def test_fbm_rows_equal_per_value_format(self, tmp_path):
+        # 600 steps are three pieces of PATH_TEXT_LINES lines, the last short
+        steps, paths, seed = 600, 2, 3
+        out = tmp_path / "paths.csv"
+        argv = ("fbm", "--hurst", "0.7", "--steps", str(steps), "--paths", str(paths))
+        assert run_cli(*argv, "--seed", str(seed), "--out", str(out)) == 0
+        grid = TimeGrid(1.0, steps)
+        values = CirculantSampler(Hurst(0.7), grid).sample(seed, range(paths)).values
+        rows = [
+            (i, n, grid.times[n], values[i, n]) for i in range(paths) for n in range(steps + 1)
+        ]
+        lines = out.read_text().splitlines()
+        assert lines[2:] == [",".join(cli._fmt(v) for v in row) for row in rows]
+
     def test_fbm_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -246,7 +260,9 @@ class TestCli:
         assert all(v > 0.0 for v in x_values)
 
     def test_simulate_rows_equal_per_value_format(self, tmp_path):
-        steps, paths = 32, 3
+        # 600 steps are three pieces of PATH_TEXT_LINES lines per path, the
+        # last short
+        steps, paths = 600, 3
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config_text(scheme={"steps": steps}, experiment={"paths": paths}))
         out = tmp_path / "sim.csv"
@@ -527,6 +543,38 @@ class TestCli:
             small = peak(2)
             path_text = out.stat().st_size / 2
             assert peak(8) - small < path_text
+
+    def test_simulate_write_phase_holds_no_whole_path_text(self, tmp_path, monkeypatch):
+        measured = {}
+
+        def atomic_write(path, parts):
+            parts = iter(parts)
+            next(parts)  # the CSV head, yielded once the chunk has integrated
+            numpy_data = tracemalloc.DomainFilter(False, np.lib.tracemalloc_domain)
+            text, held = 0, 0
+            tracemalloc.start()
+            try:
+                for piece in parts:
+                    text += len(piece)
+                    # Python objects alive while a piece is being written
+                    snapshot = tracemalloc.take_snapshot().filter_traces([numpy_data])
+                    held = max(held, sum(trace.size for trace in snapshot.traces))
+                    del snapshot
+                measured.update(text=text, held=held, peak=tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cli, "_atomic_write", atomic_write)
+        cfg = tmp_path / "cfg.json"
+        # one chunk, one path of 2^14 steps: about 1.2 MB of text
+        cfg.write_text(config_text(scheme={"steps": 2**14}, experiment={"paths": 1}))
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "sim.csv")) == 0
+        # measured 0.07 of the path's text, 1.0 when each path was one piece
+        assert measured["held"] < measured["text"] / 4
+        # measured 0.7, set by the path's numeric temporaries (np.unique of the
+        # residuals, lamperti_inverse); 5.7 when the path's list of lines was
+        # joined whole
+        assert measured["peak"] < 2 * measured["text"]
 
     def test_simulate_failure_in_a_later_chunk_names_its_path(
         self, tmp_path, monkeypatch, capsys

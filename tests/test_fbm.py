@@ -13,13 +13,14 @@ from fbmsde.errors import (
     UsageError,
 )
 from fbmsde.fbm import (
-    PANEL_WIDTH,
+    PANEL_DOUBLES,
     CholeskySampler,
     CirculantSampler,
     FbmPath,
     Hurst,
     TimeGrid,
     _fgn_autocovariance,
+    _panel_width,
     _toeplitz_cholesky,
     block_sums,
     make_sampler,
@@ -125,6 +126,15 @@ class TestBatchedSample:
         assert not batch.values.flags.writeable
         assert not batch.increments.flags.writeable
 
+    @pytest.mark.parametrize("steps", [16, 2048])
+    @pytest.mark.parametrize("indices", [range(0), range(5, 5)])
+    def test_empty_range_draws_an_empty_batch(self, sampler_cls, steps, indices):
+        # 2048 Cholesky steps are past the kept-panel budget
+        batch = sampler_cls(Hurst(0.7), TimeGrid(1.0, steps)).sample(3, indices)
+        assert batch.path_index == indices
+        assert batch.increments.shape == (0, steps)
+        assert batch.values.shape == (0, steps + 1)
+
     def test_subsample_of_a_batch_is_subsample_of_each_row(self, sampler_cls):
         sampler = sampler_cls(Hurst(0.7), TimeGrid(1.0, 48))
         indices = range(4, 9)
@@ -212,15 +222,26 @@ def test_kept_and_streamed_panels_draw_the_same_bits(monkeypatch, steps, indices
 
 
 def test_streamed_cholesky_draw_does_not_hold_the_factor():
-    # the whole factor would be 4096^2 / 2 doubles, about 71 MB
-    tracemalloc.start()
-    try:
-        CholeskySampler(0.7, TimeGrid(1.0, 2**12)).sample(5, range(4))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one (N, PANEL_WIDTH) panel buffer (8 MB) plus the batch's normals and output
-    assert peak < 12e6
+    # the whole factor would be N^2 / 2 doubles, 67 MB at 2^12 steps
+    for steps in (2**12, 2**13):
+        tracemalloc.start()
+        try:
+            CholeskySampler(0.7, TimeGrid(1.0, steps)).sample(5, range(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (N, width) panel buffer of PANEL_DOUBLES doubles (2 MB) plus the
+        # batch's normals and output: measured 2.8-3.2 MB; (N, 256) buffers
+        # measured 9.5 MB at 2^12 steps and 17.5 MB at 2^13
+        assert peak < 4e6, steps
+
+
+@pytest.mark.parametrize(
+    "steps, width", [(1, 256), (1024, 256), (1025, 255), (2**12, 64), (2**13, 32), (2**19, 1)]
+)
+def test_panel_width_keeps_the_panel_buffer_within_its_budget(steps, width):
+    assert _panel_width(steps) == width
+    assert min(width, steps) * steps <= max(PANEL_DOUBLES, steps)
 
 
 def test_paths_compare_and_hash_by_identity():
@@ -264,18 +285,25 @@ def _copied_panels(gamma: np.ndarray) -> list:
 class TestToeplitzCholesky:
     @pytest.mark.parametrize("hurst", [0.51, 0.7, 0.99])
     @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 600])
-    def test_panels_match_dense_oracle(self, n, hurst):
+    def test_panels_match_dense_oracle(self, monkeypatch, n, hurst):
+        import fbmsde.fbm as fbm_mod
+
         gamma = _fgn_autocovariance(Hurst(hurst), 1.0 / n, n)
-        yielded = list(_toeplitz_cholesky(gamma))
-        assert [(j, panel.shape) for j, panel in yielded] == [
-            (j, (n - j, min(PANEL_WIDTH, n - j))) for j in range(0, n, PANEL_WIDTH)
-        ]
-        # F-ordered views of the one buffer: unit stride down each column
-        assert all(panel.strides[0] == panel.itemsize for _, panel in yielded)
-        assert not any(panel.flags.writeable for _, panel in yielded)
-        factor = _assemble(_copied_panels(gamma), n)
         oracle = dense_toeplitz_cholesky(gamma)
-        assert np.max(np.abs(factor - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+        # the narrow budget gives panels of 16 columns at 255-257 steps and
+        # of 7 at 600, so a last panel narrower than the rest is covered
+        for budget in (PANEL_DOUBLES, 600 * 7):
+            monkeypatch.setattr(fbm_mod, "PANEL_DOUBLES", budget)
+            width = _panel_width(n)
+            yielded = list(_toeplitz_cholesky(gamma))
+            assert [(j, panel.shape) for j, panel in yielded] == [
+                (j, (n - j, min(width, n - j))) for j in range(0, n, width)
+            ]
+            # F-ordered views of the one buffer: unit stride down each column
+            assert all(panel.strides[0] == panel.itemsize for _, panel in yielded)
+            assert not any(panel.flags.writeable for _, panel in yielded)
+            factor = _assemble(_copied_panels(gamma), n)
+            assert np.max(np.abs(factor - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
     def test_panel_draw_matches_dense_product(self, n):

@@ -271,6 +271,43 @@ class TestIntegrate:
                 cold.append(iterations)
         assert sol.iterations.max() <= np.max(cold) < config.solver.max_iter
 
+    def test_iteration_counts_take_one_byte_and_equal_wide_counts(self):
+        # criterion 4's sweep, whose bracketing solves take up to several
+        # evaluations a step; a max_iter past 2^32 never binds, so the same
+        # run records its counts in 8 bytes
+        model = AitSahaliaModel(
+            a_m1=1.0, a0=1.0, a1=1.0, a2=1.0, r=3.0, rho=1.5,
+            sigma=2.0, y0=1.0, hurst=0.7,
+        )
+        drift, cert = model.drift()
+        steps, paths = 256, 400
+        noise = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps)).sample(SEED, range(paths))
+        config = SchemeConfig.for_model(model, 1.0, steps)
+        narrow = integrate(drift, config, noise.increments, cert)
+        wide = integrate(
+            drift,
+            SchemeConfig.for_model(model, 1.0, steps, SolverSettings(max_iter=2**40)),
+            noise.increments,
+            cert,
+        )
+        assert narrow.iterations.dtype == np.uint8
+        assert narrow.iterations.nbytes == steps * paths
+        assert narrow.values.tobytes() == wide.values.tobytes()
+        counts = wide.iterations.astype(np.int64)
+        assert np.array_equal(narrow.iterations, counts)
+        # sums and maxima of the one-byte counts do not wrap
+        assert narrow.iterations.sum() == counts.sum() > 255
+        assert narrow.iterations.max() == counts.max() > 1
+
+    @pytest.mark.parametrize(
+        "max_iter, dtype", [(8, np.uint8), (255, np.uint8), (256, np.uint16), (300, np.uint16)]
+    )
+    def test_iteration_count_dtype_holds_max_iter(self, max_iter, dtype):
+        config = SchemeConfig(4, 1.0, 0.5, 1.0, SolverSettings(max_iter=max_iter))
+        sol = integrate(CIR_DRIFT, config, np.zeros((2, 4)), CIR_CERT)
+        assert sol.iterations.dtype == dtype
+        assert np.iinfo(sol.iterations.dtype).max >= max_iter
+
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             SchemeConfig(steps=0, horizon=1.0, sigma=1.0, x0=1.0)
