@@ -78,9 +78,10 @@ PANEL_WIDTH = 256
 
 # Doubles in the one (N, width) buffer the panels are generated into: 2 MB.
 # The width is PANEL_WIDTH up to 1024 steps and PANEL_DOUBLES // N past it
-# (64 at 2^12 steps, 32 at 2^13), so the buffer stays at 2 MB up to 2^18
-# steps.  Narrow panels draw fine grids no slower, since each GEMV is still
-# long; on small grids they would only add calls to one-path draws.
+# (64 at 2^12 steps, 32 at 2^13), so the buffer stays at 2 MB up to 2^17
+# steps; past that it keeps two columns, 16 bytes per step.  Narrow panels
+# draw fine grids no slower, since each GEMV is still long; on small grids
+# they would only add calls to one-path draws.
 PANEL_DOUBLES = 2**18
 
 # Most doubles of Cholesky panels a sampler keeps: 8 MB, the size of one
@@ -283,8 +284,12 @@ def _toeplitz_cholesky(gamma: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
 
 
 def _panel_width(n: int) -> int:
-    """Columns per Cholesky panel of an N-step grid: a PANEL_DOUBLES buffer."""
-    return max(1, min(PANEL_WIDTH, PANEL_DOUBLES // n))
+    """Columns per Cholesky panel of an N-step grid: a PANEL_DOUBLES buffer.
+
+    At least two: :func:`_toeplitz_cholesky` reads each column's predecessor
+    while it writes the column, so the two must not share a buffer column.
+    """
+    return max(2, min(PANEL_WIDTH, PANEL_DOUBLES // n))
 
 
 class _ExactSampler:

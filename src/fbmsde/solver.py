@@ -190,8 +190,7 @@ def _solve(drift, h, c, solver, hb):
     node; zeros give the cold start max(c, 1e-30).  On every row that
     converges, ``hb`` is overwritten with B(root) h, the next step's drift
     term, which is finite because the residual is.  Returns ``(root,
-    residual, iterations, errors)``: three per-row arrays, ``iterations`` of
-    the smallest unsigned dtype that holds ``max_iter``, and a dict that
+    residual, iterations, errors)``: three per-row arrays and a dict that
     maps each row that failed to its
     :class:`NumericalError`; the arrays hold meaningless values at those
     rows.  Run it under an ``np.errstate`` that ignores overflow, division
@@ -209,7 +208,7 @@ def _solve(drift, h, c, solver, hb):
     size = c.size
     root = np.empty(size)
     residual = np.empty(size)
-    iterations = np.empty(size, dtype=np.min_scalar_type(max_iter))
+    iterations = np.empty(size, dtype=np.int64)
     errors: dict[int, NumericalError] = {}
     idx = None  # rows still iterating, None while that is all of them
     x, cc = c + hb, c

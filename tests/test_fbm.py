@@ -237,11 +237,13 @@ def test_streamed_cholesky_draw_does_not_hold_the_factor():
 
 
 @pytest.mark.parametrize(
-    "steps, width", [(1, 256), (1024, 256), (1025, 255), (2**12, 64), (2**13, 32), (2**19, 1)]
+    "steps, width",
+    [(1, 256), (1024, 256), (1025, 255), (2**12, 64), (2**13, 32), (2**17, 2), (2**19, 2)],
 )
 def test_panel_width_keeps_the_panel_buffer_within_its_budget(steps, width):
     assert _panel_width(steps) == width
-    assert min(width, steps) * steps <= max(PANEL_DOUBLES, steps)
+    # two columns at least: a column is computed from its predecessor
+    assert min(width, steps) * steps <= max(PANEL_DOUBLES, 2 * steps)
 
 
 def test_paths_compare_and_hash_by_identity():
@@ -291,8 +293,9 @@ class TestToeplitzCholesky:
         gamma = _fgn_autocovariance(Hurst(hurst), 1.0 / n, n)
         oracle = dense_toeplitz_cholesky(gamma)
         # the narrow budget gives panels of 16 columns at 255-257 steps and
-        # of 7 at 600, so a last panel narrower than the rest is covered
-        for budget in (PANEL_DOUBLES, 600 * 7):
+        # of 7 at 600, so a last panel narrower than the rest is covered; a
+        # budget of one column per step gives the two-column floor
+        for budget in (PANEL_DOUBLES, 600 * 7, n):
             monkeypatch.setattr(fbm_mod, "PANEL_DOUBLES", budget)
             width = _panel_width(n)
             yielded = list(_toeplitz_cholesky(gamma))
