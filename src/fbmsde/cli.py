@@ -25,6 +25,7 @@ import numpy as np
 from .config import RunConfig, config_digest, parse_config
 from .convergence import (
     ExperimentPlan,
+    _available_cpus,
     _chunks,
     _raise_first_failure,
     moment_probe,
@@ -415,14 +416,14 @@ def _cmd_verify_assumptions(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+ONE_PROCESS = "ignored: this command runs in one process"
+
+
+def _add_common(parser: argparse.ArgumentParser, threads_help: str) -> None:
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker pool size (results are identical for any value)",
+        "--threads", type=int, default=_available_cpus(), help=threads_help
     )
     parser.add_argument("--out-dir", default=None, help="output directory override")
 
@@ -447,13 +448,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_fbm.add_argument("--out", required=True, help="output CSV")
 
     p_sim = sub.add_parser("simulate", help="integrate trajectories of a model")
-    _add_common(p_sim)
+    _add_common(p_sim, ONE_PROCESS)
     p_sim.add_argument("--steps", type=int, default=None)
     p_sim.add_argument("--paths", type=int, default=None)
     p_sim.add_argument("--out", default=None, help="output CSV")
 
     p_conv = sub.add_parser("converge", help="strong-order ladder experiment")
-    _add_common(p_conv)
+    _add_common(
+        p_conv,
+        "worker pool size, capped at the CPUs this process may use (the "
+        "default); results are identical for any value",
+    )
     p_conv.add_argument(
         "--plan", dest="config", help="experiment plan JSON (alias for --config)"
     )
@@ -462,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_mom = sub.add_parser("moments", help="extreme-moment and modulus probes")
-    _add_common(p_mom)
+    _add_common(p_mom, ONE_PROCESS)
 
     p_ver = sub.add_parser(
         "verify-assumptions", help="audit the drift assumption certificate"
@@ -496,6 +501,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except FbmsdeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except ArithmeticError as exc:
+        # an overflow or division the numerics did not anticipate is still a
+        # runtime failure of this run, not a crash
+        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -32,6 +32,7 @@ number.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Iterable
@@ -246,6 +247,13 @@ def fit_order(
     )
 
 
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on (its affinity, where known)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _chunks(paths: int, steps: int, workers: int = 1) -> list[tuple[int, int]]:
     """Path ranges [start, stop) of near-equal size for paths of ``steps`` steps.
 
@@ -454,12 +462,15 @@ def run_strong_error(
 
     Paths are processed in chunks sized for the reference grid, at least
     one per worker (see :func:`_chunks`), by a process pool when
-    ``workers > 1``; results are folded in path order either way, so the
-    report does not depend on the pool size.  Failed paths are recorded as
-    (path, level, step) triples and excluded from the aggregates, marking
-    the report incomplete; when every path fails there is nothing to report
-    and :class:`NumericalError` names the failures.
+    ``workers > 1``; ``workers`` is capped at :func:`_available_cpus`, since
+    more processes than CPUs only add overhead.  Results are folded in path
+    order either way, so the report does not depend on the pool size.
+    Failed paths are recorded as (path, level, step) triples and excluded
+    from the aggregates, marking the report incomplete; when every path
+    fails there is nothing to report and :class:`NumericalError` names the
+    failures.
     """
+    workers = min(workers, _available_cpus())
     starts, stops = zip(*_chunks(plan.paths, 2**plan.k_ref, workers))
     ref_ks = [(plan.k_ref,)] * len(starts)
     if workers > 1:
@@ -763,22 +774,25 @@ def critical_horizon(cert, hurst: float, p: float) -> float:
     This is the admissibility window for negative moments of order p in the
     critical alpha = 1 regime.  The right-hand side is strictly increasing in
     T, so the crossing is found by bisection; returns ``inf`` when the bound
-    never binds within astronomically large horizons.
+    never binds within astronomically large horizons.  Both sides are
+    compared in logs, since exp(K T) overflows long before T reaches them.
     """
-    factor = max(p + 1.0, cert.q) * hurst
+    log_factor = math.log(max(p + 1.0, cert.q) * hurst)
+    log_h1 = math.log(cert.h1_min)
 
-    def rhs(t: float) -> float:
-        return factor * t ** (2.0 * hurst - 1.0) * math.exp(max(cert.K, 0.0) * t)
+    def binds(t: float) -> bool:
+        log_rhs = log_factor + (2.0 * hurst - 1.0) * math.log(t) + max(cert.K, 0.0) * t
+        return log_rhs > log_h1
 
-    if rhs(1e12) <= cert.h1_min:
+    if not binds(1e12):
         return math.inf
     lo, hi = 0.0, 1.0
-    while rhs(hi) <= cert.h1_min:
+    while not binds(hi):
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if rhs(mid) <= cert.h1_min:
-            lo = mid
-        else:
+        if binds(mid):
             hi = mid
+        else:
+            lo = mid
     return lo

@@ -29,6 +29,16 @@ has both ends.  Convergence is declared on the residual test
 |g(x)| <= tol_abs + tol_rel * x.  Only rows that have not converged are
 iterated, and no value of one row enters another row's arithmetic, so a
 path's result does not depend on the batch it was solved in.
+
+Almost every step is the common step: the predictor is not yet a root, one
+Newton step from it lands inside the bracket, and it cuts |g| four-fold and
+meets the tolerance, so the kernel stops after its second evaluation.
+:func:`integrate` takes steps speculatively through that common step alone,
+a short block of steps at a time with the kernel's own arithmetic, and checks
+the whole block at once with the kernel's tests.  Steps up to the first one
+where any row fails a test are kept; that step is replayed through the
+kernel from the kept nodes.  Every output is therefore bit for bit what one
+kernel solve per step gives.
 """
 
 from __future__ import annotations
@@ -63,6 +73,11 @@ BRACKET_FLOOR = 1e-300
 # 1 + 1/alpha in x per step while still reducing |g| (by at most 1/e);
 # geometric expansion gains a factor bracket_growth per step instead.
 NEWTON_MIN_DECREASE = 0.25
+# Common steps are taken in blocks of at most COMMON_WIDTH steps, and at most
+# COMMON_ELEMENTS path-steps, so the block's four scratch rows stay small
+# whatever the path count.
+COMMON_WIDTH = 64
+COMMON_ELEMENTS = 2**12
 
 
 @dataclass(frozen=True)
@@ -363,6 +378,56 @@ def _solve(drift, h, c, solver, hb):
     return root, residual, iterations, errors
 
 
+def _common_steps(drift, h, solver, x, hb, dsigma, rec):
+    """Take the common step for every column of ``dsigma`` and check them all.
+
+    From nodes ``x`` with drift terms ``hb``, step i takes the predictor
+    x0 = max(c + hb, 1e-30) with c = x + dsigma[:, i], evaluates g0 there,
+    takes one Newton step to x1 and evaluates g1 and B(x1) h, with exactly
+    the arithmetic of :func:`_solve`; x1 and B(x1) h are the next step's
+    nodes and drift terms.  ``rec`` holds, per step, the rows x0, g0, x1 and
+    g1.  Returns the number of leading steps at which every row passed the
+    tests under which :func:`_solve` ends its second round with that root:
+    not done at the predictor, the Newton step strictly inside the bracket,
+    |g1| <= |g0| / 4, and |g1| <= tol_abs + tol_rel * x1.  For those steps
+    the x1 and g1 rows hold exactly the root and residual ``_solve``
+    returns; the check overwrites the x0 and g0 rows, and the rest of
+    ``rec`` is meaningless.  Each row of ``rec`` is contiguous, so every
+    drift evaluation sees the same memory layout as in ``_solve``.
+    """
+    value, deriv = drift.value, drift.deriv1
+    x0s, g0s, x1s, g1s = rec
+    for i in range(dsigma.shape[1]):
+        c = x + dsigma[:, i]
+        x0 = np.add(c, hb, out=x0s[i])
+        np.maximum(x0, X_FLOOR, out=x0)
+        g0 = np.subtract(value(x0) * h, x0, out=g0s[i])
+        g0 += c
+        slope = deriv(x0) * h - 1.0
+        x = np.subtract(x0, g0 / slope, out=x1s[i])
+        hb = value(x) * h
+        g1 = np.subtract(hb, x, out=g1s[i])
+        g1 += c
+    # The kernel's tests, in place over the x0 and g0 rows.  Its bracket
+    # after the predictor is [x0, inf) where g0 > 0, else (0, x0]; x1 = inf
+    # needs no test, since g1 is then not finite and fails the four-fold
+    # decrease, and a NaN fails every comparison.
+    tol_abs, tol_rel = solver.tol_abs, solver.tol_rel
+    ok = np.where(g0s > 0.0, x1s > x0s, x1s < x0s)
+    ok &= x1s > 0.0
+    a0 = np.abs(g0s, out=g0s)
+    tol = np.multiply(x0s, tol_rel, out=x0s)
+    tol += tol_abs
+    ok &= a0 > tol  # not done at the predictor
+    a1 = np.abs(g1s, out=x0s)
+    ok &= a1 <= np.multiply(a0, NEWTON_MIN_DECREASE, out=a0)
+    tol = np.multiply(x1s, tol_rel, out=g0s)
+    tol += tol_abs
+    ok &= a1 <= tol
+    passed = ok.all(axis=1)
+    return int(passed.argmin()) if not passed.all() else passed.size
+
+
 def integrate(
     drift: DriftFn,
     config: SchemeConfig,
@@ -395,6 +460,16 @@ def integrate(
     X_n + sigma * dB_{n+1} + B(X_n) h.  The solve of the step before hands
     back B(X_n) h; the first step computes it from its initial nodes, which
     on a resume gives the same bits the whole run carried there.
+
+    Steps are taken in time blocks of the common step (predictor, one Newton
+    step, the drift at the new node), at most ``COMMON_WIDTH`` steps and
+    ``COMMON_ELEMENTS`` path-steps wide, and each block is checked at once
+    with exactly the tests under which ``_solve`` would return that Newton
+    iterate after one evaluation.  The block is kept up to the first step
+    where any row fails them; that step is replayed through ``_solve`` from
+    the kept nodes and their B(X_n) h, and so is every step whose failure or
+    positivity loss freezes a row.  Which steps go which way changes the
+    cost, never a bit of the result.
     """
     noise = np.asarray(noise, dtype=float)
     if noise.ndim not in (1, 2) or noise.shape[-1] != config.steps:
@@ -414,6 +489,10 @@ def integrate(
     paths, steps = batch.shape[0], stop - start
     h = config.h
     sigma = config.sigma
+    # the common-step blocks' rows, allocated before the results: the other
+    # order raised the moment probe's peak RSS by about 0.5 MB
+    cap = max(1, min(COMMON_WIDTH, COMMON_ELEMENTS // paths))
+    scratch = np.empty((4, cap, paths))
     values = np.empty((paths, steps + 1))
     residuals = np.empty((paths, steps))
     iters = np.empty((paths, steps), dtype=np.min_scalar_type(config.solver.max_iter))
@@ -421,13 +500,45 @@ def integrate(
     x = values[:, 0].copy()
     live = slice(None)  # rows still integrating
     failures: dict[int, IntegrationError] = {}
+    # A block of ``width`` common steps is tried once the last plain solve
+    # looked common (``ready``); the width doubles while whole blocks pass and
+    # halves when one fails.  A block that fails at its first step, or a
+    # plain solve that did not look common, waits ``gap`` plain steps before
+    # the next look, doubling the gap each time, so coarse grids, where the
+    # common step rarely holds for every row, spend almost nothing on it.
+    width, ready, wait, gap = 1, False, 1, 1
+    n = 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # B(X_n) h, the predictor's drift term, which each solve overwrites
         # with the next.  A node where it is not finite has no predictor: that
         # row starts cold.
         hb = drift.value(x) * h
         hb = np.where(np.isfinite(hb), hb, np.zeros(paths))
-        for n in range(steps):
+        while n < steps:
+            if ready:
+                block = min(width, steps - n)
+                dsigma = sigma * batch[live, start + n : start + n + block]
+                rec = scratch[:, :block, : x.size]
+                took = _common_steps(drift, h, config.solver, x, hb, dsigma, rec)
+                if took:
+                    x1s, g1s = rec[2:]
+                    values[live, n + 1 : n + 1 + took] = x1s[:took].T
+                    residuals[live, n : n + took] = g1s[:took].T
+                    iters[live, n : n + took] = 1
+                    x = x1s[took - 1].copy()
+                    # B(x) h again, bit for bit what the block computed there
+                    hb = np.multiply(drift.value(x), h, out=np.empty_like(x))
+                    n += took
+                if took == block:
+                    width = min(2 * width, cap)
+                    continue
+                width = max(width // 2, 1)
+                if took:
+                    wait, gap = 1, 1
+                else:
+                    wait, gap = gap, 2 * gap
+                ready = False
+            # the plain step: one solve of step n through the full kernel
             c = x + sigma * batch[live, start + n]
             x, res, it, errors = _solve(drift, h, c, config.solver, hb)
             positive = x > 0.0
@@ -457,6 +568,13 @@ def integrate(
             values[live, n + 1] = x
             residuals[live, n] = res
             iters[live, n] = it
+            n += 1
+            wait -= 1
+            if wait <= 0:
+                # no row needed more than one evaluation after the predictor
+                ready = it.max() <= 1
+                if not ready:
+                    wait, gap = gap, 2 * gap
     for row, err in failures.items():
         n = err.step - start
         values[row, n + 1:] = np.nan

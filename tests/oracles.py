@@ -23,6 +23,9 @@ The rest are verification helpers that the package itself does not need:
 * ``interpolate`` evaluates a solution's piecewise-linear interpolant.
 * ``implicit_step`` solves one implicit step alone, through the solver's
   batched kernel.
+* ``integrate_stepwise`` runs the backward Euler recursion with one kernel
+  solve per step and no common-step blocks, the bitwise reference for
+  ``integrate``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 from fbmsde.drifts import DriftFn, ModelSpec, _positive_power
 from fbmsde.errors import ParameterError, UsageError
 from fbmsde.fbm import CirculantSampler, FbmPath, Hurst, as_hurst, mix_seed
-from fbmsde.solver import SolutionPath, SolverSettings, _solve
+from fbmsde.solver import SchemeConfig, SolutionPath, SolverSettings, _solve
 
 
 def cir_implicit_root(a1: float, a2: float, h: float, c: float) -> float:
@@ -204,3 +207,54 @@ def implicit_step(
     if errors:
         raise errors[0]
     return float(root[0]), float(residual[0]), int(iterations[0])
+
+
+def integrate_stepwise(
+    drift: DriftFn,
+    config: SchemeConfig,
+    noise: np.ndarray,
+    *,
+    start: int = 0,
+    stop: int | None = None,
+    initial=None,
+):
+    """The nodes of ``integrate`` for a ``(paths, steps)`` batch, one solve a step.
+
+    Every step solves all live rows with the kernel, each from the predictor
+    max(c + B(X_n) h, 1e-30), and the kernel hands B(root) h to the next
+    step.  Returns ``(values, residuals, iterations, failures)``, with
+    ``failures`` mapping each failed row to ``(step, message)``; a failed
+    row's later nodes and residuals are NaN and its later iterations 0.
+    The messages are those ``integrate`` gives its ``IntegrationError``.
+    """
+    stop = config.steps if stop is None else stop
+    paths, steps, h = noise.shape[0], stop - start, config.h
+    values = np.full((paths, steps + 1), np.nan)
+    residuals = np.full((paths, steps), np.nan)
+    iterations = np.zeros((paths, steps), dtype=np.int64)
+    values[:, 0] = config.x0 if initial is None else initial
+    rows = np.arange(paths)
+    x = values[:, 0].copy()
+    failures = {}
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        hb = drift.value(x) * h
+        hb = np.where(np.isfinite(hb), hb, 0.0)
+        for n in range(steps):
+            c = x + config.sigma * noise[rows, start + n]
+            x, res, it, errors = _solve(drift, h, c, config.solver, hb)
+            lost = ~(x > 0.0)
+            lost[list(errors)] = True
+            step = start + n
+            for j in np.flatnonzero(lost):
+                failures[int(rows[j])] = (
+                    step,
+                    f"implicit step failed at step {step}: {errors[j]}"
+                    if j in errors
+                    else f"positivity lost at step {step}: root {float(x[j])!r}",
+                )
+            keep = ~lost
+            rows, x, hb = rows[keep], x[keep], hb[keep]
+            values[rows, n + 1] = x
+            residuals[rows, n] = res[keep]
+            iterations[rows, n] = it[keep]
+    return values, residuals, iterations, failures

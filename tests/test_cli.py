@@ -484,6 +484,34 @@ class TestCli:
         for path in out_dir.glob("*.json") if out_dir.exists() else ():
             json.loads(path.read_text(), parse_constant=reject)
 
+    def test_moments_runs_a_critical_model_with_positive_k(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        model = {"a1": 2.648, "a2": -4.362, "gamma": 0.5, "sigma": 0.325, "y0": 1.482,
+                 "hurst": 0.736}
+        cfg.write_text(
+            config_text(model=model, scheme={"steps": 16}, experiment={"paths": 2})
+        )
+        with pytest.warns(UserWarning, match="critical-regime model"):
+            code = run_cli("moments", "--config", str(cfg), "--out-dir", str(tmp_path / "m"))
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "m" / "probe.json").exists()
+
+    def test_stray_arithmetic_error_is_a_runtime_error(self, tmp_path, monkeypatch, capsys):
+        def overflowing(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cli, "moment_probe", overflowing)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config_text(scheme={"steps": 16}, experiment={"paths": 2}))
+        code = run_cli("moments", "--config", str(cfg), "--out-dir", str(tmp_path / "m"))
+        assert code == 2
+        assert capsys.readouterr().err == "runtime error: OverflowError: math range error\n"
+
+    def test_threads_default_to_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        args = cli.build_parser().parse_args(["converge", "--config", "x.json"])
+        assert args.threads == 3
+
     def test_moments_honours_scheme_method(self, tmp_path):
         bodies = {}
         for method in ("circulant", "cholesky"):

@@ -1,5 +1,8 @@
 """Order fitting, coupled ladders, reference bias, moment probes."""
 
+import concurrent.futures
+import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -199,6 +202,28 @@ class TestStrongError:
         b = run_strong_error(small_plan(), workers=3)
         assert a.to_dict() == b.to_dict()
 
+    @pytest.mark.parametrize("cpus, pool", [(1, None), (3, 3)])
+    def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch, cpus, pool):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        report = run_strong_error(small_plan(), workers=8)
+        assert sizes == ([] if pool is None else [pool])
+        assert report.to_dict() == run_strong_error(small_plan()).to_dict()
+
     def test_errors_decrease_and_orders_look_right(self):
         report = run_strong_error(small_plan(paths=30))
         es = [lv.estimates["y_interp"]["e"] for lv in report.levels]
@@ -274,6 +299,17 @@ class TestCriticalHorizon:
         t2 = critical_horizon(cert, 0.7, 2.0)
         t8 = critical_horizon(cert, 0.7, 8.0)
         assert 0.0 < t8 < t2
+
+    def test_positive_k_does_not_overflow(self):
+        # mean-reverting, gamma 1/2, a2 < 0: the critical regime with K > 0,
+        # where exp(K T) overflows at the astronomically large test horizon
+        model = MeanRevertingModel(2.648, -4.362, 0.5, 0.325, 1.482, 0.736)
+        cert = model.drift()[1]
+        assert cert.alpha_regime == "critical" and cert.K > 0.0
+        t = critical_horizon(cert, 0.736, 4.0)
+        assert 0.0 < t < math.inf
+        log_rhs = math.log(max(5.0, cert.q) * 0.736) + 0.472 * math.log(t) + cert.K * t
+        assert log_rhs == pytest.approx(math.log(cert.h1_min), abs=1e-9)
 
     def test_crossing_matches_definition(self):
         cert = MeanRevertingModel(1.0, 1.0, 0.5, 0.5, 1.0, 0.7).drift()[1]

@@ -1,12 +1,15 @@
 """Property tests of the path-batched implicit solver and its chunked callers."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import fbmsde.convergence as convergence
+import fbmsde.solver as solver_module
 from fbmsde.convergence import (
     ExperimentPlan,
     _ladder_moduli,
@@ -23,7 +26,7 @@ from fbmsde.drifts import (
 from fbmsde.errors import IntegrationError
 from fbmsde.solver import SchemeConfig, SolverSettings, _solve, integrate
 
-from oracles import cir_implicit_root, implicit_step, window_modulus
+from oracles import cir_implicit_root, implicit_step, integrate_stepwise, window_modulus
 
 MR_MODEL = MeanRevertingModel(a1=1.0, a2=1.0, gamma=0.7, sigma=0.5, y0=1.0, hurst=0.7)
 AS_MODEL = AitSahaliaModel(
@@ -287,3 +290,158 @@ def test_failed_row_is_recorded_while_the_others_finish(paths, seed, data):
     for rows, first, values in blocks:
         expected = sol.values[rows, first : first + values.shape[1]]
         assert values.tobytes() == expected.tobytes()
+
+
+def _linear(slope, deriv_scale):
+    # B(x) = slope (x - 1), whose reported derivative may be off by a factor:
+    # a slope above 1/h makes g increase, so Newton leaves the bracket, and a
+    # wrong derivative makes Newton converge only linearly
+    return DriftFn(
+        lambda x: slope * (x - 1.0),
+        lambda x: slope * deriv_scale,
+        lambda x: 0.0,
+        f"linear {slope} x{deriv_scale}",
+    )
+
+
+COMMON_STEP_DRIFTS = [
+    MR_MODEL.drift()[0],
+    AS_MODEL.drift()[0],
+    _linear(-2.0, 0.5),
+    _linear(2.0, 1.0),
+    _linear(-2.0, 1.0),
+]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    drift=st.sampled_from(COMMON_STEP_DRIFTS),
+    log_h=st.floats(-16.0, 0.0),
+    tol_rel=st.sampled_from([1e-12, 1e-15]),
+    tol_abs=st.sampled_from([1e-12, 1e-300]),
+    rows=st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+            st.sampled_from([-1.0, 1.0]),
+            st.floats(-20.0, 0.0),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+# g1 = -g0 / 2: within the tolerance, but not the four-fold decrease
+@example(COMMON_STEP_DRIFTS[2], 0.0, 1e-12, 1e-12, [(0.0, 1.0, math.log10(1.5e-12))])
+# from the floored predictor, Newton lands on the negative root -0.249
+@example(COMMON_STEP_DRIFTS[4], -1.0, 1e-12, 1e-12, [(-3.0, -1.0, math.log10(0.5))])
+def test_common_step_is_accepted_exactly_when_the_kernel_takes_it(
+    drift, log_h, tol_rel, tol_abs, rows
+):
+    # one row at a time, from node x with its B(x) h: the common step is
+    # accepted exactly when the kernel returns that Newton iterate after one
+    # evaluation, and then with the same bits
+    h = 10.0**log_h
+    solver = SolverSettings(tol_abs=tol_abs, tol_rel=tol_rel)
+    for log_x, sign, log_kick in rows:
+        x = np.array([10.0**log_x])
+        dsigma = np.array([[sign * 10.0**log_kick]])
+        rec = np.empty((4, 1, 1))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            hb = np.full(1, drift.value(x) * h)
+            hb_out = hb.copy()
+            took = solver_module._common_steps(drift, h, solver, x, hb, dsigma, rec)
+            root, residual, iterations, errors = _solve(
+                drift, h, x + dsigma[:, 0], solver, hb_out
+            )
+        x1, g1 = rec[2:, :, 0]  # the check overwrites x0 and g0
+        kernel_took_it = (
+            not errors
+            and iterations[0] == 1
+            and root.tobytes() == x1.tobytes()
+            and residual.tobytes() == g1.tobytes()
+        )
+        if took:
+            # integrate hands on B(x1) h recomputed at the kept node
+            assert hb_out.tobytes() == np.asarray(drift.value(x1) * h).tobytes()
+        assert took == kernel_took_it, (log_x, sign, log_kick)
+
+
+def _assert_stepwise(sol, expected):
+    values, residuals, iterations, failures = expected
+    assert sol.values.tobytes() == values.tobytes()
+    assert sol.residuals.tobytes() == residuals.tobytes()
+    assert np.array_equal(sol.iterations, iterations)
+    assert {row: (err.step, str(err)) for row, err in sol.failures.items()} == failures
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    paths=st.integers(1, 8),
+    steps=st.integers(2, 256),
+    model=st.sampled_from([MR_MODEL, AS_MODEL]),
+    horizon=st.sampled_from([0.01, 0.1, 1.0]),
+    sigma_scale=st.floats(0.01, 8.0),
+    width=st.integers(1, 64),
+    elements=st.sampled_from([1, 16, 2**10]),
+    max_iter=st.sampled_from([8, 12, 200]),
+    data=st.data(),
+)
+def test_integrate_equals_one_solve_per_step_bitwise(
+    seed, paths, steps, model, horizon, sigma_scale, width, elements, max_iter, data
+):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_module, "COMMON_WIDTH", width)
+        patch.setattr(solver_module, "COMMON_ELEMENTS", elements)
+        _check_against_stepwise(
+            seed, paths, steps, model, horizon, sigma_scale, max_iter, data
+        )
+
+
+def _check_against_stepwise(seed, paths, steps, model, horizon, sigma_scale, max_iter, data):
+    drift, _ = model.drift()
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((paths, steps)) * (horizon / steps) ** 0.7
+    # violent noise: huge kicks and NaN, which freeze rows mid-block
+    for _ in range(data.draw(st.integers(0, 3), label="kicks")):
+        row = data.draw(st.integers(0, paths - 1), label="row")
+        step = data.draw(st.integers(0, steps - 1), label="step")
+        noise[row, step] = data.draw(
+            st.sampled_from([np.nan, 1e3, -1e3, 1e150, -1e150]), label="kick"
+        )
+    config = SchemeConfig(
+        steps=steps, horizon=horizon, sigma=model.sigma_x * sigma_scale, x0=model.x0,
+        solver=SolverSettings(max_iter=max_iter),
+    )
+    whole = integrate_stepwise(drift, config, noise)
+    _assert_stepwise(integrate(drift, config, noise), whole)
+    # a resumed block, from the whole run's nodes (NaN on rows failed before)
+    first = data.draw(st.integers(0, steps - 1), label="start")
+    last = data.draw(st.integers(first + 1, steps), label="stop")
+    initial = whole[0][:, first]
+    part = integrate(drift, config, noise, start=first, stop=last, initial=initial)
+    _assert_stepwise(
+        part, integrate_stepwise(drift, config, noise, start=first, stop=last, initial=initial)
+    )
+
+
+def test_common_blocks_carry_fine_grids_bitwise(monkeypatch):
+    # on a fine grid nearly every step is the common step: blocks grow to the
+    # cap, the few failing steps are replayed, and nothing moves a bit
+    taken = []
+    common_steps = solver_module._common_steps
+
+    def counted(*args):
+        took = common_steps(*args)
+        taken.append((args[5].shape[1], took))
+        return took
+
+    monkeypatch.setattr(solver_module, "_common_steps", counted)
+    drift, cert = MR_MODEL.drift()
+    config = SchemeConfig.for_model(MR_MODEL, 1.0, 2048)
+    noise = np.random.default_rng(5).standard_normal((12, 2048)) * 2048**-0.7
+    noise[3, 1000] = 2.0  # a jump that one Newton step does not resolve
+    sol = integrate(drift, config, noise, cert)
+    _assert_stepwise(sol, integrate_stepwise(drift, config, noise))
+    assert sum(took for _, took in taken) > 0.95 * 2048
+    assert max(width for width, _ in taken) == solver_module.COMMON_WIDTH
+    assert any(took < width for width, took in taken)
