@@ -10,7 +10,6 @@ from .convergence import (
     critical_horizon,
     fit_order,
     moment_probe,
-    reference_bias_check,
     run_strong_error,
 )
 from .config import RunConfig, parse_config

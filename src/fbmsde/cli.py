@@ -24,6 +24,7 @@ import numpy as np
 
 from .config import RunConfig, config_digest, parse_config
 from .convergence import (
+    ERROR_KINDS,
     ExperimentPlan,
     _available_cpus,
     _chunks,
@@ -310,25 +311,19 @@ def _cmd_converge(args) -> int:
     )
     payload = report.to_dict()
     if report.per_path_errors is not None:
-        rows = []
-        for pos, path_index in enumerate(report.per_path_errors["paths"]):
-            for k_str, kinds in report.per_path_errors["errors"].items():
-                rows.append(
-                    (
-                        path_index,
-                        int(k_str),
-                        kinds["x_interp"][pos],
-                        kinds["x_node"][pos],
-                        kinds["y_interp"][pos],
-                        kinds["y_node"][pos],
-                    )
-                )
+        paths, errors = report.per_path_errors
+        # one row per (path, level): the path's four error kinds at that level
+        rows = (
+            (path, k, *by_kind[:, pos].tolist())
+            for pos, path in enumerate(paths.tolist())
+            for k, by_kind in zip(plan.levels, errors)
+        )
         _atomic_write(
             os.path.join(out_dir, "errors.csv"),
             _csv_text(
                 cfg.seed,
                 cfg.digest,
-                ["path_index", "level", "x_interp", "x_node", "y_interp", "y_node"],
+                ["path_index", "level", *ERROR_KINDS],
                 rows,
             ),
         )
@@ -343,7 +338,12 @@ def _cmd_converge(args) -> int:
         f"{'pass' if report.passed else 'FAIL'}"
     )
     if report.incomplete:
-        print(f"incomplete: {len(report.failures)} path(s) failed", file=sys.stderr)
+        path, level, step = report.failures[0]
+        print(
+            f"incomplete: {len(report.failures)} path(s) failed, the first "
+            f"path {path} at level {level}, step {step}",
+            file=sys.stderr,
+        )
         return EXIT_RUNTIME
     return EXIT_OK if report.passed else EXIT_BAND
 

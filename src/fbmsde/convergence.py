@@ -58,7 +58,6 @@ __all__ = [
     "run_strong_error",
     "fit_order",
     "moment_probe",
-    "reference_bias_check",
     "critical_horizon",
 ]
 
@@ -166,7 +165,8 @@ class ConvergenceReport:
     trend_ok: bool
     incomplete: bool
     failures: list
-    per_path_errors: dict | None = None
+    # (kept path indices, errors with axes (level, kind, kept path)), or None
+    per_path_errors: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def passed(self) -> bool:
@@ -362,26 +362,25 @@ def _sup_errors(
 
 
 def _ladder_chunk(
-    plan: ExperimentPlan, start: int, stop: int, ref_ks: tuple[int, ...]
+    plan: ExperimentPlan, start: int, stop: int
 ) -> tuple[np.ndarray, dict[int, tuple]]:
-    """Errors of every ladder level against each reference in ``ref_ks``.
+    """Errors of every ladder level against the 2^k_ref reference.
 
     Covers paths start..stop-1 and returns ``(errors, failures)``.
-    ``errors`` has shape (len(ref_ks), len(plan.levels), len(ERROR_KINDS),
-    paths): the sup errors of each level against each reference, per kind
-    and path.  ``failures`` maps each failed row to (path, level, step),
-    naming its first failing reference, else its lowest failing level; a
+    ``errors`` has shape (len(plan.levels), len(ERROR_KINDS), paths): the
+    sup errors of each level against the reference, per kind and path.
+    ``failures`` maps each failed row to (path, level, step), naming the
+    reference if the row failed there, else its lowest failing level; a
     failed row's errors are meaningless.  The noise is drawn once at the
-    finest reference and block-summed to every other grid.  Each level is
-    integrated once as one batch; each reference is then integrated in time
-    blocks of about ``BLOCK_PATH_STEPS`` path-steps, a multiple of its
-    coarsest factor so that every block holds a node of every level, and
-    each block is folded into the running per-path sup errors.
+    reference and block-summed to every level.  Each level is integrated
+    once as one batch; the reference is then integrated in time blocks of
+    about ``BLOCK_PATH_STEPS`` path-steps, a multiple of the coarsest
+    factor so that every block holds a node of every level, and each block
+    is folded into the running per-path sup errors.
     """
-    n_fine = 2 ** max(ref_ks)
-    grid = TimeGrid(plan.horizon, n_fine)
+    grid = TimeGrid(plan.horizon, 2**plan.k_ref)
     sampler = make_sampler(plan.method, plan.model.hurst, grid)
-    factors = {k: n_fine // 2**k for k in (*ref_ks, *plan.levels)}
+    factors = {k: 2 ** (plan.k_ref - k) for k in (plan.k_ref, *plan.levels)}
     noise = _draw_chunk(sampler, plan.master_seed, start, stop, factors.values())
     drift, cert = plan.model.drift()
     l_exp = plan.model.inverse_exponent
@@ -398,25 +397,21 @@ def _ladder_chunk(
             level_failures.setdefault(row, (start + row, k, err.step))
         coarse.append(sol.values)
     del sol  # the last level's residuals and iterations are never read
-    failures: dict[int, tuple] = {}
-    errors = np.zeros((len(ref_ks), len(plan.levels), len(ERROR_KINDS), size))
-    for ref_k, by_level in zip(ref_ks, errors):
-        ref_failures: dict = {}
-        coarsest = 2 ** (ref_k - plan.k_min)
-        block = max(1, BLOCK_PATH_STEPS // (size * coarsest)) * coarsest
-        blocks = _integrate_blocks(
-            drift, scheme(ref_k), cert, noise[factors[ref_k]], block, ref_failures
-        )
-        for rows, first, values in blocks:
-            y_values = values**l_exp
-            for k, nodes, running in zip(plan.levels, coarse, by_level):
-                level = nodes if rows.size == size else nodes[rows]
-                block_errors = _sup_errors(
-                    level, values, y_values, 2 ** (ref_k - k), l_exp, first
-                )
-                running[:, rows] = np.maximum(running[:, rows], block_errors)
-        for row, err in ref_failures.items():
-            failures.setdefault(row, (start + row, ref_k, err.step))
+    ref_failures: dict = {}
+    errors = np.zeros((len(plan.levels), len(ERROR_KINDS), size))
+    coarsest = factors[plan.k_min]
+    block = max(1, BLOCK_PATH_STEPS // (size * coarsest)) * coarsest
+    ref_scheme, ref_noise = scheme(plan.k_ref), noise[factors[plan.k_ref]]
+    blocks = _integrate_blocks(drift, ref_scheme, cert, ref_noise, block, ref_failures)
+    for rows, first, values in blocks:
+        y_values = values**l_exp
+        for k, nodes, running in zip(plan.levels, coarse, errors):
+            level = nodes if rows.size == size else nodes[rows]
+            block_errors = _sup_errors(level, values, y_values, factors[k], l_exp, first)
+            running[:, rows] = np.maximum(running[:, rows], block_errors)
+    failures = {
+        row: (start + row, plan.k_ref, err.step) for row, err in ref_failures.items()
+    }
     for row, failure in level_failures.items():
         failures.setdefault(row, failure)
     return errors, failures
@@ -472,18 +467,15 @@ def run_strong_error(
     """
     workers = min(workers, _available_cpus())
     starts, stops = zip(*_chunks(plan.paths, 2**plan.k_ref, workers))
-    ref_ks = [(plan.k_ref,)] * len(starts)
     if workers > 1:
         # imported here: the pool's modules (multiprocessing, socket, logging,
         # subprocess) would otherwise load into every command
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-            chunks = list(
-                pool.map(_ladder_chunk, [plan] * len(starts), starts, stops, ref_ks)
-            )
+            chunks = list(pool.map(_ladder_chunk, [plan] * len(starts), starts, stops))
     else:
-        chunks = list(map(_ladder_chunk, [plan] * len(starts), starts, stops, ref_ks))
+        chunks = list(map(_ladder_chunk, [plan] * len(starts), starts, stops))
     chunk_errors, chunk_failures = zip(*chunks)
     failures = [by_row[row] for by_row in chunk_failures for row in sorted(by_row)]
     if len(failures) == plan.paths:
@@ -493,7 +485,7 @@ def run_strong_error(
         )
     kept = np.ones(plan.paths, dtype=bool)
     kept[[path for path, _, _ in failures]] = False
-    errors = np.concatenate(chunk_errors, axis=-1)[0][..., kept]
+    errors = np.concatenate(chunk_errors, axis=-1)[..., kept]
 
     boot_rng = np.random.default_rng(mix_seed(plan.master_seed, BOOTSTRAP_STREAM))
     levels: list[LevelEstimate] = []
@@ -541,16 +533,6 @@ def run_strong_error(
 
     trend_ok = _monotone_trend(levels, "y_interp")
 
-    per_path_errors = None
-    if keep_paths:
-        per_path_errors = {
-            "paths": np.flatnonzero(kept).tolist(),
-            "errors": {
-                str(k): dict(zip(ERROR_KINDS, by_kind.tolist()))
-                for k, by_kind in zip(plan.levels, errors)
-            },
-        }
-
     return ConvergenceReport(
         plan=_plan_dict(plan),
         levels=levels,
@@ -560,7 +542,7 @@ def run_strong_error(
         trend_ok=trend_ok,
         incomplete=bool(failures),
         failures=[list(f) for f in failures],
-        per_path_errors=per_path_errors,
+        per_path_errors=(np.flatnonzero(kept), errors) if keep_paths else None,
     )
 
 
@@ -591,34 +573,6 @@ def _plan_dict(plan: ExperimentPlan) -> dict:
         "master_seed": plan.master_seed,
         "method": plan.method,
     }
-
-
-def reference_bias_check(plan: ExperimentPlan) -> dict:
-    """Relative change of every level estimate when the reference is refined.
-
-    The fine noise is generated once at k_ref + 1 and block-summed down, so
-    the two references share their driving paths and the comparison isolates
-    the reference-discretization bias from Monte Carlo noise.  Any failed
-    path aborts the check with :class:`IntegrationError`.
-    """
-    ref_ks = (plan.k_ref, plan.k_ref + 1)
-    chunks = []
-    for start, stop in _chunks(plan.paths, 2 ** max(ref_ks)):
-        errors, failures = _ladder_chunk(plan, start, stop, ref_ks)
-        if failures:
-            path, level, step = failures[min(failures)]
-            raise IntegrationError(
-                f"path {path} failed at level {level}, step {step}", step=step
-            )
-        chunks.append(errors)
-    base, fine = np.concatenate(chunks, axis=-1)
-    out = {}
-    for k, base_k, fine_k in zip(plan.levels, base, fine):
-        out[k] = {}
-        for kind, base_e, fine_e in zip(ERROR_KINDS, base_k, fine_k):
-            base_est = _p_mean(base_e, plan.p)
-            out[k][kind] = abs(_p_mean(fine_e, plan.p) - base_est) / base_est
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,11 @@ least four-fold; otherwise the row's next evaluation is a fallback: a Newton
 step in (log x, asinh g) if that lands inside the bracket, else expansion
 while hi is unknown, shrinkage while lo is unknown, and bisection once both
 are known, all geometric.  Expansion and shrinkage go on until the bracket
-has both ends.  Convergence is declared on the residual test
-|g(x)| <= tol_abs + tol_rel * x.  Only rows that have not converged are
+has both ends.  An evaluation that gives NaN is a rejected step: the row goes
+back to its last finite point and next tries the geometric midpoint towards
+the NaN.  A warm predictor that gives NaN is retried at the cold start, and
+only a row with no finite point to go back to fails on a NaN.  Convergence
+is declared on the residual test |g(x)| <= tol_abs + tol_rel * x.  Only rows that have not converged are
 iterated, and no value of one row enters another row's arithmetic, so a
 path's result does not depend on the batch it was solved in.
 
@@ -48,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drifts import AssumptionCertificate, ModelSpec
+from .drifts import AssumptionCertificate, DriftFn, ModelSpec
 from .errors import (
     IntegrationError,
     NumericalError,
@@ -197,6 +200,12 @@ def _bracket_error(start: float, lo: float, hi: float) -> RootBracketError:
     )
 
 
+def _nan_error(x) -> NumericalError:
+    return NumericalError(
+        f"drift evaluation produced NaN at x={float(x)!r} inside the bracket"
+    )
+
+
 def _solve(drift, h, c, solver, hb):
     """Solve B(x) h - x + c = 0 for every entry of the 1-D array ``c``.
 
@@ -210,7 +219,7 @@ def _solve(drift, h, c, solver, hb):
     :class:`NumericalError`; the arrays hold meaningless values at those
     rows.  Run it under an ``np.errstate`` that ignores overflow, division
     and invalid operations: infinities near the ends of the search range are
-    exactly what bracketing needs, and NaN is reported per row.
+    exactly what bracketing needs, and a NaN is rejected or reported per row.
 
     Each round evaluates g once on every row still iterating.  The common
     round, in which every row took a Newton step that cut |g| enough, skips
@@ -236,7 +245,7 @@ def _solve(drift, h, c, solver, hb):
             hx = np.full(x.shape, hx)
         gx = hx - x + cc
         agx = np.abs(gx)
-        reject = None
+        reject = retry = None
         if newton is not None:
             kept = agx <= NEWTON_MIN_DECREASE * a_old  # False on NaN
             if not all_newton:
@@ -248,16 +257,18 @@ def _solve(drift, h, c, solver, hb):
             done = agx <= tol_abs + tol_rel * x
             n_done = count(done)
             nan = np.isnan(gx)
-            if count(nan):
-                for j in nan.nonzero()[0]:
-                    errors[int(j)] = NumericalError(
-                        f"drift evaluation produced NaN at x={float(x[j])!r} "
-                        "inside the bracket"
-                    )
-                failed = nan
             positive = gx > 0.0
             lo = np.where(positive, x, 0.0)
             hi = np.where(positive, np.inf, x)
+            if count(nan):
+                # a warm predictor that gave NaN is retried at the cold start,
+                # with neither bracket end known; a cold start that did fails
+                midpoint = np.maximum(cc, X_FLOOR)
+                retry = nan & (x != midpoint)
+                failed = nan & ~retry
+                for j in failed.nonzero()[0]:
+                    errors[int(j)] = _nan_error(x[j])
+                hi[retry] = np.inf
         elif all_newton and reject is None:
             done = agx <= tol_abs + tol_rel * x
             n_done = count(done)
@@ -272,14 +283,20 @@ def _solve(drift, h, c, solver, hb):
             np.copyto(hi, x, where=~positive)
         else:
             nan = np.isnan(gx)
-            for j in nan.nonzero()[0]:
-                errors[int(j if idx is None else idx[j])] = NumericalError(
-                    f"drift evaluation produced NaN at x={float(x[j])!r} "
-                    "inside the bracket"
-                )
             positive = gx > 0.0
             np.copyto(lo, x, where=positive)
-            np.copyto(hi, x, where=~positive)
+            np.copyto(hi, x, where=~(positive | nan))
+            lost = None
+            if count(nan):
+                # A NaN is a rejected step: the row goes back to its last
+                # finite point and next tries the geometric midpoint towards
+                # the NaN, so each further NaN halves the log-distance.  A row
+                # with no finite point yet fails.
+                lost = nan & np.isnan(g_old)
+                for j in lost.nonzero()[0]:
+                    errors[int(j if idx is None else idx[j])] = _nan_error(x[j])
+                retry, midpoint = nan & ~lost, np.sqrt(x_old) * np.sqrt(x)
+                reject = nan if reject is None else reject | nan
             if reject is not None:
                 x = np.where(reject, x_old, x)
                 gx = np.where(reject, g_old, gx)
@@ -293,13 +310,13 @@ def _solve(drift, h, c, solver, hb):
             done = agx <= tol_abs + tol_rel * x
             n_done = count(done)
             stuck = ~done & (hi - lo <= np.spacing(lo))
-            for j in (stuck & ~nan).nonzero()[0]:
+            for j in stuck.nonzero()[0]:
                 errors[int(j if idx is None else idx[j])] = NumericalError(
                     f"root isolated to machine precision at x={float(x[j])!r} but "
                     f"the residual {float(gx[j]):.3e} misses the tolerance "
                     f"{tol_abs + tol_rel * float(x[j]):.3e}"
                 )
-            failed = nan | stuck
+            failed = stuck if lost is None else stuck | lost
         if k == max_iter:
             spent = ~done if failed is None else ~(done | failed)
             for j in spent.nonzero()[0]:
@@ -337,12 +354,16 @@ def _solve(drift, h, c, solver, hb):
             x, hx, gx, agx, cc, lo, hi = x[j], hx[j], gx[j], agx[j], cc[j], lo[j], hi[j]
             if redo is not None:
                 redo = redo[j]
+            if retry is not None:
+                retry, midpoint = retry[j], midpoint[j]
 
         slope = deriv(x) * h - 1.0
         trial = x - gx / slope
         newton = (lo < trial) & (trial < hi)  # False on NaN
         if redo is not None:
             newton &= ~redo
+        if retry is not None:
+            newton &= ~retry
         all_newton = count(newton) == x.size
         if not all_newton:
             # First fallback: a Newton step in (log x, asinh g).  Both the
@@ -373,6 +394,8 @@ def _solve(drift, h, c, solver, hb):
                     ),
                 ),
             )
+            if retry is not None:
+                trial = np.where(retry, midpoint, trial)
         x_old, g_old, a_old = x, gx, agx
         x = trial
     return root, residual, iterations, errors

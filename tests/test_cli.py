@@ -484,6 +484,31 @@ class TestCli:
         for path in out_dir.glob("*.json") if out_dir.exists() else ():
             json.loads(path.read_text(), parse_constant=reject)
 
+    def test_converge_incomplete_names_the_failed_path(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            config_text(experiment={"paths": 4, "k_min": 2, "k_max": 4, "k_ref": 7})
+        )
+        draw_chunk = convergence._draw_chunk
+
+        def draw_with_a_nan(sampler, master_seed, start, stop, factors):
+            noise = draw_chunk(sampler, master_seed, start, stop, factors)
+            noise = {factor: increments.copy() for factor, increments in noise.items()}
+            if start <= 2 < stop:
+                # step 96 of the 2^7 reference, the same instant on every grid
+                for increments in noise.values():
+                    increments[2 - start, increments.shape[1] * 96 // 2**7] = np.nan
+            return noise
+
+        monkeypatch.setattr(convergence, "_draw_chunk", draw_with_a_nan)
+        out_dir = tmp_path / "o"
+        code = run_cli("converge", "--config", str(cfg), "--out-dir", str(out_dir),
+                       "--threads", "1")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "incomplete: 1 path(s) failed, the first path 2 at level 7, step 96" in err
+        assert json.loads((out_dir / "report.json").read_text())["failures"] == [[2, 7, 96]]
+
     def test_moments_runs_a_critical_model_with_positive_k(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         model = {"a1": 2.648, "a2": -4.362, "gamma": 0.5, "sigma": 0.325, "y0": 1.482,

@@ -1,0 +1,194 @@
+"""Contract of the CLI over the configuration space.
+
+Draws config-valid models of both families, edges included, and runs every
+subcommand in-process on small grids.  Whatever the model, a run exits 0-3
+and never raises, emits no RuntimeWarning, writes no NaN or Infinity into
+JSON, names the path and step of an integration failure, and writes the same
+converge bytes for any pool size.
+"""
+
+import contextlib
+import io
+import json
+import re
+import warnings
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import fbmsde.cli as cli
+
+# grids of at most 64 steps: simulate and moments, and the converge reference
+STEPS = 64
+PATHS = 3
+LADDER = {"k_min": 1, "k_max": 3, "k_ref": 6}
+
+# Ait-Sahalia models whose steps once failed on a NaN from the solver's own
+# fallback leaping out of the drift's float range; each step's root lies
+# where the drift is finite.  (model, horizon, steps, seed)
+NAN_LEAP_MODELS = [
+    (
+        {"model": "ait_sahalia", "a_m1": 0.255835, "a0": 0.084254, "a1": 3.506749,
+         "a2": 0.698928, "r": 4.465532, "rho": 2.046667, "sigma": 0.414849, "y0": 0.01027,
+         "hurst": 0.61893},
+        0.1, 64, 997188871,
+    ),
+    (
+        {"model": "ait_sahalia", "a_m1": 0.677842, "a0": 0.152658, "a1": 9.818693,
+         "a2": 0.150282, "r": 3.53886, "rho": 1.002503, "sigma": 0.167727, "y0": 169.132127,
+         "hurst": 0.771423},
+        5.0, 16, 4230257624,
+    ),
+    (
+        {"model": "ait_sahalia", "a_m1": 7.166894, "a0": 0.03628, "a1": 0.651394,
+         "a2": 5.881167, "r": 6.762823, "rho": 2.993338, "sigma": -0.014496, "y0": 0.003068,
+         "hurst": 0.578716},
+        0.1, 16, 1613438798,
+    ),
+]
+
+
+def _leap(index: int) -> dict:
+    return dict(zip(("model", "horizon", "steps", "seed"), NAN_LEAP_MODELS[index]))
+
+
+def _config(model: dict, horizon: float, steps: int, seed: int, method: str) -> dict:
+    return {
+        "seed": seed,
+        "model": model,
+        "scheme": {"horizon": horizon, "steps": steps, "method": method},
+        "experiment": {"paths": PATHS, "p_list": [2.0, 4.0], **LADDER},
+    }
+
+
+def _signed(magnitude):
+    return st.tuples(magnitude, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+def _decades(low: int, high: int):
+    return st.floats(low, high).map(lambda e: float(10.0**e))
+
+
+MEAN_REVERTING = st.fixed_dictionaries({
+    "model": st.just("mean_reverting"),
+    "a1": _decades(-1, 1),
+    "a2": st.one_of(st.floats(-2.0, 0.0), st.floats(0.0, 5.0)),
+    "gamma": st.one_of(st.just(0.5), st.floats(0.5, 0.95), st.just(0.98)),
+    "sigma": _signed(st.floats(0.01, 2.0)),
+    "y0": _decades(-3, 3),
+    "hurst": st.floats(0.55, 0.95),
+})
+
+
+@st.composite
+def ait_sahalia(draw):
+    rho = draw(st.one_of(st.floats(1.001, 1.05), st.floats(1.05, 3.0)))
+    r_floor = max(2.0 * rho - 1.0, min(2.0, rho) + 1.0)
+    return {
+        "model": "ait_sahalia",
+        "a_m1": draw(_decades(-1, 1)),
+        "a0": draw(_decades(-1.5, 1)),
+        "a1": draw(_decades(-1, 1)),
+        "a2": draw(_decades(-1, 1)),
+        "r": r_floor + draw(st.floats(0.01, 4.0)),
+        "rho": rho,
+        "sigma": draw(_signed(st.floats(0.01, 2.0))),
+        "y0": draw(_decades(-3, 3)),
+        "hurst": draw(st.floats(0.55, 0.95)),
+    }
+
+
+def _reject_constant(constant):
+    raise AssertionError(f"non-JSON constant {constant} in output")
+
+
+def _run(*argv) -> int:
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(
+        err
+    ), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = cli.main(list(argv))
+    err = err.getvalue()
+    runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not runtime, (argv, [str(w.message) for w in runtime])
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    if code == 2:
+        # a failed integration names its path and step
+        named = re.search(r"path \d+.*step \d+", err) or "(path, level, step): [[" in err
+        assert named, (argv, err)
+    return code
+
+
+def _check_json(directory):
+    for path in sorted(directory.glob("*.json")):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+def _check_every_subcommand(tmp_path, config: dict) -> dict:
+    """Run each subcommand on ``config``; returns the exit code of each."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    codes = {"verify-assumptions": _run("verify-assumptions", "--config", str(cfg))}
+    model, scheme = config["model"], config["scheme"]
+    codes["fbm"] = _run(
+        "fbm", "--hurst", repr(model["hurst"]), "--steps", str(scheme["steps"]),
+        "--horizon", repr(scheme["horizon"]), "--paths", str(PATHS),
+        "--seed", str(config["seed"]), "--method", scheme["method"],
+        "--out", str(tmp_path / "fbm.csv"),
+    )
+    codes["simulate"] = _run(
+        "simulate", "--config", str(cfg), "--out", str(tmp_path / "simulate.csv")
+    )
+    codes["moments"] = _run(
+        "moments", "--config", str(cfg), "--out-dir", str(tmp_path / "moments")
+    )
+    _check_json(tmp_path / "moments")
+    outputs = {}
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"converge-{threads}"
+        codes["converge"] = _run(
+            "converge", "--config", str(cfg), "--threads", threads,
+            "--keep-paths", "--out-dir", str(out_dir),
+        )
+        _check_json(out_dir)
+        outputs[threads] = {
+            path.name: path.read_bytes() for path in sorted(out_dir.glob("*"))
+        }
+    assert outputs["1"] == outputs["2"]
+    return codes
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    model=st.one_of(MEAN_REVERTING, ait_sahalia()),
+    horizon=st.floats(0.1, 5.0),
+    steps=st.sampled_from([1, 2, 16, STEPS]),
+    seed=st.integers(0, 2**32 - 1),
+    method=st.sampled_from(["circulant", "cholesky"]),
+)
+@example(**_leap(0), method="circulant")
+@example(**_leap(1), method="circulant")
+@example(**_leap(2), method="cholesky")
+def test_every_subcommand_keeps_its_contract(
+    tmp_path_factory, model, horizon, steps, seed, method
+):
+    config = _config(model, horizon, steps, seed, method)
+    codes = _check_every_subcommand(tmp_path_factory.mktemp("run"), config)
+    if any(model == leap[0] for leap in NAN_LEAP_MODELS):
+        assert codes["simulate"] == codes["moments"] == 0, codes
+
+
+def test_nan_leap_models_solve_within_tolerance(tmp_path):
+    for model, horizon, steps, seed in NAN_LEAP_MODELS:
+        config = _config(model, horizon, steps, seed, "circulant")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "simulate.csv"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=2)
+        assert len(rows) == PATHS * (steps + 1)
+        x, residual = rows[:, 3], rows[:, 5]
+        assert np.all(np.isfinite(x)) and np.all(x > 0.0)
+        assert np.all(np.abs(residual) <= 1e-12 + 1e-12 * x)

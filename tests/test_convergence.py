@@ -1,4 +1,4 @@
-"""Order fitting, coupled ladders, reference bias, moment probes."""
+"""Order fitting, coupled ladders, moment probes."""
 
 import concurrent.futures
 import math
@@ -12,6 +12,7 @@ from fbmsde.convergence import (
     BOOTSTRAP_RESAMPLES,
     BLOCK_PATH_STEPS,
     CHUNK_PATH_STEPS,
+    ERROR_KINDS,
     ExperimentPlan,
     _bootstrap_stderr,
     _chunks,
@@ -21,7 +22,6 @@ from fbmsde.convergence import (
     critical_horizon,
     fit_order,
     moment_probe,
-    reference_bias_check,
     run_strong_error,
 )
 from fbmsde.drifts import AitSahaliaModel, MeanRevertingModel
@@ -237,21 +237,15 @@ class TestStrongError:
 
     def test_keep_paths_round_trip(self):
         report = run_strong_error(small_plan(), keep_paths=True)
-        per_path = report.per_path_errors
-        assert per_path is not None
-        assert per_path["paths"] == list(range(12))
-        stored = np.asarray(per_path["errors"]["3"]["y_interp"])
+        assert report.per_path_errors is not None
+        paths, errors = report.per_path_errors
+        assert paths.tolist() == list(range(12))
+        assert errors.shape == (3, len(ERROR_KINDS), 12)
+        stored = errors[0, ERROR_KINDS.index("y_interp")]
         recomputed = report.levels[0].estimates["y_interp"]["e"]
         assert recomputed == pytest.approx(
             float(np.mean(stored**2.0) ** 0.5), rel=1e-12
         )
-
-    def test_reference_bias_under_ten_percent(self):
-        plan = small_plan(k_min=3, k_max=5, k_ref=8, paths=30)
-        changes = reference_bias_check(plan)
-        for level_changes in changes.values():
-            for value in level_changes.values():
-                assert value < 0.10
 
 
 class TestMomentProbe:

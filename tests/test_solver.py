@@ -1,9 +1,13 @@
 """Implicit-step root solver and backward Euler integration."""
 
+import inspect
 import math
+import typing
 
 import numpy as np
 import pytest
+
+import fbmsde
 
 from fbmsde.drifts import (
     AitSahaliaModel,
@@ -376,3 +380,25 @@ class TestLampertiInverse:
         sol = make_solution(model=model, sigma=model.sigma_x, x0=model.x0)
         y_nodes = lamperti_inverse(model, sol.values)
         assert np.array_equal(y_nodes, sol.values**2)
+
+
+def test_public_annotations_resolve():
+    # every public callable of the package, and every public method of its
+    # classes, names only types its module can resolve
+    checked = []
+    for name in dir(fbmsde):
+        obj = getattr(fbmsde, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        checked.append(obj)
+        if inspect.isclass(obj):
+            methods = vars(obj).items()
+            checked += [
+                member
+                for key, member in methods
+                if inspect.isfunction(member)
+                and (key == "__init__" or not key.startswith("_"))
+            ]
+    assert fbmsde.integrate in checked
+    for obj in checked:
+        typing.get_type_hints(obj)

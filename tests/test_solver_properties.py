@@ -14,7 +14,6 @@ from fbmsde.convergence import (
     ExperimentPlan,
     _ladder_moduli,
     moment_probe,
-    reference_bias_check,
     run_strong_error,
 )
 from fbmsde.drifts import (
@@ -159,31 +158,27 @@ LADDER_PLAN = ExperimentPlan(
 
 
 def test_per_path_errors_do_not_depend_on_chunk_size(monkeypatch):
-    # each case: the finest grid its chunks are sized for, and its errors
-    cases = [
-        (
-            2**LADDER_PLAN.k_ref,
-            lambda: run_strong_error(LADDER_PLAN, keep_paths=True).per_path_errors,
-        ),
-        (2 ** (LADDER_PLAN.k_ref + 1), lambda: reference_bias_check(LADDER_PLAN)),
-    ]
-    for steps, errors in cases:
-        monkeypatch.undo()
-        assert LADDER_PLAN.paths * steps <= convergence.CHUNK_PATH_STEPS
-        assert LADDER_PLAN.paths * steps <= convergence.BLOCK_PATH_STEPS
-        unchunked = errors()
-        # a budget of 1 gives the smallest legal block, one coarsest cell; 672
-        # gives blocks of several cells that need not divide the reference
-        for budget in (1, 672, convergence.BLOCK_PATH_STEPS):
-            monkeypatch.setattr(convergence, "BLOCK_PATH_STEPS", budget)
-            for chunk in range(1, 7):
-                monkeypatch.setattr(convergence, "CHUNK_PATH_STEPS", chunk * steps)
-                assert errors() == unchunked, (steps, budget, chunk)
+    steps = 2**LADDER_PLAN.k_ref
+    assert LADDER_PLAN.paths * steps <= convergence.CHUNK_PATH_STEPS
+    assert LADDER_PLAN.paths * steps <= convergence.BLOCK_PATH_STEPS
+
+    def errors():
+        paths, errors = run_strong_error(LADDER_PLAN, keep_paths=True).per_path_errors
+        return paths.tolist(), errors.tolist()
+
+    unchunked = errors()
+    # a budget of 1 gives the smallest legal block, one coarsest cell; 672
+    # gives blocks of several cells that need not divide the reference
+    for budget in (1, 672, convergence.BLOCK_PATH_STEPS):
+        monkeypatch.setattr(convergence, "BLOCK_PATH_STEPS", budget)
+        for chunk in range(1, 7):
+            monkeypatch.setattr(convergence, "CHUNK_PATH_STEPS", chunk * steps)
+            assert errors() == unchunked, (budget, chunk)
 
 
 def test_ladder_drops_only_the_failed_path(monkeypatch):
     p = LADDER_PLAN.p
-    clean = run_strong_error(LADDER_PLAN, keep_paths=True).per_path_errors
+    _, clean = run_strong_error(LADDER_PLAN, keep_paths=True).per_path_errors
     draw_chunk = convergence._draw_chunk
 
     def draw_with_a_nan(sampler, master_seed, start, stop, factors):
@@ -199,16 +194,13 @@ def test_ladder_drops_only_the_failed_path(monkeypatch):
     report = run_strong_error(LADDER_PLAN, keep_paths=True)
     assert report.incomplete
     assert report.failures == [[3, 8, 40]]
-    kept = report.per_path_errors
-    assert kept["paths"] == [0, 1, 2, 4, 5, 6]
-    for lv in report.levels:
-        for kind, estimate in lv.estimates.items():
-            errors = kept["errors"][str(lv.k)][kind]
-            clean_errors = clean["errors"][str(lv.k)][kind]
-            assert errors == clean_errors[:3] + clean_errors[4:]
-            assert estimate["e"] == float(np.mean(np.asarray(errors) ** p) ** (1.0 / p))
-    with pytest.raises(IntegrationError, match="path 3 failed"):
-        reference_bias_check(LADDER_PLAN)
+    paths, kept = report.per_path_errors
+    assert paths.tolist() == [0, 1, 2, 4, 5, 6]
+    assert kept.tobytes() == np.delete(clean, 3, axis=-1).tobytes()
+    for lv, by_kind in zip(report.levels, kept):
+        for kind, errors in zip(convergence.ERROR_KINDS, by_kind):
+            estimate = lv.estimates[kind]
+            assert estimate["e"] == float(np.mean(errors**p) ** (1.0 / p))
 
 
 def test_moment_probe_does_not_depend_on_chunk_size(monkeypatch):
