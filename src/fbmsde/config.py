@@ -235,6 +235,13 @@ def parse_config(text: str) -> RunConfig:
             errors.append(
                 f"$.experiment.p_list: must be a non-empty list of positive numbers"
             )
+        else:
+            # 2 and 2.0 are one order: a repeat would fold twice into its moment
+            orders = [float(v) for v in plist]
+            for i, v in enumerate(orders):
+                if v in orders[:i]:
+                    errors.append(f"$.experiment.p_list: duplicate order {v}")
+                    break
     _require_int(experiment, "experiment", "ladder_rungs", errors, 1)
 
     io_block = _check_block("io", raw.get("io"), _IO_DEFAULTS, errors)

@@ -21,12 +21,11 @@ Everything is deterministic given the plan: paths are seeded by
 ``mix_seed(master_seed, path_index)`` and aggregation folds results in path
 order, so the report is identical for any worker count.  Paths are integrated
 in chunks through the path-batched solver, and the reference in time blocks
-of each chunk: a chunk holds its noise and one block of solver arrays, and
-the sup errors are folded into running maxima block by block.  Chunk
+streamed from it: a chunk holds its noise and one block of solver arrays,
+and the sup errors are folded into running maxima block by block.  Chunk
 boundaries depend on the worker count, but the solver never mixes values
-across paths, resumes a block from the exact nodes it stopped at, and max is
-an exact reduction, so neither chunks, blocks nor the worker count move any
-number.
+across paths, carries its state from block to block, and max is an exact
+reduction, so neither chunks, blocks nor the worker count move any number.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from .solver import (
     SolverSettings,
     check_step_bound,
     integrate,
+    integrate_blocks,
 )
 
 __all__ = [
@@ -72,11 +72,11 @@ BOOTSTRAP_BLOCK = 100
 # 100-path chunks for a 200-path ladder at a 2^13 reference and one 500-path
 # chunk for a 500-path probe at 2^11 steps.
 CHUNK_PATH_STEPS = 2**20
-# Path-steps of one time block of a chunk.  The solver returns nodes,
-# residuals and iteration counts (24 bytes per path-step, about 1.5 MB), but
-# the residual and iteration arrays are freed before the block is folded, so
-# only its nodes (0.5 MB) stay beside the sup-error and modulus arrays folded
-# from them.
+# Path-steps of one time block of a chunk.  The solver yields nodes,
+# residuals and one-byte iteration counts (17 bytes per path-step, about
+# 1.1 MB), but the callers drop the residuals on unpacking, so only the nodes
+# (0.5 MB) and counts (64 KB) stay beside the sup-error and modulus arrays
+# folded from them.
 BLOCK_PATH_STEPS = 2**16
 # Path index reserved for the bootstrap RNG stream; far above any real path.
 BOOTSTRAP_STREAM = 1 << 62
@@ -287,37 +287,6 @@ def _raise_first_failure(failures: dict, start: int) -> None:
         raise IntegrationError(f"path {start + row}: {err}", step=err.step) from err
 
 
-def _integrate_blocks(drift, config, cert, noise, block, failures):
-    """Integrate the rows of ``noise`` in time blocks of ``block`` steps.
-
-    Yields ``(rows, first, values)`` per block: ``values[i]`` holds nodes
-    first..first+block of chunk row ``rows[i]``, each block resumed from the
-    last nodes of the one before, so the nodes are those of one whole run.
-    A row that fails is added to ``failures`` (row -> its
-    :class:`IntegrationError`, with the absolute step) and left out of the
-    block it failed in and of every later one.
-    """
-    rows = np.arange(len(noise))
-    x = None
-    for first in range(0, config.steps, block):
-        stop = min(first + block, config.steps)
-        sol = integrate(drift, config, noise, cert, start=first, stop=stop, initial=x)
-        # drop the residual and iteration arrays before the caller folds the
-        # block: they are two thirds of the solver's arrays and never read
-        values, failed = sol.values, sol.failures
-        del sol
-        if failed:
-            for j, err in failed.items():
-                failures[int(rows[j])] = err
-            keep = np.ones(len(rows), dtype=bool)
-            keep[list(failed)] = False
-            rows, noise, values = rows[keep], noise[keep], values[keep]
-            if not rows.size:
-                return
-        x = values[:, -1]
-        yield rows, first, values
-
-
 def _sup_errors(
     coarse: np.ndarray,
     ref: np.ndarray,
@@ -402,13 +371,12 @@ def _ladder_chunk(
     coarsest = factors[plan.k_min]
     block = max(1, BLOCK_PATH_STEPS // (size * coarsest)) * coarsest
     ref_scheme, ref_noise = scheme(plan.k_ref), noise[factors[plan.k_ref]]
-    blocks = _integrate_blocks(drift, ref_scheme, cert, ref_noise, block, ref_failures)
-    for rows, first, values in blocks:
+    blocks = integrate_blocks(drift, ref_scheme, ref_noise, cert, block, ref_failures)
+    for first, values, _, _ in blocks:
         y_values = values**l_exp
         for k, nodes, running in zip(plan.levels, coarse, errors):
-            level = nodes if rows.size == size else nodes[rows]
-            block_errors = _sup_errors(level, values, y_values, factors[k], l_exp, first)
-            running[:, rows] = np.maximum(running[:, rows], block_errors)
+            block_errors = _sup_errors(nodes, values, y_values, factors[k], l_exp, first)
+            np.maximum(running, block_errors, out=running)
     failures = {
         row: (start + row, plan.k_ref, err.step) for row, err in ref_failures.items()
     }
@@ -656,6 +624,8 @@ def moment_probe(
     p_list = tuple(float(p) for p in p_list)
     if not p_list or any(p <= 0.0 for p in p_list):
         raise UsageError("p_list must contain positive orders")
+    if len(set(p_list)) < len(p_list):
+        raise UsageError(f"p_list repeats an order: {list(p_list)}")
     if steps < 1 or paths < 1:
         raise UsageError("need steps >= 1 and paths >= 1")
     drift, cert = model.drift()
@@ -687,8 +657,8 @@ def moment_probe(
         # every window of the modulus ladder lies inside one extended block
         tail = None
         block = max(reach, BLOCK_PATH_STEPS // size, 1)
-        blocks = _integrate_blocks(drift, config, cert, noise, block, failures)
-        for _, _, values in blocks:
+        blocks = integrate_blocks(drift, config, noise, cert, block, failures)
+        for _, values, _, _ in blocks:
             if failures:
                 continue  # finished only to name the chunk's lowest failed path
             ext = values if tail is None else np.concatenate([tail, values], axis=1)

@@ -15,9 +15,7 @@ row starts Newton from the explicit Euler predictor c + B(X_n) h, floored at
 1e-30, or from max(c, 1e-30) where B(X_n) h is not finite, which only a
 run's initial nodes can give (a root's is finite with its residual).  The
 predictor costs nothing: the round that accepted X_n as the previous step's
-root evaluated B(X_n) h, and the kernel hands it back with the root.  A run
-resumed at a later step (see :func:`integrate`) evaluates B(X_n) h at its
-first nodes once, which gives the same bits the whole run carried there.
+root evaluated B(X_n) h, and the kernel hands it back with the root.
 Every row keeps its own bracket [lo, hi] with g(lo) > 0 >= g(hi), where
 lo = 0 and hi = inf mark an end not found yet.  A Newton step is taken only
 when it lands strictly inside the bracket, and kept only if it cuts |g| at
@@ -36,12 +34,14 @@ path's result does not depend on the batch it was solved in.
 Almost every step is the common step: the predictor is not yet a root, one
 Newton step from it lands inside the bracket, and it cuts |g| four-fold and
 meets the tolerance, so the kernel stops after its second evaluation.
-:func:`integrate` takes steps speculatively through that common step alone,
+The integrator takes steps speculatively through that common step alone,
 a short block of steps at a time with the kernel's own arithmetic, and checks
 the whole block at once with the kernel's tests.  Steps up to the first one
 where any row fails a test are kept; that step is replayed through the
 kernel from the kept nodes.  Every output is therefore bit for bit what one
-kernel solve per step gives.
+kernel solve per step gives.  :func:`integrate_blocks` streams the grid in
+time blocks, carrying the solver's state from one to the next, and
+:func:`integrate` is its one block that spans the grid.
 """
 
 from __future__ import annotations
@@ -162,10 +162,8 @@ class SolutionPath:
     batch path whose integration failed to its :class:`IntegrationError`;
     such a row is frozen at the failing step, and its later nodes and
     residuals are NaN and its later iteration counts 0.  ``increments``
-    references the driving noise.  A resumed run (see :func:`integrate`)
-    holds nodes start..stop in ``values`` and the solves of steps
-    start..stop-1, while ``grid`` is the whole grid.  Immutable after
-    construction; compares and hashes by identity.
+    references the driving noise.  Immutable after construction; compares
+    and hashes by identity.
     """
 
     grid: TimeGrid
@@ -456,10 +454,6 @@ def integrate(
     config: SchemeConfig,
     noise: np.ndarray,
     certificate: AssumptionCertificate | None = None,
-    *,
-    start: int = 0,
-    stop: int | None = None,
-    initial=None,
 ) -> SolutionPath:
     """Run the backward Euler recursion for one path or a batch of paths.
 
@@ -470,21 +464,56 @@ def integrate(
     is frozen and recorded in ``failures`` while the other paths go on.
     With ``certificate`` given, the step-size bounds h < h0 and h < 1/K are
     enforced up front.  A pure function of its arguments, row by row: a
-    path's trajectory is bit for bit the same in any batch.
+    path's trajectory is bit for bit the same in any batch.  This is the one
+    block of :func:`integrate_blocks` that spans the grid.
+    """
+    noise = np.asarray(noise, dtype=float)
+    failures: dict[int, IntegrationError] = {}
+    [(_, values, residuals, iters)] = integrate_blocks(
+        drift, config, noise, certificate, config.steps, failures
+    )
+    for arr in (values, residuals, iters):
+        arr.setflags(write=False)
+    if noise.ndim == 1:
+        if failures:
+            raise failures[0]
+        values, residuals, iters = values[0], residuals[0], iters[0]
+    return SolutionPath(
+        grid=TimeGrid(config.horizon, config.steps),
+        values=values,
+        residuals=residuals,
+        iterations=iters,
+        increments=noise,
+        failures=failures,
+    )
 
-    ``start``, ``stop`` and ``initial`` resume a batch: only steps
-    start..stop-1 are taken, from the node values ``initial`` at step
-    ``start`` (``config.x0`` by default).  Every step uses the whole grid's
-    h and the same arithmetic, and failures name absolute steps, so
-    integrating a grid block by block, each block started from the last
-    nodes of the one before, gives the nodes of one whole run bit for bit.
+
+def integrate_blocks(
+    drift: DriftFn,
+    config: SchemeConfig,
+    noise: np.ndarray,
+    certificate: AssumptionCertificate | None,
+    block: int,
+    failures: dict,
+):
+    """Run the backward Euler recursion over the grid in time blocks.
+
+    ``noise`` and ``certificate`` are as for :func:`integrate`.  Yields
+    ``(first, values, residuals, iterations)`` for each block of ``block``
+    steps (the last may be shorter), with a leading path axis: ``values``
+    holds nodes first..first+B and ``residuals`` and ``iterations`` the
+    solves of steps first..first+B-1.  A row whose integration fails is
+    recorded in ``failures`` (row -> its :class:`IntegrationError`, which
+    names the absolute step) and stays in place, frozen at the failing step
+    as in :class:`SolutionPath`.  The nodes, their B(X_n) h, the live rows,
+    the common-step schedule and its scratch rows carry from block to block,
+    so the blocks are one run's arrays bit for bit, at one run's cost.
 
     Each step's solve starts from the explicit Euler predictor
     X_n + sigma * dB_{n+1} + B(X_n) h.  The solve of the step before hands
-    back B(X_n) h; the first step computes it from its initial nodes, which
-    on a resume gives the same bits the whole run carried there.
+    back B(X_n) h; the first step computes it at x0.
 
-    Steps are taken in time blocks of the common step (predictor, one Newton
+    Steps are taken in short blocks of the common step (predictor, one Newton
     step, the drift at the new node), at most ``COMMON_WIDTH`` steps and
     ``COMMON_ELEMENTS`` path-steps wide, and each block is checked at once
     with exactly the tests under which ``_solve`` would return that Newton
@@ -500,29 +529,24 @@ def integrate(
             f"noise must have shape ({config.steps},) or (paths, {config.steps}), "
             f"got shape {noise.shape}"
         )
-    stop = config.steps if stop is None else stop
-    if not 0 <= start < stop <= config.steps:
-        raise UsageError(
-            f"need 0 <= start < stop <= {config.steps}, got start={start}, stop={stop}"
-        )
     if certificate is not None:
         check_step_bound(certificate, config.h)
-
     batch = noise.reshape(-1, config.steps)
-    paths, steps = batch.shape[0], stop - start
+    paths = batch.shape[0]
     h = config.h
     sigma = config.sigma
     # the common-step blocks' rows, allocated before the results: the other
     # order raised the moment probe's peak RSS by about 0.5 MB
     cap = max(1, min(COMMON_WIDTH, COMMON_ELEMENTS // paths))
     scratch = np.empty((4, cap, paths))
-    values = np.empty((paths, steps + 1))
-    residuals = np.empty((paths, steps))
-    iters = np.empty((paths, steps), dtype=np.min_scalar_type(config.solver.max_iter))
-    values[:, 0] = config.x0 if initial is None else initial
-    x = values[:, 0].copy()
+    x = np.full(paths, config.x0)
     live = slice(None)  # rows still integrating
-    failures: dict[int, IntegrationError] = {}
+    # B(X_n) h, the predictor's drift term, which each solve overwrites with
+    # the next.  A node where it is not finite has no predictor: that row
+    # starts cold.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        hb = drift.value(x) * h
+    hb = np.where(np.isfinite(hb), hb, np.zeros(paths))
     # A block of ``width`` common steps is tried once the last plain solve
     # looked common (``ready``); the width doubles while whole blocks pass and
     # halves when one fails.  A block that fails at its first step, or a
@@ -530,18 +554,25 @@ def integrate(
     # the next look, doubling the gap each time, so coarse grids, where the
     # common step rarely holds for every row, spend almost nothing on it.
     width, ready, wait, gap = 1, False, 1, 1
-    n = 0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # B(X_n) h, the predictor's drift term, which each solve overwrites
-        # with the next.  A node where it is not finite has no predictor: that
-        # row starts cold.
-        hb = drift.value(x) * h
-        hb = np.where(np.isfinite(hb), hb, np.zeros(paths))
-        while n < steps:
+
+    # entered per block, never held across a yield: the consumer folds each
+    # block under its own error state
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    def take(start, steps):
+        """Steps start..start+steps-1 of every row, from the carried state."""
+        nonlocal x, hb, live, width, ready, wait, gap
+        # a row that fails stays NaN, and its iteration counts 0, from the
+        # failing step on: only live rows are written
+        values = np.full((paths, steps + 1), np.nan)
+        residuals = np.full((paths, steps), np.nan)
+        iters = np.zeros((paths, steps), dtype=np.min_scalar_type(config.solver.max_iter))
+        values[live, 0] = x
+        n = 0
+        while n < steps and x.size:
             if ready:
-                block = min(width, steps - n)
-                dsigma = sigma * batch[live, start + n : start + n + block]
-                rec = scratch[:, :block, : x.size]
+                span = min(width, steps - n)
+                dsigma = sigma * batch[live, start + n : start + n + span]
+                rec = scratch[:, :span, : x.size]
                 took = _common_steps(drift, h, config.solver, x, hb, dsigma, rec)
                 if took:
                     x1s, g1s = rec[2:]
@@ -552,7 +583,7 @@ def integrate(
                     # B(x) h again, bit for bit what the block computed there
                     hb = np.multiply(drift.value(x), h, out=np.empty_like(x))
                     n += took
-                if took == block:
+                if took == span:
                     width = min(2 * width, cap)
                     continue
                 width = max(width // 2, 1)
@@ -598,23 +629,8 @@ def integrate(
                 ready = it.max() <= 1
                 if not ready:
                     wait, gap = gap, 2 * gap
-    for row, err in failures.items():
-        n = err.step - start
-        values[row, n + 1:] = np.nan
-        residuals[row, n:] = np.nan
-        iters[row, n:] = 0
-    for arr in (values, residuals, iters):
-        arr.setflags(write=False)
-    if noise.ndim == 1:
-        if failures:
-            raise failures[0]
-        values, residuals, iters = values[0], residuals[0], iters[0]
-    return SolutionPath(
-        grid=TimeGrid(config.horizon, config.steps),
-        values=values,
-        residuals=residuals,
-        iterations=iters,
-        increments=noise,
-        failures=failures,
-    )
+        return values, residuals, iters
 
+    for first in range(0, config.steps, block):
+        # no block array stays bound here while the consumer folds the block
+        yield (first, *take(first, min(block, config.steps - first)))

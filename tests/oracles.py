@@ -213,10 +213,6 @@ def integrate_stepwise(
     drift: DriftFn,
     config: SchemeConfig,
     noise: np.ndarray,
-    *,
-    start: int = 0,
-    stop: int | None = None,
-    initial=None,
 ):
     """The nodes of ``integrate`` for a ``(paths, steps)`` batch, one solve a step.
 
@@ -227,12 +223,11 @@ def integrate_stepwise(
     row's later nodes and residuals are NaN and its later iterations 0.
     The messages are those ``integrate`` gives its ``IntegrationError``.
     """
-    stop = config.steps if stop is None else stop
-    paths, steps, h = noise.shape[0], stop - start, config.h
+    paths, steps, h = noise.shape[0], config.steps, config.h
     values = np.full((paths, steps + 1), np.nan)
     residuals = np.full((paths, steps), np.nan)
     iterations = np.zeros((paths, steps), dtype=np.int64)
-    values[:, 0] = config.x0 if initial is None else initial
+    values[:, 0] = config.x0
     rows = np.arange(paths)
     x = values[:, 0].copy()
     failures = {}
@@ -240,17 +235,16 @@ def integrate_stepwise(
         hb = drift.value(x) * h
         hb = np.where(np.isfinite(hb), hb, 0.0)
         for n in range(steps):
-            c = x + config.sigma * noise[rows, start + n]
+            c = x + config.sigma * noise[rows, n]
             x, res, it, errors = _solve(drift, h, c, config.solver, hb)
             lost = ~(x > 0.0)
             lost[list(errors)] = True
-            step = start + n
             for j in np.flatnonzero(lost):
                 failures[int(rows[j])] = (
-                    step,
-                    f"implicit step failed at step {step}: {errors[j]}"
+                    n,
+                    f"implicit step failed at step {n}: {errors[j]}"
                     if j in errors
-                    else f"positivity lost at step {step}: root {float(x[j])!r}",
+                    else f"positivity lost at step {n}: root {float(x[j])!r}",
                 )
             keep = ~lost
             rows, x, hb = rows[keep], x[keep], hb[keep]

@@ -134,6 +134,13 @@ class TestParseConfig:
             parse_config(json.dumps(cfg))
         assert any("min(2, rho) + 1" in e for e in excinfo.value.errors)
 
+    @pytest.mark.parametrize("p_list", [[2.0, 2.0], [2, 4.0, 2.0]])
+    def test_repeated_moment_order_is_named(self, p_list):
+        # 2 and 2.0 are one order, which would fold twice into one moment
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(config_text(experiment={"p_list": p_list}))
+        assert excinfo.value.errors == ["$.experiment.p_list: duplicate order 2.0"]
+
     def test_digest_ignores_io_block(self):
         a = parse_config(config_text())
         b = parse_config(config_text(io={"out_dir": "elsewhere"}))
@@ -695,6 +702,16 @@ class TestCli:
         out = tmp_path / "sim.csv"
         assert run_cli("simulate", "--config", str(cfg), "--paths", "2", "--out", str(out)) == 0
         assert alive == [False]
+
+    def test_moments_rejects_a_repeated_order(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            config_text(scheme={"steps": 64}, experiment={"paths": 8, "p_list": [2, 2.0]})
+        )
+        out_dir = tmp_path / "moments"
+        assert run_cli("moments", "--config", str(cfg), "--out-dir", str(out_dir)) == 1
+        assert "$.experiment.p_list: duplicate order 2.0" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("paths", ["-1", "0"])
     def test_simulate_rejects_path_count_below_one(self, tmp_path, capsys, paths):

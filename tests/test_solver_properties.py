@@ -1,6 +1,7 @@
 """Property tests of the path-batched implicit solver and its chunked callers."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,13 @@ from fbmsde.drifts import (
     mean_reverting_drift,
 )
 from fbmsde.errors import IntegrationError
-from fbmsde.solver import SchemeConfig, SolverSettings, _solve, integrate
+from fbmsde.solver import (
+    SchemeConfig,
+    SolverSettings,
+    _solve,
+    integrate,
+    integrate_blocks,
+)
 
 from oracles import cir_implicit_root, implicit_step, integrate_stepwise, window_modulus
 
@@ -94,21 +101,10 @@ def test_batch_rows_equal_batch_of_one_bitwise(
         assert batch.values[i].tobytes() == one.values.tobytes()
         assert batch.residuals[i].tobytes() == one.residuals.tobytes()
         assert batch.iterations[i].tobytes() == one.iterations.tobytes()
-    # resumed in the middle of the run, or streamed in blocks, each solve
-    # starts from the same predictor, so the rows are those of the whole run
-    split = data.draw(st.integers(1, steps - 1), label="resumed at")
-    rest = integrate(drift, config, noise, cert, start=split, initial=batch.values[:, split])
-    assert rest.values.tobytes() == batch.values[:, split:].tobytes()
-    assert rest.residuals.tobytes() == batch.residuals[:, split:].tobytes()
-    assert rest.iterations.tobytes() == batch.iterations[:, split:].tobytes()
+    # streamed in time blocks, each solve starts from the same predictor, so
+    # the rows are those of the whole run
     block = data.draw(st.integers(1, steps - 1), label="block")
-    failures = {}
-    blocks = list(convergence._integrate_blocks(drift, config, cert, noise, block, failures))
-    assert not failures
-    assert [first for _, first, _ in blocks] == list(range(0, steps, block))
-    for rows, first, values in blocks:
-        expected = batch.values[rows, first : first + values.shape[1]]
-        assert values.tobytes() == expected.tobytes()
+    _assert_stepwise(_streamed(drift, config, noise, cert, block), _records(batch))
 
 
 @settings(max_examples=30, deadline=None)
@@ -136,19 +132,21 @@ def test_warm_started_roots_match_cold_start(seed, paths, steps, model, sigma_sc
 
 
 def test_non_finite_predictor_falls_back_to_the_cold_start():
-    # B h overflows at a node of 1e-200, so a run resumed there has no
-    # predictor for that row and solves its first step cold
+    # B h overflows at x0 = 1e-200, so the run has no predictor for its first
+    # step and solves it cold
     drift, cert = AS_MODEL.drift()
-    config = SchemeConfig.for_model(AS_MODEL, 1.0, 4)
+    config = SchemeConfig(steps=4, horizon=1.0, sigma=AS_MODEL.sigma_x, x0=1e-200)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(drift.value(np.float64(config.x0)) * config.h)
     noise = np.array([[0.3, -0.2, 0.1, 0.05], [0.2, 0.1, -0.3, 0.0]])
-    initial = np.array([1e-200, 0.8])
-    sol = integrate(drift, config, noise, cert, start=2, initial=initial)
+    sol = integrate(drift, config, noise, cert)
     assert not sol.failures
-    c = initial[0] + config.sigma * noise[0, 2]
-    root, residual, iterations = implicit_step(drift, config.h, c, config.solver)
-    assert (sol.values[0, 1], sol.residuals[0, 0], sol.iterations[0, 0]) == (
-        root, residual, iterations
-    )
+    for row in range(2):
+        c = config.x0 + config.sigma * noise[row, 0]
+        root, residual, iterations = implicit_step(drift, config.h, c, config.solver)
+        assert (sol.values[row, 1], sol.residuals[row, 0], sol.iterations[row, 0]) == (
+            root, residual, iterations
+        )
 
 
 LADDER_PLAN = ExperimentPlan(
@@ -267,21 +265,10 @@ def test_failed_row_is_recorded_while_the_others_finish(paths, seed, data):
         if i != bad:
             one = integrate(CAPPED, config, noise[i])
             assert sol.values[i].tobytes() == one.values.tobytes()
-    # resumed from the nodes at any step, the rows and the absolute failing
-    # step are those of the unblocked run
-    split = data.draw(st.integers(0, step), label="resumed at")
-    rest = integrate(CAPPED, config, noise, start=split, initial=sol.values[:, split])
-    assert list(rest.failures) == [bad] and rest.failures[bad].step == step
-    assert rest.values.tobytes() == sol.values[:, split:].tobytes()
+    # streamed in time blocks, the failed row stays in place, NaN from the
+    # same absolute step on, and the other rows are those of the whole run
     block = data.draw(st.integers(1, 10), label="block")
-    failures = {}
-    blocks = list(convergence._integrate_blocks(CAPPED, config, None, noise, block, failures))
-    assert list(failures) == [bad] and failures[bad].step == step
-    assert [first for _, first, _ in blocks] == list(range(0, 10, block))
-    assert blocks[-1][0].tolist() == [i for i in range(paths) if i != bad]
-    for rows, first, values in blocks:
-        expected = sol.values[rows, first : first + values.shape[1]]
-        assert values.tobytes() == expected.tobytes()
+    _assert_stepwise(_streamed(CAPPED, config, noise, None, block), _records(sol))
 
 
 def _linear(slope, deriv_scale):
@@ -357,6 +344,30 @@ def test_common_step_is_accepted_exactly_when_the_kernel_takes_it(
         assert took == kernel_took_it, (log_x, sign, log_kick)
 
 
+def _records(sol):
+    """A solution's arrays and failures in the form ``integrate_stepwise`` gives."""
+    failures = {row: (err.step, str(err)) for row, err in sol.failures.items()}
+    return sol.values, sol.residuals, sol.iterations, failures
+
+
+def _streamed(drift, config, noise, cert, block):
+    """``integrate_blocks``' blocks, checked to tile the grid, joined into one run."""
+    failures = {}
+    firsts, values, residuals, iterations = zip(
+        *integrate_blocks(drift, config, noise, cert, block, failures)
+    )
+    assert list(firsts) == list(range(0, config.steps, block))
+    # each block starts at the nodes the one before ended at
+    for before, after in zip(values, values[1:]):
+        assert before[:, -1].tobytes() == after[:, 0].tobytes()
+    return SimpleNamespace(
+        values=np.concatenate([v[:, :-1] for v in values] + [values[-1][:, -1:]], axis=1),
+        residuals=np.concatenate(residuals, axis=1),
+        iterations=np.concatenate(iterations, axis=1),
+        failures=failures,
+    )
+
+
 def _assert_stepwise(sol, expected):
     values, residuals, iterations, failures = expected
     assert sol.values.tobytes() == values.tobytes()
@@ -406,14 +417,9 @@ def _check_against_stepwise(seed, paths, steps, model, horizon, sigma_scale, max
     )
     whole = integrate_stepwise(drift, config, noise)
     _assert_stepwise(integrate(drift, config, noise), whole)
-    # a resumed block, from the whole run's nodes (NaN on rows failed before)
-    first = data.draw(st.integers(0, steps - 1), label="start")
-    last = data.draw(st.integers(first + 1, steps), label="stop")
-    initial = whole[0][:, first]
-    part = integrate(drift, config, noise, start=first, stop=last, initial=initial)
-    _assert_stepwise(
-        part, integrate_stepwise(drift, config, noise, start=first, stop=last, initial=initial)
-    )
+    # streamed in time blocks, with rows failing in any block
+    block = data.draw(st.integers(1, steps), label="block")
+    _assert_stepwise(_streamed(drift, config, noise, None, block), whole)
 
 
 def test_common_blocks_carry_fine_grids_bitwise(monkeypatch):
@@ -437,3 +443,48 @@ def test_common_blocks_carry_fine_grids_bitwise(monkeypatch):
     assert sum(took for _, took in taken) > 0.95 * 2048
     assert max(width for width, _ in taken) == solver_module.COMMON_WIDTH
     assert any(took < width for width, took in taken)
+
+
+def _solver_calls(monkeypatch, run):
+    """How often ``run()`` calls the kernel and the common-step block."""
+    calls = {}
+    for name in ("_solve", "_common_steps"):
+        original = getattr(solver_module, name)
+
+        def counted(*args, original=original, name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(solver_module, name, counted)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def test_streamed_blocks_cost_one_whole_run(monkeypatch):
+    # the solver's state carries from block to block, so 16 blocks of 128
+    # steps make the whole run's kernel solves and common-step blocks
+    drift, cert = MR_MODEL.drift()
+    config = SchemeConfig.for_model(MR_MODEL, 1.0, 2048)
+    noise = np.random.default_rng(5).standard_normal((12, 2048)) * 2048**-0.7
+    whole = _solver_calls(monkeypatch, lambda: integrate(drift, config, noise, cert))
+    streamed = _solver_calls(
+        monkeypatch, lambda: list(integrate_blocks(drift, config, noise, cert, 128, {}))
+    )
+    assert streamed == whole == {"_solve": 1, "_common_steps": 37}
+
+
+def test_consumer_of_the_blocks_keeps_its_error_state():
+    # the solver ignores overflow and invalid operations only while it works
+    # on a block, never while its consumer folds one
+    drift, cert = AS_MODEL.drift()
+    config = SchemeConfig.for_model(AS_MODEL, 1.0, 64)
+    noise = np.random.default_rng(2).standard_normal((3, 64)) * 64**-0.7
+    for state in ("raise", "warn"):
+        with np.errstate(all=state):
+            caller = np.geterr()
+            blocks = 0
+            for _ in integrate_blocks(drift, config, noise, cert, 16, {}):
+                assert np.geterr() == caller
+                blocks += 1
+            assert blocks == 4
