@@ -2,7 +2,7 @@
 
 A configuration has up to five top-level keys:
 
-    seed        master seed, a 64-bit integer (required)
+    seed        master seed, an integer in [0, 2^64) (required)
     model       model family and parameters (required)
     scheme      step count, tolerances, sampler method (defaults filled)
     experiment  ladder levels, path count, error moment order (converge/moments)
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .drifts import AitSahaliaModel, MeanRevertingModel, ModelSpec
 from .errors import ConfigError, ParameterError
+from .fbm import SEED_LIMIT
 
 __all__ = ["RunConfig", "parse_config", "config_digest"]
 
@@ -197,6 +198,8 @@ def parse_config(text: str) -> RunConfig:
     elif not _is_int(seed):
         errors.append(f"$.seed: must be an integer, got {seed!r}")
         seed = 0
+    elif not 0 <= seed < SEED_LIMIT:
+        errors.append(f"$.seed: must lie in [0, 2^64), got {seed}")
 
     if "model" not in raw:
         errors.append("$.model: required")

@@ -72,12 +72,16 @@ BOOTSTRAP_BLOCK = 100
 # 100-path chunks for a 200-path ladder at a 2^13 reference and one 500-path
 # chunk for a 500-path probe at 2^11 steps.
 CHUNK_PATH_STEPS = 2**20
-# Path-steps of one time block of a chunk.  The solver yields nodes,
-# residuals and one-byte iteration counts (17 bytes per path-step, about
-# 1.1 MB), but the callers drop the residuals on unpacking, so only the nodes
-# (0.5 MB) and counts (64 KB) stay beside the sup-error and modulus arrays
-# folded from them.
+# Path-steps of one time block of a chunk.  The solver writes every block's
+# nodes, 8 bytes per path-step (0.5 MB), into one buffer, and each caller
+# folds them through buffers of its own allocated once per chunk: the
+# ladder's reference y-values and two sup-error scratch blocks, the probe's
+# block with the modulus ladder's tail in front.
 BLOCK_PATH_STEPS = 2**16
+# Nodes per row tile of the modulus ladder's fold: its shrinking max and min
+# arrays, their successors and their difference, 8 bytes per node each,
+# stay near 0.3 MB.
+MODULUS_TILE_ELEMENTS = 2**13
 # Path index reserved for the bootstrap RNG stream; far above any real path.
 BOOTSTRAP_STREAM = 1 << 62
 # Default admissible horizon for critical (alpha = 1) models at p <= 2.
@@ -287,46 +291,60 @@ def _raise_first_failure(failures: dict, start: int) -> None:
         raise IntegrationError(f"path {start + row}: {err}", step=err.step) from err
 
 
+def _max_abs(d: np.ndarray, axis) -> np.ndarray:
+    """max |d| over ``axis``, without an array of |d|."""
+    return np.maximum(d.max(axis=axis), -d.min(axis=axis))
+
+
 def _sup_errors(
     coarse: np.ndarray,
     ref: np.ndarray,
     y_ref: np.ndarray,
     factor: int,
     inverse_exponent: float,
-    first: int = 0,
+    first: int,
+    work: np.ndarray,
 ) -> np.ndarray:
     """Sup-norm errors of coarse paths' nodes against reference nodes.
 
     ``coarse`` holds every node of the coarse paths and ``ref`` reference
     nodes first..first+B along the last axis, with ``first`` and B multiples
     of ``factor``; ``y_ref`` is ``ref ** inverse_exponent``, which the
-    caller computes once for all the levels it compares.  Returns the maxima
-    over those reference nodes with shape (len(ERROR_KINDS), paths), one row
-    per kind in ``ERROR_KINDS`` order.
+    caller computes once for all the levels it compares.  ``work`` is flat
+    scratch of at least twice B entries per path, which the caller reuses
+    for every level and block.  Returns the maxima over those
+    reference nodes with shape (len(ERROR_KINDS), paths), one row per kind
+    in ``ERROR_KINDS`` order.
     """
-    # piecewise-linear read of the coarse paths at every reference node, done
-    # with index arithmetic (reference nodes subdivide each coarse cell into
-    # ``factor`` equal parts)
-    n_coarse = coarse.shape[-1] - 1
-    j = np.arange(first, first + ref.shape[-1])
-    frac = (j % factor) / factor
-    cell = np.minimum(j // factor, n_coarse - 1)
-    frac = np.where(j // factor == n_coarse, 1.0, frac)
-    # in place where possible: every full-size temporary costs page faults
-    interp = coarse[..., cell]
-    interp *= 1.0 - frac
-    diff = coarse[..., cell + 1]
-    diff *= frac
+    lead, steps = ref.shape[:-1], ref.shape[-1] - 1
+    cells = steps // factor
+    size = math.prod(lead) * steps
+    # The reference nodes before the block's last one, as (cell, sub-node):
+    # sub-node s of a coarse cell lies s / factor of the way across it, and
+    # the coarse path's piecewise-linear read there weighs the cell's two
+    # ends by 1 - s / factor and s / factor.  Sub-node 0 is the coarse node
+    # itself, exactly, and so is the block's last reference node, so the
+    # node errors cover that last column.
+    shape = lead + (cells, factor)
+    ends = coarse[..., first // factor : first // factor + cells + 1, np.newaxis]
+    weight = np.arange(factor) / factor
+    interp = np.multiply(ends[..., :-1, :], 1.0 - weight, out=work[:size].reshape(shape))
+    diff = np.multiply(ends[..., 1:, :], weight, out=work[size : 2 * size].reshape(shape))
     interp += diff
-    x_interp = np.max(np.abs(np.subtract(interp, ref, out=diff), out=diff), axis=-1)
-    y_interp = np.power(interp, inverse_exponent, out=interp)
-    np.subtract(y_interp, y_ref, out=diff)
-    nodes = coarse[..., first // factor : j[-1] // factor + 1]
+    cells_axes = (-2, -1)
+    np.subtract(interp, ref[..., :steps].reshape(shape), out=diff)
+    x_interp = _max_abs(diff, cells_axes)
+    np.power(interp, inverse_exponent, out=interp)
+    np.subtract(interp, y_ref[..., :steps].reshape(shape), out=diff)
+    y_interp = _max_abs(diff, cells_axes)
+    nodes = ends[..., 0]
+    x_node = _max_abs(nodes - ref[..., ::factor], -1)
+    y_node = _max_abs(nodes**inverse_exponent - y_ref[..., ::factor], -1)
     return np.stack([
-        x_interp,
-        np.max(np.abs(nodes - ref[..., ::factor]), axis=-1),
-        np.max(np.abs(diff, out=diff), axis=-1),
-        np.max(np.abs(nodes**inverse_exponent - y_ref[..., ::factor]), axis=-1),
+        np.maximum(x_interp, x_node),
+        x_node,
+        np.maximum(y_interp, y_node),
+        y_node,
     ])
 
 
@@ -369,13 +387,17 @@ def _ladder_chunk(
     ref_failures: dict = {}
     errors = np.zeros((len(plan.levels), len(ERROR_KINDS), size))
     coarsest = factors[plan.k_min]
-    block = max(1, BLOCK_PATH_STEPS // (size * coarsest)) * coarsest
+    block = min(max(1, BLOCK_PATH_STEPS // (size * coarsest)) * coarsest, 2**plan.k_ref)
     ref_scheme, ref_noise = scheme(plan.k_ref), noise[factors[plan.k_ref]]
     blocks = integrate_blocks(drift, ref_scheme, ref_noise, cert, block, ref_failures)
-    for first, values, _, _ in blocks:
-        y_values = values**l_exp
+    # reused by every block and level: the reference's y-values, and the
+    # scratch of ``_sup_errors``
+    y_buf = np.empty(size * (block + 1))
+    work = np.empty(2 * size * block)
+    for first, values in blocks:
+        y_values = np.power(values, l_exp, out=y_buf[: values.size].reshape(values.shape))
         for k, nodes, running in zip(plan.levels, coarse, errors):
-            block_errors = _sup_errors(nodes, values, y_values, factors[k], l_exp, first)
+            block_errors = _sup_errors(nodes, values, y_values, factors[k], l_exp, first, work)
             np.maximum(running, block_errors, out=running)
     failures = {
         row: (start + row, plan.k_ref, err.step) for row, err in ref_failures.items()
@@ -576,25 +598,29 @@ class MomentProbe:
         }
 
 
-def _ladder_moduli(values: np.ndarray, rungs: int) -> np.ndarray:
-    """sup |X_t - X_s| over node pairs at most 2^j indices apart, j < ``rungs``.
+def _fold_moduli(moduli: np.ndarray, values: np.ndarray, rungs: int) -> None:
+    """Fold each row's sup |X_t - X_s| over node pairs at most 2^j apart into ``moduli``.
 
-    Reduces along the last axis, so ``values`` of shape (..., n) gives shape
-    (..., rungs).  The running max and min over every window of 2w + 1 nodes
-    are the max and min of two overlapping windows of w + 1 nodes, so each
-    rung costs O(n).  Max, min and the final difference are exact, so the
-    result is the same as reducing each window directly.
+    ``values`` has shape (rows, n) and ``moduli`` (rows, rungs); column j of
+    ``moduli`` becomes the larger of itself and the row's modulus over pairs
+    at most 2^j indices apart, j < ``rungs``.  The running max and min over
+    every window of 2w + 1 nodes are the max and min of two overlapping
+    windows of w + 1 nodes, so each rung costs O(n).  Rows are taken
+    ``MODULUS_TILE_ELEMENTS // n`` at a time, so the shrinking max and min
+    arrays stay small whatever the row count.  Max, min and the differences
+    are exact, so the result is the same as reducing each window directly.
     """
-    hi = lo = values
-    width = 0
-    out = np.empty(values.shape[:-1] + (rungs,))
-    for j in range(rungs):
-        shift = max(width, 1)
-        hi = np.maximum(hi[..., :-shift], hi[..., shift:])
-        lo = np.minimum(lo[..., :-shift], lo[..., shift:])
-        width += shift
-        out[..., j] = np.max(hi - lo, axis=-1)
-    return out
+    tile = max(1, MODULUS_TILE_ELEMENTS // values.shape[1])
+    for top in range(0, values.shape[0], tile):
+        hi = lo = values[top : top + tile]
+        out = moduli[top : top + tile]
+        width = 0
+        for j in range(rungs):
+            shift = max(width, 1)
+            hi = np.maximum(hi[:, :-shift], hi[:, shift:])
+            lo = np.minimum(lo[:, :-shift], lo[:, shift:])
+            width += shift
+            np.maximum(out[:, j], np.max(hi - lo, axis=1), out=out[:, j])
 
 
 def _modulus_envelope(h: np.ndarray, hurst: float) -> np.ndarray:
@@ -653,19 +679,24 @@ def moment_probe(
         v_max, v_min = np.full(size, -np.inf), np.full(size, np.inf)
         moduli = np.zeros((size, rungs))
         failures: dict = {}
-        # each block is read with the ``reach`` nodes before it prepended, so
-        # every window of the modulus ladder lies inside one extended block
-        tail = None
-        block = max(reach, BLOCK_PATH_STEPS // size, 1)
+        # each block is read with the ``reach`` nodes before it in front, so
+        # every window of the modulus ladder lies inside one extended block;
+        # the block is copied in after them, and its own last ``reach`` nodes
+        # before its end move to the front for the next block
+        block = min(max(reach, BLOCK_PATH_STEPS // size, 1), steps)
+        ext = np.empty((size, reach + block + 1))
+        lead = reach  # where this block's extended read starts in ``ext``
         blocks = integrate_blocks(drift, config, noise, cert, block, failures)
-        for _, values, _, _ in blocks:
+        for _, values in blocks:
             if failures:
                 continue  # finished only to name the chunk's lowest failed path
-            ext = values if tail is None else np.concatenate([tail, values], axis=1)
-            tail = ext[:, ext.shape[1] - 1 - reach : -1]
+            end = reach + values.shape[1]
+            ext[:, reach:end] = values
             np.maximum(v_max, values.max(axis=1), out=v_max)
             np.minimum(v_min, values.min(axis=1), out=v_min)
-            np.maximum(moduli, _ladder_moduli(ext, rungs), out=moduli)
+            _fold_moduli(moduli, ext[:, lead:end], rungs)
+            ext[:, :reach] = ext[:, end - 1 - reach : end - 1]
+            lead = 0
         _raise_first_failure(failures, start)
         for row in range(size):
             for p in p_list:

@@ -53,6 +53,7 @@ __all__ = [
     "Hurst",
     "TimeGrid",
     "FbmPath",
+    "SEED_LIMIT",
     "mix_seed",
     "CholeskySampler",
     "CirculantSampler",
@@ -65,6 +66,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
+# Master seeds lie in [0, SEED_LIMIT): the mix works mod 2^64, so a seed
+# outside would draw the same paths as its residue under another digest.
+SEED_LIMIT = 1 << 64
 
 # Relative tolerance for clamping tiny negative circulant eigenvalues, which
 # are rounding noise: the embedding is nonnegative definite in exact
@@ -105,10 +109,13 @@ def mix_seed(master_seed: int, path_index: int) -> int:
     """Derive the per-path RNG seed from a master seed and a path index.
 
     The SplitMix64 finalizer is applied to
-    ``master_seed + (path_index + 1) * 0x9E3779B97F4A7C15`` (mod 2^64).  The
-    mix is counter based: any path's seed is computable without touching its
-    predecessors, which is what makes parallel batch generation deterministic.
+    ``master_seed + (path_index + 1) * 0x9E3779B97F4A7C15`` (mod 2^64), for a
+    master seed in [0, 2^64).  The mix is counter based: any path's seed is
+    computable without touching its predecessors, which is what makes
+    parallel batch generation deterministic.
     """
+    if not 0 <= int(master_seed) < SEED_LIMIT:
+        raise UsageError(f"master seed must lie in [0, 2^64), got {master_seed}")
     if path_index < 0:
         raise UsageError(f"path_index must be nonnegative, got {path_index}")
     z = (int(master_seed) + (int(path_index) + 1) * _GOLDEN) & _MASK64

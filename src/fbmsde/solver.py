@@ -470,7 +470,7 @@ def integrate(
     noise = np.asarray(noise, dtype=float)
     failures: dict[int, IntegrationError] = {}
     [(_, values, residuals, iters)] = integrate_blocks(
-        drift, config, noise, certificate, config.steps, failures
+        drift, config, noise, certificate, config.steps, failures, records=True
     )
     for arr in (values, residuals, iters):
         arr.setflags(write=False)
@@ -495,19 +495,28 @@ def integrate_blocks(
     certificate: AssumptionCertificate | None,
     block: int,
     failures: dict,
+    *,
+    records: bool = False,
 ):
     """Run the backward Euler recursion over the grid in time blocks.
 
     ``noise`` and ``certificate`` are as for :func:`integrate`.  Yields
-    ``(first, values, residuals, iterations)`` for each block of ``block``
-    steps (the last may be shorter), with a leading path axis: ``values``
-    holds nodes first..first+B and ``residuals`` and ``iterations`` the
-    solves of steps first..first+B-1.  A row whose integration fails is
-    recorded in ``failures`` (row -> its :class:`IntegrationError`, which
-    names the absolute step) and stays in place, frozen at the failing step
-    as in :class:`SolutionPath`.  The nodes, their B(X_n) h, the live rows,
-    the common-step schedule and its scratch rows carry from block to block,
-    so the blocks are one run's arrays bit for bit, at one run's cost.
+    ``(first, values)`` for each block of ``block`` steps (the last may be
+    shorter), with a leading path axis: ``values`` holds nodes
+    first..first+B.  With ``records`` it yields ``(first, values, residuals,
+    iterations)``, where ``residuals`` and ``iterations`` describe the
+    solves of steps first..first+B-1 as in :class:`SolutionPath`.  A row
+    whose integration fails is recorded in ``failures`` (row -> its
+    :class:`IntegrationError`, which names the absolute step) and stays in
+    place, frozen at the failing step as in :class:`SolutionPath`.  The
+    nodes, their B(X_n) h, the live rows, the common-step schedule and its
+    scratch rows carry from block to block, so the blocks are one run's
+    arrays bit for bit, at one run's cost.
+
+    One set of C-contiguous block arrays is allocated for the generator's
+    lifetime and every block is written into it: a yielded block is valid
+    until the next one is requested, and a caller that keeps a block copies
+    it first.
 
     Each step's solve starts from the explicit Euler predictor
     X_n + sigma * dB_{n+1} + B(X_n) h.  The solve of the step before hands
@@ -535,10 +544,18 @@ def integrate_blocks(
     paths = batch.shape[0]
     h = config.h
     sigma = config.sigma
-    # the common-step blocks' rows, allocated before the results: the other
-    # order raised the moment probe's peak RSS by about 0.5 MB
+    # the common-step blocks' rows, allocated before the block arrays: the
+    # other order raised the moment probe's peak RSS by about 0.5 MB
     cap = max(1, min(COMMON_WIDTH, COMMON_ELEMENTS // paths))
     scratch = np.empty((4, cap, paths))
+    # Each block array is the leading part of one flat buffer, so a short
+    # last block is C-contiguous too: the callers' elementwise powers then
+    # run the loops they run on a whole array.
+    most = min(block, config.steps)
+    node_buf = np.empty(paths * (most + 1))
+    if records:
+        residual_buf = np.empty(paths * most)
+        iter_buf = np.empty(paths * most, np.min_scalar_type(config.solver.max_iter))
     x = np.full(paths, config.x0)
     live = slice(None)  # rows still integrating
     # B(X_n) h, the predictor's drift term, which each solve overwrites with
@@ -563,9 +580,13 @@ def integrate_blocks(
         nonlocal x, hb, live, width, ready, wait, gap
         # a row that fails stays NaN, and its iteration counts 0, from the
         # failing step on: only live rows are written
-        values = np.full((paths, steps + 1), np.nan)
-        residuals = np.full((paths, steps), np.nan)
-        iters = np.zeros((paths, steps), dtype=np.min_scalar_type(config.solver.max_iter))
+        values = node_buf[: paths * (steps + 1)].reshape(paths, steps + 1)
+        values.fill(np.nan)
+        if records:
+            residuals = residual_buf[: paths * steps].reshape(paths, steps)
+            residuals.fill(np.nan)
+            iters = iter_buf[: paths * steps].reshape(paths, steps)
+            iters.fill(0)
         values[live, 0] = x
         n = 0
         while n < steps and x.size:
@@ -577,8 +598,9 @@ def integrate_blocks(
                 if took:
                     x1s, g1s = rec[2:]
                     values[live, n + 1 : n + 1 + took] = x1s[:took].T
-                    residuals[live, n : n + took] = g1s[:took].T
-                    iters[live, n : n + took] = 1
+                    if records:
+                        residuals[live, n : n + took] = g1s[:took].T
+                        iters[live, n : n + took] = 1
                     x = x1s[took - 1].copy()
                     # B(x) h again, bit for bit what the block computed there
                     hb = np.multiply(drift.value(x), h, out=np.empty_like(x))
@@ -620,8 +642,9 @@ def integrate_blocks(
                 if not x.size:
                     break
             values[live, n + 1] = x
-            residuals[live, n] = res
-            iters[live, n] = it
+            if records:
+                residuals[live, n] = res
+                iters[live, n] = it
             n += 1
             wait -= 1
             if wait <= 0:
@@ -629,8 +652,7 @@ def integrate_blocks(
                 ready = it.max() <= 1
                 if not ready:
                     wait, gap = gap, 2 * gap
-        return values, residuals, iters
+        return (values, residuals, iters) if records else (values,)
 
     for first in range(0, config.steps, block):
-        # no block array stays bound here while the consumer folds the block
         yield (first, *take(first, min(block, config.steps - first)))

@@ -26,6 +26,11 @@ The rest are verification helpers that the package itself does not need:
 * ``integrate_stepwise`` runs the backward Euler recursion with one kernel
   solve per step and no common-step blocks, the bitwise reference for
   ``integrate``.
+* ``gathered_sup_errors`` reads the coarse paths at every reference node
+  through gathered cell indices and reduces |difference| directly, the
+  bitwise reference for the ladder's ``_sup_errors``.
+* ``ladder_moduli`` runs the doubling modulus ladder over all rows at once,
+  the bitwise reference for the moment probe's tiled ``_fold_moduli``.
 """
 
 from __future__ import annotations
@@ -252,3 +257,52 @@ def integrate_stepwise(
             residuals[rows, n] = res[keep]
             iterations[rows, n] = it[keep]
     return values, residuals, iterations, failures
+
+
+def gathered_sup_errors(
+    coarse: np.ndarray,
+    ref: np.ndarray,
+    y_ref: np.ndarray,
+    factor: int,
+    inverse_exponent: float,
+    first: int,
+) -> np.ndarray:
+    """Sup errors of coarse nodes against reference nodes first..first+B.
+
+    The coarse paths are read at every reference node j through cell
+    j // factor and weight (j % factor) / factor (the grid's last node as the
+    far end of the last cell), and every error is the max of |difference|.
+    Returns shape (4, paths): x_interp, x_node, y_interp, y_node.
+    """
+    n_coarse = coarse.shape[-1] - 1
+    j = np.arange(first, first + ref.shape[-1])
+    frac = (j % factor) / factor
+    cell = np.minimum(j // factor, n_coarse - 1)
+    frac = np.where(j // factor == n_coarse, 1.0, frac)
+    interp = coarse[..., cell] * (1.0 - frac) + coarse[..., cell + 1] * frac
+    nodes = coarse[..., first // factor : j[-1] // factor + 1]
+    return np.stack([
+        np.max(np.abs(interp - ref), axis=-1),
+        np.max(np.abs(nodes - ref[..., ::factor]), axis=-1),
+        np.max(np.abs(interp**inverse_exponent - y_ref), axis=-1),
+        np.max(np.abs(nodes**inverse_exponent - y_ref[..., ::factor]), axis=-1),
+    ])
+
+
+def ladder_moduli(values: np.ndarray, rungs: int) -> np.ndarray:
+    """sup |X_t - X_s| over node pairs at most 2^j indices apart, j < ``rungs``.
+
+    Reduces along the last axis, so ``values`` of shape (..., n) gives shape
+    (..., rungs): the running max and min over windows of 2w + 1 nodes are
+    those of two overlapping windows of w + 1 nodes.
+    """
+    hi = lo = values
+    width = 0
+    out = np.empty(values.shape[:-1] + (rungs,))
+    for j in range(rungs):
+        shift = max(width, 1)
+        hi = np.maximum(hi[..., :-shift], hi[..., shift:])
+        lo = np.minimum(lo[..., :-shift], lo[..., shift:])
+        width += shift
+        out[..., j] = np.max(hi - lo, axis=-1)
+    return out

@@ -151,9 +151,28 @@ class TestParseConfig:
         b = parse_config(config_text(seed=8))
         assert a.digest != b.digest
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**65 - 1])
+    def test_seed_outside_the_64_bit_range_is_rejected(self, seed):
+        # the per-path mix works mod 2^64: these would alias seed 2^64 - 1
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(config_text(seed=seed))
+        assert excinfo.value.errors == [f"$.seed: must lie in [0, 2^64), got {seed}"]
+
+    def test_seed_range_ends_are_accepted(self):
+        assert parse_config(config_text(seed=0)).seed == 0
+        assert parse_config(config_text(seed=2**64 - 1)).seed == 2**64 - 1
+
 
 def run_cli(*argv: str) -> int:
     return cli.main(list(argv))
+
+
+def test_count_table_formats_every_count_once():
+    # the iteration column's table: the common counts up front, any larger
+    # count (possible once max_iter passes the table) on first lookup
+    counts = cli._IntText(3)
+    assert counts == {0: "0", 1: "1", 2: "2", 3: "3"}
+    assert counts[300] == "300" and counts[300] is counts[300]
 
 
 @pytest.mark.parametrize("fault", ["iterable", "write"])
@@ -736,6 +755,35 @@ class TestCli:
             capsys.readouterr().err
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**65 - 1)])
+    @pytest.mark.parametrize("command", ["fbm", "simulate", "converge", "moments"])
+    def test_rejects_a_seed_outside_the_64_bit_range(self, tmp_path, capsys, command, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            config_text(
+                scheme={"steps": 16},
+                experiment={"paths": 4, "k_min": 3, "k_max": 5, "k_ref": 8},
+            )
+        )
+        if command == "fbm":
+            where = ["--hurst", "0.7", "--steps", "16", "--out", str(tmp_path / "fbm.csv")]
+        else:
+            where = ["--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+        assert run_cli(command, *where, "--seed", seed) == 1
+        assert f"validation error: --seed must lie in [0, 2^64), got {seed}" in (
+            capsys.readouterr().err
+        )
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_largest_seed_draws_its_own_paths(self, tmp_path):
+        def draw(seed):
+            out = tmp_path / f"fbm-{seed}.csv"
+            argv = ["--hurst", "0.7", "--steps", "8", "--paths", "2", "--seed", seed]
+            assert run_cli("fbm", *argv, "--out", str(out)) == 0
+            return out.read_text().splitlines()[2:]
+
+        assert draw(str(2**64 - 1)) != draw("0")
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     @pytest.mark.parametrize("command", ["simulate", "converge", "moments"])

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fbmsde.convergence as convergence
 from fbmsde.convergence import (
     BOOTSTRAP_RESAMPLES,
     BLOCK_PATH_STEPS,
@@ -119,7 +120,8 @@ class TestSupErrors:
             cert,
         )
         l_exp = MR_MODEL.inverse_exponent
-        errs = _sup_errors(sol.values, sol.values, sol.values**l_exp, 1, l_exp)
+        work = np.empty(2 * steps)
+        errs = _sup_errors(sol.values, sol.values, sol.values**l_exp, 1, l_exp, 0, work)
         assert not errs.any()
 
 
@@ -168,16 +170,48 @@ def test_blocks_free_their_solver_records_before_the_next_solve():
     block = BLOCK_PATH_STEPS // paths
     tracemalloc.start()
     try:
-        for _, values, _, _ in integrate_blocks(drift, config, noise, cert, block, {}):
+        for _, values in integrate_blocks(drift, config, noise, cert, block, {}):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # in units of one block's nodes: the solve's nodes, residuals and
-    # one-byte iteration counts (2.1) beside the previous block's nodes and
-    # counts (1.1) measured 3.7; with the previous block's residuals still
-    # bound in the generator's frame while the consumer folds it, 4.7
-    assert peak < 4.2 * paths * (block + 1) * 8
+    # in units of one block's nodes: the one node buffer every block is
+    # written into, the common-step scratch rows (0.24) and the solves'
+    # temporaries measured 1.5; with fresh node, residual and iteration
+    # arrays per block, 3.7
+    assert peak < 1.7 * paths * (block + 1) * 8
+
+
+def test_moment_probe_holds_one_block_set_beyond_its_noise(monkeypatch):
+    # 500 paths of 2^9 steps: four blocks of 131 steps, 32-node tails
+    steps, paths = 2**9, 500
+    block = BLOCK_PATH_STEPS // paths
+    make_sampler_ = convergence.make_sampler
+    after_draw = {}
+
+    class Sampler:
+        def __init__(self, *args):
+            self.inner = make_sampler_(*args)
+
+        def sample(self, *args):
+            path = self.inner.sample(*args)
+            after_draw["held"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            return path
+
+    monkeypatch.setattr(convergence, "make_sampler", Sampler)
+    tracemalloc.start()
+    try:
+        moment_probe(AS_MODEL, 1.0, steps, paths, [2.0, 4.0], 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # in units of one block's nodes, beyond what the draw left held: the
+    # solver's node buffer (1.0), the probe's extended block (1.24), the
+    # common-step scratch rows (0.24) and the tiled modulus fold measured
+    # 3.2; with fresh solver records per block, the concatenated extended
+    # block and the untiled fold, 6.7
+    assert peak - after_draw["held"] < 3.6 * paths * (block + 1) * 8
 
 
 class TestBootstrap:

@@ -71,6 +71,12 @@ class TestSeedMixing:
         with pytest.raises(UsageError):
             mix_seed(1, -1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_master_seed_outside_the_64_bit_range_rejected(self, seed):
+        # the mix works mod 2^64, so such a seed would alias another one
+        with pytest.raises(UsageError, match=r"\[0, 2\^64\)"):
+            mix_seed(seed, 0)
+
 
 @pytest.mark.parametrize("sampler_cls", [CholeskySampler, CirculantSampler])
 class TestSamplerContracts:

@@ -13,7 +13,8 @@ import fbmsde.convergence as convergence
 import fbmsde.solver as solver_module
 from fbmsde.convergence import (
     ExperimentPlan,
-    _ladder_moduli,
+    _fold_moduli,
+    _sup_errors,
     moment_probe,
     run_strong_error,
 )
@@ -32,7 +33,14 @@ from fbmsde.solver import (
     integrate_blocks,
 )
 
-from oracles import cir_implicit_root, implicit_step, integrate_stepwise, window_modulus
+from oracles import (
+    cir_implicit_root,
+    gathered_sup_errors,
+    implicit_step,
+    integrate_stepwise,
+    ladder_moduli,
+    window_modulus,
+)
 
 MR_MODEL = MeanRevertingModel(a1=1.0, a2=1.0, gamma=0.7, sigma=0.5, y0=1.0, hurst=0.7)
 AS_MODEL = AitSahaliaModel(
@@ -235,8 +243,77 @@ def node_arrays_and_rungs(draw):
 def test_doubling_ladder_matches_sliding_windows_bitwise(case):
     values, rungs = case
     expected = [window_modulus(values, 2**j) for j in range(rungs)]
-    got = _ladder_moduli(values, rungs)
+    got = ladder_moduli(values, rungs)
     assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+def _with_nan_rows(values, rows, data):
+    """``values`` with each of ``rows`` NaN from a drawn column on, as a failed path is."""
+    for row in rows:
+        column = data.draw(st.integers(0, values.shape[1] - 1), label="NaN from")
+        values[row, column:] = np.nan
+    return values
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 40),
+    rungs=st.integers(0, 6),
+    extra=st.integers(0, 60),
+    margin=st.integers(0, 3),
+    tile=st.sampled_from([1, 7, 64, 2**13]),
+    data=st.data(),
+)
+def test_tiled_modulus_fold_matches_the_ladder_oracle_bitwise(
+    seed, rows, rungs, extra, margin, tile, data
+):
+    rng = np.random.default_rng(seed)
+    nodes = 2**rungs + extra
+    # a column window of a wider buffer, as the probe folds its extended block
+    wide = np.exp(rng.standard_normal((rows, nodes + 2 * margin)))
+    nan_rows = data.draw(st.lists(st.integers(0, rows - 1), max_size=3), label="NaN rows")
+    _with_nan_rows(wide, nan_rows, data)
+    values = wide[:, margin : margin + nodes]
+    before = np.where(rng.random((rows, rungs)) < 0.5, 0.0, rng.random((rows, rungs)))
+    expected = np.maximum(before, ladder_moduli(values, rungs))
+    folded = before.copy()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(convergence, "MODULUS_TILE_ELEMENTS", tile)
+        _fold_moduli(folded, values, rungs)
+    assert folded.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    paths=st.integers(1, 6),
+    k_ref=st.integers(1, 8),
+    data=st.data(),
+)
+def test_sup_error_fold_matches_the_gathering_oracle_bitwise(seed, paths, k_ref, data):
+    # every level factor of a 2^k_ref reference, blocks of any multiple of it
+    # (the grid's last block may be shorter), rows that fail at any node
+    k = data.draw(st.integers(0, k_ref), label="level")
+    factor, steps = 2 ** (k_ref - k), 2**k_ref
+    block = factor * data.draw(st.integers(1, 2**k), label="cells per block")
+    inverse_exponent = data.draw(st.sampled_from([-4.0, -1.0, 1 / 3, 2.0, 10 / 3]))
+    rng = np.random.default_rng(seed)
+    ref = np.exp(0.5 * rng.standard_normal((paths, steps + 1)))
+    coarse = ref[:, ::factor] * np.exp(0.01 * rng.standard_normal((paths, 2**k + 1)))
+    nan_rows = data.draw(st.lists(st.integers(0, paths - 1), max_size=2), label="NaN rows")
+    _with_nan_rows(ref, nan_rows, data)
+    _with_nan_rows(coarse, nan_rows, data)
+    work = np.empty(2 * paths * block)
+    got, expected = np.zeros((4, paths)), np.zeros((4, paths))
+    for first in range(0, steps, block):
+        # a contiguous block of nodes, as the solver yields it
+        nodes = ref[:, first : first + block + 1].copy()
+        y_nodes = nodes**inverse_exponent
+        args = (coarse, nodes, y_nodes, factor, inverse_exponent, first)
+        np.maximum(got, _sup_errors(*args, work), out=got)
+        np.maximum(expected, gathered_sup_errors(*args), out=expected)
+    assert got.tobytes() == expected.tobytes()
 
 
 def _capped(x):
@@ -353,9 +430,13 @@ def _records(sol):
 def _streamed(drift, config, noise, cert, block):
     """``integrate_blocks``' blocks, checked to tile the grid, joined into one run."""
     failures = {}
-    firsts, values, residuals, iterations = zip(
-        *integrate_blocks(drift, config, noise, cert, block, failures)
-    )
+    # each block is valid only until the next is requested, so keep copies
+    firsts, values, residuals, iterations = zip(*(
+        (first, *(arr.copy() for arr in arrays))
+        for first, *arrays in integrate_blocks(
+            drift, config, noise, cert, block, failures, records=True
+        )
+    ))
     assert list(firsts) == list(range(0, config.steps, block))
     # each block starts at the nodes the one before ended at
     for before, after in zip(values, values[1:]):
