@@ -141,22 +141,19 @@ def _json_text(seed: int, digest: str, payload: dict) -> str:
     return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
 
-def _given(overrides: dict | None) -> dict:
-    return {k: v for k, v in (overrides or {}).items() if v is not None}
-
-
-def _seed_flag(seed: int) -> int:
-    """``--seed``, checked to lie in the master seed range [0, 2^64)."""
-    if not 0 <= seed < SEED_LIMIT:
+def _seed_flag(seed: int | None) -> int | None:
+    """``--seed``, checked to lie in the master seed range [0, 2^64) when given."""
+    if seed is not None and not 0 <= seed < SEED_LIMIT:
         raise UsageError(f"--seed must lie in [0, 2^64), got {seed}")
     return seed
 
 
-def _load_config(args, scheme=None, experiment=None) -> RunConfig:
-    """Parse ``--config`` and apply the CLI overrides before the digest.
+def _load_config(args, **overrides) -> RunConfig:
+    """Parse ``--config`` for the subcommand, with the command-line overrides.
 
-    ``--seed`` and any non-None entry of ``scheme``/``experiment`` replace the
-    configured value, so the digest names the run that is actually made.
+    ``--seed``, ``--out-dir`` and the non-None values of ``overrides``, given
+    in the shape of the file's blocks, replace the configured values before
+    validation, so the digest names the run that is actually made.
     """
     if not args.config:
         raise ConfigError(["--config is required for this subcommand"])
@@ -165,14 +162,12 @@ def _load_config(args, scheme=None, experiment=None) -> RunConfig:
             text = handle.read()
     except OSError as exc:
         raise ConfigError([f"cannot read config file {args.config!r}: {exc}"]) from None
-    cfg = parse_config(text)
-    seed = cfg.seed if getattr(args, "seed", None) is None else _seed_flag(args.seed)
-    scheme = {**cfg.scheme, **_given(scheme)}
-    experiment = {**cfg.experiment, **_given(experiment)}
-    return RunConfig(
-        seed, cfg.model, scheme, experiment, cfg.io,
-        config_digest(seed, cfg.model, scheme, experiment),
-    )
+    overrides = {
+        "seed": _seed_flag(getattr(args, "seed", None)),
+        "io": {"out_dir": getattr(args, "out_dir", None)},
+        **overrides,
+    }
+    return parse_config(text, args.command, overrides)
 
 
 def _solver_settings(cfg: RunConfig) -> SolverSettings:
@@ -183,14 +178,6 @@ def _solver_settings(cfg: RunConfig) -> SolverSettings:
         max_iter=cfg.scheme["max_iter"],
         bracket_growth=cfg.scheme["bracket_growth"],
     )
-
-
-def _out_dir(args, cfg: RunConfig | None) -> str:
-    if args.out_dir:
-        return args.out_dir
-    if cfg is not None:
-        return cfg.io["out_dir"]
-    return "."
 
 
 def _cmd_fbm(args) -> int:
@@ -231,20 +218,13 @@ def _cmd_simulate(args) -> int:
     )
     model = cfg.build_model()
     drift, cert = model.drift()
-    steps = cfg.scheme["steps"]
-    if steps is None:
-        raise ConfigError(["$.scheme.steps: required for simulate"])
-    paths = cfg.experiment["paths"]
-    if paths is None:
-        paths = 1
-    if paths < 1:
-        raise ConfigError([f"$.experiment.paths: must be >= 1, got {paths}"])
+    steps, paths = cfg.scheme["steps"], cfg.experiment["paths"]
     scheme = SchemeConfig.for_model(
         model, cfg.scheme["horizon"], steps, _solver_settings(cfg)
     )
     check_step_bound(cert, scheme.h)
     grid = TimeGrid(scheme.horizon, steps)
-    out = args.out or os.path.join(_out_dir(args, cfg), "simulate.csv")
+    out = args.out or os.path.join(cfg.io["out_dir"], "simulate.csv")
     nodes = list(map(str, range(steps + 1)))
     times = list(map(repr, grid.times.tolist()))
     counts = _IntText(min(scheme.solver.max_iter, 255))  # shared by every path
@@ -300,34 +280,20 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _build_plan(cfg: RunConfig) -> ExperimentPlan:
-    exp = cfg.experiment
-    missing = [k for k in ("paths", "k_min", "k_max", "k_ref") if exp[k] is None]
-    if missing:
-        raise ConfigError(
-            [f"$.experiment.{k}: required for converge" for k in missing]
-        )
-    return ExperimentPlan(
+def _cmd_converge(args) -> int:
+    cfg = _load_config(args)
+    plan = ExperimentPlan(
         model=cfg.build_model(),
         horizon=cfg.scheme["horizon"],
-        p=float(exp["p"]),
-        k_min=exp["k_min"],
-        k_max=exp["k_max"],
-        k_ref=exp["k_ref"],
-        paths=exp["paths"],
         master_seed=cfg.seed,
         method=cfg.scheme["method"],
         solver=_solver_settings(cfg),
+        **cfg.experiment,  # paths, p and the ladder levels
     )
-
-
-def _cmd_converge(args) -> int:
-    cfg = _load_config(args)
-    plan = _build_plan(cfg)
     report = run_strong_error(
         plan, workers=args.threads, keep_paths=args.keep_paths
     )
-    out_dir = _out_dir(args, cfg)
+    out_dir = cfg.io["out_dir"]
     level_rows = [
         (lv.k, lv.h, lv.estimates["y_interp"]["e"], lv.estimates["y_interp"]["stderr"])
         for lv in report.levels
@@ -378,25 +344,19 @@ def _cmd_converge(args) -> int:
 def _cmd_moments(args) -> int:
     cfg = _load_config(args)
     model = cfg.build_model()
-    steps = cfg.scheme["steps"]
-    paths = cfg.experiment["paths"]
-    if steps is None:
-        raise ConfigError(["$.scheme.steps: required for moments"])
-    if paths is None:
-        raise ConfigError(["$.experiment.paths: required for moments"])
-    p_list = cfg.experiment["p_list"] or [2.0, 4.0]
+    steps, paths = cfg.scheme["steps"], cfg.experiment["paths"]
     probe = moment_probe(
         model,
         cfg.scheme["horizon"],
         steps,
         paths,
-        p_list,
+        cfg.experiment["p_list"],
         cfg.seed,
         ladder_rungs=cfg.experiment["ladder_rungs"],
         method=cfg.scheme["method"],
         solver=_solver_settings(cfg),
     )
-    out_dir = _out_dir(args, cfg)
+    out_dir = cfg.io["out_dir"]
     _atomic_write(
         os.path.join(out_dir, "moments.csv"),
         _csv_text(

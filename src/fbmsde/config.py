@@ -4,29 +4,34 @@ A configuration has up to five top-level keys:
 
     seed        master seed, an integer in [0, 2^64) (required)
     model       model family and parameters (required)
-    scheme      step count, tolerances, sampler method (defaults filled)
-    experiment  ladder levels, path count, error moment order (converge/moments)
+    scheme      step count, tolerances, sampler method
+    experiment  ladder levels, path count, error moment orders
     io          output locations (excluded from the config digest)
 
 Validation is strict and total: unknown keys anywhere are rejected, every
 violation is reported with its JSON path, and all errors are collected in one
-pass instead of stopping at the first.
+pass instead of stopping at the first.  Numbers must be finite.
+``COMMAND_KEYS`` names the scheme and experiment keys each subcommand reads;
+a run keeps only those, so its digest changes exactly when its outputs can.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+from collections import ChainMap
 from dataclasses import dataclass
 
 from .drifts import AitSahaliaModel, MeanRevertingModel, ModelSpec
 from .errors import ConfigError, ParameterError
 from .fbm import SEED_LIMIT
 
-__all__ = ["RunConfig", "parse_config", "config_digest"]
+__all__ = ["COMMAND_KEYS", "RunConfig", "parse_config", "config_digest"]
 
-_SCHEME_DEFAULTS = {
-    "steps": None,
+# The root-solver and sampler keys of the ``scheme`` block, each with the value
+# it takes when unset; every command that integrates reads all of them.
+_SCHEME_KEYS = {
     "horizon": 1.0,
     "tol_abs": 1e-12,
     "tol_rel": 1e-12,
@@ -35,17 +40,28 @@ _SCHEME_DEFAULTS = {
     "method": "circulant",
 }
 
-_EXPERIMENT_DEFAULTS = {
-    "paths": None,
-    "p": 2.0,
-    "k_min": None,
-    "k_max": None,
-    "k_ref": None,
-    "p_list": None,
-    "ladder_rungs": 6,
+# For each subcommand, the ``scheme`` and ``experiment`` keys it reads and the
+# value each takes when unset; None marks a required key.  A run's config
+# keeps exactly these keys, so its digest names the run and nothing else.
+COMMAND_KEYS = {
+    "simulate": {"scheme": {"steps": None, **_SCHEME_KEYS}, "experiment": {"paths": 1}},
+    "converge": {
+        "scheme": _SCHEME_KEYS,
+        "experiment": {"paths": None, "p": 2.0, "k_min": None, "k_max": None, "k_ref": None},
+    },
+    "moments": {
+        "scheme": {"steps": None, **_SCHEME_KEYS},
+        "experiment": {"paths": None, "p_list": (2.0, 4.0), "ladder_rungs": 6},
+    },
+    "verify-assumptions": {"scheme": {}, "experiment": {}},
 }
 
-_IO_DEFAULTS = {"out_dir": "."}
+# With no command: every key some command reads, an unset one at the value
+# the first command reading it gives.
+_ANY_COMMAND = {
+    name: dict(ChainMap(*(keys[name] for keys in COMMAND_KEYS.values())))
+    for name in ("scheme", "experiment")
+}
 
 _MODEL_KEYS = {
     "mean_reverting": {"a1", "a2", "gamma", "sigma", "y0", "hurst"},
@@ -57,6 +73,7 @@ _MODEL_KEYS = {
 class RunConfig:
     """Validated configuration with defaults applied.
 
+    ``scheme`` and ``experiment`` hold the keys the subcommand reads.
     ``digest`` is the SHA-256 of the canonical JSON of (seed, model, scheme,
     experiment); the io block is deliberately excluded so that redirecting
     outputs does not change a run's identity.
@@ -86,12 +103,87 @@ def config_digest(seed: int, model: dict, scheme: dict, experiment: dict) -> str
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _finite(value) -> float | None:
+    """``value`` as a float when it is a finite JSON number, else None.
+
+    Python's ``json`` reads ``NaN`` and ``Infinity``, and ``1e400`` as inf,
+    so every numeric check of the configuration goes through this one.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the float range
+        return None
+    return value if math.isfinite(value) else None
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _integer(minimum: int):
+    """A check that its value is an integer of at least ``minimum``."""
+
+    def check(value):
+        if not _is_int(value) or value < minimum:
+            raise ValueError(f"must be an integer >= {minimum}, got {value!r}")
+        return value
+
+    return check
+
+
+def _real(rule: str, test):
+    """A check that its value is a finite number satisfying ``test``, kept as a float."""
+
+    def check(value):
+        number = _finite(value)
+        if number is None or not test(number):
+            raise ValueError(f"must be a finite number {rule}, got {value!r}")
+        return number
+
+    return check
+
+
+def _method(value):
+    if value not in ("circulant", "cholesky"):
+        raise ValueError(f"must be 'circulant' or 'cholesky', got {value!r}")
+    return value
+
+
+def _orders(value):
+    """Moment orders as floats; 2 and 2.0 are one order, which may not repeat."""
+    orders = tuple(map(_finite, value)) if isinstance(value, list) else ()
+    if not orders or not all(p is not None and p > 0.0 for p in orders):
+        raise ValueError("must be a non-empty list of positive finite numbers")
+    for i, p in enumerate(orders):
+        if p in orders[:i]:
+            raise ValueError(f"duplicate order {p}")
+    return orders
+
+
+def _text(value):
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, got {value!r}")
+    return value
+
+
+_POSITIVE = _real("> 0", lambda x: x > 0.0)
+
+# The check of each key of the scheme, experiment and io blocks: it returns
+# the value to keep, a float for a float-typed key, or raises ValueError.
+_CHECKS = {
+    "scheme": {
+        "steps": _integer(1), "max_iter": _integer(8), "method": _method,
+        "horizon": _POSITIVE, "tol_abs": _POSITIVE, "tol_rel": _POSITIVE,
+        "bracket_growth": _real("> 1", lambda x: x > 1.0),
+    },
+    "experiment": {
+        **dict.fromkeys(("paths", "k_min", "k_max", "k_ref", "ladder_rungs"), _integer(1)),
+        "p": _real(">= 1", lambda x: x >= 1.0), "p_list": _orders,
+    },
+    "io": {"out_dir": _text},
+}
 
 
 def _check_model(block, errors: list[str]) -> dict | None:
@@ -114,11 +206,11 @@ def _check_model(block, errors: list[str]) -> dict | None:
         if key not in block:
             errors.append(f"$.model.{key}: required for the {family} family")
             continue
-        value = block[key]
-        if not _is_number(value):
-            errors.append(f"$.model.{key}: must be a number, got {value!r}")
+        value = _finite(block[key])
+        if value is None:
+            errors.append(f"$.model.{key}: must be a finite number, got {block[key]!r}")
             continue
-        out[key] = float(value)
+        out[key] = value
 
     def have(*names):
         return all(name in out for name in names)
@@ -141,42 +233,55 @@ def _check_model(block, errors: list[str]) -> dict | None:
 
 
 def _check_block(
-    name: str, block, defaults: dict, errors: list[str]
+    name: str, block, reads: dict, command: str | None, errors: list[str]
 ) -> dict:
-    out = dict(defaults)
+    """The keys of ``reads`` with the values ``block`` gives them, or their defaults.
+
+    Every key of ``block`` is checked, read or not.  An unset key whose
+    default is None is left out, and is an error when a ``command`` reads it.
+    """
     if block is None:
-        return out
-    if not isinstance(block, dict):
+        block = {}
+    elif not isinstance(block, dict):
         errors.append(f"$.{name}: must be an object")
-        return out
+        block = {}
+    out = {}
     for key, value in block.items():
-        if key not in defaults:
+        check = _CHECKS[name].get(key)
+        if check is None:
             errors.append(f"$.{name}.{key}: unknown key")
             continue
-        out[key] = value
+        try:
+            value = check(value)
+        except ValueError as exc:
+            errors.append(f"$.{name}.{key}: {exc}")
+            continue
+        if key in reads:
+            out[key] = value
+    for key, default in reads.items():
+        if key in block:
+            continue
+        if default is not None:
+            out[key] = default
+        elif command is not None:
+            errors.append(f"$.{name}.{key}: required for {command}")
     return out
 
 
-def _require_int(block: dict, name: str, key: str, errors: list[str], minimum: int):
-    value = block.get(key)
-    if value is None:
-        return
-    if not _is_int(value):
-        errors.append(f"$.{name}.{key}: must be an integer, got {value!r}")
-    elif value < minimum:
-        errors.append(f"$.{name}.{key}: must be >= {minimum}, got {value}")
+def parse_config(
+    text: str, command: str | None = None, overrides: dict | None = None
+) -> RunConfig:
+    """Parse and validate configuration JSON for ``command``, reporting every violation.
 
-
-def _require_positive(block: dict, name: str, key: str, errors: list[str]):
-    value = block.get(key)
-    if value is None:
-        return
-    if not _is_number(value) or not value > 0:
-        errors.append(f"$.{name}.{key}: must be a positive number, got {value!r}")
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate configuration JSON, reporting every violation."""
+    ``overrides`` holds command-line values in the file's shape, for example
+    ``{"seed": 3, "scheme": {"steps": 16}}``; each one that is not None
+    replaces the file's value before validation.  The run keeps the scheme
+    and experiment keys that ``COMMAND_KEYS[command]`` names, each unset one
+    at its default, and its digest covers the seed, the model and exactly
+    those keys.  With no command it keeps every key some command reads, an
+    unset one at the value the first command reading it gives, and requires
+    none.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -185,6 +290,13 @@ def parse_config(text: str) -> RunConfig:
         ) from None
     if not isinstance(raw, dict):
         raise ConfigError(["$: top level must be an object"])
+    for name, value in (overrides or {}).items():
+        if isinstance(value, dict):
+            block = {} if raw.get(name) is None else raw[name]
+            if isinstance(block, dict):
+                raw[name] = {**block, **{k: v for k, v in value.items() if v is not None}}
+        elif value is not None:
+            raw[name] = value
 
     errors: list[str] = []
     for key in raw:
@@ -207,55 +319,17 @@ def parse_config(text: str) -> RunConfig:
     else:
         model = _check_model(raw["model"], errors)
 
-    scheme = _check_block("scheme", raw.get("scheme"), _SCHEME_DEFAULTS, errors)
-    _require_int(scheme, "scheme", "steps", errors, 1)
-    _require_positive(scheme, "scheme", "horizon", errors)
-    _require_positive(scheme, "scheme", "tol_abs", errors)
-    _require_positive(scheme, "scheme", "tol_rel", errors)
-    _require_int(scheme, "scheme", "max_iter", errors, 8)
-    if scheme["method"] not in ("circulant", "cholesky"):
-        errors.append(
-            f"$.scheme.method: must be 'circulant' or 'cholesky', got {scheme['method']!r}"
-        )
-    growth = scheme["bracket_growth"]
-    if not _is_number(growth) or not growth > 1.0:
-        errors.append(f"$.scheme.bracket_growth: must exceed 1, got {growth!r}")
-
-    experiment = _check_block(
-        "experiment", raw.get("experiment"), _EXPERIMENT_DEFAULTS, errors
+    reads = COMMAND_KEYS[command] if command else _ANY_COMMAND
+    scheme, experiment = (
+        _check_block(name, raw.get(name), reads[name], command, errors)
+        for name in ("scheme", "experiment")
     )
-    _require_int(experiment, "experiment", "paths", errors, 1)
-    for key in ("k_min", "k_max", "k_ref"):
-        _require_int(experiment, "experiment", key, errors, 1)
-    p = experiment["p"]
-    if not _is_number(p) or p < 1.0:
-        errors.append(f"$.experiment.p: must be a number >= 1, got {p!r}")
-    if experiment["p_list"] is not None:
-        plist = experiment["p_list"]
-        if not isinstance(plist, list) or not plist or not all(
-            _is_number(v) and v > 0 for v in plist
-        ):
-            errors.append(
-                f"$.experiment.p_list: must be a non-empty list of positive numbers"
-            )
-        else:
-            # 2 and 2.0 are one order: a repeat would fold twice into its moment
-            orders = [float(v) for v in plist]
-            for i, v in enumerate(orders):
-                if v in orders[:i]:
-                    errors.append(f"$.experiment.p_list: duplicate order {v}")
-                    break
-    _require_int(experiment, "experiment", "ladder_rungs", errors, 1)
-
-    io_block = _check_block("io", raw.get("io"), _IO_DEFAULTS, errors)
-    if not isinstance(io_block["out_dir"], str):
-        errors.append(f"$.io.out_dir: must be a string, got {io_block['out_dir']!r}")
+    io_block = _check_block("io", raw.get("io"), {"out_dir": "."}, command, errors)
 
     if model is not None and not errors:
         # cross-field constraints surface through the model constructors
         try:
-            cfg = RunConfig(seed, model, scheme, experiment, io_block, "")
-            cfg.build_model()
+            RunConfig(seed, model, scheme, experiment, io_block, "").build_model()
         except ParameterError as exc:
             errors.append(f"$.model: {exc}")
 

@@ -98,13 +98,15 @@ class SolverSettings:
     bracket_growth: float = 2.0
 
     def __post_init__(self):
-        if not (self.tol_abs > 0.0 and self.tol_rel > 0.0):
-            raise ParameterError("tolerances must be positive")
+        if not (0.0 < self.tol_abs < math.inf and 0.0 < self.tol_rel < math.inf):
+            raise ParameterError(
+                f"tolerances must be positive and finite, got {self.tol_abs}, {self.tol_rel}"
+            )
         if self.max_iter < 8:
             raise ParameterError(f"max_iter must be >= 8, got {self.max_iter}")
-        if not self.bracket_growth > 1.0:
+        if not 1.0 < self.bracket_growth < math.inf:
             raise ParameterError(
-                f"bracket_growth must exceed 1, got {self.bracket_growth}"
+                f"bracket_growth must be finite and exceed 1, got {self.bracket_growth}"
             )
 
 

@@ -10,8 +10,10 @@ are tiny runs of every subcommand over both samplers and both model
 families, with a Cholesky grid just past the sampler's 1024-step panel
 boundary (``moments`` at 1030 steps, ``converge`` with a 2048-step
 reference), seeds 20260809 and 7, and ``--threads`` 1 and 2 where a command
-pools.  A change that re-records these files must say which outputs moved
-and why.
+pools.  One case is a failure: a ladder whose tolerance no residual can meet,
+so every path fails and ``converge`` exits 2 without writing a file.  Each
+case keeps its exit code and stderr beside its files.  A change that
+re-records these files must say which outputs moved and why.
 """
 
 from __future__ import annotations
@@ -77,6 +79,15 @@ def _cases():
         cases[f"moments-as-circulant-{seed}"] = (cfg, [
             ["moments", "--config", "{config}", "--out-dir", "{out}"]
         ])
+    # no residual can meet a 1e-300 tolerance: every path fails, no file is written
+    cases["converge-as-all-fail-7"] = (
+        _config(7, AS, {"tol_abs": 1e-300, "tol_rel": 1e-300}, LADDER),
+        [
+            ["converge", "--config", "{config}", "--threads", str(threads),
+             "--out-dir", "{out}"]
+            for threads in (1, 2)
+        ],
+    )
     cases["converge-mr-cholesky-7"] = (
         _config(7, MR, {"method": "cholesky"}, {**LADDER, "paths": 2, "k_ref": 11}),
         [["converge", "--config", "{config}", "--threads", "1", "--out-dir", "{out}"]],
@@ -92,8 +103,8 @@ CASES = _cases()
 
 
 def run_case(name: str, variant: int, workdir: Path) -> dict[str, bytes]:
-    """Run one argv variant of a case in ``workdir``; its files, and stdout for
-    ``verify-assumptions``, by name."""
+    """Run one argv variant of a case in ``workdir``; its files, its stderr,
+    and stdout for ``verify-assumptions``, by name."""
     from fbmsde.cli import main
 
     cfg, variants = CASES[name]
@@ -102,8 +113,8 @@ def run_case(name: str, variant: int, workdir: Path) -> dict[str, bytes]:
     if cfg is not None:
         config.write_text(json.dumps(cfg))
     argv = [arg.format(out=out, config=config) for arg in variants[variant]]
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
     files = {}
     if argv[0] == "verify-assumptions":
@@ -111,6 +122,7 @@ def run_case(name: str, variant: int, workdir: Path) -> dict[str, bytes]:
     for path in sorted(out.iterdir()) if out.exists() else ():
         files[path.name] = path.read_bytes()
     files["exit_code.txt"] = f"{code}\n".encode()
+    files["stderr.txt"] = stderr.getvalue().encode()
     return files
 
 

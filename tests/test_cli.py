@@ -344,10 +344,10 @@ class TestCli:
             return out.read_text().splitlines()[0].split("config_digest=")[1]
 
         plain = digest()
-        assert plain == parse_config(cfg.read_text()).digest
+        assert plain == parse_config(cfg.read_text(), "simulate").digest
         halved = digest("--steps", "16")
         assert halved == parse_config(
-            config_text(scheme={"steps": 16}, experiment={"paths": 2})
+            config_text(scheme={"steps": 16}, experiment={"paths": 2}), "simulate"
         ).digest
         assert len({plain, halved, digest("--paths", "3")}) == 3
 

@@ -1,0 +1,237 @@
+"""The keys each subcommand reads, and the digest that names a run.
+
+A run's configuration keeps exactly the scheme and experiment keys that
+``COMMAND_KEYS`` lists for its subcommand, unset ones at their default, and
+its digest covers the seed, the model and those keys.  So a key the command
+does not read, or a key set to the value it takes when unset, moves no byte
+of any output, header included, and a key it reads moves the digest.
+"""
+
+import json
+
+import pytest
+
+import fbmsde.cli as cli
+from fbmsde.config import COMMAND_KEYS, parse_config
+from fbmsde.errors import ConfigError
+
+MR = {"model": "mean_reverting", "a1": 1.0, "a2": 1.0, "gamma": 0.7, "sigma": 0.5,
+      "y0": 1.0, "hurst": 0.7}
+AS = {"model": "ait_sahalia", "a_m1": 1.0, "a0": 1.0, "a1": 1.0, "a2": 1.0,
+      "r": 3.0, "rho": 1.5, "sigma": 0.5, "y0": 1.0, "hurst": 0.7}
+
+# Two valid values of every scheme and experiment key, neither of them the
+# value a command takes when the key is unset or the one RUNS sets.
+VALUES = {
+    "scheme": {
+        "steps": (24, 48),
+        "horizon": (0.5, 0.75),
+        "tol_abs": (1e-11, 1e-10),
+        "tol_rel": (1e-11, 1e-10),
+        "max_iter": (100, 50),
+        "bracket_growth": (3.0, 4.0),
+        "method": ("cholesky", "cholesky"),
+    },
+    "experiment": {
+        "paths": (5, 6),
+        "p": (4.0, 3.0),
+        "k_min": (3, 1),
+        "k_max": (5, 6),
+        "k_ref": (8, 9),
+        "p_list": ([3.0], [1.0, 6.0]),
+        "ladder_rungs": (3, 4),
+    },
+}
+
+# The keys each command requires, and the argv that runs it in ``{out}``.
+RUNS = {
+    "simulate": (
+        {"scheme": {"steps": 16}},
+        ["--out", "{out}/simulate.csv"],
+    ),
+    "converge": (
+        {"experiment": {"paths": 4, "k_min": 2, "k_max": 4, "k_ref": 7}},
+        ["--threads", "1", "--keep-paths", "--out-dir", "{out}"],
+    ),
+    "moments": (
+        {"scheme": {"steps": 32}, "experiment": {"paths": 3}},
+        ["--out-dir", "{out}"],
+    ),
+}
+
+
+def _config(command: str, **blocks) -> dict:
+    """The command's minimal configuration with each block of ``blocks`` merged in."""
+    required, _ = RUNS[command]
+    cfg = {"seed": 7, "model": MR}
+    for name in ("scheme", "experiment"):
+        block = {**required.get(name, {}), **blocks.get(name, {})}
+        if block:
+            cfg[name] = block
+    return cfg
+
+
+def _run(command: str, cfg: dict, workdir) -> dict:
+    """The command's exit code and every file it wrote, by name."""
+    workdir.mkdir()
+    config = workdir / "config.json"
+    config.write_text(json.dumps(cfg))
+    out = workdir / "out"
+    argv = [arg.format(out=out) for arg in RUNS[command][1]]
+    code = cli.main([command, "--config", str(config), *argv])
+    return {"exit": code, **{path.name: path.read_bytes() for path in sorted(out.iterdir())}}
+
+
+def _whole(value: float):
+    return int(value) if value.is_integer() else value
+
+
+def _digest(command: str, cfg: dict) -> str:
+    return parse_config(json.dumps(cfg), command).digest
+
+
+def _unread(command: str) -> dict:
+    """Every scheme and experiment key the command does not read, at its first value."""
+    return {
+        name: {k: v[0] for k, v in VALUES[name].items() if k not in COMMAND_KEYS[command][name]}
+        for name in ("scheme", "experiment")
+    }
+
+
+@pytest.mark.parametrize("command", sorted(RUNS))
+def test_unread_keys_move_no_output_byte(tmp_path, command):
+    plain = _run(command, _config(command), tmp_path / "plain")
+    assert plain["exit"] in (0, 3) and len(plain) > 1
+    unread = _unread(command)
+    assert any(unread.values())
+    assert _run(command, _config(command, **unread), tmp_path / "unread") == plain
+    # and each one alone, at either value, leaves the digest as it was
+    for name, block in unread.items():
+        for key in block:
+            for which in (0, 1):
+                cfg = _config(command, **{name: {key: VALUES[name][key][which]}})
+                assert _digest(command, cfg) == _digest(command, _config(command)), key
+
+
+@pytest.mark.parametrize("command", sorted(RUNS))
+def test_keys_set_to_their_defaults_move_no_output_byte(tmp_path, command):
+    plain = _run(command, _config(command), tmp_path / "plain")
+    defaults = {
+        name: {k: v for k, v in keys.items() if v is not None}
+        for name, keys in COMMAND_KEYS[command].items()
+    }
+    # and spelled with an int for each whole float
+    spelled = json.loads(json.dumps(defaults), parse_float=lambda v: _whole(float(v)))
+    for i, blocks in enumerate((defaults, spelled)):
+        assert _run(command, _config(command, **blocks), tmp_path / str(i)) == plain
+    assert COMMAND_KEYS["simulate"]["experiment"]["paths"] == 1
+    assert list(COMMAND_KEYS["moments"]["experiment"]["p_list"]) == [2.0, 4.0]
+
+
+@pytest.mark.parametrize("command", sorted(RUNS))
+def test_every_read_key_moves_the_digest(command):
+    plain = _digest(command, _config(command))
+    for name, keys in COMMAND_KEYS[command].items():
+        for key in keys:
+            for value in VALUES[name][key]:
+                cfg = _config(command, **{name: {key: value}})
+                assert _digest(command, cfg) != plain, (name, key, value)
+    # the model and the seed are part of every digest too
+    assert _digest(command, {**_config(command), "seed": 8}) != plain
+    assert _digest(command, {**_config(command), "model": {**MR, "a1": 2.0}}) != plain
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+def test_run_keeps_exactly_the_keys_its_command_reads(command):
+    every = {name: {k: v[0] for k, v in VALUES[name].items()} for name in VALUES}
+    cfg = parse_config(json.dumps({"seed": 7, "model": MR, **every}), command)
+    assert cfg.scheme.keys() == COMMAND_KEYS[command]["scheme"].keys()
+    assert cfg.experiment.keys() == COMMAND_KEYS[command]["experiment"].keys()
+
+
+@pytest.mark.parametrize(
+    "command, missing",
+    [
+        ("simulate", ["$.scheme.steps"]),
+        ("converge", [f"$.experiment.{k}" for k in ("paths", "k_min", "k_max", "k_ref")]),
+        ("moments", ["$.scheme.steps", "$.experiment.paths"]),
+    ],
+)
+def test_required_keys_are_named(command, missing):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps({"seed": 7, "model": MR}), command)
+    assert excinfo.value.errors == [f"{path}: required for {command}" for path in missing]
+
+
+def test_overrides_are_checked_as_file_values():
+    text = json.dumps(_config("simulate"))
+    cfg = parse_config(text, "simulate", {"seed": 9, "scheme": {"steps": 8, "horizon": None}})
+    assert (cfg.seed, cfg.scheme["steps"], cfg.scheme["horizon"]) == (9, 8, 1.0)
+    assert cfg.digest == _digest("simulate", {**_config("simulate", scheme={"steps": 8}), "seed": 9})
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text, "simulate", {"experiment": {"paths": 0}})
+    assert excinfo.value.errors == ["$.experiment.paths: must be an integer >= 1, got 0"]
+
+
+# Every numeric key, with the model family that has it.
+NUMERIC_KEYS = (
+    [("model", key, MR) for key in sorted(MR) if key != "model"]
+    + [("model", key, AS) for key in sorted(AS.keys() - MR.keys()) if key != "model"]
+    + [
+        (name, key, MR)
+        for name, keys in VALUES.items()
+        for key in keys
+        if key != "method"
+    ]
+)
+
+
+@pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1e400"])
+@pytest.mark.parametrize(
+    "block, key, model", NUMERIC_KEYS, ids=[f"{b}.{k}" for b, k, _ in NUMERIC_KEYS]
+)
+def test_non_finite_numbers_are_rejected_by_path(block, key, model, token):
+    # json reads NaN and Infinity, and 1e400 as inf
+    cfg = {"seed": 7, "model": dict(model), "scheme": {"steps": 16}, "experiment": {}}
+    cfg[block][key] = ["@"] if key == "p_list" else "@"
+    text = json.dumps(cfg).replace('"@"', token)
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert any(e.startswith(f"$.{block}.{key}: ") for e in excinfo.value.errors)
+
+
+def test_non_finite_tolerance_exits_one(tmp_path, capsys):
+    # an infinite tolerance once accepted the explicit-Euler predictor as every node
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_config("simulate")).replace('"steps"', '"tol_abs": Infinity, "steps"'))
+    out = tmp_path / "sim.csv"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "config error: $.scheme.tol_abs: must be a finite number > 0, got inf" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(RUNS))
+def test_integer_spellings_of_float_keys_write_the_same_bytes(tmp_path, command):
+    spellings = [
+        {"scheme": {"horizon": h, "bracket_growth": g}, "experiment": {"p": p, "p_list": pl}}
+        for h, g, p, pl in ((1, 3, 2, [2, 4]), (1.0, 3.0, 2.0, [2.0, 4.0]))
+    ]
+    runs = [
+        _run(command, _config(command, **blocks), tmp_path / str(i))
+        for i, blocks in enumerate(spellings)
+    ]
+    assert runs[0] == runs[1]
+    if command == "moments":
+        assert b'"horizon": 1.0' in runs[0]["probe.json"]
+
+
+def test_float_keys_are_stored_as_floats():
+    every = {name: {k: v[0] for k, v in VALUES[name].items()} for name in VALUES}
+    every["scheme"].update(horizon=1, tol_abs=1, tol_rel=1, bracket_growth=2)
+    every["experiment"].update(p=2, p_list=[2, 4])
+    cfg = parse_config(json.dumps({"seed": 7, "model": MR, **every}))
+    stored = [cfg.scheme[k] for k in ("horizon", "tol_abs", "tol_rel", "bracket_growth")]
+    stored += [cfg.experiment["p"], *cfg.experiment["p_list"]]
+    assert all(type(v) is float for v in stored)

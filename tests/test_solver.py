@@ -322,6 +322,13 @@ class TestIntegrate:
         with pytest.raises(ParameterError):
             SolverSettings(max_iter=4)
 
+    @pytest.mark.parametrize("field", ["tol_abs", "tol_rel", "bracket_growth"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_solver_settings_reject_non_finite_values(self, field, value):
+        # an infinite tolerance accepts the explicit-Euler predictor as every root
+        with pytest.raises(ParameterError, match=field.split("_")[0]):
+            SolverSettings(**{field: value})
+
 
 class TestInterpolation:
     def test_exact_at_nodes(self):
