@@ -39,11 +39,11 @@ from .errors import (
 from .fbm import (
     CholeskySampler,
     CirculantSampler,
-    FbmPath,
     Hurst,
     TimeGrid,
     make_sampler,
     mix_seed,
+    path_values,
     subsample,
 )
 from .solver import (

@@ -34,7 +34,7 @@ from .convergence import (
 )
 from .drifts import audit_assumptions, lamperti_inverse
 from .errors import ConfigError, FbmsdeError, ParameterError, UsageError
-from .fbm import SEED_LIMIT, TimeGrid, make_sampler
+from .fbm import SEED_LIMIT, TimeGrid, make_sampler, path_values
 from .solver import SchemeConfig, SolverSettings, check_step_bound, integrate
 
 EXIT_OK = 0
@@ -203,7 +203,7 @@ def _cmd_fbm(args) -> int:
         yield _csv_head(seed, digest, ["path_index", "node_index", "time", "value"])
         # one batch per chunk, so the arrays held are bounded by the chunk
         for start, stop in _chunks(args.paths, args.steps):
-            values = sampler.sample(seed, range(start, stop)).values
+            values = path_values(sampler.sample(seed, range(start, stop)))
             for i, row in zip(range(start, stop), values):
                 yield from _path_text(i, nodes, times, map(repr, _items(row)))
 
@@ -240,7 +240,7 @@ def _cmd_simulate(args) -> int:
         """
         noise = make_sampler(cfg.scheme["method"], model.hurst, grid).sample(
             cfg.seed, range(start, stop)
-        ).increments
+        )
         sol = integrate(drift, scheme, noise, cert)
         _raise_first_failure(sol.failures, start)
         values, residuals, iterations = sol.values, sol.residuals, sol.iterations

@@ -12,7 +12,8 @@ Validation is strict and total: unknown keys anywhere are rejected, every
 violation is reported with its JSON path, and all errors are collected in one
 pass instead of stopping at the first.  Numbers must be finite.
 ``COMMAND_KEYS`` names the scheme and experiment keys each subcommand reads;
-a run keeps only those, so its digest changes exactly when its outputs can.
+a run keeps only those, with ``ladder_rungs`` clamped as the moment probe
+clamps it, so its digest changes exactly when its outputs can.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections import ChainMap
 from dataclasses import dataclass
 
+from .convergence import modulus_rungs
 from .drifts import AitSahaliaModel, MeanRevertingModel, ModelSpec
 from .errors import ConfigError, ParameterError
 from .fbm import SEED_LIMIT
@@ -54,13 +55,6 @@ COMMAND_KEYS = {
         "experiment": {"paths": None, "p_list": (2.0, 4.0), "ladder_rungs": 6},
     },
     "verify-assumptions": {"scheme": {}, "experiment": {}},
-}
-
-# With no command: every key some command reads, an unset one at the value
-# the first command reading it gives.
-_ANY_COMMAND = {
-    name: dict(ChainMap(*(keys[name] for keys in COMMAND_KEYS.values())))
-    for name in ("scheme", "experiment")
 }
 
 _MODEL_KEYS = {
@@ -232,13 +226,11 @@ def _check_model(block, errors: list[str]) -> dict | None:
     return out if not any(e.startswith("$.model") for e in errors) else None
 
 
-def _check_block(
-    name: str, block, reads: dict, command: str | None, errors: list[str]
-) -> dict:
+def _check_block(name: str, block, reads: dict, command: str, errors: list[str]) -> dict:
     """The keys of ``reads`` with the values ``block`` gives them, or their defaults.
 
     Every key of ``block`` is checked, read or not.  An unset key whose
-    default is None is left out, and is an error when a ``command`` reads it.
+    default is None is an error: ``command`` requires it.
     """
     if block is None:
         block = {}
@@ -263,14 +255,12 @@ def _check_block(
             continue
         if default is not None:
             out[key] = default
-        elif command is not None:
+        else:
             errors.append(f"$.{name}.{key}: required for {command}")
     return out
 
 
-def parse_config(
-    text: str, command: str | None = None, overrides: dict | None = None
-) -> RunConfig:
+def parse_config(text: str, command: str, overrides: dict | None = None) -> RunConfig:
     """Parse and validate configuration JSON for ``command``, reporting every violation.
 
     ``overrides`` holds command-line values in the file's shape, for example
@@ -278,9 +268,7 @@ def parse_config(
     replaces the file's value before validation.  The run keeps the scheme
     and experiment keys that ``COMMAND_KEYS[command]`` names, each unset one
     at its default, and its digest covers the seed, the model and exactly
-    those keys.  With no command it keeps every key some command reads, an
-    unset one at the value the first command reading it gives, and requires
-    none.
+    those keys, ``ladder_rungs`` at the count the moment probe uses.
     """
     try:
         raw = json.loads(text)
@@ -319,9 +307,8 @@ def parse_config(
     else:
         model = _check_model(raw["model"], errors)
 
-    reads = COMMAND_KEYS[command] if command else _ANY_COMMAND
     scheme, experiment = (
-        _check_block(name, raw.get(name), reads[name], command, errors)
+        _check_block(name, raw.get(name), COMMAND_KEYS[command][name], command, errors)
         for name in ("scheme", "experiment")
     )
     io_block = _check_block("io", raw.get("io"), {"out_dir": "."}, command, errors)
@@ -335,5 +322,8 @@ def parse_config(
 
     if errors:
         raise ConfigError(errors)
+    if "ladder_rungs" in experiment:
+        rungs = experiment["ladder_rungs"]
+        experiment["ladder_rungs"] = modulus_rungs(rungs, scheme["steps"])
     digest = config_digest(seed, model, scheme, experiment)
     return RunConfig(seed, model, scheme, experiment, io_block, digest)

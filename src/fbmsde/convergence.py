@@ -58,6 +58,7 @@ __all__ = [
     "run_strong_error",
     "fit_order",
     "moment_probe",
+    "modulus_rungs",
     "critical_horizon",
 ]
 
@@ -279,8 +280,8 @@ def _draw_chunk(
     single draw would be, and coarsened with :func:`subsample`; the result
     maps each factor to a read-only (paths, steps / factor) array.
     """
-    path = sampler.sample(master_seed, range(start, stop))
-    return {f: subsample(path, f).increments for f in factors}
+    noise = sampler.sample(master_seed, range(start, stop))
+    return {f: subsample(noise, f) for f in factors}
 
 
 def _raise_first_failure(failures: dict, start: int) -> None:
@@ -627,6 +628,15 @@ def _modulus_envelope(h: np.ndarray, hurst: float) -> np.ndarray:
     return h + h**hurst * np.sqrt(np.log1p(1.0 / h))
 
 
+def modulus_rungs(ladder_rungs: int, steps: int) -> int:
+    """The modulus ladder's rung count on a ``steps``-step grid.
+
+    ``ladder_rungs``, capped at log2(steps) - 1 so that the widest window,
+    2^(rungs - 1) steps, spans at most a quarter of the grid.
+    """
+    return max(0, min(ladder_rungs, int(math.log2(steps)) - 1))
+
+
 def moment_probe(
     model: ModelSpec,
     horizon: float,
@@ -641,8 +651,9 @@ def moment_probe(
 ) -> MomentProbe:
     """Estimate E sup X^{-p}, E sup X^{p}, and modulus-of-continuity ratios.
 
-    The modulus ladder uses window widths h * 2^j, j = 0..ladder_rungs-1, and
-    reports E modulus(h_j) divided by the envelope h + h^H sqrt(log(1 + 1/h)).
+    The modulus ladder uses window widths h * 2^j for j below
+    ``modulus_rungs(ladder_rungs, steps)``, and reports E modulus(h_j)
+    divided by the envelope h + h^H sqrt(log(1 + 1/h)).
     For critical-regime models the admissible horizon shrinks with p; a
     warning is emitted when (horizon, max p) exceeds it.  ``method`` picks the
     fBM sampler and ``solver`` holds the root-solver settings.
@@ -667,7 +678,7 @@ def moment_probe(
     grid = TimeGrid(horizon, steps)
     sampler = make_sampler(method, model.hurst, grid)
     config = SchemeConfig.for_model(model, horizon, steps, solver)
-    rungs = max(0, min(ladder_rungs, int(math.log2(steps)) - 1))
+    rungs = modulus_rungs(ladder_rungs, steps)
     windows = [2**j for j in range(rungs)]
     reach = 2 ** (rungs - 1) if rungs else 0  # widest window, in steps
     neg = {p: 0.0 for p in p_list}
@@ -675,7 +686,7 @@ def moment_probe(
     modulus = np.zeros(len(windows))
     for start, stop in _chunks(paths, steps):
         size = stop - start
-        noise = sampler.sample(master_seed, range(start, stop)).increments
+        noise = sampler.sample(master_seed, range(start, stop))
         v_max, v_min = np.full(size, -np.inf), np.full(size, np.inf)
         moduli = np.zeros((size, rungs))
         failures: dict = {}

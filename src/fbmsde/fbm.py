@@ -23,10 +23,12 @@ are provided:
 
 Each sampler is a different linear map applied to the same i.i.d. normal
 draw: both share one ``sample`` loop, which states the draw contract, and
-each maps rows of normals to rows of increments.  Node values are built
-lazily, on first use, by a sequential cumulative sum, so
-``np.cumsum(path.increments, axis=-1)`` reproduces ``path.values[..., 1:]``
-bitwise for every freshly generated path.
+each maps rows of normals to rows of increments.  A draw is its read-only
+array of increments, the only view of the path the scheme needs;
+:func:`path_values` builds node values from it by a sequential cumulative
+sum, so ``np.cumsum(increments, axis=-1)`` reproduces
+``path_values(increments)[..., 1:]`` bitwise.  :func:`subsample` block-sums
+increments onto a coarser grid.
 
 :func:`make_sampler` builds either sampler from its method name.
 """
@@ -52,12 +54,12 @@ from .errors import (
 __all__ = [
     "Hurst",
     "TimeGrid",
-    "FbmPath",
     "SEED_LIMIT",
     "mix_seed",
     "CholeskySampler",
     "CirculantSampler",
     "make_sampler",
+    "path_values",
     "subsample",
 ]
 
@@ -167,51 +169,6 @@ class TimeGrid:
         return t
 
 
-@dataclass(frozen=True, eq=False)
-class FbmPath:
-    """One realized fBM path, or a batch of them, on a uniform grid.
-
-    ``increments`` has shape (steps,) for one path and (paths, steps) for a
-    batch, whose ``path_index`` is then the range of path indices it holds.
-    ``values`` holds the nodes along the last axis, ``steps + 1`` of them
-    starting at 0.0; it is built on first use, as the row-wise cumulative sum
-    of the increments or, for a path subsampled from ``source``, as every
-    factor-th node of the source.  Arrays are read-only: a path is
-    immutable, safe to share across threads, and compares and hashes by
-    identity.  ``master_seed`` and ``path_index`` record the draw's
-    provenance.
-    """
-
-    grid: TimeGrid
-    hurst: Hurst
-    increments: np.ndarray
-    master_seed: int
-    path_index: int | range
-    source: FbmPath | None = None
-
-    def __post_init__(self):
-        n = self.grid.steps
-        shape = self.increments.shape
-        batch = isinstance(self.path_index, range)
-        expected = (len(self.path_index), n) if batch else (n,)
-        if shape != expected:
-            raise UsageError(f"increments must have shape {expected}, got {shape}")
-        if self.source is not None and self.source.grid.steps % n != 0:
-            raise UsageError(
-                f"a {n}-step path cannot subsample a {self.source.grid.steps}-step source"
-            )
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        if self.source is not None:
-            factor = self.source.grid.steps // self.grid.steps
-            return self.source.values[..., ::factor]
-        values = np.empty(self.increments.shape[:-1] + (self.grid.steps + 1,))
-        values[..., 0] = 0.0
-        np.cumsum(self.increments, axis=-1, out=values[..., 1:])
-        return _read_only(values)
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -307,12 +264,11 @@ class _ExactSampler:
     rows of increments in ``_increments(normals, out, *workspace)``.
     """
 
-    def sample(self, master_seed: int, path_index: int | range = 0) -> FbmPath:
-        """Path ``path_index``, or the batch of the paths in a range of them.
+    def sample(self, master_seed: int, path_index: int | range = 0) -> np.ndarray:
+        """The read-only increments of path ``path_index``, or of a range of paths.
 
-        An int gives one :class:`FbmPath` with increments of shape (steps,); a
-        range gives one whose increments have shape (paths, steps), row ``i``
-        holding path ``path_index[i]``.
+        An int gives shape (steps,); a range gives shape (paths, steps), row
+        ``i`` holding path ``path_index[i]``.
 
         Draw contract: each path draws its ``_width`` normals from its own
         PCG64 generator seeded with ``mix_seed(master_seed, path_index)``, and
@@ -339,8 +295,7 @@ class _ExactSampler:
             self._increments(z, out, *workspace)
             if not np.isfinite(out).all():
                 raise NumericalError("fBM path contains non-finite values")
-        increments = _read_only(increments if batch else increments[0])
-        return FbmPath(self.grid, self.hurst, increments, master_seed, path_index)
+        return _read_only(increments if batch else increments[0])
 
     def _sub_batch_rows(self, paths: int) -> int:
         """Paths per sub-batch of a draw of ``paths`` paths: the whole batch.
@@ -488,44 +443,35 @@ def make_sampler(
     raise UsageError(f"unknown fBM sampler method {method!r}")
 
 
-def block_sums(increments: np.ndarray, factor: int) -> np.ndarray:
-    """Sum consecutive blocks of ``factor`` increments along the last axis.
+def path_values(increments: np.ndarray) -> np.ndarray:
+    """Read-only node values of paths with these increments along the last axis.
 
-    Each block is reduced by numpy's deterministic pairwise summation over the
-    contiguous block, always in the same order, so results are reproducible
-    bit for bit, and each row of a batch sums exactly as it would alone.
+    ``steps + 1`` nodes starting at 0.0, built by a sequential cumulative sum.
     """
-    n = increments.shape[-1]
-    if factor < 1 or n % factor != 0:
-        raise UsageError(f"block factor {factor} does not divide {n} increments")
-    return increments.reshape(increments.shape[:-1] + (-1, factor)).sum(axis=-1)
+    values = np.empty(increments.shape[:-1] + (increments.shape[-1] + 1,))
+    values[..., 0] = 0.0
+    np.cumsum(increments, axis=-1, out=values[..., 1:])
+    return _read_only(values)
 
 
-def subsample(path: FbmPath, factor: int) -> FbmPath:
-    """Restrict a path, or every path of a batch, to every ``factor``-th node.
+def subsample(increments: np.ndarray, factor: int) -> np.ndarray:
+    """Increments on the grid of every ``factor``-th node, along the last axis.
 
-    The horizon stays the same.  Node values are read from the source path by
-    index, hence bitwise equal to it at shared nodes.  Increments are block sums
-    of the source increments (see :func:`block_sums`), which is the coupling
-    used by step-ladder experiments.  The two arrays are each exact with
-    respect to the source; their mutual cumulative-sum identity holds only up
-    to rounding because block summation reassociates additions.
+    The horizon stays the same.  Each coarse increment is the sum of a block
+    of ``factor`` fine ones, the coupling used by step-ladder experiments,
+    reduced by numpy's deterministic pairwise summation over the contiguous
+    block, so results are reproducible bit for bit and each row of a batch
+    sums exactly as it would alone.  The result is read-only, and is
+    ``increments`` itself for a factor of one.  Block summation reassociates
+    additions, so the coarse node values match the fine ones at shared nodes
+    only up to rounding.
     """
     factor = int(factor)
+    n = increments.shape[-1]
     if factor < 1:
         raise UsageError(f"subsample factor must be >= 1, got {factor}")
-    if path.grid.steps % factor != 0:
-        raise UsageError(
-            f"subsample factor {factor} does not divide step count {path.grid.steps}"
-        )
+    if n % factor != 0:
+        raise UsageError(f"subsample factor {factor} does not divide {n} increments")
     if factor == 1:
-        return path
-    coarse = TimeGrid(path.grid.horizon, path.grid.steps // factor)
-    return FbmPath(
-        coarse,
-        path.hurst,
-        _read_only(block_sums(path.increments, factor)),
-        path.master_seed,
-        path.path_index,
-        source=path,
-    )
+        return increments
+    return _read_only(increments.reshape(increments.shape[:-1] + (-1, factor)).sum(axis=-1))

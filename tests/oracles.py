@@ -42,7 +42,7 @@ import numpy as np
 
 from fbmsde.drifts import DriftFn, ModelSpec, _positive_power
 from fbmsde.errors import ParameterError, UsageError
-from fbmsde.fbm import CirculantSampler, FbmPath, Hurst, as_hurst, mix_seed
+from fbmsde.fbm import CirculantSampler, Hurst, as_hurst, mix_seed
 from fbmsde.solver import SchemeConfig, SolutionPath, SolverSettings, _solve
 
 
@@ -129,10 +129,11 @@ def circulant_increments(
 
 
 def empirical_increment_moment(
-    paths: Iterable[FbmPath] | Sequence[FbmPath], p: float, lag: int
+    paths: Iterable[np.ndarray] | Sequence[np.ndarray], p: float, lag: int
 ) -> float:
     """Monte Carlo estimate of E|B_{t + lag*h} - B_t|^p.
 
+    ``paths`` are node values, one array per path on one uniform grid.
     Averages over all start nodes and all paths; the analytic value is
     C(p) * (lag * h)^{pH}, with C(2) = 1, which is what generator validation
     compares against.
@@ -142,14 +143,13 @@ def empirical_increment_moment(
         raise UsageError("empirical_increment_moment requires at least two paths")
     if p < 1.0:
         raise UsageError(f"moment order p must be >= 1, got {p}")
-    grid, hurst = paths[0].grid, paths[0].hurst
-    for path in paths[1:]:
-        if path.grid != grid or path.hurst != hurst:
-            raise UsageError("all paths must share the same grid and Hurst parameter")
+    if len({np.shape(path) for path in paths}) > 1:
+        raise UsageError("all paths must share the same grid")
+    steps = len(paths[0]) - 1
     lag = int(lag)
-    if not (1 <= lag <= grid.steps):
-        raise UsageError(f"lag must lie in [1, {grid.steps}], got {lag}")
-    stacked = np.stack([path.values for path in paths])
+    if not (1 <= lag <= steps):
+        raise UsageError(f"lag must lie in [1, {steps}], got {lag}")
+    stacked = np.stack(paths)
     diffs = stacked[:, lag:] - stacked[:, :-lag]
     return float(np.mean(np.abs(diffs) ** p))
 

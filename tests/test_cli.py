@@ -18,7 +18,7 @@ import fbmsde.convergence as convergence
 from fbmsde.config import parse_config
 from fbmsde.drifts import lamperti_inverse
 from fbmsde.errors import ConfigError, IntegrationError
-from fbmsde.fbm import CholeskySampler, CirculantSampler, Hurst, TimeGrid
+from fbmsde.fbm import CholeskySampler, CirculantSampler, Hurst, TimeGrid, path_values
 from fbmsde.solver import SchemeConfig, integrate
 
 REPO = Path(__file__).resolve().parents[1]
@@ -78,7 +78,8 @@ def config_text(**overrides) -> str:
 
 class TestParseConfig:
     def test_minimal_config_fills_defaults(self):
-        cfg = parse_config(config_text())
+        ladder = {"paths": 4, "k_min": 2, "k_max": 4, "k_ref": 7}
+        cfg = parse_config(config_text(experiment=ladder), "converge")
         assert cfg.scheme["tol_abs"] == 1e-12
         assert cfg.scheme["bracket_growth"] == 2.0
         assert cfg.scheme["method"] == "circulant"
@@ -87,25 +88,25 @@ class TestParseConfig:
         assert len(cfg.digest) == 64
 
     def test_build_model(self):
-        model = parse_config(config_text()).build_model()
+        model = parse_config(config_text(), "verify-assumptions").build_model()
         assert model.family == "mean_reverting"
         assert model.gamma == 0.7
 
     def test_gamma_out_of_range_names_path(self):
         with pytest.raises(ConfigError) as excinfo:
-            parse_config(config_text(model={"gamma": 1.2}))
+            parse_config(config_text(model={"gamma": 1.2}), "verify-assumptions")
         assert any("$.model.gamma" in e for e in excinfo.value.errors)
 
     def test_unknown_key_named(self):
         bad = json.loads(config_text())
         bad["model"]["gama"] = 0.7
         with pytest.raises(ConfigError) as excinfo:
-            parse_config(json.dumps(bad))
+            parse_config(json.dumps(bad), "verify-assumptions")
         assert any("$.model.gama" in e and "unknown" in e for e in excinfo.value.errors)
 
     def test_syntax_error_reports_position(self):
         with pytest.raises(ConfigError) as excinfo:
-            parse_config('{"seed": 1,\n  "model": }')
+            parse_config('{"seed": 1,\n  "model": }', "verify-assumptions")
         assert "line 2" in excinfo.value.errors[0]
 
     def test_all_errors_collected(self):
@@ -113,7 +114,7 @@ class TestParseConfig:
         bad["extra_block"] = {}
         bad["seed"] = "not-an-int"
         with pytest.raises(ConfigError) as excinfo:
-            parse_config(json.dumps(bad))
+            parse_config(json.dumps(bad), "verify-assumptions")
         joined = "\n".join(excinfo.value.errors)
         assert "$.model.gamma" in joined
         assert "$.extra_block" in joined
@@ -131,36 +132,39 @@ class TestParseConfig:
             },
         }
         with pytest.raises(ConfigError) as excinfo:
-            parse_config(json.dumps(cfg))
+            parse_config(json.dumps(cfg), "verify-assumptions")
         assert any("min(2, rho) + 1" in e for e in excinfo.value.errors)
 
     @pytest.mark.parametrize("p_list", [[2.0, 2.0], [2, 4.0, 2.0]])
     def test_repeated_moment_order_is_named(self, p_list):
         # 2 and 2.0 are one order, which would fold twice into one moment
         with pytest.raises(ConfigError) as excinfo:
-            parse_config(config_text(experiment={"p_list": p_list}))
+            parse_config(
+                config_text(scheme={"steps": 16}, experiment={"paths": 2, "p_list": p_list}),
+                "moments",
+            )
         assert excinfo.value.errors == ["$.experiment.p_list: duplicate order 2.0"]
 
     def test_digest_ignores_io_block(self):
-        a = parse_config(config_text())
-        b = parse_config(config_text(io={"out_dir": "elsewhere"}))
+        a = parse_config(config_text(), "verify-assumptions")
+        b = parse_config(config_text(io={"out_dir": "elsewhere"}), "verify-assumptions")
         assert a.digest == b.digest
 
     def test_seed_changes_digest(self):
-        a = parse_config(config_text())
-        b = parse_config(config_text(seed=8))
+        a = parse_config(config_text(), "verify-assumptions")
+        b = parse_config(config_text(seed=8), "verify-assumptions")
         assert a.digest != b.digest
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**65 - 1])
     def test_seed_outside_the_64_bit_range_is_rejected(self, seed):
         # the per-path mix works mod 2^64: these would alias seed 2^64 - 1
         with pytest.raises(ConfigError) as excinfo:
-            parse_config(config_text(seed=seed))
+            parse_config(config_text(seed=seed), "verify-assumptions")
         assert excinfo.value.errors == [f"$.seed: must lie in [0, 2^64), got {seed}"]
 
     def test_seed_range_ends_are_accepted(self):
-        assert parse_config(config_text(seed=0)).seed == 0
-        assert parse_config(config_text(seed=2**64 - 1)).seed == 2**64 - 1
+        for seed in (0, 2**64 - 1):
+            assert parse_config(config_text(seed=seed), "verify-assumptions").seed == seed
 
 
 def run_cli(*argv: str) -> int:
@@ -228,7 +232,7 @@ class TestCli:
         argv = ("fbm", "--hurst", "0.7", "--steps", str(steps), "--paths", str(paths))
         assert run_cli(*argv, "--seed", str(seed), "--out", str(out)) == 0
         grid = TimeGrid(1.0, steps)
-        values = CirculantSampler(Hurst(0.7), grid).sample(seed, range(paths)).values
+        values = path_values(CirculantSampler(Hurst(0.7), grid).sample(seed, range(paths)))
         rows = [
             (i, n, grid.times[n], values[i, n]) for i in range(paths) for n in range(steps + 1)
         ]
@@ -294,12 +298,12 @@ class TestCli:
         out = tmp_path / "sim.csv"
         assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
         # the same trajectories, formatted one value at a time
-        run = parse_config(cfg.read_text())
+        run = parse_config(cfg.read_text(), "simulate")
         model = run.build_model()
         drift, cert = model.drift()
         grid = TimeGrid(1.0, steps)
         sampler = CirculantSampler(Hurst(model.hurst), grid)
-        noise = np.stack([sampler.sample(run.seed, i).increments for i in range(paths)])
+        noise = np.stack([sampler.sample(run.seed, i) for i in range(paths)])
         scheme = SchemeConfig(steps=steps, horizon=1.0, sigma=model.sigma_x, x0=model.x0)
         sol = integrate(drift, scheme, noise, cert)
         x, y, t = sol.values, lamperti_inverse(model, sol.values), grid.times

@@ -21,7 +21,9 @@ AS = {"model": "ait_sahalia", "a_m1": 1.0, "a0": 1.0, "a1": 1.0, "a2": 1.0,
       "r": 3.0, "rho": 1.5, "sigma": 0.5, "y0": 1.0, "hurst": 0.7}
 
 # Two valid values of every scheme and experiment key, neither of them the
-# value a command takes when the key is unset or the one RUNS sets.
+# value a command takes when the key is unset or the one RUNS sets.  On the
+# 32 steps of the moments run, ladder_rungs is clamped to at most 4, which
+# the unset default of 6 becomes.
 VALUES = {
     "scheme": {
         "steps": (24, 48),
@@ -39,7 +41,7 @@ VALUES = {
         "k_max": (5, 6),
         "k_ref": (8, 9),
         "p_list": ([3.0], [1.0, 6.0]),
-        "ladder_rungs": (3, 4),
+        "ladder_rungs": (2, 3),
     },
 }
 
@@ -196,7 +198,7 @@ def test_non_finite_numbers_are_rejected_by_path(block, key, model, token):
     cfg[block][key] = ["@"] if key == "p_list" else "@"
     text = json.dumps(cfg).replace('"@"', token)
     with pytest.raises(ConfigError) as excinfo:
-        parse_config(text)
+        parse_config(text, "simulate")  # every key is checked, read or not
     assert any(e.startswith(f"$.{block}.{key}: ") for e in excinfo.value.errors)
 
 
@@ -231,7 +233,23 @@ def test_float_keys_are_stored_as_floats():
     every = {name: {k: v[0] for k, v in VALUES[name].items()} for name in VALUES}
     every["scheme"].update(horizon=1, tol_abs=1, tol_rel=1, bracket_growth=2)
     every["experiment"].update(p=2, p_list=[2, 4])
-    cfg = parse_config(json.dumps({"seed": 7, "model": MR, **every}))
-    stored = [cfg.scheme[k] for k in ("horizon", "tol_abs", "tol_rel", "bracket_growth")]
-    stored += [cfg.experiment["p"], *cfg.experiment["p_list"]]
+    text = json.dumps({"seed": 7, "model": MR, **every})
+    # converge reads p, moments p_list
+    converge, moments = (parse_config(text, command) for command in ("converge", "moments"))
+    stored = [converge.scheme[k] for k in ("horizon", "tol_abs", "tol_rel", "bracket_growth")]
+    stored += [converge.experiment["p"], *moments.experiment["p_list"]]
     assert all(type(v) is float for v in stored)
+
+
+def test_ladder_rungs_past_the_grid_move_no_output_byte(tmp_path):
+    # 32 steps fit 4 rungs, so 4, 6 and 20 run one probe under one digest
+    def run(rungs):
+        cfg = _config("moments", experiment={"ladder_rungs": rungs})
+        return _run("moments", cfg, tmp_path / str(rungs))
+
+    four = run(4)
+    assert four["exit"] == 0
+    assert len(four["modulus.csv"].splitlines()) == 2 + 4
+    assert run(6) == four
+    assert run(20) == four
+    assert run(3) != four

@@ -116,7 +116,7 @@ class TestSupErrors:
         sol = integrate(
             drift,
             SchemeConfig(steps=steps, horizon=1.0, sigma=MR_MODEL.sigma_x, x0=1.0),
-            noise.increments,
+            noise,
             cert,
         )
         l_exp = MR_MODEL.inverse_exponent
@@ -164,7 +164,7 @@ def test_blocks_free_their_solver_records_before_the_next_solve():
     # 500 paths of 2^9 steps: four blocks of 131 steps
     steps, paths = 2**9, 500
     sampler = make_sampler("circulant", 0.7, TimeGrid(1.0, steps))
-    noise = sampler.sample(3, range(paths)).increments
+    noise = sampler.sample(3, range(paths))
     drift, cert = MR_MODEL.drift()
     config = SchemeConfig.for_model(MR_MODEL, 1.0, steps)
     block = BLOCK_PATH_STEPS // paths
@@ -194,10 +194,10 @@ def test_moment_probe_holds_one_block_set_beyond_its_noise(monkeypatch):
             self.inner = make_sampler_(*args)
 
         def sample(self, *args):
-            path = self.inner.sample(*args)
+            noise = self.inner.sample(*args)
             after_draw["held"] = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            return path
+            return noise
 
     monkeypatch.setattr(convergence, "make_sampler", Sampler)
     tracemalloc.start()

@@ -16,15 +16,14 @@ from fbmsde.fbm import (
     PANEL_DOUBLES,
     CholeskySampler,
     CirculantSampler,
-    FbmPath,
     Hurst,
     TimeGrid,
     _fgn_autocovariance,
     _panel_width,
     _toeplitz_cholesky,
-    block_sums,
     make_sampler,
     mix_seed,
+    path_values,
     subsample,
 )
 
@@ -84,28 +83,28 @@ class TestSamplerContracts:
         sampler = sampler_cls(Hurst(0.7), TimeGrid(1.0, 2))
         one = sampler.sample(42, 0)
         two = sampler.sample(42, 0)
-        assert np.array_equal(one.values, two.values)
-        assert np.array_equal(one.increments, two.increments)
+        assert one.tobytes() == two.tobytes()
 
     def test_starts_at_zero_and_finite(self, sampler_cls):
-        path = sampler_cls(Hurst(0.7), TimeGrid(2.0, 37)).sample(7, 3)
-        assert path.values[0] == 0.0
-        assert np.isfinite(path.values).all()
+        values = path_values(sampler_cls(Hurst(0.7), TimeGrid(2.0, 37)).sample(7, 3))
+        assert values.shape == (38,)
+        assert values[0] == 0.0
+        assert np.isfinite(values).all()
 
     def test_cumsum_reproduces_values(self, sampler_cls):
-        path = sampler_cls(Hurst(0.8), TimeGrid(1.0, 129)).sample(11, 5)
-        assert np.array_equal(np.cumsum(path.increments), path.values[1:])
+        increments = sampler_cls(Hurst(0.8), TimeGrid(1.0, 129)).sample(11, 5)
+        assert np.array_equal(np.cumsum(increments), path_values(increments)[1:])
 
     @pytest.mark.parametrize("hurst", [0.51, 0.99])
     def test_domain_boundary_smoke(self, sampler_cls, hurst):
-        path = sampler_cls(Hurst(hurst), TimeGrid(1.0, 64)).sample(1, 0)
-        assert np.isfinite(path.values).all()
+        increments = sampler_cls(Hurst(hurst), TimeGrid(1.0, 64)).sample(1, 0)
+        assert np.isfinite(increments).all()
 
     def test_terminal_variance(self, sampler_cls):
         # Var(B_1) = 1 for T = 1; allow 5 standard errors of the var estimate
         m = 4000
         sampler = sampler_cls(Hurst(0.7), TimeGrid(1.0, 64))
-        terminal = np.array([sampler.sample(314, i).values[-1] for i in range(m)])
+        terminal = np.array([path_values(sampler.sample(314, i))[-1] for i in range(m)])
         assert abs(terminal.var() - 1.0) <= 5.0 * np.sqrt(2.0 / m)
 
 
@@ -119,27 +118,35 @@ class TestBatchedSample:
     def test_rows_match_single_draws_bitwise(self, sampler_cls, steps, indices):
         sampler = sampler_cls(Hurst(0.7), TimeGrid(1.0, steps))
         batch = sampler.sample(23, indices)
-        assert batch.path_index == indices
-        assert batch.increments.shape == (len(indices), steps)
-        for row, index in zip(batch.increments, indices):
-            assert row.tobytes() == sampler.sample(23, index).increments.tobytes()
+        assert batch.shape == (len(indices), steps)
+        for row, index in zip(batch, indices):
+            assert row.tobytes() == sampler.sample(23, index).tobytes()
 
     def test_values_are_row_wise_cumulative_sums(self, sampler_cls):
         batch = sampler_cls(Hurst(0.7), TimeGrid(1.0, 37)).sample(3, range(1, 6))
         expected = np.zeros((5, 38))
-        expected[:, 1:] = np.cumsum(batch.increments, axis=1)
-        assert batch.values.tobytes() == expected.tobytes()
-        assert not batch.values.flags.writeable
-        assert not batch.increments.flags.writeable
+        expected[:, 1:] = np.cumsum(batch, axis=1)
+        values = path_values(batch)
+        assert values.tobytes() == expected.tobytes()
+        assert not values.flags.writeable
+        for i in range(5):
+            assert path_values(batch[i]).tobytes() == values[i].tobytes()
+
+    def test_sample_returns_a_read_only_array(self, sampler_cls):
+        sampler = sampler_cls(Hurst(0.7), TimeGrid(1.0, 16))
+        for index, shape in ((3, (16,)), (range(2, 5), (3, 16))):
+            increments = sampler.sample(5, index)
+            assert type(increments) is np.ndarray
+            assert increments.shape == shape
+            assert not increments.flags.writeable
 
     @pytest.mark.parametrize("steps", [16, 2048])
     @pytest.mark.parametrize("indices", [range(0), range(5, 5)])
     def test_empty_range_draws_an_empty_batch(self, sampler_cls, steps, indices):
         # 2048 Cholesky steps are past the kept-panel budget
         batch = sampler_cls(Hurst(0.7), TimeGrid(1.0, steps)).sample(3, indices)
-        assert batch.path_index == indices
-        assert batch.increments.shape == (0, steps)
-        assert batch.values.shape == (0, steps + 1)
+        assert batch.shape == (0, steps)
+        assert path_values(batch).shape == (0, steps + 1)
 
     def test_subsample_of_a_batch_is_subsample_of_each_row(self, sampler_cls):
         sampler = sampler_cls(Hurst(0.7), TimeGrid(1.0, 48))
@@ -147,18 +154,17 @@ class TestBatchedSample:
         batch = sampler.sample(5, indices)
         for factor in (2, 3, 16):
             coarse = subsample(batch, factor)
-            assert coarse.grid.steps == 48 // factor
+            assert coarse.shape == (len(indices), 48 // factor)
             for i, index in enumerate(indices):
                 alone = subsample(sampler.sample(5, index), factor)
-                assert coarse.increments[i].tobytes() == alone.increments.tobytes()
-                assert coarse.values[i].tobytes() == alone.values.tobytes()
+                assert coarse[i].tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("steps", [1, 2, 37, 600, 2**13])
 def test_circulant_batch_matches_paths_drawn_alone(steps):
     sampler = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps))
     batch = sampler.sample(29, range(3, 13))
-    for row, index in zip(batch.increments, range(3, 13)):
+    for row, index in zip(batch, range(3, 13)):
         assert row.tobytes() == circulant_increments(sampler, 29, index).tobytes()
 
 
@@ -169,8 +175,8 @@ def test_batch_spans_sub_batches_ending_in_a_short_one(monkeypatch):
     # 2048 embedding elements per path: sub-batches of 3, 3 and 2 paths
     monkeypatch.setattr(fbm_mod, "SUB_BATCH_ELEMENTS", 3 * 2048)
     batch = sampler.sample(17, range(2, 10))
-    for row, index in zip(batch.increments, range(2, 10)):
-        assert row.tobytes() == sampler.sample(17, index).increments.tobytes()
+    for row, index in zip(batch, range(2, 10)):
+        assert row.tobytes() == sampler.sample(17, index).tobytes()
 
 
 def test_circulant_draw_temporaries_stay_within_one_sub_batch():
@@ -179,14 +185,14 @@ def test_circulant_draw_temporaries_stay_within_one_sub_batch():
     sampler.sample(5, range(2))  # the FFT fills its plan cache on first use
     tracemalloc.start()
     try:
-        path = sampler.sample(5, range(16))
+        batch = sampler.sample(5, range(16))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the reused normals, xi and FFT output, 40 bytes per element of a 2^15
     # element sub-batch, measured 1.31 MB above the output; with 2^17
     # element sub-batches they measured 5.2 MB
-    assert peak - path.increments.nbytes < 1.5e6
+    assert peak - batch.nbytes < 1.5e6
 
 
 def test_cholesky_draw_generates_its_panels_once(monkeypatch):
@@ -224,7 +230,7 @@ def test_kept_and_streamed_panels_draw_the_same_bits(monkeypatch, steps, indices
     streamed = CholeskySampler(Hurst(0.7), grid)
     assert kept._kept is not None and streamed._kept is None
     a, b = kept.sample(31, indices), streamed.sample(31, indices)
-    assert a.increments.tobytes() == b.increments.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_streamed_cholesky_draw_does_not_hold_the_factor():
@@ -252,23 +258,15 @@ def test_panel_width_keeps_the_panel_buffer_within_its_budget(steps, width):
     assert min(width, steps) * steps <= max(PANEL_DOUBLES, 2 * steps)
 
 
-def test_paths_compare_and_hash_by_identity():
-    sampler = CirculantSampler(Hurst(0.7), TimeGrid(1.0, 16))
-    a, b = sampler.sample(3, 1), sampler.sample(3, 1)
-    assert a == a and a != b
-    assert hash(a) == hash(a)
-    assert len({a, b}) == 2
-
-
 def test_one_shot_functions_match_samplers():
     grid = TimeGrid(1.0, 16)
     assert np.array_equal(
-        make_sampler("cholesky", 0.7, grid).sample(5).values,
-        CholeskySampler(0.7, grid).sample(5).values,
+        make_sampler("cholesky", 0.7, grid).sample(5),
+        CholeskySampler(0.7, grid).sample(5),
     )
     assert np.array_equal(
-        make_sampler("circulant", 0.7, grid).sample(5).values,
-        CirculantSampler(0.7, grid).sample(5).values,
+        make_sampler("circulant", 0.7, grid).sample(5),
+        CirculantSampler(0.7, grid).sample(5),
     )
 
 
@@ -322,7 +320,7 @@ class TestToeplitzCholesky:
         for index in range(3):
             z = np.random.default_rng(mix_seed(seed, index)).standard_normal(n)
             dense = factor @ z
-            drawn = sampler.sample(seed, index).increments
+            drawn = sampler.sample(seed, index)
             assert np.max(np.abs(drawn - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     def test_path_is_bitwise_the_same_alone_or_in_a_batch(self):
@@ -330,8 +328,7 @@ class TestToeplitzCholesky:
         alone = CholeskySampler(0.7, grid).sample(21, 4)
         sampler = CholeskySampler(0.7, grid)
         batch = [sampler.sample(21, 1 + i) for i in range(6)]
-        assert np.array_equal(batch[3].increments, alone.increments)
-        assert np.array_equal(batch[3].values, alone.values)
+        assert batch[3].tobytes() == alone.tobytes()
 
     def test_later_pivot_named(self):
         # leading minors 1 and 0.75 are positive, the full determinant is -0.76
@@ -355,7 +352,7 @@ def test_circulant_covariance_on_fine_grid():
     sampler = CirculantSampler(Hurst(hurst), grid)
     nodes = [steps // 4, steps // 2, 3 * steps // 4, steps]
     picked = np.stack(
-        [sampler.sample(1234, i).values[nodes] for i in range(m)]
+        [path_values(sampler.sample(1234, i))[nodes] for i in range(m)]
     )
     for a in range(4):
         for b in range(a, 4):
@@ -366,14 +363,14 @@ def test_circulant_covariance_on_fine_grid():
 
 
 def test_circulant_completes_at_large_scale():
-    path = CirculantSampler(Hurst(0.9), TimeGrid(1.0, 2**14)).sample(8, 0)
-    assert np.isfinite(path.values).all()
+    increments = CirculantSampler(Hurst(0.9), TimeGrid(1.0, 2**14)).sample(8, 0)
+    assert np.isfinite(increments).all()
 
 
 def test_single_step_is_standard_gaussian():
     # N = 1, T = 1: the lone increment is Normal(0, 1)
     sampler = CirculantSampler(Hurst(0.7), TimeGrid(1.0, 1))
-    draws = np.array([sampler.sample(9, i).values[1] for i in range(20000)])
+    draws = np.array([sampler.sample(9, i)[0] for i in range(20000)])
     stderr = np.sqrt(2.0 / draws.size)
     assert abs(draws.var() - 1.0) <= 3.0 * stderr
 
@@ -384,7 +381,7 @@ def test_standardized_node_statistics():
     grid = TimeGrid(1.0, 8)
     sampler = CirculantSampler(Hurst(0.7), grid)
     t = grid.times[node]
-    z = np.array([sampler.sample(2718, i).values[node] for i in range(m)]) / t**0.7
+    z = np.array([path_values(sampler.sample(2718, i))[node] for i in range(m)]) / t**0.7
     assert abs(z.mean()) <= 3.0 / np.sqrt(m)
     assert abs(z.var() - 1.0) <= 5.0 / np.sqrt(m)
 
@@ -397,7 +394,7 @@ def test_samplers_agree_statistically():
     prods = {}
     for name, cls in (("chol", CholeskySampler), ("circ", CirculantSampler)):
         sampler = cls(Hurst(0.7), grid)
-        vals = np.stack([sampler.sample(99, k).values for k in range(m)])
+        vals = path_values(sampler.sample(99, range(m)))
         prods[name] = vals[:, i_node] * vals[:, j_node]
     diff = prods["chol"].mean() - prods["circ"].mean()
     pooled = np.sqrt(prods["chol"].var() / m + prods["circ"].var() / m)
@@ -420,66 +417,74 @@ class TestSubsample:
     def setup_method(self):
         self.path = CirculantSampler(Hurst(0.7), TimeGrid(1.0, 8)).sample(21, 0)
 
-    def test_values_shared_bitwise(self):
-        sub = subsample(self.path, 2)
-        assert sub.grid.steps == 4
-        assert sub.grid.horizon == self.path.grid.horizon
-        for k in range(5):
-            assert sub.values[k] == self.path.values[2 * k]
+    def test_coarse_nodes_match_shared_fine_nodes_to_rounding(self):
+        fine = path_values(self.path)
+        coarse = path_values(subsample(self.path, 2))
+        assert coarse.shape == (5,)
+        # block summation reassociates the additions of the cumulative sum,
+        # so each node may differ by the rounding of its 8 additions
+        bound = 8 * np.finfo(float).eps * np.abs(self.path).sum()
+        assert np.max(np.abs(coarse - fine[::2])) <= bound
+        assert coarse[1] == fine[2]  # one block of two: the same sum
 
     def test_identity_factor(self):
         assert subsample(self.path, 1) is self.path
+        batch = CirculantSampler(Hurst(0.7), TimeGrid(1.0, 8)).sample(21, range(3))
+        # a copy would hold a second chunk of noise in every ladder worker
+        assert subsample(batch, 1) is batch
 
     def test_increments_are_block_sums(self):
         sub = subsample(self.path, 4)
-        expected = self.path.increments.reshape(-1, 4).sum(axis=1)
-        assert np.array_equal(sub.increments, expected)
+        expected = self.path.reshape(-1, 4).sum(axis=1)
+        assert sub.tobytes() == expected.tobytes()
+        assert not sub.flags.writeable
 
     def test_composition(self):
         path = CirculantSampler(Hurst(0.7), TimeGrid(1.0, 2**13)).sample(3, 0)
         via_two = subsample(subsample(path, 2), 2**8)
         direct = subsample(path, 2**9)
-        assert direct.grid.steps == 16
-        assert np.array_equal(via_two.values, direct.values)
+        assert direct.shape == via_two.shape == (16,)
+        # two pairwise reductions and one reassociate the same 512 additions
+        bound = 512 * np.finfo(float).eps * np.abs(path).reshape(16, -1).sum(axis=1)
+        assert np.all(np.abs(via_two - direct) <= bound)
 
     def test_non_divisor_rejected(self):
         with pytest.raises(UsageError):
             subsample(self.path, 3)
         with pytest.raises(UsageError):
             subsample(self.path, 0)
+        # the last axis of a batch is the one coarsened
+        with pytest.raises(UsageError, match="does not divide 6 increments"):
+            subsample(np.arange(12.0).reshape(2, 6), 4)
 
 
 class TestIncrementMoments:
     def make_paths(self, m=400, steps=64, hurst=0.7, seed=17):
         sampler = CirculantSampler(Hurst(hurst), TimeGrid(1.0, steps))
-        return [sampler.sample(seed, i) for i in range(m)]
+        return [path_values(sampler.sample(seed, i)) for i in range(m)]
 
     def test_second_moment_scaling(self):
         paths = self.make_paths()
         lag, hurst = 4, 0.7
-        h = paths[0].grid.h
+        h = 1.0 / 64
         est = empirical_increment_moment(paths, 2.0, lag)
         expected = (lag * h) ** (2 * hurst)
         # empirical standard error of the pooled second moment estimate
         diffs = np.concatenate(
-            [p.values[lag:] - p.values[:-lag] for p in paths]
+            [p[lag:] - p[:-lag] for p in paths]
         )
         stderr = np.std(diffs**2) / np.sqrt(len(paths))
         assert abs(est - expected) <= 3.0 * stderr
 
     def test_full_span_is_unit_variance(self):
         paths = self.make_paths(m=600)
-        est = empirical_increment_moment(paths, 2.0, paths[0].grid.steps)
-        terminal = np.array([p.values[-1] for p in paths])
+        est = empirical_increment_moment(paths, 2.0, len(paths[0]) - 1)
+        terminal = np.array([p[-1] for p in paths])
         stderr = np.std(terminal**2) / np.sqrt(len(paths))
         assert abs(est - 1.0) <= 3.0 * stderr
 
     def test_zero_paths_give_zero(self):
-        grid = TimeGrid(1.0, 8)
-        zeros = [
-            FbmPath(grid, Hurst(0.7), np.zeros(8), 0, i)
-            for i in range(2)
-        ]
+        zeros = [path_values(np.zeros(8)) for _ in range(2)]
         assert empirical_increment_moment(zeros, 2.0, 2) == 0.0
 
     def test_usage_errors(self):
@@ -492,7 +497,7 @@ class TestIncrementMoments:
             empirical_increment_moment(paths, 0.5, 1)
         with pytest.raises(UsageError):
             empirical_increment_moment(paths, 2.0, 9)
-        other = CirculantSampler(Hurst(0.8), TimeGrid(1.0, 8)).sample(1, 0)
+        other = path_values(CirculantSampler(Hurst(0.7), TimeGrid(1.0, 16)).sample(1, 0))
         with pytest.raises(UsageError):
             empirical_increment_moment([paths[0], other], 2.0, 1)
 
@@ -545,7 +550,3 @@ class TestFailureModes:
         with pytest.raises(EmbeddingError) as excinfo:
             CirculantSampler(Hurst(0.7), TimeGrid(1.0, 4))
         assert excinfo.value.most_negative < 0.0
-
-    def test_block_sums_validates(self):
-        with pytest.raises(UsageError):
-            block_sums(np.arange(6.0), 4)

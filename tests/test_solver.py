@@ -145,7 +145,7 @@ def make_solution(steps=64, seed=3, sigma=0.15, x0=1.0, model=MR_MODEL):
     drift, cert = model.drift()
     noise = CirculantSampler(Hurst(model.hurst), TimeGrid(1.0, steps)).sample(seed, 0)
     config = SchemeConfig(steps=steps, horizon=1.0, sigma=sigma, x0=x0)
-    return integrate(drift, config, noise.increments, cert)
+    return integrate(drift, config, noise, cert)
 
 
 class TestIntegrate:
@@ -180,7 +180,7 @@ class TestIntegrate:
             steps=steps, horizon=1.0, sigma=model.sigma_x, x0=model.x0
         )
         for i in range(50):
-            sol = integrate(drift, config, sampler.sample(41, i).increments, cert)
+            sol = integrate(drift, config, sampler.sample(41, i), cert)
             assert sol.values.min() > 0.0
 
     def test_residual_bound_recorded(self):
@@ -208,8 +208,8 @@ class TestIntegrate:
         noise = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps)).sample(5, 0)
         config_a = SchemeConfig(steps=steps, horizon=1.0, sigma=0.15, x0=1.5)
         config_b = SchemeConfig(steps=steps, horizon=1.0, sigma=0.15, x0=1.0)
-        sol_a = integrate(drift, config_a, noise.increments, cert)
-        sol_b = integrate(drift, config_b, noise.increments, cert)
+        sol_a = integrate(drift, config_a, noise, cert)
+        sol_b = integrate(drift, config_b, noise, cert)
         gaps = np.abs(sol_a.values - sol_b.values)
         assert np.all(gaps <= 0.5 + 1e-12)
         assert np.all(np.diff(gaps) <= 1e-12)
@@ -243,7 +243,7 @@ class TestIntegrate:
         steps, paths = 2**11, 500
         drift, cert = AS_MODEL.drift()
         sampler = CirculantSampler(Hurst(AS_MODEL.hurst), TimeGrid(1.0, steps))
-        noise = np.stack([sampler.sample(SEED, i).increments for i in range(paths)])
+        noise = np.stack([sampler.sample(SEED, i) for i in range(paths)])
         config = SchemeConfig.for_model(AS_MODEL, 1.0, steps)
         sol = integrate(drift, config, noise, cert)
         assert not sol.failures
@@ -259,7 +259,7 @@ class TestIntegrate:
         drift, cert = model.drift()
         steps, paths = 256, 400
         sampler = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps))
-        noise = np.stack([sampler.sample(SEED, i).increments for i in range(paths)])
+        noise = np.stack([sampler.sample(SEED, i) for i in range(paths)])
         config = SchemeConfig.for_model(model, 1.0, steps)
         sol = integrate(drift, config, noise, cert)
         assert not sol.failures
@@ -287,11 +287,11 @@ class TestIntegrate:
         steps, paths = 256, 400
         noise = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps)).sample(SEED, range(paths))
         config = SchemeConfig.for_model(model, 1.0, steps)
-        narrow = integrate(drift, config, noise.increments, cert)
+        narrow = integrate(drift, config, noise, cert)
         wide = integrate(
             drift,
             SchemeConfig.for_model(model, 1.0, steps, SolverSettings(max_iter=2**40)),
-            noise.increments,
+            noise,
             cert,
         )
         assert narrow.iterations.dtype == np.uint8
