@@ -453,9 +453,6 @@ class TestSubsample:
             subsample(self.path, 3)
         with pytest.raises(UsageError):
             subsample(self.path, 0)
-        # the last axis of a batch is the one coarsened
-        with pytest.raises(UsageError, match="does not divide 6 increments"):
-            subsample(np.arange(12.0).reshape(2, 6), 4)
 
 
 class TestIncrementMoments:
@@ -550,3 +547,11 @@ class TestFailureModes:
         with pytest.raises(EmbeddingError) as excinfo:
             CirculantSampler(Hurst(0.7), TimeGrid(1.0, 4))
         assert excinfo.value.most_negative < 0.0
+
+    def test_block_sums_validates(self):
+        # block sums are taken by subsample, which checks the factor first
+        with pytest.raises(UsageError):
+            subsample(np.arange(6.0), 4)
+        # the last axis of a batch is the one coarsened
+        with pytest.raises(UsageError, match="does not divide 6 increments"):
+            subsample(np.arange(12.0).reshape(2, 6), 4)
