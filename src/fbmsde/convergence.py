@@ -39,7 +39,7 @@ from typing import Iterable
 import numpy as np
 
 from .drifts import ModelSpec
-from .errors import IntegrationError, NumericalError, ParameterError, UsageError
+from .errors import FbmsdeError, IntegrationError, NumericalError, ParameterError, UsageError
 from .fbm import TimeGrid, make_sampler, mix_seed, subsample
 from .solver import (
     SchemeConfig,
@@ -361,10 +361,11 @@ def _ladder_chunk(
     reference if the row failed there, else its lowest failing level; a
     failed row's errors are meaningless.  The noise is drawn once at the
     reference and block-summed to every level.  Each level is integrated
-    once as one batch; the reference is then integrated in time blocks of
-    about ``BLOCK_PATH_STEPS`` path-steps, a multiple of the coarsest
-    factor so that every block holds a node of every level, and each block
-    is folded into the running per-path sup errors.
+    once as one batch, and only its nodes are kept; the reference is then
+    integrated in time blocks of about ``BLOCK_PATH_STEPS`` path-steps, a
+    multiple of the coarsest factor so that every block holds a node of
+    every level, and each block is folded into the running per-path sup
+    errors.
     """
     grid = TimeGrid(plan.horizon, 2**plan.k_ref)
     sampler = make_sampler(plan.method, plan.model.hurst, grid)
@@ -384,13 +385,15 @@ def _ladder_chunk(
         for row, err in sol.failures.items():
             level_failures.setdefault(row, (start + row, k, err.step))
         coarse.append(sol.values)
-    del sol  # the last level's residuals and iterations are never read
+    ref_noise = noise[factors[plan.k_ref]]
+    # the last level's residuals and iterations and the levels' noise are
+    # never read again: free them before the reference allocates its blocks
+    del sol, noise
     ref_failures: dict = {}
     errors = np.zeros((len(plan.levels), len(ERROR_KINDS), size))
     coarsest = factors[plan.k_min]
     block = min(max(1, BLOCK_PATH_STEPS // (size * coarsest)) * coarsest, 2**plan.k_ref)
-    ref_scheme, ref_noise = scheme(plan.k_ref), noise[factors[plan.k_ref]]
-    blocks = integrate_blocks(drift, ref_scheme, ref_noise, cert, block, ref_failures)
+    blocks = integrate_blocks(drift, scheme(plan.k_ref), ref_noise, cert, block, ref_failures)
     # reused by every block and level: the reference's y-values, and the
     # scratch of ``_sup_errors``
     y_buf = np.empty(size * (block + 1))
@@ -460,11 +463,24 @@ def run_strong_error(
     starts, stops = zip(*_chunks(plan.paths, 2**plan.k_ref, workers))
     if workers > 1:
         # imported here: the pool's modules (multiprocessing, socket, logging,
-        # subprocess) would otherwise load into every command
+        # subprocess) would otherwise load into every command.  The samplers'
+        # numpy.random and numpy.fft are imported before the fork, so that
+        # the workers share the parent's pages of them instead of each
+        # importing its own copy on its first draw; a single process imports
+        # them on that draw.
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-            chunks = list(pool.map(_ladder_chunk, [plan] * len(starts), starts, stops))
+        from numpy import fft, random  # noqa: F401
+
+        try:
+            with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+                chunks = list(pool.map(_ladder_chunk, [plan] * len(starts), starts, stops))
+        except BrokenProcessPool as exc:
+            raise FbmsdeError(
+                "a ladder worker process died before returning its paths "
+                f"(killed by a signal or out of memory?): {exc}"
+            ) from exc
     else:
         chunks = list(map(_ladder_chunk, [plan] * len(starts), starts, stops))
     chunk_errors, chunk_failures = zip(*chunks)

@@ -10,10 +10,10 @@ are tiny runs of every subcommand over both samplers and both model
 families, with a Cholesky grid just past the sampler's 1024-step panel
 boundary (``moments`` at 1030 steps, ``converge`` with a 2048-step
 reference), seeds 20260809 and 7, and ``--threads`` 1 and 2 where a command
-pools.  One case is a failure: a ladder whose tolerance no residual can meet,
-so every path fails and ``converge`` exits 2 without writing a file.  Each
-case keeps its exit code and stderr beside its files.  A change that
-re-records these files must say which outputs moved and why.
+pools.  Three cases are failures: a tolerance no residual can meet fails
+every path, so ``converge``, ``simulate`` and ``moments`` exit 2 without
+writing a file.  Each case keeps its exit code and stderr beside its files.
+A change that re-records these files must say which outputs moved and why.
 """
 
 from __future__ import annotations
@@ -88,6 +88,17 @@ def _cases():
             for threads in (1, 2)
         ],
     )
+    # the same tolerance fails simulate and moments at their first failed
+    # path, again without a file
+    fail = _config(7, AS, {"steps": 16, "tol_abs": 1e-300, "tol_rel": 1e-300}, {"paths": 2})
+    cases["simulate-as-all-fail-7"] = (fail, [
+        ["simulate", "--config", "{config}", "--threads", str(threads),
+         "--out", "{out}/simulate.csv"]
+        for threads in (1, 2)
+    ])
+    cases["moments-as-all-fail-7"] = (fail, [
+        ["moments", "--config", "{config}", "--out-dir", "{out}"]
+    ])
     cases["converge-mr-cholesky-7"] = (
         _config(7, MR, {"method": "cholesky"}, {**LADDER, "paths": 2, "k_ref": 11}),
         [["converge", "--config", "{config}", "--threads", "1", "--out-dir", "{out}"]],

@@ -514,6 +514,43 @@ class TestCli:
         for path in out_dir.glob("*.json") if out_dir.exists() else ():
             json.loads(path.read_text(), parse_constant=reject)
 
+    def test_converge_dead_worker_is_a_clean_runtime_error(self, tmp_path):
+        # a worker killed mid-chunk (OOM killer, signal) breaks the pool; in a
+        # subprocess, since the worker dies by os._exit
+        script = tmp_path / "die.py"
+        script.write_text(
+            "import os, sys\n"
+            "import fbmsde.cli as cli\n"
+            "import fbmsde.convergence as convergence\n"
+            "def die(plan, start, stop):\n"
+            "    os._exit(9)\n"
+            "if __name__ == '__main__':\n"
+            "    convergence._ladder_chunk = die\n"
+            "    convergence._available_cpus = lambda: 2\n"
+            "    sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            config_text(experiment={"paths": 4, "k_min": 2, "k_max": 4, "k_ref": 7})
+        )
+        out_dir = tmp_path / "o"
+        proc = subprocess.run(
+            [
+                sys.executable, str(script), "converge", "--config", str(cfg),
+                "--threads", "2", "--out-dir", str(out_dir),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert proc.returncode == 2, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(
+            "runtime error: a ladder worker process died before returning its paths"
+        )
+        assert not out_dir.exists()
+
     def test_converge_incomplete_names_the_failed_path(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

@@ -2,8 +2,12 @@
 
 import concurrent.futures
 import math
+import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +216,85 @@ def test_moment_probe_holds_one_block_set_beyond_its_noise(monkeypatch):
     # 3.2; with fresh solver records per block, the concatenated extended
     # block and the untiled fold, 6.7
     assert peak - after_draw["held"] < 3.6 * paths * (block + 1) * 8
+
+
+def test_ladder_chunk_frees_the_levels_noise_before_the_reference(monkeypatch):
+    # a converge-mr worker's 100-path chunk, levels 2^4..2^9, against a 2^12
+    # reference: blocks of 512 reference steps
+    plan = small_plan(k_min=4, k_max=9, k_ref=12, paths=100)
+    block = 512
+    draw = convergence._draw_chunk
+    after_draw = {}
+
+    def traced(*args):
+        noise = draw(*args)
+        after_draw["held"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return noise
+
+    monkeypatch.setattr(convergence, "_draw_chunk", traced)
+    tracemalloc.start()
+    try:
+        convergence._ladder_chunk(plan, 0, plan.paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # in units of one reference block's nodes, beyond what the draw left
+    # held: the levels' nodes (1.98), the reference's block buffers and the
+    # solves' temporaries, less the levels' noise (1.97) freed before the
+    # reference starts, measured 4.8; with the levels' noise held to the
+    # chunk's end, 6.8
+    assert peak - after_draw["held"] < 5.6 * plan.paths * (block + 1) * 8
+
+
+_WORKER_IMPORTS = r"""
+import os, sys
+import fbmsde.convergence as convergence
+from fbmsde.convergence import ExperimentPlan, run_strong_error
+from fbmsde.drifts import MeanRevertingModel
+
+ladder_chunk = convergence._ladder_chunk
+
+def traced(plan, start, stop):
+    before = set(sys.modules)
+    errors, failures = ladder_chunk(plan, start, stop)
+    line = " ".join([str(os.getpid()), *sorted(set(sys.modules) - before)])
+    os.write(1, f"{line}\n".encode())  # one write: the workers share the pipe
+    return errors, failures
+
+convergence._ladder_chunk = traced
+convergence._available_cpus = lambda: 2
+model = MeanRevertingModel(a1=1.0, a2=1.0, gamma=0.7, sigma=0.5, y0=1.0, hurst=0.7)
+plan = ExperimentPlan(
+    model=model, horizon=1.0, p=2.0, k_min=2, k_max=4, k_ref=7, paths=4,
+    master_seed=7, method=sys.argv[1],
+)
+print(os.getpid(), flush=True)
+run_strong_error(plan, workers=2)
+"""
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="only forked workers inherit the parent's modules",
+)
+@pytest.mark.parametrize("method", ["circulant", "cholesky"])
+def test_ladder_workers_import_nothing(method):
+    # a fresh interpreter: this one has loaded numpy.random already.  Each
+    # worker prints its pid and the modules its chunks imported; without
+    # the preload they import numpy.random, secrets, hmac and base64, and
+    # numpy.fft with the circulant sampler.
+    proc = subprocess.run(
+        [sys.executable, "-c", _WORKER_IMPORTS, method],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(convergence.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    parent, *chunks = [line.split() for line in proc.stdout.splitlines()]
+    assert len(chunks) == 2 and all(pid != parent[0] for pid, *_ in chunks)
+    assert [imported for _, *imported in chunks] == [[], []]
 
 
 class TestBootstrap:
