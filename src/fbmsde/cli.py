@@ -34,8 +34,8 @@ from .convergence import (
 )
 from .drifts import audit_assumptions, lamperti_inverse
 from .errors import ConfigError, FbmsdeError, ParameterError, UsageError
-from .fbm import SEED_LIMIT, TimeGrid, make_sampler, path_values
-from .solver import SchemeConfig, SolverSettings, check_step_bound, integrate
+from .fbm import SAMPLERS, SEED_LIMIT, TimeGrid, make_sampler, path_values
+from .solver import SchemeConfig, check_step_bound, integrate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -170,16 +170,6 @@ def _load_config(args, **overrides) -> RunConfig:
     return parse_config(text, args.command, overrides)
 
 
-def _solver_settings(cfg: RunConfig) -> SolverSettings:
-    """The root-solver settings named by the ``scheme`` block."""
-    return SolverSettings(
-        tol_abs=cfg.scheme["tol_abs"],
-        tol_rel=cfg.scheme["tol_rel"],
-        max_iter=cfg.scheme["max_iter"],
-        bracket_growth=cfg.scheme["bracket_growth"],
-    )
-
-
 def _cmd_fbm(args) -> int:
     params = {
         "subcommand": "fbm",
@@ -216,17 +206,17 @@ def _cmd_simulate(args) -> int:
     cfg = _load_config(
         args, scheme={"steps": args.steps}, experiment={"paths": args.paths}
     )
-    model = cfg.build_model()
+    model = cfg.model
     drift, cert = model.drift()
     steps, paths = cfg.scheme["steps"], cfg.experiment["paths"]
-    scheme = SchemeConfig.for_model(
-        model, cfg.scheme["horizon"], steps, _solver_settings(cfg)
-    )
+    scheme = SchemeConfig.for_model(model, cfg.scheme["horizon"], steps, cfg.solver)
     check_step_bound(cert, scheme.h)
     grid = TimeGrid(scheme.horizon, steps)
     out = args.out or os.path.join(cfg.io["out_dir"], "simulate.csv")
-    nodes = list(map(str, range(steps + 1)))
+    # the times first: numpy refuses a grid too large for memory at once,
+    # where the node labels would grow until the process is killed
     times = list(map(repr, grid.times.tolist()))
+    nodes = list(map(str, range(steps + 1)))
     counts = _IntText(min(scheme.solver.max_iter, 255))  # shared by every path
 
     def trajectories(start: int, stop: int) -> Iterator[str]:
@@ -283,11 +273,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_converge(args) -> int:
     cfg = _load_config(args)
     plan = ExperimentPlan(
-        model=cfg.build_model(),
+        model=cfg.model,
         horizon=cfg.scheme["horizon"],
         master_seed=cfg.seed,
         method=cfg.scheme["method"],
-        solver=_solver_settings(cfg),
+        solver=cfg.solver,
         **cfg.experiment,  # paths, p and the ladder levels
     )
     report = run_strong_error(
@@ -343,10 +333,9 @@ def _cmd_converge(args) -> int:
 
 def _cmd_moments(args) -> int:
     cfg = _load_config(args)
-    model = cfg.build_model()
     steps, paths = cfg.scheme["steps"], cfg.experiment["paths"]
     probe = moment_probe(
-        model,
+        cfg.model,
         cfg.scheme["horizon"],
         steps,
         paths,
@@ -354,7 +343,7 @@ def _cmd_moments(args) -> int:
         cfg.seed,
         ladder_rungs=cfg.experiment["ladder_rungs"],
         method=cfg.scheme["method"],
-        solver=_solver_settings(cfg),
+        solver=cfg.solver,
     )
     out_dir = cfg.io["out_dir"]
     _atomic_write(
@@ -387,9 +376,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_verify_assumptions(args) -> int:
-    cfg = _load_config(args)
-    model = cfg.build_model()  # hard constraints checked at construction
-    drift, cert = model.drift()
+    drift, cert = _load_config(args).model.drift()
     report = audit_assumptions(drift, cert)
     print(f"drift: {report.drift_name}")
     print(
@@ -431,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fbm.add_argument("--horizon", type=float, default=1.0)
     p_fbm.add_argument("--paths", type=int, default=1)
     p_fbm.add_argument("--seed", type=int, default=0)
-    p_fbm.add_argument("--method", choices=("cholesky", "circulant"), default="circulant")
+    p_fbm.add_argument("--method", choices=sorted(SAMPLERS), default="circulant")
     p_fbm.add_argument("--out", required=True, help="output CSV")
 
     p_sim = sub.add_parser("simulate", help="integrate trajectories of a model")
@@ -496,6 +483,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RUNTIME
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        # a run too large for this machine fails like any other run, and
+        # writes no file
+        print(f"runtime error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -21,25 +21,20 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .convergence import modulus_rungs
-from .drifts import AitSahaliaModel, MeanRevertingModel, ModelSpec
+from .drifts import MODELS, ModelSpec
 from .errors import ConfigError, ParameterError
-from .fbm import SEED_LIMIT
+from .fbm import SAMPLERS, SEED_LIMIT
+from .solver import SolverSettings
 
 __all__ = ["COMMAND_KEYS", "RunConfig", "parse_config", "config_digest"]
 
 # The root-solver and sampler keys of the ``scheme`` block, each with the value
-# it takes when unset; every command that integrates reads all of them.
-_SCHEME_KEYS = {
-    "horizon": 1.0,
-    "tol_abs": 1e-12,
-    "tol_rel": 1e-12,
-    "max_iter": 200,
-    "bracket_growth": 2.0,
-    "method": "circulant",
-}
+# it takes when unset, the solver's from ``SolverSettings``; every command
+# that integrates reads all of them.
+_SCHEME_KEYS = {"horizon": 1.0, **asdict(SolverSettings()), "method": "circulant"}
 
 # For each subcommand, the ``scheme`` and ``experiment`` keys it reads and the
 # value each takes when unset; None marks a required key.  A run's config
@@ -57,35 +52,29 @@ COMMAND_KEYS = {
     "verify-assumptions": {"scheme": {}, "experiment": {}},
 }
 
-_MODEL_KEYS = {
-    "mean_reverting": {"a1", "a2", "gamma", "sigma", "y0", "hurst"},
-    "ait_sahalia": {"a_m1", "a0", "a1", "a2", "r", "rho", "sigma", "y0", "hurst"},
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated configuration with defaults applied.
 
-    ``scheme`` and ``experiment`` hold the keys the subcommand reads.
-    ``digest`` is the SHA-256 of the canonical JSON of (seed, model, scheme,
-    experiment); the io block is deliberately excluded so that redirecting
-    outputs does not change a run's identity.
+    ``model`` is the model its block builds.  ``scheme`` and ``experiment``
+    hold the keys the subcommand reads.  ``digest`` is the SHA-256 of the
+    canonical JSON of (seed, model block, scheme, experiment); the io block
+    is deliberately excluded so that redirecting outputs does not change a
+    run's identity.
     """
 
     seed: int
-    model: dict
+    model: ModelSpec
     scheme: dict
     experiment: dict
     io: dict
     digest: str
 
-    def build_model(self) -> ModelSpec:
-        block = dict(self.model)
-        family = block.pop("model")
-        if family == "mean_reverting":
-            return MeanRevertingModel(**block)
-        return AitSahaliaModel(**block)
+    @property
+    def solver(self) -> SolverSettings:
+        """The root-solver settings named by the ``scheme`` block."""
+        return SolverSettings(**{f.name: self.scheme[f.name] for f in fields(SolverSettings)})
 
 
 def config_digest(seed: int, model: dict, scheme: dict, experiment: dict) -> str:
@@ -140,8 +129,8 @@ def _real(rule: str, test):
 
 
 def _method(value):
-    if value not in ("circulant", "cholesky"):
-        raise ValueError(f"must be 'circulant' or 'cholesky', got {value!r}")
+    if not isinstance(value, str) or value not in SAMPLERS:
+        raise ValueError(f"must be {' or '.join(map(repr, SAMPLERS))}, got {value!r}")
     return value
 
 
@@ -185,13 +174,11 @@ def _check_model(block, errors: list[str]) -> dict | None:
         errors.append("$.model: must be an object")
         return None
     family = block.get("model")
-    if family not in _MODEL_KEYS:
-        errors.append(
-            "$.model.model: must be one of 'mean_reverting', 'ait_sahalia', "
-            f"got {family!r}"
-        )
+    if not isinstance(family, str) or family not in MODELS:
+        families = ", ".join(map(repr, MODELS))
+        errors.append(f"$.model.model: must be one of {families}, got {family!r}")
         return None
-    allowed = _MODEL_KEYS[family]
+    allowed = {f.name for f in fields(MODELS[family])}
     for key in block:
         if key != "model" and key not in allowed:
             errors.append(f"$.model.{key}: unknown key")
@@ -265,10 +252,11 @@ def parse_config(text: str, command: str, overrides: dict | None = None) -> RunC
 
     ``overrides`` holds command-line values in the file's shape, for example
     ``{"seed": 3, "scheme": {"steps": 16}}``; each one that is not None
-    replaces the file's value before validation.  The run keeps the scheme
-    and experiment keys that ``COMMAND_KEYS[command]`` names, each unset one
-    at its default, and its digest covers the seed, the model and exactly
-    those keys, ``ladder_rungs`` at the count the moment probe uses.
+    replaces the file's value before validation.  The run holds the model
+    its block builds and the scheme and experiment keys that
+    ``COMMAND_KEYS[command]`` names, each unset one at its default; its
+    digest covers the seed, the model block and exactly those keys,
+    ``ladder_rungs`` at the count the moment probe uses.
     """
     try:
         raw = json.loads(text)
@@ -313,17 +301,16 @@ def parse_config(text: str, command: str, overrides: dict | None = None) -> RunC
     )
     io_block = _check_block("io", raw.get("io"), {"out_dir": "."}, command, errors)
 
-    if model is not None and not errors:
-        # cross-field constraints surface through the model constructors
-        try:
-            RunConfig(seed, model, scheme, experiment, io_block, "").build_model()
-        except ParameterError as exc:
-            errors.append(f"$.model: {exc}")
-
     if errors:
         raise ConfigError(errors)
+    params = dict(model)
+    try:
+        # cross-field constraints surface through the model constructors
+        spec = MODELS[params.pop("model")](**params)
+    except ParameterError as exc:
+        raise ConfigError([f"$.model: {exc}"]) from None
     if "ladder_rungs" in experiment:
         rungs = experiment["ladder_rungs"]
         experiment["ladder_rungs"] = modulus_rungs(rungs, scheme["steps"])
     digest = config_digest(seed, model, scheme, experiment)
-    return RunConfig(seed, model, scheme, experiment, io_block, digest)
+    return RunConfig(seed, spec, scheme, experiment, io_block, digest)

@@ -33,14 +33,14 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .drifts import ModelSpec
 from .errors import FbmsdeError, IntegrationError, NumericalError, ParameterError, UsageError
-from .fbm import TimeGrid, make_sampler, mix_seed, subsample
+from .fbm import SAMPLERS, TimeGrid, make_sampler, mix_seed, subsample
 from .solver import (
     SchemeConfig,
     SolverSettings,
@@ -107,8 +107,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ParameterError(f"horizon must be positive, got {self.horizon}")
-        if self.p < 1.0:
-            raise ParameterError(f"error moment order p must be >= 1, got {self.p}")
+        if not 1.0 <= self.p < math.inf:
+            raise ParameterError(f"error moment order p must be finite and >= 1, got {self.p}")
         if not (1 <= self.k_min <= self.k_max):
             raise ParameterError(
                 f"need 1 <= k_min <= k_max, got k_min={self.k_min}, k_max={self.k_max}"
@@ -125,7 +125,7 @@ class ExperimentPlan:
             )
         if self.paths < 2:
             raise ParameterError(f"need at least 2 paths, got {self.paths}")
-        if self.method not in ("circulant", "cholesky"):
+        if self.method not in SAMPLERS:
             raise ParameterError(f"unknown sampler method {self.method!r}")
         cert = self.model.drift()[1]
         check_step_bound(cert, self.horizon / 2**self.k_min)
@@ -565,21 +565,11 @@ def _monotone_trend(levels: list[LevelEstimate], kind: str) -> bool:
 
 
 def _plan_dict(plan: ExperimentPlan) -> dict:
-    model = plan.model
-    block = {"family": model.family}
-    for name in model.__dataclass_fields__:
-        block[name] = getattr(model, name)
-    return {
-        "model": block,
-        "horizon": plan.horizon,
-        "p": plan.p,
-        "k_min": plan.k_min,
-        "k_max": plan.k_max,
-        "k_ref": plan.k_ref,
-        "paths": plan.paths,
-        "master_seed": plan.master_seed,
-        "method": plan.method,
-    }
+    """The plan's fields, its model's family among them, except the solver settings."""
+    block = asdict(plan)
+    del block["solver"]
+    block["model"]["family"] = plan.model.family
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +665,8 @@ def moment_probe(
     fBM sampler and ``solver`` holds the root-solver settings.
     """
     p_list = tuple(float(p) for p in p_list)
-    if not p_list or any(p <= 0.0 for p in p_list):
-        raise UsageError("p_list must contain positive orders")
+    if not p_list or not all(0.0 < p < math.inf for p in p_list):
+        raise UsageError("p_list must contain positive finite orders")
     if len(set(p_list)) < len(p_list):
         raise UsageError(f"p_list repeats an order: {list(p_list)}")
     if steps < 1 or paths < 1:

@@ -45,6 +45,7 @@ __all__ = [
     "MeanRevertingModel",
     "AitSahaliaModel",
     "ModelSpec",
+    "MODELS",
     "mean_reverting_drift",
     "ait_sahalia_drift",
     "lamperti_inverse",
@@ -317,9 +318,11 @@ def ait_sahalia_drift(
 class _LampertiModel:
     """Shared behavior of the two model families.
 
-    Subclasses are frozen dataclasses exposing ``transform_exponent`` (the m
-    in X = Y^m) plus original-coordinates parameters.  The inverse map is
-    Y = X^{1/m} and the transformed noise intensity is sigma * m.
+    Subclasses are frozen dataclasses whose fields are the family's
+    original-coordinates parameters, the keys of its config block; they set
+    ``family``, the block's ``model`` name, and expose ``transform_exponent``
+    (the m in X = Y^m).  The inverse map is Y = X^{1/m} and the transformed
+    noise intensity is sigma * m.
     """
 
     @property
@@ -342,7 +345,7 @@ class _LampertiModel:
     def drift(self) -> tuple[DriftFn, AssumptionCertificate]:
         return _drift_cache(self)
 
-    def _common_validate(self):
+    def __post_init__(self):
         if self.sigma == 0.0:
             raise ParameterError("sigma must be nonzero")
         if not self.y0 > 0.0:
@@ -355,15 +358,13 @@ class _LampertiModel:
 class MeanRevertingModel(_LampertiModel):
     """dY = (a1 - a2 Y) dt + sigma Y^gamma dB^H in original coordinates."""
 
+    family = "mean_reverting"
     a1: float
     a2: float
     gamma: float
     sigma: float
     y0: float
     hurst: float
-
-    def __post_init__(self):
-        self._common_validate()
 
     @property
     def transform_exponent(self) -> float:
@@ -372,15 +373,12 @@ class MeanRevertingModel(_LampertiModel):
     def _make_drift(self):
         return mean_reverting_drift(self.a1, self.a2, self.gamma)
 
-    @property
-    def family(self) -> str:
-        return "mean_reverting"
-
 
 @dataclass(frozen=True)
 class AitSahaliaModel(_LampertiModel):
     """dY = (a_m1/Y - a0 + a1 Y - a2 Y^r) dt + sigma Y^rho dB^H."""
 
+    family = "ait_sahalia"
     a_m1: float
     a0: float
     a1: float
@@ -391,9 +389,6 @@ class AitSahaliaModel(_LampertiModel):
     y0: float
     hurst: float
 
-    def __post_init__(self):
-        self._common_validate()
-
     @property
     def transform_exponent(self) -> float:
         return 1.0 - self.rho
@@ -401,12 +396,12 @@ class AitSahaliaModel(_LampertiModel):
     def _make_drift(self):
         return ait_sahalia_drift(self.a_m1, self.a0, self.a1, self.a2, self.r, self.rho)
 
-    @property
-    def family(self) -> str:
-        return "ait_sahalia"
-
 
 ModelSpec = MeanRevertingModel | AitSahaliaModel
+
+# The model classes by family name, the values ``model.model`` accepts, in the
+# order the config's error message lists them.
+MODELS = {cls.family: cls for cls in (MeanRevertingModel, AitSahaliaModel)}
 
 
 @lru_cache(maxsize=64)

@@ -30,7 +30,8 @@ sum, so ``np.cumsum(increments, axis=-1)`` reproduces
 ``path_values(increments)[..., 1:]`` bitwise.  :func:`subsample` block-sums
 increments onto a coarser grid.
 
-:func:`make_sampler` builds either sampler from its method name.
+``SAMPLERS`` maps each method name to its sampler class, and
+:func:`make_sampler` builds the sampler a name picks.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
     "mix_seed",
     "CholeskySampler",
     "CirculantSampler",
+    "SAMPLERS",
     "make_sampler",
     "path_values",
     "subsample",
@@ -432,15 +434,18 @@ class CirculantSampler(_ExactSampler):
         out[:] = np.fft.fft(x, axis=-1).real[:, : out.shape[1]]
 
 
+# The exact samplers by method name: the values ``scheme.method`` and
+# ``fbm --method`` accept, in the order the config's error message lists them.
+SAMPLERS = {"circulant": CirculantSampler, "cholesky": CholeskySampler}
+
+
 def make_sampler(
     method: str, hurst: Hurst | float, grid: TimeGrid
 ) -> CholeskySampler | CirculantSampler:
-    """The fBM sampler named by ``method``: ``"cholesky"`` or ``"circulant"``."""
-    if method == "cholesky":
-        return CholeskySampler(hurst, grid)
-    if method == "circulant":
-        return CirculantSampler(hurst, grid)
-    raise UsageError(f"unknown fBM sampler method {method!r}")
+    """The fBM sampler that ``SAMPLERS`` names ``method``."""
+    if method not in SAMPLERS:
+        raise UsageError(f"unknown fBM sampler method {method!r}")
+    return SAMPLERS[method](hurst, grid)
 
 
 def path_values(increments: np.ndarray) -> np.ndarray:

@@ -59,7 +59,6 @@ from .errors import (
     RootBracketError,
     UsageError,
 )
-from .fbm import TimeGrid
 
 __all__ = [
     "SolverSettings",
@@ -163,16 +162,13 @@ class SolutionPath:
     arrays gain a leading path axis.  ``failures`` maps the row of each
     batch path whose integration failed to its :class:`IntegrationError`;
     such a row is frozen at the failing step, and its later nodes and
-    residuals are NaN and its later iteration counts 0.  ``increments``
-    references the driving noise.  Immutable after construction; compares
-    and hashes by identity.
+    residuals are NaN and its later iteration counts 0.  Immutable after
+    construction; compares and hashes by identity.
     """
 
-    grid: TimeGrid
     values: np.ndarray
     residuals: np.ndarray
     iterations: np.ndarray
-    increments: np.ndarray
     failures: dict = field(default_factory=dict)
 
 
@@ -480,14 +476,7 @@ def integrate(
         if failures:
             raise failures[0]
         values, residuals, iters = values[0], residuals[0], iters[0]
-    return SolutionPath(
-        grid=TimeGrid(config.horizon, config.steps),
-        values=values,
-        residuals=residuals,
-        iterations=iters,
-        increments=noise,
-        failures=failures,
-    )
+    return SolutionPath(values, residuals, iters, failures)
 
 
 def integrate_blocks(

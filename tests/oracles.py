@@ -20,7 +20,7 @@ The rest are verification helpers that the package itself does not need:
   covariance and a Monte Carlo increment moment, for generator validation.
 * ``lamperti_forward`` maps original coordinates to transformed ones in
   extended precision, the round-trip partner of ``lamperti_inverse``.
-* ``interpolate`` evaluates a solution's piecewise-linear interpolant.
+* ``interpolate`` evaluates the piecewise-linear interpolant of node values.
 * ``implicit_step`` solves one implicit step alone, through the solver's
   batched kernel.
 * ``integrate_stepwise`` runs the backward Euler recursion with one kernel
@@ -42,8 +42,8 @@ import numpy as np
 
 from fbmsde.drifts import DriftFn, ModelSpec, _positive_power
 from fbmsde.errors import ParameterError, UsageError
-from fbmsde.fbm import CirculantSampler, Hurst, as_hurst, mix_seed
-from fbmsde.solver import SchemeConfig, SolutionPath, SolverSettings, _solve
+from fbmsde.fbm import CirculantSampler, Hurst, TimeGrid, as_hurst, mix_seed
+from fbmsde.solver import SchemeConfig, SolverSettings, _solve
 
 
 def cir_implicit_root(a1: float, a2: float, h: float, c: float) -> float:
@@ -159,14 +159,13 @@ def lamperti_forward(model: ModelSpec, y):
     return _positive_power(y, np.longdouble(model.transform_exponent), "y")
 
 
-def interpolate(path: SolutionPath, t):
-    """Evaluate the piecewise-linear interpolant at time(s) t in [0, T].
+def interpolate(grid: TimeGrid, values: np.ndarray, t):
+    """Evaluate the piecewise-linear interpolant of ``values`` on ``grid`` at time(s) t.
 
-    Node queries return the node value exactly; interior queries use the
-    affine weights (t_{n+1} - t)/h and (t - t_n)/h.
+    t must lie in [0, T].  Node queries return the node value exactly;
+    interior queries use the affine weights (t_{n+1} - t)/h and (t - t_n)/h.
     """
-    times = path.grid.times
-    values = path.values
+    times = grid.times
     t_arr = np.asarray(t, dtype=float)
     t_max = times[-1]
     if np.any(t_arr < 0.0) or np.any(t_arr > t_max):
@@ -174,9 +173,9 @@ def interpolate(path: SolutionPath, t):
             f"interpolation time outside [0, {t_max!r}]"
         )
     idx = np.clip(
-        np.searchsorted(times, t_arr, side="right") - 1, 0, path.grid.steps - 1
+        np.searchsorted(times, t_arr, side="right") - 1, 0, grid.steps - 1
     )
-    h = path.grid.h
+    h = grid.h
     w_hi = (t_arr - times[idx]) / h
     w_lo = (times[idx + 1] - t_arr) / h
     out = w_lo * values[idx] + w_hi * values[idx + 1]

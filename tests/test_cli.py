@@ -88,7 +88,7 @@ class TestParseConfig:
         assert len(cfg.digest) == 64
 
     def test_build_model(self):
-        model = parse_config(config_text(), "verify-assumptions").build_model()
+        model = parse_config(config_text(), "verify-assumptions").model
         assert model.family == "mean_reverting"
         assert model.gamma == 0.7
 
@@ -103,6 +103,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as excinfo:
             parse_config(json.dumps(bad), "verify-assumptions")
         assert any("$.model.gama" in e and "unknown" in e for e in excinfo.value.errors)
+
+    @pytest.mark.parametrize("value", ["bogus", [], {"model": "ait_sahalia"}])
+    def test_unknown_family_and_method_are_named(self, value):
+        # a JSON list or object is reported like any unknown name, not hashed
+        text = config_text(model={"model": value}, scheme={"steps": 4, "method": value})
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text, "simulate")
+        assert excinfo.value.errors == [
+            f"$.model.model: must be one of 'mean_reverting', 'ait_sahalia', got {value!r}",
+            f"$.scheme.method: must be 'circulant' or 'cholesky', got {value!r}",
+        ]
 
     def test_syntax_error_reports_position(self):
         with pytest.raises(ConfigError) as excinfo:
@@ -299,7 +310,7 @@ class TestCli:
         assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
         # the same trajectories, formatted one value at a time
         run = parse_config(cfg.read_text(), "simulate")
-        model = run.build_model()
+        model = run.model
         drift, cert = model.drift()
         grid = TimeGrid(1.0, steps)
         sampler = CirculantSampler(Hurst(model.hurst), grid)
@@ -598,6 +609,33 @@ class TestCli:
         code = run_cli("moments", "--config", str(cfg), "--out-dir", str(tmp_path / "m"))
         assert code == 2
         assert capsys.readouterr().err == "runtime error: OverflowError: math range error\n"
+
+    @pytest.mark.parametrize(
+        "command, stage",
+        [("fbm", "make_sampler"), ("simulate", "integrate"), ("moments", "moment_probe")],
+    )
+    def test_out_of_memory_is_a_runtime_error(
+        self, tmp_path, monkeypatch, capsys, command, stage
+    ):
+        # numpy refusing an allocation, stood in for: a real oversized one can
+        # get the process killed instead where memory is overcommitted
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 PiB for an array")
+
+        monkeypatch.setattr(cli, stage, refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config_text(scheme={"steps": 16}, experiment={"paths": 2}))
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "fbm": ["--hurst", "0.7", "--steps", "16", "--out", out],
+            "simulate": ["--config", str(cfg), "--out", out],
+            "moments": ["--config", str(cfg), "--out-dir", str(tmp_path / "m")],
+        }[command]
+        assert run_cli(command, *argv) == 2
+        assert capsys.readouterr().err == (
+            "runtime error: out of memory: Unable to allocate 8.00 PiB for an array\n"
+        )
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_threads_default_to_the_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)

@@ -99,6 +99,11 @@ class TestPlanValidation:
         with pytest.raises(ParameterError, match="h0"):
             small_plan(model=blocked, k_min=1, k_max=3, k_ref=6)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_moment_order_must_be_finite(self, p):
+        with pytest.raises(ParameterError, match="finite"):
+            small_plan(p=p)
+
     def test_critical_regime_warns_on_long_horizon(self):
         cir = MeanRevertingModel(1.0, 1.0, 0.5, 0.5, 1.0, 0.7)
         with pytest.warns(UserWarning, match="critical"):
@@ -401,6 +406,10 @@ class TestMomentProbe:
             moment_probe(AS_MODEL, 1.0, 64, 4, [], 1)
         with pytest.raises(UsageError):
             moment_probe(AS_MODEL, 1.0, 64, 4, [-1.0], 1)
+        # a NaN order once gave a NaN moment, an infinite one an inf or 0
+        for p in (math.nan, math.inf):
+            with pytest.raises(UsageError, match="finite"):
+                moment_probe(AS_MODEL, 1.0, 64, 4, [2.0, p], 1)
         # a repeated order would fold twice into one moment
         with pytest.raises(UsageError, match="repeats an order"):
             moment_probe(AS_MODEL, 1.0, 64, 4, [2, 4.0, 2.0], 1)
