@@ -34,7 +34,7 @@ from .convergence import (
 )
 from .drifts import audit_assumptions, lamperti_inverse
 from .errors import ConfigError, FbmsdeError, ParameterError, UsageError
-from .fbm import SAMPLERS, SEED_LIMIT, TimeGrid, make_sampler, path_values
+from .fbm import DEFAULT_SAMPLER, SAMPLERS, SEED_LIMIT, TimeGrid, make_sampler, path_values
 from .solver import SchemeConfig, check_step_bound, integrate
 
 EXIT_OK = 0
@@ -99,25 +99,6 @@ def _items(values: np.ndarray) -> Iterator:
         values[start : start + PATH_TEXT_LINES].tolist()
         for start in range(0, len(values), PATH_TEXT_LINES)
     )
-
-
-class _IntText(dict):
-    """str of each int key: 0..``first`` formatted up front, others on first lookup.
-
-    Iteration counts take few distinct values, so a table of them replaces a
-    ``str`` call per entry with a lookup.  The common counts are formatted
-    before any text, so these long-lived strings are not scattered among
-    the text's short-lived ones (lazily formatted, they raised simulate's
-    peak RSS by about 0.15 MB); ``first`` bounds the table whatever
-    ``max_iter`` is.
-    """
-
-    def __init__(self, first: int):
-        super().__init__(zip(range(first + 1), map(str, range(first + 1))))
-
-    def __missing__(self, key: int) -> str:
-        text = self[key] = str(key)
-        return text
 
 
 def _path_text(index: int, nodes: list[str], times: list[str], *columns) -> Iterator[str]:
@@ -217,7 +198,6 @@ def _cmd_simulate(args) -> int:
     # where the node labels would grow until the process is killed
     times = list(map(repr, grid.times.tolist()))
     nodes = list(map(str, range(steps + 1)))
-    counts = _IntText(min(scheme.solver.max_iter, 255))  # shared by every path
 
     def trajectories(start: int, stop: int) -> Iterator[str]:
         """The CSV rows of the chunk start..stop-1, drawn and integrated whole.
@@ -245,19 +225,22 @@ def _cmd_simulate(args) -> int:
         # temporaries of the inverse Lamperti map, are held at a time; the
         # columns shared by all paths are formatted once.
         for i, x in enumerate(values):
-            # Residuals are rounding-level values, so few are distinct: each
-            # distinct bit pattern (which keeps -0.0 apart from 0.0) is
-            # formatted once.
-            keys, inverse = np.unique(residuals[i].view(np.int64), return_inverse=True)
-            distinct = list(map(repr, keys.view(np.float64).tolist()))
+            # Residuals are rounding-level values and iteration counts small
+            # integers, so few of either are distinct: each distinct value
+            # (for residuals each bit pattern, which keeps -0.0 apart from
+            # 0.0) is formatted once.
+            keys, residual = np.unique(residuals[i].view(np.int64), return_inverse=True)
+            residual_text = list(map(repr, keys.view(np.float64).tolist()))
+            keys, count = np.unique(iterations[i], return_inverse=True)
+            count_text = list(map(str, keys.tolist()))
             yield from _path_text(
                 start + i,
                 nodes,
                 times,
                 map(repr, _items(x)),
                 map(repr, _items(lamperti_inverse(model, x))),
-                itertools.chain(["0.0"], map(distinct.__getitem__, _items(inverse))),
-                itertools.chain(["0"], map(counts.__getitem__, _items(iterations[i]))),
+                itertools.chain(["0.0"], map(residual_text.__getitem__, _items(residual))),
+                itertools.chain(["0"], map(count_text.__getitem__, _items(count))),
             )
 
     def pieces():
@@ -418,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fbm.add_argument("--horizon", type=float, default=1.0)
     p_fbm.add_argument("--paths", type=int, default=1)
     p_fbm.add_argument("--seed", type=int, default=0)
-    p_fbm.add_argument("--method", choices=sorted(SAMPLERS), default="circulant")
+    p_fbm.add_argument("--method", choices=sorted(SAMPLERS), default=DEFAULT_SAMPLER)
     p_fbm.add_argument("--out", required=True, help="output CSV")
 
     p_sim = sub.add_parser("simulate", help="integrate trajectories of a model")

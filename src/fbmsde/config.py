@@ -10,10 +10,14 @@ A configuration has up to five top-level keys:
 
 Validation is strict and total: unknown keys anywhere are rejected, every
 violation is reported with its JSON path, and all errors are collected in one
-pass instead of stopping at the first.  Numbers must be finite.
-``COMMAND_KEYS`` names the scheme and experiment keys each subcommand reads;
-a run keeps only those, with ``ladder_rungs`` clamped as the moment probe
-clamps it, so its digest changes exactly when its outputs can.
+pass instead of stopping at the first.  Numbers must be finite.  Each model
+family's parameter rules live on its class in ``drifts.MODELS``, and every
+rule the block breaks is reported on its own key, ``$.model.<key>``, the
+cross-field ones included; a model that passes them all but fails its drift
+certificate is reported as ``$.model``.  ``COMMAND_KEYS`` names the scheme
+and experiment keys each subcommand reads; a run keeps only those, with
+``ladder_rungs`` clamped as the moment probe clamps it, so its digest changes
+exactly when its outputs can.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import asdict, dataclass, fields
 from .convergence import modulus_rungs
 from .drifts import MODELS, ModelSpec
 from .errors import ConfigError, ParameterError
-from .fbm import SAMPLERS, SEED_LIMIT
+from .fbm import DEFAULT_SAMPLER, SAMPLERS, SEED_LIMIT
 from .solver import SolverSettings
 
 __all__ = ["COMMAND_KEYS", "RunConfig", "parse_config", "config_digest"]
@@ -34,7 +38,7 @@ __all__ = ["COMMAND_KEYS", "RunConfig", "parse_config", "config_digest"]
 # The root-solver and sampler keys of the ``scheme`` block, each with the value
 # it takes when unset, the solver's from ``SolverSettings``; every command
 # that integrates reads all of them.
-_SCHEME_KEYS = {"horizon": 1.0, **asdict(SolverSettings()), "method": "circulant"}
+_SCHEME_KEYS = {"horizon": 1.0, **asdict(SolverSettings()), "method": DEFAULT_SAMPLER}
 
 # For each subcommand, the ``scheme`` and ``experiment`` keys it reads and the
 # value each takes when unset; None marks a required key.  A run's config
@@ -192,24 +196,8 @@ def _check_model(block, errors: list[str]) -> dict | None:
             errors.append(f"$.model.{key}: must be a finite number, got {block[key]!r}")
             continue
         out[key] = value
-
-    def have(*names):
-        return all(name in out for name in names)
-
-    if family == "mean_reverting" and have("gamma") and not (0.5 <= out["gamma"] < 1.0):
-        errors.append(f"$.model.gamma: must lie in [0.5, 1), got {out['gamma']}")
-    if family == "ait_sahalia":
-        for key in ("a_m1", "a0", "a1", "a2"):
-            if have(key) and not out[key] > 0.0:
-                errors.append(f"$.model.{key}: must be positive, got {out[key]}")
-        if have("rho") and not out["rho"] > 1.0:
-            errors.append(f"$.model.rho: must exceed 1, got {out['rho']}")
-    if have("hurst") and not (0.5 < out["hurst"] < 1.0):
-        errors.append(f"$.model.hurst: must lie in (0.5, 1), got {out['hurst']}")
-    if have("sigma") and out["sigma"] == 0.0:
-        errors.append("$.model.sigma: must be nonzero")
-    if have("y0") and not out["y0"] > 0.0:
-        errors.append(f"$.model.y0: must be positive, got {out['y0']}")
+    # a rule is checked once every key it reads is present and finite
+    errors.extend(f"$.model.{broken}" for broken in MODELS[family].broken_rules(out))
     return out if not any(e.startswith("$.model") for e in errors) else None
 
 
@@ -305,7 +293,7 @@ def parse_config(text: str, command: str, overrides: dict | None = None) -> RunC
         raise ConfigError(errors)
     params = dict(model)
     try:
-        # cross-field constraints surface through the model constructors
+        # the certificate's checks surface through the model constructors
         spec = MODELS[params.pop("model")](**params)
     except ParameterError as exc:
         raise ConfigError([f"$.model: {exc}"]) from None

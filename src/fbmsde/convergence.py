@@ -40,7 +40,7 @@ import numpy as np
 
 from .drifts import ModelSpec
 from .errors import FbmsdeError, IntegrationError, NumericalError, ParameterError, UsageError
-from .fbm import SAMPLERS, TimeGrid, make_sampler, mix_seed, subsample
+from .fbm import DEFAULT_SAMPLER, SAMPLERS, TimeGrid, make_sampler, mix_seed, subsample
 from .solver import (
     SchemeConfig,
     SolverSettings,
@@ -101,7 +101,7 @@ class ExperimentPlan:
     k_ref: int
     paths: int
     master_seed: int
-    method: str = "circulant"
+    method: str = DEFAULT_SAMPLER
     solver: SolverSettings = SolverSettings()
 
     def __post_init__(self):
@@ -501,10 +501,15 @@ def run_strong_error(
         h = plan.horizon / steps
         estimates = {}
         for kind, e in zip(ERROR_KINDS, by_kind):
-            estimates[kind] = {
-                "e": _p_mean(e, plan.p),
-                "stderr": _bootstrap_stderr(e, plan.p, boot_rng),
-            }
+            mean, stderr = _p_mean(e, plan.p), _bootstrap_stderr(e, plan.p, boot_rng)
+            # a large p can take e^p out of float range, to 0.0 or inf
+            if not (0.0 < mean < math.inf and math.isfinite(stderr)):
+                raise NumericalError(
+                    f"level {k} {kind}: the p={plan.p} error estimate is {mean!r} with "
+                    f"bootstrap stderr {stderr!r}; an order fit needs a finite "
+                    "positive estimate and a finite stderr"
+                )
+            estimates[kind] = {"e": mean, "stderr": stderr}
         levels.append(LevelEstimate(k=k, steps=steps, h=h, estimates=estimates))
 
     fits: dict[str, dict[str, OrderFit]] = {}
@@ -652,7 +657,7 @@ def moment_probe(
     master_seed: int,
     ladder_rungs: int = 6,
     *,
-    method: str = "circulant",
+    method: str = DEFAULT_SAMPLER,
     solver: SolverSettings = SolverSettings(),
 ) -> MomentProbe:
     """Estimate E sup X^{-p}, E sup X^{p}, and modulus-of-continuity ratios.

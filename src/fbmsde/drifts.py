@@ -27,6 +27,7 @@ singular coefficient.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -206,14 +207,7 @@ def mean_reverting_drift(
     with alpha = theta = gamma/(1-gamma).  gamma = 1/2 is the square-root
     (CIR) diffusion and sits at the critical alpha = 1 regime.
     """
-    if not (0.0 < gamma < 1.0):
-        raise ParameterError(f"gamma must lie in (0, 1), got {gamma}")
-    if gamma < 0.5:
-        raise ParameterError(
-            f"gamma must lie in [1/2, 1) for the singular-drift regime, got {gamma}"
-        )
-    if not a1 > 0.0:
-        raise ParameterError(f"a1 must be positive, got {a1}")
+    _require(MeanRevertingModel, a1=a1, a2=a2, gamma=gamma)
     alpha = gamma / (1.0 - gamma)
     c_sing = (1.0 - gamma) * a1
     c_lin = a2 * (1.0 - gamma)
@@ -258,20 +252,7 @@ def ait_sahalia_drift(
     step bound h0 = 4 (rho-1) b4 (rho+1) / (b3^2 rho^2) makes the implicit
     equation's derivative strictly negative, hence the root unique.
     """
-    for label, value_ in (("a_m1", a_m1), ("a0", a0), ("a1", a1), ("a2", a2)):
-        if not value_ > 0.0:
-            raise ParameterError(f"{label} must be positive, got {value_}")
-    if not rho > 1.0:
-        raise ParameterError(f"rho must exceed 1, got {rho}")
-    if not r + 1.0 > 2.0 * rho:
-        raise ParameterError(
-            f"constraint r + 1 > 2*rho violated: r={r}, rho={rho}"
-        )
-    r_floor = min(2.0, rho) + 1.0
-    if not r >= r_floor:
-        raise ParameterError(
-            f"constraint r >= min(2, rho) + 1 violated: r={r} < {r_floor}"
-        )
+    _require(AitSahaliaModel, a_m1=a_m1, a0=a0, a1=a1, a2=a2, r=r, rho=rho)
 
     b1 = (rho - 1.0) * a2
     b2 = (rho - 1.0) * a1
@@ -323,7 +304,34 @@ class _LampertiModel:
     ``family``, the block's ``model`` name, and expose ``transform_exponent``
     (the m in X = Y^m).  The inverse map is Y = X^{1/m} and the transformed
     noise intensity is sigma * m.
+
+    ``rules`` holds every parameter rule of the family, the rules here
+    included, as (key, message, test): the test's parameters name the keys it
+    reads, a broken rule is reported on ``key``, and ``message`` is a format
+    string over the keys the test reads.  The constructor, the drift builders
+    and the config's model check all read this one table.
     """
+
+    rules = (
+        ("hurst", "must lie in (0.5, 1), got {hurst}", lambda hurst: 0.5 < hurst < 1.0),
+        ("sigma", "must be nonzero", lambda sigma: sigma != 0.0),
+        ("y0", "must be positive, got {y0}", lambda y0: y0 > 0.0),
+    )
+
+    @classmethod
+    def broken_rules(cls, values: dict) -> list[str]:
+        """``<key>: <message>`` for each rule of the family that ``values`` break.
+
+        A rule that reads a key ``values`` lacks is not checked.
+        """
+        broken = []
+        for key, message, test in cls.rules:
+            names = inspect.signature(test).parameters
+            if all(name in values for name in names):
+                read = {name: values[name] for name in names}
+                if not test(**read):
+                    broken.append(f"{key}: {message.format(**read)}")
+        return broken
 
     @property
     def transform_exponent(self) -> float:
@@ -346,12 +354,14 @@ class _LampertiModel:
         return _drift_cache(self)
 
     def __post_init__(self):
-        if self.sigma == 0.0:
-            raise ParameterError("sigma must be nonzero")
-        if not self.y0 > 0.0:
-            raise ParameterError(f"y0 must be positive, got {self.y0}")
-        Hurst(self.hurst)  # range check
+        _require(type(self), **vars(self))
         validate_certificate(self.drift()[1], self.hurst)
+
+
+def _require(model: type[_LampertiModel], **values) -> None:
+    """Raise ParameterError for the first rule of ``model`` that ``values`` break."""
+    if broken := model.broken_rules(values):
+        raise ParameterError(broken[0])
 
 
 @dataclass(frozen=True)
@@ -359,6 +369,11 @@ class MeanRevertingModel(_LampertiModel):
     """dY = (a1 - a2 Y) dt + sigma Y^gamma dB^H in original coordinates."""
 
     family = "mean_reverting"
+    rules = (
+        ("a1", "must be positive, got {a1}", lambda a1: a1 > 0.0),
+        ("gamma", "must lie in [0.5, 1), got {gamma}", lambda gamma: 0.5 <= gamma < 1.0),
+        *_LampertiModel.rules,
+    )
     a1: float
     a2: float
     gamma: float
@@ -379,6 +394,18 @@ class AitSahaliaModel(_LampertiModel):
     """dY = (a_m1/Y - a0 + a1 Y - a2 Y^r) dt + sigma Y^rho dB^H."""
 
     family = "ait_sahalia"
+    rules = (
+        ("a_m1", "must be positive, got {a_m1}", lambda a_m1: a_m1 > 0.0),
+        ("a0", "must be positive, got {a0}", lambda a0: a0 > 0.0),
+        ("a1", "must be positive, got {a1}", lambda a1: a1 > 0.0),
+        ("a2", "must be positive, got {a2}", lambda a2: a2 > 0.0),
+        ("rho", "must exceed 1, got {rho}", lambda rho: rho > 1.0),
+        ("r", "must satisfy r + 1 > 2*rho, got r={r}, rho={rho}",
+         lambda r, rho: r + 1.0 > 2.0 * rho),
+        ("r", "must satisfy r >= min(2, rho) + 1, got r={r}, rho={rho}",
+         lambda r, rho: r >= min(2.0, rho) + 1.0),
+        *_LampertiModel.rules,
+    )
     a_m1: float
     a0: float
     a1: float

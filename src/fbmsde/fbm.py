@@ -30,8 +30,9 @@ sum, so ``np.cumsum(increments, axis=-1)`` reproduces
 ``path_values(increments)[..., 1:]`` bitwise.  :func:`subsample` block-sums
 increments onto a coarser grid.
 
-``SAMPLERS`` maps each method name to its sampler class, and
-:func:`make_sampler` builds the sampler a name picks.
+``SAMPLERS`` maps each method name to its sampler class, ``DEFAULT_SAMPLER``
+names the one a run uses when none is named, and :func:`make_sampler` builds
+the sampler a name picks.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ __all__ = [
     "CholeskySampler",
     "CirculantSampler",
     "SAMPLERS",
+    "DEFAULT_SAMPLER",
     "make_sampler",
     "path_values",
     "subsample",
@@ -437,6 +439,8 @@ class CirculantSampler(_ExactSampler):
 # The exact samplers by method name: the values ``scheme.method`` and
 # ``fbm --method`` accept, in the order the config's error message lists them.
 SAMPLERS = {"circulant": CirculantSampler, "cholesky": CholeskySampler}
+# The method a run samples with when none is named.
+DEFAULT_SAMPLER = "circulant"
 
 
 def make_sampler(

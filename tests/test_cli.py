@@ -182,14 +182,6 @@ def run_cli(*argv: str) -> int:
     return cli.main(list(argv))
 
 
-def test_count_table_formats_every_count_once():
-    # the iteration column's table: the common counts up front, any larger
-    # count (possible once max_iter passes the table) on first lookup
-    counts = cli._IntText(3)
-    assert counts == {0: "0", 1: "1", 2: "2", 3: "3"}
-    assert counts[300] == "300" and counts[300] is counts[300]
-
-
 @pytest.mark.parametrize("fault", ["iterable", "write"])
 def test_failed_streamed_write_leaves_no_file(tmp_path, fault):
     def pieces():
@@ -524,6 +516,27 @@ class TestCli:
 
         for path in out_dir.glob("*.json") if out_dir.exists() else ():
             json.loads(path.read_text(), parse_constant=reject)
+
+    def test_converge_estimate_out_of_float_range_is_a_runtime_error(
+        self, tmp_path, capsys
+    ):
+        # CI's ladder: at p = 150 every path's e^p underflows to 0.0 at level
+        # 3, so no order can be fitted, and the run names p, level and kind
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            config_text(experiment={"paths": 8, "k_min": 2, "k_max": 4, "k_ref": 7, "p": 150})
+        )
+        out_dir = tmp_path / "o"
+        code = run_cli(
+            "converge", "--config", str(cfg), "--out-dir", str(out_dir), "--threads", "1"
+        )
+        assert code == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "runtime error: level 3 x_node: the p=150.0 error estimate is 0.0 with "
+            "bootstrap stderr 0.0; an order fit needs a finite positive estimate "
+            "and a finite stderr\n"
+        )
+        assert not out_dir.exists()
 
     def test_converge_dead_worker_is_a_clean_runtime_error(self, tmp_path):
         # a worker killed mid-chunk (OOM killer, signal) breaks the pool; in a

@@ -5,15 +5,21 @@ A run's configuration keeps exactly the scheme and experiment keys that
 its digest covers the seed, the model and those keys.  So a key the command
 does not read, or a key set to the value it takes when unset, moves no byte
 of any output, header included, and a key it reads moves the digest.
+
+The model block is checked against its family's parameter rules, which live
+on the model class: every broken rule is one error on its own key, with the
+text the class's constructor raises for it.
 """
 
+import inspect
 import json
 
 import pytest
 
 import fbmsde.cli as cli
 from fbmsde.config import COMMAND_KEYS, parse_config
-from fbmsde.errors import ConfigError
+from fbmsde.drifts import MODELS, ait_sahalia_drift, mean_reverting_drift
+from fbmsde.errors import ConfigError, ParameterError
 
 MR = {"model": "mean_reverting", "a1": 1.0, "a2": 1.0, "gamma": 0.7, "sigma": 0.5,
       "y0": 1.0, "hurst": 0.7}
@@ -253,3 +259,94 @@ def test_ladder_rungs_past_the_grid_move_no_output_byte(tmp_path):
     assert run(6) == four
     assert run(20) == four
     assert run(3) != four
+
+
+# For each rule of each family, in the order of the class's ``rules``: model
+# keys that break that rule and no other, and the config error they give.
+BROKEN_RULES = {
+    "mean_reverting": [
+        ({"a1": -1.0}, "$.model.a1: must be positive, got -1.0"),
+        ({"gamma": 0.3}, "$.model.gamma: must lie in [0.5, 1), got 0.3"),
+        ({"hurst": 0.4}, "$.model.hurst: must lie in (0.5, 1), got 0.4"),
+        ({"sigma": 0.0}, "$.model.sigma: must be nonzero"),
+        ({"y0": -1.0}, "$.model.y0: must be positive, got -1.0"),
+    ],
+    "ait_sahalia": [
+        ({"a_m1": -1.0}, "$.model.a_m1: must be positive, got -1.0"),
+        ({"a0": 0.0}, "$.model.a0: must be positive, got 0.0"),
+        ({"a1": -2.0}, "$.model.a1: must be positive, got -2.0"),
+        ({"a2": -0.5}, "$.model.a2: must be positive, got -0.5"),
+        ({"rho": 0.9}, "$.model.rho: must exceed 1, got 0.9"),
+        ({"rho": 2.1}, "$.model.r: must satisfy r + 1 > 2*rho, got r=3.0, rho=2.1"),
+        ({"r": 2.4}, "$.model.r: must satisfy r >= min(2, rho) + 1, got r=2.4, rho=1.5"),
+        ({"hurst": 1.0}, "$.model.hurst: must lie in (0.5, 1), got 1.0"),
+        ({"sigma": -0.0}, "$.model.sigma: must be nonzero"),
+        ({"y0": 0.0}, "$.model.y0: must be positive, got 0.0"),
+    ],
+}
+BASE_MODELS = {"mean_reverting": MR, "ait_sahalia": AS}
+DRIFTS = {"mean_reverting": mean_reverting_drift, "ait_sahalia": ait_sahalia_drift}
+
+
+def test_broken_rule_cases_cover_every_rule():
+    for family, cls in MODELS.items():
+        keys = [expected.split(":")[0] for _, expected in BROKEN_RULES[family]]
+        assert keys == [f"$.model.{key}" for key, _, _ in cls.rules]
+
+
+@pytest.mark.parametrize(
+    "family, index",
+    [(family, i) for family, cases in BROKEN_RULES.items() for i in range(len(cases))],
+)
+def test_each_broken_rule_is_one_error_with_the_constructors_text(family, index):
+    overrides, expected = BROKEN_RULES[family][index]
+    model = {**BASE_MODELS[family], **overrides}
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps({"seed": 1, "model": model}), "verify-assumptions")
+    assert excinfo.value.errors == [expected]
+    params = {key: value for key, value in model.items() if key != "model"}
+    with pytest.raises(ParameterError) as excinfo:
+        MODELS[family](**params)
+    assert f"$.model.{excinfo.value}" == expected
+    # a rule on the drift's own parameters is checked by the drift builder too
+    drift = DRIFTS[family]
+    args = {key: params[key] for key in inspect.signature(drift).parameters}
+    if expected.split(":")[0][len("$.model."):] in args:
+        with pytest.raises(ParameterError) as excinfo:
+            drift(**args)
+        assert f"$.model.{excinfo.value}" == expected
+
+
+@pytest.mark.parametrize(
+    "model, expected",
+    [
+        (
+            {**MR, "a1": -1.0, "gamma": 0.3},
+            [
+                "$.model.a1: must be positive, got -1.0",
+                "$.model.gamma: must lie in [0.5, 1), got 0.3",
+            ],
+        ),
+        (
+            {**AS, "r": 2.0, "rho": 1.5, "y0": -1.0},
+            [
+                "$.model.r: must satisfy r + 1 > 2*rho, got r=2.0, rho=1.5",
+                "$.model.r: must satisfy r >= min(2, rho) + 1, got r=2.0, rho=1.5",
+                "$.model.y0: must be positive, got -1.0",
+            ],
+        ),
+    ],
+    ids=["mean_reverting", "ait_sahalia"],
+)
+def test_every_broken_rule_is_reported_in_one_pass(model, expected):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps({"seed": 1, "model": model}), "verify-assumptions")
+    assert excinfo.value.errors == expected
+
+
+def test_a_rule_reading_a_bad_key_is_not_checked():
+    # rho is not a number, so neither constraint on r is checked
+    model = {**AS, "r": 2.0, "rho": "x"}
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps({"seed": 1, "model": model}), "verify-assumptions")
+    assert excinfo.value.errors == ["$.model.rho: must be a finite number, got 'x'"]
