@@ -635,6 +635,26 @@ def _fold_moduli(moduli: np.ndarray, values: np.ndarray, rungs: int) -> None:
             np.maximum(out[:, j], np.max(hi - lo, axis=1), out=out[:, j])
 
 
+def _fold_power(total: float, values: np.ndarray, p: float, moment: str) -> float:
+    """``total`` plus each of ``values`` to the power -p or p, in row order.
+
+    The sum is kept in Python floats, so it is the same at any chunk size.
+    A power or a partial sum past the float range is a :class:`NumericalError`
+    that names the order and the moment.
+    """
+    power = -p if moment == "negative" else p
+    try:
+        for v in values.tolist():
+            total += v**power
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise NumericalError(
+            f"the p={p} {moment} moment E sup X^{power} is out of float range"
+        )
+    return total
+
+
 def _modulus_envelope(h: np.ndarray, hurst: float) -> np.ndarray:
     return h + h**hurst * np.sqrt(np.log1p(1.0 / h))
 
@@ -720,11 +740,11 @@ def moment_probe(
             ext[:, :reach] = ext[:, end - 1 - reach : end - 1]
             lead = 0
         _raise_first_failure(failures, start)
-        for row in range(size):
-            for p in p_list:
-                neg[p] += float(v_min[row]) ** -p
-                pos[p] += float(v_max[row]) ** p
-            modulus += moduli[row]
+        for p in p_list:
+            neg[p] = _fold_power(neg[p], v_min, p, "negative")
+            pos[p] = _fold_power(pos[p], v_max, p, "positive")
+        for row in moduli:
+            modulus += row
         del noise  # free this chunk before the next one is drawn
     for p in p_list:
         neg[p] /= paths

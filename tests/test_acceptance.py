@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from fbmsde.solver import SchemeConfig, SolverSettings, integrate
 from oracles import cir_implicit_root, implicit_step
 
 SEED = 20260809
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 MR_MODEL = MeanRevertingModel(a1=1.0, a2=1.0, gamma=0.7, sigma=0.5, y0=1.0, hurst=0.7)
 AS_MODEL = AitSahaliaModel(
@@ -61,12 +63,14 @@ def criterion(number: int, description: str):
     print(f"ACCEPTANCE {number} PASS: {description}{extra}")
 
 
+def mean_and_se(x: np.ndarray):
+    return float(np.mean(x)), float(np.std(x, ddof=1) / np.sqrt(len(x)))
+
+
 def terminal_statistics(values: np.ndarray):
-    """Var(B_1) and Cov(B_0.5, B_1) with the standard error of the latter."""
+    """Var(B_1), then Var(B_0.5) and Cov(B_0.5, B_1) each with its standard error."""
     mid, end = values[:, values.shape[1] // 2], values[:, -1]
-    cov = float(np.mean(mid * end))
-    cov_se = float(np.std(mid * end, ddof=1) / np.sqrt(len(end)))
-    return float(end.var()), cov, cov_se
+    return float(end.var()), mean_and_se(mid * mid), mean_and_se(mid * end)
 
 
 def test_criterion_1_generator_fidelity():
@@ -79,10 +83,16 @@ def test_criterion_1_generator_fidelity():
             values = np.stack(
                 [path_values(sampler.sample(SEED, i)) for i in range(m)]
             )
-            var_end, cov, cov_se = terminal_statistics(values)
+            var_end, (var_mid, var_mid_se), (cov, cov_se) = terminal_statistics(values)
             assert 0.95 <= var_end <= 1.05
             assert abs(cov - 0.5) <= 3.0 * cov_se  # R_H(0.5, 1.0) = 0.5 at H = 0.7
-            notes.append(f"{name}: Var(B_1)={var_end:.4f}, Cov dev={abs(cov - 0.5) / cov_se:.2f} SE")
+            # the two above hold at every H; Var(B_0.5) = 0.5^(2H) does not
+            var_mid_dev = (var_mid - 0.5**1.4) / var_mid_se
+            assert abs(var_mid_dev) <= 3.0
+            notes.append(
+                f"{name}: Var(B_1)={var_end:.4f}, Cov dev={abs(cov - 0.5) / cov_se:.2f} SE, "
+                f"Var(B_0.5) dev={var_mid_dev:+.2f} SE"
+            )
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0
         detail["note"] = "; ".join(notes) + f"; {elapsed:.1f}s"
@@ -168,6 +178,15 @@ def test_criterion_4_positivity_sweep():
         detail["note"] = f"{total_steps} steps, min iterate {minimum:.4e}"
 
 
+def readme_order(model: str) -> str:
+    """The fitted order in the row of README's "Measured convergence orders"
+    table whose model cell starts with ``model``."""
+    section = README.read_text().split("## Measured convergence orders\n")[1]
+    section = section.split("\n## ")[0]
+    [row] = [line for line in section.splitlines() if line.startswith(f"| {model}")]
+    return row.strip(" |").rsplit("|", 1)[1].strip()
+
+
 def test_criterion_5_strong_order_mean_reverting():
     with criterion(5, "mean-reverting strong order within [0.55, 0.85]") as detail:
         report = run_strong_error(ladder_plan(MR_MODEL))
@@ -175,6 +194,7 @@ def test_criterion_5_strong_order_mean_reverting():
         slope = report.fits["y_interp"]["sqrt_log"].slope
         assert 0.55 <= slope <= 0.85
         assert report.trend_ok
+        assert f"{slope:.3f}" == readme_order("mean-reverting")
         detail["note"] = f"log-corrected slope {slope:.4f} (target H = 0.7)"
 
 
@@ -186,6 +206,7 @@ def test_criterion_6_strong_order_ait_sahalia():
         target = (2.0 * 0.7 - 1.0) * min(1.0 / (1.5 - 1.0), 1.0)
         assert slope >= target - 0.15
         assert report.trend_ok
+        assert f"{slope:.3f}" == readme_order("Ait-Sahalia")
         detail["note"] = f"log-corrected slope {slope:.4f} (target {target:.2f}, lower band 0.25)"
 
 

@@ -105,15 +105,22 @@ class TestParseConfig:
         assert any("$.model.gama" in e and "unknown" in e for e in excinfo.value.errors)
 
     @pytest.mark.parametrize("value", ["bogus", [], {"model": "ait_sahalia"}])
-    def test_unknown_family_and_method_are_named(self, value):
+    def test_unknown_family_and_method_are_named(self, tmp_path, capsys, value):
         # a JSON list or object is reported like any unknown name, not hashed
         text = config_text(model={"model": value}, scheme={"steps": 4, "method": value})
-        with pytest.raises(ConfigError) as excinfo:
-            parse_config(text, "simulate")
-        assert excinfo.value.errors == [
+        expected = [
             f"$.model.model: must be one of 'mean_reverting', 'ait_sahalia', got {value!r}",
             f"$.scheme.method: must be 'circulant' or 'cholesky', got {value!r}",
         ]
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text, "simulate")
+        assert excinfo.value.errors == expected
+        # and the command prints each on its own line and writes no file
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg.write_text(text)
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "".join(f"config error: {e}\n" for e in expected)
+        assert not out.exists()
 
     def test_syntax_error_reports_position(self):
         with pytest.raises(ConfigError) as excinfo:
@@ -180,6 +187,23 @@ class TestParseConfig:
 
 def run_cli(*argv: str) -> int:
     return cli.main(list(argv))
+
+
+def run_module(*argv: str, wrapper=(), path=(), cwd=None) -> subprocess.CompletedProcess:
+    """Run ``python -m fbmsde *argv`` in a fresh interpreter on this tree's ``src``.
+
+    ``wrapper`` is a command line that gets the fbmsde one appended and runs
+    it as its child.  ``path`` holds directories put on ``sys.path`` before
+    ``src``, where a ``sitecustomize`` module can patch the package at start-up.
+    """
+    return subprocess.run(
+        [*wrapper, sys.executable, "-m", "fbmsde", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([*map(str, path), str(REPO / "src")])},
+    )
 
 
 @pytest.mark.parametrize("fault", ["iterable", "write"])
@@ -520,8 +544,9 @@ class TestCli:
     def test_converge_estimate_out_of_float_range_is_a_runtime_error(
         self, tmp_path, capsys
     ):
-        # CI's ladder: at p = 150 every path's e^p underflows to 0.0 at level
-        # 3, so no order can be fitted, and the run names p, level and kind
+        # levels 2^2..2^4 against 2^7: at p = 150 every path's e^p underflows
+        # to 0.0 at level 3, so no order can be fitted, and the run names p,
+        # level and kind
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
             config_text(experiment={"paths": 8, "k_min": 2, "k_max": 4, "k_ref": 7, "p": 150})
@@ -541,32 +566,22 @@ class TestCli:
     def test_converge_dead_worker_is_a_clean_runtime_error(self, tmp_path):
         # a worker killed mid-chunk (OOM killer, signal) breaks the pool; in a
         # subprocess, since the worker dies by os._exit
-        script = tmp_path / "die.py"
-        script.write_text(
-            "import os, sys\n"
-            "import fbmsde.cli as cli\n"
+        (tmp_path / "sitecustomize.py").write_text(
+            "import os\n"
             "import fbmsde.convergence as convergence\n"
             "def die(plan, start, stop):\n"
             "    os._exit(9)\n"
-            "if __name__ == '__main__':\n"
-            "    convergence._ladder_chunk = die\n"
-            "    convergence._available_cpus = lambda: 2\n"
-            "    sys.exit(cli.main(sys.argv[1:]))\n"
+            "convergence._ladder_chunk = die\n"
+            "convergence._available_cpus = lambda: 2\n"
         )
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
             config_text(experiment={"paths": 4, "k_min": 2, "k_max": 4, "k_ref": 7})
         )
         out_dir = tmp_path / "o"
-        proc = subprocess.run(
-            [
-                sys.executable, str(script), "converge", "--config", str(cfg),
-                "--threads", "2", "--out-dir", str(out_dir),
-            ],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        proc = run_module(
+            "converge", "--config", str(cfg), "--threads", "2", "--out-dir", str(out_dir),
+            path=[tmp_path],
         )
         assert proc.returncode == 2, proc.stderr
         [line] = proc.stderr.splitlines()
@@ -622,6 +637,27 @@ class TestCli:
         code = run_cli("moments", "--config", str(cfg), "--out-dir", str(tmp_path / "m"))
         assert code == 2
         assert capsys.readouterr().err == "runtime error: OverflowError: math range error\n"
+
+    def test_moment_out_of_float_range_is_a_runtime_error(self, tmp_path, capsys):
+        # a path minimum below 1 takes x^-p past the float range at order
+        # 20000; order 2000 still fits and keeps its bytes
+        def moments(p, out_dir):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(
+                config_text(scheme={"steps": 64}, experiment={"paths": 8, "p_list": [p]})
+            )
+            return run_cli("moments", "--config", str(cfg), "--out-dir", str(out_dir))
+
+        assert moments(2000.0, tmp_path / "fits") == 0
+        rows = (tmp_path / "fits" / "moments.csv").read_text().splitlines()
+        assert rows[2] == "2000.0,5.054740167573327e+225,3.836737534949133e+123"
+        capsys.readouterr()
+        assert moments(20000.0, tmp_path / "overflows") == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "runtime error: the p=20000.0 negative moment E sup X^-20000.0 is out of "
+            "float range\n"
+        )
+        assert not (tmp_path / "overflows").exists()
 
     @pytest.mark.parametrize(
         "command, stage",
@@ -1020,12 +1056,59 @@ class TestCli:
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "p.csv"
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "fbmsde", "fbm", "--hurst", "0.7",
-                "--steps", "2", "--out", str(out),
-            ],
-            capture_output=True,
-        )
+        proc = run_module("fbm", "--hurst", "0.7", "--steps", "2", "--out", str(out))
         assert proc.returncode == 0
         assert out.exists()
+
+    @pytest.mark.parametrize(
+        "bound, argv, config",
+        [
+            # a Cholesky draw holds one 2 MB panel buffer, never the factor (1 GB
+            # at 2^14 steps); 71.8 MB with a 256-column buffer of 32 MB
+            (
+                56,
+                ["fbm", "--method", "cholesky", "--hurst", "0.7", "--steps", "16384",
+                 "--paths", "4", "--out", "out.csv"],
+                None,
+            ),
+            # 45.0 MB with an 8 MB panel buffer
+            (
+                56,
+                ["simulate", "--config", "cfg.json", "--paths", "8", "--out", "out.csv"],
+                {"scheme": {"steps": 4096, "method": "cholesky"}},
+            ),
+            # the probe streams each chunk through one set of block buffers, 16
+            # blocks of 1024 steps here: 48.5 MB with fresh solver arrays per
+            # block, 54.5 MB with every block kept until the chunk ends
+            (
+                52,
+                ["moments", "--config", "cfg.json", "--out-dir", "out"],
+                {"scheme": {"steps": 16384}, "experiment": {"paths": 64}},
+            ),
+            # the benchmark's pooled ladder: the workers inherit numpy.random and
+            # numpy.fft and free the levels' noise before the reference, so the
+            # parent sets the peak; 40.6 MB with each worker importing its own
+            (
+                42,
+                ["converge", "--config", "cfg.json", "--threads", "2", "--out-dir", "out"],
+                {"experiment": {"paths": 200, "k_min": 4, "k_max": 9, "k_ref": 13}},
+            ),
+        ],
+        ids=["fbm-cholesky", "simulate-cholesky", "moments", "converge-pooled"],
+    )
+    def test_peak_rss_stays_bounded(self, tmp_path, bound, argv, config):
+        # a fresh wrapper process reads its children's peak RSS, pool workers
+        # included since the CLI waits for them; pytest's own RUSAGE_CHILDREN
+        # already holds every subprocess an earlier test ran
+        peak = (
+            "import resource, subprocess, sys; "
+            "subprocess.run(sys.argv[1:], check=True); "
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)"
+        )
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config_text(**config))
+        proc = run_module(*argv, wrapper=[sys.executable, "-c", peak], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        mb = float(proc.stdout.splitlines()[-1])
+        print(f"{argv[0]} peak RSS {mb:.1f} MB")
+        assert mb <= bound

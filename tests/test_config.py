@@ -338,10 +338,16 @@ def test_each_broken_rule_is_one_error_with_the_constructors_text(family, index)
     ],
     ids=["mean_reverting", "ait_sahalia"],
 )
-def test_every_broken_rule_is_reported_in_one_pass(model, expected):
+def test_every_broken_rule_is_reported_in_one_pass(tmp_path, capsys, model, expected):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(json.dumps({"seed": 1, "model": model}), "verify-assumptions")
     assert excinfo.value.errors == expected
+    # and the command prints each on its own line and writes no file
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps({"seed": 1, "model": model, "scheme": {"steps": 16}}))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "".join(f"config error: {e}\n" for e in expected)
+    assert not out.exists()
 
 
 def test_a_rule_reading_a_bad_key_is_not_checked():
