@@ -263,9 +263,7 @@ def _cmd_converge(args) -> int:
         solver=cfg.solver,
         **cfg.experiment,  # paths, p and the ladder levels
     )
-    report = run_strong_error(
-        plan, workers=args.threads, keep_paths=args.keep_paths
-    )
+    report = run_strong_error(plan, workers=args.threads)
     out_dir = cfg.io["out_dir"]
     level_rows = [
         (lv.k, lv.h, lv.estimates["y_interp"]["e"], lv.estimates["y_interp"]["stderr"])
@@ -276,7 +274,7 @@ def _cmd_converge(args) -> int:
         _csv_text(cfg.seed, cfg.digest, ["level", "h", "e_mean", "e_stderr"], level_rows),
     )
     payload = report.to_dict()
-    if report.per_path_errors is not None:
+    if args.keep_paths:
         paths, errors = report.per_path_errors
         # one row per (path, level): the path's four error kinds at that level
         rows = (

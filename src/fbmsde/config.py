@@ -10,14 +10,18 @@ A configuration has up to five top-level keys:
 
 Validation is strict and total: unknown keys anywhere are rejected, every
 violation is reported with its JSON path, and all errors are collected in one
-pass instead of stopping at the first.  Numbers must be finite.  Each model
-family's parameter rules live on its class in ``drifts.MODELS``, and every
-rule the block breaks is reported on its own key, ``$.model.<key>``, the
-cross-field ones included; a model that passes them all but fails its drift
-certificate is reported as ``$.model``.  ``COMMAND_KEYS`` names the scheme
-and experiment keys each subcommand reads; a run keeps only those, with
-``ladder_rungs`` clamped as the moment probe clamps it, so its digest changes
-exactly when its outputs can.
+pass instead of stopping at the first.  This module checks only each key's
+JSON type.  Every range rule lives on the class that reads the value, in its
+``rules`` table (see ``errors.broken_rules``), which its constructor checks
+too: each model family's on its class in ``drifts.MODELS``; the scheme and
+experiment rules on ``fbm.TimeGrid``, ``fbm.METHOD_RULE``,
+``solver.SolverSettings``, ``convergence.ExperimentPlan`` and
+``convergence.PROBE_RULES``.  Every rule a file breaks is reported on its
+own key, ``$.<block>.<key>``, the cross-field ones included; a model that
+passes them all but fails its drift certificate is reported as ``$.model``.
+``COMMAND_KEYS`` names the scheme and experiment keys each subcommand reads;
+a run keeps only those, with ``ladder_rungs`` clamped as the moment probe
+clamps it, so its digest changes exactly when its outputs can.
 """
 
 from __future__ import annotations
@@ -27,10 +31,10 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
-from .convergence import modulus_rungs
+from .convergence import PROBE_RULES, ExperimentPlan, modulus_rungs
 from .drifts import MODELS, ModelSpec
-from .errors import ConfigError, ParameterError
-from .fbm import DEFAULT_SAMPLER, SAMPLERS, SEED_LIMIT
+from .errors import ConfigError, ParameterError, broken_rules, reads
+from .fbm import DEFAULT_SAMPLER, METHOD_RULE, SEED_LIMIT, TimeGrid
 from .solver import SolverSettings
 
 __all__ = ["COMMAND_KEYS", "RunConfig", "parse_config", "config_digest"]
@@ -90,63 +94,46 @@ def config_digest(seed: int, model: dict, scheme: dict, experiment: dict) -> str
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _finite(value) -> float | None:
-    """``value`` as a float when it is a finite JSON number, else None.
-
-    Python's ``json`` reads ``NaN`` and ``Infinity``, and ``1e400`` as inf,
-    so every numeric check of the configuration goes through this one.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        value = float(value)
-    except OverflowError:  # an integer past the float range
-        return None
-    return value if math.isfinite(value) else None
-
-
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _integer(minimum: int):
-    """A check that its value is an integer of at least ``minimum``."""
-
-    def check(value):
-        if not _is_int(value) or value < minimum:
-            raise ValueError(f"must be an integer >= {minimum}, got {value!r}")
-        return value
-
-    return check
-
-
-def _real(rule: str, test):
-    """A check that its value is a finite number satisfying ``test``, kept as a float."""
-
-    def check(value):
-        number = _finite(value)
-        if number is None or not test(number):
-            raise ValueError(f"must be a finite number {rule}, got {value!r}")
-        return number
-
-    return check
-
-
-def _method(value):
-    if not isinstance(value, str) or value not in SAMPLERS:
-        raise ValueError(f"must be {' or '.join(map(repr, SAMPLERS))}, got {value!r}")
+def _integer(value):
+    if not _is_int(value):
+        raise ValueError(f"must be an integer, got {value!r}")
     return value
 
 
-def _orders(value):
-    """Moment orders as floats; 2 and 2.0 are one order, which may not repeat."""
-    orders = tuple(map(_finite, value)) if isinstance(value, list) else ()
-    if not orders or not all(p is not None and p > 0.0 for p in orders):
-        raise ValueError("must be a non-empty list of positive finite numbers")
-    for i, p in enumerate(orders):
-        if p in orders[:i]:
-            raise ValueError(f"duplicate order {p}")
-    return orders
+def _number(value) -> float:
+    """A JSON number as a float, which may be infinite or NaN.
+
+    Python's ``json`` reads ``NaN`` and ``Infinity``, and ``1e400`` as inf;
+    the rules that read a number check that it is finite.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        return math.inf if value > 0 else -math.inf
+
+
+def _finite(value) -> float | None:
+    """``value`` as a float when it is a finite JSON number, else None."""
+    try:
+        number = _number(value)
+    except ValueError:
+        return None
+    return number if math.isfinite(number) else None
+
+
+def _numbers(value) -> tuple:
+    try:
+        if isinstance(value, list):
+            return tuple(map(_number, value))
+    except ValueError:
+        pass
+    raise ValueError(f"must be a list of numbers, got {value!r}")
 
 
 def _text(value):
@@ -155,22 +142,51 @@ def _text(value):
     return value
 
 
-_POSITIVE = _real("> 0", lambda x: x > 0.0)
-
-# The check of each key of the scheme, experiment and io blocks: it returns
-# the value to keep, a float for a float-typed key, or raises ValueError.
-_CHECKS = {
+# The type check of each key of the scheme, experiment and io blocks: it
+# returns the value to keep, a float for a float-typed key, or raises
+# ValueError.  Any JSON value is a method name to check: its rule names the
+# samplers whatever the value.
+_TYPES = {
     "scheme": {
-        "steps": _integer(1), "max_iter": _integer(8), "method": _method,
-        "horizon": _POSITIVE, "tol_abs": _POSITIVE, "tol_rel": _POSITIVE,
-        "bracket_growth": _real("> 1", lambda x: x > 1.0),
+        "steps": _integer, "max_iter": _integer, "method": lambda value: value,
+        **dict.fromkeys(("horizon", "tol_abs", "tol_rel", "bracket_growth"), _number),
     },
     "experiment": {
-        **dict.fromkeys(("paths", "k_min", "k_max", "k_ref", "ladder_rungs"), _integer(1)),
-        "p": _real(">= 1", lambda x: x >= 1.0), "p_list": _orders,
+        **dict.fromkeys(("paths", "k_min", "k_max", "k_ref", "ladder_rungs"), _integer),
+        "p": _number, "p_list": _numbers,
     },
     "io": {"out_dir": _text},
 }
+
+# For each subcommand, the rule tables of the classes its run builds from
+# the scheme and experiment keys.
+_TABLES = {
+    "simulate": (TimeGrid.rules, (METHOD_RULE,), SolverSettings.rules, PROBE_RULES),
+    "converge": (SolverSettings.rules, ExperimentPlan.rules),
+    "moments": (TimeGrid.rules, (METHOD_RULE,), SolverSettings.rules, PROBE_RULES),
+    "verify-assumptions": (),
+}
+
+
+def _rules(command: str) -> tuple:
+    """The rules a ``command`` run checks on its scheme and experiment keys.
+
+    Every rule of its tables, and for each key they have no rule on, the
+    one-key rules on it of the first subcommand whose tables have one: a
+    ``paths`` the command does not read gets the moment probe's
+    ``paths >= 1``, not the ladder's ``paths >= 2``.
+    """
+    rules = [rule for table in _TABLES[command] for rule in table]
+    for tables in _TABLES.values():
+        covered = {key for key, _, _ in rules}
+        rules += [
+            rule for table in tables for rule in table
+            if rule[0] not in covered and reads(rule[2]) == (rule[0],)
+        ]
+    return tuple(dict.fromkeys(rules))
+
+
+_RULES = {command: _rules(command) for command in _TABLES}
 
 
 def _check_model(block, errors: list[str]) -> dict | None:
@@ -197,42 +213,43 @@ def _check_model(block, errors: list[str]) -> dict | None:
             continue
         out[key] = value
     # a rule is checked once every key it reads is present and finite
-    errors.extend(f"$.model.{broken}" for broken in MODELS[family].broken_rules(out))
+    errors.extend(f"$.model.{broken}" for broken in broken_rules(MODELS[family].rules, out))
     return out if not any(e.startswith("$.model") for e in errors) else None
 
 
-def _check_block(name: str, block, reads: dict, command: str, errors: list[str]) -> dict:
-    """The keys of ``reads`` with the values ``block`` gives them, or their defaults.
+def _check_block(
+    name: str, block, read: dict, command: str, errors: list[str]
+) -> tuple[dict, dict]:
+    """The keys of ``block`` that pass their type check, and the run's keys.
 
-    Every key of ``block`` is checked, read or not.  An unset key whose
-    default is None is an error: ``command`` requires it.
+    The run's keys are those of ``read``, with the values ``block`` gives
+    them or their defaults.  Every key of ``block`` is checked, read or not.
+    An unset key whose default is None is an error: ``command`` requires it.
     """
     if block is None:
         block = {}
     elif not isinstance(block, dict):
         errors.append(f"$.{name}: must be an object")
         block = {}
-    out = {}
+    values = {}
     for key, value in block.items():
-        check = _CHECKS[name].get(key)
+        check = _TYPES[name].get(key)
         if check is None:
             errors.append(f"$.{name}.{key}: unknown key")
             continue
         try:
-            value = check(value)
+            values[key] = check(value)
         except ValueError as exc:
             errors.append(f"$.{name}.{key}: {exc}")
-            continue
-        if key in reads:
-            out[key] = value
-    for key, default in reads.items():
+    out = {key: value for key, value in values.items() if key in read}
+    for key, default in read.items():
         if key in block:
             continue
         if default is not None:
             out[key] = default
         else:
             errors.append(f"$.{name}.{key}: required for {command}")
-    return out
+    return values, out
 
 
 def parse_config(text: str, command: str, overrides: dict | None = None) -> RunConfig:
@@ -283,11 +300,15 @@ def parse_config(text: str, command: str, overrides: dict | None = None) -> RunC
     else:
         model = _check_model(raw["model"], errors)
 
-    scheme, experiment = (
+    (scheme_values, scheme), (experiment_values, experiment) = (
         _check_block(name, raw.get(name), COMMAND_KEYS[command][name], command, errors)
         for name in ("scheme", "experiment")
     )
-    io_block = _check_block("io", raw.get("io"), {"out_dir": "."}, command, errors)
+    # a rule is checked once every key it reads is present and of its type
+    broken = broken_rules(_RULES[command], {**scheme_values, **experiment_values})
+    for name in ("scheme", "experiment"):
+        errors.extend(f"$.{name}.{b}" for b in broken if b.partition(":")[0] in _TYPES[name])
+    _, io_block = _check_block("io", raw.get("io"), {"out_dir": "."}, command, errors)
 
     if errors:
         raise ConfigError(errors)

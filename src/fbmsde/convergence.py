@@ -39,8 +39,8 @@ from typing import Iterable
 import numpy as np
 
 from .drifts import ModelSpec
-from .errors import FbmsdeError, IntegrationError, NumericalError, ParameterError, UsageError
-from .fbm import DEFAULT_SAMPLER, SAMPLERS, TimeGrid, make_sampler, mix_seed, subsample
+from .errors import FbmsdeError, IntegrationError, NumericalError, UsageError, require
+from .fbm import DEFAULT_SAMPLER, METHOD_RULE, TimeGrid, make_sampler, mix_seed, subsample
 from .solver import (
     SchemeConfig,
     SolverSettings,
@@ -55,6 +55,7 @@ __all__ = [
     "OrderFit",
     "ConvergenceReport",
     "MomentProbe",
+    "PROBE_RULES",
     "run_strong_error",
     "fit_order",
     "moment_probe",
@@ -91,8 +92,25 @@ CRITICAL_HORIZON_DEFAULT = 1.0
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A coupled step-ladder experiment: levels 2^k_min .. 2^k_max against 2^k_ref."""
+    """A coupled step-ladder experiment: levels 2^k_min .. 2^k_max against 2^k_ref.
 
+    ``rules`` holds the plan's rules as the (key, message, test) entries of
+    ``errors.broken_rules``: the grid's horizon rule, the fit's three ladder
+    levels, the reference gap that keeps its bias negligible, two paths for
+    the bootstrap, and the method rule.
+    """
+
+    rules = (
+        TimeGrid.rules[0],  # horizon
+        ("p", "must be a finite number >= 1, got {p}", lambda p: 1.0 <= p < math.inf),
+        ("k_min", "must be an integer >= 1, got {k_min}", lambda k_min: k_min >= 1),
+        ("k_max", "order fits need at least 3 ladder levels (k_max >= k_min + 2), "
+         "got k_min={k_min}, k_max={k_max}", lambda k_min, k_max: k_max >= k_min + 2),
+        ("k_ref", "must be at least k_max + 3 to keep the reference bias negligible, "
+         "got k_ref={k_ref}, k_max={k_max}", lambda k_max, k_ref: k_ref >= k_max + 3),
+        ("paths", "must be an integer >= 2, got {paths}", lambda paths: paths >= 2),
+        METHOD_RULE,
+    )
     model: ModelSpec
     horizon: float
     p: float
@@ -105,28 +123,7 @@ class ExperimentPlan:
     solver: SolverSettings = SolverSettings()
 
     def __post_init__(self):
-        if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
-            raise ParameterError(f"horizon must be positive, got {self.horizon}")
-        if not 1.0 <= self.p < math.inf:
-            raise ParameterError(f"error moment order p must be finite and >= 1, got {self.p}")
-        if not (1 <= self.k_min <= self.k_max):
-            raise ParameterError(
-                f"need 1 <= k_min <= k_max, got k_min={self.k_min}, k_max={self.k_max}"
-            )
-        if self.k_max - self.k_min < 2:
-            raise ParameterError(
-                "order fits need at least 3 ladder levels "
-                f"(k_max - k_min >= 2), got k in [{self.k_min}, {self.k_max}]"
-            )
-        if self.k_ref < self.k_max + 3:
-            raise ParameterError(
-                f"reference level k_ref={self.k_ref} must be at least "
-                f"k_max + 3 = {self.k_max + 3} to keep reference bias negligible"
-            )
-        if self.paths < 2:
-            raise ParameterError(f"need at least 2 paths, got {self.paths}")
-        if self.method not in SAMPLERS:
-            raise ParameterError(f"unknown sampler method {self.method!r}")
+        require(self.rules, vars(self))
         cert = self.model.drift()[1]
         check_step_bound(cert, self.horizon / 2**self.k_min)
         if cert.alpha_regime == "critical" and (
@@ -157,7 +154,6 @@ class OrderFit:
     slope: float
     intercept: float
     slope_stderr: float
-    correction: str
 
 
 @dataclass(frozen=True)
@@ -170,8 +166,8 @@ class ConvergenceReport:
     trend_ok: bool
     incomplete: bool
     failures: list
-    # (kept path indices, errors with axes (level, kind, kept path)), or None
-    per_path_errors: tuple[np.ndarray, np.ndarray] | None = None
+    # (kept path indices, errors with axes (level, kind, kept path))
+    per_path_errors: tuple[np.ndarray, np.ndarray]
 
     @property
     def passed(self) -> bool:
@@ -189,15 +185,9 @@ class ConvergenceReport:
                 }
                 for lv in self.levels
             ],
+            # an OrderFit holds exactly the fields the report writes
             "fits": {
-                kind: {
-                    corr: {
-                        "slope": f.slope,
-                        "intercept": f.intercept,
-                        "slope_stderr": f.slope_stderr,
-                    }
-                    for corr, f in by_corr.items()
-                }
+                kind: {corr: asdict(f) for corr, f in by_corr.items()}
                 for kind, by_corr in self.fits.items()
             },
             "targets": self.targets,
@@ -219,20 +209,17 @@ def _log_correction(h: np.ndarray, name: str) -> np.ndarray:
     raise UsageError(f"unknown correction {name!r}")
 
 
-def fit_order(
-    levels: Iterable[tuple[float, float, float]], correction: str = "none"
-) -> OrderFit:
+def fit_order(levels: Iterable[tuple[float, float]], correction: str = "none") -> OrderFit:
     """Least-squares slope of log(e / corr(h)) against log h.
 
-    ``levels`` yields (h, e, stderr) triples; at least three are required and
-    all error estimates must be positive.  The slope standard error is the
-    usual OLS one.
+    ``levels`` yields (h, e) pairs; at least three are required and all error
+    estimates must be positive.  The fit is unweighted, and the slope
+    standard error is the usual OLS one.
     """
     rows = list(levels)
     if len(rows) < 3:
         raise UsageError(f"order fit needs at least 3 levels, got {len(rows)}")
-    h = np.array([row[0] for row in rows], dtype=float)
-    e = np.array([row[1] for row in rows], dtype=float)
+    h, e = np.array(rows, dtype=float).T
     if np.any(e <= 0.0):
         raise UsageError("order fit requires strictly positive error estimates")
     x = np.log(h)
@@ -248,7 +235,6 @@ def fit_order(
         slope=slope,
         intercept=float(intercept),
         slope_stderr=math.sqrt(variance / sxx),
-        correction=correction,
     )
 
 
@@ -444,9 +430,7 @@ def _targets(model: ModelSpec) -> dict:
     }
 
 
-def run_strong_error(
-    plan: ExperimentPlan, workers: int = 1, keep_paths: bool = False
-) -> ConvergenceReport:
+def run_strong_error(plan: ExperimentPlan, workers: int = 1) -> ConvergenceReport:
     """Execute the coupled ladder experiment and fit empirical orders.
 
     Paths are processed in chunks sized for the reference grid, at least
@@ -515,7 +499,7 @@ def run_strong_error(
     fits: dict[str, dict[str, OrderFit]] = {}
     y_corr = _y_correction(plan.model)
     for kind in ERROR_KINDS:
-        rows = [(lv.h, lv.estimates[kind]["e"], lv.estimates[kind]["stderr"]) for lv in levels]
+        rows = [(lv.h, lv.estimates[kind]["e"]) for lv in levels]
         corr = y_corr if kind.startswith("y") else "sqrt_log"
         fits[kind] = {
             "none": fit_order(rows, "none"),
@@ -554,7 +538,7 @@ def run_strong_error(
         trend_ok=trend_ok,
         incomplete=bool(failures),
         failures=[list(f) for f in failures],
-        per_path_errors=(np.flatnonzero(kept), errors) if keep_paths else None,
+        per_path_errors=(np.flatnonzero(kept), errors),
     )
 
 
@@ -655,6 +639,24 @@ def _fold_power(total: float, values: np.ndarray, p: float, moment: str) -> floa
     return total
 
 
+def _repeated_order(p_list) -> str:
+    return f"duplicate order {next(p for i, p in enumerate(p_list) if p in p_list[:i])}"
+
+
+# The moment probe's rules, as the (key, message, test) entries of
+# ``errors.broken_rules``, on its orders as floats: 2 and 2.0 are one order,
+# which would fold twice into one moment.  ``simulate`` reads the ``paths``
+# rule too.
+PROBE_RULES = (
+    ("paths", "must be an integer >= 1, got {paths}", lambda paths: paths >= 1),
+    ("p_list", "must be a non-empty list of positive finite numbers",
+     lambda p_list: bool(p_list) and all(0.0 < p < math.inf for p in p_list)),
+    ("p_list", _repeated_order, lambda p_list: len(set(p_list)) == len(p_list)),
+    ("ladder_rungs", "must be an integer >= 1, got {ladder_rungs}",
+     lambda ladder_rungs: ladder_rungs >= 1),
+)
+
+
 def _modulus_envelope(h: np.ndarray, hurst: float) -> np.ndarray:
     return h + h**hurst * np.sqrt(np.log1p(1.0 / h))
 
@@ -687,15 +689,14 @@ def moment_probe(
     divided by the envelope h + h^H sqrt(log(1 + 1/h)).
     For critical-regime models the admissible horizon shrinks with p; a
     warning is emitted when (horizon, max p) exceeds it.  ``method`` picks the
-    fBM sampler and ``solver`` holds the root-solver settings.
+    fBM sampler and ``solver`` holds the root-solver settings.  ``paths`` and
+    ``p_list`` must pass ``PROBE_RULES`` (:class:`UsageError`); a count of
+    rungs is not checked, since the config hands the probe its count already
+    clamped, 0 below 4 steps.
     """
     p_list = tuple(float(p) for p in p_list)
-    if not p_list or not all(0.0 < p < math.inf for p in p_list):
-        raise UsageError("p_list must contain positive finite orders")
-    if len(set(p_list)) < len(p_list):
-        raise UsageError(f"p_list repeats an order: {list(p_list)}")
-    if steps < 1 or paths < 1:
-        raise UsageError("need steps >= 1 and paths >= 1")
+    require(PROBE_RULES, {"paths": paths, "p_list": p_list}, UsageError)
+    grid = TimeGrid(horizon, steps)
     drift, cert = model.drift()
     if cert.alpha_regime == "critical":
         t_admissible = critical_horizon(cert, model.hurst, max(p_list))
@@ -706,7 +707,6 @@ def moment_probe(
                 stacklevel=2,
             )
 
-    grid = TimeGrid(horizon, steps)
     sampler = make_sampler(method, model.hurst, grid)
     config = SchemeConfig.for_model(model, horizon, steps, solver)
     rungs = modulus_rungs(ladder_rungs, steps)

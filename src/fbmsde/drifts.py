@@ -27,7 +27,6 @@ singular coefficient.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require
 from .fbm import Hurst
 
 __all__ = [
@@ -207,7 +206,7 @@ def mean_reverting_drift(
     with alpha = theta = gamma/(1-gamma).  gamma = 1/2 is the square-root
     (CIR) diffusion and sits at the critical alpha = 1 regime.
     """
-    _require(MeanRevertingModel, a1=a1, a2=a2, gamma=gamma)
+    require(MeanRevertingModel.rules, {"a1": a1, "a2": a2, "gamma": gamma})
     alpha = gamma / (1.0 - gamma)
     c_sing = (1.0 - gamma) * a1
     c_lin = a2 * (1.0 - gamma)
@@ -252,7 +251,9 @@ def ait_sahalia_drift(
     step bound h0 = 4 (rho-1) b4 (rho+1) / (b3^2 rho^2) makes the implicit
     equation's derivative strictly negative, hence the root unique.
     """
-    _require(AitSahaliaModel, a_m1=a_m1, a0=a0, a1=a1, a2=a2, r=r, rho=rho)
+    require(
+        AitSahaliaModel.rules, {"a_m1": a_m1, "a0": a0, "a1": a1, "a2": a2, "r": r, "rho": rho}
+    )
 
     b1 = (rho - 1.0) * a2
     b2 = (rho - 1.0) * a1
@@ -305,33 +306,17 @@ class _LampertiModel:
     (the m in X = Y^m).  The inverse map is Y = X^{1/m} and the transformed
     noise intensity is sigma * m.
 
-    ``rules`` holds every parameter rule of the family, the rules here
-    included, as (key, message, test): the test's parameters name the keys it
-    reads, a broken rule is reported on ``key``, and ``message`` is a format
-    string over the keys the test reads.  The constructor, the drift builders
-    and the config's model check all read this one table.
+    ``rules`` holds every parameter rule of the family, the rules here and
+    the ``hurst`` rule of :class:`Hurst` included, as the (key, message,
+    test) entries of ``errors.broken_rules``.  The constructor, the drift
+    builders and the config's model check all read this one table.
     """
 
     rules = (
-        ("hurst", "must lie in (0.5, 1), got {hurst}", lambda hurst: 0.5 < hurst < 1.0),
+        *Hurst.rules,
         ("sigma", "must be nonzero", lambda sigma: sigma != 0.0),
         ("y0", "must be positive, got {y0}", lambda y0: y0 > 0.0),
     )
-
-    @classmethod
-    def broken_rules(cls, values: dict) -> list[str]:
-        """``<key>: <message>`` for each rule of the family that ``values`` break.
-
-        A rule that reads a key ``values`` lacks is not checked.
-        """
-        broken = []
-        for key, message, test in cls.rules:
-            names = inspect.signature(test).parameters
-            if all(name in values for name in names):
-                read = {name: values[name] for name in names}
-                if not test(**read):
-                    broken.append(f"{key}: {message.format(**read)}")
-        return broken
 
     @property
     def transform_exponent(self) -> float:
@@ -354,14 +339,8 @@ class _LampertiModel:
         return _drift_cache(self)
 
     def __post_init__(self):
-        _require(type(self), **vars(self))
+        require(self.rules, vars(self))
         validate_certificate(self.drift()[1], self.hurst)
-
-
-def _require(model: type[_LampertiModel], **values) -> None:
-    """Raise ParameterError for the first rule of ``model`` that ``values`` break."""
-    if broken := model.broken_rules(values):
-        raise ParameterError(broken[0])
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a rule table.
+
+A class whose values have admissible ranges states each rule once, as a
+``(key, message, test)`` entry of its ``rules`` table: the test's parameters
+name the keys it reads, a broken rule is reported on ``key``, and
+``message`` is a format string over the keys the test reads, or a function
+of them.  The class's constructor raises for the first rule its values
+break (:func:`require`); the config reports every rule a file breaks
+(:func:`broken_rules`), each on its own key.
+"""
+
+import inspect
 
 
 class FbmsdeError(Exception):
@@ -67,3 +78,30 @@ class ConfigError(FbmsdeError, ValueError):
     def __init__(self, errors: list[str]):
         super().__init__("; ".join(errors))
         self.errors = list(errors)
+
+
+def reads(test) -> tuple[str, ...]:
+    """The keys a rule's test reads: its parameter names."""
+    return tuple(inspect.signature(test).parameters)
+
+
+def broken_rules(rules, values: dict) -> list[str]:
+    """``<key>: <message>`` for each rule of ``rules`` that ``values`` break.
+
+    A rule that reads a key ``values`` lacks is not checked.
+    """
+    broken = []
+    for key, message, test in rules:
+        names = reads(test)
+        if all(name in values for name in names):
+            read = {name: values[name] for name in names}
+            if not test(**read):
+                text = message(**read) if callable(message) else message.format(**read)
+                broken.append(f"{key}: {text}")
+    return broken
+
+
+def require(rules, values: dict, error: type[FbmsdeError] = ParameterError) -> None:
+    """Raise ``error`` for the first rule of ``rules`` that ``values`` break."""
+    if broken := broken_rules(rules, values):
+        raise error(broken[0])

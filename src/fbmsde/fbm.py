@@ -49,8 +49,8 @@ from .errors import (
     EmbeddingError,
     FactorizationError,
     NumericalError,
-    ParameterError,
     UsageError,
+    require,
 )
 
 __all__ = [
@@ -62,6 +62,7 @@ __all__ = [
     "CirculantSampler",
     "SAMPLERS",
     "DEFAULT_SAMPLER",
+    "METHOD_RULE",
     "make_sampler",
     "path_values",
     "subsample",
@@ -134,14 +135,11 @@ def mix_seed(master_seed: int, path_index: int) -> int:
 class Hurst:
     """Hurst parameter restricted to the long-memory regime (1/2, 1)."""
 
+    rules = (("hurst", "must lie in (0.5, 1), got {hurst}", lambda hurst: 0.5 < hurst < 1.0),)
     value: float
 
     def __post_init__(self):
-        v = self.value
-        if not (0.5 < v < 1.0):
-            raise ParameterError(
-                f"Hurst parameter must lie strictly inside (1/2, 1), got {v}"
-            )
+        require(self.rules, {"hurst": self.value})
 
 
 def as_hurst(hurst: "Hurst | float") -> Hurst:
@@ -153,14 +151,16 @@ def as_hurst(hurst: "Hurst | float") -> Hurst:
 class TimeGrid:
     """Uniform grid t_n = n * horizon / steps for n = 0..steps."""
 
+    rules = (
+        ("horizon", "must be a finite number > 0, got {horizon}",
+         lambda horizon: 0.0 < horizon < math.inf),
+        ("steps", "must be an integer >= 1, got {steps}", lambda steps: steps >= 1),
+    )
     horizon: float
     steps: int
 
     def __post_init__(self):
-        if not (self.horizon > 0.0 and np.isfinite(self.horizon)):
-            raise ParameterError(f"horizon must be positive, got {self.horizon}")
-        if self.steps < 1:
-            raise ParameterError(f"steps must be >= 1, got {self.steps}")
+        require(self.rules, vars(self))
 
     @property
     def h(self) -> float:
@@ -437,18 +437,24 @@ class CirculantSampler(_ExactSampler):
 
 
 # The exact samplers by method name: the values ``scheme.method`` and
-# ``fbm --method`` accept, in the order the config's error message lists them.
+# ``fbm --method`` accept, in the order the method rule lists them.
 SAMPLERS = {"circulant": CirculantSampler, "cholesky": CholeskySampler}
 # The method a run samples with when none is named.
 DEFAULT_SAMPLER = "circulant"
+# The one rule on a method name, read by ``make_sampler``, the ladder's plan
+# and the config; any JSON value gets this text.
+METHOD_RULE = (
+    "method",
+    f"must be {' or '.join(map(repr, SAMPLERS))}, got {{method!r}}",
+    lambda method: isinstance(method, str) and method in SAMPLERS,
+)
 
 
 def make_sampler(
     method: str, hurst: Hurst | float, grid: TimeGrid
 ) -> CholeskySampler | CirculantSampler:
     """The fBM sampler that ``SAMPLERS`` names ``method``."""
-    if method not in SAMPLERS:
-        raise UsageError(f"unknown fBM sampler method {method!r}")
+    require((METHOD_RULE,), {"method": method}, UsageError)
     return SAMPLERS[method](hurst, grid)
 
 

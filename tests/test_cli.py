@@ -437,7 +437,9 @@ class TestCli:
         capsys.readouterr()
         code = run_cli("converge", "--config", str(cfg), "--out-dir", str(conv))
         assert code == 1
-        assert "validation error: need at least 2 paths" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: $.experiment.paths: must be an integer >= 2, got 1\n"
+        )
         assert not conv.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "moments", "verify-assumptions"])
@@ -477,8 +479,8 @@ class TestCli:
 
         real = cli.run_strong_error
 
-        def failing(plan, workers=1, keep_paths=False):
-            report = real(plan, workers=workers, keep_paths=keep_paths)
+        def failing(plan, workers=1):
+            report = real(plan, workers=workers)
             band = dict(report.order_band)
             band["passed"] = False
             return type(report)(
@@ -1053,6 +1055,19 @@ class TestCli:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert proc.stdout.strip() == "[]"
+
+    def test_benchmark_hooks_name_existing_attributes(self):
+        # the benchmark's tracer wraps package attributes by name, so a
+        # renamed one fails here and not only in the benchmark's self-test
+        path = os.pathsep.join([str(REPO / "src"), str(REPO / "perfbench")])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import child; child.install(child.Tracer())"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "p.csv"

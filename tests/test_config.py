@@ -6,9 +6,11 @@ its digest covers the seed, the model and those keys.  So a key the command
 does not read, or a key set to the value it takes when unset, moves no byte
 of any output, header included, and a key it reads moves the digest.
 
-The model block is checked against its family's parameter rules, which live
-on the model class: every broken rule is one error on its own key, with the
-text the class's constructor raises for it.
+Every block is checked against the rules of the classes that read it, which
+live on those classes: the model's on its family's class, the scheme's and
+the experiment's on the grid, the sampler methods, the solver settings, the
+ladder plan and the moment probe.  Every broken rule is one error on its own
+key, with the text the class's constructor raises for it.
 """
 
 import inspect
@@ -18,8 +20,11 @@ import pytest
 
 import fbmsde.cli as cli
 from fbmsde.config import COMMAND_KEYS, parse_config
+from fbmsde.convergence import PROBE_RULES, ExperimentPlan, moment_probe
 from fbmsde.drifts import MODELS, ait_sahalia_drift, mean_reverting_drift
-from fbmsde.errors import ConfigError, ParameterError
+from fbmsde.errors import ConfigError, ParameterError, UsageError
+from fbmsde.fbm import METHOD_RULE, TimeGrid, make_sampler
+from fbmsde.solver import SolverSettings
 
 MR = {"model": "mean_reverting", "a1": 1.0, "a2": 1.0, "gamma": 0.7, "sigma": 0.5,
       "y0": 1.0, "hurst": 0.7}
@@ -27,9 +32,11 @@ AS = {"model": "ait_sahalia", "a_m1": 1.0, "a0": 1.0, "a1": 1.0, "a2": 1.0,
       "r": 3.0, "rho": 1.5, "sigma": 0.5, "y0": 1.0, "hurst": 0.7}
 
 # Two valid values of every scheme and experiment key, neither of them the
-# value a command takes when the key is unset or the one RUNS sets.  On the
-# 32 steps of the moments run, ladder_rungs is clamped to at most 4, which
-# the unset default of 6 becomes.
+# value a command takes when the key is unset or the one RUNS sets.  Each
+# ladder level is valid with the other two of the converge run, whose
+# k_min = 2, k_max = 5 and k_ref = 9 leave one level of room on either side.
+# On the 32 steps of the moments run, ladder_rungs is clamped to at most 4,
+# which the unset default of 6 becomes.
 VALUES = {
     "scheme": {
         "steps": (24, 48),
@@ -44,8 +51,8 @@ VALUES = {
         "paths": (5, 6),
         "p": (4.0, 3.0),
         "k_min": (3, 1),
-        "k_max": (5, 6),
-        "k_ref": (8, 9),
+        "k_max": (6, 4),
+        "k_ref": (10, 8),
         "p_list": ([3.0], [1.0, 6.0]),
         "ladder_rungs": (2, 3),
     },
@@ -58,7 +65,7 @@ RUNS = {
         ["--out", "{out}/simulate.csv"],
     ),
     "converge": (
-        {"experiment": {"paths": 4, "k_min": 2, "k_max": 4, "k_ref": 7}},
+        {"experiment": {"paths": 4, "k_min": 2, "k_max": 5, "k_ref": 9}},
         ["--threads", "1", "--keep-paths", "--out-dir", "{out}"],
     ),
     "moments": (
@@ -261,8 +268,9 @@ def test_ladder_rungs_past_the_grid_move_no_output_byte(tmp_path):
     assert run(3) != four
 
 
-# For each rule of each family, in the order of the class's ``rules``: model
-# keys that break that rule and no other, and the config error they give.
+# For each rule of each model family and of each scheme and experiment rule
+# table, in the order of the table: keys that break that rule and no other,
+# and the config error they give.
 BROKEN_RULES = {
     "mean_reverting": [
         ({"a1": -1.0}, "$.model.a1: must be positive, got -1.0"),
@@ -283,15 +291,84 @@ BROKEN_RULES = {
         ({"sigma": -0.0}, "$.model.sigma: must be nonzero"),
         ({"y0": 0.0}, "$.model.y0: must be positive, got 0.0"),
     ],
+    "TimeGrid": [
+        ({"horizon": -1.0}, "$.scheme.horizon: must be a finite number > 0, got -1.0"),
+        ({"steps": 0}, "$.scheme.steps: must be an integer >= 1, got 0"),
+    ],
+    "METHOD_RULE": [
+        ({"method": "fft"}, "$.scheme.method: must be 'circulant' or 'cholesky', got 'fft'"),
+    ],
+    "SolverSettings": [
+        ({"tol_abs": 0.0}, "$.scheme.tol_abs: must be a finite number > 0, got 0.0"),
+        ({"tol_rel": -1e-9}, "$.scheme.tol_rel: must be a finite number > 0, got -1e-09"),
+        ({"max_iter": 7}, "$.scheme.max_iter: must be an integer >= 8, got 7"),
+        ({"bracket_growth": 1.0}, "$.scheme.bracket_growth: must be a finite number > 1, got 1.0"),
+    ],
+    "ExperimentPlan": [
+        ({"horizon": 0.0}, "$.scheme.horizon: must be a finite number > 0, got 0.0"),
+        ({"p": 0.5}, "$.experiment.p: must be a finite number >= 1, got 0.5"),
+        ({"k_min": 0}, "$.experiment.k_min: must be an integer >= 1, got 0"),
+        ({"k_max": 3}, "$.experiment.k_max: order fits need at least 3 ladder levels "
+         "(k_max >= k_min + 2), got k_min=2, k_max=3"),
+        ({"k_ref": 7}, "$.experiment.k_ref: must be at least k_max + 3 to keep the "
+         "reference bias negligible, got k_ref=7, k_max=5"),
+        ({"paths": 1}, "$.experiment.paths: must be an integer >= 2, got 1"),
+        ({"method": "fft"}, "$.scheme.method: must be 'circulant' or 'cholesky', got 'fft'"),
+    ],
+    "PROBE_RULES": [
+        ({"paths": 0}, "$.experiment.paths: must be an integer >= 1, got 0"),
+        ({"p_list": [1, -2]},
+         "$.experiment.p_list: must be a non-empty list of positive finite numbers"),
+        ({"p_list": [2, 4.0, 2.0]}, "$.experiment.p_list: duplicate order 2.0"),
+        ({"ladder_rungs": 0}, "$.experiment.ladder_rungs: must be an integer >= 1, got 0"),
+    ],
 }
 BASE_MODELS = {"mean_reverting": MR, "ait_sahalia": AS}
 DRIFTS = {"mean_reverting": mean_reverting_drift, "ait_sahalia": ait_sahalia_drift}
+MR_MODEL = MODELS["mean_reverting"](**{k: v for k, v in MR.items() if k != "model"})
+# Each scheme and experiment rule table, the command whose run reads it, and
+# what reads it, built from that run's values: it raises for a broken rule.
+# The probe is handed its rungs already clamped to the grid, so only the
+# config checks ``ladder_rungs``.
+TABLES = {
+    "TimeGrid": (TimeGrid.rules, "simulate", lambda v: TimeGrid(v["horizon"], v["steps"])),
+    "METHOD_RULE": (
+        (METHOD_RULE,), "simulate", lambda v: make_sampler(v["method"], 0.7, TimeGrid(1.0, 4))
+    ),
+    "SolverSettings": (
+        SolverSettings.rules,
+        "simulate",
+        lambda v: SolverSettings(v["tol_abs"], v["tol_rel"], v["max_iter"], v["bracket_growth"]),
+    ),
+    "ExperimentPlan": (
+        ExperimentPlan.rules,
+        "converge",
+        lambda v: ExperimentPlan(
+            MR_MODEL, v["horizon"], v["p"], v["k_min"], v["k_max"], v["k_ref"], v["paths"], 7,
+            v["method"],
+        ),
+    ),
+    "PROBE_RULES": (
+        PROBE_RULES,
+        "moments",
+        lambda v: moment_probe(MR_MODEL, v["horizon"], v["steps"], v["paths"], v["p_list"], 7),
+    ),
+}
+
+
+def _block(key: str) -> str:
+    return "scheme" if key in VALUES["scheme"] else "experiment"
 
 
 def test_broken_rule_cases_cover_every_rule():
-    for family, cls in MODELS.items():
-        keys = [expected.split(":")[0] for _, expected in BROKEN_RULES[family]]
-        assert keys == [f"$.model.{key}" for key, _, _ in cls.rules]
+    tables = {
+        **{family: (cls.rules, "model") for family, cls in MODELS.items()},
+        **{name: (rules, None) for name, (rules, _, _) in TABLES.items()},
+    }
+    assert tables.keys() == BROKEN_RULES.keys()
+    for name, (rules, block) in tables.items():
+        keys = [expected.split(":")[0] for _, expected in BROKEN_RULES[name]]
+        assert keys == [f"$.{block or _block(key)}.{key}" for key, _, _ in rules]
 
 
 @pytest.mark.parametrize(
@@ -300,6 +377,22 @@ def test_broken_rule_cases_cover_every_rule():
 )
 def test_each_broken_rule_is_one_error_with_the_constructors_text(family, index):
     overrides, expected = BROKEN_RULES[family][index]
+    if family in TABLES:
+        _, command, build = TABLES[family]
+        cfg = _config(command)
+        for key, value in overrides.items():
+            cfg.setdefault(_block(key), {})[key] = value
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(json.dumps(cfg), command)
+        assert excinfo.value.errors == [expected]
+        if "ladder_rungs" not in overrides:
+            values = {k: v for keys in COMMAND_KEYS[command].values() for k, v in keys.items()}
+            for name in ("scheme", "experiment"):
+                values.update(cfg.get(name, {}))
+            with pytest.raises((ParameterError, UsageError)) as excinfo:
+                build(values)
+            assert f"$.{expected.split('.')[1]}.{excinfo.value}" == expected
+        return
     model = {**BASE_MODELS[family], **overrides}
     with pytest.raises(ConfigError) as excinfo:
         parse_config(json.dumps({"seed": 1, "model": model}), "verify-assumptions")
@@ -318,34 +411,54 @@ def test_each_broken_rule_is_one_error_with_the_constructors_text(family, index)
 
 
 @pytest.mark.parametrize(
-    "model, expected",
+    "command, cfg, expected",
     [
         (
-            {**MR, "a1": -1.0, "gamma": 0.3},
+            "simulate",
+            {"model": {**MR, "a1": -1.0, "gamma": 0.3}, "scheme": {"steps": 16}},
             [
                 "$.model.a1: must be positive, got -1.0",
                 "$.model.gamma: must lie in [0.5, 1), got 0.3",
             ],
         ),
         (
-            {**AS, "r": 2.0, "rho": 1.5, "y0": -1.0},
+            "simulate",
+            {"model": {**AS, "r": 2.0, "rho": 1.5, "y0": -1.0}, "scheme": {"steps": 16}},
             [
                 "$.model.r: must satisfy r + 1 > 2*rho, got r=2.0, rho=1.5",
                 "$.model.r: must satisfy r >= min(2, rho) + 1, got r=2.0, rho=1.5",
                 "$.model.y0: must be positive, got -1.0",
             ],
         ),
+        (
+            # the ladder's rules guard the strong-order estimate
+            "converge",
+            {
+                "model": MR,
+                "scheme": {"max_iter": 4},
+                "experiment": {"paths": 1, "k_min": 4, "k_max": 5, "k_ref": 7},
+            },
+            [
+                "$.scheme.max_iter: must be an integer >= 8, got 4",
+                "$.experiment.k_max: order fits need at least 3 ladder levels "
+                "(k_max >= k_min + 2), got k_min=4, k_max=5",
+                "$.experiment.k_ref: must be at least k_max + 3 to keep the reference "
+                "bias negligible, got k_ref=7, k_max=5",
+                "$.experiment.paths: must be an integer >= 2, got 1",
+            ],
+        ),
     ],
-    ids=["mean_reverting", "ait_sahalia"],
+    ids=["mean_reverting", "ait_sahalia", "ladder"],
 )
-def test_every_broken_rule_is_reported_in_one_pass(tmp_path, capsys, model, expected):
+def test_every_broken_rule_is_reported_in_one_pass(tmp_path, capsys, command, cfg, expected):
+    text = json.dumps({"seed": 1, **cfg})
     with pytest.raises(ConfigError) as excinfo:
-        parse_config(json.dumps({"seed": 1, "model": model}), "verify-assumptions")
+        parse_config(text, command)
     assert excinfo.value.errors == expected
     # and the command prints each on its own line and writes no file
-    cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
-    cfg.write_text(json.dumps({"seed": 1, "model": model, "scheme": {"steps": 16}}))
-    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    config, out = tmp_path / "cfg.json", tmp_path / "out"
+    config.write_text(text)
+    assert cli.main([command, "--config", str(config), "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err == "".join(f"config error: {e}\n" for e in expected)
     assert not out.exists()
 

@@ -53,34 +53,34 @@ def small_plan(**overrides):
 class TestFitOrder:
     def test_exact_power_law(self):
         h = 2.0 ** -np.arange(3, 10)
-        rows = [(hv, hv**0.7, 0.0) for hv in h]
+        rows = [(hv, hv**0.7) for hv in h]
         fit = fit_order(rows, "none")
         assert abs(fit.slope - 0.7) <= 1e-12
         assert fit.slope_stderr <= 1e-12
 
     def test_sqrt_log_correction_cancels(self):
         h = 2.0 ** -np.arange(3, 10)
-        rows = [(hv, hv**0.7 * np.sqrt(np.log1p(1.0 / hv)), 0.0) for hv in h]
+        rows = [(hv, hv**0.7 * np.sqrt(np.log1p(1.0 / hv))) for hv in h]
         fit = fit_order(rows, "sqrt_log")
         assert abs(fit.slope - 0.7) <= 1e-12
 
     def test_log_correction_cancels(self):
         h = 2.0 ** -np.arange(3, 10)
-        rows = [(hv, hv**0.4 * np.log1p(1.0 / hv), 0.0) for hv in h]
+        rows = [(hv, hv**0.4 * np.log1p(1.0 / hv)) for hv in h]
         fit = fit_order(rows, "log")
         assert abs(fit.slope - 0.4) <= 1e-12
 
     def test_constant_gives_zero_slope(self):
-        rows = [(h, 3.0, 0.0) for h in (0.1, 0.05, 0.025, 0.0125)]
+        rows = [(h, 3.0) for h in (0.1, 0.05, 0.025, 0.0125)]
         assert abs(fit_order(rows, "none").slope) <= 1e-13
 
     def test_usage_errors(self):
         with pytest.raises(UsageError):
-            fit_order([(0.1, 1.0, 0.0), (0.05, 0.5, 0.0)], "none")
+            fit_order([(0.1, 1.0), (0.05, 0.5)], "none")
         with pytest.raises(UsageError):
-            fit_order([(0.1, 1.0, 0.0), (0.05, 0.5, 0.0), (0.025, 0.0, 0.0)], "none")
+            fit_order([(0.1, 1.0), (0.05, 0.5), (0.025, 0.0)], "none")
         with pytest.raises(UsageError):
-            fit_order([(0.1, 1.0, 0.0)] * 3, "cube_log")
+            fit_order([(0.1, 1.0)] * 3, "cube_log")
 
 
 class TestPlanValidation:
@@ -357,8 +357,7 @@ class TestStrongError:
         assert 0.3 <= slope <= 1.2
 
     def test_keep_paths_round_trip(self):
-        report = run_strong_error(small_plan(), keep_paths=True)
-        assert report.per_path_errors is not None
+        report = run_strong_error(small_plan())
         paths, errors = report.per_path_errors
         assert paths.tolist() == list(range(12))
         assert errors.shape == (3, len(ERROR_KINDS), 12)
@@ -411,7 +410,7 @@ class TestMomentProbe:
             with pytest.raises(UsageError, match="finite"):
                 moment_probe(AS_MODEL, 1.0, 64, 4, [2.0, p], 1)
         # a repeated order would fold twice into one moment
-        with pytest.raises(UsageError, match="repeats an order"):
+        with pytest.raises(UsageError, match="duplicate order 2.0"):
             moment_probe(AS_MODEL, 1.0, 64, 4, [2, 4.0, 2.0], 1)
 
 

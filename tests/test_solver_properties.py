@@ -169,7 +169,7 @@ def test_per_path_errors_do_not_depend_on_chunk_size(monkeypatch):
     assert LADDER_PLAN.paths * steps <= convergence.BLOCK_PATH_STEPS
 
     def errors():
-        paths, errors = run_strong_error(LADDER_PLAN, keep_paths=True).per_path_errors
+        paths, errors = run_strong_error(LADDER_PLAN).per_path_errors
         return paths.tolist(), errors.tolist()
 
     unchunked = errors()
@@ -184,7 +184,7 @@ def test_per_path_errors_do_not_depend_on_chunk_size(monkeypatch):
 
 def test_ladder_drops_only_the_failed_path(monkeypatch):
     p = LADDER_PLAN.p
-    _, clean = run_strong_error(LADDER_PLAN, keep_paths=True).per_path_errors
+    _, clean = run_strong_error(LADDER_PLAN).per_path_errors
     draw_chunk = convergence._draw_chunk
 
     def draw_with_a_nan(sampler, master_seed, start, stop, factors):
@@ -197,7 +197,7 @@ def test_ladder_drops_only_the_failed_path(monkeypatch):
         return noise
 
     monkeypatch.setattr(convergence, "_draw_chunk", draw_with_a_nan)
-    report = run_strong_error(LADDER_PLAN, keep_paths=True)
+    report = run_strong_error(LADDER_PLAN)
     assert report.incomplete
     assert report.failures == [[3, 8, 40]]
     paths, kept = report.per_path_errors
