@@ -20,8 +20,9 @@ experiment rules on ``fbm.TimeGrid``, ``fbm.METHOD_RULE``,
 own key, ``$.<block>.<key>``, the cross-field ones included; a model that
 passes them all but fails its drift certificate is reported as ``$.model``.
 ``COMMAND_KEYS`` names the scheme and experiment keys each subcommand reads;
-a run keeps only those, with ``ladder_rungs`` clamped as the moment probe
-clamps it, so its digest changes exactly when its outputs can.
+a run keeps only those, and its digest covers ``ladder_rungs`` clamped as
+the moment probe clamps it, so the digest changes exactly when the outputs
+can.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ class RunConfig:
 
     ``model`` is the model its block builds.  ``scheme`` and ``experiment``
     hold the keys the subcommand reads.  ``digest`` is the SHA-256 of the
-    canonical JSON of (seed, model block, scheme, experiment); the io block
+    canonical JSON of (seed, model block, scheme, experiment), with
+    ``ladder_rungs`` clamped to the rungs the probe runs; the io block
     is deliberately excluded so that redirecting outputs does not change a
     run's identity.
     """
@@ -261,7 +263,7 @@ def parse_config(text: str, command: str, overrides: dict | None = None) -> RunC
     its block builds and the scheme and experiment keys that
     ``COMMAND_KEYS[command]`` names, each unset one at its default; its
     digest covers the seed, the model block and exactly those keys,
-    ``ladder_rungs`` at the count the moment probe uses.
+    ``ladder_rungs`` at the count the moment probe clamps it to.
     """
     try:
         raw = json.loads(text)
@@ -318,8 +320,8 @@ def parse_config(text: str, command: str, overrides: dict | None = None) -> RunC
         spec = MODELS[params.pop("model")](**params)
     except ParameterError as exc:
         raise ConfigError([f"$.model: {exc}"]) from None
-    if "ladder_rungs" in experiment:
-        rungs = experiment["ladder_rungs"]
-        experiment["ladder_rungs"] = modulus_rungs(rungs, scheme["steps"])
-    digest = config_digest(seed, model, scheme, experiment)
+    hashed = dict(experiment)
+    if "ladder_rungs" in hashed:
+        hashed["ladder_rungs"] = modulus_rungs(hashed["ladder_rungs"], scheme["steps"])
+    digest = config_digest(seed, model, scheme, hashed)
     return RunConfig(seed, spec, scheme, experiment, io_block, digest)

@@ -41,13 +41,7 @@ import numpy as np
 from .drifts import ModelSpec
 from .errors import FbmsdeError, IntegrationError, NumericalError, UsageError, require
 from .fbm import DEFAULT_SAMPLER, METHOD_RULE, TimeGrid, make_sampler, mix_seed, subsample
-from .solver import (
-    SchemeConfig,
-    SolverSettings,
-    check_step_bound,
-    integrate,
-    integrate_blocks,
-)
+from .solver import SchemeConfig, SolverSettings, check_step_bound, integrate, integrate_blocks
 
 __all__ = [
     "ExperimentPlan",
@@ -357,7 +351,7 @@ def _ladder_chunk(
     sampler = make_sampler(plan.method, plan.model.hurst, grid)
     factors = {k: 2 ** (plan.k_ref - k) for k in (plan.k_ref, *plan.levels)}
     noise = _draw_chunk(sampler, plan.master_seed, start, stop, factors.values())
-    drift, cert = plan.model.drift()
+    drift = plan.model.drift()[0]
     l_exp = plan.model.inverse_exponent
     size = stop - start
 
@@ -367,7 +361,7 @@ def _ladder_chunk(
     level_failures: dict[int, tuple] = {}
     coarse = []  # every node of every row, per level
     for k in plan.levels:
-        sol = integrate(drift, scheme(k), noise[factors[k]], cert)
+        sol = integrate(drift, scheme(k), noise[factors[k]])
         for row, err in sol.failures.items():
             level_failures.setdefault(row, (start + row, k, err.step))
         coarse.append(sol.values)
@@ -379,7 +373,7 @@ def _ladder_chunk(
     errors = np.zeros((len(plan.levels), len(ERROR_KINDS), size))
     coarsest = factors[plan.k_min]
     block = min(max(1, BLOCK_PATH_STEPS // (size * coarsest)) * coarsest, 2**plan.k_ref)
-    blocks = integrate_blocks(drift, scheme(plan.k_ref), ref_noise, cert, block, ref_failures)
+    blocks = integrate_blocks(drift, scheme(plan.k_ref), ref_noise, block, ref_failures)
     # reused by every block and level: the reference's y-values, and the
     # scratch of ``_sup_errors``
     y_buf = np.empty(size * (block + 1))
@@ -689,14 +683,16 @@ def moment_probe(
     divided by the envelope h + h^H sqrt(log(1 + 1/h)).
     For critical-regime models the admissible horizon shrinks with p; a
     warning is emitted when (horizon, max p) exceeds it.  ``method`` picks the
-    fBM sampler and ``solver`` holds the root-solver settings.  ``paths`` and
-    ``p_list`` must pass ``PROBE_RULES`` (:class:`UsageError`); a count of
-    rungs is not checked, since the config hands the probe its count already
-    clamped, 0 below 4 steps.
+    fBM sampler and ``solver`` holds the root-solver settings.  ``paths``,
+    ``p_list`` and ``ladder_rungs`` must pass ``PROBE_RULES``
+    (:class:`UsageError`), and the step must be admissible for ``model``
+    (:class:`ParameterError`, from :meth:`SchemeConfig.for_model`); both are
+    checked before any path is drawn.
     """
     p_list = tuple(float(p) for p in p_list)
-    require(PROBE_RULES, {"paths": paths, "p_list": p_list}, UsageError)
+    require(PROBE_RULES, dict(paths=paths, p_list=p_list, ladder_rungs=ladder_rungs), UsageError)
     grid = TimeGrid(horizon, steps)
+    config = SchemeConfig.for_model(model, horizon, steps, solver)
     drift, cert = model.drift()
     if cert.alpha_regime == "critical":
         t_admissible = critical_horizon(cert, model.hurst, max(p_list))
@@ -708,7 +704,6 @@ def moment_probe(
             )
 
     sampler = make_sampler(method, model.hurst, grid)
-    config = SchemeConfig.for_model(model, horizon, steps, solver)
     rungs = modulus_rungs(ladder_rungs, steps)
     windows = [2**j for j in range(rungs)]
     reach = 2 ** (rungs - 1) if rungs else 0  # widest window, in steps
@@ -728,7 +723,7 @@ def moment_probe(
         block = min(max(reach, BLOCK_PATH_STEPS // size, 1), steps)
         ext = np.empty((size, reach + block + 1))
         lead = reach  # where this block's extended read starts in ``ext``
-        blocks = integrate_blocks(drift, config, noise, cert, block, failures)
+        blocks = integrate_blocks(drift, config, noise, block, failures)
         for _, values in blocks:
             if failures:
                 continue  # finished only to name the chunk's lowest failed path

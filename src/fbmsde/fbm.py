@@ -102,6 +102,13 @@ PANEL_DOUBLES = 2**18
 # factor's N^2 / 2 doubles are never held.
 KEPT_PANEL_DOUBLES = 2**20
 
+# Most steps of a grid: one path's nodes then take 2 PiB, more than any
+# machine holds.  A larger grid raises MemoryError, as numpy does for an
+# array too large for this machine.  Left to numpy, a grid past about 2^57
+# steps would raise ValueError instead: the circulant sampler's workspace,
+# up to 64 bytes a step, then passes the 2^63 bytes numpy can size.
+MAX_STEPS = 2**48
+
 # Embedding elements per sub-batch of a circulant draw (see
 # ``_ExactSampler.sample``).  Its reused normals, xi and FFT output take 40
 # bytes per element, about 1.3 MB for any batch size, so they add little to
@@ -149,7 +156,10 @@ def as_hurst(hurst: "Hurst | float") -> Hurst:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_n = n * horizon / steps for n = 0..steps."""
+    """Uniform grid t_n = n * horizon / steps for n = 0..steps.
+
+    A grid past ``MAX_STEPS`` steps raises :class:`MemoryError`.
+    """
 
     rules = (
         ("horizon", "must be a finite number > 0, got {horizon}",
@@ -161,6 +171,8 @@ class TimeGrid:
 
     def __post_init__(self):
         require(self.rules, vars(self))
+        if self.steps > MAX_STEPS:
+            raise MemoryError(f"a grid of {self.steps} steps is past the {MAX_STEPS}-step limit")
 
     @property
     def h(self) -> float:

@@ -115,9 +115,10 @@ class SolverSettings:
 class SchemeConfig:
     """Discretization and root-solver parameters for one integration.
 
-    ``steps`` and ``horizon`` define h = horizon / steps; callers must keep h
-    below the drift certificate's h0 (and below 1/K when K > 0), which
-    :func:`integrate` enforces when given the certificate.
+    ``steps`` and ``horizon`` define h = horizon / steps.  The implicit step
+    is well posed only while h stays below the drift certificate's h0, and
+    below 1/K when K > 0: :meth:`for_model` refuses any other h, so a scheme
+    built for a model is admissible by construction.
     """
 
     rules = (
@@ -142,8 +143,13 @@ class SchemeConfig:
         steps: int,
         solver: SolverSettings = SolverSettings(),
     ) -> SchemeConfig:
-        """The scheme for ``model``'s Lamperti-transformed equation on [0, horizon]."""
-        return cls(steps, horizon, model.sigma_x, model.x0, solver)
+        """The scheme for ``model``'s Lamperti-transformed equation on [0, horizon].
+
+        Raises :class:`ParameterError` unless h < h0 and, when K > 0, h < 1/K.
+        """
+        scheme = cls(steps, horizon, model.sigma_x, model.x0, solver)
+        check_step_bound(model.drift()[1], scheme.h)
+        return scheme
 
     @property
     def h(self) -> float:
@@ -452,12 +458,7 @@ def _common_steps(drift, h, solver, x, hb, dsigma, rec):
     return int(passed.argmin()) if not passed.all() else passed.size
 
 
-def integrate(
-    drift: DriftFn,
-    config: SchemeConfig,
-    noise: np.ndarray,
-    certificate: AssumptionCertificate | None = None,
-) -> SolutionPath:
+def integrate(drift: DriftFn, config: SchemeConfig, noise: np.ndarray) -> SolutionPath:
     """Run the backward Euler recursion for one path or a batch of paths.
 
     ``noise`` holds the driving increments dB_1..dB_N (unscaled; the noise
@@ -465,15 +466,15 @@ def integrate(
     or ``(paths, steps)`` for a batch.  One path is the batch of one: a
     failed step raises :class:`IntegrationError`.  In a batch a failed path
     is frozen and recorded in ``failures`` while the other paths go on.
-    With ``certificate`` given, the step-size bounds h < h0 and h < 1/K are
-    enforced up front.  A pure function of its arguments, row by row: a
-    path's trajectory is bit for bit the same in any batch.  This is the one
-    block of :func:`integrate_blocks` that spans the grid.
+    The step size is not checked here: :meth:`SchemeConfig.for_model` builds
+    only admissible schemes.  A pure function of its arguments, row by row:
+    a path's trajectory is bit for bit the same in any batch.  This is the
+    one block of :func:`integrate_blocks` that spans the grid.
     """
     noise = np.asarray(noise, dtype=float)
     failures: dict[int, IntegrationError] = {}
     [(_, values, residuals, iters)] = integrate_blocks(
-        drift, config, noise, certificate, config.steps, failures, records=True
+        drift, config, noise, config.steps, failures, records=True
     )
     for arr in (values, residuals, iters):
         arr.setflags(write=False)
@@ -488,7 +489,6 @@ def integrate_blocks(
     drift: DriftFn,
     config: SchemeConfig,
     noise: np.ndarray,
-    certificate: AssumptionCertificate | None,
     block: int,
     failures: dict,
     *,
@@ -496,9 +496,9 @@ def integrate_blocks(
 ):
     """Run the backward Euler recursion over the grid in time blocks.
 
-    ``noise`` and ``certificate`` are as for :func:`integrate`.  Yields
-    ``(first, values)`` for each block of ``block`` steps (the last may be
-    shorter), with a leading path axis: ``values`` holds nodes
+    ``noise`` is as for :func:`integrate`, and as there the step size is not
+    checked.  Yields ``(first, values)`` for each block of ``block`` steps
+    (the last may be shorter), with a leading path axis: ``values`` holds nodes
     first..first+B.  With ``records`` it yields ``(first, values, residuals,
     iterations)``, where ``residuals`` and ``iterations`` describe the
     solves of steps first..first+B-1 as in :class:`SolutionPath`.  A row
@@ -534,8 +534,6 @@ def integrate_blocks(
             f"noise must have shape ({config.steps},) or (paths, {config.steps}), "
             f"got shape {noise.shape}"
         )
-    if certificate is not None:
-        check_step_bound(certificate, config.h)
     batch = noise.reshape(-1, config.steps)
     paths = batch.shape[0]
     h = config.h

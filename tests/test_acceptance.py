@@ -161,7 +161,7 @@ def test_criterion_4_positivity_sweep():
             a_m1=1.0, a0=1.0, a1=1.0, a2=1.0, r=3.0, rho=1.5,
             sigma=2.0, y0=1.0, hurst=0.7,
         )
-        drift, cert = model.drift()
+        drift = model.drift()[0]
         steps, paths = 2**8, 400
         sampler = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps))
         config = SchemeConfig(
@@ -169,7 +169,7 @@ def test_criterion_4_positivity_sweep():
         )
         noise = np.stack([sampler.sample(SEED, i) for i in range(paths)])
         # a batch records a lost path instead of raising as the batch of one does
-        sol = integrate(drift, config, noise, cert)
+        sol = integrate(drift, config, noise)
         assert sol.failures == {}
         total_steps = sol.iterations.size
         minimum = float(sol.values.min())

@@ -327,12 +327,12 @@ class TestCli:
         # the same trajectories, formatted one value at a time
         run = parse_config(cfg.read_text(), "simulate")
         model = run.model
-        drift, cert = model.drift()
+        drift = model.drift()[0]
         grid = TimeGrid(1.0, steps)
         sampler = CirculantSampler(Hurst(model.hurst), grid)
         noise = np.stack([sampler.sample(run.seed, i) for i in range(paths)])
         scheme = SchemeConfig(steps=steps, horizon=1.0, sigma=model.sigma_x, x0=model.x0)
-        sol = integrate(drift, scheme, noise, cert)
+        sol = integrate(drift, scheme, noise)
         x, y, t = sol.values, lamperti_inverse(model, sol.values), grid.times
         rows = []
         for i in range(paths):
@@ -407,6 +407,55 @@ class TestCli:
         assert code == 1
         captured = capsys.readouterr()
         assert "h0" in captured.err
+
+    def test_moments_rejects_excessive_step_before_drawing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(*args):
+            raise AssertionError("a sampler was built")
+
+        monkeypatch.setattr(convergence, "make_sampler", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            config_text(
+                model={"a2": -1.0},  # h0 = 1/(|a2| (1 - gamma)) = 10/3
+                scheme={"steps": 1, "horizon": 4.0},
+                experiment={"paths": 3},
+            )
+        )
+        out_dir = tmp_path / "m"
+        assert run_cli("moments", "--config", str(cfg), "--out-dir", str(out_dir)) == 1
+        assert capsys.readouterr().err == (
+            "validation error: step size h=4 must stay below the implicit-step bound "
+            "h0=3.33333 for the unique-positive-root guarantee\n"
+        )
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["fbm", "simulate", "moments", "converge"])
+    def test_grid_past_any_memory_is_a_runtime_error(self, tmp_path, capsys, command):
+        # numpy cannot even size such a grid's arrays, and raises ValueError
+        # where a grid merely too large for this machine gets MemoryError
+        steps = {"fbm": 10**21, "converge": 2**200}.get(command, 10**30)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            config_text(
+                scheme={"steps": steps},
+                experiment={"paths": 2, "k_min": 2, "k_max": 4, "k_ref": 200},
+            )
+        )
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "fbm": ["--hurst", "0.7", "--steps", str(steps), "--out", out],
+            "simulate": ["--config", str(cfg), "--out", out],
+            "moments": ["--config", str(cfg), "--out-dir", str(tmp_path / "m")],
+            "converge": ["--config", str(cfg), "--out-dir", str(tmp_path / "c"), "--threads", "1"],
+        }[command]
+        assert run_cli(command, *argv) == 2
+        assert capsys.readouterr().err == (
+            f"runtime error: out of memory: a grid of {steps} steps is past the "
+            "281474976710656-step limit\n"
+        )
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_invalid_config_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

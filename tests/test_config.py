@@ -328,8 +328,6 @@ DRIFTS = {"mean_reverting": mean_reverting_drift, "ait_sahalia": ait_sahalia_dri
 MR_MODEL = MODELS["mean_reverting"](**{k: v for k, v in MR.items() if k != "model"})
 # Each scheme and experiment rule table, the command whose run reads it, and
 # what reads it, built from that run's values: it raises for a broken rule.
-# The probe is handed its rungs already clamped to the grid, so only the
-# config checks ``ladder_rungs``.
 TABLES = {
     "TimeGrid": (TimeGrid.rules, "simulate", lambda v: TimeGrid(v["horizon"], v["steps"])),
     "METHOD_RULE": (
@@ -351,7 +349,9 @@ TABLES = {
     "PROBE_RULES": (
         PROBE_RULES,
         "moments",
-        lambda v: moment_probe(MR_MODEL, v["horizon"], v["steps"], v["paths"], v["p_list"], 7),
+        lambda v: moment_probe(
+            MR_MODEL, v["horizon"], v["steps"], v["paths"], v["p_list"], 7, v["ladder_rungs"]
+        ),
     ),
 }
 
@@ -385,13 +385,12 @@ def test_each_broken_rule_is_one_error_with_the_constructors_text(family, index)
         with pytest.raises(ConfigError) as excinfo:
             parse_config(json.dumps(cfg), command)
         assert excinfo.value.errors == [expected]
-        if "ladder_rungs" not in overrides:
-            values = {k: v for keys in COMMAND_KEYS[command].values() for k, v in keys.items()}
-            for name in ("scheme", "experiment"):
-                values.update(cfg.get(name, {}))
-            with pytest.raises((ParameterError, UsageError)) as excinfo:
-                build(values)
-            assert f"$.{expected.split('.')[1]}.{excinfo.value}" == expected
+        values = {k: v for keys in COMMAND_KEYS[command].values() for k, v in keys.items()}
+        for name in ("scheme", "experiment"):
+            values.update(cfg.get(name, {}))
+        with pytest.raises((ParameterError, UsageError)) as excinfo:
+            build(values)
+        assert f"$.{expected.split('.')[1]}.{excinfo.value}" == expected
         return
     model = {**BASE_MODELS[family], **overrides}
     with pytest.raises(ConfigError) as excinfo:

@@ -119,14 +119,13 @@ class TestPlanValidation:
 
 class TestSupErrors:
     def test_self_comparison_is_zero(self):
-        drift, cert = MR_MODEL.drift()
+        drift = MR_MODEL.drift()[0]
         steps = 64
         noise = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps)).sample(1, 0)
         sol = integrate(
             drift,
             SchemeConfig(steps=steps, horizon=1.0, sigma=MR_MODEL.sigma_x, x0=1.0),
             noise,
-            cert,
         )
         l_exp = MR_MODEL.inverse_exponent
         work = np.empty(2 * steps)
@@ -174,12 +173,12 @@ def test_blocks_free_their_solver_records_before_the_next_solve():
     steps, paths = 2**9, 500
     sampler = make_sampler("circulant", 0.7, TimeGrid(1.0, steps))
     noise = sampler.sample(3, range(paths))
-    drift, cert = MR_MODEL.drift()
+    drift = MR_MODEL.drift()[0]
     config = SchemeConfig.for_model(MR_MODEL, 1.0, steps)
     block = BLOCK_PATH_STEPS // paths
     tracemalloc.start()
     try:
-        for _, values in integrate_blocks(drift, config, noise, cert, block, {}):
+        for _, values in integrate_blocks(drift, config, noise, block, {}):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -412,6 +411,13 @@ class TestMomentProbe:
         # a repeated order would fold twice into one moment
         with pytest.raises(UsageError, match="duplicate order 2.0"):
             moment_probe(AS_MODEL, 1.0, 64, 4, [2, 4.0, 2.0], 1)
+
+    def test_rung_count_below_one_is_refused(self):
+        # the probe is handed the requested count and clamps it itself
+        for rungs in (0, -3):
+            with pytest.raises(UsageError, match=f"ladder_rungs: .*got {rungs}"):
+                moment_probe(AS_MODEL, 1.0, 64, 4, [2.0], 1, ladder_rungs=rungs)
+        assert moment_probe(AS_MODEL, 1.0, 2, 4, [2.0], 1, ladder_rungs=6).modulus_ratios == ()
 
 
 class TestCriticalHorizon:

@@ -1,5 +1,6 @@
 """Implicit-step root solver and backward Euler integration."""
 
+import dataclasses
 import inspect
 import math
 import typing
@@ -35,7 +36,7 @@ from fbmsde.solver import (
 from oracles import cir_implicit_root, implicit_step, interpolate, ode_trajectory
 
 SEED = 20260809
-CIR_DRIFT, CIR_CERT = mean_reverting_drift(1.0, 1.0, 0.5)
+CIR_DRIFT = mean_reverting_drift(1.0, 1.0, 0.5)[0]
 TIGHT = SolverSettings(1e-14, 1e-14)
 
 
@@ -142,27 +143,27 @@ AS_MODEL = AitSahaliaModel(
 
 
 def make_solution(steps=64, seed=3, sigma=0.15, x0=1.0, model=MR_MODEL):
-    drift, cert = model.drift()
+    drift = model.drift()[0]
     noise = CirculantSampler(Hurst(model.hurst), TimeGrid(1.0, steps)).sample(seed, 0)
     config = SchemeConfig(steps=steps, horizon=1.0, sigma=sigma, x0=x0)
-    return integrate(drift, config, noise, cert)
+    return integrate(drift, config, noise)
 
 
 class TestIntegrate:
     def test_equilibrium_is_fixed_point(self):
         # B(1) = 0 for the square-root family with a1 = a2
         config = SchemeConfig(steps=64, horizon=1.0, sigma=1.0, x0=1.0)
-        sol = integrate(CIR_DRIFT, config, np.zeros(64), CIR_CERT)
+        sol = integrate(CIR_DRIFT, config, np.zeros(64))
         assert np.max(np.abs(sol.values - 1.0)) <= 1e-10
 
     @pytest.mark.parametrize(
         "x0,bound", [(2.0, 2e-3), (0.3, 2e-2)], ids=["from_above", "from_below"]
     )
     def test_zero_noise_monotone_approach(self, x0, bound):
-        drift, cert = MR_MODEL.drift()
+        drift = MR_MODEL.drift()[0]
         steps = 128
         config = SchemeConfig(steps=steps, horizon=1.0, sigma=1.0, x0=x0)
-        sol = integrate(drift, config, np.zeros(steps), cert)
+        sol = integrate(drift, config, np.zeros(steps))
         diffs = np.diff(sol.values)
         assert np.all(diffs < 0) if x0 > 1.0 else np.all(diffs > 0)
         oracle = ode_trajectory(drift.value, x0, 1.0, steps)
@@ -173,14 +174,14 @@ class TestIntegrate:
             a_m1=1.0, a0=1.0, a1=1.0, a2=1.0, r=3.0, rho=1.5,
             sigma=2.0, y0=1.0, hurst=0.7,
         )
-        drift, cert = model.drift()
+        drift = model.drift()[0]
         steps = 256
         sampler = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps))
         config = SchemeConfig(
             steps=steps, horizon=1.0, sigma=model.sigma_x, x0=model.x0
         )
         for i in range(50):
-            sol = integrate(drift, config, sampler.sample(41, i), cert)
+            sol = integrate(drift, config, sampler.sample(41, i))
             assert sol.values.min() > 0.0
 
     def test_residual_bound_recorded(self):
@@ -203,27 +204,48 @@ class TestIntegrate:
 
     def test_dissipative_contraction(self):
         # K = 0 drift: trajectories from different starts never separate
-        drift, cert = MR_MODEL.drift()
+        drift = MR_MODEL.drift()[0]
         steps = 128
         noise = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps)).sample(5, 0)
         config_a = SchemeConfig(steps=steps, horizon=1.0, sigma=0.15, x0=1.5)
         config_b = SchemeConfig(steps=steps, horizon=1.0, sigma=0.15, x0=1.0)
-        sol_a = integrate(drift, config_a, noise, cert)
-        sol_b = integrate(drift, config_b, noise, cert)
+        sol_a = integrate(drift, config_a, noise)
+        sol_b = integrate(drift, config_b, noise)
         gaps = np.abs(sol_a.values - sol_b.values)
         assert np.all(gaps <= 0.5 + 1e-12)
         assert np.all(np.diff(gaps) <= 1e-12)
 
     def test_step_bound_enforced(self):
-        drift, cert = mean_reverting_drift(1.0, -1.0, 0.7)  # h0 = 1/0.3
-        config = SchemeConfig(steps=1, horizon=4.0, sigma=1.0, x0=1.0)
-        with pytest.raises(ParameterError, match="h0"):
-            integrate(drift, config, np.zeros(1), cert)
+        # K = 0.3 numerically, and h0 = 1/0.3 binds first: h = h0 is refused
+        model = MeanRevertingModel(a1=1.0, a2=-1.0, gamma=0.7, sigma=0.5, y0=1.0, hurst=0.7)
+        h0 = model.drift()[1].h0
+        for horizon in (4.0, h0):
+            with pytest.raises(ParameterError) as excinfo:
+                SchemeConfig.for_model(model, horizon, 1)
+            assert str(excinfo.value) == (
+                f"step size h={horizon:.6g} must stay below the implicit-step bound "
+                "h0=3.33333 for the unique-positive-root guarantee"
+            )
+        assert SchemeConfig.for_model(model, 3.3, 1).h == 3.3
+
+    def test_step_bound_one_over_k_enforced(self, monkeypatch):
+        # a certificate whose 1/K = 0.5 binds below its h0 = 1/0.3
+        model = MeanRevertingModel(a1=1.0, a2=-1.0, gamma=0.7, sigma=0.5, y0=1.0, hurst=0.7)
+        drift, cert = model.drift()
+        stiff = dataclasses.replace(cert, K=2.0)
+        monkeypatch.setattr(MeanRevertingModel, "drift", lambda self: (drift, stiff))
+        for steps in (1, 2):
+            with pytest.raises(ParameterError) as excinfo:
+                SchemeConfig.for_model(model, 1.0, steps)
+            assert str(excinfo.value) == (
+                f"step size h={1.0 / steps:.6g} must stay below 1/K=0.5"
+            )
+        assert SchemeConfig.for_model(model, 1.0, 3).steps == 3
 
     def test_noise_length_mismatch(self):
         config = SchemeConfig(steps=4, horizon=1.0, sigma=1.0, x0=1.0)
         with pytest.raises(UsageError):
-            integrate(CIR_DRIFT, config, np.zeros(5), CIR_CERT)
+            integrate(CIR_DRIFT, config, np.zeros(5))
 
     def test_failure_annotated_with_step_index(self):
         def capped(x):
@@ -241,11 +263,11 @@ class TestIntegrate:
         # the criterion-7 moment probe's size and seed: 500 AS paths of 2^11
         # steps; started cold, the same run averages about 1.54 evaluations
         steps, paths = 2**11, 500
-        drift, cert = AS_MODEL.drift()
+        drift = AS_MODEL.drift()[0]
         sampler = CirculantSampler(Hurst(AS_MODEL.hurst), TimeGrid(1.0, steps))
         noise = np.stack([sampler.sample(SEED, i) for i in range(paths)])
         config = SchemeConfig.for_model(AS_MODEL, 1.0, steps)
-        sol = integrate(drift, config, noise, cert)
+        sol = integrate(drift, config, noise)
         assert not sol.failures
         assert sol.iterations.mean() <= 1.05
         assert sol.iterations.max() < config.solver.max_iter
@@ -256,12 +278,12 @@ class TestIntegrate:
             a_m1=1.0, a0=1.0, a1=1.0, a2=1.0, r=3.0, rho=1.5,
             sigma=2.0, y0=1.0, hurst=0.7,
         )
-        drift, cert = model.drift()
+        drift = model.drift()[0]
         steps, paths = 256, 400
         sampler = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps))
         noise = np.stack([sampler.sample(SEED, i) for i in range(paths)])
         config = SchemeConfig.for_model(model, 1.0, steps)
-        sol = integrate(drift, config, noise, cert)
+        sol = integrate(drift, config, noise)
         assert not sol.failures
         # the same recursion with every solve started cold from max(c, 1e-30)
         x, cold = np.full(paths, config.x0), []
@@ -283,16 +305,15 @@ class TestIntegrate:
             a_m1=1.0, a0=1.0, a1=1.0, a2=1.0, r=3.0, rho=1.5,
             sigma=2.0, y0=1.0, hurst=0.7,
         )
-        drift, cert = model.drift()
+        drift = model.drift()[0]
         steps, paths = 256, 400
         noise = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps)).sample(SEED, range(paths))
         config = SchemeConfig.for_model(model, 1.0, steps)
-        narrow = integrate(drift, config, noise, cert)
+        narrow = integrate(drift, config, noise)
         wide = integrate(
             drift,
             SchemeConfig.for_model(model, 1.0, steps, SolverSettings(max_iter=2**40)),
             noise,
-            cert,
         )
         assert narrow.iterations.dtype == np.uint8
         assert narrow.iterations.nbytes == steps * paths
@@ -308,7 +329,7 @@ class TestIntegrate:
     )
     def test_iteration_count_dtype_holds_max_iter(self, max_iter, dtype):
         config = SchemeConfig(4, 1.0, 0.5, 1.0, SolverSettings(max_iter=max_iter))
-        sol = integrate(CIR_DRIFT, config, np.zeros((2, 4)), CIR_CERT)
+        sol = integrate(CIR_DRIFT, config, np.zeros((2, 4)))
         assert sol.iterations.dtype == dtype
         assert np.iinfo(sol.iterations.dtype).max >= max_iter
 

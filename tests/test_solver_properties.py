@@ -100,19 +100,19 @@ def _batch(seed, paths, steps, model, sigma_scale):
 def test_batch_rows_equal_batch_of_one_bitwise(
     seed, paths, steps, model, sigma_scale, data
 ):
-    drift, cert = model.drift()
+    drift = model.drift()[0]
     noise, config = _batch(seed, paths, steps, model, sigma_scale)
-    batch = integrate(drift, config, noise, cert)
+    batch = integrate(drift, config, noise)
     assert not batch.failures
     for i in range(paths):
-        one = integrate(drift, config, noise[i], cert)
+        one = integrate(drift, config, noise[i])
         assert batch.values[i].tobytes() == one.values.tobytes()
         assert batch.residuals[i].tobytes() == one.residuals.tobytes()
         assert batch.iterations[i].tobytes() == one.iterations.tobytes()
     # streamed in time blocks, each solve starts from the same predictor, so
     # the rows are those of the whole run
     block = data.draw(st.integers(1, steps - 1), label="block")
-    _assert_stepwise(_streamed(drift, config, noise, cert, block), _records(batch))
+    _assert_stepwise(_streamed(drift, config, noise, block), _records(batch))
 
 
 @settings(max_examples=30, deadline=None)
@@ -120,7 +120,7 @@ def test_batch_rows_equal_batch_of_one_bitwise(
 def test_warm_started_roots_match_cold_start(seed, paths, steps, model, sigma_scale):
     drift, cert = model.drift()
     noise, config = _batch(seed, paths, steps, model, sigma_scale)
-    sol = integrate(drift, config, noise, cert)
+    sol = integrate(drift, config, noise)
     assert not sol.failures
     solver = config.solver
     x = sol.values[:, 1:]
@@ -142,12 +142,12 @@ def test_warm_started_roots_match_cold_start(seed, paths, steps, model, sigma_sc
 def test_non_finite_predictor_falls_back_to_the_cold_start():
     # B h overflows at x0 = 1e-200, so the run has no predictor for its first
     # step and solves it cold
-    drift, cert = AS_MODEL.drift()
+    drift = AS_MODEL.drift()[0]
     config = SchemeConfig(steps=4, horizon=1.0, sigma=AS_MODEL.sigma_x, x0=1e-200)
     with np.errstate(over="ignore"):
         assert not np.isfinite(drift.value(np.float64(config.x0)) * config.h)
     noise = np.array([[0.3, -0.2, 0.1, 0.05], [0.2, 0.1, -0.3, 0.0]])
-    sol = integrate(drift, config, noise, cert)
+    sol = integrate(drift, config, noise)
     assert not sol.failures
     for row in range(2):
         c = config.x0 + config.sigma * noise[row, 0]
@@ -345,7 +345,7 @@ def test_failed_row_is_recorded_while_the_others_finish(paths, seed, data):
     # streamed in time blocks, the failed row stays in place, NaN from the
     # same absolute step on, and the other rows are those of the whole run
     block = data.draw(st.integers(1, 10), label="block")
-    _assert_stepwise(_streamed(CAPPED, config, noise, None, block), _records(sol))
+    _assert_stepwise(_streamed(CAPPED, config, noise, block), _records(sol))
 
 
 def _linear(slope, deriv_scale):
@@ -427,14 +427,14 @@ def _records(sol):
     return sol.values, sol.residuals, sol.iterations, failures
 
 
-def _streamed(drift, config, noise, cert, block):
+def _streamed(drift, config, noise, block):
     """``integrate_blocks``' blocks, checked to tile the grid, joined into one run."""
     failures = {}
     # each block is valid only until the next is requested, so keep copies
     firsts, values, residuals, iterations = zip(*(
         (first, *(arr.copy() for arr in arrays))
         for first, *arrays in integrate_blocks(
-            drift, config, noise, cert, block, failures, records=True
+            drift, config, noise, block, failures, records=True
         )
     ))
     assert list(firsts) == list(range(0, config.steps, block))
@@ -500,7 +500,7 @@ def _check_against_stepwise(seed, paths, steps, model, horizon, sigma_scale, max
     _assert_stepwise(integrate(drift, config, noise), whole)
     # streamed in time blocks, with rows failing in any block
     block = data.draw(st.integers(1, steps), label="block")
-    _assert_stepwise(_streamed(drift, config, noise, None, block), whole)
+    _assert_stepwise(_streamed(drift, config, noise, block), whole)
 
 
 def test_common_blocks_carry_fine_grids_bitwise(monkeypatch):
@@ -515,11 +515,11 @@ def test_common_blocks_carry_fine_grids_bitwise(monkeypatch):
         return took
 
     monkeypatch.setattr(solver_module, "_common_steps", counted)
-    drift, cert = MR_MODEL.drift()
+    drift = MR_MODEL.drift()[0]
     config = SchemeConfig.for_model(MR_MODEL, 1.0, 2048)
     noise = np.random.default_rng(5).standard_normal((12, 2048)) * 2048**-0.7
     noise[3, 1000] = 2.0  # a jump that one Newton step does not resolve
-    sol = integrate(drift, config, noise, cert)
+    sol = integrate(drift, config, noise)
     _assert_stepwise(sol, integrate_stepwise(drift, config, noise))
     assert sum(took for _, took in taken) > 0.95 * 2048
     assert max(width for width, _ in taken) == solver_module.COMMON_WIDTH
@@ -545,12 +545,12 @@ def _solver_calls(monkeypatch, run):
 def test_streamed_blocks_cost_one_whole_run(monkeypatch):
     # the solver's state carries from block to block, so 16 blocks of 128
     # steps make the whole run's kernel solves and common-step blocks
-    drift, cert = MR_MODEL.drift()
+    drift = MR_MODEL.drift()[0]
     config = SchemeConfig.for_model(MR_MODEL, 1.0, 2048)
     noise = np.random.default_rng(5).standard_normal((12, 2048)) * 2048**-0.7
-    whole = _solver_calls(monkeypatch, lambda: integrate(drift, config, noise, cert))
+    whole = _solver_calls(monkeypatch, lambda: integrate(drift, config, noise))
     streamed = _solver_calls(
-        monkeypatch, lambda: list(integrate_blocks(drift, config, noise, cert, 128, {}))
+        monkeypatch, lambda: list(integrate_blocks(drift, config, noise, 128, {}))
     )
     assert streamed == whole == {"_solve": 1, "_common_steps": 37}
 
@@ -558,14 +558,14 @@ def test_streamed_blocks_cost_one_whole_run(monkeypatch):
 def test_consumer_of_the_blocks_keeps_its_error_state():
     # the solver ignores overflow and invalid operations only while it works
     # on a block, never while its consumer folds one
-    drift, cert = AS_MODEL.drift()
+    drift = AS_MODEL.drift()[0]
     config = SchemeConfig.for_model(AS_MODEL, 1.0, 64)
     noise = np.random.default_rng(2).standard_normal((3, 64)) * 64**-0.7
     for state in ("raise", "warn"):
         with np.errstate(all=state):
             caller = np.geterr()
             blocks = 0
-            for _ in integrate_blocks(drift, config, noise, cert, 16, {}):
+            for _ in integrate_blocks(drift, config, noise, 16, {}):
                 assert np.geterr() == caller
                 blocks += 1
             assert blocks == 4
