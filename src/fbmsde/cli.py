@@ -188,14 +188,12 @@ def _cmd_simulate(args) -> int:
         args, scheme={"steps": args.steps}, experiment={"paths": args.paths}
     )
     model = cfg.model
-    drift = model.drift()[0]
     steps, paths = cfg.scheme["steps"], cfg.experiment["paths"]
-    scheme = SchemeConfig.for_model(model, cfg.scheme["horizon"], steps, cfg.solver)
-    grid = TimeGrid(scheme.horizon, steps)
+    scheme = SchemeConfig.for_model(model, TimeGrid(cfg.scheme["horizon"], steps), cfg.solver)
     out = args.out or os.path.join(cfg.io["out_dir"], "simulate.csv")
     # the times first: numpy refuses a grid too large for memory at once,
     # where the node labels would grow until the process is killed
-    times = list(map(repr, grid.times.tolist()))
+    times = list(map(repr, scheme.grid.times.tolist()))
     nodes = list(map(str, range(steps + 1)))
 
     def trajectories(start: int, stop: int) -> Iterator[str]:
@@ -207,10 +205,10 @@ def _cmd_simulate(args) -> int:
         been taken.  The first chunk yields the CSV head once it has
         integrated, so a run that fails there creates no file.
         """
-        noise = make_sampler(cfg.scheme["method"], model.hurst, grid).sample(
+        noise = make_sampler(cfg.scheme["method"], model.hurst, scheme.grid).sample(
             cfg.seed, range(start, stop)
         )
-        sol = integrate(drift, scheme, noise)
+        sol = integrate(scheme, noise)
         _raise_first_failure(sol.failures, start)
         values, residuals, iterations = sol.values, sol.residuals, sol.iterations
         del noise, sol

@@ -8,15 +8,16 @@ A configuration has up to five top-level keys:
     experiment  ladder levels, path count, error moment orders
     io          output locations (excluded from the config digest)
 
-Validation is strict and total: unknown keys anywhere are rejected, every
-violation is reported with its JSON path, and all errors are collected in one
-pass instead of stopping at the first.  This module checks only each key's
-JSON type.  Every range rule lives on the class that reads the value, in its
-``rules`` table (see ``errors.broken_rules``), which its constructor checks
-too: each model family's on its class in ``drifts.MODELS``; the scheme and
-experiment rules on ``fbm.TimeGrid``, ``fbm.METHOD_RULE``,
-``solver.SolverSettings``, ``convergence.ExperimentPlan`` and
-``convergence.PROBE_RULES``.  Every rule a file breaks is reported on its
+Validation is strict and total: unknown keys anywhere are rejected, and so
+is a key repeated in any object, whose last value JSON readers would keep
+silently; every violation is reported with its JSON path, and all errors
+are collected in one pass instead of stopping at the first.  This module
+checks only each key's JSON type.  Every range rule lives on the class that
+reads the value, in its ``rules`` table (see ``errors.broken_rules``), which
+its constructor checks too: each model family's on its class in
+``drifts.MODELS``; the scheme and experiment rules on ``fbm.TimeGrid``,
+``fbm.METHOD_RULE``, ``solver.SolverSettings``, ``convergence.ExperimentPlan``
+and ``convergence.PROBE_RULES``.  Every rule a file breaks is reported on its
 own key, ``$.<block>.<key>``, the cross-field ones included; a model that
 passes them all but fails its drift certificate is reported as ``$.model``.
 ``COMMAND_KEYS`` names the scheme and experiment keys each subcommand reads;
@@ -254,13 +255,31 @@ def _check_block(
     return values, out
 
 
+def _duplicate_keys(node, path: str = "$"):
+    """``<path>.<key>: duplicate key`` for each key that an object in ``node`` repeats.
+
+    ``node`` is the JSON as ``json.loads`` reads it with ``object_pairs_hook=tuple``,
+    each object the tuple of its (key, value) pairs in the file's order.
+    """
+    if isinstance(node, tuple):
+        keys = [key for key, _ in node]
+        for key in dict.fromkeys(key for key in keys if keys.count(key) > 1):
+            yield f"{path}.{key}: duplicate key"
+        for key, item in node:
+            yield from _duplicate_keys(item, f"{path}.{key}")
+    elif isinstance(node, list):
+        for index, item in enumerate(node):
+            yield from _duplicate_keys(item, f"{path}[{index}]")
+
+
 def parse_config(text: str, command: str, overrides: dict | None = None) -> RunConfig:
     """Parse and validate configuration JSON for ``command``, reporting every violation.
 
     ``overrides`` holds command-line values in the file's shape, for example
     ``{"seed": 3, "scheme": {"steps": 16}}``; each one that is not None
-    replaces the file's value before validation.  The run holds the model
-    its block builds and the scheme and experiment keys that
+    replaces the file's value before validation.  A file that repeats a key
+    in any object is refused first, with every repeated key named.  The run
+    holds the model its block builds and the scheme and experiment keys that
     ``COMMAND_KEYS[command]`` names, each unset one at its default; its
     digest covers the seed, the model block and exactly those keys,
     ``ladder_rungs`` at the count the moment probe clamps it to.
@@ -273,6 +292,9 @@ def parse_config(text: str, command: str, overrides: dict | None = None) -> RunC
         ) from None
     if not isinstance(raw, dict):
         raise ConfigError(["$: top level must be an object"])
+    duplicates = list(_duplicate_keys(json.loads(text, object_pairs_hook=tuple)))
+    if duplicates:
+        raise ConfigError(duplicates)
     for name, value in (overrides or {}).items():
         if isinstance(value, dict):
             block = {} if raw.get(name) is None else raw[name]

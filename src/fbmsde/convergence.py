@@ -41,7 +41,7 @@ import numpy as np
 from .drifts import ModelSpec
 from .errors import FbmsdeError, IntegrationError, NumericalError, UsageError, require
 from .fbm import DEFAULT_SAMPLER, METHOD_RULE, TimeGrid, make_sampler, mix_seed, subsample
-from .solver import SchemeConfig, SolverSettings, check_step_bound, integrate, integrate_blocks
+from .solver import SchemeConfig, SolverSettings, integrate, integrate_blocks
 
 __all__ = [
     "ExperimentPlan",
@@ -91,7 +91,10 @@ class ExperimentPlan:
     ``rules`` holds the plan's rules as the (key, message, test) entries of
     ``errors.broken_rules``: the grid's horizon rule, the fit's three ladder
     levels, the reference gap that keeps its bias negligible, two paths for
-    the bootstrap, and the method rule.
+    the bootstrap, and the method rule.  :meth:`scheme` builds the model's
+    scheme on a level's grid; the constructor builds it at k_min, the
+    coarsest level, so a plan whose step is not admissible is refused before
+    any path is drawn.
     """
 
     rules = (
@@ -118,9 +121,8 @@ class ExperimentPlan:
 
     def __post_init__(self):
         require(self.rules, vars(self))
-        cert = self.model.drift()[1]
-        check_step_bound(cert, self.horizon / 2**self.k_min)
-        if cert.alpha_regime == "critical" and (
+        self.scheme(self.k_min)  # the coarsest level's step must be admissible
+        if self.model.drift()[1].alpha_regime == "critical" and (
             self.horizon > CRITICAL_HORIZON_DEFAULT or self.p > 2.0
         ):
             warnings.warn(
@@ -133,6 +135,10 @@ class ExperimentPlan:
     @property
     def levels(self) -> list[int]:
         return list(range(self.k_min, self.k_max + 1))
+
+    def scheme(self, k: int) -> SchemeConfig:
+        """The model's scheme on the 2^k-step grid over [0, horizon]."""
+        return SchemeConfig.for_model(self.model, TimeGrid(self.horizon, 2**k), self.solver)
 
 
 @dataclass(frozen=True)
@@ -347,21 +353,16 @@ def _ladder_chunk(
     every level, and each block is folded into the running per-path sup
     errors.
     """
-    grid = TimeGrid(plan.horizon, 2**plan.k_ref)
-    sampler = make_sampler(plan.method, plan.model.hurst, grid)
+    reference = plan.scheme(plan.k_ref)
+    sampler = make_sampler(plan.method, plan.model.hurst, reference.grid)
     factors = {k: 2 ** (plan.k_ref - k) for k in (plan.k_ref, *plan.levels)}
     noise = _draw_chunk(sampler, plan.master_seed, start, stop, factors.values())
-    drift = plan.model.drift()[0]
     l_exp = plan.model.inverse_exponent
     size = stop - start
-
-    def scheme(k):
-        return SchemeConfig.for_model(plan.model, plan.horizon, 2**k, plan.solver)
-
     level_failures: dict[int, tuple] = {}
     coarse = []  # every node of every row, per level
     for k in plan.levels:
-        sol = integrate(drift, scheme(k), noise[factors[k]])
+        sol = integrate(plan.scheme(k), noise[factors[k]])
         for row, err in sol.failures.items():
             level_failures.setdefault(row, (start + row, k, err.step))
         coarse.append(sol.values)
@@ -373,7 +374,7 @@ def _ladder_chunk(
     errors = np.zeros((len(plan.levels), len(ERROR_KINDS), size))
     coarsest = factors[plan.k_min]
     block = min(max(1, BLOCK_PATH_STEPS // (size * coarsest)) * coarsest, 2**plan.k_ref)
-    blocks = integrate_blocks(drift, scheme(plan.k_ref), ref_noise, block, ref_failures)
+    blocks = integrate_blocks(reference, ref_noise, block, ref_failures)
     # reused by every block and level: the reference's y-values, and the
     # scratch of ``_sup_errors``
     y_buf = np.empty(size * (block + 1))
@@ -475,8 +476,7 @@ def run_strong_error(plan: ExperimentPlan, workers: int = 1) -> ConvergenceRepor
     boot_rng = np.random.default_rng(mix_seed(plan.master_seed, BOOTSTRAP_STREAM))
     levels: list[LevelEstimate] = []
     for k, by_kind in zip(plan.levels, errors):
-        steps = 2**k
-        h = plan.horizon / steps
+        grid = plan.scheme(k).grid
         estimates = {}
         for kind, e in zip(ERROR_KINDS, by_kind):
             mean, stderr = _p_mean(e, plan.p), _bootstrap_stderr(e, plan.p, boot_rng)
@@ -488,7 +488,7 @@ def run_strong_error(plan: ExperimentPlan, workers: int = 1) -> ConvergenceRepor
                     "positive estimate and a finite stderr"
                 )
             estimates[kind] = {"e": mean, "stderr": stderr}
-        levels.append(LevelEstimate(k=k, steps=steps, h=h, estimates=estimates))
+        levels.append(LevelEstimate(k=k, steps=grid.steps, h=grid.h, estimates=estimates))
 
     fits: dict[str, dict[str, OrderFit]] = {}
     y_corr = _y_correction(plan.model)
@@ -691,9 +691,8 @@ def moment_probe(
     """
     p_list = tuple(float(p) for p in p_list)
     require(PROBE_RULES, dict(paths=paths, p_list=p_list, ladder_rungs=ladder_rungs), UsageError)
-    grid = TimeGrid(horizon, steps)
-    config = SchemeConfig.for_model(model, horizon, steps, solver)
-    drift, cert = model.drift()
+    scheme = SchemeConfig.for_model(model, TimeGrid(horizon, steps), solver)
+    cert = model.drift()[1]
     if cert.alpha_regime == "critical":
         t_admissible = critical_horizon(cert, model.hurst, max(p_list))
         if horizon > t_admissible:
@@ -703,7 +702,7 @@ def moment_probe(
                 stacklevel=2,
             )
 
-    sampler = make_sampler(method, model.hurst, grid)
+    sampler = make_sampler(method, model.hurst, scheme.grid)
     rungs = modulus_rungs(ladder_rungs, steps)
     windows = [2**j for j in range(rungs)]
     reach = 2 ** (rungs - 1) if rungs else 0  # widest window, in steps
@@ -723,7 +722,7 @@ def moment_probe(
         block = min(max(reach, BLOCK_PATH_STEPS // size, 1), steps)
         ext = np.empty((size, reach + block + 1))
         lead = reach  # where this block's extended read starts in ``ext``
-        blocks = integrate_blocks(drift, config, noise, block, failures)
+        blocks = integrate_blocks(scheme, noise, block, failures)
         for _, values in blocks:
             if failures:
                 continue  # finished only to name the chunk's lowest failed path
@@ -745,7 +744,7 @@ def moment_probe(
         neg[p] /= paths
         pos[p] /= paths
     modulus /= paths
-    ladder_h = grid.h * np.asarray(windows, dtype=float)
+    ladder_h = scheme.grid.h * np.asarray(windows, dtype=float)
     ratios = modulus / _modulus_envelope(ladder_h, model.hurst)
     return MomentProbe(
         p_list=p_list,

@@ -10,6 +10,13 @@ zero on (0, inf) and blows up at 0+, so the unique root is positive for every
 real c whenever h is below the certificate's h0; implicitness is what makes
 the scheme positivity preserving.
 
+A :class:`SchemeConfig` holds everything an integration reads: the drift,
+the time grid, sigma, x0 and the root-solver settings.
+:meth:`SchemeConfig.for_model` builds it from a model's drift and is the one
+place that checks h < h0, and h < 1/K when K > 0.  :func:`integrate` and
+:func:`integrate_blocks` take a scheme and the noise, and no drift of their
+own, so a step is never taken with a drift the scheme was not checked for.
+
 One kernel solves that equation for a whole array of paths at once.  Every
 row starts Newton from the explicit Euler predictor c + B(X_n) h, floored at
 1e-30, or from max(c, 1e-30) where B(X_n) h is not finite, which only a
@@ -51,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drifts import AssumptionCertificate, DriftFn, ModelSpec
+from .drifts import DriftFn, ModelSpec
 from .errors import (
     IntegrationError,
     NumericalError,
@@ -113,21 +120,21 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Discretization and root-solver parameters for one integration.
+    """Everything one integration reads: the drift, the grid, sigma, x0 and the solver.
 
-    ``steps`` and ``horizon`` define h = horizon / steps.  The implicit step
-    is well posed only while h stays below the drift certificate's h0, and
-    below 1/K when K > 0: :meth:`for_model` refuses any other h, so a scheme
-    built for a model is admissible by construction.
+    The implicit step is well posed only while the grid's h stays below the
+    drift certificate's h0, and below 1/K when K > 0.  :meth:`for_model`
+    refuses any other h, so a scheme built for a model carries that model's
+    drift and is admissible by construction.  A scheme built directly from
+    a :class:`DriftFn` is not checked.
     """
 
     rules = (
-        *TimeGrid.rules,
         ("sigma", "must be nonzero", lambda sigma: sigma != 0.0),
         ("x0", "must be positive, got {x0}", lambda x0: x0 > 0.0),
     )
-    steps: int
-    horizon: float
+    drift: DriftFn
+    grid: TimeGrid
     sigma: float
     x0: float
     solver: SolverSettings = SolverSettings()
@@ -137,23 +144,22 @@ class SchemeConfig:
 
     @classmethod
     def for_model(
-        cls,
-        model: ModelSpec,
-        horizon: float,
-        steps: int,
-        solver: SolverSettings = SolverSettings(),
+        cls, model: ModelSpec, grid: TimeGrid, solver: SolverSettings = SolverSettings()
     ) -> SchemeConfig:
-        """The scheme for ``model``'s Lamperti-transformed equation on [0, horizon].
+        """The scheme for ``model``'s Lamperti-transformed equation on ``grid``.
 
         Raises :class:`ParameterError` unless h < h0 and, when K > 0, h < 1/K.
         """
-        scheme = cls(steps, horizon, model.sigma_x, model.x0, solver)
-        check_step_bound(model.drift()[1], scheme.h)
-        return scheme
-
-    @property
-    def h(self) -> float:
-        return self.horizon / self.steps
+        drift, cert = model.drift()
+        h = grid.h
+        if not h < cert.h0:
+            raise ParameterError(
+                f"step size h={h:.6g} must stay below the implicit-step bound "
+                f"h0={cert.h0:.6g} for the unique-positive-root guarantee"
+            )
+        if cert.K > 0.0 and not h < 1.0 / cert.K:
+            raise ParameterError(f"step size h={h:.6g} must stay below 1/K={1.0 / cert.K:.6g}")
+        return cls(drift, grid, model.sigma_x, model.x0, solver)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,19 +182,6 @@ class SolutionPath:
     residuals: np.ndarray
     iterations: np.ndarray
     failures: dict = field(default_factory=dict)
-
-
-def check_step_bound(certificate: AssumptionCertificate, h: float) -> None:
-    """Enforce h < h0 and, when K > 0, h < 1/K."""
-    if not h < certificate.h0:
-        raise ParameterError(
-            f"step size h={h:.6g} must stay below the implicit-step bound "
-            f"h0={certificate.h0:.6g} for the unique-positive-root guarantee"
-        )
-    if certificate.K > 0.0 and not h < 1.0 / certificate.K:
-        raise ParameterError(
-            f"step size h={h:.6g} must stay below 1/K={1.0 / certificate.K:.6g}"
-        )
 
 
 def _bracket_error(start: float, lo: float, hi: float) -> RootBracketError:
@@ -458,23 +451,24 @@ def _common_steps(drift, h, solver, x, hb, dsigma, rec):
     return int(passed.argmin()) if not passed.all() else passed.size
 
 
-def integrate(drift: DriftFn, config: SchemeConfig, noise: np.ndarray) -> SolutionPath:
-    """Run the backward Euler recursion for one path or a batch of paths.
+def integrate(scheme: SchemeConfig, noise: np.ndarray) -> SolutionPath:
+    """Run the backward Euler recursion of ``scheme`` for one path or a batch.
 
     ``noise`` holds the driving increments dB_1..dB_N (unscaled; the noise
-    intensity comes from ``config.sigma``), shape ``(steps,)`` for one path
-    or ``(paths, steps)`` for a batch.  One path is the batch of one: a
-    failed step raises :class:`IntegrationError`.  In a batch a failed path
-    is frozen and recorded in ``failures`` while the other paths go on.
-    The step size is not checked here: :meth:`SchemeConfig.for_model` builds
-    only admissible schemes.  A pure function of its arguments, row by row:
-    a path's trajectory is bit for bit the same in any batch.  This is the
-    one block of :func:`integrate_blocks` that spans the grid.
+    intensity comes from ``scheme.sigma``), shape ``(steps,)`` for one path
+    or ``(paths, steps)`` for a batch, on ``scheme.grid``.  One path is the
+    batch of one: a failed step raises :class:`IntegrationError`.  In a batch
+    a failed path is frozen and recorded in ``failures`` while the other
+    paths go on.  The step size is not checked here: the scheme carries its
+    drift, and :meth:`SchemeConfig.for_model` builds only admissible schemes.
+    A pure function of its arguments, row by row: a path's trajectory is bit
+    for bit the same in any batch.  This is the one block of
+    :func:`integrate_blocks` that spans the grid.
     """
     noise = np.asarray(noise, dtype=float)
     failures: dict[int, IntegrationError] = {}
     [(_, values, residuals, iters)] = integrate_blocks(
-        drift, config, noise, config.steps, failures, records=True
+        scheme, noise, scheme.grid.steps, failures, records=True
     )
     for arr in (values, residuals, iters):
         arr.setflags(write=False)
@@ -486,18 +480,18 @@ def integrate(drift: DriftFn, config: SchemeConfig, noise: np.ndarray) -> Soluti
 
 
 def integrate_blocks(
-    drift: DriftFn,
-    config: SchemeConfig,
+    scheme: SchemeConfig,
     noise: np.ndarray,
     block: int,
     failures: dict,
     *,
     records: bool = False,
 ):
-    """Run the backward Euler recursion over the grid in time blocks.
+    """Run the backward Euler recursion of ``scheme`` over its grid in time blocks.
 
     ``noise`` is as for :func:`integrate`, and as there the step size is not
-    checked.  Yields ``(first, values)`` for each block of ``block`` steps
+    checked: the scheme carries its drift, checked by
+    :meth:`SchemeConfig.for_model`.  Yields ``(first, values)`` for each block of ``block`` steps
     (the last may be shorter), with a leading path axis: ``values`` holds nodes
     first..first+B.  With ``records`` it yields ``(first, values, residuals,
     iterations)``, where ``residuals`` and ``iterations`` describe the
@@ -529,15 +523,14 @@ def integrate_blocks(
     cost, never a bit of the result.
     """
     noise = np.asarray(noise, dtype=float)
-    if noise.ndim not in (1, 2) or noise.shape[-1] != config.steps:
+    drift, solver, steps, h = scheme.drift, scheme.solver, scheme.grid.steps, scheme.grid.h
+    if noise.ndim not in (1, 2) or noise.shape[-1] != steps:
         raise UsageError(
-            f"noise must have shape ({config.steps},) or (paths, {config.steps}), "
-            f"got shape {noise.shape}"
+            f"noise must have shape ({steps},) or (paths, {steps}), got shape {noise.shape}"
         )
-    batch = noise.reshape(-1, config.steps)
+    batch = noise.reshape(-1, steps)
     paths = batch.shape[0]
-    h = config.h
-    sigma = config.sigma
+    sigma = scheme.sigma
     # the common-step blocks' rows, allocated before the block arrays: the
     # other order raised the moment probe's peak RSS by about 0.5 MB
     cap = max(1, min(COMMON_WIDTH, COMMON_ELEMENTS // paths))
@@ -545,12 +538,12 @@ def integrate_blocks(
     # Each block array is the leading part of one flat buffer, so a short
     # last block is C-contiguous too: the callers' elementwise powers then
     # run the loops they run on a whole array.
-    most = min(block, config.steps)
+    most = min(block, steps)
     node_buf = np.empty(paths * (most + 1))
     if records:
         residual_buf = np.empty(paths * most)
-        iter_buf = np.empty(paths * most, np.min_scalar_type(config.solver.max_iter))
-    x = np.full(paths, config.x0)
+        iter_buf = np.empty(paths * most, np.min_scalar_type(solver.max_iter))
+    x = np.full(paths, scheme.x0)
     live = slice(None)  # rows still integrating
     # B(X_n) h, the predictor's drift term, which each solve overwrites with
     # the next.  A node where it is not finite has no predictor: that row
@@ -588,7 +581,7 @@ def integrate_blocks(
                 span = min(width, steps - n)
                 dsigma = sigma * batch[live, start + n : start + n + span]
                 rec = scratch[:, :span, : x.size]
-                took = _common_steps(drift, h, config.solver, x, hb, dsigma, rec)
+                took = _common_steps(drift, h, solver, x, hb, dsigma, rec)
                 if took:
                     x1s, g1s = rec[2:]
                     values[live, n + 1 : n + 1 + took] = x1s[:took].T
@@ -610,7 +603,7 @@ def integrate_blocks(
                 ready = False
             # the plain step: one solve of step n through the full kernel
             c = x + sigma * batch[live, start + n]
-            x, res, it, errors = _solve(drift, h, c, config.solver, hb)
+            x, res, it, errors = _solve(drift, h, c, solver, hb)
             positive = x > 0.0
             if errors or np.count_nonzero(positive) < x.size:
                 lost = ~positive
@@ -648,5 +641,5 @@ def integrate_blocks(
                     wait, gap = gap, 2 * gap
         return (values, residuals, iters) if records else (values,)
 
-    for first in range(0, config.steps, block):
-        yield (first, *take(first, min(block, config.steps - first)))
+    for first in range(0, steps, block):
+        yield (first, *take(first, min(block, steps - first)))

@@ -213,11 +213,7 @@ def implicit_step(
     return float(root[0]), float(residual[0]), int(iterations[0])
 
 
-def integrate_stepwise(
-    drift: DriftFn,
-    config: SchemeConfig,
-    noise: np.ndarray,
-):
+def integrate_stepwise(scheme: SchemeConfig, noise: np.ndarray):
     """The nodes of ``integrate`` for a ``(paths, steps)`` batch, one solve a step.
 
     Every step solves all live rows with the kernel, each from the predictor
@@ -227,11 +223,11 @@ def integrate_stepwise(
     row's later nodes and residuals are NaN and its later iterations 0.
     The messages are those ``integrate`` gives its ``IntegrationError``.
     """
-    paths, steps, h = noise.shape[0], config.steps, config.h
+    drift, paths, steps, h = scheme.drift, noise.shape[0], scheme.grid.steps, scheme.grid.h
     values = np.full((paths, steps + 1), np.nan)
     residuals = np.full((paths, steps), np.nan)
     iterations = np.zeros((paths, steps), dtype=np.int64)
-    values[:, 0] = config.x0
+    values[:, 0] = scheme.x0
     rows = np.arange(paths)
     x = values[:, 0].copy()
     failures = {}
@@ -239,8 +235,8 @@ def integrate_stepwise(
         hb = drift.value(x) * h
         hb = np.where(np.isfinite(hb), hb, 0.0)
         for n in range(steps):
-            c = x + config.sigma * noise[rows, n]
-            x, res, it, errors = _solve(drift, h, c, config.solver, hb)
+            c = x + scheme.sigma * noise[rows, n]
+            x, res, it, errors = _solve(drift, h, c, scheme.solver, hb)
             lost = ~(x > 0.0)
             lost[list(errors)] = True
             for j in np.flatnonzero(lost):

@@ -165,11 +165,11 @@ def test_criterion_4_positivity_sweep():
         steps, paths = 2**8, 400
         sampler = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps))
         config = SchemeConfig(
-            steps=steps, horizon=1.0, sigma=model.sigma_x, x0=model.x0
+            drift, TimeGrid(1.0, steps), sigma=model.sigma_x, x0=model.x0
         )
         noise = np.stack([sampler.sample(SEED, i) for i in range(paths)])
         # a batch records a lost path instead of raising as the batch of one does
-        sol = integrate(drift, config, noise)
+        sol = integrate(config, noise)
         assert sol.failures == {}
         total_steps = sol.iterations.size
         minimum = float(sol.values.min())

@@ -331,8 +331,8 @@ class TestCli:
         grid = TimeGrid(1.0, steps)
         sampler = CirculantSampler(Hurst(model.hurst), grid)
         noise = np.stack([sampler.sample(run.seed, i) for i in range(paths)])
-        scheme = SchemeConfig(steps=steps, horizon=1.0, sigma=model.sigma_x, x0=model.x0)
-        sol = integrate(drift, scheme, noise)
+        scheme = SchemeConfig(drift, grid, sigma=model.sigma_x, x0=model.x0)
+        sol = integrate(scheme, noise)
         x, y, t = sol.values, lamperti_inverse(model, sol.values), grid.times
         rows = []
         for i in range(paths):
@@ -431,16 +431,27 @@ class TestCli:
         )
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("command", ["fbm", "simulate", "moments", "converge"])
-    def test_grid_past_any_memory_is_a_runtime_error(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command, steps, ladder",
+        [
+            ("fbm", 10**21, (2, 4, 200)),
+            ("simulate", 10**30, (2, 4, 200)),
+            ("moments", 10**30, (2, 4, 200)),
+            ("converge", 2**200, (2, 4, 200)),  # the reference grid
+            ("converge", 2**1100, (1100, 1102, 1105)),  # the plan's coarsest level
+        ],
+        ids=["fbm", "simulate", "moments", "converge", "converge-k_min"],
+    )
+    def test_grid_past_any_memory_is_a_runtime_error(
+        self, tmp_path, capsys, command, steps, ladder
+    ):
         # numpy cannot even size such a grid's arrays, and raises ValueError
         # where a grid merely too large for this machine gets MemoryError
-        steps = {"fbm": 10**21, "converge": 2**200}.get(command, 10**30)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
             config_text(
                 scheme={"steps": steps},
-                experiment={"paths": 2, "k_min": 2, "k_max": 4, "k_ref": 200},
+                experiment={"paths": 2, **dict(zip(("k_min", "k_max", "k_ref"), ladder))},
             )
         )
         out = str(tmp_path / "out.csv")

@@ -227,6 +227,28 @@ def test_non_finite_tolerance_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_repeated_keys_are_rejected_at_any_depth(tmp_path, capsys):
+    # json keeps a repeated key's last value, so the run and its digest would
+    # name only that one
+    text = json.dumps(_config("simulate"))
+    for key, first, last in (("seed", 7, 8), ("gamma", 0.7, 0.6), ("steps", 16, 8)):
+        text = text.replace(f'"{key}": {first}', f'"{key}": {first}, "{key}": {last}')
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "sim.csv"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: $.seed: duplicate key\n"
+        "config error: $.model.gamma: duplicate key\n"
+        "config error: $.scheme.steps: duplicate key\n"
+    )
+    assert not out.exists()
+    text = text.replace('"steps": 16, "steps": 8', '"p_list": [{"a": 1, "a": 2}]')
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text, "simulate")
+    assert excinfo.value.errors[-1] == "$.scheme.p_list[0].a: duplicate key"
+
+
 @pytest.mark.parametrize("command", sorted(RUNS))
 def test_integer_spellings_of_float_keys_write_the_same_bytes(tmp_path, command):
     spellings = [

@@ -99,6 +99,15 @@ class TestPlanValidation:
         with pytest.raises(ParameterError, match="h0"):
             small_plan(model=blocked, k_min=1, k_max=3, k_ref=6)
 
+    def test_every_level_scheme_carries_the_model_and_its_grid(self):
+        plan = small_plan(model=AS_MODEL, horizon=0.5)
+        drift = AS_MODEL.drift()[0]
+        for k in (*plan.levels, plan.k_ref):
+            scheme = plan.scheme(k)
+            assert scheme.drift is drift
+            assert scheme.grid == TimeGrid(0.5, 2**k)
+            assert scheme.solver is plan.solver
+
     @pytest.mark.parametrize("p", [math.nan, math.inf])
     def test_moment_order_must_be_finite(self, p):
         with pytest.raises(ParameterError, match="finite"):
@@ -123,8 +132,7 @@ class TestSupErrors:
         steps = 64
         noise = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps)).sample(1, 0)
         sol = integrate(
-            drift,
-            SchemeConfig(steps=steps, horizon=1.0, sigma=MR_MODEL.sigma_x, x0=1.0),
+            SchemeConfig(drift, TimeGrid(1.0, steps), sigma=MR_MODEL.sigma_x, x0=1.0),
             noise,
         )
         l_exp = MR_MODEL.inverse_exponent
@@ -173,12 +181,11 @@ def test_blocks_free_their_solver_records_before_the_next_solve():
     steps, paths = 2**9, 500
     sampler = make_sampler("circulant", 0.7, TimeGrid(1.0, steps))
     noise = sampler.sample(3, range(paths))
-    drift = MR_MODEL.drift()[0]
-    config = SchemeConfig.for_model(MR_MODEL, 1.0, steps)
+    config = SchemeConfig.for_model(MR_MODEL, TimeGrid(1.0, steps))
     block = BLOCK_PATH_STEPS // paths
     tracemalloc.start()
     try:
-        for _, values in integrate_blocks(drift, config, noise, block, {}):
+        for _, values in integrate_blocks(config, noise, block, {}):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:

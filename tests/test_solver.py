@@ -145,15 +145,15 @@ AS_MODEL = AitSahaliaModel(
 def make_solution(steps=64, seed=3, sigma=0.15, x0=1.0, model=MR_MODEL):
     drift = model.drift()[0]
     noise = CirculantSampler(Hurst(model.hurst), TimeGrid(1.0, steps)).sample(seed, 0)
-    config = SchemeConfig(steps=steps, horizon=1.0, sigma=sigma, x0=x0)
-    return integrate(drift, config, noise)
+    config = SchemeConfig(drift, TimeGrid(1.0, steps), sigma=sigma, x0=x0)
+    return integrate(config, noise)
 
 
 class TestIntegrate:
     def test_equilibrium_is_fixed_point(self):
         # B(1) = 0 for the square-root family with a1 = a2
-        config = SchemeConfig(steps=64, horizon=1.0, sigma=1.0, x0=1.0)
-        sol = integrate(CIR_DRIFT, config, np.zeros(64))
+        config = SchemeConfig(CIR_DRIFT, TimeGrid(1.0, 64), sigma=1.0, x0=1.0)
+        sol = integrate(config, np.zeros(64))
         assert np.max(np.abs(sol.values - 1.0)) <= 1e-10
 
     @pytest.mark.parametrize(
@@ -162,8 +162,8 @@ class TestIntegrate:
     def test_zero_noise_monotone_approach(self, x0, bound):
         drift = MR_MODEL.drift()[0]
         steps = 128
-        config = SchemeConfig(steps=steps, horizon=1.0, sigma=1.0, x0=x0)
-        sol = integrate(drift, config, np.zeros(steps))
+        config = SchemeConfig(drift, TimeGrid(1.0, steps), sigma=1.0, x0=x0)
+        sol = integrate(config, np.zeros(steps))
         diffs = np.diff(sol.values)
         assert np.all(diffs < 0) if x0 > 1.0 else np.all(diffs > 0)
         oracle = ode_trajectory(drift.value, x0, 1.0, steps)
@@ -178,10 +178,10 @@ class TestIntegrate:
         steps = 256
         sampler = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps))
         config = SchemeConfig(
-            steps=steps, horizon=1.0, sigma=model.sigma_x, x0=model.x0
+            drift, TimeGrid(1.0, steps), sigma=model.sigma_x, x0=model.x0
         )
         for i in range(50):
-            sol = integrate(drift, config, sampler.sample(41, i))
+            sol = integrate(config, sampler.sample(41, i))
             assert sol.values.min() > 0.0
 
     def test_residual_bound_recorded(self):
@@ -207,10 +207,10 @@ class TestIntegrate:
         drift = MR_MODEL.drift()[0]
         steps = 128
         noise = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps)).sample(5, 0)
-        config_a = SchemeConfig(steps=steps, horizon=1.0, sigma=0.15, x0=1.5)
-        config_b = SchemeConfig(steps=steps, horizon=1.0, sigma=0.15, x0=1.0)
-        sol_a = integrate(drift, config_a, noise)
-        sol_b = integrate(drift, config_b, noise)
+        config_a = SchemeConfig(drift, TimeGrid(1.0, steps), sigma=0.15, x0=1.5)
+        config_b = SchemeConfig(drift, TimeGrid(1.0, steps), sigma=0.15, x0=1.0)
+        sol_a = integrate(config_a, noise)
+        sol_b = integrate(config_b, noise)
         gaps = np.abs(sol_a.values - sol_b.values)
         assert np.all(gaps <= 0.5 + 1e-12)
         assert np.all(np.diff(gaps) <= 1e-12)
@@ -221,12 +221,20 @@ class TestIntegrate:
         h0 = model.drift()[1].h0
         for horizon in (4.0, h0):
             with pytest.raises(ParameterError) as excinfo:
-                SchemeConfig.for_model(model, horizon, 1)
+                SchemeConfig.for_model(model, TimeGrid(horizon, 1))
             assert str(excinfo.value) == (
                 f"step size h={horizon:.6g} must stay below the implicit-step bound "
                 "h0=3.33333 for the unique-positive-root guarantee"
             )
-        assert SchemeConfig.for_model(model, 3.3, 1).h == 3.3
+        assert SchemeConfig.for_model(model, TimeGrid(3.3, 1)).grid.h == 3.3
+
+    def test_scheme_for_a_model_carries_its_drift(self):
+        grid = TimeGrid(1.0, 64)
+        for model in (MR_MODEL, AS_MODEL):
+            scheme = SchemeConfig.for_model(model, grid)
+            assert scheme.drift is model.drift()[0]
+            assert scheme.grid is grid
+            assert (scheme.sigma, scheme.x0) == (model.sigma_x, model.x0)
 
     def test_step_bound_one_over_k_enforced(self, monkeypatch):
         # a certificate whose 1/K = 0.5 binds below its h0 = 1/0.3
@@ -236,38 +244,37 @@ class TestIntegrate:
         monkeypatch.setattr(MeanRevertingModel, "drift", lambda self: (drift, stiff))
         for steps in (1, 2):
             with pytest.raises(ParameterError) as excinfo:
-                SchemeConfig.for_model(model, 1.0, steps)
+                SchemeConfig.for_model(model, TimeGrid(1.0, steps))
             assert str(excinfo.value) == (
                 f"step size h={1.0 / steps:.6g} must stay below 1/K=0.5"
             )
-        assert SchemeConfig.for_model(model, 1.0, 3).steps == 3
+        assert SchemeConfig.for_model(model, TimeGrid(1.0, 3)).grid.steps == 3
 
     def test_noise_length_mismatch(self):
-        config = SchemeConfig(steps=4, horizon=1.0, sigma=1.0, x0=1.0)
+        config = SchemeConfig(CIR_DRIFT, TimeGrid(1.0, 4), sigma=1.0, x0=1.0)
         with pytest.raises(UsageError):
-            integrate(CIR_DRIFT, config, np.zeros(5))
+            integrate(config, np.zeros(5))
 
     def test_failure_annotated_with_step_index(self):
         def capped(x):
             return 1.0 / x if x < 5.0 else math.nan
 
         drift = DriftFn(capped, lambda x: -1.0 / x**2, lambda x: 2.0 / x**3, "capped")
-        config = SchemeConfig(steps=3, horizon=0.03, sigma=1.0, x0=1.0)
+        config = SchemeConfig(drift, TimeGrid(0.03, 3), sigma=1.0, x0=1.0)
         # step 1 shifts c, and so the root above it, into the NaN region
         noise = np.array([0.0, 4.0, 0.0])
         with pytest.raises(IntegrationError) as excinfo:
-            integrate(drift, config, noise)
+            integrate(config, noise)
         assert excinfo.value.step == 1
 
     def test_warm_start_takes_one_evaluation_per_step_on_the_probe(self):
         # the criterion-7 moment probe's size and seed: 500 AS paths of 2^11
         # steps; started cold, the same run averages about 1.54 evaluations
         steps, paths = 2**11, 500
-        drift = AS_MODEL.drift()[0]
         sampler = CirculantSampler(Hurst(AS_MODEL.hurst), TimeGrid(1.0, steps))
         noise = np.stack([sampler.sample(SEED, i) for i in range(paths)])
-        config = SchemeConfig.for_model(AS_MODEL, 1.0, steps)
-        sol = integrate(drift, config, noise)
+        config = SchemeConfig.for_model(AS_MODEL, TimeGrid(1.0, steps))
+        sol = integrate(config, noise)
         assert not sol.failures
         assert sol.iterations.mean() <= 1.05
         assert sol.iterations.max() < config.solver.max_iter
@@ -278,12 +285,11 @@ class TestIntegrate:
             a_m1=1.0, a0=1.0, a1=1.0, a2=1.0, r=3.0, rho=1.5,
             sigma=2.0, y0=1.0, hurst=0.7,
         )
-        drift = model.drift()[0]
         steps, paths = 256, 400
         sampler = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps))
         noise = np.stack([sampler.sample(SEED, i) for i in range(paths)])
-        config = SchemeConfig.for_model(model, 1.0, steps)
-        sol = integrate(drift, config, noise)
+        config = SchemeConfig.for_model(model, TimeGrid(1.0, steps))
+        sol = integrate(config, noise)
         assert not sol.failures
         # the same recursion with every solve started cold from max(c, 1e-30)
         x, cold = np.full(paths, config.x0), []
@@ -291,7 +297,7 @@ class TestIntegrate:
             for n in range(steps):
                 c = x + config.sigma * noise[:, n]
                 x, _, iterations, errors = _solve(
-                    drift, config.h, c, config.solver, np.zeros(paths)
+                    config.drift, config.grid.h, c, config.solver, np.zeros(paths)
                 )
                 assert not errors
                 cold.append(iterations)
@@ -305,14 +311,12 @@ class TestIntegrate:
             a_m1=1.0, a0=1.0, a1=1.0, a2=1.0, r=3.0, rho=1.5,
             sigma=2.0, y0=1.0, hurst=0.7,
         )
-        drift = model.drift()[0]
         steps, paths = 256, 400
         noise = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps)).sample(SEED, range(paths))
-        config = SchemeConfig.for_model(model, 1.0, steps)
-        narrow = integrate(drift, config, noise)
+        config = SchemeConfig.for_model(model, TimeGrid(1.0, steps))
+        narrow = integrate(config, noise)
         wide = integrate(
-            drift,
-            SchemeConfig.for_model(model, 1.0, steps, SolverSettings(max_iter=2**40)),
+            SchemeConfig.for_model(model, TimeGrid(1.0, steps), SolverSettings(max_iter=2**40)),
             noise,
         )
         assert narrow.iterations.dtype == np.uint8
@@ -328,18 +332,20 @@ class TestIntegrate:
         "max_iter, dtype", [(8, np.uint8), (255, np.uint8), (256, np.uint16), (300, np.uint16)]
     )
     def test_iteration_count_dtype_holds_max_iter(self, max_iter, dtype):
-        config = SchemeConfig(4, 1.0, 0.5, 1.0, SolverSettings(max_iter=max_iter))
-        sol = integrate(CIR_DRIFT, config, np.zeros((2, 4)))
+        config = SchemeConfig(
+            CIR_DRIFT, TimeGrid(1.0, 4), 0.5, 1.0, SolverSettings(max_iter=max_iter)
+        )
+        sol = integrate(config, np.zeros((2, 4)))
         assert sol.iterations.dtype == dtype
         assert np.iinfo(sol.iterations.dtype).max >= max_iter
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
-            SchemeConfig(steps=0, horizon=1.0, sigma=1.0, x0=1.0)
+            SchemeConfig(CIR_DRIFT, TimeGrid(1.0, 0), sigma=1.0, x0=1.0)
         with pytest.raises(ParameterError):
-            SchemeConfig(steps=4, horizon=1.0, sigma=0.0, x0=1.0)
+            SchemeConfig(CIR_DRIFT, TimeGrid(1.0, 4), sigma=0.0, x0=1.0)
         with pytest.raises(ParameterError):
-            SchemeConfig(steps=4, horizon=1.0, sigma=1.0, x0=-1.0)
+            SchemeConfig(CIR_DRIFT, TimeGrid(1.0, 4), sigma=1.0, x0=-1.0)
         with pytest.raises(ParameterError):
             SolverSettings(max_iter=4)
 

@@ -25,6 +25,7 @@ from fbmsde.drifts import (
     mean_reverting_drift,
 )
 from fbmsde.errors import IntegrationError
+from fbmsde.fbm import TimeGrid
 from fbmsde.solver import (
     SchemeConfig,
     SolverSettings,
@@ -90,7 +91,7 @@ BATCHES = dict(
 def _batch(seed, paths, steps, model, sigma_scale):
     noise = np.random.default_rng(seed).standard_normal((paths, steps)) * steps**-0.7
     config = SchemeConfig(
-        steps=steps, horizon=1.0, sigma=model.sigma_x * sigma_scale, x0=model.x0
+        model.drift()[0], TimeGrid(1.0, steps), sigma=model.sigma_x * sigma_scale, x0=model.x0
     )
     return noise, config
 
@@ -100,19 +101,18 @@ def _batch(seed, paths, steps, model, sigma_scale):
 def test_batch_rows_equal_batch_of_one_bitwise(
     seed, paths, steps, model, sigma_scale, data
 ):
-    drift = model.drift()[0]
     noise, config = _batch(seed, paths, steps, model, sigma_scale)
-    batch = integrate(drift, config, noise)
+    batch = integrate(config, noise)
     assert not batch.failures
     for i in range(paths):
-        one = integrate(drift, config, noise[i])
+        one = integrate(config, noise[i])
         assert batch.values[i].tobytes() == one.values.tobytes()
         assert batch.residuals[i].tobytes() == one.residuals.tobytes()
         assert batch.iterations[i].tobytes() == one.iterations.tobytes()
     # streamed in time blocks, each solve starts from the same predictor, so
     # the rows are those of the whole run
     block = data.draw(st.integers(1, steps - 1), label="block")
-    _assert_stepwise(_streamed(drift, config, noise, block), _records(batch))
+    _assert_stepwise(_streamed(config, noise, block), _records(batch))
 
 
 @settings(max_examples=30, deadline=None)
@@ -120,7 +120,7 @@ def test_batch_rows_equal_batch_of_one_bitwise(
 def test_warm_started_roots_match_cold_start(seed, paths, steps, model, sigma_scale):
     drift, cert = model.drift()
     noise, config = _batch(seed, paths, steps, model, sigma_scale)
-    sol = integrate(drift, config, noise)
+    sol = integrate(config, noise)
     assert not sol.failures
     solver = config.solver
     x = sol.values[:, 1:]
@@ -130,7 +130,7 @@ def test_warm_started_roots_match_cold_start(seed, paths, steps, model, sigma_sc
     # to the true root; g itself is only resolved to a few ulps of its terms
     assert cert.K == 0.0
     for i, n in np.ndindex(c.shape):
-        cold, cold_residual, _ = implicit_step(drift, config.h, c[i, n], solver)
+        cold, cold_residual, _ = implicit_step(drift, config.grid.h, c[i, n], solver)
         bound = (
             abs(sol.residuals[i, n])
             + abs(cold_residual)
@@ -143,15 +143,15 @@ def test_non_finite_predictor_falls_back_to_the_cold_start():
     # B h overflows at x0 = 1e-200, so the run has no predictor for its first
     # step and solves it cold
     drift = AS_MODEL.drift()[0]
-    config = SchemeConfig(steps=4, horizon=1.0, sigma=AS_MODEL.sigma_x, x0=1e-200)
+    config = SchemeConfig(drift, TimeGrid(1.0, 4), sigma=AS_MODEL.sigma_x, x0=1e-200)
     with np.errstate(over="ignore"):
-        assert not np.isfinite(drift.value(np.float64(config.x0)) * config.h)
+        assert not np.isfinite(drift.value(np.float64(config.x0)) * config.grid.h)
     noise = np.array([[0.3, -0.2, 0.1, 0.05], [0.2, 0.1, -0.3, 0.0]])
-    sol = integrate(drift, config, noise)
+    sol = integrate(config, noise)
     assert not sol.failures
     for row in range(2):
         c = config.x0 + config.sigma * noise[row, 0]
-        root, residual, iterations = implicit_step(drift, config.h, c, config.solver)
+        root, residual, iterations = implicit_step(drift, config.grid.h, c, config.solver)
         assert (sol.values[row, 1], sol.residuals[row, 0], sol.iterations[row, 0]) == (
             root, residual, iterations
         )
@@ -328,24 +328,24 @@ CAPPED = DriftFn(_capped, lambda x: -1.0 / x**2, lambda x: 2.0 / x**3, "capped")
 def test_failed_row_is_recorded_while_the_others_finish(paths, seed, data):
     bad = data.draw(st.integers(0, paths - 1), label="bad row")
     step = data.draw(st.integers(0, 9), label="failing step")
-    config = SchemeConfig(steps=10, horizon=0.1, sigma=1.0, x0=1.0)
+    config = SchemeConfig(CAPPED, TimeGrid(0.1, 10), sigma=1.0, x0=1.0)
     noise = 0.01 * np.random.default_rng(seed).standard_normal((paths, 10))
     noise[bad, step] = 10.0  # puts that row's root in the NaN region
-    sol = integrate(CAPPED, config, noise)
+    sol = integrate(config, noise)
     assert list(sol.failures) == [bad]
     assert sol.failures[bad].step == step
     assert np.all(np.isnan(sol.values[bad, step + 1 :]))
     with pytest.raises(IntegrationError) as excinfo:
-        integrate(CAPPED, config, noise[bad])
+        integrate(config, noise[bad])
     assert excinfo.value.step == step
     for i in range(paths):
         if i != bad:
-            one = integrate(CAPPED, config, noise[i])
+            one = integrate(config, noise[i])
             assert sol.values[i].tobytes() == one.values.tobytes()
     # streamed in time blocks, the failed row stays in place, NaN from the
     # same absolute step on, and the other rows are those of the whole run
     block = data.draw(st.integers(1, 10), label="block")
-    _assert_stepwise(_streamed(CAPPED, config, noise, block), _records(sol))
+    _assert_stepwise(_streamed(config, noise, block), _records(sol))
 
 
 def _linear(slope, deriv_scale):
@@ -427,17 +427,15 @@ def _records(sol):
     return sol.values, sol.residuals, sol.iterations, failures
 
 
-def _streamed(drift, config, noise, block):
+def _streamed(config, noise, block):
     """``integrate_blocks``' blocks, checked to tile the grid, joined into one run."""
     failures = {}
     # each block is valid only until the next is requested, so keep copies
     firsts, values, residuals, iterations = zip(*(
         (first, *(arr.copy() for arr in arrays))
-        for first, *arrays in integrate_blocks(
-            drift, config, noise, block, failures, records=True
-        )
+        for first, *arrays in integrate_blocks(config, noise, block, failures, records=True)
     ))
-    assert list(firsts) == list(range(0, config.steps, block))
+    assert list(firsts) == list(range(0, config.grid.steps, block))
     # each block starts at the nodes the one before ended at
     for before, after in zip(values, values[1:]):
         assert before[:, -1].tobytes() == after[:, 0].tobytes()
@@ -482,7 +480,6 @@ def test_integrate_equals_one_solve_per_step_bitwise(
 
 
 def _check_against_stepwise(seed, paths, steps, model, horizon, sigma_scale, max_iter, data):
-    drift, _ = model.drift()
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((paths, steps)) * (horizon / steps) ** 0.7
     # violent noise: huge kicks and NaN, which freeze rows mid-block
@@ -493,14 +490,14 @@ def _check_against_stepwise(seed, paths, steps, model, horizon, sigma_scale, max
             st.sampled_from([np.nan, 1e3, -1e3, 1e150, -1e150]), label="kick"
         )
     config = SchemeConfig(
-        steps=steps, horizon=horizon, sigma=model.sigma_x * sigma_scale, x0=model.x0,
-        solver=SolverSettings(max_iter=max_iter),
+        model.drift()[0], TimeGrid(horizon, steps), sigma=model.sigma_x * sigma_scale,
+        x0=model.x0, solver=SolverSettings(max_iter=max_iter),
     )
-    whole = integrate_stepwise(drift, config, noise)
-    _assert_stepwise(integrate(drift, config, noise), whole)
+    whole = integrate_stepwise(config, noise)
+    _assert_stepwise(integrate(config, noise), whole)
     # streamed in time blocks, with rows failing in any block
     block = data.draw(st.integers(1, steps), label="block")
-    _assert_stepwise(_streamed(drift, config, noise, block), whole)
+    _assert_stepwise(_streamed(config, noise, block), whole)
 
 
 def test_common_blocks_carry_fine_grids_bitwise(monkeypatch):
@@ -515,12 +512,11 @@ def test_common_blocks_carry_fine_grids_bitwise(monkeypatch):
         return took
 
     monkeypatch.setattr(solver_module, "_common_steps", counted)
-    drift = MR_MODEL.drift()[0]
-    config = SchemeConfig.for_model(MR_MODEL, 1.0, 2048)
+    config = SchemeConfig.for_model(MR_MODEL, TimeGrid(1.0, 2048))
     noise = np.random.default_rng(5).standard_normal((12, 2048)) * 2048**-0.7
     noise[3, 1000] = 2.0  # a jump that one Newton step does not resolve
-    sol = integrate(drift, config, noise)
-    _assert_stepwise(sol, integrate_stepwise(drift, config, noise))
+    sol = integrate(config, noise)
+    _assert_stepwise(sol, integrate_stepwise(config, noise))
     assert sum(took for _, took in taken) > 0.95 * 2048
     assert max(width for width, _ in taken) == solver_module.COMMON_WIDTH
     assert any(took < width for width, took in taken)
@@ -545,12 +541,11 @@ def _solver_calls(monkeypatch, run):
 def test_streamed_blocks_cost_one_whole_run(monkeypatch):
     # the solver's state carries from block to block, so 16 blocks of 128
     # steps make the whole run's kernel solves and common-step blocks
-    drift = MR_MODEL.drift()[0]
-    config = SchemeConfig.for_model(MR_MODEL, 1.0, 2048)
+    config = SchemeConfig.for_model(MR_MODEL, TimeGrid(1.0, 2048))
     noise = np.random.default_rng(5).standard_normal((12, 2048)) * 2048**-0.7
-    whole = _solver_calls(monkeypatch, lambda: integrate(drift, config, noise))
+    whole = _solver_calls(monkeypatch, lambda: integrate(config, noise))
     streamed = _solver_calls(
-        monkeypatch, lambda: list(integrate_blocks(drift, config, noise, 128, {}))
+        monkeypatch, lambda: list(integrate_blocks(config, noise, 128, {}))
     )
     assert streamed == whole == {"_solve": 1, "_common_steps": 37}
 
@@ -558,14 +553,13 @@ def test_streamed_blocks_cost_one_whole_run(monkeypatch):
 def test_consumer_of_the_blocks_keeps_its_error_state():
     # the solver ignores overflow and invalid operations only while it works
     # on a block, never while its consumer folds one
-    drift = AS_MODEL.drift()[0]
-    config = SchemeConfig.for_model(AS_MODEL, 1.0, 64)
+    config = SchemeConfig.for_model(AS_MODEL, TimeGrid(1.0, 64))
     noise = np.random.default_rng(2).standard_normal((3, 64)) * 64**-0.7
     for state in ("raise", "warn"):
         with np.errstate(all=state):
             caller = np.geterr()
             blocks = 0
-            for _ in integrate_blocks(drift, config, noise, 16, {}):
+            for _ in integrate_blocks(config, noise, 16, {}):
                 assert np.geterr() == caller
                 blocks += 1
             assert blocks == 4
