@@ -7,6 +7,7 @@ from .convergence import (
     ExperimentPlan,
     MomentProbe,
     OrderFit,
+    ProbePlan,
     critical_horizon,
     fit_order,
     moment_probe,

@@ -26,6 +26,7 @@ from .config import RunConfig, config_digest, parse_config
 from .convergence import (
     ERROR_KINDS,
     ExperimentPlan,
+    ProbePlan,
     _available_cpus,
     _chunks,
     _raise_first_failure,
@@ -252,18 +253,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_converge(args) -> int:
     cfg = _load_config(args)
-    plan = ExperimentPlan(
-        model=cfg.model,
-        horizon=cfg.scheme["horizon"],
-        master_seed=cfg.seed,
-        method=cfg.scheme["method"],
-        solver=cfg.solver,
-        **cfg.experiment,  # paths, p and the ladder levels
-    )
+    plan = cfg.plan(ExperimentPlan)
     report = run_strong_error(plan, workers=args.threads)
     out_dir = cfg.io["out_dir"]
     level_rows = [
-        (lv.k, lv.h, lv.estimates["y_interp"]["e"], lv.estimates["y_interp"]["stderr"])
+        (lv.k, lv.h, lv.errors["y_interp"]["e"], lv.errors["y_interp"]["stderr"])
         for lv in report.levels
     ]
     _atomic_write(
@@ -311,18 +305,8 @@ def _cmd_converge(args) -> int:
 
 def _cmd_moments(args) -> int:
     cfg = _load_config(args)
-    steps, paths = cfg.scheme["steps"], cfg.experiment["paths"]
-    probe = moment_probe(
-        cfg.model,
-        cfg.scheme["horizon"],
-        steps,
-        paths,
-        cfg.experiment["p_list"],
-        cfg.seed,
-        ladder_rungs=cfg.experiment["ladder_rungs"],
-        method=cfg.scheme["method"],
-        solver=cfg.solver,
-    )
+    plan = cfg.plan(ProbePlan)
+    probe = moment_probe(plan)
     out_dir = cfg.io["out_dir"]
     _atomic_write(
         os.path.join(out_dir, "moments.csv"),
@@ -332,7 +316,7 @@ def _cmd_moments(args) -> int:
             ["p", "negative_moment", "positive_moment"],
             [
                 (p, probe.negative_moments[p], probe.positive_moments[p])
-                for p in probe.p_list
+                for p in plan.p_list
             ],
         ),
     )
@@ -349,7 +333,7 @@ def _cmd_moments(args) -> int:
         os.path.join(out_dir, "probe.json"),
         [_json_text(cfg.seed, cfg.digest, probe.to_dict())],
     )
-    print(f"wrote moment probe ({paths} paths, {steps} steps) to {out_dir}")
+    print(f"wrote moment probe ({plan.paths} paths, {plan.steps} steps) to {out_dir}")
     return EXIT_OK
 
 

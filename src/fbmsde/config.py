@@ -17,13 +17,13 @@ reads the value, in its ``rules`` table (see ``errors.broken_rules``), which
 its constructor checks too: each model family's on its class in
 ``drifts.MODELS``; the scheme and experiment rules on ``fbm.TimeGrid``,
 ``fbm.METHOD_RULE``, ``solver.SolverSettings``, ``convergence.ExperimentPlan``
-and ``convergence.PROBE_RULES``.  Every rule a file breaks is reported on its
+and ``convergence.ProbePlan``.  Every rule a file breaks is reported on its
 own key, ``$.<block>.<key>``, the cross-field ones included; a model that
 passes them all but fails its drift certificate is reported as ``$.model``.
 ``COMMAND_KEYS`` names the scheme and experiment keys each subcommand reads;
 a run keeps only those, and its digest covers ``ladder_rungs`` clamped as
 the moment probe clamps it, so the digest changes exactly when the outputs
-can.
+can.  :meth:`RunConfig.plan` builds a run's experiment plan from those keys.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
-from .convergence import PROBE_RULES, ExperimentPlan, modulus_rungs
+from .convergence import ExperimentPlan, ProbePlan, modulus_rungs
 from .drifts import MODELS, ModelSpec
 from .errors import ConfigError, ParameterError, broken_rules, reads
 from .fbm import DEFAULT_SAMPLER, METHOD_RULE, SEED_LIMIT, TimeGrid
@@ -57,7 +57,9 @@ COMMAND_KEYS = {
     },
     "moments": {
         "scheme": {"steps": None, **_SCHEME_KEYS},
-        "experiment": {"paths": None, "p_list": (2.0, 4.0), "ladder_rungs": 6},
+        "experiment": {
+            "paths": None, "p_list": (2.0, 4.0), "ladder_rungs": ProbePlan.ladder_rungs
+        },
     },
     "verify-assumptions": {"scheme": {}, "experiment": {}},
 }
@@ -86,6 +88,17 @@ class RunConfig:
     def solver(self) -> SolverSettings:
         """The root-solver settings named by the ``scheme`` block."""
         return SolverSettings(**{f.name: self.scheme[f.name] for f in fields(SolverSettings)})
+
+    def plan(self, cls):
+        """The ``cls`` plan of this run, every field from the run and none at its default.
+
+        The model, the seed as ``master_seed``, the solver settings, and the
+        ``scheme`` and ``experiment`` keys fill the fields; a field the run
+        does not hold is a ``KeyError``.
+        """
+        values = {"model": self.model, "master_seed": self.seed, "solver": self.solver,
+                  **self.scheme, **self.experiment}
+        return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
 def config_digest(seed: int, model: dict, scheme: dict, experiment: dict) -> str:
@@ -164,9 +177,9 @@ _TYPES = {
 # For each subcommand, the rule tables of the classes its run builds from
 # the scheme and experiment keys.
 _TABLES = {
-    "simulate": (TimeGrid.rules, (METHOD_RULE,), SolverSettings.rules, PROBE_RULES),
+    "simulate": (TimeGrid.rules, (METHOD_RULE,), SolverSettings.rules, ProbePlan.rules),
     "converge": (SolverSettings.rules, ExperimentPlan.rules),
-    "moments": (TimeGrid.rules, (METHOD_RULE,), SolverSettings.rules, PROBE_RULES),
+    "moments": (TimeGrid.rules, (METHOD_RULE,), SolverSettings.rules, ProbePlan.rules),
     "verify-assumptions": (),
 }
 

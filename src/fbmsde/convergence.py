@@ -49,7 +49,7 @@ __all__ = [
     "OrderFit",
     "ConvergenceReport",
     "MomentProbe",
-    "PROBE_RULES",
+    "ProbePlan",
     "run_strong_error",
     "fit_order",
     "moment_probe",
@@ -129,7 +129,7 @@ class ExperimentPlan:
                 "critical-regime model (alpha = 1): the convergence guarantee "
                 f"holds only for small horizons; T={self.horizon}, p={self.p} "
                 f"exceeds the default window T<={CRITICAL_HORIZON_DEFAULT}, p<=2",
-                stacklevel=2,
+                stacklevel=3,  # the line that builds the plan, past its __init__
             )
 
     @property
@@ -146,7 +146,7 @@ class LevelEstimate:
     k: int
     steps: int
     h: float
-    estimates: dict  # kind -> {"e": float, "stderr": float}
+    errors: dict  # kind -> {"e": float, "stderr": float}
 
 
 @dataclass(frozen=True)
@@ -174,29 +174,10 @@ class ConvergenceReport:
         return bool(self.order_band["passed"]) and not self.incomplete
 
     def to_dict(self) -> dict:
-        return {
-            "plan": self.plan,
-            "levels": [
-                {
-                    "k": lv.k,
-                    "steps": lv.steps,
-                    "h": lv.h,
-                    "errors": lv.estimates,
-                }
-                for lv in self.levels
-            ],
-            # an OrderFit holds exactly the fields the report writes
-            "fits": {
-                kind: {corr: asdict(f) for corr, f in by_corr.items()}
-                for kind, by_corr in self.fits.items()
-            },
-            "targets": self.targets,
-            "order_band": self.order_band,
-            "trend_ok": self.trend_ok,
-            "incomplete": self.incomplete,
-            "failures": self.failures,
-            "passed": self.passed,
-        }
+        """Every field but the per-path errors, and ``passed``."""
+        report = asdict(self)
+        del report["per_path_errors"]
+        return {**report, "passed": self.passed}
 
 
 def _log_correction(h: np.ndarray, name: str) -> np.ndarray:
@@ -488,12 +469,12 @@ def run_strong_error(plan: ExperimentPlan, workers: int = 1) -> ConvergenceRepor
                     "positive estimate and a finite stderr"
                 )
             estimates[kind] = {"e": mean, "stderr": stderr}
-        levels.append(LevelEstimate(k=k, steps=grid.steps, h=grid.h, estimates=estimates))
+        levels.append(LevelEstimate(k=k, steps=grid.steps, h=grid.h, errors=estimates))
 
     fits: dict[str, dict[str, OrderFit]] = {}
     y_corr = _y_correction(plan.model)
     for kind in ERROR_KINDS:
-        rows = [(lv.h, lv.estimates[kind]["e"]) for lv in levels]
+        rows = [(lv.h, lv.errors[kind]["e"]) for lv in levels]
         corr = y_corr if kind.startswith("y") else "sqrt_log"
         fits[kind] = {
             "none": fit_order(rows, "none"),
@@ -540,8 +521,8 @@ def _monotone_trend(levels: list[LevelEstimate], kind: str) -> bool:
     """Errors should fall as the grid refines; one statistical inversion is allowed."""
     inversions = 0
     for prev, cur in zip(levels, levels[1:]):
-        e_prev, se_prev = prev.estimates[kind]["e"], prev.estimates[kind]["stderr"]
-        e_cur, se_cur = cur.estimates[kind]["e"], cur.estimates[kind]["stderr"]
+        e_prev, se_prev = prev.errors[kind]["e"], prev.errors[kind]["stderr"]
+        e_cur, se_cur = cur.errors[kind]["e"], cur.errors[kind]["stderr"]
         if e_cur > e_prev + 2.0 * math.hypot(se_prev, se_cur):
             inversions += 1
     return inversions <= 1
@@ -560,31 +541,84 @@ def _plan_dict(plan: ExperimentPlan) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _repeated_order(p_list) -> str:
+    return f"duplicate order {next(p for i, p in enumerate(p_list) if p in p_list[:i])}"
+
+
+@dataclass(frozen=True)
+class ProbePlan:
+    """A moment and modulus probe: ``paths`` paths of ``steps`` steps over [0, horizon].
+
+    ``rules`` holds the probe's rules as the (key, message, test) entries of
+    ``errors.broken_rules``, on its orders as floats: 2 and 2.0 are one
+    order, which would fold twice into one moment.  ``simulate`` reads the
+    ``paths`` rule too.  The constructor takes ``p_list`` as floats, raises
+    :class:`UsageError` for a broken rule, builds the scheme, which refuses a
+    step that is not admissible (:class:`ParameterError`), and warns when a
+    critical-regime model's horizon exceeds the window of its largest order,
+    all before any path is drawn.
+    """
+
+    rules = (
+        ("paths", "must be an integer >= 1, got {paths}", lambda paths: paths >= 1),
+        ("p_list", "must be a non-empty list of positive finite numbers",
+         lambda p_list: bool(p_list) and all(0.0 < p < math.inf for p in p_list)),
+        ("p_list", _repeated_order, lambda p_list: len(set(p_list)) == len(p_list)),
+        ("ladder_rungs", "must be an integer >= 1, got {ladder_rungs}",
+         lambda ladder_rungs: ladder_rungs >= 1),
+    )
+    model: ModelSpec
+    horizon: float
+    steps: int
+    paths: int
+    p_list: tuple[float, ...]
+    master_seed: int
+    ladder_rungs: int = 6
+    method: str = DEFAULT_SAMPLER
+    solver: SolverSettings = SolverSettings()
+
+    def __post_init__(self):
+        object.__setattr__(self, "p_list", tuple(float(p) for p in self.p_list))
+        require(self.rules, vars(self), UsageError)
+        self.scheme()  # the step must be admissible
+        cert = self.model.drift()[1]
+        if cert.alpha_regime == "critical":
+            p_max = max(self.p_list)
+            t_admissible = critical_horizon(cert, self.model.hurst, p_max)
+            if self.horizon > t_admissible:
+                warnings.warn(
+                    f"critical-regime model: negative moments of order {p_max} "
+                    f"are only guaranteed up to T~{t_admissible:.4g}, got T={self.horizon}",
+                    stacklevel=3,  # the line that builds the plan, past its __init__
+                )
+
+    def scheme(self) -> SchemeConfig:
+        """The model's scheme on the ``steps``-step grid over [0, horizon]."""
+        return SchemeConfig.for_model(self.model, TimeGrid(self.horizon, self.steps), self.solver)
+
+
 @dataclass(frozen=True)
 class MomentProbe:
     """Monte Carlo estimates of extreme-value moments and modulus ratios."""
 
-    p_list: tuple[float, ...]
+    plan: ProbePlan
     negative_moments: dict  # p -> E max_n X_n^{-p}
     positive_moments: dict  # p -> E max_n X_n^{p}
     ladder_h: tuple[float, ...]
     modulus_ratios: tuple[float, ...]
-    steps: int
-    paths: int
-    horizon: float
-    master_seed: int
 
     def to_dict(self) -> dict:
+        plan = self.plan
         return {
-            "p_list": list(self.p_list),
+            "p_list": list(plan.p_list),
             "negative_moments": {str(k): v for k, v in self.negative_moments.items()},
             "positive_moments": {str(k): v for k, v in self.positive_moments.items()},
             "ladder_h": list(self.ladder_h),
             "modulus_ratios": list(self.modulus_ratios),
-            "steps": self.steps,
-            "paths": self.paths,
-            "horizon": self.horizon,
-            "master_seed": self.master_seed,
+            "steps": plan.steps,
+            "paths": plan.paths,
+            "horizon": plan.horizon,
+            "master_seed": plan.master_seed,
         }
 
 
@@ -633,24 +667,6 @@ def _fold_power(total: float, values: np.ndarray, p: float, moment: str) -> floa
     return total
 
 
-def _repeated_order(p_list) -> str:
-    return f"duplicate order {next(p for i, p in enumerate(p_list) if p in p_list[:i])}"
-
-
-# The moment probe's rules, as the (key, message, test) entries of
-# ``errors.broken_rules``, on its orders as floats: 2 and 2.0 are one order,
-# which would fold twice into one moment.  ``simulate`` reads the ``paths``
-# rule too.
-PROBE_RULES = (
-    ("paths", "must be an integer >= 1, got {paths}", lambda paths: paths >= 1),
-    ("p_list", "must be a non-empty list of positive finite numbers",
-     lambda p_list: bool(p_list) and all(0.0 < p < math.inf for p in p_list)),
-    ("p_list", _repeated_order, lambda p_list: len(set(p_list)) == len(p_list)),
-    ("ladder_rungs", "must be an integer >= 1, got {ladder_rungs}",
-     lambda ladder_rungs: ladder_rungs >= 1),
-)
-
-
 def _modulus_envelope(h: np.ndarray, hurst: float) -> np.ndarray:
     return h + h**hurst * np.sqrt(np.log1p(1.0 / h))
 
@@ -664,46 +680,18 @@ def modulus_rungs(ladder_rungs: int, steps: int) -> int:
     return max(0, min(ladder_rungs, int(math.log2(steps)) - 1))
 
 
-def moment_probe(
-    model: ModelSpec,
-    horizon: float,
-    steps: int,
-    paths: int,
-    p_list: Iterable[float],
-    master_seed: int,
-    ladder_rungs: int = 6,
-    *,
-    method: str = DEFAULT_SAMPLER,
-    solver: SolverSettings = SolverSettings(),
-) -> MomentProbe:
+def moment_probe(plan: ProbePlan) -> MomentProbe:
     """Estimate E sup X^{-p}, E sup X^{p}, and modulus-of-continuity ratios.
 
     The modulus ladder uses window widths h * 2^j for j below
-    ``modulus_rungs(ladder_rungs, steps)``, and reports E modulus(h_j)
-    divided by the envelope h + h^H sqrt(log(1 + 1/h)).
-    For critical-regime models the admissible horizon shrinks with p; a
-    warning is emitted when (horizon, max p) exceeds it.  ``method`` picks the
-    fBM sampler and ``solver`` holds the root-solver settings.  ``paths``,
-    ``p_list`` and ``ladder_rungs`` must pass ``PROBE_RULES``
-    (:class:`UsageError`), and the step must be admissible for ``model``
-    (:class:`ParameterError`, from :meth:`SchemeConfig.for_model`); both are
-    checked before any path is drawn.
+    ``modulus_rungs(plan.ladder_rungs, plan.steps)``, and reports E
+    modulus(h_j) divided by the envelope h + h^H sqrt(log(1 + 1/h)).  The
+    plan's constructor has checked its rules and its step.
     """
-    p_list = tuple(float(p) for p in p_list)
-    require(PROBE_RULES, dict(paths=paths, p_list=p_list, ladder_rungs=ladder_rungs), UsageError)
-    scheme = SchemeConfig.for_model(model, TimeGrid(horizon, steps), solver)
-    cert = model.drift()[1]
-    if cert.alpha_regime == "critical":
-        t_admissible = critical_horizon(cert, model.hurst, max(p_list))
-        if horizon > t_admissible:
-            warnings.warn(
-                f"critical-regime model: negative moments of order {max(p_list)} "
-                f"are only guaranteed up to T~{t_admissible:.4g}, got T={horizon}",
-                stacklevel=2,
-            )
-
-    sampler = make_sampler(method, model.hurst, scheme.grid)
-    rungs = modulus_rungs(ladder_rungs, steps)
+    model, steps, paths, p_list = plan.model, plan.steps, plan.paths, plan.p_list
+    scheme = plan.scheme()
+    sampler = make_sampler(plan.method, model.hurst, scheme.grid)
+    rungs = modulus_rungs(plan.ladder_rungs, steps)
     windows = [2**j for j in range(rungs)]
     reach = 2 ** (rungs - 1) if rungs else 0  # widest window, in steps
     neg = {p: 0.0 for p in p_list}
@@ -711,7 +699,7 @@ def moment_probe(
     modulus = np.zeros(len(windows))
     for start, stop in _chunks(paths, steps):
         size = stop - start
-        noise = sampler.sample(master_seed, range(start, stop))
+        noise = sampler.sample(plan.master_seed, range(start, stop))
         v_max, v_min = np.full(size, -np.inf), np.full(size, np.inf)
         moduli = np.zeros((size, rungs))
         failures: dict = {}
@@ -747,15 +735,11 @@ def moment_probe(
     ladder_h = scheme.grid.h * np.asarray(windows, dtype=float)
     ratios = modulus / _modulus_envelope(ladder_h, model.hurst)
     return MomentProbe(
-        p_list=p_list,
+        plan=plan,
         negative_moments=neg,
         positive_moments=pos,
         ladder_h=tuple(float(v) for v in ladder_h),
         modulus_ratios=tuple(float(v) for v in ratios),
-        steps=steps,
-        paths=paths,
-        horizon=horizon,
-        master_seed=master_seed,
     )
 
 

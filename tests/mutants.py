@@ -74,6 +74,40 @@ MUTANTS = [
     ("step-bound-deleted", "solver.py",
      "        if not h < cert.h0:",
      "        if False:"),
+    # the digest leaves out the experiment block
+    ("digest-without-experiment", "config.py",
+     "    digest = config_digest(seed, model, scheme, hashed)",
+     "    digest = config_digest(seed, model, scheme, {})"),
+    # every bootstrap resample is the identity
+    ("bootstrap-identity", "convergence.py",
+     "        draws = rng.integers(0, n, size=(block.size, n))",
+     "        draws = np.broadcast_to(np.arange(n), (block.size, n))"),
+    # failed paths stay in the aggregates
+    ("failed-paths-kept", "convergence.py",
+     "    kept[[path for path, _, _ in failures]] = False",
+     ""),
+    # a warm predictor that gives NaN is not retried cold
+    ("nan-retry-off", "solver.py",
+     "                retry = nan & (x != midpoint)",
+     "                retry = nan & False"),
+    # a failure after another row froze is filed under its live position
+    ("failure-row-index", "solver.py",
+     "                    failures[int(rows[j])] = err",
+     "                    failures[int(j)] = err"),
+    ("first-failure-max", "convergence.py",
+     "        row = min(failures)",
+     "        row = max(failures)"),
+    ("band-wide", "convergence.py",
+     "    band_tol = 0.15",
+     "    band_tol = 1.5"),
+    ("trend-always-ok", "convergence.py",
+     "        trend_ok=trend_ok,",
+     "        trend_ok=True,"),
+    # every step that plain Newton does not settle expands or bisects its
+    # bracket, without the log-space Newton trial
+    ("log-newton-off", "solver.py",
+     "                x * np.exp(np.arcsinh(gx) * np.hypot(1.0, gx) / (-x * slope)),",
+     "                np.inf,"),
 ]
 
 

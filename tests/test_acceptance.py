@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbmsde.convergence import ExperimentPlan, moment_probe, run_strong_error
+from fbmsde.convergence import ExperimentPlan, ProbePlan, moment_probe, run_strong_error
 from fbmsde.drifts import (
     AitSahaliaModel,
     MeanRevertingModel,
@@ -213,8 +213,8 @@ def test_criterion_6_strong_order_ait_sahalia():
 def test_criterion_7_negative_moment_stability():
     with criterion(7, "E sup X^-4 stable under grid doubling") as detail:
         start = time.perf_counter()
-        coarse = moment_probe(AS_MODEL, 1.0, 2**10, 500, [4.0], SEED)
-        fine = moment_probe(AS_MODEL, 1.0, 2**11, 500, [4.0], SEED)
+        coarse = moment_probe(ProbePlan(AS_MODEL, 1.0, 2**10, 500, [4.0], SEED))
+        fine = moment_probe(ProbePlan(AS_MODEL, 1.0, 2**11, 500, [4.0], SEED))
         elapsed = time.perf_counter() - start
         a, b = coarse.negative_moments[4.0], fine.negative_moments[4.0]
         change = abs(b - a) / a

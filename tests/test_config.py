@@ -20,7 +20,7 @@ import pytest
 
 import fbmsde.cli as cli
 from fbmsde.config import COMMAND_KEYS, parse_config
-from fbmsde.convergence import PROBE_RULES, ExperimentPlan, moment_probe
+from fbmsde.convergence import ExperimentPlan, ProbePlan
 from fbmsde.drifts import MODELS, ait_sahalia_drift, mean_reverting_drift
 from fbmsde.errors import ConfigError, ParameterError, UsageError
 from fbmsde.fbm import METHOD_RULE, TimeGrid, make_sampler
@@ -176,6 +176,21 @@ def test_required_keys_are_named(command, missing):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(json.dumps({"seed": 7, "model": MR}), command)
     assert excinfo.value.errors == [f"{path}: required for {command}" for path in missing]
+
+
+def test_plan_takes_every_field_from_the_run():
+    cfg = parse_config(json.dumps(_config("converge", scheme={"tol_abs": 1e-11})), "converge")
+    solver = SolverSettings(tol_abs=1e-11)
+    assert cfg.plan(ExperimentPlan) == ExperimentPlan(
+        MR_MODEL, 1.0, 2.0, 2, 5, 9, 4, 7, "circulant", solver
+    )
+    cfg = parse_config(json.dumps(_config("moments", experiment={"p_list": [3, 1.5]})), "moments")
+    assert cfg.plan(ProbePlan) == ProbePlan(
+        MR_MODEL, 1.0, 32, 3, (3.0, 1.5), 7, 6, "circulant", SolverSettings()
+    )
+    # a field the run does not hold takes no default: moments reads no ladder
+    with pytest.raises(KeyError):
+        cfg.plan(ExperimentPlan)
 
 
 def test_overrides_are_checked_as_file_values():
@@ -337,7 +352,7 @@ BROKEN_RULES = {
         ({"paths": 1}, "$.experiment.paths: must be an integer >= 2, got 1"),
         ({"method": "fft"}, "$.scheme.method: must be 'circulant' or 'cholesky', got 'fft'"),
     ],
-    "PROBE_RULES": [
+    "ProbePlan": [
         ({"paths": 0}, "$.experiment.paths: must be an integer >= 1, got 0"),
         ({"p_list": [1, -2]},
          "$.experiment.p_list: must be a non-empty list of positive finite numbers"),
@@ -368,10 +383,10 @@ TABLES = {
             v["method"],
         ),
     ),
-    "PROBE_RULES": (
-        PROBE_RULES,
+    "ProbePlan": (
+        ProbePlan.rules,
         "moments",
-        lambda v: moment_probe(
+        lambda v: ProbePlan(
             MR_MODEL, v["horizon"], v["steps"], v["paths"], v["p_list"], 7, v["ladder_rungs"]
         ),
     ),

@@ -18,6 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fbmsde.cli as cli
+from fbmsde.drifts import MODELS
+from fbmsde.fbm import TimeGrid, make_sampler
+from fbmsde.solver import SchemeConfig, integrate
 
 # grids of at most 64 steps: simulate and moments, and the converge reference
 STEPS = 64
@@ -47,6 +50,14 @@ NAN_LEAP_MODELS = [
         0.1, 16, 1613438798,
     ),
 ]
+
+
+# Per NaN-leap model, bounds on the solver's largest iteration count for one
+# step and on its total, on 8 circulant paths.  They measured 15 and 1329,
+# 16 and 601, and 29 and 1032; without the log-space Newton fallback, where
+# every step that plain Newton does not settle expands or bisects its
+# bracket, 113 and 2897, 25 and 720, and 116 and 4680.
+LEAP_ITERATION_BOUNDS = [(20, 1500), (20, 660), (40, 1200)]
 
 
 def _leap(index: int) -> dict:
@@ -178,6 +189,19 @@ def test_every_subcommand_keeps_its_contract(
     codes = _check_every_subcommand(tmp_path_factory.mktemp("run"), config)
     if any(model == leap[0] for leap in NAN_LEAP_MODELS):
         assert codes["simulate"] == codes["moments"] == 0, codes
+
+
+def test_nan_leap_models_take_the_log_newton_fallback():
+    for (model, horizon, steps, seed), (most, total) in zip(
+        NAN_LEAP_MODELS, LEAP_ITERATION_BOUNDS
+    ):
+        params = dict(model)
+        spec = MODELS[params.pop("model")](**params)
+        scheme = SchemeConfig.for_model(spec, TimeGrid(horizon, steps))
+        noise = make_sampler("circulant", spec.hurst, scheme.grid).sample(seed, range(8))
+        sol = integrate(scheme, noise)
+        assert not sol.failures
+        assert sol.iterations.max() <= most and sol.iterations.sum() <= total
 
 
 def test_nan_leap_models_solve_within_tolerance(tmp_path):

@@ -19,17 +19,23 @@ from fbmsde.convergence import (
     CHUNK_PATH_STEPS,
     ERROR_KINDS,
     ExperimentPlan,
+    LevelEstimate,
+    OrderFit,
+    ProbePlan,
     _bootstrap_stderr,
     _chunks,
     _draw_chunk,
+    _monotone_trend,
+    _raise_first_failure,
     _sup_errors,
+    _targets,
     critical_horizon,
     fit_order,
     moment_probe,
     run_strong_error,
 )
 from fbmsde.drifts import AitSahaliaModel, MeanRevertingModel
-from fbmsde.errors import ParameterError, UsageError
+from fbmsde.errors import IntegrationError, ParameterError, UsageError
 from fbmsde.fbm import CirculantSampler, Hurst, TimeGrid, make_sampler
 from fbmsde.solver import SchemeConfig, integrate, integrate_blocks
 
@@ -217,7 +223,7 @@ def test_moment_probe_holds_one_block_set_beyond_its_noise(monkeypatch):
     monkeypatch.setattr(convergence, "make_sampler", Sampler)
     tracemalloc.start()
     try:
-        moment_probe(AS_MODEL, 1.0, steps, paths, [2.0, 4.0], 11)
+        moment_probe(ProbePlan(AS_MODEL, 1.0, steps, paths, [2.0, 4.0], 11))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -353,7 +359,7 @@ class TestStrongError:
 
     def test_errors_decrease_and_orders_look_right(self):
         report = run_strong_error(small_plan(paths=30))
-        es = [lv.estimates["y_interp"]["e"] for lv in report.levels]
+        es = [lv.errors["y_interp"]["e"] for lv in report.levels]
         assert es[0] > es[-1]
         assert report.trend_ok
         assert not report.incomplete
@@ -368,22 +374,93 @@ class TestStrongError:
         assert paths.tolist() == list(range(12))
         assert errors.shape == (3, len(ERROR_KINDS), 12)
         stored = errors[0, ERROR_KINDS.index("y_interp")]
-        recomputed = report.levels[0].estimates["y_interp"]["e"]
+        recomputed = report.levels[0].errors["y_interp"]["e"]
         assert recomputed == pytest.approx(
             float(np.mean(stored**2.0) ** 0.5), rel=1e-12
         )
 
 
+def test_first_failure_names_the_lowest_failed_path():
+    # rows in the order they failed: row 3 before row 1
+    failures = {
+        3: IntegrationError("fails at step 2", step=2),
+        1: IntegrationError("fails at step 9", step=9),
+    }
+    with pytest.raises(IntegrationError, match=r"^path 11: fails at step 9$") as excinfo:
+        _raise_first_failure(failures, 10)
+    assert excinfo.value.step == 9
+    _raise_first_failure({}, 10)  # no failed row, nothing raised
+
+
+class TestVerdict:
+    @pytest.mark.parametrize(
+        "family, mode, offset, passed",
+        [
+            ("mr", "two_sided", 0.149, True),
+            ("mr", "two_sided", -0.149, True),
+            ("mr", "two_sided", 0.151, False),
+            ("mr", "two_sided", -0.151, False),
+            ("as", "lower", -0.149, True),
+            ("as", "lower", -0.151, False),
+            ("as", "lower", 1.0, True),
+        ],
+    )
+    def test_order_band_passes_within_its_tolerance(
+        self, monkeypatch, family, mode, offset, passed
+    ):
+        model = {"mr": MR_MODEL, "as": AS_MODEL}[family]
+        # every fit reads the target's slope moved by ``offset``
+        slope = _targets(model)["y_interp"] + offset
+        fit = OrderFit(slope=slope, intercept=0.0, slope_stderr=0.0)
+        monkeypatch.setattr(convergence, "fit_order", lambda rows, correction: fit)
+        report = run_strong_error(small_plan(model=model))
+        band = report.order_band
+        assert (band["mode"], band["tolerance"], band["observed"]) == (mode, 0.15, slope)
+        assert band["passed"] is passed and report.passed is passed
+
+    @pytest.mark.parametrize(
+        "errors, ok",
+        [
+            ([0.4, 0.2, 0.1, 0.05], True),
+            ([0.4, 0.5, 0.1, 0.05], True),
+            ([0.4, 0.5, 0.1, 0.2], False),
+            ([0.4, 0.5, 0.6, 0.7], False),
+            # a rise within two combined stderrs is no inversion
+            ([0.4, 0.42, 0.44, 0.46], True),
+        ],
+        ids=["zero", "one", "two-apart", "three", "within-noise"],
+    )
+    def test_trend_allows_one_inversion(self, errors, ok):
+        levels = [
+            LevelEstimate(k, 2**k, 2.0**-k, errors={"y_interp": {"e": e, "stderr": 0.01}})
+            for k, e in enumerate(errors, start=3)
+        ]
+        assert _monotone_trend(levels, "y_interp") is ok
+
+    def test_report_carries_a_failed_trend(self, monkeypatch):
+        # every path's error grows as the grid refines: two inversions in
+        # three levels, with no spread to hide them
+        def rising(plan, start, stop):
+            shape = (len(plan.levels), len(ERROR_KINDS), stop - start)
+            growth = np.arange(1.0, len(plan.levels) + 1.0)[:, None, None]
+            return np.broadcast_to(growth, shape).copy(), {}
+
+        monkeypatch.setattr(convergence, "_ladder_chunk", rising)
+        report = run_strong_error(small_plan())
+        assert [lv.errors["y_interp"]["e"] for lv in report.levels] == [1.0, 2.0, 3.0]
+        assert report.trend_ok is False and report.to_dict()["trend_ok"] is False
+
+
 class TestMomentProbe:
     def test_estimates_stable_under_refinement(self):
-        coarse = moment_probe(AS_MODEL, 1.0, 256, 60, [4.0], 5)
-        fine = moment_probe(AS_MODEL, 1.0, 512, 60, [4.0], 5)
+        coarse = moment_probe(ProbePlan(AS_MODEL, 1.0, 256, 60, [4.0], 5))
+        fine = moment_probe(ProbePlan(AS_MODEL, 1.0, 512, 60, [4.0], 5))
         a, b = coarse.negative_moments[4.0], fine.negative_moments[4.0]
         assert np.isfinite(a) and np.isfinite(b)
         assert abs(b - a) / a <= 0.2
 
     def test_modulus_ratio_bounded_on_ladder(self):
-        probe = moment_probe(AS_MODEL, 1.0, 1024, 40, [2.0], 9, ladder_rungs=6)
+        probe = moment_probe(ProbePlan(AS_MODEL, 1.0, 1024, 40, [2.0], 9, ladder_rungs=6))
         ratios = np.asarray(probe.modulus_ratios)
         assert np.all(np.isfinite(ratios)) and np.all(ratios > 0.0)
         # flat profile: no growth trend as h -> 0 over the tested ladder
@@ -394,7 +471,7 @@ class TestMomentProbe:
         model = MeanRevertingModel(
             a1=1.0, a2=1.0, gamma=0.7, sigma=1e-3, y0=10.0, hurst=0.7
         )
-        probe = moment_probe(model, 1.0, 1024, 40, [4.0], 5)
+        probe = moment_probe(ProbePlan(model, 1.0, 1024, 40, [4.0], 5))
         oracle = ode_trajectory(model.drift()[0].value, model.x0, 1.0, 1024)
         det_neg = float(np.max(oracle**-4.0))
         det_pos = float(np.max(oracle**4.0))
@@ -404,27 +481,28 @@ class TestMomentProbe:
     def test_critical_regime_warns(self):
         cir = MeanRevertingModel(1.0, 1.0, 0.5, 0.5, 1.0, 0.7)
         with pytest.warns(UserWarning, match="critical"):
-            moment_probe(cir, 1.0, 64, 4, [4.0], 1)
+            moment_probe(ProbePlan(cir, 1.0, 64, 4, [4.0], 1))
 
     def test_usage_errors(self):
         with pytest.raises(UsageError):
-            moment_probe(AS_MODEL, 1.0, 64, 4, [], 1)
+            moment_probe(ProbePlan(AS_MODEL, 1.0, 64, 4, [], 1))
         with pytest.raises(UsageError):
-            moment_probe(AS_MODEL, 1.0, 64, 4, [-1.0], 1)
+            moment_probe(ProbePlan(AS_MODEL, 1.0, 64, 4, [-1.0], 1))
         # a NaN order once gave a NaN moment, an infinite one an inf or 0
         for p in (math.nan, math.inf):
             with pytest.raises(UsageError, match="finite"):
-                moment_probe(AS_MODEL, 1.0, 64, 4, [2.0, p], 1)
+                moment_probe(ProbePlan(AS_MODEL, 1.0, 64, 4, [2.0, p], 1))
         # a repeated order would fold twice into one moment
         with pytest.raises(UsageError, match="duplicate order 2.0"):
-            moment_probe(AS_MODEL, 1.0, 64, 4, [2, 4.0, 2.0], 1)
+            moment_probe(ProbePlan(AS_MODEL, 1.0, 64, 4, [2, 4.0, 2.0], 1))
 
     def test_rung_count_below_one_is_refused(self):
         # the probe is handed the requested count and clamps it itself
         for rungs in (0, -3):
             with pytest.raises(UsageError, match=f"ladder_rungs: .*got {rungs}"):
-                moment_probe(AS_MODEL, 1.0, 64, 4, [2.0], 1, ladder_rungs=rungs)
-        assert moment_probe(AS_MODEL, 1.0, 2, 4, [2.0], 1, ladder_rungs=6).modulus_ratios == ()
+                moment_probe(ProbePlan(AS_MODEL, 1.0, 64, 4, [2.0], 1, ladder_rungs=rungs))
+        plan = ProbePlan(AS_MODEL, 1.0, 2, 4, [2.0], 1, ladder_rungs=6)
+        assert moment_probe(plan).modulus_ratios == ()
 
 
 class TestCriticalHorizon:

@@ -1,12 +1,17 @@
 """Every subcommand's outputs on a small matrix of runs, against golden files.
 
 The reproducibility contract says a configuration's outputs are the same
-bytes at any ``--threads`` value and from release to release unless a change
-says otherwise.  ``tests/golden/record.py`` holds the matrix and re-records
-the files.  numpy releases before 2.0 may round the circulant sampler's FFT
-in the last bit differently, so there the files are parsed and their numbers
-compared at ``RTOL``/``ATOL`` (residuals are rounding-level, hence the
-absolute floor); everywhere else the bytes must match.
+bytes at any ``--threads`` value on one machine (acceptance criterion 9),
+and from release to release unless a change says otherwise.  The files hold
+their bytes only under the numpy SIMD dispatch target they were recorded
+on, AVX-512 (``X86_V4``): numpy's float64 ``pow``, ``exp``, ``log`` and
+``arcsinh`` round some last bits differently on its AVX2 paths, where 19 of
+the 28 cases differ (https://numpy.org/doc/stable/reference/simd/).
+``tests/golden/record.py`` holds the matrix and re-records the files.  numpy
+releases before 2.0 may round the circulant sampler's FFT in the last bit
+differently, so there the files are parsed and their numbers compared at
+``RTOL``/``ATOL`` (residuals are rounding-level, hence the absolute floor);
+everywhere else the bytes must match.
 """
 
 import re

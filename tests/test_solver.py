@@ -267,6 +267,18 @@ class TestIntegrate:
             integrate(config, noise)
         assert excinfo.value.step == 1
 
+    def test_batch_files_a_later_failure_under_its_own_row(self):
+        # row 0 fails at step 5 and freezes; row 2 fails at step 10, among
+        # the rows still integrating, and keeps its own index
+        config = SchemeConfig.for_model(AS_MODEL, TimeGrid(1.0, 16))
+        noise = CirculantSampler(Hurst(AS_MODEL.hurst), config.grid).sample(SEED, range(4))
+        noise = noise.copy()
+        noise[0, 5] = noise[2, 10] = np.nan
+        sol = integrate(config, noise)
+        assert {row: err.step for row, err in sol.failures.items()} == {0: 5, 2: 10}
+        assert np.isnan(sol.values[0, 6:]).all() and np.isnan(sol.values[2, 11:]).all()
+        assert np.isfinite(sol.values[[1, 3]]).all()
+
     def test_warm_start_takes_one_evaluation_per_step_on_the_probe(self):
         # the criterion-7 moment probe's size and seed: 500 AS paths of 2^11
         # steps; started cold, the same run averages about 1.54 evaluations

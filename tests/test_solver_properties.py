@@ -13,6 +13,7 @@ import fbmsde.convergence as convergence
 import fbmsde.solver as solver_module
 from fbmsde.convergence import (
     ExperimentPlan,
+    ProbePlan,
     _fold_moduli,
     _sup_errors,
     moment_probe,
@@ -182,21 +183,29 @@ def test_per_path_errors_do_not_depend_on_chunk_size(monkeypatch):
             assert errors() == unchunked, (budget, chunk)
 
 
+def _draw_with_nans(monkeypatch, steps: dict[int, int]) -> None:
+    """Make each path of ``steps`` fail at the given step of the 2^8 reference.
+
+    The NaN goes in at the same instant on every grid of the ladder.
+    """
+    draw_chunk = convergence._draw_chunk
+
+    def draw(sampler, master_seed, start, stop, factors):
+        noise = draw_chunk(sampler, master_seed, start, stop, factors)
+        noise = {factor: increments.copy() for factor, increments in noise.items()}
+        for path, step in steps.items():
+            if start <= path < stop:
+                for increments in noise.values():
+                    increments[path - start, increments.shape[1] * step // 2**8] = np.nan
+        return noise
+
+    monkeypatch.setattr(convergence, "_draw_chunk", draw)
+
+
 def test_ladder_drops_only_the_failed_path(monkeypatch):
     p = LADDER_PLAN.p
     _, clean = run_strong_error(LADDER_PLAN).per_path_errors
-    draw_chunk = convergence._draw_chunk
-
-    def draw_with_a_nan(sampler, master_seed, start, stop, factors):
-        noise = draw_chunk(sampler, master_seed, start, stop, factors)
-        noise = {factor: increments.copy() for factor, increments in noise.items()}
-        if start <= 3 < stop:
-            # the same instant on every grid: step 40 of the 2^8 reference
-            for increments in noise.values():
-                increments[3 - start, increments.shape[1] * 40 // 2**8] = np.nan
-        return noise
-
-    monkeypatch.setattr(convergence, "_draw_chunk", draw_with_a_nan)
+    _draw_with_nans(monkeypatch, {3: 40})
     report = run_strong_error(LADDER_PLAN)
     assert report.incomplete
     assert report.failures == [[3, 8, 40]]
@@ -205,8 +214,17 @@ def test_ladder_drops_only_the_failed_path(monkeypatch):
     assert kept.tobytes() == np.delete(clean, 3, axis=-1).tobytes()
     for lv, by_kind in zip(report.levels, kept):
         for kind, errors in zip(convergence.ERROR_KINDS, by_kind):
-            estimate = lv.estimates[kind]
+            estimate = lv.errors[kind]
             assert estimate["e"] == float(np.mean(errors**p) ** (1.0 / p))
+
+
+def test_ladder_files_a_later_failure_under_its_own_path(monkeypatch):
+    # path 1 fails first and freezes; path 4 fails later, on every grid,
+    # among the paths still integrating, and keeps its own index
+    _draw_with_nans(monkeypatch, {1: 40, 4: 100})
+    report = run_strong_error(LADDER_PLAN)
+    assert report.failures == [[1, 8, 40], [4, 8, 100]]
+    assert report.per_path_errors[0].tolist() == [0, 2, 3, 5, 6]
 
 
 def test_moment_probe_does_not_depend_on_chunk_size(monkeypatch):
@@ -218,13 +236,13 @@ def test_moment_probe_does_not_depend_on_chunk_size(monkeypatch):
         args = (AS_MODEL, 1.0, steps, paths, [0.5, 2.0, 4.0], 11)
         assert paths * steps <= convergence.CHUNK_PATH_STEPS
         assert paths * steps <= convergence.BLOCK_PATH_STEPS
-        unchunked = repr(moment_probe(*args, ladder_rungs=5))
+        unchunked = repr(moment_probe(ProbePlan(*args, ladder_rungs=5)))
         # a budget of 1 gives the smallest legal block, the widest window
         for budget in (1, 24 * paths, convergence.BLOCK_PATH_STEPS):
             monkeypatch.setattr(convergence, "BLOCK_PATH_STEPS", budget)
             for chunk in range(1, 7):
                 monkeypatch.setattr(convergence, "CHUNK_PATH_STEPS", chunk * steps)
-                got = repr(moment_probe(*args, ladder_rungs=5))
+                got = repr(moment_probe(ProbePlan(*args, ladder_rungs=5)))
                 assert got == unchunked, (steps, budget, chunk)
 
 
