@@ -21,10 +21,8 @@ from .drifts import (
     DriftFn,
     MeanRevertingModel,
     ModelSpec,
-    ait_sahalia_drift,
     audit_assumptions,
     lamperti_inverse,
-    mean_reverting_drift,
 )
 from .errors import (
     ConfigError,

@@ -15,11 +15,13 @@ are collected in one pass instead of stopping at the first.  This module
 checks only each key's JSON type.  Every range rule lives on the class that
 reads the value, in its ``rules`` table (see ``errors.broken_rules``), which
 its constructor checks too: each model family's on its class in
-``drifts.MODELS``; the scheme and experiment rules on ``fbm.TimeGrid``,
-``fbm.METHOD_RULE``, ``solver.SolverSettings``, ``convergence.ExperimentPlan``
-and ``convergence.ProbePlan``.  Every rule a file breaks is reported on its
-own key, ``$.<block>.<key>``, the cross-field ones included; a model that
-passes them all but fails its drift certificate is reported as ``$.model``.
+``drifts.MODELS``; the scheme and experiment rules on
+``solver.SolverSettings``, ``convergence.ExperimentPlan`` and
+``convergence.ProbePlan``, whose tables hold the grid and method rules of
+``fbm.TimeGrid`` and ``fbm.METHOD_RULE``.  Every rule a file breaks is
+reported on its own key, ``$.<block>.<key>``, the cross-field ones included;
+a model that passes them all but fails its drift certificate is reported as
+``$.model``.
 ``COMMAND_KEYS`` names the scheme and experiment keys each subcommand reads;
 a run keeps only those, and its digest covers ``ladder_rungs`` clamped as
 the moment probe clamps it, so the digest changes exactly when the outputs
@@ -36,7 +38,7 @@ from dataclasses import asdict, dataclass, fields
 from .convergence import ExperimentPlan, ProbePlan, modulus_rungs
 from .drifts import MODELS, ModelSpec
 from .errors import ConfigError, ParameterError, broken_rules, reads
-from .fbm import DEFAULT_SAMPLER, METHOD_RULE, SEED_LIMIT, TimeGrid
+from .fbm import DEFAULT_SAMPLER, SEED_LIMIT
 from .solver import SolverSettings
 
 __all__ = ["COMMAND_KEYS", "RunConfig", "parse_config", "config_digest"]
@@ -175,11 +177,12 @@ _TYPES = {
 }
 
 # For each subcommand, the rule tables of the classes its run builds from
-# the scheme and experiment keys.
+# the scheme and experiment keys.  The probe's table comes first, so that a
+# file's errors list the grid and method keys before the solver's.
 _TABLES = {
-    "simulate": (TimeGrid.rules, (METHOD_RULE,), SolverSettings.rules, ProbePlan.rules),
+    "simulate": (ProbePlan.rules, SolverSettings.rules),
     "converge": (SolverSettings.rules, ExperimentPlan.rules),
-    "moments": (TimeGrid.rules, (METHOD_RULE,), SolverSettings.rules, ProbePlan.rules),
+    "moments": (ProbePlan.rules, SolverSettings.rules),
     "verify-assumptions": (),
 }
 

@@ -550,22 +550,26 @@ class ProbePlan:
     """A moment and modulus probe: ``paths`` paths of ``steps`` steps over [0, horizon].
 
     ``rules`` holds the probe's rules as the (key, message, test) entries of
-    ``errors.broken_rules``, on its orders as floats: 2 and 2.0 are one
-    order, which would fold twice into one moment.  ``simulate`` reads the
-    ``paths`` rule too.  The constructor takes ``p_list`` as floats, raises
-    :class:`UsageError` for a broken rule, builds the scheme, which refuses a
-    step that is not admissible (:class:`ParameterError`), and warns when a
-    critical-regime model's horizon exceeds the window of its largest order,
-    all before any path is drawn.
+    ``errors.broken_rules``: the grid's horizon and step rules, the path
+    count, the orders, the rung count and the method rule.  The orders are
+    checked as floats: 2 and 2.0 are one order, which would fold twice into
+    one moment.  ``simulate`` reads these rules too.  The constructor takes
+    ``p_list`` as floats, raises :class:`UsageError` for a broken rule,
+    builds the scheme, which refuses a step that is not admissible
+    (:class:`ParameterError`), and warns when a critical-regime model's
+    horizon exceeds the window of its largest order, all before any path is
+    drawn.
     """
 
     rules = (
+        *TimeGrid.rules,
         ("paths", "must be an integer >= 1, got {paths}", lambda paths: paths >= 1),
         ("p_list", "must be a non-empty list of positive finite numbers",
          lambda p_list: bool(p_list) and all(0.0 < p < math.inf for p in p_list)),
         ("p_list", _repeated_order, lambda p_list: len(set(p_list)) == len(p_list)),
         ("ladder_rungs", "must be an integer >= 1, got {ladder_rungs}",
          lambda ladder_rungs: ladder_rungs >= 1),
+        METHOD_RULE,
     )
     model: ModelSpec
     horizon: float

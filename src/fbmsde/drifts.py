@@ -6,9 +6,10 @@ transform) to an additive-noise equation
     dX_t = B(X_t) dt + sigma_x dB^H_t,   X_0 > 0,
 
 whose drift blows up like ``x^{-alpha}`` at the origin and is one-sidedly
-Lipschitz.  This module builds the closed-form drifts with their first two
-derivatives, plus a certificate of the growth and singularity constants that
-the implicit solver and the convergence experiments consume:
+Lipschitz.  Each model family is a frozen dataclass whose ``drift()`` builds
+that closed-form drift with its first two derivatives, plus a certificate of
+the growth and singularity constants that the implicit solver and the
+convergence experiments consume:
 
 * ``K``      one-sided Lipschitz constant, ``(B(x)-B(y))(x-y) <= K (x-y)^2``
 * ``alpha``  singularity exponent, ``B(x) >= h1_min x^{-alpha}`` for x <= x1
@@ -46,8 +47,6 @@ __all__ = [
     "AitSahaliaModel",
     "ModelSpec",
     "MODELS",
-    "mean_reverting_drift",
-    "ait_sahalia_drift",
     "lamperti_inverse",
     "audit_assumptions",
 ]
@@ -104,18 +103,17 @@ class AssumptionCertificate:
             raise ParameterError(f"alpha must be positive, got {self.alpha}")
 
 
-def validate_certificate(cert: AssumptionCertificate, hurst: Hurst | float) -> None:
+def validate_certificate(cert: AssumptionCertificate, hurst: float) -> None:
     """Check the singularity exponent against the configured Hurst parameter.
 
     The positivity theory requires ``alpha > 1/H - 1``; violating it is a hard
     error because nothing downstream is trustworthy without it.
     """
-    h = hurst.value if isinstance(hurst, Hurst) else float(hurst)
-    bound = 1.0 / h - 1.0
+    bound = 1.0 / hurst - 1.0
     if not cert.alpha > bound:
         raise ParameterError(
             f"singularity exponent alpha={cert.alpha:.6g} must exceed "
-            f"1/H - 1 = {bound:.6g} for H={h}"
+            f"1/H - 1 = {bound:.6g} for H={hurst}"
         )
 
 
@@ -193,105 +191,6 @@ def _certificate(
     )
 
 
-def mean_reverting_drift(
-    a1: float, a2: float, gamma: float
-) -> tuple[DriftFn, AssumptionCertificate]:
-    """Transformed drift of the mean-reverting stochastic-volatility model.
-
-    The original dynamics dY = (a1 - a2 Y) dt + sigma Y^gamma dB^H map under
-    X = Y^{1-gamma} to the additive-noise drift
-
-        B(x) = (1 - gamma) a1 x^{-gamma/(1-gamma)} - a2 (1 - gamma) x,
-
-    with alpha = theta = gamma/(1-gamma).  gamma = 1/2 is the square-root
-    (CIR) diffusion and sits at the critical alpha = 1 regime.
-    """
-    require(MeanRevertingModel.rules, {"a1": a1, "a2": a2, "gamma": gamma})
-    alpha = gamma / (1.0 - gamma)
-    c_sing = (1.0 - gamma) * a1
-    c_lin = a2 * (1.0 - gamma)
-    d1_sing = gamma * a1  # coefficient of x^{-(alpha+1)} in -B'
-    d2_sing = gamma * a1 / (1.0 - gamma)  # coefficient of x^{-(alpha+2)} in B''
-
-    def value(x, c=c_sing, lin=c_lin, e=alpha):
-        return c * x**-e - lin * x
-
-    def deriv1(x, c=d1_sing, lin=c_lin, e=alpha + 1.0):
-        return -c * x**-e - lin
-
-    def deriv2(x, c=d2_sing, e=alpha + 2.0):
-        return c * x**-e
-
-    drift = DriftFn(value, deriv1, deriv2, f"mean_reverting(a1={a1}, a2={a2}, gamma={gamma})")
-    return drift, _certificate(
-        drift, c_sing, alpha, [(c_lin, 1.0)] if a2 != 0.0 else [], 0.0,
-        h4=max(c_sing, max(-c_lin, 0.0)),
-        q=1.0 if a2 > 0.0 else 0.0,
-        h3=c_lin if a2 > 0.0 else 0.0,
-        # The implicit step is solvable for all h whenever 1 + a2(1-gamma) h > 0.
-        # Tested on c_lin, not a2: a subnormal a2 < 0 makes c_lin -0.0.
-        h0=math.inf if c_lin >= 0.0 else 1.0 / -c_lin,
-        alpha_regime="critical" if gamma == 0.5 else "standard",
-    )
-
-
-def ait_sahalia_drift(
-    a_m1: float, a0: float, a1: float, a2: float, r: float, rho: float
-) -> tuple[DriftFn, AssumptionCertificate]:
-    """Transformed drift of the Ait-Sahalia type interest-rate model.
-
-    The original dynamics
-    dY = (a_{-1} Y^{-1} - a0 + a1 Y - a2 Y^r) dt + sigma Y^rho dB^H
-    map under X = Y^{1-rho} (note 1 - rho < 0) to
-
-        B(x) = b1 x^{-(r-rho)/(rho-1)} - b2 x + b3 x^{rho/(rho-1)}
-               - b4 x^{(rho+1)/(rho-1)},
-
-    with (b1, b2, b3, b4) = (rho-1) * (a2, a1, a0, a_{-1}).  The admissible
-    step bound h0 = 4 (rho-1) b4 (rho+1) / (b3^2 rho^2) makes the implicit
-    equation's derivative strictly negative, hence the root unique.
-    """
-    require(
-        AitSahaliaModel.rules, {"a_m1": a_m1, "a0": a0, "a1": a1, "a2": a2, "r": r, "rho": rho}
-    )
-
-    b1 = (rho - 1.0) * a2
-    b2 = (rho - 1.0) * a1
-    b3 = (rho - 1.0) * a0
-    b4 = (rho - 1.0) * a_m1
-    alpha = (r - rho) / (rho - 1.0)
-    e3 = rho / (rho - 1.0)
-    e4 = (rho + 1.0) / (rho - 1.0)
-
-    def value(x, b1=b1, b2=b2, b3=b3, b4=b4, ea=alpha, e3=e3, e4=e4):
-        return b1 * x**-ea - b2 * x + b3 * x**e3 - b4 * x**e4
-
-    def deriv1(x, c1=alpha * b1, b2=b2, c3=e3 * b3, c4=e4 * b4, ea=alpha + 1.0,
-               f3=e3 - 1.0, f4=e4 - 1.0):
-        return -c1 * x**-ea - b2 + c3 * x**f3 - c4 * x**f4
-
-    def deriv2(x, c1=alpha * (alpha + 1.0) * b1, c3=e3 * (e3 - 1.0) * b3,
-               c4=e4 * (e4 - 1.0) * b4, ea=alpha + 2.0, f3=e3 - 2.0, f4=e4 - 2.0):
-        return c1 * x**-ea + c3 * x**f3 - c4 * x**f4
-
-    drift = DriftFn(
-        value,
-        deriv1,
-        deriv2,
-        f"ait_sahalia(a={{-1:{a_m1}, 0:{a0}, 1:{a1}, 2:{a2}}}, r={r}, rho={rho})",
-    )
-
-    # Peak of the positive non-singular part b3 u^rho - b4 u^{rho+1} in u = x^{1/(rho-1)}.
-    u_star = rho * b3 / ((rho + 1.0) * b4)
-    hump = max(0.0, b3 * u_star**rho - b4 * u_star ** (rho + 1.0))
-    return drift, _certificate(
-        drift, b1, alpha, [(b2, 1.0), (b3, e3), (b4, e4)], e4 - 1.0,
-        h4=max(b1, hump), q=e4, h3=b2 + b4,
-        h0=4.0 * (rho - 1.0) * b4 * (rho + 1.0) / (b3**2 * rho**2),
-        alpha_regime="standard",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Model specifications and the Lamperti transform pair
 # ---------------------------------------------------------------------------
@@ -303,13 +202,16 @@ class _LampertiModel:
     Subclasses are frozen dataclasses whose fields are the family's
     original-coordinates parameters, the keys of its config block; they set
     ``family``, the block's ``model`` name, and expose ``transform_exponent``
-    (the m in X = Y^m).  The inverse map is Y = X^{1/m} and the transformed
-    noise intensity is sigma * m.
+    (the m in X = Y^m) and ``drift()``, the transformed drift and its
+    certificate, built once per model value.  The inverse map is Y = X^{1/m}
+    and the transformed noise intensity is sigma * m.
 
     ``rules`` holds every parameter rule of the family, the rules here and
     the ``hurst`` rule of :class:`Hurst` included, as the (key, message,
-    test) entries of ``errors.broken_rules``.  The constructor, the drift
-    builders and the config's model check all read this one table.
+    test) entries of ``errors.broken_rules``.  The constructor and the
+    config's model check read this one table.  The constructor checks it
+    before it builds the drift, and then checks the certificate against
+    ``hurst``.
     """
 
     rules = (
@@ -334,9 +236,6 @@ class _LampertiModel:
     @property
     def x0(self) -> float:
         return float(self.y0**self.transform_exponent)
-
-    def drift(self) -> tuple[DriftFn, AssumptionCertificate]:
-        return _drift_cache(self)
 
     def __post_init__(self):
         require(self.rules, vars(self))
@@ -364,8 +263,45 @@ class MeanRevertingModel(_LampertiModel):
     def transform_exponent(self) -> float:
         return 1.0 - self.gamma
 
-    def _make_drift(self):
-        return mean_reverting_drift(self.a1, self.a2, self.gamma)
+    @lru_cache(maxsize=64)
+    def drift(self) -> tuple[DriftFn, AssumptionCertificate]:
+        """Transformed drift of the mean-reverting stochastic-volatility model.
+
+        The original dynamics dY = (a1 - a2 Y) dt + sigma Y^gamma dB^H map under
+        X = Y^{1-gamma} to the additive-noise drift
+
+            B(x) = (1 - gamma) a1 x^{-gamma/(1-gamma)} - a2 (1 - gamma) x,
+
+        with alpha = theta = gamma/(1-gamma).  gamma = 1/2 is the square-root
+        (CIR) diffusion and sits at the critical alpha = 1 regime.
+        """
+        a1, a2, gamma = self.a1, self.a2, self.gamma
+        alpha = gamma / (1.0 - gamma)
+        c_sing = (1.0 - gamma) * a1
+        c_lin = a2 * (1.0 - gamma)
+        d1_sing = gamma * a1  # coefficient of x^{-(alpha+1)} in -B'
+        d2_sing = gamma * a1 / (1.0 - gamma)  # coefficient of x^{-(alpha+2)} in B''
+
+        def value(x, c=c_sing, lin=c_lin, e=alpha):
+            return c * x**-e - lin * x
+
+        def deriv1(x, c=d1_sing, lin=c_lin, e=alpha + 1.0):
+            return -c * x**-e - lin
+
+        def deriv2(x, c=d2_sing, e=alpha + 2.0):
+            return c * x**-e
+
+        drift = DriftFn(value, deriv1, deriv2, f"mean_reverting(a1={a1}, a2={a2}, gamma={gamma})")
+        return drift, _certificate(
+            drift, c_sing, alpha, [(c_lin, 1.0)] if a2 != 0.0 else [], 0.0,
+            h4=max(c_sing, max(-c_lin, 0.0)),
+            q=1.0 if a2 > 0.0 else 0.0,
+            h3=c_lin if a2 > 0.0 else 0.0,
+            # The implicit step is solvable for all h whenever 1 + a2(1-gamma) h > 0.
+            # Tested on c_lin, not a2: a subnormal a2 < 0 makes c_lin -0.0.
+            h0=math.inf if c_lin >= 0.0 else 1.0 / -c_lin,
+            alpha_regime="critical" if gamma == 0.5 else "standard",
+        )
 
 
 @dataclass(frozen=True)
@@ -399,8 +335,57 @@ class AitSahaliaModel(_LampertiModel):
     def transform_exponent(self) -> float:
         return 1.0 - self.rho
 
-    def _make_drift(self):
-        return ait_sahalia_drift(self.a_m1, self.a0, self.a1, self.a2, self.r, self.rho)
+    @lru_cache(maxsize=64)
+    def drift(self) -> tuple[DriftFn, AssumptionCertificate]:
+        """Transformed drift of the Ait-Sahalia type interest-rate model.
+
+        The original dynamics
+        dY = (a_{-1} Y^{-1} - a0 + a1 Y - a2 Y^r) dt + sigma Y^rho dB^H
+        map under X = Y^{1-rho} (note 1 - rho < 0) to
+
+            B(x) = b1 x^{-(r-rho)/(rho-1)} - b2 x + b3 x^{rho/(rho-1)}
+                   - b4 x^{(rho+1)/(rho-1)},
+
+        with (b1, b2, b3, b4) = (rho-1) * (a2, a1, a0, a_{-1}).  The admissible
+        step bound h0 = 4 (rho-1) b4 (rho+1) / (b3^2 rho^2) makes the implicit
+        equation's derivative strictly negative, hence the root unique.
+        """
+        a_m1, a0, a1, a2, r, rho = self.a_m1, self.a0, self.a1, self.a2, self.r, self.rho
+        b1 = (rho - 1.0) * a2
+        b2 = (rho - 1.0) * a1
+        b3 = (rho - 1.0) * a0
+        b4 = (rho - 1.0) * a_m1
+        alpha = (r - rho) / (rho - 1.0)
+        e3 = rho / (rho - 1.0)
+        e4 = (rho + 1.0) / (rho - 1.0)
+
+        def value(x, b1=b1, b2=b2, b3=b3, b4=b4, ea=alpha, e3=e3, e4=e4):
+            return b1 * x**-ea - b2 * x + b3 * x**e3 - b4 * x**e4
+
+        def deriv1(x, c1=alpha * b1, b2=b2, c3=e3 * b3, c4=e4 * b4, ea=alpha + 1.0,
+                   f3=e3 - 1.0, f4=e4 - 1.0):
+            return -c1 * x**-ea - b2 + c3 * x**f3 - c4 * x**f4
+
+        def deriv2(x, c1=alpha * (alpha + 1.0) * b1, c3=e3 * (e3 - 1.0) * b3,
+                   c4=e4 * (e4 - 1.0) * b4, ea=alpha + 2.0, f3=e3 - 2.0, f4=e4 - 2.0):
+            return c1 * x**-ea + c3 * x**f3 - c4 * x**f4
+
+        drift = DriftFn(
+            value,
+            deriv1,
+            deriv2,
+            f"ait_sahalia(a={{-1:{a_m1}, 0:{a0}, 1:{a1}, 2:{a2}}}, r={r}, rho={rho})",
+        )
+
+        # Peak of the positive non-singular part b3 u^rho - b4 u^{rho+1} in u = x^{1/(rho-1)}.
+        u_star = rho * b3 / ((rho + 1.0) * b4)
+        hump = max(0.0, b3 * u_star**rho - b4 * u_star ** (rho + 1.0))
+        return drift, _certificate(
+            drift, b1, alpha, [(b2, 1.0), (b3, e3), (b4, e4)], e4 - 1.0,
+            h4=max(b1, hump), q=e4, h3=b2 + b4,
+            h0=4.0 * (rho - 1.0) * b4 * (rho + 1.0) / (b3**2 * rho**2),
+            alpha_regime="standard",
+        )
 
 
 ModelSpec = MeanRevertingModel | AitSahaliaModel
@@ -408,11 +393,6 @@ ModelSpec = MeanRevertingModel | AitSahaliaModel
 # The model classes by family name, the values ``model.model`` accepts, in the
 # order the config's error message lists them.
 MODELS = {cls.family: cls for cls in (MeanRevertingModel, AitSahaliaModel)}
-
-
-@lru_cache(maxsize=64)
-def _drift_cache(model: ModelSpec) -> tuple[DriftFn, AssumptionCertificate]:
-    return model._make_drift()
 
 
 def _positive_power(arg, exponent, what: str):

@@ -67,6 +67,14 @@ MUTANTS = [
      "    return {f: subsample(noise, f) for f in factors}",
      "    return {f: subsample(noise if f == 1 else sampler.sample(master_seed ^ f, "
      "range(start, stop)), f) for f in factors}"),
+    # the closed form's B' loses its gamma factor on the singular term
+    ("mr-deriv-coefficient", "drifts.py",
+     "        d1_sing = gamma * a1  # coefficient of x^{-(alpha+1)} in -B'",
+     "        d1_sing = a1  # coefficient of x^{-(alpha+1)} in -B'"),
+    # the certificate drops the bound on the drift's negative part
+    ("mr-negative-part", "drifts.py",
+     "            h3=c_lin if a2 > 0.0 else 0.0,",
+     "            h3=0.0,"),
     ("lamperti-forward-exponent", "drifts.py",
      '        x, np.longdouble(1.0) / np.longdouble(model.transform_exponent), "x"',
      '        x, np.longdouble(model.transform_exponent), "x"'),

@@ -18,6 +18,8 @@ The rest are verification helpers that the package itself does not need:
 
 * ``fbm_covariance`` and ``empirical_increment_moment`` are the analytic fBM
   covariance and a Monte Carlo increment moment, for generator validation.
+* ``mr_drift`` and ``as_drift`` build a model of each family from its drift
+  parameters alone and return its drift and certificate.
 * ``lamperti_forward`` maps original coordinates to transformed ones in
   extended precision, the round-trip partner of ``lamperti_inverse``.
 * ``interpolate`` evaluates the piecewise-linear interpolant of node values.
@@ -40,7 +42,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from fbmsde.drifts import DriftFn, ModelSpec, _positive_power
+from fbmsde.drifts import (
+    AitSahaliaModel,
+    AssumptionCertificate,
+    DriftFn,
+    MeanRevertingModel,
+    ModelSpec,
+    _positive_power,
+)
 from fbmsde.errors import ParameterError, UsageError
 from fbmsde.fbm import CirculantSampler, Hurst, TimeGrid, as_hurst, mix_seed
 from fbmsde.solver import SchemeConfig, SolverSettings, _solve
@@ -152,6 +161,24 @@ def empirical_increment_moment(
     stacked = np.stack(paths)
     diffs = stacked[:, lag:] - stacked[:, :-lag]
     return float(np.mean(np.abs(diffs) ** p))
+
+
+# The non-drift fields of the models ``mr_drift`` and ``as_drift`` build; the
+# family's drift reads none of them, and its alpha >= 1 exceeds 1/H - 1 for
+# every admissible H.
+_NOISE_FIELDS = {"sigma": 1.0, "y0": 1.0, "hurst": 0.7}
+
+
+def mr_drift(a1: float, a2: float, gamma: float) -> tuple[DriftFn, AssumptionCertificate]:
+    """The drift and certificate of the mean-reverting model with these drift parameters."""
+    return MeanRevertingModel(a1, a2, gamma, **_NOISE_FIELDS).drift()
+
+
+def as_drift(
+    a_m1: float, a0: float, a1: float, a2: float, r: float, rho: float
+) -> tuple[DriftFn, AssumptionCertificate]:
+    """The drift and certificate of the Ait-Sahalia model with these drift parameters."""
+    return AitSahaliaModel(a_m1, a0, a1, a2, r, rho, **_NOISE_FIELDS).drift()
 
 
 def lamperti_forward(model: ModelSpec, y):

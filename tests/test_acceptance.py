@@ -17,12 +17,7 @@ import numpy as np
 import pytest
 
 from fbmsde.convergence import ExperimentPlan, ProbePlan, moment_probe, run_strong_error
-from fbmsde.drifts import (
-    AitSahaliaModel,
-    MeanRevertingModel,
-    ait_sahalia_drift,
-    mean_reverting_drift,
-)
+from fbmsde.drifts import AitSahaliaModel, MeanRevertingModel
 from fbmsde.fbm import (
     CholeskySampler,
     CirculantSampler,
@@ -33,7 +28,7 @@ from fbmsde.fbm import (
 )
 from fbmsde.solver import SchemeConfig, SolverSettings, integrate
 
-from oracles import cir_implicit_root, implicit_step
+from oracles import as_drift, cir_implicit_root, implicit_step, mr_drift
 
 SEED = 20260809
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -100,7 +95,7 @@ def test_criterion_1_generator_fidelity():
 
 def test_criterion_2_implicit_step_oracle():
     with criterion(2, "implicit step matches the quadratic closed form") as detail:
-        drift, _ = mean_reverting_drift(1.0, 1.0, 0.5)
+        drift, _ = mr_drift(1.0, 1.0, 0.5)
         rng = np.random.default_rng(SEED)
         start = time.perf_counter()
         worst_root, worst_res = 0.0, 0.0
@@ -128,14 +123,14 @@ def test_criterion_3_unique_root_brute_force():
         start = time.perf_counter()
         for trial in range(1000):
             if trial % 2 == 0:
-                drift, cert = mean_reverting_drift(
+                drift, cert = mr_drift(
                     rng.uniform(0.2, 3.0), rng.uniform(-1.0, 3.0),
                     rng.uniform(0.5, 0.85),
                 )
             else:
                 rho = rng.uniform(1.2, 2.5)
                 r = max(min(2.0, rho) + 1.0, 2.0 * rho - 1.0) + rng.uniform(0.05, 2.0)
-                drift, cert = ait_sahalia_drift(
+                drift, cert = as_drift(
                     rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0),
                     rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0), r, rho,
                 )

@@ -504,6 +504,11 @@ class TestMomentProbe:
         plan = ProbePlan(AS_MODEL, 1.0, 2, 4, [2.0], 1, ladder_rungs=6)
         assert moment_probe(plan).modulus_ratios == ()
 
+    def test_unknown_method_is_refused_by_the_plan(self):
+        # refused where the plan is built, before any sampler is made
+        with pytest.raises(UsageError, match="^method: must be 'circulant' or 'cholesky'"):
+            ProbePlan(AS_MODEL, 1.0, 16, 2, [2.0], 1, method="fft")
+
 
 class TestCriticalHorizon:
     def test_monotone_in_p(self):

@@ -12,20 +12,18 @@ from fbmsde.drifts import (
     AssumptionCertificate,
     DriftFn,
     MeanRevertingModel,
-    ait_sahalia_drift,
     audit_assumptions,
     lamperti_inverse,
-    mean_reverting_drift,
     validate_certificate,
 )
 from fbmsde.errors import ParameterError
 
-from oracles import lamperti_forward
+from oracles import as_drift, lamperti_forward, mr_drift
 
 
 class TestMeanRevertingDrift:
     def test_closed_form_pure_singular(self):
-        drift, cert = mean_reverting_drift(1.0, 0.0, 2.0 / 3.0)
+        drift, cert = mr_drift(1.0, 0.0, 2.0 / 3.0)
         # B(x) = (1/3) x^{-2}
         assert drift.value(1.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
         assert cert.alpha == pytest.approx(2.0, rel=1e-14)
@@ -33,19 +31,19 @@ class TestMeanRevertingDrift:
         assert cert.x1 == math.inf
 
     def test_square_root_regime_balances_at_one(self):
-        drift, cert = mean_reverting_drift(1.0, 1.0, 0.5)
+        drift, cert = mr_drift(1.0, 1.0, 0.5)
         assert drift.value(1.0) == 0.0
         assert cert.alpha == 1.0
         assert cert.alpha_regime == "critical"
         assert cert.h0 == math.inf  # a2 >= 0 never blocks the implicit step
 
     def test_alpha_against_hurst(self):
-        _, cert = mean_reverting_drift(1.0, 1.0, 0.7)
+        _, cert = mr_drift(1.0, 1.0, 0.7)
         assert cert.alpha == pytest.approx(7.0 / 3.0, rel=1e-14)
         validate_certificate(cert, 0.7)  # alpha = 7/3 > 1/0.7 - 1 = 3/7
 
     def test_lipschitz_constant_is_linear_coefficient(self):
-        drift, cert = mean_reverting_drift(1.0, 1.0, 0.7)
+        drift, cert = mr_drift(1.0, 1.0, 0.7)
         # B' = -0.7 x^{-10/3} - 0.3 < 0 everywhere, approaching -a2(1-gamma)
         grid = np.geomspace(1e-4, 1e4, 2001)
         sup_slope = float(np.max(drift.deriv1(grid)))
@@ -53,40 +51,40 @@ class TestMeanRevertingDrift:
         assert sup_slope == pytest.approx(-0.3, abs=1e-10)
 
     def test_negative_a2_bounds_step(self):
-        _, cert = mean_reverting_drift(1.0, -1.0, 0.7)
+        _, cert = mr_drift(1.0, -1.0, 0.7)
         assert cert.h0 == pytest.approx(1.0 / 0.3, rel=1e-12)
         assert cert.K == pytest.approx(0.3, abs=1e-10)
 
     def test_subnormal_negative_a2_leaves_step_unbounded(self):
         # a2 (1 - gamma) underflows to -0.0: no step bound, and no 1 / 0
-        _, cert = mean_reverting_drift(1.0, -5e-324, 0.7)
+        _, cert = mr_drift(1.0, -5e-324, 0.7)
         assert cert.h0 == math.inf
 
     @pytest.mark.parametrize("gamma", [1.2, 1.0, 0.4, 0.0, -0.5])
     def test_gamma_range(self, gamma):
         with pytest.raises(ParameterError):
-            mean_reverting_drift(1.0, 1.0, gamma)
+            mr_drift(1.0, 1.0, gamma)
 
     def test_a1_must_be_positive(self):
         with pytest.raises(ParameterError):
-            mean_reverting_drift(0.0, 1.0, 0.7)
+            mr_drift(0.0, 1.0, 0.7)
 
 
 class TestAitSahaliaDrift:
     def test_exponents(self):
-        _, cert = ait_sahalia_drift(1.0, 1.0, 1.0, 1.0, 3.0, 1.5)
+        _, cert = as_drift(1.0, 1.0, 1.0, 1.0, 3.0, 1.5)
         assert cert.alpha == pytest.approx(3.0, rel=1e-14)
         assert cert.q == pytest.approx(5.0, rel=1e-14)
         assert cert.theta == cert.alpha
 
     def test_step_bound(self):
-        _, cert = ait_sahalia_drift(1.0, 1.0, 1.0, 1.0, 3.0, 1.5)
+        _, cert = as_drift(1.0, 1.0, 1.0, 1.0, 3.0, 1.5)
         # 4 (rho-1) b4 (rho+1) / (b3^2 rho^2) with b3 = b4 = 0.5
         assert cert.h0 == pytest.approx(40.0 / 9.0, rel=1e-12)
 
     def test_coefficient_mapping_bitwise(self):
         a_m1, a0, a1, a2, r, rho = 4.0, 3.0, 2.0, 1.0, 4.0, 1.5
-        drift, cert = ait_sahalia_drift(a_m1, a0, a1, a2, r, rho)
+        drift, cert = as_drift(a_m1, a0, a1, a2, r, rho)
         b1, b2, b3, b4 = (rho - 1) * a2, (rho - 1) * a1, (rho - 1) * a0, (rho - 1) * a_m1
         alpha = (r - rho) / (rho - 1)
         e3, e4 = rho / (rho - 1), (rho + 1) / (rho - 1)
@@ -95,13 +93,13 @@ class TestAitSahaliaDrift:
 
     def test_constraint_boundary(self):
         with pytest.raises(ParameterError, match="min\\(2, rho\\) \\+ 1"):
-            ait_sahalia_drift(1.0, 1.0, 1.0, 1.0, 2.4, 1.5)
+            as_drift(1.0, 1.0, 1.0, 1.0, 2.4, 1.5)
         with pytest.raises(ParameterError, match="2\\*rho"):
-            ait_sahalia_drift(1.0, 1.0, 1.0, 1.0, 3.0, 2.1)
+            as_drift(1.0, 1.0, 1.0, 1.0, 3.0, 2.1)
         with pytest.raises(ParameterError, match="rho"):
-            ait_sahalia_drift(1.0, 1.0, 1.0, 1.0, 3.0, 0.9)
+            as_drift(1.0, 1.0, 1.0, 1.0, 3.0, 0.9)
         with pytest.raises(ParameterError, match="a0"):
-            ait_sahalia_drift(1.0, -1.0, 1.0, 1.0, 3.0, 1.5)
+            as_drift(1.0, -1.0, 1.0, 1.0, 3.0, 1.5)
 
 
 class TestCertificate:

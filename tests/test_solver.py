@@ -14,9 +14,7 @@ from fbmsde.drifts import (
     AitSahaliaModel,
     DriftFn,
     MeanRevertingModel,
-    ait_sahalia_drift,
     lamperti_inverse,
-    mean_reverting_drift,
 )
 from fbmsde.errors import (
     IntegrationError,
@@ -33,10 +31,17 @@ from fbmsde.solver import (
     integrate,
 )
 
-from oracles import cir_implicit_root, implicit_step, interpolate, ode_trajectory
+from oracles import (
+    as_drift,
+    cir_implicit_root,
+    implicit_step,
+    interpolate,
+    mr_drift,
+    ode_trajectory,
+)
 
 SEED = 20260809
-CIR_DRIFT = mean_reverting_drift(1.0, 1.0, 0.5)[0]
+CIR_DRIFT = mr_drift(1.0, 1.0, 0.5)[0]
 TIGHT = SolverSettings(1e-14, 1e-14)
 
 
@@ -114,13 +119,13 @@ class TestUniqueness:
         for _ in range(100):
             if rng.random() < 0.5:
                 gamma = rng.uniform(0.5, 0.85)
-                drift, cert = mean_reverting_drift(
+                drift, cert = mr_drift(
                     rng.uniform(0.2, 3.0), rng.uniform(-1.0, 3.0), gamma
                 )
             else:
                 rho = rng.uniform(1.2, 2.5)
                 r = max(min(2.0, rho) + 1.0, 2.0 * rho - 1.0) + rng.uniform(0.05, 2.0)
-                drift, cert = ait_sahalia_drift(
+                drift, cert = as_drift(
                     rng.uniform(0.2, 3.0),
                     rng.uniform(0.2, 3.0),
                     rng.uniform(0.2, 3.0),

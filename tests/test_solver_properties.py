@@ -23,7 +23,6 @@ from fbmsde.drifts import (
     AitSahaliaModel,
     DriftFn,
     MeanRevertingModel,
-    mean_reverting_drift,
 )
 from fbmsde.errors import IntegrationError
 from fbmsde.fbm import TimeGrid
@@ -41,6 +40,7 @@ from oracles import (
     implicit_step,
     integrate_stepwise,
     ladder_moduli,
+    mr_drift,
     window_modulus,
 )
 
@@ -58,7 +58,7 @@ AS_MODEL = AitSahaliaModel(
     shifts=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
 )
 def test_batched_roots_match_quadratic_oracle(a1, a2, h_frac, shifts):
-    drift, cert = mean_reverting_drift(a1, a2, 0.5)
+    drift, cert = mr_drift(a1, a2, 0.5)
     h = h_frac * min(cert.h0, 10.0)
     c = np.array(shifts)
     # g = B(x) h - x + c is only resolved to a few ulps of its largest term
