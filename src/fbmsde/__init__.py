@@ -33,7 +33,6 @@ from .errors import (
     NumericalError,
     ParameterError,
     RootBracketError,
-    UsageError,
 )
 from .fbm import (
     CholeskySampler,

@@ -34,7 +34,7 @@ from .convergence import (
     run_strong_error,
 )
 from .drifts import audit_assumptions, lamperti_inverse
-from .errors import ConfigError, FbmsdeError, ParameterError, UsageError
+from .errors import ConfigError, FbmsdeError, ParameterError
 from .fbm import DEFAULT_SAMPLER, SAMPLERS, SEED_LIMIT, TimeGrid, make_sampler, path_values
 from .solver import SchemeConfig, integrate
 
@@ -126,7 +126,7 @@ def _json_text(seed: int, digest: str, payload: dict) -> str:
 def _seed_flag(seed: int | None) -> int | None:
     """``--seed``, checked to lie in the master seed range [0, 2^64) when given."""
     if seed is not None and not 0 <= seed < SEED_LIMIT:
-        raise UsageError(f"--seed must lie in [0, 2^64), got {seed}")
+        raise ParameterError(f"--seed must lie in [0, 2^64), got {seed}")
     return seed
 
 
@@ -163,7 +163,7 @@ def _cmd_fbm(args) -> int:
         "method": args.method,
     }
     if args.paths < 1:
-        raise UsageError(f"--paths must be >= 1, got {args.paths}")
+        raise ParameterError(f"--paths must be >= 1, got {args.paths}")
     seed = params["seed"]
     digest = config_digest(seed, params, {}, {})
     grid = TimeGrid(args.horizon, args.steps)
@@ -426,13 +426,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "threads", 1) < 1:
-            raise UsageError(f"--threads must be >= 1, got {args.threads}")
+            raise ParameterError(f"--threads must be >= 1, got {args.threads}")
         return _DISPATCH[args.command](args)
     except ConfigError as exc:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ParameterError, UsageError) as exc:
+    except ParameterError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except FbmsdeError as exc:

@@ -39,7 +39,7 @@ from typing import Iterable
 import numpy as np
 
 from .drifts import ModelSpec
-from .errors import FbmsdeError, IntegrationError, NumericalError, UsageError, require
+from .errors import FbmsdeError, IntegrationError, NumericalError, ParameterError, require
 from .fbm import DEFAULT_SAMPLER, METHOD_RULE, TimeGrid, make_sampler, mix_seed, subsample
 from .solver import SchemeConfig, SolverSettings, integrate, integrate_blocks
 
@@ -187,7 +187,7 @@ def _log_correction(h: np.ndarray, name: str) -> np.ndarray:
         return np.sqrt(np.log1p(1.0 / h))
     if name == "log":
         return np.log1p(1.0 / h)
-    raise UsageError(f"unknown correction {name!r}")
+    raise ParameterError(f"unknown correction {name!r}")
 
 
 def fit_order(levels: Iterable[tuple[float, float]], correction: str = "none") -> OrderFit:
@@ -199,10 +199,10 @@ def fit_order(levels: Iterable[tuple[float, float]], correction: str = "none") -
     """
     rows = list(levels)
     if len(rows) < 3:
-        raise UsageError(f"order fit needs at least 3 levels, got {len(rows)}")
+        raise ParameterError(f"order fit needs at least 3 levels, got {len(rows)}")
     h, e = np.array(rows, dtype=float).T
     if np.any(e <= 0.0):
-        raise UsageError("order fit requires strictly positive error estimates")
+        raise ParameterError("order fit requires strictly positive error estimates")
     x = np.log(h)
     y = np.log(e / _log_correction(h, correction))
     n = x.size
@@ -554,9 +554,9 @@ class ProbePlan:
     count, the orders, the rung count and the method rule.  The orders are
     checked as floats: 2 and 2.0 are one order, which would fold twice into
     one moment.  ``simulate`` reads these rules too.  The constructor takes
-    ``p_list`` as floats, raises :class:`UsageError` for a broken rule,
-    builds the scheme, which refuses a step that is not admissible
-    (:class:`ParameterError`), and warns when a critical-regime model's
+    ``p_list`` as floats, raises :class:`ParameterError` for a broken rule,
+    builds the scheme, which refuses a step that is not admissible (also
+    :class:`ParameterError`), and warns when a critical-regime model's
     horizon exceeds the window of its largest order, all before any path is
     drawn.
     """
@@ -583,7 +583,7 @@ class ProbePlan:
 
     def __post_init__(self):
         object.__setattr__(self, "p_list", tuple(float(p) for p in self.p_list))
-        require(self.rules, vars(self), UsageError)
+        require(self.rules, vars(self))
         self.scheme()  # the step must be admissible
         cert = self.model.drift()[1]
         if cert.alpha_regime == "critical":

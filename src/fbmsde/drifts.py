@@ -29,7 +29,7 @@ singular coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable
 
@@ -209,9 +209,9 @@ class _LampertiModel:
     ``rules`` holds every parameter rule of the family, the rules here and
     the ``hurst`` rule of :class:`Hurst` included, as the (key, message,
     test) entries of ``errors.broken_rules``.  The constructor and the
-    config's model check read this one table.  The constructor checks it
-    before it builds the drift, and then checks the certificate against
-    ``hurst``.
+    config's model check read this one table.  The constructor stores each
+    field as a float, checks the table before it builds the drift, and then
+    checks the certificate against ``hurst``.
     """
 
     rules = (
@@ -238,6 +238,11 @@ class _LampertiModel:
         return float(self.y0**self.transform_exponent)
 
     def __post_init__(self):
+        # ``drift()`` is cached per model value and names its parameters, and
+        # 1 == 1.0, -0.0 == 0.0: equal models must hold the same floats.
+        # Adding 0.0 folds -0.0 into 0.0 and still refuses a string.
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name) + 0.0))
         require(self.rules, vars(self))
         validate_certificate(self.drift()[1], self.hurst)
 

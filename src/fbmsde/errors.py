@@ -7,6 +7,10 @@ name the keys it reads, a broken rule is reported on ``key``, and
 of them.  The class's constructor raises for the first rule its values
 break (:func:`require`); the config reports every rule a file breaks
 (:func:`broken_rules`), each on its own key.
+
+Every invalid input, a value that breaks a rule or an argument of the wrong
+shape or kind, raises :class:`ParameterError`; a CLI run reports it as a
+validation error with exit code 1.
 """
 
 import inspect
@@ -17,11 +21,12 @@ class FbmsdeError(Exception):
 
 
 class ParameterError(FbmsdeError, ValueError):
-    """A model, grid, or scheme parameter violates its admissible range."""
+    """An invalid input value or argument.
 
-
-class UsageError(FbmsdeError, ValueError):
-    """An operation was called with structurally invalid inputs."""
+    Either a value outside its admissible range, or an argument of the wrong
+    shape or kind, such as a noise array of the wrong size or an order fit
+    over fewer than three levels.
+    """
 
 
 class NumericalError(FbmsdeError, ArithmeticError):
@@ -101,7 +106,7 @@ def broken_rules(rules, values: dict) -> list[str]:
     return broken
 
 
-def require(rules, values: dict, error: type[FbmsdeError] = ParameterError) -> None:
-    """Raise ``error`` for the first rule of ``rules`` that ``values`` break."""
+def require(rules, values: dict) -> None:
+    """Raise :class:`ParameterError` for the first rule of ``rules`` that ``values`` break."""
     if broken := broken_rules(rules, values):
-        raise error(broken[0])
+        raise ParameterError(broken[0])

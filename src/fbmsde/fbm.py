@@ -49,7 +49,7 @@ from .errors import (
     EmbeddingError,
     FactorizationError,
     NumericalError,
-    UsageError,
+    ParameterError,
     require,
 )
 
@@ -129,9 +129,9 @@ def mix_seed(master_seed: int, path_index: int) -> int:
     parallel batch generation deterministic.
     """
     if not 0 <= int(master_seed) < SEED_LIMIT:
-        raise UsageError(f"master seed must lie in [0, 2^64), got {master_seed}")
+        raise ParameterError(f"master seed must lie in [0, 2^64), got {master_seed}")
     if path_index < 0:
-        raise UsageError(f"path_index must be nonnegative, got {path_index}")
+        raise ParameterError(f"path_index must be nonnegative, got {path_index}")
     z = (int(master_seed) + (int(path_index) + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
@@ -466,7 +466,7 @@ def make_sampler(
     method: str, hurst: Hurst | float, grid: TimeGrid
 ) -> CholeskySampler | CirculantSampler:
     """The fBM sampler that ``SAMPLERS`` names ``method``."""
-    require((METHOD_RULE,), {"method": method}, UsageError)
+    require((METHOD_RULE,), {"method": method})
     return SAMPLERS[method](hurst, grid)
 
 
@@ -496,9 +496,9 @@ def subsample(increments: np.ndarray, factor: int) -> np.ndarray:
     factor = int(factor)
     n = increments.shape[-1]
     if factor < 1:
-        raise UsageError(f"subsample factor must be >= 1, got {factor}")
+        raise ParameterError(f"subsample factor must be >= 1, got {factor}")
     if n % factor != 0:
-        raise UsageError(f"subsample factor {factor} does not divide {n} increments")
+        raise ParameterError(f"subsample factor {factor} does not divide {n} increments")
     if factor == 1:
         return increments
     return _read_only(increments.reshape(increments.shape[:-1] + (-1, factor)).sum(axis=-1))

@@ -64,7 +64,6 @@ from .errors import (
     NumericalError,
     ParameterError,
     RootBracketError,
-    UsageError,
     require,
 )
 from .fbm import TimeGrid
@@ -525,7 +524,7 @@ def integrate_blocks(
     noise = np.asarray(noise, dtype=float)
     drift, solver, steps, h = scheme.drift, scheme.solver, scheme.grid.steps, scheme.grid.h
     if noise.ndim not in (1, 2) or noise.shape[-1] != steps:
-        raise UsageError(
+        raise ParameterError(
             f"noise must have shape ({steps},) or (paths, {steps}), got shape {noise.shape}"
         )
     batch = noise.reshape(-1, steps)

@@ -7,9 +7,15 @@ For each mutant (or only those named), the tree is copied into a temporary
 directory, the mutant is applied there, and tier-1 runs on the copy without
 ``tests/test_golden.py``: the goldens fail on any moved output byte, and the
 sweep asks whether the other tests would still stand guard once they are
-re-recorded.  The script prints the tests that failed under each mutant and
-exits 1 if any mutant survives (no test failed), 2 if a mutant no longer
-applies to the source or pytest itself fails, and 0 otherwise.  A surviving mutant calls for a test
+re-recorded.  ``tests/test_mutants.py``, which fails on any mutated tree by
+design, is left out too.  Before any mutant, the same run is made on an
+unmutated copy: a mutant counts as killed when a test fails, so on a tree
+whose tests already fail every mutant would.
+
+The script prints the tests that failed under each mutant and exits 1 if
+any mutant survives (no test failed); 2 if the unmutated copy fails (its
+failing tests are printed), a mutant no longer applies to the source, or
+pytest itself fails; and 0 otherwise.  A surviving mutant calls for a test
 that kills it, never for a change to the mutant.
 
 This file is not collected by pytest: its name does not match ``test_*.py``.
@@ -116,21 +122,28 @@ MUTANTS = [
     ("log-newton-off", "solver.py",
      "                x * np.exp(np.arcsinh(gx) * np.hypot(1.0, gx) / (-x * slope)),",
      "                np.inf,"),
+    # a model keeps ints and -0.0 as given, so equal models can name their
+    # shared cached drift differently
+    ("model-fields-as-given", "drifts.py",
+     "            object.__setattr__(self, f.name, float(getattr(self, f.name) + 0.0))",
+     "            object.__setattr__(self, f.name, getattr(self, f.name))"),
 ]
 
 
-def _apply(tree: Path, file: str, line: str, mutant: str) -> None:
-    """Replace the one source line equal to ``line`` with ``mutant``."""
-    path = tree / "src" / "fbmsde" / file
-    lines = path.read_text().split("\n")
+def mutated(source: str, line: str, mutant: str) -> str:
+    """``source`` with its one line equal to ``line`` replaced by ``mutant``."""
+    lines = source.split("\n")
     hits = [i for i, text in enumerate(lines) if text == line]
     if len(hits) != 1:
-        raise LookupError(f"{file}: {len(hits)} lines equal {line.strip()!r}")
-    if mutant:
-        lines[hits[0]] = mutant
-    else:
-        del lines[hits[0]]
-    path.write_text("\n".join(lines))
+        raise LookupError(f"{len(hits)} lines equal {line.strip()!r}")
+    lines[hits[0]:hits[0] + 1] = [mutant] if mutant else []
+    return "\n".join(lines)
+
+
+def _apply(tree: Path, file: str, line: str, mutant: str) -> None:
+    """Replace the one line of ``file`` equal to ``line`` with ``mutant``."""
+    path = tree / "src" / "fbmsde" / file
+    path.write_text(mutated(path.read_text(), line, mutant))
 
 
 def _failed_tests(tree: Path) -> tuple[int | None, list[str]]:
@@ -143,7 +156,8 @@ def _failed_tests(tree: Path) -> tuple[int | None, list[str]]:
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-             "--continue-on-collection-errors", "--ignore=tests/test_golden.py"],
+             "--continue-on-collection-errors", "--ignore=tests/test_golden.py",
+             "--ignore=tests/test_mutants.py"],
             cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
             capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
         )
@@ -165,6 +179,16 @@ def main(names: list[str]) -> int:
         return 2
     survivors, stale = [], []
     with tempfile.TemporaryDirectory(prefix="fbmsde-mutants-") as scratch:
+        tree = Path(scratch) / "unmutated"
+        shutil.copytree(REPO, tree, ignore=shutil.ignore_patterns(*SKIPPED))
+        start = time.monotonic()
+        code, failed = _failed_tests(tree)
+        if code != 0:
+            print(f"unmutated tree: pytest exited {code}; no mutant can be judged")
+            print("".join(f"    {test}\n" for test in failed), end="", flush=True)
+            return 2
+        print(f"unmutated tree: passed ({time.monotonic() - start:.0f} s)", flush=True)
+        shutil.rmtree(tree)
         for name, file, line, mutant in chosen:
             tree = Path(scratch) / name
             shutil.copytree(REPO, tree, ignore=shutil.ignore_patterns(*SKIPPED))

@@ -50,7 +50,7 @@ from fbmsde.drifts import (
     ModelSpec,
     _positive_power,
 )
-from fbmsde.errors import ParameterError, UsageError
+from fbmsde.errors import ParameterError
 from fbmsde.fbm import CirculantSampler, Hurst, TimeGrid, as_hurst, mix_seed
 from fbmsde.solver import SchemeConfig, SolverSettings, _solve
 
@@ -149,15 +149,15 @@ def empirical_increment_moment(
     """
     paths = list(paths)
     if len(paths) < 2:
-        raise UsageError("empirical_increment_moment requires at least two paths")
+        raise ParameterError("empirical_increment_moment requires at least two paths")
     if p < 1.0:
-        raise UsageError(f"moment order p must be >= 1, got {p}")
+        raise ParameterError(f"moment order p must be >= 1, got {p}")
     if len({np.shape(path) for path in paths}) > 1:
-        raise UsageError("all paths must share the same grid")
+        raise ParameterError("all paths must share the same grid")
     steps = len(paths[0]) - 1
     lag = int(lag)
     if not (1 <= lag <= steps):
-        raise UsageError(f"lag must lie in [1, {steps}], got {lag}")
+        raise ParameterError(f"lag must lie in [1, {steps}], got {lag}")
     stacked = np.stack(paths)
     diffs = stacked[:, lag:] - stacked[:, :-lag]
     return float(np.mean(np.abs(diffs) ** p))

@@ -21,7 +21,7 @@ import fbmsde.cli as cli
 from fbmsde.config import COMMAND_KEYS, parse_config
 from fbmsde.convergence import ExperimentPlan, ProbePlan
 from fbmsde.drifts import MODELS
-from fbmsde.errors import ConfigError, ParameterError, UsageError
+from fbmsde.errors import ConfigError, ParameterError
 from fbmsde.fbm import METHOD_RULE, TimeGrid, make_sampler
 from fbmsde.solver import SolverSettings
 
@@ -427,7 +427,7 @@ def test_each_broken_rule_is_one_error_with_the_constructors_text(family, index)
         values = {k: v for keys in COMMAND_KEYS[command].values() for k, v in keys.items()}
         for name in ("scheme", "experiment"):
             values.update(cfg.get(name, {}))
-        with pytest.raises((ParameterError, UsageError)) as excinfo:
+        with pytest.raises(ParameterError) as excinfo:
             build(values)
         assert f"$.{expected.split('.')[1]}.{excinfo.value}" == expected
         return

@@ -35,7 +35,7 @@ from fbmsde.convergence import (
     run_strong_error,
 )
 from fbmsde.drifts import AitSahaliaModel, MeanRevertingModel
-from fbmsde.errors import IntegrationError, ParameterError, UsageError
+from fbmsde.errors import IntegrationError, ParameterError
 from fbmsde.fbm import CirculantSampler, Hurst, TimeGrid, make_sampler
 from fbmsde.solver import SchemeConfig, integrate, integrate_blocks
 
@@ -81,11 +81,11 @@ class TestFitOrder:
         assert abs(fit_order(rows, "none").slope) <= 1e-13
 
     def test_usage_errors(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             fit_order([(0.1, 1.0), (0.05, 0.5)], "none")
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             fit_order([(0.1, 1.0), (0.05, 0.5), (0.025, 0.0)], "none")
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             fit_order([(0.1, 1.0)] * 3, "cube_log")
 
 
@@ -118,6 +118,26 @@ class TestPlanValidation:
     def test_moment_order_must_be_finite(self, p):
         with pytest.raises(ParameterError, match="finite"):
             small_plan(p=p)
+
+    def test_both_plans_refuse_a_broken_rule_alike(self):
+        # one rule, one error type and one message, whichever plan checks it
+        builds = (
+            lambda horizon=1.0, method="circulant": ExperimentPlan(
+                MR_MODEL, horizon, 2.0, 2, 4, 7, 4, 7, method=method),
+            lambda horizon=1.0, method="circulant": ProbePlan(
+                MR_MODEL, horizon, 16, 2, [2.0], 1, method=method),
+        )
+        method_text = "method: must be 'circulant' or 'cholesky', got 'fft'"
+        for build in builds:
+            with pytest.raises(ParameterError) as excinfo:
+                build(horizon=-1.0)
+            assert str(excinfo.value) == "horizon: must be a finite number > 0, got -1.0"
+            with pytest.raises(ParameterError) as excinfo:
+                build(method="fft")
+            assert str(excinfo.value) == method_text
+        with pytest.raises(ParameterError) as excinfo:
+            make_sampler("fft", 0.7, TimeGrid(1.0, 16))
+        assert str(excinfo.value) == method_text
 
     def test_critical_regime_warns_on_long_horizon(self):
         cir = MeanRevertingModel(1.0, 1.0, 0.5, 0.5, 1.0, 0.7)
@@ -484,29 +504,29 @@ class TestMomentProbe:
             moment_probe(ProbePlan(cir, 1.0, 64, 4, [4.0], 1))
 
     def test_usage_errors(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             moment_probe(ProbePlan(AS_MODEL, 1.0, 64, 4, [], 1))
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             moment_probe(ProbePlan(AS_MODEL, 1.0, 64, 4, [-1.0], 1))
         # a NaN order once gave a NaN moment, an infinite one an inf or 0
         for p in (math.nan, math.inf):
-            with pytest.raises(UsageError, match="finite"):
+            with pytest.raises(ParameterError, match="finite"):
                 moment_probe(ProbePlan(AS_MODEL, 1.0, 64, 4, [2.0, p], 1))
         # a repeated order would fold twice into one moment
-        with pytest.raises(UsageError, match="duplicate order 2.0"):
+        with pytest.raises(ParameterError, match="duplicate order 2.0"):
             moment_probe(ProbePlan(AS_MODEL, 1.0, 64, 4, [2, 4.0, 2.0], 1))
 
     def test_rung_count_below_one_is_refused(self):
         # the probe is handed the requested count and clamps it itself
         for rungs in (0, -3):
-            with pytest.raises(UsageError, match=f"ladder_rungs: .*got {rungs}"):
+            with pytest.raises(ParameterError, match=f"ladder_rungs: .*got {rungs}"):
                 moment_probe(ProbePlan(AS_MODEL, 1.0, 64, 4, [2.0], 1, ladder_rungs=rungs))
         plan = ProbePlan(AS_MODEL, 1.0, 2, 4, [2.0], 1, ladder_rungs=6)
         assert moment_probe(plan).modulus_ratios == ()
 
     def test_unknown_method_is_refused_by_the_plan(self):
         # refused where the plan is built, before any sampler is made
-        with pytest.raises(UsageError, match="^method: must be 'circulant' or 'cholesky'"):
+        with pytest.raises(ParameterError, match="^method: must be 'circulant' or 'cholesky'"):
             ProbePlan(AS_MODEL, 1.0, 16, 2, [2.0], 1, method="fft")
 
 

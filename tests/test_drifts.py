@@ -194,6 +194,15 @@ class TestModelSpecs:
     def test_drift_cached(self):
         assert MR_MODEL.drift()[0] is MR_MODEL.drift()[0]
 
+    def test_fields_are_stored_as_floats(self):
+        # the drift is cached per model value, and 3 == 3.0 and -0.0 == 0.0, so
+        # an equal model built with other numbers must not name this drift
+        model = MeanRevertingModel(3, -0.0, 0.7, 0.5, 1, 0.7)
+        assert model.drift()[0].name == "mean_reverting(a1=3.0, a2=0.0, gamma=0.7)"
+        for spec in (model, AitSahaliaModel(1, 1, 1, 1, 3, 1.5, 0.5, 1, 0.7)):
+            for field in dataclasses.fields(spec):
+                assert type(getattr(spec, field.name)) is float, field.name
+
 
 class TestAudit:
     def test_mean_reverting_passes(self):

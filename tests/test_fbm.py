@@ -10,7 +10,6 @@ from fbmsde.errors import (
     EmbeddingError,
     FactorizationError,
     ParameterError,
-    UsageError,
 )
 from fbmsde.fbm import (
     PANEL_DOUBLES,
@@ -67,13 +66,13 @@ class TestSeedMixing:
         assert mix_seed(123, 1) == b  # order independent
 
     def test_negative_index_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             mix_seed(1, -1)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_master_seed_outside_the_64_bit_range_rejected(self, seed):
         # the mix works mod 2^64, so such a seed would alias another one
-        with pytest.raises(UsageError, match=r"\[0, 2\^64\)"):
+        with pytest.raises(ParameterError, match=r"\[0, 2\^64\)"):
             mix_seed(seed, 0)
 
 
@@ -271,7 +270,7 @@ def test_one_shot_functions_match_samplers():
 
 
 def test_make_sampler_rejects_unknown_method():
-    with pytest.raises(UsageError):
+    with pytest.raises(ParameterError):
         make_sampler("hosking", 0.7, TimeGrid(1.0, 16))
 
 
@@ -449,9 +448,9 @@ class TestSubsample:
         assert np.all(np.abs(via_two - direct) <= bound)
 
     def test_non_divisor_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             subsample(self.path, 3)
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             subsample(self.path, 0)
 
 
@@ -486,16 +485,16 @@ class TestIncrementMoments:
 
     def test_usage_errors(self):
         paths = self.make_paths(m=2, steps=8)
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             empirical_increment_moment([], 2.0, 1)
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             empirical_increment_moment(paths[:1], 2.0, 1)
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             empirical_increment_moment(paths, 0.5, 1)
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             empirical_increment_moment(paths, 2.0, 9)
         other = path_values(CirculantSampler(Hurst(0.7), TimeGrid(1.0, 16)).sample(1, 0))
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             empirical_increment_moment([paths[0], other], 2.0, 1)
 
 
@@ -550,8 +549,8 @@ class TestFailureModes:
 
     def test_block_sums_validates(self):
         # block sums are taken by subsample, which checks the factor first
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             subsample(np.arange(6.0), 4)
         # the last axis of a batch is the one coarsened
-        with pytest.raises(UsageError, match="does not divide 6 increments"):
+        with pytest.raises(ParameterError, match="does not divide 6 increments"):
             subsample(np.arange(12.0).reshape(2, 6), 4)

@@ -21,7 +21,6 @@ from fbmsde.errors import (
     NumericalError,
     ParameterError,
     RootBracketError,
-    UsageError,
 )
 from fbmsde.fbm import CirculantSampler, Hurst, TimeGrid
 from fbmsde.solver import (
@@ -257,7 +256,7 @@ class TestIntegrate:
 
     def test_noise_length_mismatch(self):
         config = SchemeConfig(CIR_DRIFT, TimeGrid(1.0, 4), sigma=1.0, x0=1.0)
-        with pytest.raises(UsageError):
+        with pytest.raises(ParameterError):
             integrate(config, np.zeros(5))
 
     def test_failure_annotated_with_step_index(self):
