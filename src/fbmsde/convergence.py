@@ -252,7 +252,11 @@ def _draw_chunk(
 
 
 def _raise_first_failure(failures: dict, start: int) -> None:
-    """Abort on the lowest failed row of a chunk starting at path ``start``."""
+    """Abort on the lowest failed row of a chunk starting at path ``start``.
+
+    The solver records a failed path and never raises it; this is the one
+    place where a recorded failure becomes an exception.
+    """
     if failures:
         row = min(failures)
         err = failures[row]

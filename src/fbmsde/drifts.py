@@ -63,9 +63,11 @@ _AUDIT_SEED = 7
 class DriftFn:
     """A drift B with closed-form first and second derivatives.
 
-    The callables accept positive floats or numpy arrays.  Raw callables may
-    be used directly in tests; the model constructors below produce audited
-    instances.
+    The callables accept positive floats or numpy arrays.  ``value`` maps an
+    array to an array of the same shape, which the solver indexes row by
+    row; the derivatives may return anything that broadcasts against it.
+    Raw callables may be used directly in tests; the model constructors
+    below produce audited instances.
     """
 
     value: Callable
@@ -101,20 +103,6 @@ class AssumptionCertificate:
             raise ParameterError(f"h0 must be positive, got {self.h0}")
         if not self.alpha > 0.0:
             raise ParameterError(f"alpha must be positive, got {self.alpha}")
-
-
-def validate_certificate(cert: AssumptionCertificate, hurst: float) -> None:
-    """Check the singularity exponent against the configured Hurst parameter.
-
-    The positivity theory requires ``alpha > 1/H - 1``; violating it is a hard
-    error because nothing downstream is trustworthy without it.
-    """
-    bound = 1.0 / hurst - 1.0
-    if not cert.alpha > bound:
-        raise ParameterError(
-            f"singularity exponent alpha={cert.alpha:.6g} must exceed "
-            f"1/H - 1 = {bound:.6g} for H={hurst}"
-        )
 
 
 def _cert_grid(drift: DriftFn, alpha: float, p1: float, q: float) -> np.ndarray:
@@ -210,8 +198,11 @@ class _LampertiModel:
     the ``hurst`` rule of :class:`Hurst` included, as the (key, message,
     test) entries of ``errors.broken_rules``.  The constructor and the
     config's model check read this one table.  The constructor stores each
-    field as a float, checks the table before it builds the drift, and then
-    checks the certificate against ``hurst``.
+    field as a float, checks the table, and then builds the drift and its
+    certificate, so a certificate that cannot be built refuses the model.
+    The positivity theory's ``alpha > 1/H - 1`` needs no check of its own:
+    the table already gives alpha >= 1 (gamma >= 1/2, and r + 1 > 2 rho),
+    and H > 1/2 gives 1/H - 1 < 1.
     """
 
     rules = (
@@ -244,7 +235,7 @@ class _LampertiModel:
         for f in fields(self):
             object.__setattr__(self, f.name, float(getattr(self, f.name) + 0.0))
         require(self.rules, vars(self))
-        validate_certificate(self.drift()[1], self.hurst)
+        self.drift()
 
 
 @dataclass(frozen=True)

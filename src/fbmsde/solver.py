@@ -16,6 +16,10 @@ the time grid, sigma, x0 and the root-solver settings.
 place that checks h < h0, and h < 1/K when K > 0.  :func:`integrate` and
 :func:`integrate_blocks` take a scheme and the noise, and no drift of their
 own, so a step is never taken with a drift the scheme was not checked for.
+Their input is always a batch, noise of shape (paths, steps), and a path
+whose step fails is always recorded, never raised: it is frozen at that step
+and filed in a ``failures`` dict while the other paths go on.  A caller that
+must stop on a failure raises it itself.
 
 One kernel solves that equation for a whole array of paths at once.  Every
 row starts Newton from the explicit Euler predictor c + B(X_n) h, floored at
@@ -48,7 +52,8 @@ where any row fails a test are kept; that step is replayed through the
 kernel from the kept nodes.  Every output is therefore bit for bit what one
 kernel solve per step gives.  :func:`integrate_blocks` streams the grid in
 time blocks, carrying the solver's state from one to the next, and
-:func:`integrate` is its one block that spans the grid.
+:func:`integrate` is its one block that spans the grid, with the solver's
+records.
 """
 
 from __future__ import annotations
@@ -163,18 +168,19 @@ class SchemeConfig:
 
 @dataclass(frozen=True, eq=False)
 class SolutionPath:
-    """Discrete trajectories of the scheme plus per-step solver records.
+    """Discrete trajectories of a batch of paths plus per-step solver records.
 
-    For one path ``values`` has length steps + 1 with values[0] = x0 and
-    every node strictly positive; ``residuals[n]`` and ``iterations[n]``
-    describe the root solve that produced values[n + 1].  ``iterations``
-    has the smallest unsigned dtype that holds the solver's ``max_iter``
-    (one byte at the default 200).  For a batch the
-    arrays gain a leading path axis.  ``failures`` maps the row of each
-    batch path whose integration failed to its :class:`IntegrationError`;
-    such a row is frozen at the failing step, and its later nodes and
-    residuals are NaN and its later iteration counts 0.  Immutable after
-    construction; compares and hashes by identity.
+    Every array has a leading path axis.  ``values`` has shape
+    (paths, steps + 1) with values[:, 0] = x0 and every node of a path that
+    did not fail strictly positive; ``residuals[i, n]`` and
+    ``iterations[i, n]`` describe the root solve that produced
+    values[i, n + 1].  ``iterations`` has the smallest unsigned dtype that
+    holds the solver's ``max_iter`` (one byte at the default 200).
+    ``failures`` maps the row of each path whose integration failed to its
+    :class:`IntegrationError`, which names the failing step; such a row is
+    frozen at that step, and its later nodes and residuals are NaN and its
+    later iteration counts 0.  Immutable after construction; compares and
+    hashes by identity.
     """
 
     values: np.ndarray
@@ -240,8 +246,6 @@ def _solve(drift, h, c, solver, hb):
     all_newton = False
     for k in range(max_iter + 1):
         hx = value(x) * h
-        if not isinstance(hx, np.ndarray):  # a drift that returned a scalar
-            hx = np.full(x.shape, hx)
         gx = hx - x + cc
         agx = np.abs(gx)
         reject = retry = None
@@ -451,30 +455,26 @@ def _common_steps(drift, h, solver, x, hb, dsigma, rec):
 
 
 def integrate(scheme: SchemeConfig, noise: np.ndarray) -> SolutionPath:
-    """Run the backward Euler recursion of ``scheme`` for one path or a batch.
+    """Run the backward Euler recursion of ``scheme`` for a batch of paths.
 
-    ``noise`` holds the driving increments dB_1..dB_N (unscaled; the noise
-    intensity comes from ``scheme.sigma``), shape ``(steps,)`` for one path
-    or ``(paths, steps)`` for a batch, on ``scheme.grid``.  One path is the
-    batch of one: a failed step raises :class:`IntegrationError`.  In a batch
-    a failed path is frozen and recorded in ``failures`` while the other
-    paths go on.  The step size is not checked here: the scheme carries its
-    drift, and :meth:`SchemeConfig.for_model` builds only admissible schemes.
-    A pure function of its arguments, row by row: a path's trajectory is bit
-    for bit the same in any batch.  This is the one block of
-    :func:`integrate_blocks` that spans the grid.
+    ``noise`` holds the driving increments dB_1..dB_N of each path (unscaled;
+    the noise intensity comes from ``scheme.sigma``), shape ``(paths,
+    steps)`` on ``scheme.grid``; any other shape raises
+    :class:`ParameterError`.  A path whose step fails is frozen and recorded
+    in the result's ``failures`` while the other paths go on; no path's
+    failure is raised.  The step size is not checked here: the scheme
+    carries its drift, and :meth:`SchemeConfig.for_model` builds only
+    admissible schemes.  A pure function of its arguments, row by row: a
+    path's trajectory is bit for bit the same in any batch, a batch of one
+    included.  This is the one block of :func:`integrate_blocks` that spans
+    the grid, with records.
     """
-    noise = np.asarray(noise, dtype=float)
     failures: dict[int, IntegrationError] = {}
     [(_, values, residuals, iters)] = integrate_blocks(
         scheme, noise, scheme.grid.steps, failures, records=True
     )
     for arr in (values, residuals, iters):
         arr.setflags(write=False)
-    if noise.ndim == 1:
-        if failures:
-            raise failures[0]
-        values, residuals, iters = values[0], residuals[0], iters[0]
     return SolutionPath(values, residuals, iters, failures)
 
 
@@ -488,13 +488,15 @@ def integrate_blocks(
 ):
     """Run the backward Euler recursion of ``scheme`` over its grid in time blocks.
 
-    ``noise`` is as for :func:`integrate`, and as there the step size is not
-    checked: the scheme carries its drift, checked by
-    :meth:`SchemeConfig.for_model`.  Yields ``(first, values)`` for each block of ``block`` steps
-    (the last may be shorter), with a leading path axis: ``values`` holds nodes
-    first..first+B.  With ``records`` it yields ``(first, values, residuals,
-    iterations)``, where ``residuals`` and ``iterations`` describe the
-    solves of steps first..first+B-1 as in :class:`SolutionPath`.  A row
+    ``noise`` is as for :func:`integrate`, shape ``(paths, steps)``; any
+    other shape raises :class:`ParameterError` when the first block is
+    requested.  As there the step size is not checked: the scheme carries
+    its drift, checked by :meth:`SchemeConfig.for_model`.  Yields ``(first,
+    values)`` for each block of ``block`` steps (the last may be shorter),
+    with a leading path axis: ``values`` holds nodes first..first+B.  With
+    ``records`` it yields ``(first, values, residuals, iterations)``, where
+    ``residuals`` and ``iterations`` describe the solves of steps
+    first..first+B-1 as in :class:`SolutionPath`.  A row
     whose integration fails is recorded in ``failures`` (row -> its
     :class:`IntegrationError`, which names the absolute step) and stays in
     place, frozen at the failing step as in :class:`SolutionPath`.  The
@@ -523,12 +525,9 @@ def integrate_blocks(
     """
     noise = np.asarray(noise, dtype=float)
     drift, solver, steps, h = scheme.drift, scheme.solver, scheme.grid.steps, scheme.grid.h
-    if noise.ndim not in (1, 2) or noise.shape[-1] != steps:
-        raise ParameterError(
-            f"noise must have shape ({steps},) or (paths, {steps}), got shape {noise.shape}"
-        )
-    batch = noise.reshape(-1, steps)
-    paths = batch.shape[0]
+    if noise.ndim != 2 or noise.shape[1] != steps:
+        raise ParameterError(f"noise must have shape (paths, {steps}), got shape {noise.shape}")
+    paths = noise.shape[0]
     sigma = scheme.sigma
     # the common-step blocks' rows, allocated before the block arrays: the
     # other order raised the moment probe's peak RSS by about 0.5 MB
@@ -578,7 +577,7 @@ def integrate_blocks(
         while n < steps and x.size:
             if ready:
                 span = min(width, steps - n)
-                dsigma = sigma * batch[live, start + n : start + n + span]
+                dsigma = sigma * noise[live, start + n : start + n + span]
                 rec = scratch[:, :span, : x.size]
                 took = _common_steps(drift, h, solver, x, hb, dsigma, rec)
                 if took:
@@ -601,7 +600,7 @@ def integrate_blocks(
                     wait, gap = gap, 2 * gap
                 ready = False
             # the plain step: one solve of step n through the full kernel
-            c = x + sigma * batch[live, start + n]
+            c = x + sigma * noise[live, start + n]
             x, res, it, errors = _solve(drift, h, c, solver, hb)
             positive = x > 0.0
             if errors or np.count_nonzero(positive) < x.size:

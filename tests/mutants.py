@@ -122,6 +122,10 @@ MUTANTS = [
     ("log-newton-off", "solver.py",
      "                x * np.exp(np.arcsinh(gx) * np.hypot(1.0, gx) / (-x * slope)),",
      "                np.inf,"),
+    # one path of noise, shape (steps,), passes the batch check
+    ("one-path-noise-accepted", "solver.py",
+     "    if noise.ndim != 2 or noise.shape[1] != steps:",
+     "    if noise.ndim > 2 or noise.shape[1] != steps:"),
     # a model keeps ints and -0.0 as given, so equal models can name their
     # shared cached drift differently
     ("model-fields-as-given", "drifts.py",

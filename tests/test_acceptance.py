@@ -163,7 +163,7 @@ def test_criterion_4_positivity_sweep():
             drift, TimeGrid(1.0, steps), sigma=model.sigma_x, x0=model.x0
         )
         noise = np.stack([sampler.sample(SEED, i) for i in range(paths)])
-        # a batch records a lost path instead of raising as the batch of one does
+        # a lost path is recorded in failures, never raised
         sol = integrate(config, noise)
         assert sol.failures == {}
         total_steps = sol.iterations.size

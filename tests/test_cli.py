@@ -996,24 +996,30 @@ class TestCli:
         assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize(
-        "command, overrides, layers",
+        "command, overrides, layers, solver_steps",
         [
             (
                 ["simulate", "--out", "sim.csv"],
                 {"scheme": {"steps": 16}, "experiment": {"paths": 2}},
                 {"solver", "fbm.sample", "drifts.lamperti_inverse"},
+                2 * 16,
             ),
             (
                 ["converge", "--out-dir", ".", "--threads", "1"],
                 {"experiment": {"paths": 4, "k_min": 3, "k_max": 5, "k_ref": 8}},
                 {"convergence", "solver", "fbm.sample", "fbm.subsample"},
+                None,
             ),
         ],
         ids=["simulate", "converge"],
     )
-    def test_traced_benchmark_child_runs(self, tmp_path, command, overrides, layers):
+    def test_traced_benchmark_child_runs(
+        self, tmp_path, command, overrides, layers, solver_steps
+    ):
         # the traced child wraps module attributes by name, so a renamed or
-        # removed one crashes the benchmark
+        # removed one crashes the benchmark; it counts a solver span's steps
+        # from the iteration records of what the wrapped call returns, so
+        # simulate's spans must count every path-step
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config_text(**overrides))
         stats = tmp_path / "stats.json"
@@ -1028,7 +1034,10 @@ class TestCli:
             env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         )
         assert proc.returncode == 0, proc.stderr
-        assert layers <= {span[1] for span in json.loads(stats.read_text())["spans"]}
+        spans = json.loads(stats.read_text())["spans"]
+        assert layers <= {span[1] for span in spans}
+        if solver_steps is not None:
+            assert sum(span[5][0] for span in spans if span[1] == "solver") == solver_steps
 
     def test_verify_assumptions(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

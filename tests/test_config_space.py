@@ -10,6 +10,7 @@ converge bytes for any pool size.
 import contextlib
 import io
 import json
+import math
 import re
 import warnings
 
@@ -108,6 +109,30 @@ def ait_sahalia(draw):
         "y0": draw(_decades(-3, 3)),
         "hurst": draw(st.floats(0.55, 0.95)),
     }
+
+
+# H = nextafter(0.5, 1) puts 1/H - 1 at 1 - 4.4e-16.  At the rules' edges,
+# mean-reverting at gamma = 1/2 has alpha = 1, and Ait-Sahalia with r at the
+# smallest float its rules accept has alpha = 1 + 2.2e-16 (rho = 2.336): the
+# smallest margins an edge search over both families found.
+EDGE_HURST = math.nextafter(0.5, 1.0)
+MR_EDGE = {"model": "mean_reverting", "a1": 1.0, "a2": 1.0, "gamma": 0.5,
+           "sigma": 0.5, "y0": 1.0, "hurst": EDGE_HURST}
+AS_EDGE = {"model": "ait_sahalia", "a_m1": 1.0, "a0": 1.0, "a1": 1.0, "a2": 1.0,
+           "r": 3.672, "rho": 2.336, "sigma": 0.5, "y0": 1.0, "hurst": EDGE_HURST}
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.one_of(MEAN_REVERTING, ait_sahalia()))
+@example(model=MR_EDGE)
+@example(model=AS_EDGE)
+def test_rules_give_alpha_above_the_hurst_bound(model):
+    # the positivity theory needs alpha > 1/H - 1, and no model that passes
+    # its family's rules breaks it: gamma >= 1/2 and r + 1 > 2 rho give
+    # alpha >= 1, and H > 1/2 gives 1/H - 1 < 1
+    params = dict(model)
+    spec = MODELS[params.pop("model")](**params)
+    assert spec.drift()[1].alpha >= 1.0 > 1.0 / spec.hurst - 1.0
 
 
 def _reject_constant(constant):

@@ -156,7 +156,7 @@ class TestSupErrors:
     def test_self_comparison_is_zero(self):
         drift = MR_MODEL.drift()[0]
         steps = 64
-        noise = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps)).sample(1, 0)
+        noise = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps)).sample(1, range(1))
         sol = integrate(
             SchemeConfig(drift, TimeGrid(1.0, steps), sigma=MR_MODEL.sigma_x, x0=1.0),
             noise,

@@ -14,7 +14,6 @@ from fbmsde.drifts import (
     MeanRevertingModel,
     audit_assumptions,
     lamperti_inverse,
-    validate_certificate,
 )
 from fbmsde.errors import ParameterError
 
@@ -40,7 +39,7 @@ class TestMeanRevertingDrift:
     def test_alpha_against_hurst(self):
         _, cert = mr_drift(1.0, 1.0, 0.7)
         assert cert.alpha == pytest.approx(7.0 / 3.0, rel=1e-14)
-        validate_certificate(cert, 0.7)  # alpha = 7/3 > 1/0.7 - 1 = 3/7
+        assert cert.alpha > 1.0 / 0.7 - 1.0  # 7/3 > 3/7
 
     def test_lipschitz_constant_is_linear_coefficient(self):
         drift, cert = mr_drift(1.0, 1.0, 0.7)
@@ -110,16 +109,6 @@ class TestCertificate:
                 q=1.0, h3=1.0, p1=0.0, p2=3.0, c_h2=1.0, h0=1.0,
                 alpha_regime="standard",
             )
-
-    def test_hurst_constraint_is_hard(self):
-        cert = AssumptionCertificate(
-            K=0.0, alpha=0.4, x1=1.0, h1_min=0.5, theta=0.4, h4=1.0,
-            q=1.0, h3=1.0, p1=0.0, p2=3.0, c_h2=1.0, h0=1.0,
-            alpha_regime="standard",
-        )
-        validate_certificate(cert, 0.9)  # 1/0.9 - 1 = 0.111 < 0.4
-        with pytest.raises(ParameterError, match="alpha"):
-            validate_certificate(cert, 0.6)  # 1/0.6 - 1 = 0.667 > 0.4
 
 
 MR_MODEL = MeanRevertingModel(a1=1.0, a2=1.0, gamma=0.7, sigma=0.5, y0=1.0, hurst=0.7)

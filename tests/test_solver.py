@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+import re
 import typing
 
 import numpy as np
@@ -28,6 +29,7 @@ from fbmsde.solver import (
     SolverSettings,
     _solve,
     integrate,
+    integrate_blocks,
 )
 
 from oracles import (
@@ -79,7 +81,8 @@ class TestImplicitStep:
     def test_bracket_failure_reports_interval(self):
         # strictly negative drift: B(x) h - x + c < 0 for c < 0, no positive root
         drift = DriftFn(
-            lambda x: -1.0, lambda x: 0.0, lambda x: 0.0, "constant_negative"
+            lambda x: np.full_like(x, -1.0), lambda x: 0.0, lambda x: 0.0,
+            "constant_negative",
         )
         with pytest.raises(RootBracketError) as excinfo:
             implicit_step(drift, 0.5, -1.0)
@@ -88,7 +91,7 @@ class TestImplicitStep:
 
     def test_nan_drift_raises_numerical_error(self):
         drift = DriftFn(
-            lambda x: math.nan, lambda x: 0.0, lambda x: 0.0, "nan_drift"
+            lambda x: np.full_like(x, math.nan), lambda x: 0.0, lambda x: 0.0, "nan_drift"
         )
         with pytest.raises(NumericalError):
             implicit_step(drift, 0.1, 1.0)
@@ -147,8 +150,9 @@ AS_MODEL = AitSahaliaModel(
 
 
 def make_solution(steps=64, seed=3, sigma=0.15, x0=1.0, model=MR_MODEL):
+    """A batch of one path."""
     drift = model.drift()[0]
-    noise = CirculantSampler(Hurst(model.hurst), TimeGrid(1.0, steps)).sample(seed, 0)
+    noise = CirculantSampler(Hurst(model.hurst), TimeGrid(1.0, steps)).sample(seed, range(1))
     config = SchemeConfig(drift, TimeGrid(1.0, steps), sigma=sigma, x0=x0)
     return integrate(config, noise)
 
@@ -157,7 +161,7 @@ class TestIntegrate:
     def test_equilibrium_is_fixed_point(self):
         # B(1) = 0 for the square-root family with a1 = a2
         config = SchemeConfig(CIR_DRIFT, TimeGrid(1.0, 64), sigma=1.0, x0=1.0)
-        sol = integrate(config, np.zeros(64))
+        sol = integrate(config, np.zeros((1, 64)))
         assert np.max(np.abs(sol.values - 1.0)) <= 1e-10
 
     @pytest.mark.parametrize(
@@ -167,11 +171,11 @@ class TestIntegrate:
         drift = MR_MODEL.drift()[0]
         steps = 128
         config = SchemeConfig(drift, TimeGrid(1.0, steps), sigma=1.0, x0=x0)
-        sol = integrate(config, np.zeros(steps))
-        diffs = np.diff(sol.values)
+        [values] = integrate(config, np.zeros((1, steps))).values
+        diffs = np.diff(values)
         assert np.all(diffs < 0) if x0 > 1.0 else np.all(diffs > 0)
         oracle = ode_trajectory(drift.value, x0, 1.0, steps)
-        assert np.max(np.abs(sol.values - oracle)) <= bound
+        assert np.max(np.abs(values - oracle)) <= bound
 
     def test_positivity_under_violent_noise(self):
         model = AitSahaliaModel(
@@ -184,13 +188,13 @@ class TestIntegrate:
         config = SchemeConfig(
             drift, TimeGrid(1.0, steps), sigma=model.sigma_x, x0=model.x0
         )
-        for i in range(50):
-            sol = integrate(config, sampler.sample(41, i))
-            assert sol.values.min() > 0.0
+        sol = integrate(config, sampler.sample(41, range(50)))
+        assert not sol.failures
+        assert sol.values.min() > 0.0
 
     def test_residual_bound_recorded(self):
         sol = make_solution()
-        bound = 1e-12 + 1e-12 * sol.values[1:]
+        bound = 1e-12 + 1e-12 * sol.values[:, 1:]
         assert np.all(np.abs(sol.residuals) <= bound)
         assert np.all(sol.iterations >= 0)
 
@@ -210,7 +214,7 @@ class TestIntegrate:
         # K = 0 drift: trajectories from different starts never separate
         drift = MR_MODEL.drift()[0]
         steps = 128
-        noise = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps)).sample(5, 0)
+        noise = CirculantSampler(Hurst(0.7), TimeGrid(1.0, steps)).sample(5, range(1))
         config_a = SchemeConfig(drift, TimeGrid(1.0, steps), sigma=0.15, x0=1.5)
         config_b = SchemeConfig(drift, TimeGrid(1.0, steps), sigma=0.15, x0=1.0)
         sol_a = integrate(config_a, noise)
@@ -255,21 +259,36 @@ class TestIntegrate:
         assert SchemeConfig.for_model(model, TimeGrid(1.0, 3)).grid.steps == 3
 
     def test_noise_length_mismatch(self):
+        # only a (paths, 4) batch fits a 4-step grid: one path of 4 steps is
+        # refused too, since as a batch of one it is (1, 4)
         config = SchemeConfig(CIR_DRIFT, TimeGrid(1.0, 4), sigma=1.0, x0=1.0)
-        with pytest.raises(ParameterError):
-            integrate(config, np.zeros(5))
+        for shape in [(5,), (4,), (1, 5), (2, 1, 4)]:
+            message = re.escape(f"noise must have shape (paths, 4), got shape {shape}")
+            with pytest.raises(ParameterError, match=message):
+                integrate(config, np.zeros(shape))
+            with pytest.raises(ParameterError, match=message):
+                next(integrate_blocks(config, np.zeros(shape), 2, {}))
 
     def test_failure_annotated_with_step_index(self):
         def capped(x):
-            return 1.0 / x if x < 5.0 else math.nan
+            return np.where(x < 5.0, 1.0 / x, math.nan)
 
         drift = DriftFn(capped, lambda x: -1.0 / x**2, lambda x: 2.0 / x**3, "capped")
         config = SchemeConfig(drift, TimeGrid(0.03, 3), sigma=1.0, x0=1.0)
-        # step 1 shifts c, and so the root above it, into the NaN region
-        noise = np.array([0.0, 4.0, 0.0])
-        with pytest.raises(IntegrationError) as excinfo:
-            integrate(config, noise)
-        assert excinfo.value.step == 1
+        # step 1 shifts c, and so the root above it, into the NaN region; the
+        # failure is recorded, not raised
+        noise = np.array([[0.0, 4.0, 0.0]])
+        sol = integrate(config, noise)
+        [(row, err)] = sol.failures.items()
+        assert (row, err.step) == (0, 1)
+        assert isinstance(err, IntegrationError)
+        assert str(err) == (
+            "implicit step failed at step 1: drift evaluation produced NaN at "
+            "x=5.009901951359279 inside the bracket"
+        )
+        assert isinstance(err.__cause__, NumericalError)
+        assert np.isfinite(sol.values[0, :2]).all() and np.isnan(sol.values[0, 2:]).all()
+        assert sol.iterations[0, 1:].tolist() == [0, 0]
 
     def test_batch_files_a_later_failure_under_its_own_row(self):
         # row 0 fails at step 5 and freezes; row 2 fails at step 10, among
@@ -378,38 +397,36 @@ class TestInterpolation:
     GRID = TimeGrid(1.0, 64)
 
     def test_exact_at_nodes(self):
-        sol = make_solution()
+        [values] = make_solution().values
         times = self.GRID.times
         for n in (0, 1, 31, 63, 64):
-            assert interpolate(self.GRID, sol.values, times[n]) == sol.values[n]
+            assert interpolate(self.GRID, values, times[n]) == values[n]
 
     def test_midpoint_equal_weights(self):
-        sol = make_solution()
+        [values] = make_solution().values
         times = self.GRID.times
         for n in range(self.GRID.steps):
             mid = 0.5 * (times[n] + times[n + 1])
-            assert interpolate(self.GRID, sol.values, mid) == (
-                sol.values[n] + sol.values[n + 1]
-            ) / 2.0
+            assert interpolate(self.GRID, values, mid) == (values[n] + values[n + 1]) / 2.0
 
     def test_affine_in_path_scaling(self):
-        values = make_solution().values
+        [values] = make_solution().values
         t = 0.37
         assert interpolate(self.GRID, values * 2.0, t) == 2.0 * interpolate(
             self.GRID, values, t
         )
 
     def test_domain_errors(self):
-        sol = make_solution()
+        [values] = make_solution().values
         with pytest.raises(ParameterError):
-            interpolate(self.GRID, sol.values, -0.01)
+            interpolate(self.GRID, values, -0.01)
         with pytest.raises(ParameterError):
-            interpolate(self.GRID, sol.values, 1.01)
+            interpolate(self.GRID, values, 1.01)
 
     def test_vectorized_and_callable(self):
-        sol = make_solution()
+        [values] = make_solution().values
         ts = np.linspace(0.0, 1.0, 201)
-        assert interpolate(self.GRID, sol.values, ts).shape == ts.shape
+        assert interpolate(self.GRID, values, ts).shape == ts.shape
 
 
 class TestLampertiInverse:

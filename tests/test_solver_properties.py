@@ -106,10 +106,11 @@ def test_batch_rows_equal_batch_of_one_bitwise(
     batch = integrate(config, noise)
     assert not batch.failures
     for i in range(paths):
-        one = integrate(config, noise[i])
-        assert batch.values[i].tobytes() == one.values.tobytes()
-        assert batch.residuals[i].tobytes() == one.residuals.tobytes()
-        assert batch.iterations[i].tobytes() == one.iterations.tobytes()
+        one = integrate(config, noise[i : i + 1])
+        assert not one.failures
+        assert batch.values[i].tobytes() == one.values[0].tobytes()
+        assert batch.residuals[i].tobytes() == one.residuals[0].tobytes()
+        assert batch.iterations[i].tobytes() == one.iterations[0].tobytes()
     # streamed in time blocks, each solve starts from the same predictor, so
     # the rows are those of the whole run
     block = data.draw(st.integers(1, steps - 1), label="block")
@@ -353,13 +354,17 @@ def test_failed_row_is_recorded_while_the_others_finish(paths, seed, data):
     assert list(sol.failures) == [bad]
     assert sol.failures[bad].step == step
     assert np.all(np.isnan(sol.values[bad, step + 1 :]))
-    with pytest.raises(IntegrationError) as excinfo:
-        integrate(config, noise[bad])
-    assert excinfo.value.step == step
+    # the failed row alone, as a batch of one, records the same failure
+    alone = integrate(config, noise[bad : bad + 1])
+    assert list(alone.failures) == [0]
+    assert isinstance(alone.failures[0], IntegrationError)
+    assert alone.failures[0].step == step
+    assert str(alone.failures[0]) == str(sol.failures[bad])
+    assert alone.values[0].tobytes() == sol.values[bad].tobytes()
     for i in range(paths):
         if i != bad:
-            one = integrate(config, noise[i])
-            assert sol.values[i].tobytes() == one.values.tobytes()
+            one = integrate(config, noise[i : i + 1])
+            assert sol.values[i].tobytes() == one.values[0].tobytes()
     # streamed in time blocks, the failed row stays in place, NaN from the
     # same absolute step on, and the other rows are those of the whole run
     block = data.draw(st.integers(1, 10), label="block")
