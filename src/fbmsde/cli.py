@@ -28,14 +28,14 @@ from .convergence import (
     ExperimentPlan,
     ProbePlan,
     _available_cpus,
-    _chunks,
     _raise_first_failure,
+    map_chunks,
     moment_probe,
     run_strong_error,
 )
 from .drifts import audit_assumptions, lamperti_inverse
 from .errors import ConfigError, FbmsdeError, ParameterError
-from .fbm import DEFAULT_SAMPLER, SAMPLERS, SEED_LIMIT, TimeGrid, make_sampler, path_values
+from .fbm import DEFAULT_SAMPLER, SAMPLERS, SEED_LIMIT, TimeGrid, path_values
 from .solver import SchemeConfig, integrate
 
 EXIT_OK = 0
@@ -167,19 +167,26 @@ def _cmd_fbm(args) -> int:
     seed = params["seed"]
     digest = config_digest(seed, params, {}, {})
     grid = TimeGrid(args.horizon, args.steps)
-    sampler = make_sampler(args.method, args.hurst, grid)
-    nodes = list(map(str, range(args.steps + 1)))
+    # the times first: numpy refuses a grid too large for memory at once,
+    # where the node labels would grow until the process is killed
     times = list(map(repr, grid.times.tolist()))
+    nodes = list(map(str, range(args.steps + 1)))
+    head = _csv_head(seed, digest, ["path_index", "node_index", "time", "value"])
 
-    def pieces():
-        yield _csv_head(seed, digest, ["path_index", "node_index", "time", "value"])
-        # one batch per chunk, so the arrays held are bounded by the chunk
-        for start, stop in _chunks(args.paths, args.steps):
-            values = path_values(sampler.sample(seed, range(start, stop)))
-            for i, row in zip(range(start, stop), values):
-                yield from _path_text(i, nodes, times, map(repr, _items(row)))
+    def paths_text(start: int, values: np.ndarray) -> Iterator[str]:
+        """The CSV rows of one chunk's node values, after the head for the first chunk."""
+        if not start:
+            yield head
+        for i, row in enumerate(values, start):
+            yield from _path_text(i, nodes, times, map(repr, _items(row)))
 
-    _atomic_write(args.out, pieces())
+    # one batch per chunk, each freed with its last row, so the arrays held
+    # are bounded by the chunk
+    chunks = map_chunks(
+        lambda noise, start: path_values(noise), args.method, args.hurst, grid, seed,
+        args.paths,
+    )
+    _atomic_write(args.out, itertools.chain.from_iterable(itertools.starmap(paths_text, chunks)))
     print(f"wrote {args.paths} paths to {args.out}")
     return EXIT_OK
 
@@ -196,40 +203,30 @@ def _cmd_simulate(args) -> int:
     # where the node labels would grow until the process is killed
     times = list(map(repr, scheme.grid.times.tolist()))
     nodes = list(map(str, range(steps + 1)))
+    header = ["path_index", "node_index", "time", "x_value", "y_value", "residual", "iterations"]
+    head = _csv_head(cfg.seed, cfg.digest, header)
 
-    def trajectories(start: int, stop: int) -> Iterator[str]:
-        """The CSV rows of the chunk start..stop-1, drawn and integrated whole.
+    def paths_text(start: int, sol) -> Iterator[str]:
+        """The CSV rows of one chunk's solution, the first of its paths path ``start``.
 
-        The sampler is dropped once the noise is drawn, so kept Cholesky panels
-        are not held while the chunk integrates, the noise once the chunk has
-        integrated, and the solver's arrays when the chunk's last piece has
-        been taken.  The first chunk yields the CSV head once it has
-        integrated, so a run that fails there creates no file.
+        The chunk has integrated before its first row is asked for, so the
+        first chunk yields the CSV head only then, and a run that fails
+        there creates no file.
         """
-        noise = make_sampler(cfg.scheme["method"], model.hurst, scheme.grid).sample(
-            cfg.seed, range(start, stop)
-        )
-        sol = integrate(scheme, noise)
         _raise_first_failure(sol.failures, start)
-        values, residuals, iterations = sol.values, sol.residuals, sol.iterations
-        del noise, sol
         if not start:
-            yield _csv_head(
-                cfg.seed,
-                cfg.digest,
-                ["path_index", "node_index", "time", "x_value", "y_value", "residual", "iterations"],
-            )
+            yield head
         # Only one piece of one path's text, and one path's extended-precision
         # temporaries of the inverse Lamperti map, are held at a time; the
         # columns shared by all paths are formatted once.
-        for i, x in enumerate(values):
+        for i, x in enumerate(sol.values):
             # Residuals are rounding-level values and iteration counts small
             # integers, so few of either are distinct: each distinct value
             # (for residuals each bit pattern, which keeps -0.0 apart from
             # 0.0) is formatted once.
-            keys, residual = np.unique(residuals[i].view(np.int64), return_inverse=True)
+            keys, residual = np.unique(sol.residuals[i].view(np.int64), return_inverse=True)
             residual_text = list(map(repr, keys.view(np.float64).tolist()))
-            keys, count = np.unique(iterations[i], return_inverse=True)
+            keys, count = np.unique(sol.iterations[i], return_inverse=True)
             count_text = list(map(str, keys.tolist()))
             yield from _path_text(
                 start + i,
@@ -241,12 +238,14 @@ def _cmd_simulate(args) -> int:
                 itertools.chain(["0"], map(count_text.__getitem__, _items(count))),
             )
 
-    def pieces():
-        # one chunk of paths at a time, so memory does not grow with --paths
-        for start, stop in _chunks(paths, steps):
-            yield from trajectories(start, stop)
-
-    _atomic_write(out, pieces())
+    # One chunk of paths at a time, so memory does not grow with --paths: a
+    # chunk's noise is freed once it has integrated, and its solution once
+    # its last row is taken, before the next chunk is drawn.
+    chunks = map_chunks(
+        lambda noise, start: integrate(scheme, noise), cfg.scheme["method"], model.hurst,
+        scheme.grid, cfg.seed, paths,
+    )
+    _atomic_write(out, itertools.chain.from_iterable(itertools.starmap(paths_text, chunks)))
     print(f"wrote {paths} trajectories to {out}")
     return EXIT_OK
 

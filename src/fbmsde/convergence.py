@@ -19,13 +19,20 @@ sqrt(log(1 + 1/h)) (positive-power transforms) or log(1 + 1/h)
 
 Everything is deterministic given the plan: paths are seeded by
 ``mix_seed(master_seed, path_index)`` and aggregation folds results in path
-order, so the report is identical for any worker count.  Paths are integrated
-in chunks through the path-batched solver, and the reference in time blocks
-streamed from it: a chunk holds its noise and one block of solver arrays,
-and the sup errors are folded into running maxima block by block.  Chunk
-boundaries depend on the worker count, but the solver never mixes values
-across paths, carries its state from block to block, and max is an exact
-reduction, so neither chunks, blocks nor the worker count move any number.
+order, so the report is identical for any worker count.
+
+Every command that draws fBM paths, the CLI's ``fbm`` and ``simulate``
+included, runs them through one pipeline, :func:`map_chunks`.  It splits the
+paths into chunks, draws each chunk's noise as one batch with a sampler built
+for that chunk alone, runs the command's task on it, in a process pool or one
+chunk at a time, and hands the results back in path order.  The ladder's
+task integrates every level on block sums of the chunk's reference noise and
+streams the reference in time blocks from the path-batched solver: a chunk
+holds its noise and one block of solver arrays, and the sup errors are
+folded into running maxima block by block.  Chunk boundaries depend on the
+worker count, but the solver never mixes values across paths, carries its
+state from block to block, and max is an exact reduction, so neither chunks,
+blocks nor the worker count move any number.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ import math
 import os
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Iterable
+from functools import partial
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -238,17 +246,57 @@ def _chunks(paths: int, steps: int, workers: int = 1) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _draw_chunk(
-    sampler, master_seed: int, start: int, stop: int, factors: Iterable[int]
-) -> dict[int, np.ndarray]:
-    """Increments of paths start..stop-1 coarsened by each block factor.
+def _draw_and_run(task, method, hurst, grid, master_seed, start, stop):
+    """``task(noise, start)`` on the increments of paths start..stop-1, drawn here.
 
     The paths are drawn as one batch, each from its own seed and bitwise as a
-    single draw would be, and coarsened with :func:`subsample`; the result
-    maps each factor to a read-only (paths, steps / factor) array.
+    single draw would be, by a sampler built for this chunk alone and dropped
+    once the noise is drawn, so kept Cholesky panels are not held while the
+    task runs.
     """
-    noise = sampler.sample(master_seed, range(start, stop))
-    return {f: subsample(noise, f) for f in factors}
+    return task(make_sampler(method, hurst, grid).sample(master_seed, range(start, stop)), start)
+
+
+def map_chunks(task, method: str, hurst: float, grid: TimeGrid, master_seed: int,
+               paths: int, workers: int = 1) -> Iterator[tuple[int, object]]:
+    """``(start, task(noise, start))`` for each chunk of paths, in path order.
+
+    The chunks are the ranges of :func:`_chunks` for ``paths`` paths on
+    ``grid``, and ``noise`` is a chunk's read-only (paths, steps) increments
+    (see :func:`_draw_and_run`).  With more than one chunk and ``workers``,
+    capped at :func:`_available_cpus` since more processes than CPUs only add
+    overhead, a process pool draws and runs the chunks, and a worker that
+    dies is a :class:`FbmsdeError`.  Otherwise each chunk is drawn and run
+    only when its result is taken, so a caller that folds each result before
+    taking the next holds one chunk at a time, and one that stops early
+    draws no further chunk.
+    """
+    workers = min(workers, _available_cpus())
+    chunks = _chunks(paths, grid.steps, workers)
+    run = partial(_draw_and_run, task, method, hurst, grid, master_seed)
+    if min(workers, len(chunks)) < 2:
+        yield from ((start, run(start, stop)) for start, stop in chunks)
+        return
+    # imported here: the pool's modules (multiprocessing, socket, logging,
+    # subprocess) would otherwise load into every command.  The samplers'
+    # numpy.random and numpy.fft are imported before the fork, so that the
+    # workers share the parent's pages of them instead of each importing its
+    # own copy on its first draw; a single process imports them on that draw.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    from numpy import fft, random  # noqa: F401
+
+    starts, stops = zip(*chunks)
+    try:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            results = list(pool.map(run, starts, stops))
+    except BrokenProcessPool as exc:
+        raise FbmsdeError(
+            "a worker process died before returning its paths "
+            f"(killed by a signal or out of memory?): {exc}"
+        ) from exc
+    yield from zip(starts, results)
 
 
 def _raise_first_failure(failures: dict, start: int) -> None:
@@ -321,45 +369,43 @@ def _sup_errors(
 
 
 def _ladder_chunk(
-    plan: ExperimentPlan, start: int, stop: int
+    plan: ExperimentPlan, noise: np.ndarray, start: int
 ) -> tuple[np.ndarray, dict[int, tuple]]:
     """Errors of every ladder level against the 2^k_ref reference.
 
-    Covers paths start..stop-1 and returns ``(errors, failures)``.
+    Covers the paths whose reference increments are the rows of ``noise``,
+    the first of them path ``start``, and returns ``(errors, failures)``.
     ``errors`` has shape (len(plan.levels), len(ERROR_KINDS), paths): the
     sup errors of each level against the reference, per kind and path.
     ``failures`` maps each failed row to (path, level, step), naming the
     reference if the row failed there, else its lowest failing level; a
-    failed row's errors are meaningless.  The noise is drawn once at the
-    reference and block-summed to every level.  Each level is integrated
-    once as one batch, and only its nodes are kept; the reference is then
-    integrated in time blocks of about ``BLOCK_PATH_STEPS`` path-steps, a
-    multiple of the coarsest factor so that every block holds a node of
+    failed row's errors are meaningless.  Each level is integrated once as
+    one batch on the noise block-summed to its grid, which is dropped once
+    the level has integrated, and only its nodes are kept; the reference is
+    then integrated in time blocks of about ``BLOCK_PATH_STEPS`` path-steps,
+    a multiple of the coarsest factor so that every block holds a node of
     every level, and each block is folded into the running per-path sup
     errors.
     """
     reference = plan.scheme(plan.k_ref)
-    sampler = make_sampler(plan.method, plan.model.hurst, reference.grid)
-    factors = {k: 2 ** (plan.k_ref - k) for k in (plan.k_ref, *plan.levels)}
-    noise = _draw_chunk(sampler, plan.master_seed, start, stop, factors.values())
+    factors = {k: 2 ** (plan.k_ref - k) for k in plan.levels}
     l_exp = plan.model.inverse_exponent
-    size = stop - start
+    size = len(noise)
     level_failures: dict[int, tuple] = {}
     coarse = []  # every node of every row, per level
     for k in plan.levels:
-        sol = integrate(plan.scheme(k), noise[factors[k]])
+        sol = integrate(plan.scheme(k), subsample(noise, factors[k]))
         for row, err in sol.failures.items():
             level_failures.setdefault(row, (start + row, k, err.step))
         coarse.append(sol.values)
-    ref_noise = noise[factors[plan.k_ref]]
-    # the last level's residuals and iterations and the levels' noise are
-    # never read again: free them before the reference allocates its blocks
-    del sol, noise
+    # the last level's residuals and iterations are never read again: free
+    # them before the reference allocates its blocks
+    del sol
     ref_failures: dict = {}
     errors = np.zeros((len(plan.levels), len(ERROR_KINDS), size))
     coarsest = factors[plan.k_min]
     block = min(max(1, BLOCK_PATH_STEPS // (size * coarsest)) * coarsest, 2**plan.k_ref)
-    blocks = integrate_blocks(reference, ref_noise, block, ref_failures)
+    blocks = integrate_blocks(reference, noise, block, ref_failures)
     # reused by every block and level: the reference's y-values, and the
     # scratch of ``_sup_errors``
     y_buf = np.empty(size * (block + 1))
@@ -413,41 +459,21 @@ def _targets(model: ModelSpec) -> dict:
 def run_strong_error(plan: ExperimentPlan, workers: int = 1) -> ConvergenceReport:
     """Execute the coupled ladder experiment and fit empirical orders.
 
-    Paths are processed in chunks sized for the reference grid, at least
-    one per worker (see :func:`_chunks`), by a process pool when
-    ``workers > 1``; ``workers`` is capped at :func:`_available_cpus`, since
-    more processes than CPUs only add overhead.  Results are folded in path
-    order either way, so the report does not depend on the pool size.
+    Paths are drawn at the reference and run through :func:`_ladder_chunk`
+    in the chunks of :func:`map_chunks`, by a process pool when ``workers``
+    and the chunk count allow it.  Results are folded in path order either
+    way, so the report does not depend on the pool size.
     Failed paths are recorded as (path, level, step) triples and excluded
     from the aggregates, marking the report incomplete; when every path
     fails there is nothing to report and :class:`NumericalError` names the
     failures.
     """
-    workers = min(workers, _available_cpus())
-    starts, stops = zip(*_chunks(plan.paths, 2**plan.k_ref, workers))
-    if workers > 1:
-        # imported here: the pool's modules (multiprocessing, socket, logging,
-        # subprocess) would otherwise load into every command.  The samplers'
-        # numpy.random and numpy.fft are imported before the fork, so that
-        # the workers share the parent's pages of them instead of each
-        # importing its own copy on its first draw; a single process imports
-        # them on that draw.
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        from numpy import fft, random  # noqa: F401
-
-        try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-                chunks = list(pool.map(_ladder_chunk, [plan] * len(starts), starts, stops))
-        except BrokenProcessPool as exc:
-            raise FbmsdeError(
-                "a ladder worker process died before returning its paths "
-                f"(killed by a signal or out of memory?): {exc}"
-            ) from exc
-    else:
-        chunks = list(map(_ladder_chunk, [plan] * len(starts), starts, stops))
-    chunk_errors, chunk_failures = zip(*chunks)
+    # the reference grid is the one ``_ladder_chunk`` integrates on
+    reference = plan.scheme(plan.k_ref).grid
+    task = partial(_ladder_chunk, plan)
+    chunks = map_chunks(task, plan.method, plan.model.hurst, reference, plan.master_seed,
+                        plan.paths, workers)
+    chunk_errors, chunk_failures = zip(*(result for _, result in chunks))
     failures = [by_row[row] for by_row in chunk_failures for row in sorted(by_row)]
     if len(failures) == plan.paths:
         raise NumericalError(
@@ -698,16 +724,13 @@ def moment_probe(plan: ProbePlan) -> MomentProbe:
     """
     model, steps, paths, p_list = plan.model, plan.steps, plan.paths, plan.p_list
     scheme = plan.scheme()
-    sampler = make_sampler(plan.method, model.hurst, scheme.grid)
     rungs = modulus_rungs(plan.ladder_rungs, steps)
     windows = [2**j for j in range(rungs)]
     reach = 2 ** (rungs - 1) if rungs else 0  # widest window, in steps
-    neg = {p: 0.0 for p in p_list}
-    pos = {p: 0.0 for p in p_list}
-    modulus = np.zeros(len(windows))
-    for start, stop in _chunks(paths, steps):
-        size = stop - start
-        noise = sampler.sample(plan.master_seed, range(start, stop))
+
+    def extremes(noise: np.ndarray, start: int) -> tuple:
+        """Each path's minimum, maximum and moduli; the lowest failed path raises."""
+        size = len(noise)
         v_max, v_min = np.full(size, -np.inf), np.full(size, np.inf)
         moduli = np.zeros((size, rungs))
         failures: dict = {}
@@ -718,8 +741,7 @@ def moment_probe(plan: ProbePlan) -> MomentProbe:
         block = min(max(reach, BLOCK_PATH_STEPS // size, 1), steps)
         ext = np.empty((size, reach + block + 1))
         lead = reach  # where this block's extended read starts in ``ext``
-        blocks = integrate_blocks(scheme, noise, block, failures)
-        for _, values in blocks:
+        for _, values in integrate_blocks(scheme, noise, block, failures):
             if failures:
                 continue  # finished only to name the chunk's lowest failed path
             end = reach + values.shape[1]
@@ -730,12 +752,18 @@ def moment_probe(plan: ProbePlan) -> MomentProbe:
             ext[:, :reach] = ext[:, end - 1 - reach : end - 1]
             lead = 0
         _raise_first_failure(failures, start)
+        return v_min, v_max, moduli
+
+    neg = {p: 0.0 for p in p_list}
+    pos = {p: 0.0 for p in p_list}
+    modulus = np.zeros(len(windows))
+    chunks = map_chunks(extremes, plan.method, model.hurst, scheme.grid, plan.master_seed, paths)
+    for _, (v_min, v_max, moduli) in chunks:
         for p in p_list:
             neg[p] = _fold_power(neg[p], v_min, p, "negative")
             pos[p] = _fold_power(pos[p], v_max, p, "positive")
         for row in moduli:
             modulus += row
-        del noise  # free this chunk before the next one is drawn
     for p in p_list:
         neg[p] /= paths
         pos[p] /= paths

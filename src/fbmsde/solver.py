@@ -13,7 +13,8 @@ the scheme positivity preserving.
 A :class:`SchemeConfig` holds everything an integration reads: the drift,
 the time grid, sigma, x0 and the root-solver settings.
 :meth:`SchemeConfig.for_model` builds it from a model's drift and is the one
-place that checks h < h0, and h < 1/K when K > 0.  :func:`integrate` and
+place that checks h < h0; every model's certificate has K h0 <= 1, so that
+check also keeps h below 1/K when K > 0.  :func:`integrate` and
 :func:`integrate_blocks` take a scheme and the noise, and no drift of their
 own, so a step is never taken with a drift the scheme was not checked for.
 Their input is always a batch, noise of shape (paths, steps), and a path
@@ -127,10 +128,11 @@ class SchemeConfig:
     """Everything one integration reads: the drift, the grid, sigma, x0 and the solver.
 
     The implicit step is well posed only while the grid's h stays below the
-    drift certificate's h0, and below 1/K when K > 0.  :meth:`for_model`
-    refuses any other h, so a scheme built for a model carries that model's
-    drift and is admissible by construction.  A scheme built directly from
-    a :class:`DriftFn` is not checked.
+    drift certificate's h0, and below 1/K when K > 0.  A model's certificate
+    has K h0 <= 1, so h < h0 implies both, and :meth:`for_model` refuses any
+    h >= h0: a scheme built for a model carries that model's drift and is
+    admissible by construction.  A scheme built directly from a
+    :class:`DriftFn` is not checked.
     """
 
     rules = (
@@ -152,7 +154,8 @@ class SchemeConfig:
     ) -> SchemeConfig:
         """The scheme for ``model``'s Lamperti-transformed equation on ``grid``.
 
-        Raises :class:`ParameterError` unless h < h0 and, when K > 0, h < 1/K.
+        Raises :class:`ParameterError` unless h < h0, which keeps h below
+        1/K as well, since the certificate has K h0 <= 1.
         """
         drift, cert = model.drift()
         h = grid.h
@@ -161,8 +164,6 @@ class SchemeConfig:
                 f"step size h={h:.6g} must stay below the implicit-step bound "
                 f"h0={cert.h0:.6g} for the unique-positive-root guarantee"
             )
-        if cert.K > 0.0 and not h < 1.0 / cert.K:
-            raise ParameterError(f"step size h={h:.6g} must stay below 1/K={1.0 / cert.K:.6g}")
         return cls(drift, grid, model.sigma_x, model.x0, solver)
 
 

@@ -69,10 +69,12 @@ MUTANTS = [
     ("common-step-tolerance-deleted", "solver.py",
      "    ok &= a1 <= tol",
      ""),
+    # each level draws noise of its own instead of block-summing the reference's
     ("decoupled-ladder", "convergence.py",
-     "    return {f: subsample(noise, f) for f in factors}",
-     "    return {f: subsample(noise if f == 1 else sampler.sample(master_seed ^ f, "
-     "range(start, stop)), f) for f in factors}"),
+     "        sol = integrate(plan.scheme(k), subsample(noise, factors[k]))",
+     "        sol = integrate(plan.scheme(k), subsample(make_sampler(plan.method, "
+     "plan.model.hurst, reference.grid).sample(plan.master_seed ^ factors[k], "
+     "range(start, start + size)), factors[k]))"),
     # the closed form's B' loses its gamma factor on the singular term
     ("mr-deriv-coefficient", "drifts.py",
      "        d1_sing = gamma * a1  # coefficient of x^{-(alpha+1)} in -B'",
@@ -126,6 +128,21 @@ MUTANTS = [
     ("one-path-noise-accepted", "solver.py",
      "    if noise.ndim != 2 or noise.shape[1] != steps:",
      "    if noise.ndim > 2 or noise.shape[1] != steps:"),
+    # the chunk pipeline draws and runs every chunk before handing back the
+    # first, so a run no longer stops at its first failing chunk
+    ("eager-chunks", "convergence.py",
+     "        yield from ((start, run(start, stop)) for start, stop in chunks)",
+     "        yield from [(start, run(start, stop)) for start, stop in chunks]"),
+    # a chunk's sampler, and its kept Cholesky panels, live while its task runs
+    ("sampler-held", "convergence.py",
+     "    return task(make_sampler(method, hurst, grid).sample(master_seed, range(start, stop)), "
+     "start)",
+     "    return task((sampler := make_sampler(method, hurst, grid)).sample(master_seed, "
+     "range(start, stop)), start)"),
+    # the process pool never runs the last chunk
+    ("pool-drops-last-chunk", "convergence.py",
+     "            results = list(pool.map(run, starts, stops))",
+     "            results = list(pool.map(run, starts[:-1], stops[:-1]))"),
     # a model keeps ints and -0.0 as given, so equal models can name their
     # shared cached drift differently
     ("model-fields-as-given", "drifts.py",

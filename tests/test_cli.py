@@ -631,7 +631,7 @@ class TestCli:
         (tmp_path / "sitecustomize.py").write_text(
             "import os\n"
             "import fbmsde.convergence as convergence\n"
-            "def die(plan, start, stop):\n"
+            "def die(plan, noise, start):\n"
             "    os._exit(9)\n"
             "convergence._ladder_chunk = die\n"
             "convergence._available_cpus = lambda: 2\n"
@@ -648,7 +648,7 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         [line] = proc.stderr.splitlines()
         assert line.startswith(
-            "runtime error: a ladder worker process died before returning its paths"
+            "runtime error: a worker process died before returning its paths"
         )
         assert not out_dir.exists()
 
@@ -657,18 +657,21 @@ class TestCli:
         cfg.write_text(
             config_text(experiment={"paths": 4, "k_min": 2, "k_max": 4, "k_ref": 7})
         )
-        draw_chunk = convergence._draw_chunk
+        make_sampler = convergence.make_sampler
 
-        def draw_with_a_nan(sampler, master_seed, start, stop, factors):
-            noise = draw_chunk(sampler, master_seed, start, stop, factors)
-            noise = {factor: increments.copy() for factor, increments in noise.items()}
-            if start <= 2 < stop:
-                # step 96 of the 2^7 reference, the same instant on every grid
-                for increments in noise.values():
-                    increments[2 - start, increments.shape[1] * 96 // 2**7] = np.nan
-            return noise
+        class Sampler:
+            def __init__(self, *args):
+                self.inner = make_sampler(*args)
 
-        monkeypatch.setattr(convergence, "_draw_chunk", draw_with_a_nan)
+            def sample(self, master_seed, paths):
+                noise = self.inner.sample(master_seed, paths).copy()
+                if 2 in paths:
+                    # step 96 of the 2^7 reference, and so of every level's
+                    # block sums: the same instant on every grid
+                    noise[2 - paths.start, 96] = np.nan
+                return noise
+
+        monkeypatch.setattr(convergence, "make_sampler", Sampler)
         out_dir = tmp_path / "o"
         code = run_cli("converge", "--config", str(cfg), "--out-dir", str(out_dir),
                        "--threads", "1")
@@ -733,7 +736,8 @@ class TestCli:
         def refuse(*args, **kwargs):
             raise MemoryError("Unable to allocate 8.00 PiB for an array")
 
-        monkeypatch.setattr(cli, stage, refuse)
+        # the one chunk pipeline builds every command's samplers
+        monkeypatch.setattr(convergence if stage == "make_sampler" else cli, stage, refuse)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config_text(scheme={"steps": 16}, experiment={"paths": 2}))
         out = str(tmp_path / "out.csv")
@@ -745,6 +749,35 @@ class TestCli:
         assert run_cli(command, *argv) == 2
         assert capsys.readouterr().err == (
             "runtime error: out of memory: Unable to allocate 8.00 PiB for an array\n"
+        )
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", ["fbm", "simulate"])
+    def test_grid_too_large_for_memory_fails_before_the_node_labels(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # The grid's times are the first grid-sized array, so numpy refusing
+        # it ends the run at once; building the labels first would grow a
+        # list of 10^10 strings until the process was killed.
+        def refuse(grid):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        def labels(*args):
+            raise AssertionError("node labels built before the grid's times")
+
+        monkeypatch.setattr(TimeGrid, "times", property(refuse))
+        monkeypatch.setattr(cli, "range", labels, raising=False)
+        steps = str(10**10)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config_text(experiment={"paths": 2}))
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "fbm": ["--hurst", "0.7", "--steps", steps, "--out", out],
+            "simulate": ["--config", str(cfg), "--steps", steps, "--out", out],
+        }[command]
+        assert run_cli(command, *argv) == 2
+        assert capsys.readouterr().err == (
+            "runtime error: out of memory: Unable to allocate 74.5 GiB for an array\n"
         )
         assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
@@ -890,27 +923,72 @@ class TestCli:
         assert "pivot 2" in capsys.readouterr().err
         assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
-    def test_simulate_frees_the_sampler_before_integrating(self, tmp_path, monkeypatch):
-        samplers = []
-        alive = []
-        real_make, real_integrate = cli.make_sampler, cli.integrate
+    # Each command's path-chunk pipeline: its argument lines at 5 paths of
+    # 2^7 steps (the converge reference), and the function its chunk task
+    # calls on the drawn noise.
+    CHUNKED = {
+        "fbm": (["--hurst", "0.7", "--steps", "128", "--paths", "5"], cli, "path_values"),
+        "simulate": (["--threads", "1"], cli, "integrate"),
+        "moments": (["--threads", "1"], convergence, "integrate_blocks"),
+        "converge": (["--threads", "1"], convergence, "integrate"),
+    }
 
-        def make_sampler(*args):
-            sampler = real_make(*args)
+    def _run_chunked(self, tmp_path, command, name) -> dict:
+        """Run ``command`` of CHUNKED into ``tmp_path / name``; its files' bytes."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            config_text(
+                scheme={"steps": 128, "method": "cholesky"},
+                experiment={"paths": 5, "k_min": 2, "k_max": 4, "k_ref": 7},
+            )
+        )
+        out = tmp_path / name
+        argv, _, _ = self.CHUNKED[command]
+        where = ["--out", str(out / "fbm.csv")] if command == "fbm" else [
+            "--config", str(cfg), "--out-dir", str(out)
+        ]
+        assert run_cli(command, *argv, *where) in (cli.EXIT_OK, cli.EXIT_BAND)
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    @pytest.mark.parametrize("command", list(CHUNKED))
+    def test_chunks_move_no_output_byte(self, tmp_path, monkeypatch, command):
+        make_sampler = convergence.make_sampler
+        chunks = []
+
+        def counted(*args):
+            chunks.append(args)
+            return make_sampler(*args)
+
+        monkeypatch.setattr(convergence, "make_sampler", counted)
+        whole = self._run_chunked(tmp_path, command, "whole")
+        assert len(chunks) == 1
+        # at most two paths of 2^7 steps per chunk: 5 paths make 3 chunks
+        monkeypatch.setattr(convergence, "CHUNK_PATH_STEPS", 2 * 128)
+        chunks.clear()
+        assert self._run_chunked(tmp_path, command, "chunked") == whole
+        assert len(chunks) == 3
+
+    @pytest.mark.parametrize("command", list(CHUNKED))
+    def test_no_sampler_is_alive_while_its_chunk_runs(self, tmp_path, monkeypatch, command):
+        _, owner, task = self.CHUNKED[command]
+        make_sampler, run_task = convergence.make_sampler, getattr(owner, task)
+        samplers, alive = [], []
+
+        def tracked(*args):
+            sampler = make_sampler(*args)
             samplers.append(weakref.ref(sampler))
             return sampler
 
-        def integrate(*args, **kwargs):
+        def traced(*args, **kwargs):
             alive.append(samplers[-1]() is not None)
-            return real_integrate(*args, **kwargs)
+            return run_task(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "make_sampler", make_sampler)
-        monkeypatch.setattr(cli, "integrate", integrate)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(config_text(scheme={"steps": 300, "method": "cholesky"}))
-        out = tmp_path / "sim.csv"
-        assert run_cli("simulate", "--config", str(cfg), "--paths", "2", "--out", str(out)) == 0
-        assert alive == [False]
+        monkeypatch.setattr(convergence, "make_sampler", tracked)
+        monkeypatch.setattr(owner, task, traced)
+        # two paths per chunk, so each command builds three samplers
+        monkeypatch.setattr(convergence, "CHUNK_PATH_STEPS", 2 * 128)
+        self._run_chunked(tmp_path, command, "out")
+        assert len(samplers) == 3 and alive and not any(alive)
 
     def test_moments_rejects_a_repeated_order(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

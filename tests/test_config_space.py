@@ -135,6 +135,27 @@ def test_rules_give_alpha_above_the_hurst_bound(model):
     assert spec.drift()[1].alpha >= 1.0 > 1.0 / spec.hurst - 1.0
 
 
+# K h0 = 1 - 1.1e-13, and K h0 = 1 - 7.2e-8 with b2 = (rho - 1) a1 nearly 0,
+# where K comes within b2 of the non-singular part's peak 1/h0
+MR_STIFF = {"model": "mean_reverting", "a1": 1.0, "a2": -1.0, "gamma": 0.7,
+            "sigma": 0.5, "y0": 1.0, "hurst": 0.7}
+AS_TINY_A1 = {"model": "ait_sahalia", "a_m1": 0.1083, "a0": 5.599, "a1": 5.08e-14,
+              "a2": 0.7345, "r": 5.2112, "rho": 2.519, "sigma": 0.5, "y0": 1.0, "hurst": 0.7}
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.one_of(MEAN_REVERTING, ait_sahalia()))
+@example(model=MR_STIFF)
+@example(model=AS_TINY_A1)
+def test_certificate_step_bound_keeps_h_below_one_over_k(model):
+    # SchemeConfig.for_model checks only h < h0: with K h0 <= 1 every such h
+    # is below 1/K too.  Mean-reverting has K <= -a2 (1 - gamma) = 1/h0 when
+    # a2 < 0 and K = 0 otherwise; Ait-Sahalia has K <= sup B' <= 1/h0 - b2.
+    params = dict(model)
+    cert = MODELS[params.pop("model")](**params).drift()[1]
+    assert cert.K == 0.0 or (cert.K * cert.h0 <= 1.0 and cert.h0 <= 1.0 / cert.K)
+
+
 def _reject_constant(constant):
     raise AssertionError(f"non-JSON constant {constant} in output")
 

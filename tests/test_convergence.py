@@ -1,6 +1,7 @@
 """Order fitting, coupled ladders, moment probes."""
 
 import concurrent.futures
+import functools
 import math
 import multiprocessing
 import os
@@ -24,7 +25,6 @@ from fbmsde.convergence import (
     ProbePlan,
     _bootstrap_stderr,
     _chunks,
-    _draw_chunk,
     _monotone_trend,
     _raise_first_failure,
     _sup_errors,
@@ -36,7 +36,7 @@ from fbmsde.convergence import (
 )
 from fbmsde.drifts import AitSahaliaModel, MeanRevertingModel
 from fbmsde.errors import IntegrationError, ParameterError
-from fbmsde.fbm import CirculantSampler, Hurst, TimeGrid, make_sampler
+from fbmsde.fbm import CirculantSampler, Hurst, TimeGrid, make_sampler, subsample
 from fbmsde.solver import SchemeConfig, integrate, integrate_blocks
 
 from oracles import ode_trajectory
@@ -193,11 +193,13 @@ def test_chunk_draw_temporaries_do_not_grow_with_the_chunk():
     def excess(paths):
         tracemalloc.start()
         try:
-            noise = _draw_chunk(sampler, 5, 0, paths, factors)
+            noise = sampler.sample(5, range(paths))
+            # subsample returns the noise itself for factor 1
+            noise = [subsample(noise, f) for f in factors]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak - sum(increments.nbytes for increments in noise.values())
+        return peak - sum(increments.nbytes for increments in noise)
 
     assert excess(400) - excess(50) < 2**20
 
@@ -260,28 +262,35 @@ def test_ladder_chunk_frees_the_levels_noise_before_the_reference(monkeypatch):
     # reference: blocks of 512 reference steps
     plan = small_plan(k_min=4, k_max=9, k_ref=12, paths=100)
     block = 512
-    draw = convergence._draw_chunk
+    make_sampler_ = convergence.make_sampler
     after_draw = {}
 
-    def traced(*args):
-        noise = draw(*args)
-        after_draw["held"] = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        return noise
+    class Sampler:
+        def __init__(self, *args):
+            self.inner = make_sampler_(*args)
 
-    monkeypatch.setattr(convergence, "_draw_chunk", traced)
+        def sample(self, *args):
+            noise = self.inner.sample(*args)
+            after_draw["held"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            return noise
+
+    monkeypatch.setattr(convergence, "make_sampler", Sampler)
     tracemalloc.start()
     try:
-        convergence._ladder_chunk(plan, 0, plan.paths)
+        [(_, chunk)] = convergence.map_chunks(
+            functools.partial(convergence._ladder_chunk, plan), plan.method,
+            plan.model.hurst, TimeGrid(1.0, 2**plan.k_ref), plan.master_seed, plan.paths,
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # in units of one reference block's nodes, beyond what the draw left
     # held: the levels' nodes (1.98), the reference's block buffers and the
-    # solves' temporaries, less the levels' noise (1.97) freed before the
-    # reference starts, measured 4.8; with the levels' noise held to the
-    # chunk's end, 6.8
-    assert peak - after_draw["held"] < 5.6 * plan.paths * (block + 1) * 8
+    # solves' temporaries, with each level's block-summed noise (1.97 in all)
+    # freed once the level has integrated, measured 6.4; with the levels'
+    # noise held to the chunk's end, 8.4
+    assert peak - after_draw["held"] < 7.4 * plan.paths * (block + 1) * 8
 
 
 _WORKER_IMPORTS = r"""
@@ -290,15 +299,23 @@ import fbmsde.convergence as convergence
 from fbmsde.convergence import ExperimentPlan, run_strong_error
 from fbmsde.drifts import MeanRevertingModel
 
+make_sampler = convergence.make_sampler
 ladder_chunk = convergence._ladder_chunk
+before = set()
 
-def traced(plan, start, stop):
-    before = set(sys.modules)
-    errors, failures = ladder_chunk(plan, start, stop)
+def traced_make(*args):
+    # a chunk's sampler is built in its worker, just before its draw
+    before.clear()
+    before.update(sys.modules)
+    return make_sampler(*args)
+
+def traced(plan, noise, start):
+    errors, failures = ladder_chunk(plan, noise, start)
     line = " ".join([str(os.getpid()), *sorted(set(sys.modules) - before)])
     os.write(1, f"{line}\n".encode())  # one write: the workers share the pipe
     return errors, failures
 
+convergence.make_sampler = traced_make
 convergence._ladder_chunk = traced
 convergence._available_cpus = lambda: 2
 model = MeanRevertingModel(a1=1.0, a2=1.0, gamma=0.7, sigma=0.5, y0=1.0, hurst=0.7)
@@ -460,8 +477,8 @@ class TestVerdict:
     def test_report_carries_a_failed_trend(self, monkeypatch):
         # every path's error grows as the grid refines: two inversions in
         # three levels, with no spread to hide them
-        def rising(plan, start, stop):
-            shape = (len(plan.levels), len(ERROR_KINDS), stop - start)
+        def rising(plan, noise, start):
+            shape = (len(plan.levels), len(ERROR_KINDS), len(noise))
             growth = np.arange(1.0, len(plan.levels) + 1.0)[:, None, None]
             return np.broadcast_to(growth, shape).copy(), {}
 

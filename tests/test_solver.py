@@ -1,6 +1,5 @@
 """Implicit-step root solver and backward Euler integration."""
 
-import dataclasses
 import inspect
 import math
 import re
@@ -243,20 +242,6 @@ class TestIntegrate:
             assert scheme.drift is model.drift()[0]
             assert scheme.grid is grid
             assert (scheme.sigma, scheme.x0) == (model.sigma_x, model.x0)
-
-    def test_step_bound_one_over_k_enforced(self, monkeypatch):
-        # a certificate whose 1/K = 0.5 binds below its h0 = 1/0.3
-        model = MeanRevertingModel(a1=1.0, a2=-1.0, gamma=0.7, sigma=0.5, y0=1.0, hurst=0.7)
-        drift, cert = model.drift()
-        stiff = dataclasses.replace(cert, K=2.0)
-        monkeypatch.setattr(MeanRevertingModel, "drift", lambda self: (drift, stiff))
-        for steps in (1, 2):
-            with pytest.raises(ParameterError) as excinfo:
-                SchemeConfig.for_model(model, TimeGrid(1.0, steps))
-            assert str(excinfo.value) == (
-                f"step size h={1.0 / steps:.6g} must stay below 1/K=0.5"
-            )
-        assert SchemeConfig.for_model(model, TimeGrid(1.0, 3)).grid.steps == 3
 
     def test_noise_length_mismatch(self):
         # only a (paths, 4) batch fits a 4-step grid: one path of 4 steps is

@@ -187,20 +187,23 @@ def test_per_path_errors_do_not_depend_on_chunk_size(monkeypatch):
 def _draw_with_nans(monkeypatch, steps: dict[int, int]) -> None:
     """Make each path of ``steps`` fail at the given step of the 2^8 reference.
 
-    The NaN goes in at the same instant on every grid of the ladder.
+    The NaN goes into the reference increment, so every level's block sum
+    over it is NaN too, at the same instant on every grid of the ladder.
     """
-    draw_chunk = convergence._draw_chunk
+    make_sampler = convergence.make_sampler
 
-    def draw(sampler, master_seed, start, stop, factors):
-        noise = draw_chunk(sampler, master_seed, start, stop, factors)
-        noise = {factor: increments.copy() for factor, increments in noise.items()}
-        for path, step in steps.items():
-            if start <= path < stop:
-                for increments in noise.values():
-                    increments[path - start, increments.shape[1] * step // 2**8] = np.nan
-        return noise
+    class Sampler:
+        def __init__(self, *args):
+            self.inner = make_sampler(*args)
 
-    monkeypatch.setattr(convergence, "_draw_chunk", draw)
+        def sample(self, master_seed, paths):
+            noise = self.inner.sample(master_seed, paths).copy()
+            for path, step in steps.items():
+                if path in paths:
+                    noise[path - paths.start, step] = np.nan
+            return noise
+
+    monkeypatch.setattr(convergence, "make_sampler", Sampler)
 
 
 def test_ladder_drops_only_the_failed_path(monkeypatch):
