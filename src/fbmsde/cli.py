@@ -216,9 +216,9 @@ def _cmd_simulate(args) -> int:
         _raise_first_failure(sol.failures, start)
         if not start:
             yield head
-        # Only one piece of one path's text, and one path's extended-precision
-        # temporaries of the inverse Lamperti map, are held at a time; the
-        # columns shared by all paths are formatted once.
+        # Only one piece of one path's text, and one path's temporaries of
+        # the inverse Lamperti map, are held at a time; the columns shared
+        # by all paths are formatted once.
         for i, x in enumerate(sol.values):
             # Residuals are rounding-level values and iteration counts small
             # integers, so few of either are distinct: each distinct value

@@ -391,22 +391,29 @@ ModelSpec = MeanRevertingModel | AitSahaliaModel
 MODELS = {cls.family: cls for cls in (MeanRevertingModel, AitSahaliaModel)}
 
 
-def _positive_power(arg, exponent, what: str):
-    arr = np.asarray(arg, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{what} must be positive and finite")
-    # extended precision keeps forward/inverse a numerical bijection: forming
-    # 1/m in double would leave m * (1/m) off by an ulp, an error that |log y|
-    # amplifies to several ulps across wide ranges
-    out = np.asarray(arr.astype(np.longdouble) ** exponent, dtype=float)
-    return float(out) if np.ndim(arg) == 0 else out
-
-
 def lamperti_inverse(model: ModelSpec, x):
-    """Map transformed coordinates back: Y = X^{1/m}."""
-    return _positive_power(
-        x, np.longdouble(1.0) / np.longdouble(model.transform_exponent), "x"
-    )
+    """Map transformed coordinates back: Y = X^{1/m}, within 1 ulp of exact.
+
+    Out of float range Y is inf or 0.0, never NaN; a scalar x gives a float.
+    """
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+        raise ParameterError("x must be positive and finite")
+    # 1/m in one double is off by up to half an ulp, which |log X| amplifies
+    # to several ulps of Y.  So 1/m = hi + lo exactly (Dekker 1971), each a
+    # correctly rounded integer ratio (m = a/b, hi = c/d), and
+    # Y = X^hi (1 + lo log X), where |lo log X| < 1e-13 if X^hi is finite.
+    a, b = model.transform_exponent.as_integer_ratio()
+    hi = b / a
+    c, d = hi.as_integer_ratio()
+    lo = (b * d - a * c) / (a * d)
+    p = arr**hi
+    y = np.log(arr)
+    y *= lo
+    # where X^hi overflowed, y keeps its finite log term and the sum is inf
+    np.multiply(y, p, out=y, where=np.isfinite(p))
+    y += p
+    return float(y[0]) if np.ndim(x) == 0 else y
 
 
 # ---------------------------------------------------------------------------

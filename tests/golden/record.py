@@ -14,18 +14,37 @@ pools.  Three cases are failures: a tolerance no residual can meet fails
 every path, so ``converge``, ``simulate`` and ``moments`` exit 2 without
 writing a file.  Each case keeps its exit code and stderr beside its files.
 A change that re-records these files must say which outputs moved and why.
+
+numpy's float64 ``pow``, ``exp``, ``log`` and ``arcsinh`` round some last
+bits differently under each SIMD dispatch target, so the recorder also
+writes the target it ran under to ``dispatch_target.txt`` beside
+``outputs/``.  ``matches`` is the rule an output is held to: its bytes
+where numpy is 2 or later and runs under that target, and otherwise its
+numbers at ``RTOL``/``ATOL`` with the text between them unchanged.  It
+compares one output with a golden file from the command line too:
+
+    python tests/golden/record.py --compare ACTUAL CASE/FILE
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
+import re
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 GOLDEN = Path(__file__).resolve().parent / "outputs"
+TARGET = GOLDEN.parent / "dispatch_target.txt"
+# residuals are rounding-level, hence the absolute floor
+RTOL, ATOL = 1e-9, 1e-11
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
 
 MR = {"model": "mean_reverting", "a1": 1.0, "a2": 1.0, "gamma": 0.7, "sigma": 0.5,
       "y0": 1.0, "hurst": 0.7}
@@ -137,7 +156,46 @@ def run_case(name: str, variant: int, workdir: Path) -> dict[str, bytes]:
     return files
 
 
-def main() -> None:
+def dispatch_target() -> str:
+    """The highest SIMD target numpy dispatches to in this process, e.g. ``X86_V4``.
+
+    ``NPY_DISABLE_CPU_FEATURES`` lowers it as it lowers the dispatch.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy before 2.0
+        from numpy.core import _multiarray_umath as umath
+    features = umath.__cpu_features__
+    enabled = [target for target in umath.__cpu_dispatch__ if features.get(target)]
+    return (enabled or umath.__cpu_baseline__ or ["none"])[-1]
+
+
+def exact_here() -> bool:
+    """Whether outputs must equal the golden bytes here: numpy 2 or later,
+    under the dispatch target the files were recorded under."""
+    return (
+        int(np.__version__.split(".")[0]) >= 2
+        and dispatch_target() == TARGET.read_text().strip()
+    )
+
+
+def close(actual: str, expected: str) -> bool:
+    """Equal text between the numbers, and numbers equal to RTOL/ATOL."""
+    if NUMBER.split(actual) != NUMBER.split(expected):
+        return False
+    a = np.array(NUMBER.findall(actual), dtype=float)
+    e = np.array(NUMBER.findall(expected), dtype=float)
+    return a.shape == e.shape and bool(
+        np.all(np.isclose(a, e, rtol=RTOL, atol=ATOL, equal_nan=True))
+    )
+
+
+def matches(actual: bytes, expected: bytes, exact: bool) -> bool:
+    """The golden rule: equal bytes if ``exact``, else ``close`` text."""
+    return actual == expected if exact else close(actual.decode(), expected.decode())
+
+
+def record() -> None:
     if GOLDEN.exists():
         shutil.rmtree(GOLDEN)
     for name in CASES:
@@ -146,9 +204,29 @@ def main() -> None:
         (GOLDEN / name).mkdir(parents=True)
         for file_name, data in files.items():
             (GOLDEN / name / file_name).write_bytes(data)
+    TARGET.write_text(dispatch_target() + "\n")
     size = sum(f.stat().st_size for f in GOLDEN.rglob("*") if f.is_file())
-    print(f"recorded {len(CASES)} cases, {size} bytes, under {GOLDEN}")
+    print(f"recorded {len(CASES)} cases, {size} bytes, under {GOLDEN} "
+          f"(dispatch target {dispatch_target()})")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Record or compare the golden outputs.")
+    parser.add_argument("--compare", nargs=2, metavar=("ACTUAL", "CASE/FILE"),
+                        help="check one output against a golden file instead of recording")
+    args = parser.parse_args(argv)
+    if args.compare is None:
+        record()
+        return 0
+    actual, golden = args.compare
+    exact = exact_here()
+    rule = "bytes" if exact else f"numbers at rtol {RTOL}, atol {ATOL}"
+    if matches(Path(actual).read_bytes(), (GOLDEN / golden).read_bytes(), exact):
+        print(f"{actual} matches {golden} ({rule})")
+        return 0
+    print(f"{actual} differs from {golden} ({rule})", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

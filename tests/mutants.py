@@ -84,8 +84,8 @@ MUTANTS = [
      "            h3=c_lin if a2 > 0.0 else 0.0,",
      "            h3=0.0,"),
     ("lamperti-forward-exponent", "drifts.py",
-     '        x, np.longdouble(1.0) / np.longdouble(model.transform_exponent), "x"',
-     '        x, np.longdouble(model.transform_exponent), "x"'),
+     "    hi = b / a",
+     "    hi = a / b"),
     # the h0 check's condition never holds, so the check is gone
     ("step-bound-deleted", "solver.py",
      "        if not h < cert.h0:",

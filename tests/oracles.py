@@ -21,7 +21,9 @@ The rest are verification helpers that the package itself does not need:
 * ``mr_drift`` and ``as_drift`` build a model of each family from its drift
   parameters alone and return its drift and certificate.
 * ``lamperti_forward`` maps original coordinates to transformed ones in
-  extended precision, the round-trip partner of ``lamperti_inverse``.
+  extended precision, the round-trip partner of ``lamperti_inverse``, and
+  ``lamperti_inverse_extended`` maps them back in extended precision, the
+  reference that ``lamperti_inverse`` is held to.
 * ``interpolate`` evaluates the piecewise-linear interpolant of node values.
 * ``implicit_step`` solves one implicit step alone, through the solver's
   batched kernel.
@@ -48,7 +50,6 @@ from fbmsde.drifts import (
     DriftFn,
     MeanRevertingModel,
     ModelSpec,
-    _positive_power,
 )
 from fbmsde.errors import ParameterError
 from fbmsde.fbm import CirculantSampler, Hurst, TimeGrid, as_hurst, mix_seed
@@ -181,9 +182,25 @@ def as_drift(
     return AitSahaliaModel(a_m1, a0, a1, a2, r, rho, **_NOISE_FIELDS).drift()
 
 
+def _positive_power(arg, exponent, what: str):
+    """``arg ** exponent`` in extended precision, rounded to float64."""
+    arr = np.asarray(arg, dtype=float)
+    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+        raise ParameterError(f"{what} must be positive and finite")
+    # the long double exponent is off by far less than a double's ulp, so
+    # |log y| cannot amplify its rounding to an ulp of the result
+    out = np.asarray(arr.astype(np.longdouble) ** exponent, dtype=float)
+    return float(out) if np.ndim(arg) == 0 else out
+
+
 def lamperti_forward(model: ModelSpec, y):
     """Map original coordinates to transformed ones: X = Y^m, m = transform exponent."""
     return _positive_power(y, np.longdouble(model.transform_exponent), "y")
+
+
+def lamperti_inverse_extended(model: ModelSpec, x):
+    """Y = X^{1/m} in extended precision, the reference for ``lamperti_inverse``."""
+    return _positive_power(x, np.longdouble(1.0) / np.longdouble(model.transform_exponent), "x")
 
 
 def interpolate(grid: TimeGrid, values: np.ndarray, t):

@@ -873,9 +873,9 @@ class TestCli:
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "sim.csv")) == 0
         # measured 0.07 of the path's text, 1.0 when each path was one piece
         assert measured["held"] < measured["text"] / 4
-        # measured 0.7, set by the path's numeric temporaries (np.unique of the
-        # residuals, lamperti_inverse); 5.7 when the path's list of lines was
-        # joined whole
+        # measured 0.58, set by the path's numeric temporaries (np.unique of the
+        # residuals, lamperti_inverse); 0.67 when lamperti_inverse worked in
+        # long double, 5.7 when the path's list of lines was joined whole
         assert measured["peak"] < 2 * measured["text"]
 
     def test_simulate_failure_in_a_later_chunk_names_its_path(

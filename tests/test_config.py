@@ -14,14 +14,17 @@ key, with the text the class's constructor raises for it.
 """
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 import fbmsde.cli as cli
+from fbmsde import config
 from fbmsde.config import COMMAND_KEYS, parse_config
 from fbmsde.convergence import ExperimentPlan, ProbePlan
 from fbmsde.drifts import MODELS
-from fbmsde.errors import ConfigError, ParameterError
+from fbmsde.errors import ConfigError, ParameterError, reads
 from fbmsde.fbm import METHOD_RULE, TimeGrid, make_sampler
 from fbmsde.solver import SolverSettings
 
@@ -500,3 +503,49 @@ def test_a_rule_reading_a_bad_key_is_not_checked():
     with pytest.raises(ConfigError) as excinfo:
         parse_config(json.dumps({"seed": 1, "model": model}), "verify-assumptions")
     assert excinfo.value.errors == ["$.model.rho: must be a finite number, got 'x'"]
+
+
+DOCS = Path(__file__).resolve().parents[1] / "docs" / "config.md"
+
+
+def _key_table() -> dict[str, list[str]]:
+    """``block.key`` -> the cells of its row in docs/config.md's key table."""
+    rows = {}
+    for line in DOCS.read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if re.fullmatch(r"`(scheme|experiment)\.\w+`", cells[0]):
+            rows[cells[0].strip("`")] = cells[1:]
+    return rows
+
+
+def test_docs_key_table_matches_command_keys():
+    # each subcommand's column: blank where it does not read the key,
+    # "required", or the value the key takes when unset
+    rows = _key_table()
+    commands = ["simulate", "converge", "moments"]
+    expected = {}
+    for index, command in enumerate(commands):
+        for block, keys in COMMAND_KEYS[command].items():
+            for key, default in keys.items():
+                cells = expected.setdefault(f"{block}.{key}", [""] * len(commands))
+                cells[index] = "required" if default is None else f"`{json.dumps(default)}`"
+    assert {name: cells[:-1] for name, cells in rows.items()} == expected
+
+
+def test_docs_key_table_states_each_rule():
+    # A one-key rule's message, less "must be", its article and its "got ..."
+    # tail, stands in the key's valid-values cell; a rule that relates two
+    # keys names the relation the cell shows in code.
+    rules = dict.fromkeys(rule for table in config._RULES.values() for rule in table)
+    for name, cells in _key_table().items():
+        key, cell = name.split(".")[1], cells[-1]
+        stated = [(message, test) for k, message, test in rules if k == key]
+        assert stated, name
+        for message, test in stated:
+            if callable(message):  # its text names the offending value alone
+                continue
+            if reads(test) == (key,):
+                text = re.sub(r"^must be (an? )?", "", message.split(", got")[0])
+                assert text in cell.replace("`", "").replace('"', "'"), (name, text)
+            else:
+                assert re.search(r"`([^`]+)`", cell)[1] in message, (name, message)

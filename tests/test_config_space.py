@@ -15,13 +15,16 @@ import re
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fbmsde.cli as cli
-from fbmsde.drifts import MODELS
+from fbmsde.drifts import MODELS, lamperti_inverse
 from fbmsde.fbm import TimeGrid, make_sampler
 from fbmsde.solver import SchemeConfig, integrate
+
+from oracles import lamperti_inverse_extended
 
 # grids of at most 64 steps: simulate and moments, and the converge reference
 STEPS = 64
@@ -154,6 +157,34 @@ def test_certificate_step_bound_keeps_h_below_one_over_k(model):
     params = dict(model)
     cert = MODELS[params.pop("model")](**params).drift()[1]
     assert cert.K == 0.0 or (cert.K * cert.h0 <= 1.0 and cert.h0 <= 1.0 / cert.K)
+
+
+# 1/m = 20: Y overflows at x = 1e30, where X^hi + X^hi (lo log X) would
+# read inf - inf
+MR_STEEP = {**MR_EDGE, "gamma": 0.95, "hurst": 0.7}
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 63, reason="np.longdouble is a plain double here"
+)
+@settings(max_examples=200, deadline=None)
+@given(model=st.one_of(MEAN_REVERTING, ait_sahalia()), first=st.floats(-7.0, -5.0))
+@example(model=MR_STEEP, first=-6.0)
+@example(model=AS_EDGE, first=-6.0)
+def test_lamperti_inverse_is_within_an_ulp_of_extended_precision(model, first):
+    params = dict(model)
+    spec = MODELS[params.pop("model")](**params)
+    xs = np.append(np.logspace(first, first + 12.0, 241), [1e-30, 1e30])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        y = lamperti_inverse(spec, xs)
+        exact = lamperti_inverse_extended(spec, xs)
+    # out of float range, Y is inf or 0.0 exactly where the exact power is
+    assert not np.isnan(y).any()
+    assert np.array_equal(np.isinf(y), np.isinf(exact))
+    assert np.array_equal(y == 0.0, exact == 0.0)
+    inside = np.isfinite(exact) & (exact > 0.0)
+    assert np.all(np.abs(y[inside] - exact[inside]) <= np.spacing(exact[inside]))
 
 
 def _reject_constant(constant):

@@ -154,6 +154,13 @@ class TestLamperti:
             rt = lamperti_inverse(model, lamperti_forward(model, y))
             assert abs(rt - y) <= 4.0 * math.ulp(y)
 
+    def test_y_out_of_float_range_is_inf_or_zero(self):
+        model = MeanRevertingModel(1.0, 1.0, 0.95, 0.5, 1.0, 0.7)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            ys = lamperti_inverse(model, np.array([1e30, 1e-30, 1.0]))
+        assert ys.tolist() == [math.inf, 0.0, 1.0]
+        assert type(lamperti_inverse(model, 1e-30)) is float
+
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
             lamperti_forward(MR_MODEL, 0.0)
