@@ -1,10 +1,17 @@
 """Command-line entry point.
 
-Subcommands: fbm, simulate, converge, moments, verify-assumptions.  Outputs
-are written atomically (temp file then rename), floats are serialized with
-their shortest round-trip representation, and every output file begins with
-the master seed and a configuration digest, so reruns of the same
-configuration are byte identical regardless of --threads.
+Subcommands: fbm, simulate, converge, moments, verify-assumptions.
+
+Every output file goes through one of three writers: ``_write_paths`` for
+the per-node trajectory CSVs of fbm and simulate, ``_write_table`` for every
+other CSV, and ``_write_json`` for the JSON reports.  A CSV's first line is
+``# master_seed=S config_digest=D`` and a JSON report holds the same two
+values in its ``meta`` block, so each file names the run that wrote it.
+Floats are serialized with their shortest round-trip representation and
+JSON keys are sorted, so reruns of the same configuration are byte
+identical regardless of --threads.  Each file is written atomically, to a
+temp file that replaces it once complete: a run that fails before a file is
+complete leaves no new file, and an existing one keeps its old bytes.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime failure, 3 converge
 order band failed.
@@ -18,7 +25,7 @@ import json
 import os
 import sys
 import tempfile
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -82,11 +89,22 @@ def _csv_head(seed: int, digest: str, header: list[str]) -> str:
     return f"# master_seed={seed} config_digest={digest}\n" + ",".join(header) + "\n"
 
 
-def _csv_text(seed: int, digest: str, header: list[str], rows) -> Iterator[str]:
-    """The CSV's lines, each with its newline, ``rows`` read one at a time."""
-    yield _csv_head(seed, digest, header)
-    for row in rows:
-        yield ",".join(_fmt(v) for v in row) + "\n"
+def _write_table(cfg: RunConfig, name: str, header: list[str], rows: Iterable) -> None:
+    """Write ``rows`` as the CSV ``name`` in the run's output directory, one
+    line of :func:`_fmt` values each, read one at a time."""
+    lines = (",".join(map(_fmt, row)) + "\n" for row in rows)
+    _atomic_write(
+        os.path.join(cfg.io["out_dir"], name),
+        itertools.chain([_csv_head(cfg.seed, cfg.digest, header)], lines),
+    )
+
+
+def _write_json(cfg: RunConfig, name: str, payload: dict) -> None:
+    """Write ``payload`` and its ``meta`` block as the JSON report ``name`` in
+    the run's output directory."""
+    body = {"meta": {"master_seed": cfg.seed, "config_digest": cfg.digest}, **payload}
+    text = json.dumps(body, indent=2, sort_keys=True) + "\n"
+    _atomic_write(os.path.join(cfg.io["out_dir"], name), [text])
 
 
 # Lines per piece of a path's CSV text: about 20 KB, so a path's rows are
@@ -102,25 +120,38 @@ def _items(values: np.ndarray) -> Iterator:
     )
 
 
-def _path_text(index: int, nodes: list[str], times: list[str], *columns) -> Iterator[str]:
-    """One path's CSV rows from its index and columns of formatted values.
+def _write_paths(out: str, head: str, grid: TimeGrid, chunks: Iterable[tuple[int, object]],
+                 columns: Callable[[int, object], Iterator[tuple]]) -> None:
+    """Write the per-node CSV of every path of ``chunks`` to ``out``.
 
-    Each column is an iterable of the path's formatted values, repr of a
-    Python float or str of a Python int, which is what :func:`_fmt` writes
-    for each value.  The rows come in pieces of PATH_TEXT_LINES lines, each
-    line with its newline, so neither the path's text nor its list of lines
-    is held whole; with columns that are read lazily, as ``_items`` gives
-    them, no whole-path list of formatted values is held either.
+    ``chunks`` yields ``(start, result)`` in path order, as :func:`map_chunks`
+    does, and ``columns(start, result)`` yields the value columns of each of
+    the chunk's paths in turn: iterables of formatted values, one per node,
+    repr of a Python float or str of a Python int as :func:`_fmt` writes
+    them.  A row is the path's index, the node's index and time, and the
+    node's values.  ``head`` is written once path 0's columns are produced,
+    so a run that fails in its first chunk creates no file.  The rows go
+    out in pieces of PATH_TEXT_LINES lines, so neither a path's text nor its
+    list of lines is held whole; with columns read lazily, as ``_items``
+    gives them, no whole-path list of formatted values is held either.
     """
-    lines = map(",".join, zip(itertools.repeat(str(index)), nodes, times, *columns))
-    while block := list(itertools.islice(lines, PATH_TEXT_LINES)):
-        yield "\n".join(block) + "\n"
+    # the times first: numpy refuses a grid too large for memory at once,
+    # where the node labels would grow until the process is killed
+    times = list(map(repr, grid.times.tolist()))
+    nodes = list(map(str, range(grid.steps + 1)))
 
+    def chunk_text(start: int, result) -> Iterator[str]:
+        for index, path_columns in enumerate(columns(start, result), start):
+            if not index:
+                yield head
+            rows = zip(itertools.repeat(str(index)), nodes, times, *path_columns)
+            lines = map(",".join, rows)
+            while block := list(itertools.islice(lines, PATH_TEXT_LINES)):
+                yield "\n".join(block) + "\n"
 
-def _json_text(seed: int, digest: str, payload: dict) -> str:
-    body = {"meta": {"master_seed": seed, "config_digest": digest}}
-    body.update(payload)
-    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+    # one generator per chunk, so the chunk's result and its last path's
+    # columns are freed with it, before the next chunk is drawn
+    _atomic_write(out, itertools.chain.from_iterable(itertools.starmap(chunk_text, chunks)))
 
 
 def _seed_flag(seed: int | None) -> int | None:
@@ -165,28 +196,20 @@ def _cmd_fbm(args) -> int:
     if args.paths < 1:
         raise ParameterError(f"--paths must be >= 1, got {args.paths}")
     seed = params["seed"]
-    digest = config_digest(seed, params, {}, {})
+    head = _csv_head(
+        seed, config_digest(seed, params, {}, {}), ["path_index", "node_index", "time", "value"]
+    )
     grid = TimeGrid(args.horizon, args.steps)
-    # the times first: numpy refuses a grid too large for memory at once,
-    # where the node labels would grow until the process is killed
-    times = list(map(repr, grid.times.tolist()))
-    nodes = list(map(str, range(args.steps + 1)))
-    head = _csv_head(seed, digest, ["path_index", "node_index", "time", "value"])
-
-    def paths_text(start: int, values: np.ndarray) -> Iterator[str]:
-        """The CSV rows of one chunk's node values, after the head for the first chunk."""
-        if not start:
-            yield head
-        for i, row in enumerate(values, start):
-            yield from _path_text(i, nodes, times, map(repr, _items(row)))
-
     # one batch per chunk, each freed with its last row, so the arrays held
     # are bounded by the chunk
     chunks = map_chunks(
         lambda noise, start: path_values(noise), args.method, args.hurst, grid, seed,
         args.paths,
     )
-    _atomic_write(args.out, itertools.chain.from_iterable(itertools.starmap(paths_text, chunks)))
+    _write_paths(
+        args.out, head, grid, chunks,
+        lambda start, values: ((map(repr, _items(row)),) for row in values),
+    )
     print(f"wrote {args.paths} paths to {args.out}")
     return EXIT_OK
 
@@ -196,29 +219,16 @@ def _cmd_simulate(args) -> int:
         args, scheme={"steps": args.steps}, experiment={"paths": args.paths}
     )
     model = cfg.model
-    steps, paths = cfg.scheme["steps"], cfg.experiment["paths"]
-    scheme = SchemeConfig.for_model(model, TimeGrid(cfg.scheme["horizon"], steps), cfg.solver)
+    paths = cfg.experiment["paths"]
+    grid = TimeGrid(cfg.scheme["horizon"], cfg.scheme["steps"])
+    scheme = SchemeConfig.for_model(model, grid, cfg.solver)
     out = args.out or os.path.join(cfg.io["out_dir"], "simulate.csv")
-    # the times first: numpy refuses a grid too large for memory at once,
-    # where the node labels would grow until the process is killed
-    times = list(map(repr, scheme.grid.times.tolist()))
-    nodes = list(map(str, range(steps + 1)))
     header = ["path_index", "node_index", "time", "x_value", "y_value", "residual", "iterations"]
-    head = _csv_head(cfg.seed, cfg.digest, header)
 
-    def paths_text(start: int, sol) -> Iterator[str]:
-        """The CSV rows of one chunk's solution, the first of its paths path ``start``.
-
-        The chunk has integrated before its first row is asked for, so the
-        first chunk yields the CSV head only then, and a run that fails
-        there creates no file.
-        """
+    def columns(start: int, sol) -> Iterator[tuple]:
+        """Each path's x, y, residual and iteration columns, the chunk's
+        first failure raised before the first of them."""
         _raise_first_failure(sol.failures, start)
-        if not start:
-            yield head
-        # Only one piece of one path's text, and one path's temporaries of
-        # the inverse Lamperti map, are held at a time; the columns shared
-        # by all paths are formatted once.
         for i, x in enumerate(sol.values):
             # Residuals are rounding-level values and iteration counts small
             # integers, so few of either are distinct: each distinct value
@@ -228,10 +238,7 @@ def _cmd_simulate(args) -> int:
             residual_text = list(map(repr, keys.view(np.float64).tolist()))
             keys, count = np.unique(sol.iterations[i], return_inverse=True)
             count_text = list(map(str, keys.tolist()))
-            yield from _path_text(
-                start + i,
-                nodes,
-                times,
+            yield (
                 map(repr, _items(x)),
                 map(repr, _items(lamperti_inverse(model, x))),
                 itertools.chain(["0.0"], map(residual_text.__getitem__, _items(residual))),
@@ -243,9 +250,9 @@ def _cmd_simulate(args) -> int:
     # its last row is taken, before the next chunk is drawn.
     chunks = map_chunks(
         lambda noise, start: integrate(scheme, noise), cfg.scheme["method"], model.hurst,
-        scheme.grid, cfg.seed, paths,
+        grid, cfg.seed, paths,
     )
-    _atomic_write(out, itertools.chain.from_iterable(itertools.starmap(paths_text, chunks)))
+    _write_paths(out, _csv_head(cfg.seed, cfg.digest, header), grid, chunks, columns)
     print(f"wrote {paths} trajectories to {out}")
     return EXIT_OK
 
@@ -254,37 +261,19 @@ def _cmd_converge(args) -> int:
     cfg = _load_config(args)
     plan = cfg.plan(ExperimentPlan)
     report = run_strong_error(plan, workers=args.threads)
-    out_dir = cfg.io["out_dir"]
-    level_rows = [
+    _write_table(cfg, "levels.csv", ["level", "h", "e_mean", "e_stderr"], (
         (lv.k, lv.h, lv.errors["y_interp"]["e"], lv.errors["y_interp"]["stderr"])
         for lv in report.levels
-    ]
-    _atomic_write(
-        os.path.join(out_dir, "levels.csv"),
-        _csv_text(cfg.seed, cfg.digest, ["level", "h", "e_mean", "e_stderr"], level_rows),
-    )
-    payload = report.to_dict()
+    ))
     if args.keep_paths:
         paths, errors = report.per_path_errors
         # one row per (path, level): the path's four error kinds at that level
-        rows = (
+        _write_table(cfg, "errors.csv", ["path_index", "level", *ERROR_KINDS], (
             (path, k, *by_kind[:, pos].tolist())
             for pos, path in enumerate(paths.tolist())
             for k, by_kind in zip(plan.levels, errors)
-        )
-        _atomic_write(
-            os.path.join(out_dir, "errors.csv"),
-            _csv_text(
-                cfg.seed,
-                cfg.digest,
-                ["path_index", "level", *ERROR_KINDS],
-                rows,
-            ),
-        )
-    _atomic_write(
-        os.path.join(out_dir, "report.json"),
-        [_json_text(cfg.seed, cfg.digest, payload)],
-    )
+        ))
+    _write_json(cfg, "report.json", report.to_dict())
     band = report.order_band
     print(
         f"observed order {band['observed']:.4f} vs target {band['target']:.4f} "
@@ -306,33 +295,12 @@ def _cmd_moments(args) -> int:
     cfg = _load_config(args)
     plan = cfg.plan(ProbePlan)
     probe = moment_probe(plan)
-    out_dir = cfg.io["out_dir"]
-    _atomic_write(
-        os.path.join(out_dir, "moments.csv"),
-        _csv_text(
-            cfg.seed,
-            cfg.digest,
-            ["p", "negative_moment", "positive_moment"],
-            [
-                (p, probe.negative_moments[p], probe.positive_moments[p])
-                for p in plan.p_list
-            ],
-        ),
-    )
-    _atomic_write(
-        os.path.join(out_dir, "modulus.csv"),
-        _csv_text(
-            cfg.seed,
-            cfg.digest,
-            ["h", "ratio"],
-            list(zip(probe.ladder_h, probe.modulus_ratios)),
-        ),
-    )
-    _atomic_write(
-        os.path.join(out_dir, "probe.json"),
-        [_json_text(cfg.seed, cfg.digest, probe.to_dict())],
-    )
-    print(f"wrote moment probe ({plan.paths} paths, {plan.steps} steps) to {out_dir}")
+    _write_table(cfg, "moments.csv", ["p", "negative_moment", "positive_moment"], (
+        (p, probe.negative_moments[p], probe.positive_moments[p]) for p in plan.p_list
+    ))
+    _write_table(cfg, "modulus.csv", ["h", "ratio"], zip(probe.ladder_h, probe.modulus_ratios))
+    _write_json(cfg, "probe.json", probe.to_dict())
+    print(f"wrote moment probe ({plan.paths} paths, {plan.steps} steps) to {cfg.io['out_dir']}")
     return EXIT_OK
 
 

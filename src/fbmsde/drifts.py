@@ -136,8 +136,6 @@ def _singularity_window(
     B(x) >= singular/2 >= (singular_coef/2) x^{-alpha}.
     """
     h1_min = 0.5 * singular_coef
-    if not other_terms:
-        return math.inf, h1_min
     singular = singular_coef * grid ** (-singular_exp)
     rest = np.zeros_like(grid)
     for coef, exponent in other_terms:
@@ -289,7 +287,7 @@ class MeanRevertingModel(_LampertiModel):
 
         drift = DriftFn(value, deriv1, deriv2, f"mean_reverting(a1={a1}, a2={a2}, gamma={gamma})")
         return drift, _certificate(
-            drift, c_sing, alpha, [(c_lin, 1.0)] if a2 != 0.0 else [], 0.0,
+            drift, c_sing, alpha, [(c_lin, 1.0)], 0.0,
             h4=max(c_sing, max(-c_lin, 0.0)),
             q=1.0 if a2 > 0.0 else 0.0,
             h3=c_lin if a2 > 0.0 else 0.0,

@@ -148,6 +148,14 @@ MUTANTS = [
     ("model-fields-as-given", "drifts.py",
      "            object.__setattr__(self, f.name, float(getattr(self, f.name) + 0.0))",
      "            object.__setattr__(self, f.name, getattr(self, f.name))"),
+    # the JSON reports keep their keys in the order they were built
+    ("json-unsorted", "cli.py",
+     '    text = json.dumps(body, indent=2, sort_keys=True) + "\\n"',
+     '    text = json.dumps(body, indent=2) + "\\n"'),
+    # each chunk's first path writes the CSV head, not only path 0
+    ("head-per-chunk", "cli.py",
+     "            if not index:",
+     "            if index == start:"),
 ]
 
 

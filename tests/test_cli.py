@@ -22,6 +22,8 @@ from fbmsde.fbm import CholeskySampler, CirculantSampler, Hurst, TimeGrid, path_
 from fbmsde.solver import SchemeConfig, integrate
 
 REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "tests" / "golden"))
+import record  # noqa: E402
 
 MINIMAL_MR = {
     "seed": 7,
@@ -576,6 +578,39 @@ class TestCli:
         moments_lines = (out_dir / "moments.csv").read_text().splitlines()
         assert moments_lines[1] == "p,negative_moment,positive_moment"
 
+    @pytest.mark.parametrize(
+        "command, argv, files",
+        [
+            ("simulate", [], ["simulate.csv"]),
+            ("converge", ["--threads", "1", "--keep-paths"],
+             ["errors.csv", "levels.csv", "report.json"]),
+            ("moments", [], ["modulus.csv", "moments.csv", "probe.json"]),
+        ],
+    )
+    def test_every_output_names_its_run(self, tmp_path, command, argv, files):
+        # each CSV opens with the run's seed and digest, and each JSON report
+        # holds them in its meta block and is written with sorted keys
+        text = config_text(
+            seed=11,
+            scheme={"steps": 128},
+            experiment={"paths": 5, "k_min": 2, "k_max": 4, "k_ref": 7},
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out_dir = tmp_path / "out"
+        code = run_cli(command, "--config", str(cfg), "--out-dir", str(out_dir), *argv)
+        assert code in (cli.EXIT_OK, cli.EXIT_BAND)
+        digest = parse_config(text, command).digest
+        assert sorted(path.name for path in out_dir.iterdir()) == files
+        for name in files:
+            body = (out_dir / name).read_text()
+            if name.endswith(".json"):
+                report = json.loads(body)
+                assert body == json.dumps(report, indent=2, sort_keys=True) + "\n"
+                assert report["meta"] == {"master_seed": 11, "config_digest": digest}
+            else:
+                assert body.split("\n", 1)[0] == f"# master_seed=11 config_digest={digest}"
+
     def test_converge_all_paths_failed_is_a_clean_runtime_error(self, tmp_path, capsys):
         # no residual can meet a 1e-300 tolerance, so every path fails
         cfg = tmp_path / "cfg.json"
@@ -715,7 +750,14 @@ class TestCli:
 
         assert moments(2000.0, tmp_path / "fits") == 0
         rows = (tmp_path / "fits" / "moments.csv").read_text().splitlines()
-        assert rows[2] == "2000.0,5.054740167573327e+225,3.836737534949133e+123"
+        # the goldens' rule: its bytes under their dispatch target, its
+        # numbers elsewhere, since x^-2000 magnifies a last-bit difference
+        # of the path minimum 2000 times
+        assert record.matches(
+            rows[2].encode(),
+            b"2000.0,5.054740167573327e+225,3.836737534949133e+123",
+            record.exact_here(),
+        )
         capsys.readouterr()
         assert moments(20000.0, tmp_path / "overflows") == cli.EXIT_RUNTIME
         assert capsys.readouterr().err == (
@@ -851,7 +893,7 @@ class TestCli:
 
         def atomic_write(path, parts):
             parts = iter(parts)
-            next(parts)  # the CSV head, yielded once the chunk has integrated
+            next(parts)  # the CSV head, yielded once path 0's columns are built
             numpy_data = tracemalloc.DomainFilter(False, np.lib.tracemalloc_domain)
             text, held = 0, 0
             tracemalloc.start()
@@ -873,9 +915,10 @@ class TestCli:
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "sim.csv")) == 0
         # measured 0.07 of the path's text, 1.0 when each path was one piece
         assert measured["held"] < measured["text"] / 4
-        # measured 0.58, set by the path's numeric temporaries (np.unique of the
-        # residuals, lamperti_inverse); 0.67 when lamperti_inverse worked in
-        # long double, 5.7 when the path's list of lines was joined whole
+        # measured 0.10: the head follows the path's numeric temporaries
+        # (np.unique of the residuals, lamperti_inverse), so they fall before
+        # the window; 0.58 when the head came first, 5.7 when the path's list
+        # of lines was joined whole
         assert measured["peak"] < 2 * measured["text"]
 
     def test_simulate_failure_in_a_later_chunk_names_its_path(
@@ -989,6 +1032,26 @@ class TestCli:
         monkeypatch.setattr(convergence, "CHUNK_PATH_STEPS", 2 * 128)
         self._run_chunked(tmp_path, command, "out")
         assert len(samplers) == 3 and alive and not any(alive)
+
+    @pytest.mark.parametrize("command", ["fbm", "simulate"])
+    def test_no_earlier_chunk_is_alive_while_the_next_runs(self, tmp_path, monkeypatch, command):
+        # the path writer frees each chunk's result, and the columns of its
+        # last path, before the next chunk is drawn
+        _, owner, task = self.CHUNKED[command]
+        run_task = getattr(owner, task)
+        results, alive = [], []
+
+        def traced(*args, **kwargs):
+            alive.extend(result() is not None for result in results)
+            result = run_task(*args, **kwargs)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(owner, task, traced)
+        # two paths per chunk, so each command runs three chunks
+        monkeypatch.setattr(convergence, "CHUNK_PATH_STEPS", 2 * 128)
+        self._run_chunked(tmp_path, command, "out")
+        assert len(results) == 3 and alive and not any(alive)
 
     def test_moments_rejects_a_repeated_order(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
