@@ -21,7 +21,9 @@ its constructor checks too: each model family's on its class in
 ``fbm.TimeGrid`` and ``fbm.METHOD_RULE``.  Every rule a file breaks is
 reported on its own key, ``$.<block>.<key>``, the cross-field ones included;
 a model that passes them all but fails its drift certificate is reported as
-``$.model``.
+``$.model``.  One function checks every object of the file, the top level,
+the model block and the scheme, experiment and io blocks alike: its unknown
+keys, each key's type, and its required keys.
 ``COMMAND_KEYS`` names the scheme and experiment keys each subcommand reads;
 a run keeps only those, and its digest covers ``ladder_rungs`` clamped as
 the moment probe clamps it, so the digest changes exactly when the outputs
@@ -112,12 +114,12 @@ def config_digest(seed: int, model: dict, scheme: dict, experiment: dict) -> str
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _any(value):
+    return value
 
 
 def _integer(value):
-    if not _is_int(value):
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"must be an integer, got {value!r}")
     return value
 
@@ -136,13 +138,14 @@ def _number(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _finite(value) -> float | None:
-    """``value`` as a float when it is a finite JSON number, else None."""
+def _finite(value) -> float:
+    """``value`` as a float if it is a finite JSON number."""
     try:
-        number = _number(value)
+        if math.isfinite(number := _number(value)):
+            return number
     except ValueError:
-        return None
-    return number if math.isfinite(number) else None
+        pass
+    raise ValueError(f"must be a finite number, got {value!r}")
 
 
 def _numbers(value) -> tuple:
@@ -160,13 +163,14 @@ def _text(value):
     return value
 
 
-# The type check of each key of the scheme, experiment and io blocks: it
-# returns the value to keep, a float for a float-typed key, or raises
-# ValueError.  Any JSON value is a method name to check: its rule names the
-# samplers whatever the value.
+# The type check of each key of the top level and of the scheme, experiment
+# and io blocks: it returns the value to keep, a float for a float-typed key,
+# or raises ValueError.  Any JSON value is a block to check on its own, or a
+# method name to check: its rule names the samplers whatever the value.
+_TOP_TYPES = {"seed": _integer, **dict.fromkeys(("model", "scheme", "experiment", "io"), _any)}
 _TYPES = {
     "scheme": {
-        "steps": _integer, "max_iter": _integer, "method": lambda value: value,
+        "steps": _integer, "max_iter": _integer, "method": _any,
         **dict.fromkeys(("horizon", "tol_abs", "tol_rel", "bracket_growth"), _number),
     },
     "experiment": {
@@ -206,9 +210,16 @@ def _rules(command: str) -> tuple:
 
 
 _RULES = {command: _rules(command) for command in _TABLES}
+# The master seed's rule: the per-path mix works modulo 2^64.
+_SEED_RULES = (("seed", "must lie in [0, 2^64), got {seed}", lambda seed: 0 <= seed < SEED_LIMIT),)
 
 
 def _check_model(block, errors: list[str]) -> dict | None:
+    """The model block, its fields as floats, or None if it has an error.
+
+    The family names the block's keys; then every key is checked, and every
+    rule of the family once every key it reads is present and finite.
+    """
     if not isinstance(block, dict):
         errors.append("$.model: must be an object")
         return None
@@ -217,49 +228,39 @@ def _check_model(block, errors: list[str]) -> dict | None:
         families = ", ".join(map(repr, MODELS))
         errors.append(f"$.model.model: must be one of {families}, got {family!r}")
         return None
-    allowed = {f.name for f in fields(MODELS[family])}
-    for key in block:
-        if key != "model" and key not in allowed:
-            errors.append(f"$.model.{key}: unknown key")
-    out = {"model": family}
-    for key in sorted(allowed):
-        if key not in block:
-            errors.append(f"$.model.{key}: required for the {family} family")
-            continue
-        value = _finite(block[key])
-        if value is None:
-            errors.append(f"$.model.{key}: must be a finite number, got {block[key]!r}")
-            continue
-        out[key] = value
-    # a rule is checked once every key it reads is present and finite
-    errors.extend(f"$.model.{broken}" for broken in broken_rules(MODELS[family].rules, out))
-    return out if not any(e.startswith("$.model") for e in errors) else None
+    cls, count = MODELS[family], len(errors)
+    read = dict.fromkeys(f.name for f in fields(cls))
+    types = {"model": _any, **dict.fromkeys(read, _finite)}
+    values, _ = _check_block("$.model", block, types, read, f"the {family} family", errors)
+    errors.extend(f"$.model.{broken}" for broken in broken_rules(cls.rules, values))
+    return values if len(errors) == count else None
 
 
 def _check_block(
-    name: str, block, read: dict, command: str, errors: list[str]
+    path: str, block, types: dict, read: dict, reader: str, errors: list[str]
 ) -> tuple[dict, dict]:
-    """The keys of ``block`` that pass their type check, and the run's keys.
+    """The keys of the object at ``path`` that pass their type check, and the run's keys.
 
-    The run's keys are those of ``read``, with the values ``block`` gives
-    them or their defaults.  Every key of ``block`` is checked, read or not.
-    An unset key whose default is None is an error: ``command`` requires it.
+    ``types`` holds the type check of each key ``block`` may have, and a
+    ``block`` of None is an empty object.  Every key of ``block`` is checked,
+    read or not, in the file's order.  The run's keys are those of ``read``,
+    with the values ``block`` gives them or their defaults; an unset key
+    whose default is None is an error: ``reader`` requires it.
     """
     if block is None:
         block = {}
     elif not isinstance(block, dict):
-        errors.append(f"$.{name}: must be an object")
+        errors.append(f"{path}: must be an object")
         block = {}
     values = {}
     for key, value in block.items():
-        check = _TYPES[name].get(key)
-        if check is None:
-            errors.append(f"$.{name}.{key}: unknown key")
+        if key not in types:
+            errors.append(f"{path}.{key}: unknown key")
             continue
         try:
-            values[key] = check(value)
+            values[key] = types[key](value)
         except ValueError as exc:
-            errors.append(f"$.{name}.{key}: {exc}")
+            errors.append(f"{path}.{key}: {exc}")
     out = {key: value for key, value in values.items() if key in read}
     for key, default in read.items():
         if key in block:
@@ -267,7 +268,7 @@ def _check_block(
         if default is not None:
             out[key] = default
         else:
-            errors.append(f"$.{name}.{key}: required for {command}")
+            errors.append(f"{path}.{key}: required for {reader}")
     return values, out
 
 
@@ -320,35 +321,20 @@ def parse_config(text: str, command: str, overrides: dict | None = None) -> RunC
             raw[name] = value
 
     errors: list[str] = []
-    for key in raw:
-        if key not in ("seed", "model", "scheme", "experiment", "io"):
-            errors.append(f"$.{key}: unknown key")
-
-    seed = raw.get("seed")
-    if seed is None:
-        errors.append("$.seed: required (64-bit master seed)")
-        seed = 0
-    elif not _is_int(seed):
-        errors.append(f"$.seed: must be an integer, got {seed!r}")
-        seed = 0
-    elif not 0 <= seed < SEED_LIMIT:
-        errors.append(f"$.seed: must lie in [0, 2^64), got {seed}")
-
-    if "model" not in raw:
-        errors.append("$.model: required")
-        model = None
-    else:
-        model = _check_model(raw["model"], errors)
-
+    top, _ = _check_block("$", raw, _TOP_TYPES, {"seed": None, "model": None}, command, errors)
+    errors.extend(f"$.{broken}" for broken in broken_rules(_SEED_RULES, top))
+    model = _check_model(top["model"], errors) if "model" in top else None
     (scheme_values, scheme), (experiment_values, experiment) = (
-        _check_block(name, raw.get(name), COMMAND_KEYS[command][name], command, errors)
-        for name in ("scheme", "experiment")
+        _check_block(f"$.{name}", top.get(name), _TYPES[name], read, command, errors)
+        for name, read in COMMAND_KEYS[command].items()
     )
     # a rule is checked once every key it reads is present and of its type
     broken = broken_rules(_RULES[command], {**scheme_values, **experiment_values})
     for name in ("scheme", "experiment"):
         errors.extend(f"$.{name}.{b}" for b in broken if b.partition(":")[0] in _TYPES[name])
-    _, io_block = _check_block("io", raw.get("io"), {"out_dir": "."}, command, errors)
+    _, io_block = _check_block(
+        "$.io", top.get("io"), _TYPES["io"], {"out_dir": "."}, command, errors
+    )
 
     if errors:
         raise ConfigError(errors)
@@ -361,5 +347,5 @@ def parse_config(text: str, command: str, overrides: dict | None = None) -> RunC
     hashed = dict(experiment)
     if "ladder_rungs" in hashed:
         hashed["ladder_rungs"] = modulus_rungs(hashed["ladder_rungs"], scheme["steps"])
-    digest = config_digest(seed, model, scheme, hashed)
-    return RunConfig(seed, spec, scheme, experiment, io_block, digest)
+    digest = config_digest(top["seed"], model, scheme, hashed)
+    return RunConfig(top["seed"], spec, scheme, experiment, io_block, digest)

@@ -197,7 +197,8 @@ class _LampertiModel:
     test) entries of ``errors.broken_rules``.  The constructor and the
     config's model check read this one table.  The constructor stores each
     field as a float, checks the table, and then builds the drift and its
-    certificate, so a certificate that cannot be built refuses the model.
+    certificate, so a certificate that cannot be built refuses the model,
+    one whose constants under- or overflow included.
     The positivity theory's ``alpha > 1/H - 1`` needs no check of its own:
     the table already gives alpha >= 1 (gamma >= 1/2, and r + 1 > 2 rho),
     and H > 1/2 gives 1/H - 1 < 1.
@@ -233,7 +234,12 @@ class _LampertiModel:
         for f in fields(self):
             object.__setattr__(self, f.name, float(getattr(self, f.name) + 0.0))
         require(self.rules, vars(self))
-        self.drift()
+        try:
+            self.drift()
+        except ArithmeticError as exc:  # a constant under- or overflowed
+            raise ParameterError(
+                f"the drift certificate cannot be computed: {type(exc).__name__}: {exc}"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -425,8 +431,6 @@ class AuditCheck:
     passed: bool
     worst_margin: float
     worst_x: float
-    tolerance: float
-    description: str
 
 
 @dataclass(frozen=True)
@@ -449,14 +453,10 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def _check(
-    name: str, margin, xs, passed, tolerance: float, description: str
-) -> AuditCheck:
+def _check(name: str, margin, xs, passed) -> AuditCheck:
     """The check's verdict with its smallest margin and the x at which it occurs."""
     worst = int(np.argmin(margin))
-    return AuditCheck(
-        name, bool(passed), float(margin[worst]), float(xs[worst]), tolerance, description
-    )
+    return AuditCheck(name, bool(passed), float(margin[worst]), float(xs[worst]))
 
 
 def audit_assumptions(drift: DriftFn, cert: AssumptionCertificate) -> AuditReport:
@@ -472,7 +472,8 @@ def audit_assumptions(drift: DriftFn, cert: AssumptionCertificate) -> AuditRepor
     d1_vals = np.asarray(drift.deriv1(grid), dtype=float)
     d2_vals = np.asarray(drift.deriv2(grid), dtype=float)
 
-    # one-sided Lipschitz condition on sampled pairs, normalized by (x - y)^2
+    # one-sided Lipschitz condition on sampled pairs, normalized by (x - y)^2:
+    # (B(x)-B(y))(x-y) <= K (x-y)^2
     i = rng.integers(0, grid.size, size=_AUDIT_PAIRS)
     j = rng.integers(0, grid.size, size=_AUDIT_PAIRS)
     keep = i != j
@@ -480,42 +481,38 @@ def audit_assumptions(drift: DriftFn, cert: AssumptionCertificate) -> AuditRepor
     slope = (b_vals[i[keep]] - b_vals[j[keep]]) / (x - y)
     tol_a1 = 1e-6 * (1.0 + abs(cert.K))
     checks = [
-        _check("one_sided_lipschitz", cert.K - slope, x, np.all(slope <= cert.K + tol_a1),
-               tol_a1, "(B(x)-B(y))(x-y) <= K (x-y)^2 on sampled grid pairs")
+        _check("one_sided_lipschitz", cert.K - slope, x, np.all(slope <= cert.K + tol_a1))
     ]
 
-    # singular lower bound below the crossover x1, relative to x^{-alpha}
+    # singular lower bound below the crossover x1, relative to x^{-alpha}:
+    # B(x) >= h1_min x^{-alpha} for x <= x1
     near = grid <= cert.x1
     if near.any():
         margin = b_vals[near] / grid[near] ** -cert.alpha - cert.h1_min
-        checks.append(
-            _check("singular_lower_bound", margin, grid[near],
-                   np.all(margin >= -1e-9 * cert.h1_min), 1e-9,
-                   "B(x) >= h1_min x^{-alpha} for x <= x1")
-        )
+        checks.append(_check("singular_lower_bound", margin, grid[near],
+                             np.all(margin >= -1e-9 * cert.h1_min)))
 
-    # upper growth bound
+    # upper growth bound: B(x) <= h4 (1 + x + x^{-theta})
     envelope = cert.h4 * (1.0 + grid + grid**-cert.theta)
     margin = (envelope - b_vals) / envelope
-    checks.append(_check("upper_growth", margin, grid, np.all(margin >= -1e-9), 1e-9,
-                         "B(x) <= h4 (1 + x + x^{-theta})"))
+    checks.append(_check("upper_growth", margin, grid, np.all(margin >= -1e-9)))
 
-    # growth of the negative part
+    # growth of the negative part: B(x)^- <= h3 (1 + x^q)
     neg = np.maximum(-b_vals, 0.0)
     bound = cert.h3 * (1.0 + grid**cert.q)
     envelope = bound + 1e-300
     checks.append(_check("negative_part_growth", (envelope - neg) / envelope, grid,
-                         np.all(neg <= bound + 1e-12), 1e-12, "B(x)^- <= h3 (1 + x^q)"))
+                         np.all(neg <= bound + 1e-12)))
 
-    # derivative growth envelope
+    # derivative growth envelope: |B'(x)| + |B''(x)| <= c (1 + x^{p1} + x^{-p2})
     envelope = cert.c_h2 * (1.0 + grid**cert.p1 + grid**-cert.p2)
     margin = (envelope - (np.abs(d1_vals) + np.abs(d2_vals))) / envelope
-    checks.append(_check("derivative_growth", margin, grid, np.all(margin >= -1e-6), 1e-6,
-                         "|B'(x)| + |B''(x)| <= c (1 + x^{p1} + x^{-p2})"))
+    checks.append(_check("derivative_growth", margin, grid, np.all(margin >= -1e-6)))
 
-    # Central differences with a step proportional to x.  A fixed absolute
-    # step would make the truncation error of the x^{-alpha} terms swamp the
-    # tolerance at the small-x end of the grid.
+    # Each closed-form derivative against a central difference, with a step
+    # proportional to x.  A fixed absolute step would make the truncation
+    # error of the x^{-alpha} terms swamp the tolerance at the small-x end of
+    # the grid.
     rtol, eps = 1e-6, np.finfo(float).eps
 
     def fd_margin(fn, exact, xs, delta):
@@ -541,6 +538,5 @@ def audit_assumptions(drift: DriftFn, cert: AssumptionCertificate) -> AuditRepor
         if miss.any():
             xs = grid[miss]
             margin[miss] = fd_margin(fn, exact[miss], xs, 1e-7 * xs)
-        checks.append(_check(name, margin, grid, np.all(margin >= 0.0),
-                             rtol, "closed-form derivative vs central difference"))
+        checks.append(_check(name, margin, grid, np.all(margin >= 0.0)))
     return AuditReport(drift_name=drift.name, checks=tuple(checks))

@@ -92,8 +92,8 @@ MUTANTS = [
      "        if False:"),
     # the digest leaves out the experiment block
     ("digest-without-experiment", "config.py",
-     "    digest = config_digest(seed, model, scheme, hashed)",
-     "    digest = config_digest(seed, model, scheme, {})"),
+     '    digest = config_digest(top["seed"], model, scheme, hashed)',
+     '    digest = config_digest(top["seed"], model, scheme, {})'),
     # every bootstrap resample is the identity
     ("bootstrap-identity", "convergence.py",
      "        draws = rng.integers(0, n, size=(block.size, n))",
@@ -156,6 +156,15 @@ MUTANTS = [
     ("head-per-chunk", "cli.py",
      "            if not index:",
      "            if index == start:"),
+    # the config accepts a seed past 2^64, which draws another seed's paths
+    ("seed-rule-open", "config.py",
+     '_SEED_RULES = (("seed", "must lie in [0, 2^64), got {seed}", '
+     'lambda seed: 0 <= seed < SEED_LIMIT),)',
+     '_SEED_RULES = (("seed", "must lie in [0, 2^64), got {seed}", lambda seed: 0 <= seed),)'),
+    # moments' unset p_list is not the one docs/config.md states
+    ("command-keys-default", "config.py",
+     '            "paths": None, "p_list": (2.0, 4.0), "ladder_rungs": ProbePlan.ladder_rungs',
+     '            "paths": None, "p_list": (2.0, 3.0), "ladder_rungs": ProbePlan.ladder_rungs'),
 ]
 
 

@@ -910,15 +910,17 @@ class TestCli:
 
         monkeypatch.setattr(cli, "_atomic_write", atomic_write)
         cfg = tmp_path / "cfg.json"
-        # one chunk, one path of 2^14 steps: about 1.2 MB of text
-        cfg.write_text(config_text(scheme={"steps": 2**14}, experiment={"paths": 1}))
+        # one chunk, two paths of 2^14 steps: about 2.4 MB of text.  The head
+        # comes once path 0's columns are built, so path 1's numeric
+        # temporaries (np.unique of its residuals, lamperti_inverse) are the
+        # ones the window sees.
+        cfg.write_text(config_text(scheme={"steps": 2**14}, experiment={"paths": 2}))
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "sim.csv")) == 0
-        # measured 0.07 of the path's text, 1.0 when each path was one piece
+        # measured 0.03 of the two paths' text, 1.4 when each path's lines
+        # were joined into one piece
         assert measured["held"] < measured["text"] / 4
-        # measured 0.10: the head follows the path's numeric temporaries
-        # (np.unique of the residuals, lamperti_inverse), so they fall before
-        # the window; 0.58 when the head came first, 5.7 when the path's list
-        # of lines was joined whole
+        # measured 0.29 (0.58 of one path's text), 2.6 when each path's lines
+        # were joined into one piece
         assert measured["peak"] < 2 * measured["text"]
 
     def test_simulate_failure_in_a_later_chunk_names_its_path(

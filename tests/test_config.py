@@ -15,6 +15,7 @@ key, with the text the class's constructor raises for it.
 
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -497,6 +498,122 @@ def test_every_broken_rule_is_reported_in_one_pass(tmp_path, capsys, command, cf
     assert not out.exists()
 
 
+def _file(*missing, **blocks) -> dict:
+    """A verify-assumptions file: seed 7 and the MR model, less ``missing``, with ``blocks``."""
+    cfg = {"seed": 7, "model": MR, **blocks}
+    return {key: value for key, value in cfg.items() if key not in missing}
+
+
+# For each object check: a config file (text, an object to dump, or None for a
+# file that is not there) and every error it gives, in order.  ``{config}``
+# stands for the file's path.
+OBJECT_ERRORS = {
+    "top-level-list": ("[1]", ["$: top level must be an object"]),
+    "unreadable": (None, [
+        "cannot read config file '{config}': [Errno 2] No such file or directory: '{config}'"
+    ]),
+    "unknown-keys": (
+        _file(scheme={"stpes": 16}, experiment={"pths": 2}, io={"dir": "."}, extra={}),
+        ["$.extra: unknown key", "$.scheme.stpes: unknown key",
+         "$.experiment.pths: unknown key", "$.io.dir: unknown key"],
+    ),
+    "seed-missing": (_file("seed"), ["$.seed: required for verify-assumptions"]),
+    "seed-null": (_file(seed=None), ["$.seed: must be an integer, got None"]),
+    "seed-string": (_file(seed="7"), ["$.seed: must be an integer, got '7'"]),
+    "seed-past-64-bits": (
+        _file(seed=2**64), ["$.seed: must lie in [0, 2^64), got 18446744073709551616"]
+    ),
+    "model-missing": (_file("model"), ["$.model: required for verify-assumptions"]),
+    "model-list": (_file(model=[MR]), ["$.model: must be an object"]),
+    "model-null": (_file(model=None), ["$.model: must be an object"]),
+    "model-family": (
+        _file(model={**MR, "model": "cir"}),
+        ["$.model.model: must be one of 'mean_reverting', 'ait_sahalia', got 'cir'"],
+    ),
+    "model-field-missing": (
+        _file(model={k: v for k, v in MR.items() if k != "a2"}),
+        ["$.model.a2: required for the mean_reverting family"],
+    ),
+    "model-field-nan": (
+        _file(model={**MR, "a2": float("nan")}), ["$.model.a2: must be a finite number, got nan"]
+    ),
+    "model-field-past-float": (
+        _file(model={**MR, "a1": -10**400}),
+        [f"$.model.a1: must be a finite number, got {-10**400}"],
+    ),
+    "model-error-order": (
+        _file(model={"y0": "x", **{k: v for k, v in MR.items() if k not in ("a1", "y0")},
+                     "gama": 0.7}),
+        # the file's key order, then the missing keys
+        ["$.model.y0: must be a finite number, got 'x'", "$.model.gama: unknown key",
+         "$.model.a1: required for the mean_reverting family"],
+    ),
+    "scheme-list": (_file(scheme=[16]), ["$.scheme: must be an object"]),
+    "p_list-of-strings": (
+        _file(experiment={"p_list": [2, "4"]}),
+        ["$.experiment.p_list: must be a list of numbers, got [2, '4']"],
+    ),
+    "p_list-number": (
+        _file(experiment={"p_list": 2}), ["$.experiment.p_list: must be a list of numbers, got 2"]
+    ),
+    "out_dir-number": (_file(io={"out_dir": 3}), ["$.io.out_dir: must be a string, got 3"]),
+    # an integer past the float range is read as inf, which the rule refuses
+    "integer-past-float": (
+        _file(scheme={"horizon": 10**400}),
+        ["$.scheme.horizon: must be a finite number > 0, got inf"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", OBJECT_ERRORS)
+def test_each_object_error_has_its_message(tmp_path, capsys, case):
+    cfg, expected = OBJECT_ERRORS[case]
+    path = tmp_path / "cfg.json"
+    if cfg is not None:
+        path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(path.read_text(), "verify-assumptions")
+        assert excinfo.value.errors == expected
+    assert cli.main(["verify-assumptions", "--config", str(path)]) == 1
+    printed = "".join(f"config error: {e}\n" for e in expected)
+    assert capsys.readouterr() == ("", printed.replace("{config}", str(path)))
+
+
+# Ait-Sahalia models that pass every rule of the family, and why no drift
+# certificate can be built for them: a constant that under- or overflows, or
+# a linear term too large for the singular one to dominate near zero.
+UNCERTIFIED = {
+    "a_m1-underflow": ({"a_m1": 5e-324}, "ZeroDivisionError: float division by zero"),
+    "a0-underflow": ({"a0": 1e-320}, "ZeroDivisionError: float division by zero"),
+    "a0-overflow": ({"a0": 1e200}, "OverflowError: (34, 'Numerical result out of range')"),
+    "a1-dominates": ({"a1": 1e300}, None),
+}
+
+
+@pytest.mark.parametrize("case", UNCERTIFIED)
+def test_a_model_without_a_certificate_is_a_model_error(tmp_path, capsys, case):
+    fields, cause = UNCERTIFIED[case]
+    message = (
+        f"the drift certificate cannot be computed: {cause}" if cause else
+        "singular term does not dominate at the bottom of the scan grid; "
+        "cannot certify the lower bound near zero"
+    )
+    model = {**AS, **fields}
+    text = json.dumps(_file(model=model, scheme={"steps": 16}))
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text, "simulate")
+    assert excinfo.value.errors == [f"$.model: {message}"]
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    for argv in (["verify-assumptions"], ["simulate", "--out", str(tmp_path / "out.csv")]):
+        assert cli.main([*argv, "--config", str(config)]) == 1
+        assert capsys.readouterr() == ("", f"config error: $.model: {message}\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+    with pytest.raises(ParameterError) as excinfo:
+        MODELS["ait_sahalia"](**{k: v for k, v in model.items() if k != "model"})
+    assert str(excinfo.value) == message
+
+
 def test_a_rule_reading_a_bad_key_is_not_checked():
     # rho is not a number, so neither constraint on r is checked
     model = {**AS, "r": 2.0, "rho": "x"}
@@ -549,3 +666,34 @@ def test_docs_key_table_states_each_rule():
                 assert text in cell.replace("`", "").replace('"', "'"), (name, text)
             else:
                 assert re.search(r"`([^`]+)`", cell)[1] in message, (name, message)
+
+
+def _model_tables() -> dict[str, dict[str, str]]:
+    """family -> key -> the valid-values cell of its row in docs/config.md's model tables."""
+    tables, family = {}, None
+    for line in DOCS.read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if not line.startswith("|"):
+            family = None
+        elif heading := re.fullmatch(r"`(\w+)` key", cells[0]):
+            family = heading[1]
+            tables[family] = {}
+        elif family and re.fullmatch(r"`\w+`", cells[0]):
+            tables[family][cells[0].strip("`")] = cells[1]
+    return tables
+
+
+def test_docs_model_tables_state_each_rule():
+    # each key's cell: "finite number", then each rule on the key in the
+    # family's table order, less its "got ..." tail
+    tables = _model_tables()
+    assert tables.keys() == MODELS.keys()
+    for family, cls in MODELS.items():
+        expected = {
+            f.name: "; ".join(["finite number", *(
+                message.split(", got")[0] for key, message, _ in cls.rules if key == f.name
+            )])
+            for f in fields(cls)
+        }
+        cells = {key: cell.replace("`", "") for key, cell in tables[family].items()}
+        assert cells == expected, family
